@@ -15,9 +15,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
-.PHONY: ci lint depgraph vet build test race leaks fuzz-seeds fuzz bench cover concurrency obs faults chaos refine-incr storetest bench-store bench-serve policy-conformance bench-policy ranksafe-exactness bench-ranksafe indextest ingest-exactness bench-ingest
+.PHONY: ci lint depgraph vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store bench-serve policy-conformance bench-policy ranksafe-exactness bench-ranksafe indextest ingest-exactness bench-ingest
 
-ci: lint depgraph build test race leaks fuzz-seeds faults-smoke storetest policy-conformance ranksafe-exactness indextest ingest-exactness bench-store bench-serve bench-policy bench-ranksafe bench-ingest cover
+ci: lint depgraph build test benchmark-test race leaks fuzz-seeds faults-smoke storetest policy-conformance ranksafe-exactness indextest ingest-exactness bench-store bench-serve bench-policy bench-ranksafe bench-ingest cover
 
 lint:
 	@if [ -x "$(STATICCHECK)" ] || $(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) 2>/dev/null; then \
@@ -52,6 +52,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The repo benchmark is a nested module (benchmark/go.mod) that
+# assembles its own pool/evaluator stack over internal APIs, so
+# `go build ./...` and `go test ./...` at the root never compile it.
+# This gate does: an API change that breaks the benchmark fails here,
+# not after the merge.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -95,7 +103,7 @@ cover:
 
 # Fault smoke gate: the seeded-fault regression tests of every layer —
 # loader retry/backoff, waiter re-attempt, residency-at-failure, victim
-# backpressure, serial/sharded error parity, the eval fault budget, and
+# backpressure, the pinned serial fault trace, the eval fault budget, and
 # the engine chaos invariants — under -race.
 .PHONY: faults-smoke
 faults-smoke:
@@ -105,6 +113,22 @@ faults-smoke:
 
 bench:
 	$(GO) test -run=xxx -bench=. -benchtime=1x .
+
+# Compare two sets of repo-benchmark result lines (each written with
+# `bash benchmark/run.sh ... --out FILE`): one row per workload and
+# end-to-end metric with both medians, the bound and the verdict; exits
+# 1 when a row regressed. See benchmark/README.md, "Comparing two
+# commits".
+PARENT ?= parent.jsonl
+CHANGE ?= change.jsonl
+bench-compare:
+	bash benchmark/run.sh -compare $(PARENT) $(CHANGE)
+
+# The two tracked size numbers of ROADMAP aim 2: non-test Go lines and
+# package count outside the benchmark module. Both should go down.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l | awk '{print $$1, "non-test Go lines"}'
+	@$(GO) list ./... | wc -l | awk '{print $$1, "packages"}'
 
 # The PageStore conformance suite under -race: every backend — the
 # in-memory simulator, the compressed store, and the file-backed store
@@ -168,7 +192,7 @@ bench-policy:
 ranksafe-exactness:
 	$(GO) test -race -count=1 ./internal/evalsafe
 	$(GO) test -race -count=1 \
-		-run 'TestMetamorphicSafe|TestSafe|TestRankSafe|TestSessionSafeMethods|TestSharedPoolSafeMethod|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestOverlapAtK|TestParseAlgorithm|TestMethodKnob' \
+		-run 'TestMetamorphicSafe|TestSafe|TestRankSafe|TestSessionSafeMethods|TestSharedPoolSafeMethod|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestOverlapAtK|TestParseAlgorithm' \
 		./internal/eval ./internal/rank ./internal/experiments .
 
 # The rank-safe frontier sweep (E27): TA/NRA/MAXSCORE vs exhaustive

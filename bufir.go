@@ -737,7 +737,7 @@ func (ix *Index) NewSession(cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{ix: ix, rc: rc, fault: cfg.Fault, algo: cfg.method()}
+	s := &Session{ix: ix, rc: rc, fault: cfg.Fault, algo: cfg.Algorithm}
 	if err := s.bind(ix.view()); err != nil {
 		return nil, err
 	}
@@ -746,7 +746,7 @@ func (ix *Index) NewSession(cfg SessionConfig) (*Session, error) {
 
 // bind (re)builds the session's pool and evaluator against view v.
 func (s *Session) bind(v *idxView) error {
-	mgr, err := buffer.NewManager(s.rc.bufferPages, v.store, v.ix, s.rc.newPolicy(s.rc.bufferPages))
+	mgr, err := buffer.NewManager(s.rc.bufferPages, 1, v.store, v.ix, s.rc.newPolicy)
 	if err != nil {
 		return err
 	}
@@ -950,7 +950,7 @@ func (ix *Index) BuildFeedbackSequence(initial Query, opts FeedbackOptions) (*Re
 // fullEvaluator builds a throwaway exhaustive evaluator over one view
 // with ample buffers for offline computations.
 func fullEvaluator(v *idxView) (*eval.Evaluator, error) {
-	mgr, err := buffer.NewManager(v.ix.NumPagesTotal+1, v.store, v.ix, buffer.NewLRU())
+	mgr, err := buffer.NewManager(v.ix.NumPagesTotal+1, 1, v.store, v.ix, func(int) buffer.Policy { return buffer.NewLRU() })
 	if err != nil {
 		return nil, err
 	}

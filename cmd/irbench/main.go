@@ -18,7 +18,7 @@
 // (fig56/fig78 are aliases for the figure pairs; default "all").
 // concurrency sweeps -workers over the E12 workload with -cusers
 // sessions and -disklat simulated read latency, comparing the
-// single-latch pool against one sharded -cshards ways. lifecycle
+// one-latch pool against one sharded -cshards ways. lifecycle
 // reuses -cusers/-cshards/-disklat to sweep per-request deadlines
 // (QueryTimeout with OnDeadline=Partial and a bounded admission
 // queue) across the untimed service-time distribution, reporting

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"bufir"
+	"bufir/internal/buffer"
 	_ "bufir/obshttp"
 )
 
@@ -60,7 +61,7 @@ func main() {
 		shards       = flag.Int("shards", 0, "split a single index into N in-memory partitions (0 = as stored)")
 		workers      = flag.Int("workers", 0, "worker goroutines per shard engine (0 = default)")
 		buffers      = flag.Int("buffers", 256, "buffer pages per shard engine")
-		policy       = flag.String("policy", "RAP", "replacement policy: LRU, MRU or RAP")
+		policy       = flag.String("policy", "RAP", "replacement policy: "+strings.Join(buffer.PolicyNames, ", "))
 		algo         = flag.String("algo", "BAF", "evaluation algorithm: DF, BAF, TA, NRA or MAXSCORE (TA/NRA/MAXSCORE are rank-safe: exact top-k, early termination)")
 		topn         = flag.Int("topn", 10, "answer size")
 		maxQueue     = flag.Int("maxqueue", 0, "per-shard admission queue bound (0 = unbounded)")

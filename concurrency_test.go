@@ -9,9 +9,14 @@ package bufir
 // matter how many sessions request it concurrently.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"bufir/internal/postings"
+	"bufir/internal/storage"
 )
 
 // addOnlySteps builds the user's ADD-ONLY refinement sequence: the
@@ -156,5 +161,133 @@ func TestEngineSharedPoolCrossUserHits(t *testing.T) {
 	}
 	if es := eng.Stats(); es.Queries != 40 || es.Errors != 0 {
 		t.Errorf("serving counters = %+v, want 40 queries, 0 errors", es)
+	}
+}
+
+// gateStore parks every counted read until the test opens the gate,
+// announcing the page first: started is the test's view of which loads
+// are in flight inside the buffer manager.
+type gateStore struct {
+	storage.PageStore
+	started  chan postings.PageID
+	open     chan struct{}
+	openOnce sync.Once
+}
+
+// release opens the gate for every parked and future read.
+func (s *gateStore) release() { s.openOnce.Do(func() { close(s.open) }) }
+
+func (s *gateStore) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
+	s.started <- id
+	select {
+	case <-s.open:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return s.PageStore.ReadContext(ctx, id)
+}
+
+// gatedEngine republishes ix's current generation over a gateStore and
+// builds a Shards: 1, Workers: 2 engine on it.
+func gatedEngine(t *testing.T, ix *Index) (*Engine, *gateStore) {
+	t.Helper()
+	v := *ix.view()
+	gate := &gateStore{PageStore: v.store, started: make(chan postings.PageID, 64), open: make(chan struct{})}
+	v.store = gate
+	ix.publish(&v)
+	eng, err := ix.NewEngine(EngineConfig{EvalOptions: EvalOptions{Algorithm: DF, Unfiltered: true}, Workers: 2, Shards: 1, BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		gate.release() // a failed test must not leave workers parked
+		eng.Close()
+	})
+	return eng, gate
+}
+
+// awaitStarted returns the next page whose load reached the store.
+func awaitStarted(t *testing.T, gate *gateStore) postings.PageID {
+	t.Helper()
+	select {
+	case id := <-gate.started:
+		return id
+	case <-time.After(5 * time.Second):
+		t.Fatal("no further load reached the store: a second worker is stuck behind the first one's read")
+		return 0
+	}
+}
+
+// TestOneShardOverlapsLoads: Shards is only the latch count. With one
+// shard and two workers, the loads of two different pages are inside
+// the store at the same time — the latch is not held across the read.
+func TestOneShardOverlapsLoads(t *testing.T) {
+	col, ix := testIndex(t)
+	q, err := ix.TopicQuery(col.Topics[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, gate := gatedEngine(t, ix)
+	var tickets []*Ticket
+	for u := 0; u < 2; u++ { // one single-term query per user, different terms
+		tk, err := eng.Submit(u, q[u:u+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	a, b := awaitStarted(t, gate), awaitStarted(t, gate)
+	if a == b {
+		t.Fatalf("page %d was read twice at once", a)
+	}
+	gate.release()
+	for _, tk := range tickets {
+		if _, err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOneShardSingleFlight: two users asking for the same list while
+// its pages load cost one store read per page, not two.
+func TestOneShardSingleFlight(t *testing.T) {
+	col, ix := testIndex(t)
+	q, err := ix.TopicQuery(col.Topics[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, gate := gatedEngine(t, ix)
+	var tickets []*Ticket
+	for u := 0; u < 2; u++ {
+		tk, err := eng.Submit(u, q[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	awaitStarted(t, gate)
+	// Hold the first load until both requests are with a worker, so the
+	// second meets the page mid-load (or, at the latest, just loaded).
+	for deadline := time.Now().Add(5 * time.Second); eng.Obs().Engine.InFlight < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never reached a worker")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	gate.release()
+	pagesRead := 0
+	for _, tk := range tickets {
+		res, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pagesRead += res.PagesRead
+	}
+	pages := int64(ix.TermPages(q[0].Term))
+	if got := gate.Reads(); got != pages {
+		t.Errorf("store reads = %d, want %d (one per page of the list)", got, pages)
+	}
+	if int64(pagesRead) != pages {
+		t.Errorf("the two results report %d pages read, want %d between them", pagesRead, pages)
 	}
 }

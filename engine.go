@@ -37,9 +37,12 @@ type EngineConfig struct {
 	EvalOptions
 	// Workers is the number of serving goroutines (default 4).
 	Workers int
-	// Shards splits the buffer pool's latch (and capacity) by page-id
-	// hash; 1 keeps the single-latch pool (default 1). With more than
-	// one worker, shards ≈ workers keeps latch contention low.
+	// Shards is the number of latches the buffer pool is split into
+	// (with its capacity) by page-id hash (default 1). It sets latch
+	// granularity only: at every value a miss's disk read runs outside
+	// the latch and concurrent requests for one page share one read.
+	// With more than one worker, shards ≈ workers keeps latch
+	// contention low; one shard keeps one global replacement order.
 	Shards int
 	// BufferPages is the shared pool capacity in pages (default 128).
 	BufferPages int
@@ -168,21 +171,14 @@ func (ps *poolSource) Binding() (engine.Binding, error) {
 	if v == ps.v {
 		return ps.b, nil
 	}
-	pool, err := ps.newPool(v)
+	pool, err := buffer.NewShardedSharedPool(ps.rc.bufferPages, ps.shards, v.store, v.ix, ps.rc.newPolicy)
 	if err != nil {
 		return ps.b, err
 	}
-	applyFaultOptions(pool, ps.fault, ps.onRetry)
+	applyFaultOptions(pool.Manager(), ps.fault, ps.onRetry)
 	ps.v = v
 	ps.b = engine.Binding{Epoch: v.epoch, Key: v, Ix: v.ix, Conv: v.conv, Pool: pool}
 	return ps.b, nil
-}
-
-func (ps *poolSource) newPool(v *idxView) (*buffer.SharedPool, error) {
-	if ps.shards == 1 {
-		return buffer.NewSharedPool(ps.rc.bufferPages, v.store, v.ix, ps.rc.newPolicy(ps.rc.bufferPages))
-	}
-	return buffer.NewShardedSharedPool(ps.rc.bufferPages, ps.shards, v.store, v.ix, ps.rc.newPolicy)
 }
 
 // setOnRetry installs the engine's retry hook — the engine is
@@ -194,7 +190,7 @@ func (ps *poolSource) setOnRetry(onRetry func(time.Duration)) {
 	defer ps.mu.Unlock()
 	ps.onRetry = onRetry
 	if ps.b.Pool != nil {
-		applyFaultOptions(ps.b.Pool, ps.fault, onRetry)
+		applyFaultOptions(ps.b.Pool.Manager(), ps.fault, onRetry)
 	}
 }
 
@@ -229,7 +225,7 @@ func (ix *Index) NewEngine(cfg EngineConfig) (*Engine, error) {
 	src := &poolSource{ix: ix, rc: rc, shards: cfg.Shards, fault: cfg.Fault}
 	inner, err := engine.NewWithSource(src, engine.Config{
 		Workers:      cfg.Workers,
-		Algo:         cfg.method(),
+		Algo:         cfg.Algorithm,
 		Params:       rc.params,
 		MaxQueue:     cfg.MaxQueue,
 		QueryTimeout: cfg.QueryTimeout,

@@ -13,6 +13,7 @@
 package boolean
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -292,7 +293,7 @@ func (e *Evaluator) termDocs(t postings.TermID, reads *int) ([]postings.DocID, e
 	tm := &e.Idx.Terms[t]
 	out := make([]postings.DocID, 0, tm.DF)
 	for p := 0; p < tm.NumPages; p++ {
-		frame, missed, err := e.Buf.Fetch(e.Idx.PageOf(t, p))
+		frame, missed, err := e.Buf.FetchContext(context.TODO(), e.Idx.PageOf(t, p))
 		if err != nil {
 			return nil, fmt.Errorf("boolean: term %q page %d: %w", tm.Name, p, err)
 		}

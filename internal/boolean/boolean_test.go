@@ -33,7 +33,7 @@ func fixture(t *testing.T) (*Evaluator, *postings.Index) {
 		t.Fatal(err)
 	}
 	st := storage.NewStore(pages)
-	mgr, err := buffer.NewManager(32, st, ix, buffer.NewLRU())
+	mgr, err := buffer.NewManager(32, 1, st, ix, func(int) buffer.Policy { return buffer.NewLRU() })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ const adaptiveWeightFloor = 0.05
 const adaptiveSeed uint64 = 0x9E3779B97F4A7C15
 
 // PolicyStats are the ADAPTIVE policy's observable gauges, surfaced
-// through PoolManager.PolicyStats and the bufir_policy_* metrics.
+// through Manager.PolicyStats and the bufir_policy_* metrics.
 type PolicyStats struct {
 	// GhostHitsLRU / GhostHitsRAP count re-references to pages whose
 	// eviction was charged to the respective expert — the regret signal
@@ -44,7 +44,7 @@ type PolicyStats struct {
 }
 
 // StatsReporter is implemented by policies that expose PolicyStats
-// (currently only Adaptive). Managers probe for it dynamically so
+// (currently only Adaptive). The Manager probes for it dynamically so
 // static policies pay nothing.
 type StatsReporter interface {
 	PolicyStats() PolicyStats

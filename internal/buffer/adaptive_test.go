@@ -89,7 +89,7 @@ func TestGhostListRefresh(t *testing.T) {
 func TestTwoQEvictionGhosts(t *testing.T) {
 	ix, st := testEnv(t)
 	pol := NewTwoQ(4) // kout = 2: room for two eviction ghosts
-	m, err := NewManager(4, st, ix, pol)
+	m, err := newSerial(4, st, ix, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTwoQEvictionGhosts(t *testing.T) {
 func TestTwoQFlushLeavesNoGhosts(t *testing.T) {
 	ix, st := testEnv(t)
 	pol := NewTwoQ(8)
-	m, err := NewManager(8, st, ix, pol)
+	m, err := newSerial(8, st, ix, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +143,14 @@ func TestTwoQFaultInvalidationLeavesNoGhosts(t *testing.T) {
 	ix, st := testEnv(t)
 	fs := &flakyStore{inner: st, fail: map[postings.PageID]int{2: 1}}
 	var pol *TwoQ
-	m, err := NewShardedManager(4, 1, fs, ix, func(capacity int) Policy {
+	m, err := NewManager(4, 1, fs, ix, func(capacity int) Policy {
 		pol = NewTwoQ(capacity)
 		return pol
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Fetch(2); !errors.Is(err, errFlaky) {
+	if _, _, err := fetch(m, 2); !errors.Is(err, errFlaky) {
 		t.Fatalf("Fetch(2) = %v, want the injected fault", err)
 	}
 	if n := pol.ghosts.Len(); n != 0 {
@@ -158,7 +158,7 @@ func TestTwoQFaultInvalidationLeavesNoGhosts(t *testing.T) {
 	}
 	// The page loads fine on retry and — with no phantom ghost — enters
 	// probation as a cold page.
-	f, _, err := m.Fetch(2)
+	f, _, err := fetch(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestAdaptiveVictimFollowsFavoredExpert(t *testing.T) {
 func TestAdaptiveFlushLeavesNoGhosts(t *testing.T) {
 	ix, st := testEnv(t)
 	pol := NewAdaptive(8)
-	m, err := NewManager(8, st, ix, pol)
+	m, err := newSerial(8, st, ix, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestAdaptiveFlushLeavesNoGhosts(t *testing.T) {
 func TestPolicyStatsPlumbing(t *testing.T) {
 	ix, st := testEnv(t)
 
-	lruM, err := NewManager(3, st, ix, NewLRU())
+	lruM, err := newSerial(3, st, ix, NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestPolicyStatsPlumbing(t *testing.T) {
 		t.Fatal("LRU manager reports PolicyStats, want none")
 	}
 
-	adM, err := NewManager(3, st, ix, NewAdaptive(3))
+	adM, err := newSerial(3, st, ix, NewAdaptive(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,14 +343,14 @@ func TestPolicyStatsPlumbing(t *testing.T) {
 		t.Fatalf("fresh WeightLRU = %g, want 0.5", ps.WeightLRU)
 	}
 
-	sh, err := NewShardedManager(4, 2, st, ix, func(c int) Policy { return NewAdaptive(c) })
+	sh, err := NewManager(4, 2, st, ix, func(c int) Policy { return NewAdaptive(c) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Churn past capacity so ghost hits accumulate somewhere.
 	for round := 0; round < 20; round++ {
 		for p := postings.PageID(0); p < 7; p++ {
-			f, _, err := sh.Fetch(p)
+			f, _, err := fetch(sh, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +368,7 @@ func TestPolicyStatsPlumbing(t *testing.T) {
 		t.Fatalf("aggregated WeightLRU = %g out of range", ps.WeightLRU)
 	}
 
-	shLRU, err := NewShardedManager(4, 2, st, ix, func(int) Policy { return NewLRU() })
+	shLRU, err := NewManager(4, 2, st, ix, func(int) Policy { return NewLRU() })
 	if err != nil {
 		t.Fatal(err)
 	}

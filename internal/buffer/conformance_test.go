@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -35,7 +36,7 @@ func forEachPolicy(t *testing.T, f func(t *testing.T, name string, mk func(int) 
 func TestPolicyConformanceVictimNeverPinned(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, name string, mk func(int) Policy) {
 		ix, st := testEnv(t)
-		m, err := NewManager(3, st, ix, mk(3))
+		m, err := newSerial(3, st, ix, mk(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +55,7 @@ func TestPolicyConformanceVictimNeverPinned(t *testing.T) {
 		// Pin the third slot too: no victim remains.
 		f := get(t, m, 6)
 		held = append(held, f)
-		if _, err := m.Get(5); err != ErrNoVictim {
+		if _, err := pin(m, 5); err != ErrNoVictim {
 			t.Fatalf("fully-pinned Get = %v, want ErrNoVictim", err)
 		}
 		for _, f := range held {
@@ -112,7 +113,7 @@ func TestPolicyConformanceVictimRemovedSymmetry(t *testing.T) {
 func TestPolicyConformanceSetQuerySafe(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, name string, mk func(int) Policy) {
 		ix, st := testEnv(t)
-		m, err := NewManager(3, st, ix, mk(3))
+		m, err := newSerial(3, st, ix, mk(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func TestPolicyConformanceSetQuerySafe(t *testing.T) {
 func TestPolicyConformanceFlushCycles(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, name string, mk func(int) Policy) {
 		ix, st := testEnv(t)
-		m, err := NewManager(3, st, ix, mk(3))
+		m, err := newSerial(3, st, ix, mk(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestPolicyConformanceDeterministicTrace(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, name string, mk func(int) Policy) {
 		run := func() ([]string, Stats) {
 			ix, st := testEnv(t)
-			m, err := NewManager(3, st, ix, mk(3))
+			m, err := newSerial(3, st, ix, mk(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,13 +213,95 @@ func TestPolicyConformanceDeterministicTrace(t *testing.T) {
 	})
 }
 
+// TestPolicyConformancePermanentFault pins what a load that fails for
+// good does to a policy: the manager reserves the frame (Admitted),
+// the read fails, the frame is withdrawn (Removed) — an admission that
+// was never hit and never evicted. For every policy that must leave no
+// pinned frame, every term's b_t where it was, no miss counted, and no
+// ghost for the page that never arrived; on a full pool the victim
+// evicted to make room is a genuine eviction and stays gone.
+func TestPolicyConformancePermanentFault(t *testing.T) {
+	forEachPolicy(t, func(t *testing.T, name string, mk func(int) Policy) {
+		const dead = postings.PageID(6) // the one page of term 2
+		ix, st := testEnv(t)
+		fs := &flakyStore{inner: st, perm: true, fail: map[postings.PageID]int{dead: 1 << 30}}
+		var pol Policy
+		m, err := NewManager(3, 1, fs, ix, func(capacity int) Policy {
+			pol = mk(capacity)
+			return pol
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetRetryPolicy(quickRetry(3, nil))
+		ghosted := func(id postings.PageID) bool {
+			var g *ghostList
+			switch p := pol.(type) {
+			case *TwoQ:
+				g = p.ghosts
+			case *Adaptive:
+				g = p.ghosts
+			default:
+				return false
+			}
+			_, ok := g.Hit(id)
+			return ok
+		}
+		residency := func() [3]int {
+			return [3]int{m.ResidentPages(0), m.ResidentPages(1), m.ResidentPages(2)}
+		}
+		failOnce := func(when string) {
+			t.Helper()
+			_, _, err := fetch(m, dead)
+			var pf interface{ PermanentFault() bool }
+			if !errors.As(err, &pf) {
+				t.Fatalf("%s: fetch of the dead page = %v, want the permanent fault", when, err)
+			}
+			if n := m.PinnedFrames(); n != 0 {
+				t.Errorf("%s: %d frames left pinned", when, n)
+			}
+			if m.Contains(dead) || ghosted(dead) {
+				t.Errorf("%s: dead page resident=%v ghosted=%v, want neither", when, m.Contains(dead), ghosted(dead))
+			}
+		}
+
+		touch(t, m, 0)
+		touch(t, m, 4)
+		before, stats := residency(), m.Stats()
+		failOnce("free frame")
+		if got := residency(); got != before {
+			t.Errorf("free frame: b_t = %v, want %v unchanged", got, before)
+		}
+		if got := m.Stats(); got != stats {
+			t.Errorf("free frame: stats = %+v, want %+v unchanged", got, stats)
+		}
+
+		touch(t, m, 1) // pool now full: the next reservation evicts first
+		failOnce("full pool")
+		if got := residency(); got[2] != 0 || got[0]+got[1] != 2 {
+			t.Errorf("full pool: b_t = %v, want one victim gone and term 2 still at 0", got)
+		}
+		if got := m.Stats(); got.Misses != stats.Misses+1 || got.Evictions != stats.Evictions+1 {
+			t.Errorf("full pool: stats = %+v, want one more miss (page 1) and one eviction than %+v", got, stats)
+		}
+		if got := fs.readAttempts(); got != 5 {
+			t.Errorf("store attempts = %d, want 5 (three pages + two unretried permanent faults)", got)
+		}
+		// The pool keeps working: the evicted slot refills.
+		touch(t, m, 5)
+		if m.InUse() != 3 {
+			t.Errorf("InUse = %d after refill, want 3", m.InUse())
+		}
+	})
+}
+
 // TestPolicyConformanceSharded: every policy constructs through the
 // sharded pool with per-shard capacities and keeps the occupancy
 // invariants under churn.
 func TestPolicyConformanceSharded(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, name string, mk func(int) Policy) {
 		ix, st := testEnv(t)
-		m, err := NewShardedManager(5, 2, st, ix, mk)
+		m, err := NewManager(5, 2, st, ix, mk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +309,7 @@ func TestPolicyConformanceSharded(t *testing.T) {
 			t.Fatalf("sharded policy name = %q, want %q", m.Policy(), name)
 		}
 		for i := 0; i < 100; i++ {
-			f, _, err := m.Fetch(postings.PageID(i % 7))
+			f, _, err := fetch(m, postings.PageID(i%7))
 			if err != nil {
 				t.Fatal(err)
 			}

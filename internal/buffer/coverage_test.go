@@ -31,7 +31,7 @@ func TestPolicySurfaces(t *testing.T) {
 
 func TestManagerAccessors(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(3, st, ix, NewLRU())
+	m, _ := newSerial(3, st, ix, NewLRU())
 	if m.Capacity() != 3 {
 		t.Errorf("Capacity = %d", m.Capacity())
 	}
@@ -51,12 +51,12 @@ func TestManagerAccessors(t *testing.T) {
 
 func TestUserViewResidentPages(t *testing.T) {
 	ix, st := testEnv(t)
-	pool, err := NewSharedPool(4, st, ix, NewRAP())
+	pool, err := NewShardedSharedPool(4, 1, st, ix, func(int) Policy { return NewRAP() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	uv := pool.UserView(0)
-	f, err := uv.Get(0)
+	f, err := pin(uv, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestUserViewResidentPages(t *testing.T) {
 // head-first variant evicts the LOWER offset — the opposite of RAP.
 func TestRAPHeadFirstVariantBehavior(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(2, st, ix, NewRAPHeadFirst())
+	m, _ := newSerial(2, st, ix, NewRAPHeadFirst())
 	m.SetQuery(func(postings.TermID) float64 { return 0 }) // all values 0
 	touch(t, m, 4)                                         // term 1 page 0
 	touch(t, m, 5)                                         // term 1 page 1
@@ -87,12 +87,12 @@ func TestRAPHeadFirstVariantBehavior(t *testing.T) {
 func TestTwoQVictimFallbacks(t *testing.T) {
 	ix, st := testEnv(t)
 	pol := NewTwoQ(8) // kin 2
-	m, _ := NewManager(2, st, ix, pol)
+	m, _ := newSerial(2, st, ix, pol)
 	// Fill probation with two pages and pin both.
 	f0 := get(t, m, 0)
 	f1 := get(t, m, 1)
 	// Pool full, both pinned, Am empty: no victim anywhere.
-	if _, err := m.Get(2); err == nil {
+	if _, err := pin(m, 2); err == nil {
 		t.Fatal("expected ErrNoVictim")
 	}
 	m.Unpin(f1)

@@ -33,10 +33,6 @@ func (permErr) PermanentFault() bool { return true }
 
 var errFlaky = errors.New("flaky: transient read error")
 
-func (s *flakyStore) Read(id postings.PageID) ([]postings.Entry, error) {
-	return s.ReadContext(context.Background(), id)
-}
-
 func (s *flakyStore) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
 	s.mu.Lock()
 	s.attempts++
@@ -73,10 +69,6 @@ func newGatedStore(inner *storage.Store) *gatedStore {
 	return &gatedStore{inner: inner, started: make(chan postings.PageID), release: make(chan error)}
 }
 
-func (s *gatedStore) Read(id postings.PageID) ([]postings.Entry, error) {
-	return s.ReadContext(context.Background(), id)
-}
-
 func (s *gatedStore) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
 	s.started <- id
 	if err := <-s.release; err != nil {
@@ -91,90 +83,62 @@ func quickRetry(max int, onRetry func(time.Duration)) RetryPolicy {
 }
 
 func TestLoaderRetriesTransientFaults(t *testing.T) {
-	for _, serial := range []bool{true, false} {
-		name := "sharded"
-		if serial {
-			name = "manager"
-		}
-		t.Run(name, func(t *testing.T) {
-			ix, st := testEnv(t)
-			fs := &flakyStore{inner: st, fail: map[postings.PageID]int{0: 2}}
-			var retries atomic.Int64
-			var pool PoolManager
-			if serial {
-				m, err := NewManager(4, fs, ix, NewLRU())
-				if err != nil {
-					t.Fatal(err)
-				}
-				pool = m
-			} else {
-				m, err := NewShardedManager(4, 1, fs, ix, func(int) Policy { return NewLRU() })
-				if err != nil {
-					t.Fatal(err)
-				}
-				pool = m
-			}
-			pool.SetRetryPolicy(quickRetry(3, func(time.Duration) { retries.Add(1) }))
-			f, missed, err := pool.Fetch(0)
-			if err != nil {
-				t.Fatalf("Fetch after retries: %v", err)
-			}
-			if !missed || len(f.Data()) == 0 {
-				t.Errorf("missed=%v data=%d entries, want a loaded miss", missed, len(f.Data()))
-			}
-			pool.Unpin(f)
-			if got := fs.readAttempts(); got != 3 {
-				t.Errorf("store attempts = %d, want 3 (2 failures + 1 success)", got)
-			}
-			if got := retries.Load(); got != 2 {
-				t.Errorf("OnRetry calls = %d, want 2", got)
-			}
-			s := pool.Stats()
-			if s.Misses != 1 || s.Hits != 0 {
-				t.Errorf("stats = %+v, want exactly 1 miss (retries are not extra misses)", s)
-			}
-			if st.Reads() != 1 {
-				t.Errorf("successful store reads = %d, want 1", st.Reads())
-			}
-		})
+	ix, st := testEnv(t)
+	fs := &flakyStore{inner: st, fail: map[postings.PageID]int{0: 2}}
+	var retries atomic.Int64
+	pool, err := newSerial(4, fs, ix, NewLRU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.SetRetryPolicy(quickRetry(3, func(time.Duration) { retries.Add(1) }))
+	f, missed, err := fetch(pool, 0)
+	if err != nil {
+		t.Fatalf("fetch after retries: %v", err)
+	}
+	if !missed || len(f.Data()) == 0 {
+		t.Errorf("missed=%v data=%d entries, want a loaded miss", missed, len(f.Data()))
+	}
+	pool.Unpin(f)
+	if got := fs.readAttempts(); got != 3 {
+		t.Errorf("store attempts = %d, want 3 (2 failures + 1 success)", got)
+	}
+	if got := retries.Load(); got != 2 {
+		t.Errorf("OnRetry calls = %d, want 2", got)
+	}
+	s := pool.Stats()
+	if s.Misses != 1 || s.Hits != 0 {
+		t.Errorf("stats = %+v, want exactly 1 miss (retries are not extra misses)", s)
+	}
+	if st.Reads() != 1 {
+		t.Errorf("successful store reads = %d, want 1", st.Reads())
 	}
 }
 
 func TestRetryBudgetExhausted(t *testing.T) {
-	for _, serial := range []bool{true, false} {
-		name := map[bool]string{true: "manager", false: "sharded"}[serial]
-		t.Run(name, func(t *testing.T) {
-			ix, st := testEnv(t)
-			fs := &flakyStore{inner: st, fail: map[postings.PageID]int{0: 100}}
-			var pool PoolManager
-			if serial {
-				pool, _ = NewManager(4, fs, ix, NewLRU())
-			} else {
-				pool, _ = NewShardedManager(4, 1, fs, ix, func(int) Policy { return NewLRU() })
-			}
-			pool.SetRetryPolicy(quickRetry(2, nil))
-			if _, _, err := pool.Fetch(0); !errors.Is(err, errFlaky) {
-				t.Fatalf("err = %v, want the store's error after budget exhaustion", err)
-			}
-			if got := fs.readAttempts(); got != 3 {
-				t.Errorf("attempts = %d, want 3 (initial + 2 retries)", got)
-			}
-			// The failed load must leave no residue, as if never tried.
-			if pool.InUse() != 0 || pool.ResidentPages(0) != 0 || pool.Stats().Misses != 0 {
-				t.Errorf("residue after failed load: inuse=%d resident=%d stats=%+v",
-					pool.InUse(), pool.ResidentPages(0), pool.Stats())
-			}
-		})
+	ix, st := testEnv(t)
+	fs := &flakyStore{inner: st, fail: map[postings.PageID]int{0: 100}}
+	pool, _ := newSerial(4, fs, ix, NewLRU())
+	pool.SetRetryPolicy(quickRetry(2, nil))
+	if _, _, err := fetch(pool, 0); !errors.Is(err, errFlaky) {
+		t.Fatalf("err = %v, want the store's error after budget exhaustion", err)
+	}
+	if got := fs.readAttempts(); got != 3 {
+		t.Errorf("attempts = %d, want 3 (initial + 2 retries)", got)
+	}
+	// The failed load must leave no residue, as if never tried.
+	if pool.InUse() != 0 || pool.ResidentPages(0) != 0 || pool.Stats().Misses != 0 {
+		t.Errorf("residue after failed load: inuse=%d resident=%d stats=%+v",
+			pool.InUse(), pool.ResidentPages(0), pool.Stats())
 	}
 }
 
 func TestPermanentFaultNotRetried(t *testing.T) {
 	ix, st := testEnv(t)
 	fs := &flakyStore{inner: st, perm: true, fail: map[postings.PageID]int{0: 100}}
-	m, _ := NewShardedManager(4, 1, fs, ix, func(int) Policy { return NewLRU() })
+	m, _ := NewManager(4, 1, fs, ix, func(int) Policy { return NewLRU() })
 	var retries atomic.Int64
 	m.SetRetryPolicy(quickRetry(5, func(time.Duration) { retries.Add(1) }))
-	_, _, err := m.Fetch(0)
+	_, _, err := fetch(m, 0)
 	var pf interface{ PermanentFault() bool }
 	if !errors.As(err, &pf) {
 		t.Fatalf("err = %v, want the permanent fault", err)
@@ -193,7 +157,7 @@ func TestPermanentFaultNotRetried(t *testing.T) {
 func TestWaiterReattemptsFailedLoad(t *testing.T) {
 	ix, st := testEnv(t)
 	gs := newGatedStore(st)
-	m, _ := NewShardedManager(4, 1, gs, ix, func(int) Policy { return NewLRU() })
+	m, _ := NewManager(4, 1, gs, ix, func(int) Policy { return NewLRU() })
 
 	loaderErr := make(chan error, 1)
 	go func() {
@@ -242,7 +206,7 @@ func TestWaiterReattemptsFailedLoad(t *testing.T) {
 }
 
 // waitPin polls until page id's frame has the wanted pin count.
-func waitPin(t *testing.T, m *ShardedManager, id postings.PageID, want int) {
+func waitPin(t *testing.T, m *Manager, id postings.PageID, want int) {
 	t.Helper()
 	sh := m.shardOf(id)
 	deadline := time.Now().Add(5 * time.Second)
@@ -272,7 +236,7 @@ func waitPin(t *testing.T, m *ShardedManager, id postings.PageID, want int) {
 func TestFailedLoadDropsResidency(t *testing.T) {
 	ix, st := testEnv(t)
 	gs := newGatedStore(st)
-	m, _ := NewShardedManager(4, 1, gs, ix, func(int) Policy { return NewLRU() })
+	m, _ := NewManager(4, 1, gs, ix, func(int) Policy { return NewLRU() })
 
 	loaderErr := make(chan error, 1)
 	go func() {
@@ -320,82 +284,62 @@ func TestFailedLoadDropsResidency(t *testing.T) {
 }
 
 func TestVictimWaitBackpressure(t *testing.T) {
-	for _, serial := range []bool{true, false} {
-		name := map[bool]string{true: "manager", false: "sharded"}[serial]
-		t.Run(name, func(t *testing.T) {
-			ix, st := testEnv(t)
-			var pool PoolManager
-			if serial {
-				pool, _ = NewManager(1, st, ix, NewLRU())
-			} else {
-				pool, _ = NewShardedManager(1, 1, st, ix, func(int) Policy { return NewLRU() })
-			}
-			pool.SetRetryPolicy(RetryPolicy{VictimWait: 5 * time.Second})
+	ix, st := testEnv(t)
+	pool, _ := newSerial(1, st, ix, NewLRU())
+	pool.SetRetryPolicy(RetryPolicy{VictimWait: 5 * time.Second})
 
-			f0, _, err := pool.Fetch(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := make(chan error, 1)
-			go func() {
-				f1, _, err := pool.Fetch(4) // different term, pool full & pinned
-				if err == nil {
-					pool.Unpin(f1)
-				}
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				t.Fatalf("fetch returned %v immediately, want it to wait for a pin drop", err)
-			case <-time.After(20 * time.Millisecond):
-			}
-			pool.Unpin(f0)
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatalf("backpressured fetch failed: %v", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("backpressured fetch never woke after the pin dropped")
-			}
-		})
+	f0, _, err := fetch(pool, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		f1, _, err := fetch(pool, 4) // different term, pool full & pinned
+		if err == nil {
+			pool.Unpin(f1)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("fetch returned %v immediately, want it to wait for a pin drop", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	pool.Unpin(f0)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("backpressured fetch failed: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("backpressured fetch never woke after the pin dropped")
 	}
 }
 
 func TestVictimWaitTimesOut(t *testing.T) {
-	for _, serial := range []bool{true, false} {
-		name := map[bool]string{true: "manager", false: "sharded"}[serial]
-		t.Run(name, func(t *testing.T) {
-			ix, st := testEnv(t)
-			var pool PoolManager
-			if serial {
-				pool, _ = NewManager(1, st, ix, NewLRU())
-			} else {
-				pool, _ = NewShardedManager(1, 1, st, ix, func(int) Policy { return NewLRU() })
-			}
-			pool.SetRetryPolicy(RetryPolicy{VictimWait: 50 * time.Millisecond})
-			f0, _, err := pool.Fetch(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pool.Unpin(f0)
-			start := time.Now()
-			_, _, err = pool.Fetch(4)
-			if !errors.Is(err, ErrNoVictim) {
-				t.Fatalf("err = %v, want ErrNoVictim after the bounded wait", err)
-			}
-			if d := time.Since(start); d < 50*time.Millisecond {
-				t.Errorf("gave up after %v, want >= VictimWait", d)
-			}
-		})
+	ix, st := testEnv(t)
+	pool, _ := newSerial(1, st, ix, NewLRU())
+	pool.SetRetryPolicy(RetryPolicy{VictimWait: 50 * time.Millisecond})
+	f0, _, err := fetch(pool, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Unpin(f0)
+	start := time.Now()
+	_, _, err = fetch(pool, 4)
+	if !errors.Is(err, ErrNoVictim) {
+		t.Fatalf("err = %v, want ErrNoVictim after the bounded wait", err)
+	}
+	if d := time.Since(start); d < 50*time.Millisecond {
+		t.Errorf("gave up after %v, want >= VictimWait", d)
 	}
 }
 
 func TestVictimWaitHonorsContext(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewShardedManager(1, 1, st, ix, func(int) Policy { return NewLRU() })
+	m, _ := NewManager(1, 1, st, ix, func(int) Policy { return NewLRU() })
 	m.SetRetryPolicy(RetryPolicy{VictimWait: time.Hour})
-	f0, _, err := m.Fetch(0)
+	f0, _, err := fetch(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,80 +351,131 @@ func TestVictimWaitHonorsContext(t *testing.T) {
 	}
 }
 
-// TestSerialShardedFaultParity is the E12-on-error-paths audit: a
-// Manager and a 1-shard ShardedManager driven through the identical
-// access sequence over the identical seeded fault schedule must agree
-// on every outcome and every counter — the single-shard bit-for-bit
-// equivalence claim extended to failing reads.
+// TestSerialShardedFaultParity is the E12-on-error-paths audit. It
+// used to drive the serial manager and a 1-shard sharded manager
+// through one seeded fault schedule and compare them; the serial twin
+// is gone, so its side of the comparison is kept as the literal
+// outcomes, counters, residency and store reads it produced: the one
+// manager must keep reproducing them step for step.
 func TestSerialShardedFaultParity(t *testing.T) {
 	rules, err := storage.ParseFaultSchedule("transient:prob=0.3;permanent:pages=6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := make([]postings.PageID, 0, 60)
+	// {page, outcome}: "hit", "miss", or the error text.
+	want := []struct {
+		page    postings.PageID
+		outcome string
+	}{
+		{5, "miss"},
+		{0, "miss"},
+		{1, "miss"},
+		{4, "miss"},
+		{1, "hit"},
+		{1, "hit"},
+		{3, "miss"},
+		{0, "miss"},
+		{4, "miss"},
+		{4, "hit"},
+		{0, "hit"},
+		{5, "miss"},
+		{6, "buffer: load page 6: storage: injected permanent fault on page 6 (read #1)"},
+		{1, "miss"},
+		{0, "hit"},
+		{0, "hit"},
+		{0, "hit"},
+		{3, "miss"},
+		{0, "hit"},
+		{1, "hit"},
+		{6, "buffer: load page 6: storage: injected permanent fault on page 6 (read #3)"},
+		{4, "miss"},
+		{5, "miss"},
+		{3, "miss"},
+		{5, "hit"},
+		{4, "hit"},
+		{1, "miss"},
+		{6, "buffer: load page 6: storage: injected permanent fault on page 6 (read #4)"},
+		{6, "buffer: load page 6: storage: injected permanent fault on page 6 (read #5)"},
+		{1, "hit"},
+		{4, "hit"},
+		{6, "buffer: load page 6: storage: injected permanent fault on page 6 (read #7)"},
+		{1, "hit"},
+		{4, "hit"},
+		{5, "miss"},
+		{5, "hit"},
+		{6, "buffer: load page 6: storage: injected permanent fault on page 6 (read #9)"},
+		{0, "miss"},
+		{2, "miss"},
+		{1, "miss"},
+		{1, "hit"},
+		{2, "hit"},
+		{2, "hit"},
+		{1, "hit"},
+		{1, "hit"},
+		{4, "buffer: load page 4: storage: injected transient fault on page 4 (read #6)"},
+		{6, "buffer: load page 6: storage: injected permanent fault on page 6 (read #10)"},
+		{4, "miss"},
+		{2, "hit"},
+		{6, "buffer: load page 6: storage: injected permanent fault on page 6 (read #12)"},
+		{6, "buffer: load page 6: storage: injected permanent fault on page 6 (read #14)"},
+		{3, "miss"},
+		{5, "miss"},
+		{3, "hit"},
+		{1, "miss"},
+		{4, "miss"},
+		{3, "hit"},
+		{2, "miss"},
+		{1, "miss"},
+		{2, "hit"},
+	}
 	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 60; i++ {
-		seq = append(seq, postings.PageID(rng.Intn(7)))
+	for i, w := range want {
+		if p := postings.PageID(rng.Intn(7)); p != w.page {
+			t.Fatalf("step %d: seeded trace drew page %d, table says %d", i, p, w.page)
+		}
 	}
 
-	type step struct {
-		missed bool
-		errStr string
+	ix, st := testEnv(t)
+	fs, err := storage.NewFaultStore(st, 99, rules)
+	if err != nil {
+		t.Fatal(err)
 	}
-	runPool := func(mk func(store PageReader, ix *postings.Index) PoolManager) ([]step, Stats, []int, int, int64) {
-		ix, st := testEnv(t)
-		fs, err := storage.NewFaultStore(st, 99, rules)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool := mk(fs, ix)
-		pool.SetRetryPolicy(quickRetry(1, nil))
-		steps := make([]step, 0, len(seq))
-		for _, p := range seq {
-			f, missed, err := pool.Fetch(p)
-			s := step{missed: missed}
-			if err != nil {
-				s.errStr = err.Error()
-			} else {
-				pool.Unpin(f)
-			}
-			steps = append(steps, s)
-		}
-		res := make([]int, len(ix.Terms))
-		for tm := range res {
-			res[tm] = pool.ResidentPages(postings.TermID(tm))
-		}
-		return steps, pool.Stats(), res, pool.InUse(), st.Reads()
+	pool, err := newSerial(3, fs, ix, NewLRU())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	aSteps, aStats, aRes, aUse, aReads := runPool(func(store PageReader, ix *postings.Index) PoolManager {
-		m, err := NewManager(3, store, ix, NewLRU())
-		if err != nil {
-			t.Fatal(err)
+	pool.SetRetryPolicy(quickRetry(1, nil))
+	for i, w := range want {
+		f, missed, err := fetch(pool, w.page)
+		got := "hit"
+		switch {
+		case err != nil:
+			got = err.Error()
+		case missed:
+			got = "miss"
 		}
-		return m
-	})
-	bSteps, bStats, bRes, bUse, bReads := runPool(func(store PageReader, ix *postings.Index) PoolManager {
-		m, err := NewShardedManager(3, 1, store, ix, func(int) Policy { return NewLRU() })
-		if err != nil {
-			t.Fatal(err)
+		if err == nil {
+			pool.Unpin(f)
 		}
-		return m
-	})
-
-	for i := range aSteps {
-		if aSteps[i] != bSteps[i] {
-			t.Errorf("step %d (page %d): manager %+v, sharded %+v", i, seq[i], aSteps[i], bSteps[i])
+		if got != w.outcome {
+			t.Errorf("step %d (page %d): %q, want %q", i, w.page, got, w.outcome)
 		}
 	}
-	if aStats != bStats {
-		t.Errorf("stats diverge: manager %+v, sharded %+v", aStats, bStats)
+	if got, want := pool.Stats(), (Stats{Hits: 25, Misses: 25, Evictions: 22}); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
 	}
-	if fmt.Sprint(aRes) != fmt.Sprint(bRes) || aUse != bUse {
-		t.Errorf("occupancy diverges: manager res=%v use=%d, sharded res=%v use=%d", aRes, aUse, bRes, bUse)
+	res := make([]int, len(ix.Terms))
+	for tm := range res {
+		res[tm] = pool.ResidentPages(postings.TermID(tm))
 	}
-	if aReads != bReads {
-		t.Errorf("successful store reads diverge: manager %d, sharded %d", aReads, bReads)
+	if fmt.Sprint(res) != "[3 0 0]" || pool.InUse() != 3 {
+		t.Errorf("occupancy: res=%v use=%d, want [3 0 0] and 3", res, pool.InUse())
+	}
+	if st.Reads() != 25 {
+		t.Errorf("successful store reads = %d, want 25", st.Reads())
+	}
+	if got, want := fs.FaultStats(), (storage.FaultStats{Transient: 14, Permanent: 9}); got != want {
+		t.Errorf("faults injected = %+v, want %+v", got, want)
 	}
 }
 
@@ -499,7 +494,7 @@ func TestChaosCounterInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewShardedManager(4, 2, fs, ix, func(int) Policy { return NewLRU() })
+	m, err := NewManager(4, 2, fs, ix, func(int) Policy { return NewLRU() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +513,7 @@ func TestChaosCounterInvariants(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 400; i++ {
 				p := postings.PageID(rng.Intn(7))
-				f, _, err := m.Fetch(p)
+				f, _, err := fetch(m, p)
 				if err != nil {
 					fetchErrs.Add(1)
 					continue

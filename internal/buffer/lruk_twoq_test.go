@@ -8,7 +8,7 @@ import (
 
 func TestLRUKBasicEviction(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(2, st, ix, NewLRUK(2))
+	m, _ := newSerial(2, st, ix, NewLRUK(2))
 	touch(t, m, 0)
 	touch(t, m, 1)
 	// Page 0 gets a second reference: its 2-distance is now finite,
@@ -23,7 +23,7 @@ func TestLRUKBasicEviction(t *testing.T) {
 
 func TestLRUKSingleReferenceTieBreaksLRU(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(2, st, ix, NewLRUK(2))
+	m, _ := newSerial(2, st, ix, NewLRUK(2))
 	touch(t, m, 0) // one reference each: both infinitely distant
 	touch(t, m, 1)
 	touch(t, m, 2) // LRU among singles: evict page 0
@@ -34,7 +34,7 @@ func TestLRUKSingleReferenceTieBreaksLRU(t *testing.T) {
 
 func TestLRUKDegeneratesToLRUWithK1(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(2, st, ix, NewLRUK(1))
+	m, _ := newSerial(2, st, ix, NewLRUK(1))
 	touch(t, m, 0)
 	touch(t, m, 1)
 	touch(t, m, 0) // refresh 0
@@ -60,7 +60,8 @@ func TestTwoQProbationAndPromotion(t *testing.T) {
 	ix, st := testEnv(t)
 	// Policy sized for 8 frames (Kin=2, Kout=4) over a 3-frame pool so
 	// ghosts survive long enough to observe promotion.
-	m, _ := NewManager(3, st, ix, NewTwoQ(8))
+	pol := NewTwoQ(8)
+	m, _ := newSerial(3, st, ix, pol)
 	// Fill: all three pages sit in probation (A1in).
 	touch(t, m, 0)
 	touch(t, m, 1)
@@ -73,7 +74,6 @@ func TestTwoQProbationAndPromotion(t *testing.T) {
 	}
 	// Re-referencing page 0 while its ghost lives promotes it to Am.
 	touch(t, m, 0) // evicts 1 from probation; ghost hit -> Am
-	pol := m.policy.(*TwoQ)
 	if pol.am.size != 1 {
 		t.Errorf("Am size = %d, want 1 (page 0 promoted)", pol.am.size)
 	}
@@ -84,7 +84,7 @@ func TestTwoQProbationAndPromotion(t *testing.T) {
 
 func mustFrame(t *testing.T, m *Manager, id postings.PageID) *Frame {
 	t.Helper()
-	f, err := m.Get(id)
+	f, err := pin(m, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +94,10 @@ func mustFrame(t *testing.T, m *Manager, id postings.PageID) *Frame {
 
 func TestTwoQProbationHitDoesNotPromote(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(4, st, ix, NewTwoQ(4))
+	pol := NewTwoQ(4)
+	m, _ := newSerial(4, st, ix, pol)
 	touch(t, m, 0)
 	touch(t, m, 0) // hit in probation: stays probationary
-	pol := m.policy.(*TwoQ)
 	if pol.a1in.size != 1 || pol.am.size != 0 {
 		t.Errorf("a1in=%d am=%d, want 1/0", pol.a1in.size, pol.am.size)
 	}
@@ -123,7 +123,7 @@ func TestTwoQGhostBounded(t *testing.T) {
 func TestTwoQAndLRUKStatsConsistent(t *testing.T) {
 	ix, st := testEnv(t)
 	for _, pol := range []Policy{NewLRUK(2), NewTwoQ(3)} {
-		m, _ := NewManager(3, st, ix, pol)
+		m, _ := newSerial(3, st, ix, pol)
 		for i := 0; i < 60; i++ {
 			touch(t, m, postings.PageID(i%7))
 		}
@@ -141,7 +141,7 @@ func TestTwoQAndLRUKStatsConsistent(t *testing.T) {
 func TestSequentialScanDefeatsAll(t *testing.T) {
 	ix, st := testEnv(t)
 	for _, pol := range []Policy{NewLRU(), NewLRUK(2), NewTwoQ(4)} {
-		m, _ := NewManager(4, st, ix, pol)
+		m, _ := newSerial(4, st, ix, pol)
 		// Three full sequential passes over 7 pages with 4 frames.
 		for pass := 0; pass < 3; pass++ {
 			for p := postings.PageID(0); p < 7; p++ {

@@ -11,20 +11,19 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bufir/internal/postings"
 )
 
 // PageReader is the storage surface the buffer manager needs: a
-// counted page fetch, plus a context-bounded form that abandons the
-// read (simulated latency included) when the caller's request is
-// canceled or past its deadline. It is the read half of
-// storage.PageStore, so every backend — the in-memory simulator, its
-// compressed variant, the file-backed store, and any fault-injection
-// stack over them — plugs in unchanged.
+// counted page fetch that abandons the read (simulated latency
+// included) when the caller's request is canceled or past its
+// deadline. It is the read half of storage.PageStore, so every backend
+// — the in-memory simulator, its compressed variant, the file-backed
+// store, and any fault-injection stack over them — plugs in unchanged.
 type PageReader interface {
-	Read(id postings.PageID) ([]postings.Entry, error)
 	ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error)
 }
 
@@ -41,11 +40,10 @@ type Frame struct {
 	pin  int
 
 	// loading is non-nil while the page is being read from storage
-	// outside the shard latch (ShardedManager only) and is closed when
-	// the read completes; loadErr is set before the close on failure.
-	// Both are written under the owning shard's mutex; waiters read
-	// loadErr only after the channel closes (the close is the memory
-	// barrier).
+	// outside the shard latch and is closed when the read completes;
+	// loadErr is set before the close on failure. Both are written
+	// under the owning shard's mutex; waiters read loadErr only after
+	// the channel closes (the close is the memory barrier).
 	loading chan struct{}
 	loadErr error
 	// nonResident marks a frame whose load failed: its term's residency
@@ -72,15 +70,19 @@ func (f *Frame) Pinned() bool { return f.pin > 0 }
 type QueryWeights func(t postings.TermID) float64
 
 // Policy is a buffer replacement policy. The Manager serializes all
-// calls, so implementations need no internal locking.
+// calls to one instance (each shard owns its own), so implementations
+// need no internal locking.
 type Policy interface {
 	// Name identifies the policy ("LRU", "MRU", "RAP", ...).
 	Name() string
-	// Admitted is called after a page is loaded into frame f.
+	// Admitted is called when frame f is reserved for a page, before
+	// the page is read. A load that fails is followed by Removed(f)
+	// without any Touched in between.
 	Admitted(f *Frame)
 	// Touched is called on every buffer hit for f.
 	Touched(f *Frame)
-	// Removed is called when f leaves the pool (eviction or flush).
+	// Removed is called when f leaves the pool (eviction, flush, or a
+	// failed load).
 	Removed(f *Frame)
 	// Victim returns the frame the policy wants evicted, skipping
 	// pinned frames; nil if every frame is pinned. The Manager calls
@@ -91,8 +93,8 @@ type Policy interface {
 	SetQuery(w QueryWeights)
 }
 
-// ErrNoVictim is returned by Get when the pool is full and every frame
-// is pinned.
+// ErrNoVictim is returned by FetchContext when the page's shard is
+// full and every frame in it is pinned.
 var ErrNoVictim = errors.New("buffer: all frames pinned, cannot evict")
 
 // Stats aggregates buffer-manager counters.
@@ -102,294 +104,552 @@ type Stats struct {
 	Evictions int64
 }
 
-// Manager is the buffer manager. It is safe for concurrent use.
+// Manager is the buffer manager, safe for concurrent use. The pool's
+// latch is partitioned by page-id hash, so parallel sessions scanning
+// different pages latch different shards instead of convoying on one
+// mutex. Each shard owns a fixed slice of the capacity and runs its
+// own instance of the replacement policy over its own frames (policy
+// callbacks stay single-threaded per shard, so policies need no
+// internal locking).
+//
+// Two properties matter for the paper's experiments:
+//
+//   - Determinism: with a single shard and single-threaded access the
+//     pool is the paper's serial buffer manager — hits, misses,
+//     evictions and victims are a pure function of the access
+//     sequence, so every serial experiment number is bit-for-bit
+//     reproducible. The shard count only sets how many latches there
+//     are; the load protocol below is the same at every value.
+//   - I/O outside the latch: on a miss the shard reserves the frame
+//     (pinned, marked loading), releases its latch, and only then
+//     reads the page from storage. Concurrent requests for the same
+//     page wait on the frame's loading channel and count as hits
+//     (single-flight); requests for other pages of the same shard
+//     proceed. This is what lets worker pools overlap simulated disk
+//     latency, the dominant cost in the paper's model (§4.1).
+//
+// The per-term resident counts b_t (the BAF inquiry, Figure 2 step
+// 3(a)iii) and the hit/miss/eviction counters are kept in atomics so
+// they stay exact under parallelism.
 type Manager struct {
-	mu       sync.Mutex
-	capacity int
-	store    PageReader
-	ix       *postings.Index
-	policy   Policy
-	frames   map[postings.PageID]*Frame
-	resident []int // per-term count of buffered pages (b_t)
-	stats    Stats
-	weights  QueryWeights
+	store  PageReader
+	ix     *postings.Index
+	shards []shard
+
+	resident []atomic.Int32
+	hits     atomic.Int64
+	misses   atomic.Int64
+	evicts   atomic.Int64
+
+	// querySeq orders concurrent SetQuery calls so every shard ends up
+	// with the globally newest weights even when two callers interleave
+	// their per-shard application.
+	querySeq atomic.Uint64
+
+	polName string
 
 	// retry is the fault-tolerance policy of the load path (see
 	// RetryPolicy). Written only by SetRetryPolicy at setup time.
 	retry RetryPolicy
+}
+
+// shard is one latch domain: a capacity slice, its frames, and a
+// private policy instance. All fields are guarded by mu.
+type shard struct {
+	mu       sync.Mutex
+	capacity int
+	frames   map[postings.PageID]*Frame
+	policy   Policy
+	querySeq uint64
+
 	// space, when non-nil, is closed (and replaced by nil) the next
-	// time a frame becomes evictable — wakes fetches parked in
-	// bounded-wait backpressure (VictimWait). Guarded by mu.
+	// time a frame of this shard becomes evictable — the broadcast that
+	// wakes fetches parked in bounded-wait backpressure (VictimWait).
+	// Lazily created: nil whenever nobody waits, so the signal costs a
+	// nil check on the unpin path when backpressure is off.
 	space chan struct{}
 }
 
+// spaceLocked returns the channel a backpressured fetch should wait
+// on. Caller holds sh.mu.
+func (sh *shard) spaceLocked() chan struct{} {
+	if sh.space == nil {
+		sh.space = make(chan struct{})
+	}
+	return sh.space
+}
+
+// signalSpaceLocked wakes every fetch waiting for an evictable frame.
+// Caller holds sh.mu.
+func (sh *shard) signalSpaceLocked() {
+	if sh.space != nil {
+		close(sh.space)
+		sh.space = nil
+	}
+}
+
+var _ Pool = (*Manager)(nil)
+
 // NewManager creates a buffer manager of the given page capacity over
 // the store, using metadata from ix to label frames with their term,
-// list offset and w* value. capacity must be >= 1.
-func NewManager(capacity int, store PageReader, ix *postings.Index, policy Policy) (*Manager, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("buffer: capacity %d < 1", capacity)
+// list offset and w* value; its latch (and capacity) is split across
+// nshards shards, nshards == 1 being the serial pool every experiment
+// runs on. newPolicy must return a fresh policy instance per call —
+// each shard runs its own, constructed with that shard's exact
+// capacity slice (2Q and ADAPTIVE size their probation and ghost
+// structures from it). capacity must be at least nshards so every
+// shard can hold a page. Page ids map to shards by modulo, which
+// stripes consecutive pages of one inverted list across all shards —
+// exactly the layout that lets one list scan keep every latch domain
+// busy.
+func NewManager(capacity, nshards int, store PageReader, ix *postings.Index, newPolicy func(capacity int) Policy) (*Manager, error) {
+	if nshards < 1 {
+		return nil, fmt.Errorf("buffer: shard count %d < 1", nshards)
 	}
-	if policy == nil {
-		return nil, errors.New("buffer: nil policy")
+	if capacity < nshards {
+		return nil, fmt.Errorf("buffer: capacity %d < shard count %d", capacity, nshards)
 	}
 	if store == nil {
 		return nil, errors.New("buffer: nil store")
 	}
-	return &Manager{
-		capacity: capacity,
+	if newPolicy == nil {
+		return nil, errors.New("buffer: nil policy factory")
+	}
+	m := &Manager{
 		store:    store,
 		ix:       ix,
-		policy:   policy,
-		frames:   make(map[postings.PageID]*Frame, capacity),
-		resident: make([]int, len(ix.Terms)),
-	}, nil
+		shards:   make([]shard, nshards),
+		resident: make([]atomic.Int32, len(ix.Terms)),
+	}
+	base, rem := capacity/nshards, capacity%nshards
+	for i := range m.shards {
+		cap := base
+		if i < rem {
+			cap++
+		}
+		pol := newPolicy(cap)
+		if pol == nil {
+			return nil, errors.New("buffer: policy factory returned nil")
+		}
+		if i == 0 {
+			m.polName = pol.Name()
+		}
+		m.shards[i] = shard{
+			capacity: cap,
+			frames:   make(map[postings.PageID]*Frame, cap),
+			policy:   pol,
+		}
+	}
+	return m, nil
 }
 
-// Capacity returns the pool size in pages.
-func (m *Manager) Capacity() int { return m.capacity }
+// shardOf maps a page to its latch domain.
+func (m *Manager) shardOf(id postings.PageID) *shard {
+	return &m.shards[int(uint64(id)%uint64(len(m.shards)))]
+}
+
+// Capacity returns the total pool size in pages.
+func (m *Manager) Capacity() int {
+	total := 0
+	for i := range m.shards {
+		total += m.shards[i].capacity
+	}
+	return total
+}
 
 // Policy returns the replacement policy's name.
-func (m *Manager) Policy() string { return m.policy.Name() }
+func (m *Manager) Policy() string { return m.polName }
 
-// Get fixes page id in the pool, loading it from the store on a miss
-// (evicting a victim first if the pool is full), and returns the
-// pinned frame. The caller must Unpin the frame when done with it.
-func (m *Manager) Get(id postings.PageID) (*Frame, error) {
-	f, _, err := m.Fetch(id)
-	return f, err
-}
-
-// Fetch is Get plus a report of whether the call missed (i.e. caused a
-// disk read). Evaluators use the flag to keep per-session read counts
-// confined, so concurrent sessions on a shared pool cannot pollute
-// each other's statistics.
-func (m *Manager) Fetch(id postings.PageID) (*Frame, bool, error) {
-	return m.FetchContext(context.Background(), id)
-}
-
-// FetchContext is Fetch bounded by a context: a dead context fails
-// before taking the latch, and a miss's disk read is abandoned as soon
-// as ctx is canceled or expires (no frame stays pinned, no counters
-// move). Buffer hits are never refused — the page is already in
-// memory, so handing it out costs nothing. The single-latch Manager
-// performs its I/O inside the latch (by design: it is the serial,
-// bit-for-bit-reproducible pool), so one session's cancellation does
-// not unblock another's Fetch that is queued on the latch behind it.
+// FetchContext fixes page id in the pool, loading it from the store on
+// a miss (evicting a victim first if its shard is full), and returns
+// the pinned frame plus a miss report: true when this call initiated
+// the disk read. The caller must Unpin the frame. A caller that waits
+// for another session's in-flight read of the same page is a hit: the
+// page costs one read no matter how many sessions arrive while it
+// loads. Evaluators count misses from the flag — never from shared
+// Stats deltas — so per-session read counts stay exact on a shared
+// pool.
+//
+// A dead context fails before taking any latch. Cancellation interacts
+// with single-flight loading in four ways:
+//
+//   - A loader (the session that initiated the read) honors its own
+//     context: the storage read aborts mid-latency, the provisional
+//     miss is undone, and the frame is poisoned exactly as on an I/O
+//     error.
+//   - A waiter parked on another session's in-flight load stops
+//     waiting the moment its own context dies, releasing its pin; the
+//     load itself continues on the loader's behalf.
+//   - A waiter whose loader was canceled does not inherit the loader's
+//     context error: it retries the fetch under its own (still live)
+//     context, becoming the new loader if the page is still absent.
+//     One session's cancellation therefore never aborts another's
+//     query — the invariant the shared pool's fairness rests on.
+//   - Likewise a waiter whose loader's I/O failed does not inherit
+//     that failure verbatim: it re-attempts the fetch under its own
+//     (still live) context, becoming the new loader — with its own
+//     retry budget — if the page is still absent. Only the session
+//     that performed the failing read reports its error; each failed
+//     loader exits, so the waiting population drains and the loop
+//     terminates.
 func (m *Manager) FetchContext(ctx context.Context, id postings.PageID) (*Frame, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	// The reservation loop: normally one pass; with bounded-wait
-	// backpressure (VictimWait > 0) a fully-pinned pool parks here —
-	// off the latch — until a pin drops, then re-checks from the top
-	// (the page may have arrived meanwhile, turning the miss into a
-	// hit). Same semantics as the sharded pool's reservation loop.
-	var noVictim *time.Timer
 	for {
-		if f, ok := m.frames[id]; ok {
-			m.stats.Hits++
-			f.pin++
-			m.policy.Touched(f)
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+		f, missed, err := m.fetchOnce(ctx, id)
+		if err != nil && ctx.Err() == nil {
+			if errIsContextual(err) {
+				// The loader we waited on was canceled; our own request
+				// is still live, so try again (and likely become the
+				// loader).
+				continue
+			}
+			var wle *waiterLoadError
+			if errors.As(err, &wle) {
+				// The loader's read failed, not ours: re-attempt under
+				// our own control rather than inheriting another
+				// session's I/O failure.
+				continue
+			}
+		}
+		return f, missed, err
+	}
+}
+
+// fetchOnce runs one fetch attempt. It may return another session's
+// context error when that session was the loader, or a waiterLoadError
+// when the loader's read failed; FetchContext turns both into a retry.
+func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bool, error) {
+	sh := m.shardOf(id)
+	var f *Frame
+	// The reservation loop: normally one pass; with bounded-wait
+	// backpressure (VictimWait > 0) a fully-pinned shard parks here
+	// until a pin drops, then re-checks from the top (the page may have
+	// arrived while we waited, turning the miss into a hit).
+	var noVictim *time.Timer
+	for f == nil {
+		sh.mu.Lock()
+		if hit, ok := sh.frames[id]; ok {
+			hit.pin++
+			sh.policy.Touched(hit)
+			ch := hit.loading
+			sh.mu.Unlock()
 			if noVictim != nil {
 				noVictim.Stop()
 			}
-			return f, false, nil
+			if ch != nil {
+				select {
+				case <-ch:
+				case <-ctx.Done():
+					// Our request died while the load is still in
+					// flight. Drop our pin; the loader keeps its own
+					// until done.
+					m.releaseWaiter(sh, hit)
+					return nil, false, ctx.Err()
+				}
+				if hit.loadErr != nil {
+					err := hit.loadErr
+					m.releaseWaiter(sh, hit)
+					if !errIsContextual(err) {
+						// Another session's read failed; wrap so
+						// FetchContext re-attempts under our own
+						// context instead of inheriting the failure.
+						err = &waiterLoadError{err: err}
+					}
+					return nil, false, err
+				}
+			}
+			m.hits.Add(1)
+			return hit, false, nil
 		}
-		if len(m.frames) < m.capacity {
-			break
+
+		// Miss: reserve the frame under the latch, read outside it.
+		if len(sh.frames) >= sh.capacity {
+			victim := sh.policy.Victim()
+			if victim == nil {
+				if m.retry.VictimWait <= 0 {
+					sh.mu.Unlock()
+					return nil, false, ErrNoVictim
+				}
+				// Every frame is pinned: momentary backpressure, not an
+				// error. Wait (off-latch) for a pin to drop, bounded by
+				// one VictimWait across all passes of this fetch.
+				space := sh.spaceLocked()
+				sh.mu.Unlock()
+				if noVictim == nil {
+					noVictim = time.NewTimer(m.retry.VictimWait)
+				}
+				select {
+				case <-space:
+					continue
+				case <-noVictim.C:
+					return nil, false, ErrNoVictim
+				case <-ctx.Done():
+					noVictim.Stop()
+					return nil, false, ctx.Err()
+				}
+			}
+			m.removeLocked(sh, victim)
+			m.evicts.Add(1)
 		}
-		victim := m.policy.Victim()
-		if victim != nil {
-			m.removeLocked(victim)
-			m.stats.Evictions++
-			break
+		f = &Frame{
+			Page:    id,
+			Term:    m.ix.TermOfPage(id),
+			Offset:  m.ix.PageOffset(id),
+			WStar:   m.ix.PageWStar(id),
+			pin:     1,
+			loading: make(chan struct{}),
 		}
-		if m.retry.VictimWait <= 0 {
-			return nil, false, ErrNoVictim
-		}
-		if m.space == nil {
-			m.space = make(chan struct{})
-		}
-		space := m.space
-		if noVictim == nil {
-			noVictim = time.NewTimer(m.retry.VictimWait)
-			defer noVictim.Stop()
-		}
-		m.mu.Unlock()
-		var werr error
-		select {
-		case <-space:
-		case <-noVictim.C:
-			werr = ErrNoVictim
-		case <-ctx.Done():
-			werr = ctx.Err()
-		}
-		m.mu.Lock()
-		if werr != nil {
-			return nil, false, werr
-		}
+		sh.frames[id] = f
+		m.resident[f.Term].Add(1)
+		sh.policy.Admitted(f)
+		m.misses.Add(1)
+		sh.mu.Unlock()
+	}
+	if noVictim != nil {
+		noVictim.Stop()
 	}
 
-	// Miss: load (inside the latch, by design — the serial pool). Load
-	// errors leave no trace: the frame was never created, no counters
-	// moved, residency never rose; the same net effect the sharded
-	// pool reaches by undoing its provisional reservation.
 	data, err := loadWithRetry(ctx, m.store, m.retry, id)
+
+	sh.mu.Lock()
 	if err != nil {
-		return nil, false, fmt.Errorf("buffer: load page %d: %w", id, err)
+		// Counters must reflect successful loads only: undo the
+		// provisional miss, poison the frame for any waiters, and
+		// withdraw it once the last pin drops. The policy saw Admitted
+		// at reservation and sees Removed at withdrawal — a failed load
+		// is an admission that left again without ever being hit.
+		// Residency drops NOW — a poisoned frame kept alive by waiter
+		// pins holds no data, and BAF's b_t inquiry must not see
+		// data-less pages as buffer-resident (it would underestimate
+		// d_t).
+		m.misses.Add(-1)
+		m.resident[f.Term].Add(-1)
+		f.nonResident = true
+		f.loadErr = fmt.Errorf("buffer: load page %d: %w", id, err)
+		close(f.loading)
+		loadErr := f.loadErr
+		f.pin--
+		if f.pin == 0 {
+			m.removeLocked(sh, f)
+			sh.signalSpaceLocked()
+		}
+		sh.mu.Unlock()
+		return nil, false, loadErr
 	}
-	m.stats.Misses++
-	f := &Frame{
-		Page:   id,
-		Term:   m.ix.TermOfPage(id),
-		Offset: m.ix.PageOffset(id),
-		WStar:  m.ix.PageWStar(id),
-		data:   data,
-		pin:    1,
-	}
-	m.frames[id] = f
-	m.resident[f.Term]++
-	m.policy.Admitted(f)
+	f.data = data
+	close(f.loading)
+	f.loading = nil
+	sh.mu.Unlock()
 	return f, true, nil
+}
+
+// errIsContextual reports whether err stems from a context ending.
+func errIsContextual(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// releaseWaiter drops a waiter's pin on a frame that is (or was)
+// loading, removing the frame if the waiter was the last holder of a
+// poisoned load. While a load is in flight the loader's own pin keeps
+// the frame alive, so the removal can only trigger after the load has
+// failed.
+func (m *Manager) releaseWaiter(sh *shard, f *Frame) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	f.pin--
+	if f.pin == 0 {
+		if f.loadErr != nil {
+			m.removeLocked(sh, f)
+		}
+		sh.signalSpaceLocked()
+	}
 }
 
 // Unpin releases one pin on the frame. Unpinning an unpinned frame is
 // a programming error and panics.
 func (m *Manager) Unpin(f *Frame) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	sh := m.shardOf(f.Page)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if f.pin <= 0 {
 		panic(fmt.Sprintf("buffer: unpin of unpinned page %d", f.Page))
 	}
 	f.pin--
-	if f.pin == 0 && m.space != nil {
-		close(m.space)
-		m.space = nil
+	if f.pin == 0 {
+		sh.signalSpaceLocked()
 	}
 }
 
-// Contains reports whether a page is currently buffered (without
-// touching it: no policy state changes, matching the paper's b_t
-// inquiry which must not perturb replacement order).
+// Contains reports whether a page is currently buffered, without
+// perturbing policy state (like the paper's b_t inquiry, it must not
+// change the replacement order).
 func (m *Manager) Contains(id postings.PageID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.frames[id]
+	sh := m.shardOf(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, ok := sh.frames[id]
 	return ok
 }
 
 // ResidentPages returns b_t: how many pages of term t's inverted list
-// are currently buffered (Figure 2, step 3(a)iii).
+// are currently buffered, summed across shards. Lock-free: BAF issues
+// up to T(T+1)/2 inquiries per query and must not convoy the pool.
 func (m *Manager) ResidentPages(t postings.TermID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.resident[t]
+	return int(m.resident[t].Load())
 }
 
 // InUse returns the number of occupied frames.
 func (m *Manager) InUse() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.frames)
-}
-
-// PinnedFrames returns the number of frames with at least one pin.
-// Leak checks assert this is zero at quiescence: every code path —
-// including canceled and expired requests — must balance its pins.
-func (m *Manager) PinnedFrames() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, f := range m.frames {
-		if f.pin > 0 {
-			n++
-		}
+	total := 0
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		total += len(sh.frames)
+		sh.mu.Unlock()
 	}
-	return n
+	return total
 }
 
-// ShardOccupancy reports the single latch domain's occupancy: the
-// whole pool is one shard.
+// PinnedFrames returns the number of frames with at least one pin,
+// summed across shards. Leak checks assert this is zero at quiescence.
+func (m *Manager) PinnedFrames() int {
+	total := 0
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		for _, f := range sh.frames {
+			if f.pin > 0 {
+				total++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return total
+}
+
+// ShardOccupancy returns occupied frames per latch shard, in shard
+// order. Shards are locked one at a time, so the slice is a consistent
+// per-shard reading but only approximately a point-in-time total under
+// concurrent load — exact at quiescence, when tests read it.
 func (m *Manager) ShardOccupancy() []int {
-	return []int{m.InUse()}
+	occ := make([]int, len(m.shards))
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		occ[i] = len(sh.frames)
+		sh.mu.Unlock()
+	}
+	return occ
 }
 
-// SetQuery announces the query about to be evaluated by supplying its
-// term weights w_{q,t}. LRU and MRU ignore this; RAP re-keys every
-// buffered page's replacement value (§3.3: values change between
-// queries, so a reorganizing capability is required).
+// SetQuery announces the query about to be evaluated by pushing its
+// term weights w_{q,t} to every shard's policy. LRU and MRU ignore
+// this; RAP re-keys every buffered page's replacement value (§3.3:
+// values change between queries, so a reorganizing capability is
+// required). Stale concurrent announcements are dropped via a global sequence number,
+// so after racing calls every shard holds the newest weights — the
+// coherence the shared registry of §3.3 needs across latch domains.
 func (m *Manager) SetQuery(w QueryWeights) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if w == nil {
 		w = func(postings.TermID) float64 { return 0 }
 	}
-	m.weights = w
-	m.policy.SetQuery(w)
+	seq := m.querySeq.Add(1)
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		if sh.querySeq < seq {
+			sh.querySeq = seq
+			sh.policy.SetQuery(w)
+		}
+		sh.mu.Unlock()
+	}
 }
 
-// Flush empties the pool (used to cold-start refinement sequences).
-// Flushing with pinned pages is a programming error and panics.
+// Flush empties the pool. Flushing with pinned pages (including pages
+// mid-load) is a programming error and panics; call it only between
+// queries, as the experiments do.
 func (m *Manager) Flush() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, f := range m.frames {
-		if f.pin > 0 {
-			panic(fmt.Sprintf("buffer: flush with pinned page %d", f.Page))
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		for _, f := range sh.frames {
+			if f.pin > 0 {
+				sh.mu.Unlock()
+				panic(fmt.Sprintf("buffer: flush with pinned page %d", f.Page))
+			}
 		}
-	}
-	for _, f := range m.frames {
-		m.removeLocked(f)
-	}
-	if m.space != nil {
-		close(m.space)
-		m.space = nil
+		for _, f := range sh.frames {
+			m.removeLocked(sh, f)
+		}
+		sh.signalSpaceLocked()
+		sh.mu.Unlock()
 	}
 }
 
 // Stats returns a snapshot of the hit/miss/eviction counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+	return Stats{
+		Hits:      m.hits.Load(),
+		Misses:    m.misses.Load(),
+		Evictions: m.evicts.Load(),
+	}
 }
 
 // ResetStats zeroes the counters (pool contents are untouched).
 func (m *Manager) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = Stats{}
+	m.hits.Store(0)
+	m.misses.Store(0)
+	m.evicts.Store(0)
 }
 
-// PolicyStats implements PoolManager: the policy's adaptive gauges, or
-// ok == false when the policy does not report stats (every static
-// policy).
+// PolicyStats returns the replacement policy's per-shard adaptive
+// gauges summed across shards (ghost hits, expert switches) with the expert
+// weight averaged, or ok == false when the policy does not report
+// stats (every static policy).
 func (m *Manager) PolicyStats() (PolicyStats, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if sr, ok := m.policy.(StatsReporter); ok {
-		return sr.PolicyStats(), true
+	var agg PolicyStats
+	reporting := 0
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		sr, ok := sh.policy.(StatsReporter)
+		var s PolicyStats
+		if ok {
+			s = sr.PolicyStats()
+		}
+		sh.mu.Unlock()
+		if !ok {
+			continue
+		}
+		reporting++
+		agg.GhostHitsLRU += s.GhostHitsLRU
+		agg.GhostHitsRAP += s.GhostHitsRAP
+		agg.Switches += s.Switches
+		agg.WeightLRU += s.WeightLRU
 	}
-	return PolicyStats{}, false
+	if reporting == 0 {
+		return PolicyStats{}, false
+	}
+	agg.WeightLRU /= float64(reporting)
+	return agg, true
 }
 
-// removeLocked detaches f from the pool. Caller holds m.mu.
-func (m *Manager) removeLocked(f *Frame) {
-	m.policy.Removed(f)
-	delete(m.frames, f.Page)
-	m.resident[f.Term]--
+// removeLocked detaches f from its shard. Caller holds sh.mu. A frame
+// whose load failed already surrendered its residency count at failure
+// time (nonResident), so it must not be decremented again here.
+func (m *Manager) removeLocked(sh *shard, f *Frame) {
+	sh.policy.Removed(f)
+	delete(sh.frames, f.Page)
+	if !f.nonResident {
+		m.resident[f.Term].Add(-1)
+	}
 }
 
 // SetRetryPolicy installs the fault-tolerance policy of the load path
 // (retry/backoff of transient load errors, bounded-wait backpressure
-// on a fully-pinned pool). The zero policy — the default — disables
+// on a fully-pinned shard). The zero policy — the default — disables
 // both. Call at setup time, before the pool is shared between
 // goroutines; it is not synchronized with concurrent fetches.
 func (m *Manager) SetRetryPolicy(rp RetryPolicy) { m.retry = rp }
-
-// RetryPolicy returns the installed fault-tolerance policy.
-func (m *Manager) RetryPolicy() RetryPolicy { return m.retry }

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -33,11 +34,28 @@ func testEnv(t *testing.T) (*postings.Index, *storage.Store) {
 	return ix, storage.NewStore(pages)
 }
 
+// newSerial builds the one-shard pool — the serial, reproducible
+// manager every experiment runs on — around one policy instance.
+func newSerial(capacity int, store PageReader, ix *postings.Index, pol Policy) (*Manager, error) {
+	return NewManager(capacity, 1, store, ix, func(int) Policy { return pol })
+}
+
+// fetch is FetchContext under a background context.
+func fetch(p Pool, id postings.PageID) (*Frame, bool, error) {
+	return p.FetchContext(context.Background(), id)
+}
+
+// pin is fetch without the miss report.
+func pin(p Pool, id postings.PageID) (*Frame, error) {
+	f, _, err := fetch(p, id)
+	return f, err
+}
+
 func get(t *testing.T, m *Manager, p postings.PageID) *Frame {
 	t.Helper()
-	f, err := m.Get(p)
+	f, err := pin(m, p)
 	if err != nil {
-		t.Fatalf("Get(%d): %v", p, err)
+		t.Fatalf("fetch(%d): %v", p, err)
 	}
 	return f
 }
@@ -50,7 +68,7 @@ func touch(t *testing.T, m *Manager, p postings.PageID) {
 
 func TestManagerHitsMissesResidents(t *testing.T) {
 	ix, st := testEnv(t)
-	m, err := NewManager(3, st, ix, NewLRU())
+	m, err := newSerial(3, st, ix, NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +95,7 @@ func TestManagerHitsMissesResidents(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(2, st, ix, NewLRU())
+	m, _ := newSerial(2, st, ix, NewLRU())
 	touch(t, m, 0)
 	touch(t, m, 1)
 	touch(t, m, 0) // page 0 now most recent
@@ -93,7 +111,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestMRUEvictionOrder(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(2, st, ix, NewMRU())
+	m, _ := newSerial(2, st, ix, NewMRU())
 	touch(t, m, 0)
 	touch(t, m, 1) // page 1 most recent
 	touch(t, m, 2) // MRU evicts page 1
@@ -109,7 +127,7 @@ func TestMRUEvictionOrder(t *testing.T) {
 // ADD-DROP workloads.
 func TestMRUKeepsDroppedTermPages(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(3, st, ix, NewMRU())
+	m, _ := newSerial(3, st, ix, NewMRU())
 	// "Query 1" touches term 1's pages (4, 5).
 	touch(t, m, 4)
 	touch(t, m, 5)
@@ -126,12 +144,12 @@ func TestMRUKeepsDroppedTermPages(t *testing.T) {
 func TestPinnedPagesNotEvicted(t *testing.T) {
 	for _, pol := range []Policy{NewLRU(), NewMRU(), NewRAP()} {
 		ix, st := testEnv(t)
-		m, _ := NewManager(2, st, ix, pol)
+		m, _ := newSerial(2, st, ix, pol)
 		f0 := get(t, m, 0)
 		f1 := get(t, m, 1)
 		// Pool full, everything pinned: must refuse.
-		if _, err := m.Get(2); !errors.Is(err, ErrNoVictim) {
-			t.Errorf("%s: Get with all pinned = %v, want ErrNoVictim", pol.Name(), err)
+		if _, err := pin(m, 2); !errors.Is(err, ErrNoVictim) {
+			t.Errorf("%s: fetch with all pinned = %v, want ErrNoVictim", pol.Name(), err)
 		}
 		m.Unpin(f1)
 		// Now page 1 is evictable.
@@ -145,7 +163,7 @@ func TestPinnedPagesNotEvicted(t *testing.T) {
 
 func TestUnpinUnderflowPanics(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(2, st, ix, NewLRU())
+	m, _ := newSerial(2, st, ix, NewLRU())
 	f := get(t, m, 0)
 	m.Unpin(f)
 	defer func() {
@@ -158,7 +176,7 @@ func TestUnpinUnderflowPanics(t *testing.T) {
 
 func TestFlush(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(4, st, ix, NewLRU())
+	m, _ := newSerial(4, st, ix, NewLRU())
 	touch(t, m, 0)
 	touch(t, m, 4)
 	m.Flush()
@@ -177,7 +195,7 @@ func TestFlush(t *testing.T) {
 
 func TestFlushPinnedPanics(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(2, st, ix, NewLRU())
+	m, _ := newSerial(2, st, ix, NewLRU())
 	_ = get(t, m, 0)
 	defer func() {
 		if recover() == nil {
@@ -189,7 +207,7 @@ func TestFlushPinnedPanics(t *testing.T) {
 
 func TestRAPEvictsLowestValue(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(3, st, ix, NewRAP())
+	m, _ := newSerial(3, st, ix, NewRAP())
 	// Query uses term 0 only: term 1 pages are worthless (w_qt = 0).
 	m.SetQuery(func(tm postings.TermID) float64 {
 		if tm == 0 {
@@ -214,7 +232,7 @@ func TestRAPEvictsLowestValue(t *testing.T) {
 // example 1 in §3.3.
 func TestRAPFirstPagesStay(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(3, st, ix, NewRAP())
+	m, _ := newSerial(3, st, ix, NewRAP())
 	m.SetQuery(func(postings.TermID) float64 { return 1 })
 	touch(t, m, 0)
 	touch(t, m, 1)
@@ -230,7 +248,7 @@ func TestRAPFirstPagesStay(t *testing.T) {
 // tail of the list goes before the head.
 func TestRAPDroppedTermTailFirst(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(2, st, ix, NewRAP())
+	m, _ := newSerial(2, st, ix, NewRAP())
 	m.SetQuery(func(postings.TermID) float64 { return 1 })
 	touch(t, m, 4) // term 1 page 0
 	touch(t, m, 5) // term 1 page 1
@@ -246,7 +264,7 @@ func TestRAPDroppedTermTailFirst(t *testing.T) {
 // when the next query includes its term.
 func TestRAPSetQueryRekeys(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(2, st, ix, NewRAP())
+	m, _ := newSerial(2, st, ix, NewRAP())
 	m.SetQuery(func(tm postings.TermID) float64 {
 		if tm == 0 {
 			return 1
@@ -271,37 +289,48 @@ func TestRAPSetQueryRekeys(t *testing.T) {
 
 func TestManagerValidation(t *testing.T) {
 	ix, st := testEnv(t)
-	if _, err := NewManager(0, st, ix, NewLRU()); err == nil {
+	if _, err := newSerial(0, st, ix, NewLRU()); err == nil {
 		t.Error("capacity 0 should fail")
 	}
-	if _, err := NewManager(2, st, ix, nil); err == nil {
+	if _, err := newSerial(2, st, ix, nil); err == nil {
 		t.Error("nil policy should fail")
+	}
+	if _, err := NewManager(2, 1, st, ix, nil); err == nil {
+		t.Error("nil policy factory should fail")
+	}
+	if _, err := NewManager(2, 3, st, ix, func(int) Policy { return NewLRU() }); err == nil {
+		t.Error("capacity below the shard count should fail")
 	}
 }
 
 func TestManagerPropagatesReadErrors(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(4, st, ix, NewLRU())
-	st.InjectFaultEvery(1) // every read fails
-	if _, err := m.Get(0); err == nil {
-		t.Fatal("expected injected fault to propagate")
+	// Page 0's first read fails, then the page heals.
+	fs, err := storage.NewFaultStore(st, 1, []storage.FaultRule{
+		{Kind: storage.FaultTransient, FirstPage: 0, LastPage: 0, First: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := newSerial(4, fs, ix, NewLRU())
+	if _, err := pin(m, 0); !errors.Is(err, storage.ErrInjectedFault) {
+		t.Fatalf("err = %v, want the injected fault to propagate", err)
 	}
 	// The failed page must not be resident or counted.
-	if m.Contains(0) || m.InUse() != 0 || m.ResidentPages(0) != 0 {
+	if m.Contains(0) || m.InUse() != 0 || m.ResidentPages(0) != 0 || m.Stats().Misses != 0 {
 		t.Error("failed load left residue in the pool")
 	}
-	st.InjectFaultEvery(0)
 	touch(t, m, 0) // recovery after the fault clears
 	if !m.Contains(0) {
 		t.Error("manager did not recover after fault cleared")
 	}
 }
 
-// TestManagerConcurrent hammers Get/Unpin from several goroutines to
+// TestManagerConcurrent hammers fetch/Unpin from several goroutines to
 // exercise the locking (run with -race).
 func TestManagerConcurrent(t *testing.T) {
 	ix, st := testEnv(t)
-	m, _ := NewManager(3, st, ix, NewLRU())
+	m, _ := newSerial(3, st, ix, NewLRU())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -309,14 +338,14 @@ func TestManagerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				p := postings.PageID((w*7 + i) % 7)
-				f, err := m.Get(p)
+				f, err := pin(m, p)
 				if err != nil {
 					// ErrNoVictim is possible if all 3 frames are
 					// momentarily pinned by other goroutines.
 					if errors.Is(err, ErrNoVictim) {
 						continue
 					}
-					t.Errorf("Get: %v", err)
+					t.Errorf("fetch: %v", err)
 					return
 				}
 				if f.Page != p {
@@ -339,7 +368,7 @@ func TestManagerConcurrent(t *testing.T) {
 func TestEvictionCountsConsistent(t *testing.T) {
 	ix, st := testEnv(t)
 	for _, pol := range []Policy{NewLRU(), NewMRU(), NewRAP()} {
-		m, _ := NewManager(3, st, ix, pol)
+		m, _ := newSerial(3, st, ix, pol)
 		m.SetQuery(func(postings.TermID) float64 { return 1 })
 		for i := 0; i < 50; i++ {
 			touch(t, m, postings.PageID(i%7))

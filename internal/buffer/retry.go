@@ -110,13 +110,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // loadWithRetry reads a page, re-attempting transient failures with
-// exponential backoff per rp. Both managers funnel their single load
-// call through here so serial and sharded pools share retry semantics
-// exactly (the E12 parity requirement): one read when rp is zero or
-// the first read succeeds, and the page costs one *successful* read no
-// matter how many attempts preceded it — failed reads are uncounted by
-// the store, keeping "pool misses == successful store reads" true
-// under chaos. A context death during backoff surfaces as the context
+// exponential backoff per rp: one read when rp is zero or the first
+// read succeeds, and the page costs one *successful* read no matter
+// how many attempts preceded it — failed reads are uncounted by the
+// store, keeping "pool misses == successful store reads" true under
+// chaos. A context death during backoff surfaces as the context
 // error, so the caller's miss-undo path treats an abandoned retry
 // exactly like an abandoned first read.
 func loadWithRetry(ctx context.Context, store PageReader, rp RetryPolicy, id postings.PageID) ([]postings.Entry, error) {

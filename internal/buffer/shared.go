@@ -8,20 +8,16 @@ import (
 )
 
 // Pool is the buffer-manager surface the query evaluator needs. It is
-// implemented by *Manager (single latch), *ShardedManager (latch per
-// page-hash shard), *DualPool (partitioned), and *UserView (a user's
-// handle on a SharedPool).
+// implemented by *Manager and *UserView (a user's handle on a
+// SharedPool).
 type Pool interface {
-	// Fetch fixes a page in the pool and reports whether this call
-	// missed (initiated a disk read); the caller must Unpin the frame.
-	// Evaluators count misses from this flag — never from shared Stats
-	// deltas — so per-session read counts stay exact when many
-	// sessions run on one pool.
-	Fetch(id postings.PageID) (*Frame, bool, error)
-	// FetchContext is Fetch bounded by a context: a canceled or
-	// expired request abandons its disk read (within the simulated
-	// latency, not after it) and returns ctx's error with no frame
-	// pinned. Fetch is FetchContext with a background context.
+	// FetchContext fixes a page in the pool and reports whether this
+	// call missed (initiated a disk read); the caller must Unpin the
+	// frame. Evaluators count misses from this flag — never from
+	// shared Stats deltas — so per-session read counts stay exact when
+	// many sessions run on one pool. A canceled or expired request
+	// abandons its disk read (within the simulated latency, not after
+	// it) and returns ctx's error with no frame pinned.
 	FetchContext(ctx context.Context, id postings.PageID) (*Frame, bool, error)
 	// Unpin releases one pin.
 	Unpin(f *Frame)
@@ -33,47 +29,7 @@ type Pool interface {
 	Stats() Stats
 }
 
-// PoolManager is the full managing surface of a buffer manager:
-// the evaluator-facing Pool plus maintenance and introspection. Both
-// *Manager and *ShardedManager implement it, so everything layered
-// above (SharedPool, experiments) is agnostic to lock granularity.
-type PoolManager interface {
-	Pool
-	Get(id postings.PageID) (*Frame, error)
-	Contains(id postings.PageID) bool
-	InUse() int
-	// PinnedFrames counts frames holding at least one pin; zero at
-	// quiescence or something leaked a pin.
-	PinnedFrames() int
-	// ShardOccupancy returns occupied frames per latch shard — one
-	// element per shard, summing to InUse. Single-latch managers report
-	// one element. Observability reads this to show load skew across
-	// latch domains.
-	ShardOccupancy() []int
-	Capacity() int
-	Policy() string
-	Flush()
-	ResetStats()
-	// SetRetryPolicy installs the fault-tolerance policy of the load
-	// path (transient-error retry/backoff, bounded-wait backpressure on
-	// a fully-pinned pool); zero disables both. Setup time only — not
-	// synchronized with concurrent fetches.
-	SetRetryPolicy(rp RetryPolicy)
-	// RetryPolicy returns the installed fault-tolerance policy.
-	RetryPolicy() RetryPolicy
-	// PolicyStats returns the replacement policy's adaptive gauges
-	// (ghost hits per expert, current expert weight, switch count);
-	// ok is false for policies that do not report stats. Sharded
-	// managers aggregate across their per-shard policy instances.
-	PolicyStats() (PolicyStats, bool)
-}
-
-var (
-	_ Pool        = (*Manager)(nil)
-	_ Pool        = (*UserView)(nil)
-	_ PoolManager = (*Manager)(nil)
-	_ PoolManager = (*ShardedManager)(nil)
-)
+var _ Pool = (*UserView)(nil)
 
 // SharedPool realizes the second multi-user option of §3.3: a single
 // buffer pool managed as one unit, with a global registry of every
@@ -84,10 +40,9 @@ var (
 // with, and users benefit from pages cached for each other.
 //
 // SharedPool is safe for concurrent use by many sessions; scalability
-// under parallel workers comes from backing it with a ShardedManager
-// (NewShardedSharedPool).
+// under parallel workers comes from the manager's latch shards.
 type SharedPool struct {
-	mgr PoolManager
+	mgr *Manager
 
 	mu      sync.Mutex
 	weights map[int]QueryWeights
@@ -100,23 +55,11 @@ type SharedPool struct {
 	appliedSeq uint64
 }
 
-// NewSharedPool creates a shared pool of the given capacity behind a
-// single latch (the seed's configuration; serial numbers match the
-// paper exactly).
-func NewSharedPool(capacity int, store PageReader, ix *postings.Index, policy Policy) (*SharedPool, error) {
-	mgr, err := NewManager(capacity, store, ix, policy)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedPool{mgr: mgr, weights: make(map[int]QueryWeights)}, nil
-}
-
-// NewShardedSharedPool creates a shared pool whose latch and capacity
-// are split across nshards shards (see ShardedManager). newPolicy must
-// return a fresh policy instance per call; it receives the shard's
-// capacity slice.
+// NewShardedSharedPool creates a shared pool over a Manager of the
+// given capacity and latch-shard count (see NewManager, whose
+// arguments these are).
 func NewShardedSharedPool(capacity, nshards int, store PageReader, ix *postings.Index, newPolicy func(capacity int) Policy) (*SharedPool, error) {
-	mgr, err := NewShardedManager(capacity, nshards, store, ix, newPolicy)
+	mgr, err := NewManager(capacity, nshards, store, ix, newPolicy)
 	if err != nil {
 		return nil, err
 	}
@@ -131,12 +74,9 @@ func (sp *SharedPool) UserView(id int) *UserView {
 	return &UserView{pool: sp, id: id}
 }
 
-// Manager exposes the underlying manager for stats and maintenance.
-func (sp *SharedPool) Manager() PoolManager { return sp.mgr }
-
-// SetRetryPolicy installs the fault-tolerance policy on the underlying
-// manager (see RetryPolicy). Setup time only.
-func (sp *SharedPool) SetRetryPolicy(rp RetryPolicy) { sp.mgr.SetRetryPolicy(rp) }
+// Manager exposes the underlying manager for stats, maintenance and
+// the retry policy.
+func (sp *SharedPool) Manager() *Manager { return sp.mgr }
 
 // ActiveUsers returns the number of users with a query currently in
 // the shared registry. Engine shutdown withdraws every session, so
@@ -190,12 +130,6 @@ type UserView struct {
 	pool *SharedPool
 	id   int
 }
-
-// Get fixes a page in the shared pool; the caller must Unpin it.
-func (uv *UserView) Get(id postings.PageID) (*Frame, error) { return uv.pool.mgr.Get(id) }
-
-// Fetch implements Pool.
-func (uv *UserView) Fetch(id postings.PageID) (*Frame, bool, error) { return uv.pool.mgr.Fetch(id) }
 
 // FetchContext implements Pool.
 func (uv *UserView) FetchContext(ctx context.Context, id postings.PageID) (*Frame, bool, error) {

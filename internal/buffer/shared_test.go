@@ -10,7 +10,7 @@ import (
 func sharedEnv(t *testing.T) (*SharedPool, *postings.Index) {
 	t.Helper()
 	ix, st := testEnv(t)
-	pool, err := NewSharedPool(3, st, ix, NewRAP())
+	pool, err := NewShardedSharedPool(3, 1, st, ix, func(int) Policy { return NewRAP() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +40,13 @@ func TestSharedPoolCombinesWeights(t *testing.T) {
 	// page; under the combined weights, the term-2 page (weight 0 for
 	// every user) must be the victim.
 	for _, p := range []postings.PageID{0, 4, 6} { // term0, term1, term2(tiny)
-		f, err := u0.Get(p)
+		f, err := pin(u0, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		u0.Unpin(f)
 	}
-	f, err := u1.Get(1) // term 0's second page: forces one eviction
+	f, err := pin(u1, 1) // term 0's second page: forces one eviction
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSharedPoolCloseReleasesWeights(t *testing.T) {
 	})
 	// Fill: term 1 page (valued by u1), two term 0 pages (valued u0).
 	for _, p := range []postings.PageID{4, 0, 1} {
-		f, err := u0.Get(p)
+		f, err := pin(u0, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestSharedPoolCloseReleasesWeights(t *testing.T) {
 		}
 		return 0
 	})
-	f, err := u0.Get(2)
+	f, err := pin(u0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,12 @@ func TestSharedPoolCloseReleasesWeights(t *testing.T) {
 func TestSharedPoolStatsShared(t *testing.T) {
 	pool, _ := sharedEnv(t)
 	u0, u1 := pool.UserView(0), pool.UserView(1)
-	f, err := u0.Get(0)
+	f, err := pin(u0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u0.Unpin(f)
-	f, err = u1.Get(0) // hit: loaded by the other user
+	f, err = pin(u1, 0) // hit: loaded by the other user
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSharedPoolStatsShared(t *testing.T) {
 // queries must not corrupt the pool (run with -race).
 func TestSharedPoolConcurrentUsers(t *testing.T) {
 	ix, st := testEnv(t)
-	pool, err := NewSharedPool(4, st, ix, NewRAP())
+	pool, err := NewShardedSharedPool(4, 1, st, ix, func(int) Policy { return NewRAP() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSharedPoolConcurrentUsers(t *testing.T) {
 			})
 			for i := 0; i < 200; i++ {
 				p := postings.PageID((u + i) % 7)
-				f, err := uv.Get(p)
+				f, err := pin(uv, p)
 				if err != nil {
 					continue // all-pinned is possible under contention
 				}

@@ -17,6 +17,7 @@
 package docsorted
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -131,7 +132,7 @@ func (e *Evaluator) Evaluate(strategy Strategy, q eval.Query) (*Result, error) {
 		wqt := rank.QueryWeight(qt.Fqt, tm.IDF)
 		res.TermsProcessed++
 		for p := 0; p < tm.NumPages; p++ {
-			frame, missed, err := e.Buf.Fetch(e.Idx.PageOf(qt.Term, p))
+			frame, missed, err := e.Buf.FetchContext(context.TODO(), e.Idx.PageOf(qt.Term, p))
 			if err != nil {
 				return nil, fmt.Errorf("docsorted: term %q page %d: %w", tm.Name, p, err)
 			}

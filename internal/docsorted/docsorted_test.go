@@ -31,7 +31,7 @@ func newEval(t *testing.T, topN int) (*Evaluator, *postings.Index) {
 		t.Fatal(err)
 	}
 	st := storage.NewStore(pages)
-	mgr, err := buffer.NewManager(64, st, ix, buffer.NewLRU())
+	mgr, err := buffer.NewManager(64, 1, st, ix, func(int) buffer.Policy { return buffer.NewLRU() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestValidation(t *testing.T) {
 	}
 	ix, pages, _ := postings.BuildDocSorted(testLists(), 10, 2)
 	st := storage.NewStore(pages)
-	mgr, _ := buffer.NewManager(4, st, ix, buffer.NewLRU())
+	mgr, _ := buffer.NewManager(4, 1, st, ix, func(int) buffer.Policy { return buffer.NewLRU() })
 	if _, err := NewEvaluator(nil, mgr, 5); err == nil {
 		t.Error("nil index accepted")
 	}

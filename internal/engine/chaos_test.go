@@ -47,7 +47,7 @@ func TestChaosServingInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.SetRetryPolicy(buffer.RetryPolicy{
+	pool.Manager().SetRetryPolicy(buffer.RetryPolicy{
 		MaxRetries: 2,
 		Backoff:    50 * time.Microsecond,
 		VictimWait: time.Second,

@@ -7,7 +7,7 @@
 //   - per-session evaluator state is call-confined (internal/eval), so
 //     one evaluator per user is re-entrant;
 //   - the shared pool's latches are sharded by page hash and disk
-//     reads happen outside the latch (internal/buffer.ShardedManager),
+//     reads happen outside the latch (internal/buffer.Manager),
 //     so workers overlap I/O instead of convoying;
 //   - all counters are atomic (internal/metrics.ServingCounters,
 //     buffer and storage stats), so experiment numbers stay exact
@@ -584,7 +584,7 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 // adaptiveGauges converts the pool's PolicyStats — present only when
 // the replacement policy reports them (ADAPTIVE) — into the snapshot's
 // optional gauge block.
-func adaptiveGauges(mgr buffer.PoolManager) *obs.AdaptivePolicyGauges {
+func adaptiveGauges(mgr *buffer.Manager) *obs.AdaptivePolicyGauges {
 	ps, ok := mgr.PolicyStats()
 	if !ok {
 		return nil

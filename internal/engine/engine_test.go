@@ -58,15 +58,24 @@ func sameTop(a, b []rank.ScoredDoc) bool {
 	return true
 }
 
+// rapPool builds a shared RAP pool over the test Env's store with the
+// given latch-shard count.
+func rapPool(t *testing.T, e *experiments.Env, pages, shards int) *buffer.SharedPool {
+	t.Helper()
+	pool, err := buffer.NewShardedSharedPool(pages, shards, e.Store, e.Idx,
+		func(int) buffer.Policy { return buffer.NewRAP() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
 // serialRun executes the interleaved stream on a plain shared pool in
 // strict round-robin order, returning per-job results in stream order
 // and the pool's total misses.
 func serialRun(t *testing.T, e *experiments.Env, seqs []*refine.Sequence, pages int, algo eval.Algorithm) ([]*eval.Result, int64) {
 	t.Helper()
-	pool, err := buffer.NewSharedPool(pages, e.Store, e.Idx, buffer.NewRAP())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := rapPool(t, e, pages, 1)
 	evs := make([]*eval.Evaluator, len(seqs))
 	for u := range seqs {
 		ev, err := eval.NewEvaluator(e.Idx, pool.UserView(u), e.Conv, e.Params())
@@ -101,17 +110,7 @@ func serialRun(t *testing.T, e *experiments.Env, seqs []*refine.Sequence, pages 
 // returns per-job results in submission order plus the pool's misses.
 func engineRun(t *testing.T, e *experiments.Env, seqs []*refine.Sequence, pages, workers, shards int, algo eval.Algorithm) ([]*eval.Result, int64, *engine.Engine) {
 	t.Helper()
-	var pool *buffer.SharedPool
-	var err error
-	if shards == 1 {
-		pool, err = buffer.NewSharedPool(pages, e.Store, e.Idx, buffer.NewRAP())
-	} else {
-		pool, err = buffer.NewShardedSharedPool(pages, shards, e.Store, e.Idx,
-			func(int) buffer.Policy { return buffer.NewRAP() })
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := rapPool(t, e, pages, shards)
 	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{Workers: workers, Algo: algo, Params: e.Params()})
 	if err != nil {
 		t.Fatal(err)
@@ -276,10 +275,7 @@ func TestSubmitRace(t *testing.T) {
 // TestCloseSemantics: Close is idempotent and Submit after Close fails.
 func TestCloseSemantics(t *testing.T) {
 	e := testEnv(t)
-	pool, err := buffer.NewSharedPool(16, e.Store, e.Idx, buffer.NewRAP())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := rapPool(t, e, 16, 1)
 	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{Workers: 2, Algo: eval.DF, Params: e.Params()})
 	if err != nil {
 		t.Fatal(err)
@@ -297,10 +293,7 @@ func TestCloseSemantics(t *testing.T) {
 // TestConfigValidation rejects bad configurations.
 func TestConfigValidation(t *testing.T) {
 	e := testEnv(t)
-	pool, err := buffer.NewSharedPool(16, e.Store, e.Idx, buffer.NewRAP())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := rapPool(t, e, 16, 1)
 	if _, err := engine.New(e.Idx, e.Conv, pool, engine.Config{Workers: 0, Params: e.Params()}); err == nil {
 		t.Error("workers=0 should fail")
 	}

@@ -22,17 +22,7 @@ import (
 func newTestEngine(t *testing.T, pages, workers, shards int, cfg engine.Config) (*engine.Engine, *buffer.SharedPool) {
 	t.Helper()
 	e := testEnv(t)
-	var pool *buffer.SharedPool
-	var err error
-	if shards == 1 {
-		pool, err = buffer.NewSharedPool(pages, e.Store, e.Idx, buffer.NewRAP())
-	} else {
-		pool, err = buffer.NewShardedSharedPool(pages, shards, e.Store, e.Idx,
-			func(int) buffer.Policy { return buffer.NewRAP() })
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := rapPool(t, e, pages, shards)
 	cfg.Workers = workers
 	cfg.Algo = eval.BAF
 	cfg.Params = e.Params()

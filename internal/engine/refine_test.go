@@ -9,6 +9,7 @@ import (
 	"bufir/internal/engine"
 	"bufir/internal/eval"
 	"bufir/internal/refine"
+	"bufir/internal/storage"
 )
 
 // refineEngine builds an Engine with the incremental-refinement path
@@ -16,10 +17,7 @@ import (
 func refineEngine(t *testing.T, workers, cacheEntries int) (*engine.Engine, *buffer.SharedPool) {
 	t.Helper()
 	e := testEnv(t)
-	pool, err := buffer.NewSharedPool(e.Idx.NumPagesTotal+8, e.Store, e.Idx, buffer.NewRAP())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := rapPool(t, e, e.Idx.NumPagesTotal+8, 1)
 	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{
 		Workers: workers,
 		Algo:    eval.DF,
@@ -58,7 +56,7 @@ func dfOrdered(t *testing.T, ti int) eval.Query {
 func coldResult(t *testing.T, q eval.Query) *eval.Result {
 	t.Helper()
 	e := testEnv(t)
-	mgr, err := buffer.NewManager(e.Idx.NumPagesTotal+8, e.Store, e.Idx, buffer.NewLRU())
+	mgr, err := buffer.NewManager(e.Idx.NumPagesTotal+8, 1, e.Store, e.Idx, func(int) buffer.Policy { return buffer.NewLRU() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +256,19 @@ func TestRefineCachePerUser(t *testing.T) {
 // a later, healthy resubmission.
 func TestRefineDegradedNotCached(t *testing.T) {
 	e := testEnv(t)
-	pool, err := buffer.NewSharedPool(e.Idx.NumPagesTotal+8, e.Store, e.Idx, buffer.NewRAP())
+	q := dfOrdered(t, 1)
+	// The first read of the query's first page fails, then the page
+	// heals: the first answer loses a term round, the resubmission
+	// meets a healthy store.
+	first := int(e.Idx.PageOf(q[0].Term, 0))
+	fs, err := storage.NewFaultStore(e.Store, 1, []storage.FaultRule{
+		{Kind: storage.FaultTransient, FirstPage: first, LastPage: first, First: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := buffer.NewShardedSharedPool(e.Idx.NumPagesTotal+8, 1, fs, e.Idx,
+		func(int) buffer.Policy { return buffer.NewRAP() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,16 +284,13 @@ func TestRefineDegradedNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	q := dfOrdered(t, 1)
 
-	e.Store.InjectFaultEvery(2)
 	res, err := eng.Search(0, q)
-	e.Store.InjectFaultEvery(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded {
-		t.Skip("fault schedule did not degrade the first answer")
+		t.Fatal("the faulted first page did not degrade the first answer")
 	}
 	clean, err := eng.Search(0, q)
 	if err != nil {

@@ -34,10 +34,7 @@ func (p *cancelAfterPool) FetchContext(ctx context.Context, id postings.PageID) 
 // unpinned. The evaluator stays usable afterwards.
 func TestCancelMidScanReturnsPartial(t *testing.T) {
 	f := smallFixture(t)
-	mgr, err := buffer.NewManager(64, f.store, f.ix, buffer.NewLRU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	mgr := f.newPool(t, 64, buffer.NewLRU())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// DF order is gamma (1 page), beta (2), alpha (3); canceling after
@@ -91,7 +88,7 @@ func TestCancelMidScanReturnsPartial(t *testing.T) {
 // never sees it.
 func TestPreCanceledContextSkipsRegistry(t *testing.T) {
 	f := smallFixture(t)
-	sp, err := buffer.NewSharedPool(16, f.store, f.ix, buffer.NewRAP())
+	sp, err := buffer.NewShardedSharedPool(16, 1, f.store, f.ix, func(int) buffer.Policy { return buffer.NewRAP() })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,9 +18,51 @@ type fixture struct {
 	lists []postings.TermPostings
 	ix    *postings.Index
 	store *storage.Store
+	// disk is what every pool the fixture builds reads from: the
+	// healthy store, or a fault schedule in front of it (see faults).
+	disk  *switchStore
 	conv  *postings.ConversionTable
 	pages [][]postings.Entry
 	nDocs int
+}
+
+// switchStore lets a test put a seeded fault schedule under a live
+// pool for one phase and take it away for the next ("the store
+// heals") without rebuilding the pool. The tests that swap are
+// single-threaded, so a plain field is safe.
+type switchStore struct{ inner buffer.PageReader }
+
+func (s *switchStore) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
+	return s.inner.ReadContext(ctx, id)
+}
+
+// faults routes the fixture's pools through a FaultStore over the
+// healthy store, built from a storage.ParseFaultSchedule spec.
+func (f *fixture) faults(t testing.TB, spec string) {
+	t.Helper()
+	rules, err := storage.ParseFaultSchedule(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := storage.NewFaultStore(f.store, 1, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.disk.inner = fs
+}
+
+// heal removes the fault schedule again.
+func (f *fixture) heal() { f.disk.inner = f.store }
+
+// newPool builds the serial (one-shard) buffer manager over the
+// fixture's disk.
+func (f *fixture) newPool(t testing.TB, bufPages int, pol buffer.Policy) *buffer.Manager {
+	t.Helper()
+	mgr, err := buffer.NewManager(bufPages, 1, f.disk, f.ix, func(int) buffer.Policy { return pol })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mgr
 }
 
 func newFixture(t testing.TB, lists []postings.TermPostings, numDocs, pageSize int) *fixture {
@@ -28,10 +71,12 @@ func newFixture(t testing.TB, lists []postings.TermPostings, numDocs, pageSize i
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := storage.NewStore(pages)
 	return &fixture{
 		lists: lists,
 		ix:    ix,
-		store: storage.NewStore(pages),
+		store: store,
+		disk:  &switchStore{inner: store},
 		conv:  postings.NewConversionTable(ix, postings.DefaultMaxKey),
 		pages: pages,
 		nDocs: numDocs,
@@ -41,11 +86,7 @@ func newFixture(t testing.TB, lists []postings.TermPostings, numDocs, pageSize i
 // evaluator builds an Evaluator over a fresh buffer pool.
 func (f *fixture) evaluator(t testing.TB, bufPages int, pol buffer.Policy, p Params) *Evaluator {
 	t.Helper()
-	mgr, err := buffer.NewManager(bufPages, f.store, f.ix, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := NewEvaluator(f.ix, mgr, f.conv, p)
+	ev, err := NewEvaluator(f.ix, f.newPool(t, bufPages, pol), f.conv, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,11 +665,11 @@ func TestEvaluationSurvivesInjectedFaults(t *testing.T) {
 	q := Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}, {Term: 2, Fqt: 1}}
 	for _, algo := range []Algorithm{DF, BAF, WebLegend} {
 		ev := f.evaluator(t, 4, buffer.NewRAP(), fullParams())
-		f.store.InjectFaultEvery(2)
+		f.faults(t, "transient:first=1") // every page's first read fails
 		if _, err := ev.Evaluate(algo, q); err == nil {
 			t.Errorf("%v: expected an error under fault injection", algo)
 		}
-		f.store.InjectFaultEvery(0)
+		f.heal()
 		res, err := ev.Evaluate(algo, q)
 		if err != nil {
 			t.Fatalf("%v: recovery failed: %v", algo, err)

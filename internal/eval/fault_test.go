@@ -13,23 +13,8 @@ import (
 // given schedule.
 func faultEvaluator(t *testing.T, f *fixture, spec string, p Params) *Evaluator {
 	t.Helper()
-	rules, err := storage.ParseFaultSchedule(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := storage.NewFaultStore(f.store, 1, rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := buffer.NewManager(8, fs, f.ix, buffer.NewLRU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := NewEvaluator(f.ix, mgr, f.conv, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ev
+	f.faults(t, spec)
+	return f.evaluator(t, 8, buffer.NewLRU(), p)
 }
 
 // TestFaultBudgetDegradesQuery: a term whose list faults permanently is

@@ -12,6 +12,7 @@ package eval
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -202,7 +203,8 @@ func TestMetamorphicFaultInterleavings(t *testing.T) {
 		ev := f.evaluator(t, 1+r.Intn(f.ix.NumPagesTotal+2), pol.mk(), p)
 
 		var snap *Snapshot
-		f.store.InjectFaultEvery(int64(2 + r.Intn(4)))
+		// One read in two to one in five fails, by seeded coin.
+		f.faults(t, fmt.Sprintf("transient:prob=%.2f", 1/float64(2+r.Intn(4))))
 		for step, q := range qs[:len(qs)-1] {
 			res, next, err := ev.EvaluateResumeContext(context.Background(), DF, q, snap)
 			if err != nil {
@@ -213,7 +215,7 @@ func TestMetamorphicFaultInterleavings(t *testing.T) {
 			}
 			_ = res
 		}
-		f.store.InjectFaultEvery(0)
+		f.heal()
 
 		final := qs[len(qs)-1]
 		res, _, err := ev.EvaluateResumeContext(context.Background(), DF, final, snap)
@@ -237,10 +239,7 @@ func TestMetamorphicCancellationInterleavings(t *testing.T) {
 		p := randParams(r)
 		qs := addOnlySchedule(r, len(f.lists), 2)
 		pol := metaPolicies[i%len(metaPolicies)]
-		mgr, err := buffer.NewManager(1+r.Intn(f.ix.NumPagesTotal+2), f.store, f.ix, pol.mk())
-		if err != nil {
-			t.Fatal(err)
-		}
+		mgr := f.newPool(t, 1+r.Intn(f.ix.NumPagesTotal+2), pol.mk())
 		ev, err := NewEvaluator(f.ix, mgr, f.conv, p)
 		if err != nil {
 			t.Fatal(err)

@@ -13,6 +13,7 @@ package eval
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,9 +172,10 @@ func TestMetamorphicSafeFaultInterleavings(t *testing.T) {
 
 		p := Params{TopN: k, FaultBudget: 100}
 		ev := f.evaluator(t, bufPages, pol.mk(bufPages), p)
-		f.store.InjectFaultEvery(int64(2 + r.Intn(4)))
+		// One read in two to one in five fails, by seeded coin.
+		f.faults(t, fmt.Sprintf("transient:prob=%.2f", 1/float64(2+r.Intn(4))))
 		res, err := ev.Evaluate(algo, q)
-		f.store.InjectFaultEvery(0)
+		f.heal()
 		if err != nil {
 			t.Fatalf("iter %d %v: budget run errored: %v", i, algo, err)
 		}
@@ -197,9 +199,9 @@ func TestMetamorphicSafeFaultInterleavings(t *testing.T) {
 		// Zero budget: the first fault must fail the query with no
 		// result.
 		ev0 := f.evaluator(t, bufPages, pol.mk(bufPages), Params{TopN: k})
-		f.store.InjectFaultEvery(1)
+		f.faults(t, "transient") // every read fails
 		res0, err := ev0.Evaluate(algo, q)
-		f.store.InjectFaultEvery(0)
+		f.heal()
 		if err == nil {
 			t.Fatalf("iter %d %v: zero budget absorbed a fault", i, algo)
 		}
@@ -220,10 +222,7 @@ func TestMetamorphicSafeCancellation(t *testing.T) {
 		k := 1 + r.Intn(8)
 		pol := safePolicies[i%len(safePolicies)]
 		algo := safeAlgos[i%len(safeAlgos)]
-		mgr, err := buffer.NewManager(1+r.Intn(f.ix.NumPagesTotal+2), f.store, f.ix, pol.mk(f.ix.NumPagesTotal+2))
-		if err != nil {
-			t.Fatal(err)
-		}
+		mgr := f.newPool(t, 1+r.Intn(f.ix.NumPagesTotal+2), pol.mk(f.ix.NumPagesTotal+2))
 		p := Params{TopN: k}
 
 		ctx, cancel := context.WithCancel(context.Background())

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"bufir/internal/buffer"
@@ -224,10 +225,7 @@ func TestResumeBAFNeverSnapshots(t *testing.T) {
 func TestResumeCtxErrorKeepsNoSnapshot(t *testing.T) {
 	f := smallFixture(t)
 	p := fullParams()
-	mgr, err := buffer.NewManager(64, f.store, f.ix, buffer.NewLRU())
-	if err != nil {
-		t.Fatal(err)
-	}
+	mgr := f.newPool(t, 64, buffer.NewLRU())
 	evPlain, err := NewEvaluator(f.ix, mgr, f.conv, p)
 	if err != nil {
 		t.Fatal(err)
@@ -286,12 +284,12 @@ func TestDegradedSnapshotCleanPrefixOnly(t *testing.T) {
 	p.FaultBudget = 2
 	ev := f.evaluator(t, 64, buffer.NewLRU(), p)
 
-	// Fault the second read: DF order gamma(1pg), beta(2pg), alpha(3pg)
-	// — beta's first page faults, beta is abandoned, gamma stays clean.
-	f.store.InjectFaultEvery(2)
+	// DF order gamma(1pg), beta(2pg), alpha(3pg): the first read of
+	// beta's first page faults (then the page heals) — beta is
+	// abandoned, gamma stays clean.
+	f.faults(t, fmt.Sprintf("transient:pages=%d,first=1", f.ix.PageOf(1, 0)))
 	q1 := Query{{Term: 2, Fqt: 1}, {Term: 1, Fqt: 1}}
 	res1, snap, err := ev.EvaluateResumeContext(context.Background(), DF, q1, nil)
-	f.store.InjectFaultEvery(0)
 	if err != nil {
 		t.Fatal(err)
 	}

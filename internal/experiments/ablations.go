@@ -76,7 +76,7 @@ func (e *Env) RunAblations() (*AblationResult, error) {
 		dropSize = 1
 	}
 	runRAPVariant := func(pol buffer.Policy) (int, error) {
-		mgr, err := buffer.NewManager(dropSize, e.Store, e.Idx, pol)
+		mgr, err := serialPool(dropSize, e.Store, e.Idx, pol)
 		if err != nil {
 			return 0, err
 		}
@@ -108,7 +108,7 @@ func (e *Env) RunAblations() (*AblationResult, error) {
 	}
 	out.NormalReads = normal.TotalReads
 	// Count skipped term evaluations without the fix.
-	mgr, err := buffer.NewManager(size, e.Store, e.Idx, buffer.NewRAP())
+	mgr, err := serialPool(size, e.Store, e.Idx, buffer.NewRAP())
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"bufir/internal/buffer"
 	"bufir/internal/eval"
 	"bufir/internal/refine"
 )
@@ -64,7 +63,7 @@ func (e *Env) RunBaselines(points int) (*BaselinesResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			mgr, err := buffer.NewManager(size, e.Store, e.Idx, pol)
+			mgr, err := serialPool(size, e.Store, e.Idx, pol)
 			if err != nil {
 				return nil, err
 			}

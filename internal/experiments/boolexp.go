@@ -61,7 +61,7 @@ func (e *Env) RunBoolean(numTopics int) (*BooleanResult, error) {
 		return nil, err
 	}
 	dsStore := storage.NewStore(dsPages)
-	mgr, err := buffer.NewManager(256, dsStore, dsIx, buffer.NewLRU())
+	mgr, err := serialPool(256, dsStore, dsIx, buffer.NewLRU())
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func (e *Env) RunCompression() (*CompressionResult, error) {
 	out := &CompressionResult{Stats: cs.CompressionStats(), Identical: true}
 
 	run := func(store buffer.PageReader, q eval.Query) (*eval.Result, error) {
-		mgr, err := buffer.NewManager(64, store, e.Idx, buffer.NewLRU())
+		mgr, err := serialPool(64, store, e.Idx, buffer.NewLRU())
 		if err != nil {
 			return nil, err
 		}

@@ -17,11 +17,13 @@ import (
 // pool. Two questions: (1) does the worker-pool engine preserve the
 // serial semantics (the 1-worker run must reproduce E12's shared/RAP
 // disk reads bit-for-bit), and (2) how does throughput scale with the
-// worker count when the single buffer latch is sharded and disk reads
-// happen outside the latch? The disk is given a simulated per-read
-// latency (the paper's cost model charges time per page read, §4.1),
-// so scaling comes from overlapping I/O waits — the regime the paper's
-// cost model describes — not from raw CPU parallelism.
+// worker count? Disk reads happen outside the buffer latch at every
+// shard count, so the one-latch and the sharded pool are compared to
+// isolate what splitting the latch itself adds. The disk is given a
+// simulated per-read latency (the paper's cost model charges time per
+// page read, §4.1), so scaling comes from overlapping I/O waits — the
+// regime the paper's cost model describes — not from raw CPU
+// parallelism.
 // ---------------------------------------------------------------------------
 
 // VerifyPoint compares total disk reads at one pool size: the serial
@@ -34,7 +36,7 @@ type VerifyPoint struct {
 
 // ConcurrencyRow is one scaling measurement.
 type ConcurrencyRow struct {
-	Pool    string // "serial" (single latch) or "sharded"
+	Pool    string // "serial" (one latch shard) or "sharded"
 	Workers int
 	Queries int
 	Reads   int64
@@ -171,14 +173,8 @@ func (e *Env) RunConcurrency(users, shards int, workerSet []int, readLatency tim
 // measure, when non-nil, receives the query count, wall-clock time and
 // per-query service times.
 func (e *Env) runEngineOnce(seqs []*refine.Sequence, totalPages, w, nshards int, readLatency time.Duration, measure func(int, time.Duration, []time.Duration)) (int64, error) {
-	var pool *buffer.SharedPool
-	var err error
-	if nshards == 1 {
-		pool, err = buffer.NewSharedPool(totalPages, e.Store, e.Idx, buffer.NewRAP())
-	} else {
-		pool, err = buffer.NewShardedSharedPool(totalPages, nshards, e.Store, e.Idx,
-			func(int) buffer.Policy { return buffer.NewRAP() })
-	}
+	pool, err := buffer.NewShardedSharedPool(totalPages, nshards, e.Store, e.Idx,
+		func(int) buffer.Policy { return buffer.NewRAP() })
 	if err != nil {
 		return 0, err
 	}

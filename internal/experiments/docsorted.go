@@ -64,7 +64,7 @@ func (e *Env) RunDocSorted(points int) (*DocSortedResult, error) {
 	}
 
 	runDS := func(strategy docsorted.Strategy, size int) (int, float64, error) {
-		mgr, err := buffer.NewManager(size, dsStore, dsIx, buffer.NewLRU())
+		mgr, err := serialPool(size, dsStore, dsIx, buffer.NewLRU())
 		if err != nil {
 			return 0, 0, err
 		}

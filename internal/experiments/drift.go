@@ -247,10 +247,6 @@ type gatedDriftStore struct {
 	inner buffer.PageReader
 }
 
-func (s *gatedDriftStore) Read(id postings.PageID) ([]postings.Entry, error) {
-	return s.inner.Read(id)
-}
-
 func (s *gatedDriftStore) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
 	return s.inner.ReadContext(ctx, id)
 }
@@ -264,7 +260,7 @@ func (e *Env) runDriftCell(policy string, size int, wl *driftWorkload, seed uint
 	if err != nil {
 		return reads, err
 	}
-	mgr, err := buffer.NewManager(size, gate, e.Idx, pol)
+	mgr, err := serialPool(size, gate, e.Idx, pol)
 	if err != nil {
 		return reads, err
 	}

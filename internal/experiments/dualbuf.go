@@ -88,25 +88,25 @@ func (e *Env) RunDualBuf() (*DualBufResult, error) {
 		var pool buffer.Pool
 		switch cfg {
 		case "single/LRU":
-			mgr, err := buffer.NewManager(total, e.Store, e.Idx, buffer.NewLRU())
+			mgr, err := serialPool(total, e.Store, e.Idx, buffer.NewLRU())
 			if err != nil {
 				return nil, err
 			}
 			pool = mgr
 		case "single/RAP":
-			mgr, err := buffer.NewManager(total, e.Store, e.Idx, buffer.NewRAP())
+			mgr, err := serialPool(total, e.Store, e.Idx, buffer.NewRAP())
 			if err != nil {
 				return nil, err
 			}
 			pool = mgr
 		case "dual/LRU+LRU":
-			d, err := buffer.NewDualPool(shortPart, total-shortPart, 1, e.Store, e.Idx, buffer.NewLRU())
+			d, err := NewDualPool(shortPart, total-shortPart, 1, e.Store, e.Idx, buffer.NewLRU())
 			if err != nil {
 				return nil, err
 			}
 			pool = d
 		case "dual/LRU+RAP":
-			d, err := buffer.NewDualPool(shortPart, total-shortPart, 1, e.Store, e.Idx, buffer.NewRAP())
+			d, err := NewDualPool(shortPart, total-shortPart, 1, e.Store, e.Idx, buffer.NewRAP())
 			if err != nil {
 				return nil, err
 			}

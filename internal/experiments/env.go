@@ -115,13 +115,20 @@ var Policies = []string{"LRU", "MRU", "RAP"}
 // Algorithms lists the studied evaluation algorithms.
 var Algorithms = []eval.Algorithm{eval.DF, eval.BAF}
 
+// serialPool builds the one-shard buffer manager — the serial,
+// bit-for-bit-reproducible pool every table and figure runs on —
+// around one policy instance.
+func serialPool(capacity int, store buffer.PageReader, ix *postings.Index, pol buffer.Policy) (*buffer.Manager, error) {
+	return buffer.NewManager(capacity, 1, store, ix, func(int) buffer.Policy { return pol })
+}
+
 // newEvaluator builds a fresh evaluator with its own buffer pool.
 func (e *Env) newEvaluator(bufPages int, policy string, p eval.Params) (*eval.Evaluator, *buffer.Manager, error) {
 	pol, err := NewPolicy(policy, bufPages)
 	if err != nil {
 		return nil, nil, err
 	}
-	mgr, err := buffer.NewManager(bufPages, e.Store, e.Idx, pol)
+	mgr, err := serialPool(bufPages, e.Store, e.Idx, pol)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -180,7 +180,7 @@ func (e *Env) runFaultsOnce(seqs []*refine.Sequence, res *FaultsResult, prob flo
 		return row, err
 	}
 	defer eng.Close()
-	pool.SetRetryPolicy(buffer.RetryPolicy{
+	pool.Manager().SetRetryPolicy(buffer.RetryPolicy{
 		MaxRetries: res.MaxRetries,
 		Backoff:    50 * time.Microsecond,
 		VictimWait: time.Second,

@@ -47,7 +47,7 @@ func (e *Env) RunFeedback(ti, points int) (*FeedbackResult, error) {
 	}
 
 	// Exhaustive evaluator with ample buffers for construction.
-	mgr, err := buffer.NewManager(e.Idx.NumPagesTotal+1, e.Store, e.Idx, buffer.NewLRU())
+	mgr, err := serialPool(e.Idx.NumPagesTotal+1, e.Store, e.Idx, buffer.NewLRU())
 	if err != nil {
 		return nil, err
 	}

@@ -96,7 +96,7 @@ func (e *Env) runMultiUserOnce(cfg string, seqs []*refine.Sequence, totalPages i
 		}
 		mgrs := make([]*buffer.Manager, k)
 		for u := range seqs {
-			mgr, err := buffer.NewManager(per, e.Store, e.Idx, buffer.NewRAP())
+			mgr, err := serialPool(per, e.Store, e.Idx, buffer.NewRAP())
 			if err != nil {
 				return 0, err
 			}
@@ -121,7 +121,8 @@ func (e *Env) runMultiUserOnce(cfg string, seqs []*refine.Sequence, totalPages i
 		if cfg == "shared/LRU" {
 			pol = buffer.NewLRU()
 		}
-		pool, err := buffer.NewSharedPool(totalPages, e.Store, e.Idx, pol)
+		pool, err := buffer.NewShardedSharedPool(totalPages, 1, e.Store, e.Idx,
+			func(int) buffer.Policy { return pol })
 		if err != nil {
 			return 0, err
 		}

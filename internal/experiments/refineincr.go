@@ -67,7 +67,8 @@ func (e *Env) RunRefineIncr(topics int) (*RefineIncrResult, error) {
 	if topics > len(e.Queries) {
 		topics = len(e.Queries)
 	}
-	pool, err := buffer.NewSharedPool(e.Idx.NumPagesTotal+8, e.Store, e.Idx, buffer.NewRAP())
+	pool, err := buffer.NewShardedSharedPool(e.Idx.NumPagesTotal+8, 1, e.Store, e.Idx,
+		func(int) buffer.Policy { return buffer.NewRAP() })
 	if err != nil {
 		return nil, err
 	}

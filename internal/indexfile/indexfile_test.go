@@ -129,7 +129,7 @@ func TestLoadedIndexQueriesIdentically(t *testing.T) {
 
 	run := func(i *postings.Index, p [][]postings.Entry) *eval.Result {
 		st := storage.NewStore(p)
-		mgr, err := buffer.NewManager(64, st, i, buffer.NewRAP())
+		mgr, err := buffer.NewManager(64, 1, st, i, func(int) buffer.Policy { return buffer.NewRAP() })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package livedex
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -89,7 +90,7 @@ func FuzzDeltaAppend(f *testing.F) {
 		}
 		ov := NewOverlay(c, sMainIx(s), sMainStore(s))
 		for p := range refPages {
-			got, err := ov.Read(postings.PageID(p))
+			got, err := ov.ReadContext(context.Background(), postings.PageID(p))
 			if err != nil {
 				t.Fatalf("overlay read %d: %v", p, err)
 			}

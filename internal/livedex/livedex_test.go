@@ -147,7 +147,7 @@ func TestCommitMatchesRebuild(t *testing.T) {
 			t.Fatalf("seed %d: overlay has %d pages, rebuild %d", seed, ov.NumPages(), len(refPages))
 		}
 		for p := range refPages {
-			got, err := ov.Read(postings.PageID(p))
+			got, err := ov.ReadContext(context.Background(), postings.PageID(p))
 			if err != nil {
 				t.Fatalf("seed %d: overlay read %d: %v", seed, p, err)
 			}
@@ -178,7 +178,7 @@ func TestCommitSnapshotsAreFrozen(t *testing.T) {
 	want := make([][]postings.Entry, c1.Meta.NumPagesTotal)
 	ov1 := NewOverlay(c1, sMainIx(s), sMainStore(s))
 	for p := range want {
-		pg, err := ov1.Read(postings.PageID(p))
+		pg, err := ov1.ReadContext(context.Background(), postings.PageID(p))
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -193,7 +193,7 @@ func TestCommitSnapshotsAreFrozen(t *testing.T) {
 	}
 
 	for p := range want {
-		pg, err := ov1.Read(postings.PageID(p))
+		pg, err := ov1.ReadContext(context.Background(), postings.PageID(p))
 		if err != nil {
 			t.Fatalf("reread: %v", err)
 		}
@@ -239,7 +239,7 @@ func TestApplyMergeRoundTrip(t *testing.T) {
 	}
 	ov := NewOverlay(c2, sMainIx(s), sMainStore(s))
 	for p := range refPages {
-		got, err := ov.Read(postings.PageID(p))
+		got, err := ov.ReadContext(context.Background(), postings.PageID(p))
 		if err != nil {
 			t.Fatalf("overlay read %d: %v", p, err)
 		}
@@ -333,10 +333,10 @@ func TestOverlayAccounting(t *testing.T) {
 	}
 	ov := NewOverlay(c, sMainIx(s), sMainStore(s))
 
-	if _, err := ov.Read(postings.PageID(ov.NumPages())); err == nil {
+	if _, err := ov.ReadContext(context.Background(), postings.PageID(ov.NumPages())); err == nil {
 		t.Fatal("out-of-range read succeeded")
 	}
-	if _, err := ov.Read(-1); err == nil {
+	if _, err := ov.ReadContext(context.Background(), -1); err == nil {
 		t.Fatal("negative read succeeded")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -352,7 +352,7 @@ func TestOverlayAccounting(t *testing.T) {
 	}
 
 	for p := 0; p < ov.NumPages(); p++ {
-		if _, err := ov.Read(postings.PageID(p)); err != nil {
+		if _, err := ov.ReadContext(context.Background(), postings.PageID(p)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -87,14 +87,10 @@ func (o *Overlay) Inner() storage.PageStore { return o.inner }
 // disk-latency knob.
 func (o *Overlay) SetReadLatency(d time.Duration) { o.latencyNanos.Store(int64(d)) }
 
-// Read fetches a combined page, counting the delivery.
-func (o *Overlay) Read(id postings.PageID) ([]postings.Entry, error) {
-	return o.ReadContext(context.Background(), id)
-}
-
-// ReadContext is Read bounded by a context: an already-dead context
-// fails before any synthesis work, and the simulated latency sleep
-// aborts on cancellation. Only delivered pages move the counter.
+// ReadContext fetches a combined page, counting the delivery: an
+// already-dead context fails before any synthesis work, and the
+// simulated latency sleep aborts on cancellation. Only delivered pages
+// move the counter.
 func (o *Overlay) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
 	if int(id) < 0 || int(id) >= len(o.desc) {
 		return nil, fmt.Errorf("livedex: page %d out of range [0,%d)", id, len(o.desc))

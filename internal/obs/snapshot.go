@@ -89,7 +89,7 @@ type BufferSnapshot struct {
 	Misses    int64
 	Evictions int64
 	// ShardOccupancy is the per-latch-domain frame count; length 1 for
-	// the single-latch pool. Skew across shards is the first thing to
+	// a one-shard pool. Skew across shards is the first thing to
 	// look at when a sharded pool underperforms its capacity.
 	ShardOccupancy []int
 	// Adaptive carries the ADAPTIVE policy's expert gauges (ghost hits

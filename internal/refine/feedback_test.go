@@ -29,7 +29,7 @@ func feedbackEnv(t *testing.T) (*postings.Index, *storage.Store, *corpus.Collect
 // fullEvaluate returns an exhaustive evaluator callback.
 func fullEvaluate(t *testing.T, ix *postings.Index, st *storage.Store) func(eval.Query) ([]rank.ScoredDoc, error) {
 	t.Helper()
-	mgr, err := buffer.NewManager(ix.NumPagesTotal+1, st, ix, buffer.NewLRU())
+	mgr, err := buffer.NewManager(ix.NumPagesTotal+1, 1, st, ix, func(int) buffer.Policy { return buffer.NewLRU() })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,14 +38,9 @@ func NewCompressedStore(pages [][]postings.Entry) (*CompressedStore, error) {
 // NumPages returns the number of pages.
 func (s *CompressedStore) NumPages() int { return len(s.pages) }
 
-// Read fetches and decompresses a page, counting both the page read
-// and the entries decoded.
-func (s *CompressedStore) Read(id postings.PageID) ([]postings.Entry, error) {
-	return s.ReadContext(context.Background(), id)
-}
-
-// ReadContext is Read bounded by a context: an already-dead context
-// fails before any decompression work is spent on the page.
+// ReadContext fetches and decompresses a page, counting both the page
+// read and the entries decoded; an already-dead context fails before
+// any decompression work is spent on the page.
 func (s *CompressedStore) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
 	if int(id) < 0 || int(id) >= len(s.pages) {
 		return nil, fmt.Errorf("storage: page %d out of range [0,%d)", id, len(s.pages))

@@ -25,7 +25,7 @@ func TestCompressedStoreRoundTrip(t *testing.T) {
 		t.Fatalf("NumPages = %d", cs.NumPages())
 	}
 	for i, want := range raw {
-		got, err := cs.Read(postings.PageID(i))
+		got, err := read(cs, postings.PageID(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,10 +56,10 @@ func TestCompressedStoreQuietAndErrors(t *testing.T) {
 	if cs.Reads() != 0 {
 		t.Error("ReadQuiet counted a read")
 	}
-	if _, err := cs.Read(99); err == nil {
+	if _, err := read(cs, 99); err == nil {
 		t.Error("out-of-range read should fail")
 	}
-	if _, err := cs.Read(-1); err == nil {
+	if _, err := read(cs, -1); err == nil {
 		t.Error("negative read should fail")
 	}
 }

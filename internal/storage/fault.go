@@ -170,11 +170,11 @@ func faultCoin(seed uint64, ruleIdx int, id postings.PageID, n int64) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// FaultError is the error injected by a FaultStore. It unwraps to
-// ErrInjectedFault (errors.Is compatible with the legacy
-// InjectFaultEvery path) and carries the fault's classification, which
-// the buffer manager's retry path reads through the TransientFault /
-// PermanentFault marker methods without importing this package.
+// FaultError is the error injected by a FaultStore. It matches
+// ErrInjectedFault under errors.Is and carries the fault's
+// classification, which the buffer manager's retry path reads through
+// the TransientFault / PermanentFault marker methods without importing
+// this package.
 type FaultError struct {
 	Page    postings.PageID
 	Ordinal int64 // per-page read ordinal, 1-based
@@ -203,7 +203,7 @@ type FaultStats struct {
 }
 
 // FaultStore wraps a PageStore with a deterministic fault schedule.
-// Counted reads (Read/ReadContext) are subject to the schedule;
+// Counted reads (ReadContext) are subject to the schedule;
 // ReadQuiet bypasses it entirely — workload construction is offline
 // and the paper does not charge (or fault) it. The inner store's read
 // counter still counts only DELIVERED pages: an injected error fires
@@ -254,11 +254,6 @@ func (s *FaultStore) NumPages() int { return s.inner.NumPages() }
 // backend-specific capabilities (compression statistics, Close)
 // through any stack of fault layers.
 func (s *FaultStore) Inner() PageStore { return s.inner }
-
-// Read is ReadContext with a background context.
-func (s *FaultStore) Read(id postings.PageID) ([]postings.Entry, error) {
-	return s.ReadContext(context.Background(), id)
-}
 
 // ReadContext consults the schedule, then delegates. Latency rules
 // sleep (context-aware) before the inner read; error rules fail

@@ -29,7 +29,7 @@ func readSeq(s *FaultStore, rounds int) []bool {
 	var out []bool
 	for r := 0; r < rounds; r++ {
 		for p := 0; p < s.NumPages(); p++ {
-			_, err := s.Read(postings.PageID(p))
+			_, err := read(s, postings.PageID(p))
 			out = append(out, err != nil)
 		}
 	}
@@ -68,14 +68,14 @@ func TestTransientFirstHealsAndStats(t *testing.T) {
 	// First 2 reads of page 1 fail, then the page heals.
 	fs := newFaultStore(t, 1, "transient:pages=1,first=2")
 	for i := 0; i < 2; i++ {
-		if _, err := fs.Read(1); !errors.Is(err, ErrInjectedFault) {
+		if _, err := read(fs, 1); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("read %d of page 1: err = %v, want injected fault", i+1, err)
 		}
-		if _, err := fs.Read(0); err != nil {
+		if _, err := read(fs, 0); err != nil {
 			t.Fatalf("page 0 should be clean: %v", err)
 		}
 	}
-	if _, err := fs.Read(1); err != nil {
+	if _, err := read(fs, 1); err != nil {
 		t.Fatalf("page 1 should heal on read 3: %v", err)
 	}
 	// Only delivered pages count: 2 clean page-0 reads + 1 healed page-1.
@@ -91,7 +91,7 @@ func TestTransientFirstHealsAndStats(t *testing.T) {
 func TestPermanentNeverHeals(t *testing.T) {
 	fs := newFaultStore(t, 1, "permanent:pages=2")
 	for i := 0; i < 5; i++ {
-		_, err := fs.Read(2)
+		_, err := read(fs, 2)
 		var fe *FaultError
 		if !errors.As(err, &fe) {
 			t.Fatalf("read %d: err = %v, want *FaultError", i+1, err)
@@ -100,7 +100,7 @@ func TestPermanentNeverHeals(t *testing.T) {
 			t.Fatalf("read %d: classification wrong: %+v", i+1, fe)
 		}
 	}
-	if _, err := fs.Read(0); err != nil {
+	if _, err := read(fs, 0); err != nil {
 		t.Fatalf("out-of-range page faulted: %v", err)
 	}
 }
@@ -108,7 +108,7 @@ func TestPermanentNeverHeals(t *testing.T) {
 func TestLatencySpikeDelaysNotFails(t *testing.T) {
 	fs := newFaultStore(t, 1, "latency:spike=30ms")
 	start := time.Now()
-	if _, err := fs.Read(0); err != nil {
+	if _, err := read(fs, 0); err != nil {
 		t.Fatalf("latency fault must not error: %v", err)
 	}
 	if d := time.Since(start); d < 30*time.Millisecond {
@@ -144,7 +144,7 @@ func TestReadQuietBypassesSchedule(t *testing.T) {
 	if _, err := fs.ReadQuiet(0); err != nil {
 		t.Fatalf("ReadQuiet must bypass the schedule: %v", err)
 	}
-	if _, err := fs.Read(0); err == nil {
+	if _, err := read(fs, 0); err == nil {
 		t.Fatal("counted read should fault under an all-pages permanent rule")
 	}
 	// ReadQuiet must not advance the per-page ordinal either: the first
@@ -155,7 +155,7 @@ func TestReadQuietBypassesSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := fs2.Read(1); !errors.Is(err, ErrInjectedFault) {
+	if _, err := read(fs2, 1); !errors.Is(err, ErrInjectedFault) {
 		t.Errorf("first counted read after quiet reads: err = %v, want fault (ordinal untouched)", err)
 	}
 }
@@ -163,7 +163,7 @@ func TestReadQuietBypassesSchedule(t *testing.T) {
 func TestEveryNRule(t *testing.T) {
 	fs := newFaultStore(t, 1, "transient:every=3")
 	for i := 1; i <= 9; i++ {
-		_, err := fs.Read(0)
+		_, err := read(fs, 0)
 		wantFault := i%3 == 0
 		if (err != nil) != wantFault {
 			t.Errorf("read %d: err = %v, want fault=%v", i, err, wantFault)
@@ -173,11 +173,11 @@ func TestEveryNRule(t *testing.T) {
 
 func TestOpenEndedRange(t *testing.T) {
 	fs := newFaultStore(t, 1, "permanent:pages=1-")
-	if _, err := fs.Read(0); err != nil {
+	if _, err := read(fs, 0); err != nil {
 		t.Fatalf("page 0 outside 1-: %v", err)
 	}
 	for p := 1; p < fs.NumPages(); p++ {
-		if _, err := fs.Read(postings.PageID(p)); err == nil {
+		if _, err := read(fs, postings.PageID(p)); err == nil {
 			t.Errorf("page %d inside 1- did not fault", p)
 		}
 	}
@@ -236,17 +236,13 @@ func TestParseFaultScheduleRejects(t *testing.T) {
 	}
 }
 
-func TestLegacyInjectFaultEveryStillMatches(t *testing.T) {
-	// The pre-existing Store fault hook and the new schedule produce
-	// errors matchable by the same sentinel.
-	s := newTestStore()
-	s.InjectFaultEvery(1)
-	_, legacyErr := s.Read(0)
-	fs := newFaultStore(t, 1, "transient")
-	_, schedErr := fs.Read(0)
-	for _, err := range []error{legacyErr, schedErr} {
+// TestInjectedFaultsMatchSentinel: callers match any injected fault,
+// whatever its kind, with errors.Is(err, ErrInjectedFault).
+func TestInjectedFaultsMatchSentinel(t *testing.T) {
+	for _, spec := range []string{"transient", "permanent"} {
+		_, err := read(newFaultStore(t, 1, spec), 0)
 		if !errors.Is(err, ErrInjectedFault) {
-			t.Errorf("err %v does not match ErrInjectedFault", err)
+			t.Errorf("%s: err %v does not match ErrInjectedFault", spec, err)
 		}
 	}
 }

@@ -76,13 +76,9 @@ func (s *FileStore) NumPages() int { return s.pf.NumPages() }
 // (false: the ReadAt fallback).
 func (s *FileStore) Mapped() bool { return s.pf.Mapped() }
 
-// Read fetches and decodes a page, counting the read.
-func (s *FileStore) Read(id postings.PageID) ([]postings.Entry, error) {
-	return s.ReadContext(context.Background(), id)
-}
-
-// ReadContext is Read bounded by a context: an already-dead context
-// fails before any file I/O or decompression is spent on the page.
+// ReadContext fetches and decodes a page, counting the read; an
+// already-dead context fails before any file I/O or decompression is
+// spent on the page.
 // Reads that fail — context, I/O error, corrupt blob — are not
 // counted; Reads() means pages actually delivered.
 func (s *FileStore) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -58,7 +59,7 @@ func TestFileStoreCorruptPage(t *testing.T) {
 			defer fs.Close()
 
 			last := postings.PageID(len(pages) - 1)
-			_, err = fs.Read(last)
+			_, err = fs.ReadContext(context.Background(), last)
 			var corrupt *indexfile.CorruptPageError
 			if !errors.As(err, &corrupt) {
 				t.Fatalf("read of corrupted page: err = %v, want CorruptPageError", err)
@@ -73,13 +74,13 @@ func TestFileStoreCorruptPage(t *testing.T) {
 				t.Fatalf("Reads() = %d after a failed read, want 0", got)
 			}
 			// Healthy pages are unaffected.
-			if _, err := fs.Read(0); err != nil {
+			if _, err := fs.ReadContext(context.Background(), 0); err != nil {
 				t.Fatalf("read of healthy page: %v", err)
 			}
 
 			// Through a retrying pool the error surfaces immediately:
 			// permanent faults never consume retries.
-			mgr, err := buffer.NewManager(8, fs, ix, buffer.NewLRU())
+			mgr, err := buffer.NewManager(8, 1, fs, ix, func(int) buffer.Policy { return buffer.NewLRU() })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +90,7 @@ func TestFileStoreCorruptPage(t *testing.T) {
 				Backoff:    time.Microsecond,
 				OnRetry:    func(time.Duration) { retries++ },
 			})
-			if _, err := mgr.Get(last); !errors.As(err, &corrupt) {
+			if _, _, err := mgr.FetchContext(context.Background(), last); !errors.As(err, &corrupt) {
 				t.Fatalf("pooled read of corrupted page: err = %v, want CorruptPageError", err)
 			}
 			if retries != 0 {
@@ -145,7 +146,7 @@ func TestFileStoreStats(t *testing.T) {
 
 	entries := 0
 	for id := range pages {
-		if _, err := fs.Read(postings.PageID(id)); err != nil {
+		if _, err := fs.ReadContext(context.Background(), postings.PageID(id)); err != nil {
 			t.Fatal(err)
 		}
 		entries += len(pages[id])

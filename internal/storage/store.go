@@ -41,7 +41,6 @@ import (
 //     injection entirely (the paper's offline paths).
 //   - All methods are safe for any degree of concurrency.
 type PageStore interface {
-	Read(id postings.PageID) ([]postings.Entry, error)
 	ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error)
 	ReadQuiet(id postings.PageID) ([]postings.Entry, error)
 	Reads() int64
@@ -57,22 +56,17 @@ type Store struct {
 	pages [][]postings.Entry
 	reads atomic.Int64
 
-	// latencyNanos, when positive, makes every counted Read sleep that
+	// latencyNanos, when positive, makes every counted read sleep that
 	// long — the wall-clock realization of the paper's disk cost model
 	// (§4.1; metrics.CostModel charges time per page read). Concurrency
 	// experiments use it so worker pools have real I/O waits to
 	// overlap; it is zero (off) everywhere else, leaving read counts
 	// and test runtimes untouched.
 	latencyNanos atomic.Int64
-
-	// faultEvery, when positive, makes every faultEvery-th read fail
-	// with ErrInjectedFault. Used by failure-injection tests to verify
-	// that the buffer manager propagates and survives read errors.
-	faultEvery atomic.Int64
-	readSeq    atomic.Int64
 }
 
-// ErrInjectedFault is returned by Read when fault injection triggers.
+// ErrInjectedFault is what every fault injected by a FaultStore
+// matches under errors.Is (see FaultError).
 var ErrInjectedFault = fmt.Errorf("storage: injected read fault")
 
 var (
@@ -89,33 +83,19 @@ func NewStore(pages [][]postings.Entry) *Store {
 // NumPages returns the number of pages in the store.
 func (s *Store) NumPages() int { return len(s.pages) }
 
-// Read fetches a page, incrementing the disk-read counter. The
-// returned slice must be treated as immutable.
-func (s *Store) Read(id postings.PageID) ([]postings.Entry, error) {
-	return s.ReadContext(context.Background(), id)
-}
-
-// ReadContext is Read bounded by a context: a read that would sleep on
-// the simulated disk latency returns ctx.Err() as soon as the context
-// is canceled or expires, and an already-dead context fails before
-// touching the disk at all. Reads abandoned this way are not counted,
+// ReadContext fetches a page, incrementing the disk-read counter; the
+// returned slice must be treated as immutable. A read that would sleep
+// on the simulated disk latency returns ctx.Err() as soon as the
+// context is canceled or expires, and an already-dead context fails
+// before touching the disk at all. Reads abandoned this way are not counted,
 // so read totals keep meaning "pages actually delivered" — the paper's
 // cost metric — under any amount of cancellation.
 func (s *Store) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
 	if int(id) < 0 || int(id) >= len(s.pages) {
 		return nil, fmt.Errorf("storage: page %d out of range [0,%d)", id, len(s.pages))
 	}
-	// Context first, fault injection second: an already-dead context
-	// never reaches the disk, so it must not consume a fault ordinal
-	// either — otherwise a canceled read could surface as an injected
-	// fault and shift the deterministic schedule for live readers.
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if fe := s.faultEvery.Load(); fe > 0 {
-		if s.readSeq.Add(1)%fe == 0 {
-			return nil, ErrInjectedFault
-		}
 	}
 	if d := s.latencyNanos.Load(); d > 0 {
 		if done := ctx.Done(); done != nil {
@@ -151,16 +131,9 @@ func (s *Store) Reads() int64 { return s.reads.Load() }
 // ResetReads zeroes the read counter (used between experiment runs).
 func (s *Store) ResetReads() { s.reads.Store(0) }
 
-// SetReadLatency makes every counted Read block for d of wall-clock
+// SetReadLatency makes every counted read block for d of wall-clock
 // time, simulating the disk the paper's cost model charges for;
 // d <= 0 disables the simulation. Read counts are unaffected.
 func (s *Store) SetReadLatency(d time.Duration) {
 	s.latencyNanos.Store(int64(d))
-}
-
-// InjectFaultEvery makes every n-th Read return ErrInjectedFault;
-// n <= 0 disables injection.
-func (s *Store) InjectFaultEvery(n int64) {
-	s.readSeq.Store(0)
-	s.faultEvery.Store(n)
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -22,7 +23,7 @@ func TestReadCountsAndContent(t *testing.T) {
 	if s.NumPages() != 3 {
 		t.Fatalf("NumPages = %d", s.NumPages())
 	}
-	page, err := s.Read(1)
+	page, err := read(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +54,10 @@ func TestReadQuietUncounted(t *testing.T) {
 
 func TestReadOutOfRange(t *testing.T) {
 	s := newTestStore()
-	if _, err := s.Read(-1); err == nil {
+	if _, err := read(s, -1); err == nil {
 		t.Error("negative page should fail")
 	}
-	if _, err := s.Read(3); err == nil {
+	if _, err := read(s, 3); err == nil {
 		t.Error("page 3 should fail")
 	}
 	if s.Reads() != 0 {
@@ -64,12 +65,18 @@ func TestReadOutOfRange(t *testing.T) {
 	}
 }
 
+// read is one counted read under a background context.
+func read(s PageStore, id postings.PageID) ([]postings.Entry, error) {
+	return s.ReadContext(context.Background(), id)
+}
+
+// TestFaultInjection: every second read of each page fails, and the
+// faulted reads never reach the inner store's counter.
 func TestFaultInjection(t *testing.T) {
-	s := newTestStore()
-	s.InjectFaultEvery(2)
+	s := newFaultStore(t, 1, "transient:every=2")
 	var faults, ok int
-	for i := 0; i < 10; i++ {
-		_, err := s.Read(postings.PageID(i % 3))
+	for i := 0; i < 10; i++ { // page 0 four times, pages 1 and 2 three times
+		_, err := read(s, postings.PageID(i%3))
 		switch {
 		case errors.Is(err, ErrInjectedFault):
 			faults++
@@ -79,15 +86,11 @@ func TestFaultInjection(t *testing.T) {
 			t.Fatalf("unexpected error: %v", err)
 		}
 	}
-	if faults != 5 || ok != 5 {
-		t.Errorf("faults=%d ok=%d, want 5/5", faults, ok)
+	if faults != 4 || ok != 6 {
+		t.Errorf("faults=%d ok=%d, want 4/6 (reads #2 and #4 of page 0, #2 of pages 1 and 2)", faults, ok)
 	}
-	if s.Reads() != 5 {
-		t.Errorf("Reads = %d, want 5 (faulted reads uncounted)", s.Reads())
-	}
-	s.InjectFaultEvery(0)
-	if _, err := s.Read(0); err != nil {
-		t.Errorf("injection disabled but read failed: %v", err)
+	if s.Reads() != 6 {
+		t.Errorf("Reads = %d, want 6 (faulted reads uncounted)", s.Reads())
 	}
 }
 
@@ -101,7 +104,7 @@ func TestConcurrentReads(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := s.Read(postings.PageID((w + i) % 3)); err != nil {
+				if _, err := read(s, postings.PageID((w+i)%3)); err != nil {
 					t.Errorf("read: %v", err)
 					return
 				}

@@ -60,6 +60,16 @@ func Sample(tb testing.TB) (*postings.Index, [][]postings.Entry) {
 	return ix, pages
 }
 
+// read is one counted read under a background context.
+func read(st storage.PageStore, id postings.PageID) ([]postings.Entry, error) {
+	return st.ReadContext(context.Background(), id)
+}
+
+// lruPool builds the serial (one-shard) buffer manager under LRU.
+func lruPool(capacity int, store buffer.PageReader, ix *postings.Index) (*buffer.Manager, error) {
+	return buffer.NewManager(capacity, 1, store, ix, func(int) buffer.Policy { return buffer.NewLRU() })
+}
+
 // Run asserts the storage.PageStore contract against the backend the
 // factory builds.
 func Run(t *testing.T, newStore Factory) {
@@ -85,10 +95,7 @@ func testReadEquivalence(t *testing.T, newStore Factory) {
 			name string
 			fn   func(postings.PageID) ([]postings.Entry, error)
 		}{
-			{"Read", st.Read},
-			{"ReadContext", func(id postings.PageID) ([]postings.Entry, error) {
-				return st.ReadContext(context.Background(), id)
-			}},
+			{"ReadContext", func(id postings.PageID) ([]postings.Entry, error) { return read(st, id) }},
 			{"ReadQuiet", st.ReadQuiet},
 		} {
 			got, err := read.fn(postings.PageID(id))
@@ -101,13 +108,13 @@ func testReadEquivalence(t *testing.T, newStore Factory) {
 		}
 	}
 	// The contract keeps a delivered slice valid after later reads.
-	first, err := st.Read(0)
+	first, err := read(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshot := append([]postings.Entry(nil), first...)
 	for id := 1; id < st.NumPages(); id++ {
-		if _, err := st.Read(postings.PageID(id)); err != nil {
+		if _, err := read(st, postings.PageID(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +136,7 @@ func testReadAccounting(t *testing.T, newStore Factory) {
 	}
 	// Delivered reads count, once each.
 	for id := range pages {
-		if _, err := st.Read(postings.PageID(id)); err != nil {
+		if _, err := read(st, postings.PageID(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,10 +148,10 @@ func testReadAccounting(t *testing.T, newStore Factory) {
 		t.Fatal(err)
 	}
 	// Refused reads never count: out of range...
-	if _, err := st.Read(postings.PageID(len(pages))); err == nil {
+	if _, err := read(st, postings.PageID(len(pages))); err == nil {
 		t.Fatal("out-of-range read succeeded")
 	}
-	if _, err := st.Read(-1); err == nil {
+	if _, err := read(st, -1); err == nil {
 		t.Fatal("negative-page read succeeded")
 	}
 	// ...or refused by a dead context.
@@ -219,7 +226,7 @@ func testFaultComposition(t *testing.T, newStore Factory) {
 
 	// Page 0 is permanently dead through the fault layer...
 	for i := 0; i < 2; i++ {
-		if _, err := fs.Read(0); !errors.Is(err, storage.ErrInjectedFault) {
+		if _, err := read(fs, 0); !errors.Is(err, storage.ErrInjectedFault) {
 			t.Fatalf("read %d of dead page: err = %v, want ErrInjectedFault", i, err)
 		}
 	}
@@ -232,10 +239,10 @@ func testFaultComposition(t *testing.T, newStore Factory) {
 		t.Fatal("ReadQuiet through fault layer differs from reference")
 	}
 	// Page 1's first read faults transiently, the second succeeds.
-	if _, err := fs.Read(1); !errors.Is(err, storage.ErrInjectedFault) {
+	if _, err := read(fs, 1); !errors.Is(err, storage.ErrInjectedFault) {
 		t.Fatalf("first read of flaky page: err = %v, want ErrInjectedFault", err)
 	}
-	if _, err := fs.Read(1); err != nil {
+	if _, err := read(fs, 1); err != nil {
 		t.Fatalf("second read of flaky page: %v", err)
 	}
 	// Only the one delivered read moved the counter — injected faults
@@ -264,7 +271,7 @@ func testFaultRetryThroughPool(t *testing.T, newStore Factory) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := buffer.NewManager(8, fs, ix, buffer.NewLRU())
+	mgr, err := lruPool(8, fs, ix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,9 +281,9 @@ func testFaultRetryThroughPool(t *testing.T, newStore Factory) {
 		Backoff:    time.Microsecond,
 		OnRetry:    func(time.Duration) { retries++ },
 	})
-	f, err := mgr.Get(0)
+	f, _, err := mgr.FetchContext(context.Background(), 0)
 	if err != nil {
-		t.Fatalf("Get through retrying pool: %v", err)
+		t.Fatalf("fetch through retrying pool: %v", err)
 	}
 	if !reflect.DeepEqual(f.Data(), pages[0]) {
 		t.Fatal("retried page differs from reference")
@@ -309,13 +316,10 @@ func testConcurrentReaders(t *testing.T, newStore Factory) {
 				id := postings.PageID(rng.Intn(len(pages)))
 				var got []postings.Entry
 				var err error
-				switch i % 3 {
-				case 0:
-					got, err = st.Read(id)
-				case 1:
-					got, err = st.ReadContext(context.Background(), id)
-				default:
+				if i%3 == 2 {
 					got, err = st.ReadQuiet(id)
+				} else {
+					got, err = read(st, id)
 				}
 				if err != nil {
 					errs <- fmt.Errorf("page %d: %w", id, err)
@@ -349,11 +353,11 @@ func testPoolEquivalence(t *testing.T, newStore Factory) {
 	st := newStore(t, ix, pages)
 	ref := storage.NewStore(pages)
 
-	mgrGot, err := buffer.NewManager(8, st, ix, buffer.NewLRU())
+	mgrGot, err := lruPool(8, st, ix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgrRef, err := buffer.NewManager(8, ref, ix, buffer.NewLRU())
+	mgrRef, err := lruPool(8, ref, ix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,11 +365,11 @@ func testPoolEquivalence(t *testing.T, newStore Factory) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 400; i++ {
 		id := postings.PageID(rng.Intn(len(pages)))
-		fGot, missGot, err := mgrGot.Fetch(id)
+		fGot, missGot, err := mgrGot.FetchContext(context.Background(), id)
 		if err != nil {
 			t.Fatalf("fetch %d over backend: %v", id, err)
 		}
-		fRef, missRef, err := mgrRef.Fetch(id)
+		fRef, missRef, err := mgrRef.FetchContext(context.Background(), id)
 		if err != nil {
 			t.Fatalf("fetch %d over simulator: %v", id, err)
 		}
@@ -403,7 +407,7 @@ func RunBench(b *testing.B, newStore Factory) {
 	b.Run("SequentialRead", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Read(postings.PageID(i % len(pages))); err != nil {
+			if _, err := read(st, postings.PageID(i%len(pages))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -418,7 +422,7 @@ func RunBench(b *testing.B, newStore Factory) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Read(ids[i%len(ids)]); err != nil {
+			if _, err := read(st, ids[i%len(ids)]); err != nil {
 				b.Fatal(err)
 			}
 		}

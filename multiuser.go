@@ -40,7 +40,7 @@ func (ix *Index) NewSharedSessionPool(bufferPages int, policy Policy) (*SharedSe
 		return nil, err
 	}
 	v := ix.view()
-	pool, err := buffer.NewSharedPool(rc.bufferPages, v.store, v.ix, rc.newPolicy(rc.bufferPages))
+	pool, err := buffer.NewShardedSharedPool(rc.bufferPages, 1, v.store, v.ix, rc.newPolicy)
 	if err != nil {
 		return nil, err
 	}
@@ -69,8 +69,8 @@ func (sp *SharedSessionPool) NewSession(cfg SessionConfig) (*SharedSession, erro
 	if err != nil {
 		return nil, err
 	}
-	applyFaultOptions(sp.pool, cfg.Fault, nil)
-	return &SharedSession{ev: ev, view: view, algo: cfg.method(), epoch: sp.v.epoch}, nil
+	applyFaultOptions(sp.pool.Manager(), cfg.Fault, nil)
+	return &SharedSession{ev: ev, view: view, algo: cfg.Algorithm, epoch: sp.v.epoch}, nil
 }
 
 // BufferStats returns the shared pool's counters.

@@ -17,11 +17,6 @@ type EvalOptions struct {
 	// evaluation, terminating as soon as the top-n is provably final —
 	// and ignore the filtering constants entirely.
 	Algorithm Algorithm
-	// Method is a synonym for Algorithm (the ISSUE/EXPERIMENTS
-	// vocabulary: the evaluation *method* axis of E27). When both are
-	// set to non-default values Method wins; leaving both zero selects
-	// DF. Use whichever reads better at the call site.
-	Method Algorithm
 	// CAdd and CIns are the filtering constants. Both zero selects the
 	// config's default tuning — the paper's WSJ calibration
 	// (CAdd=0.002, CIns=0.07) for private Sessions, the
@@ -44,15 +39,6 @@ type EvalOptions struct {
 	// Result.Degraded set and the lost lists marked Faulted in the
 	// trace. 0 — the default — fails the query on the first fault.
 	FaultBudget int
-}
-
-// method resolves the Algorithm/Method synonym pair: Method when it
-// names a non-default method, Algorithm otherwise.
-func (o EvalOptions) method() Algorithm {
-	if o.Method != DF {
-		return o.Method
-	}
-	return o.Algorithm
 }
 
 // params resolves the options into evaluator parameters: TopN defaults

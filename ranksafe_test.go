@@ -27,7 +27,7 @@ func customIndex(t testing.TB, lists []TermPostings, numDocs, pageSize int) *Ind
 
 func searchTop(t *testing.T, ix *Index, algo Algorithm, topN int, q Query) []ScoredDoc {
 	t.Helper()
-	s, err := ix.NewSession(SessionConfig{EvalOptions: EvalOptions{Method: algo, Unfiltered: true, TopN: topN}})
+	s, err := ix.NewSession(SessionConfig{EvalOptions: EvalOptions{Algorithm: algo, Unfiltered: true, TopN: topN}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func assertSameRanking(t *testing.T, label string, got, want []ScoredDoc) {
 }
 
 // TestSessionSafeMethodsBitIdentical: through the public Session API —
-// including the Method knob — every safe method answers every topic
+// including the Algorithm knob — every safe method answers every topic
 // exactly like an exhaustive DF session.
 func TestSessionSafeMethodsBitIdentical(t *testing.T) {
 	col, ix := testIndex(t)
@@ -76,7 +76,7 @@ func TestSharedPoolSafeMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sp.NewSession(SessionConfig{EvalOptions: EvalOptions{Method: NRA, TopN: 10}})
+	s, err := sp.NewSession(SessionConfig{EvalOptions: EvalOptions{Algorithm: NRA, TopN: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSharedPoolSafeMethod(t *testing.T) {
 func TestEngineSafeMethod(t *testing.T) {
 	col, ix := testIndex(t)
 	eng, err := ix.NewEngine(EngineConfig{
-		EvalOptions: EvalOptions{Method: Maxscore, TopN: 10},
+		EvalOptions: EvalOptions{Algorithm: Maxscore, TopN: 10},
 		Workers:     2, BufferPages: 64,
 		Refine: RefineOptions{Incremental: true, CacheEntries: 8},
 	})
@@ -138,7 +138,7 @@ func TestRouterSafeMethodsMatchSingleIndex(t *testing.T) {
 		backends := make([]Searcher, len(parts))
 		for i, p := range parts {
 			eng, err := p.NewEngine(EngineConfig{
-				EvalOptions: EvalOptions{Method: m.algo, TopN: topN},
+				EvalOptions: EvalOptions{Algorithm: m.algo, TopN: topN},
 				BufferPages: 32,
 			})
 			if err != nil {
@@ -330,24 +330,5 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 	if _, err := ParseAlgorithm("weblegend-x"); err == nil {
 		t.Error("unknown name accepted")
-	}
-}
-
-// TestMethodKnobResolution: the Method synonym wins over Algorithm
-// when set; either alone selects the method; both zero means DF.
-func TestMethodKnobResolution(t *testing.T) {
-	cases := []struct {
-		opts EvalOptions
-		want Algorithm
-	}{
-		{EvalOptions{}, DF},
-		{EvalOptions{Algorithm: BAF}, BAF},
-		{EvalOptions{Method: TA}, TA},
-		{EvalOptions{Algorithm: BAF, Method: NRA}, NRA},
-	}
-	for i, tc := range cases {
-		if got := tc.opts.method(); got != tc.want {
-			t.Errorf("case %d: method() = %v, want %v", i, got, tc.want)
-		}
 	}
 }

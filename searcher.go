@@ -85,10 +85,10 @@ var (
 type resolvedConfig struct {
 	params      eval.Params
 	bufferPages int
-	// newPolicy constructs a fresh policy instance for a pool (or
-	// shard) of the given page capacity — 2Q and ADAPTIVE size their
-	// probation/ghost structures from it. Single-latch paths call it
-	// with bufferPages; sharded pools pass each shard's slice.
+	// newPolicy constructs a fresh policy instance for a pool shard of
+	// the given page capacity — 2Q and ADAPTIVE size their
+	// probation/ghost structures from it; the buffer manager calls it
+	// once per latch shard with that shard's slice of bufferPages.
 	newPolicy func(capacity int) buffer.Policy
 }
 
@@ -152,23 +152,17 @@ func recordOutcome(c *metrics.ServingCounters, res *Result, err error, service t
 	}
 }
 
-// retryTarget is any buffer layer that accepts a retry policy; both
-// the private Manager and the SharedPool do.
-type retryTarget interface {
-	SetRetryPolicy(buffer.RetryPolicy)
-}
-
-// applyFaultOptions wires FaultToleranceOptions onto a buffer layer.
+// applyFaultOptions wires FaultToleranceOptions onto a buffer manager.
 // The zero options install nothing, keeping the historical fail-fast
 // semantics at zero cost. onRetry, when non-nil, observes each retry's
 // backoff wait (the Engine feeds its serving counters through it).
 // This is the single place fault wiring happens for every
 // construction path.
-func applyFaultOptions(t retryTarget, ft FaultToleranceOptions, onRetry func(wait time.Duration)) {
+func applyFaultOptions(mgr *buffer.Manager, ft FaultToleranceOptions, onRetry func(wait time.Duration)) {
 	if ft == (FaultToleranceOptions{}) {
 		return
 	}
-	t.SetRetryPolicy(buffer.RetryPolicy{
+	mgr.SetRetryPolicy(buffer.RetryPolicy{
 		MaxRetries: ft.Retries,
 		Backoff:    ft.RetryBackoff,
 		BackoffMax: ft.RetryBackoffMax,

@@ -15,9 +15,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
-.PHONY: ci lint depgraph vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store bench-serve policy-conformance bench-policy ranksafe-exactness bench-ranksafe indextest ingest-exactness bench-ingest
+.PHONY: ci lint depgraph vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store bench-serve policy-conformance bench-policy ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness bench-ingest
 
-ci: lint depgraph build test benchmark-test race leaks fuzz-seeds faults-smoke storetest policy-conformance ranksafe-exactness indextest ingest-exactness bench-store bench-serve bench-policy bench-ranksafe bench-ingest cover
+ci: lint depgraph build test benchmark-test race leaks fuzz-seeds faults-smoke storetest policy-conformance ranksafe-exactness bench-evalsafe indextest ingest-exactness bench-store bench-serve bench-policy bench-ranksafe bench-ingest cover
 
 lint:
 	@if [ -x "$(STATICCHECK)" ] || $(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) 2>/dev/null; then \
@@ -183,7 +183,10 @@ bench-policy:
 	@$(GO) run ./cmd/irbench -exp drift -benchjson BENCH_policy.json
 	@echo "wrote BENCH_policy.json"
 
-# Rank-safe exactness gate under -race: the evalsafe unit suite, the
+# Rank-safe exactness gate under -race: the evalsafe unit suite (with
+# the goldens recorded from the pre-rewrite evaluator — counters,
+# verdicts, answer bits and fetch order compared literally — and the
+# retirement/heap property test at every page boundary), the
 # metamorphic exactness/fault/cancellation suites (safe answers
 # bit-identical to exhaustive DF across corpus scales, buffer sizes,
 # all six policies, fault schedules and cancellation), the root-level
@@ -194,6 +197,13 @@ ranksafe-exactness:
 	$(GO) test -race -count=1 \
 		-run 'TestMetamorphicSafe|TestSafe|TestRankSafe|TestSessionSafeMethods|TestSharedPoolSafeMethod|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestOverlapAtK|TestParseAlgorithm' \
 		./internal/eval ./internal/rank ./internal/experiments .
+
+# Smoke for BenchmarkEvaluate (evalsafe's bookkeeping in ns/entry and
+# allocs over candidates × lists × schedule — the layer the repository
+# benchmark's outside-in trace reports as one number): one iteration
+# per case, so the benchmark cannot rot. Not a gate on the numbers.
+bench-evalsafe:
+	$(GO) test -run '^$$' -bench Evaluate -benchtime 1x ./internal/evalsafe
 
 # The rank-safe frontier sweep (E27): TA/NRA/MAXSCORE vs exhaustive
 # evaluation and the DF/BAF filters across buffer sizes and policies,

@@ -57,12 +57,60 @@
 // Exhaustive DF builds each accumulator by adding per-term
 // contributions in canonical order (idf descending, TermID ascending)
 // starting from 0. The schedules here interleave lists, so each
-// candidate records its per-term contributions separately and replays
-// them in that canonical order after every update; the final ranking
-// is produced by the same rank.TopN over those canonical sums. Same
-// additions in the same order, same normalization, same tie-break —
-// therefore the same bits. (Like postings.Build, this assumes at most
-// one entry per document within a list.)
+// candidate keeps its per-list contributions as a chain of arena nodes
+// sorted by canonical position; absorbing a posting links one node in
+// and walks the chain, and that walk IS the canonical replay. The
+// answer is ranked under rank.Before, the order rank.TopN selects by.
+// Same additions in the same order, same normalization, same tie-break
+// — therefore the same bits. (Like postings.Build, this assumes at most
+// one entry per document within a list; a second entry is added to the
+// first, as DF's sequential scan would.)
+//
+// # Bookkeeping
+//
+// All per-evaluation state is a handful of pointer-free slices (see
+// cands.go) sized once from the lists' document frequencies, so an
+// evaluation allocates a few dozen objects whatever its candidate count
+// and the collector scans none of them:
+//
+//   - an open-addressing DocID → slot table; a slot holds the canonical
+//     sum, the ends of the contribution chain and the candidate's
+//     CLASS — its seen-mask (⌈lists/64⌉ words), interned, with a count
+//     of the candidates that carry it;
+//   - completeness per class, not per candidate: a class is complete
+//     when its mask covers every live list, so finishing a list is one
+//     pass over the distinct masks, and Outcome.Complete is a sum of
+//     class counts;
+//   - a size-k min-heap of the best complete candidates, fed as each
+//     completes, whose root is the proof's k-th member at all times and
+//     whose contents are the answer;
+//   - the still-ACTIVE candidates (incomplete, not yet bounded away)
+//     queue in arrival order, which is slot order, so the queue is a
+//     cursor into the slot array. The proof advances it while the
+//     candidate at the front provably loses to the k-th, and RETIRES
+//     what it passes: a retired candidate is never bounded again and
+//     never offered to the heap.
+//
+// Retirement is sound because it is monotone. A candidate's bound is
+// its canonical sum plus the boundary contributions of the live lists
+// it is unseen in; reading a page can only move a term from the second
+// part to the first at no more than the bound it replaces, or shrink a
+// boundary, so the bound never grows (the 10^-12 inflation absorbs the
+// re-association of the float sums). The k-th member only improves:
+// the heap never shrinks, a member's score never falls, and a
+// replacement ranks ahead of what it replaces. So "bound loses to the
+// k-th" holds from the moment it is first observed to the end of the
+// evaluation, which is also why a retired candidate that later
+// completes cannot belong in the heap. The proof therefore costs
+// O(candidates passed) — each candidate once per evaluation — plus the
+// per-class Σ-unseen-bounds, memoised per proof; a proof that fails
+// stops at the first candidate it cannot retire and leaves it at the
+// front, where the next proof meets it first.
+//
+// The proof runs at a fixed cadence: at every page boundary where k
+// candidates are complete, except the boundary right after a failed
+// proof. Soundness does not depend on when it runs; the cadence only
+// decides how many pages late a stop may be noticed (at most one).
 //
 // # Buffer awareness
 //
@@ -89,6 +137,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"bufir/internal/buffer"
@@ -208,17 +257,9 @@ type Outcome struct {
 // it is compared against an exact score; see the package comment.
 const ubInflate = 1 + 1e-12
 
-// checkBackoffCap bounds the exponential backoff between full
-// termination checks: after a failed proof the next attempts are
-// skipped for 1, 3, 7, ... page reads, capped here. The proof stays
-// sound at any cadence (it only decides when to stop reading, never
-// what to answer); the cap trades at most a few late page reads for
-// not re-scanning the candidate table on every page of a long query.
-const checkBackoffCap = 8
-
 // listState tracks one query list. Lists are held in canonical order
 // (idf descending, TermID ascending — DF's processing order), and a
-// candidate's contribution index is its list's canonical position.
+// candidate's contribution node carries its list's canonical position.
 type listState struct {
 	qt  QueryTerm
 	tm  *postings.TermMeta
@@ -227,40 +268,18 @@ type listState struct {
 	// sigma is the static maximum contribution
 	// DocWeight(FMax)·w_qt — maxscore's list ordering key.
 	sigma float64
+	// bound is the list's boundary contribution: an upper bound on what
+	// any still-unread entry can add to a document's accumulator,
+	// DocWeight(PageMaxFreq[next])·w_qt. Zero once the list is finished.
+	bound float64
 	// next is the next unread page; done marks a finished list
 	// (exhausted or faulted).
 	next int
 	done bool
+	// solo is the class of candidates seen in this list only (-1 until
+	// the first one appears).
+	solo int32
 	st   TermStats
-}
-
-// curBound returns the list's boundary contribution: an upper bound
-// on what any still-unread entry can add to a document's accumulator.
-// Zero once the list is finished.
-func (li *listState) curBound() float64 {
-	if li.done {
-		return 0
-	}
-	return rank.DocWeight(li.tm.PageMaxFreq[li.next], li.idf) * li.wqt
-}
-
-// candidate is a document seen in at least one list.
-type candidate struct {
-	// contrib[i] is the document's contribution from canonical list i,
-	// valid iff seen[i].
-	contrib []float64
-	seen    []bool
-	// canon is the canonical-order sum of the seen contributions — the
-	// exact float64 an exhaustive DF accumulator holds after the same
-	// terms. score caches canon normalized by W_d (0 when W_d <= 0).
-	canon float64
-	score float64
-	// unseenLive counts the live lists this document has not been seen
-	// in; 0 means complete.
-	unseenLive int
-	// mark stamps membership in the provisional top-k of the
-	// termination check generation that last ran.
-	mark int
 }
 
 // run is the per-evaluation state; everything is call-confined, so
@@ -274,8 +293,17 @@ type run struct {
 
 	lists []listState
 	live  int
-	cands map[postings.DocID]*candidate
-	// complete counts candidates with unseenLive == 0.
+	// liveMask has bit i set while canonical list i is unfinished.
+	liveMask []uint64
+	cands    candTable
+	classes  classTable
+	// top holds the k best complete candidates. The active candidates
+	// — incomplete, not yet retired by a proof — queue in arrival
+	// order, which is slot order: every slot before firstActive is
+	// settled or retired, and the proof advances it.
+	top         topK
+	firstActive int
+	// complete counts candidates whose class is complete.
 	complete int
 	smax     float64
 	faults   int
@@ -286,15 +314,22 @@ type run struct {
 	// moves forward).
 	dblCursor int
 
-	// Termination-check pacing (see checkBackoffCap) and the top-k
-	// marking generation.
-	checkSkip int
-	checkGen  int
+	// skipProof is set by a failed proof and consumed by the next page
+	// boundary; proofs counts full proofs attempted, gen stamps the
+	// per-class bound memo of the proof in progress.
+	skipProof bool
+	proofs    int
+	gen       int32
 
-	// Schedule state: TA's current round queue, maxscore's sticky list.
-	roundQueue []int
-	sticky     int
+	// Schedule state: TA's current round (a buffer reused across
+	// rounds) and maxscore's sticky list.
+	round     []roundEntry
+	roundHead int
+	sticky    int
 }
+
+// roundEntry is one list of a TA round with its residency estimate.
+type roundEntry struct{ idx, resident int }
 
 // Evaluate runs one rank-safe evaluation of q under the schedule. The
 // query must be non-empty with valid term ids, positive query
@@ -308,6 +343,15 @@ func Evaluate(ctx context.Context, ix *postings.Index, buf buffer.Pool, q []Quer
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	r, err := newRun(ix, buf, q, sched, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.evaluate(ctx)
+}
+
+// newRun validates the request and builds the evaluation state.
+func newRun(ix *postings.Index, buf buffer.Pool, q []QueryTerm, sched Schedule, opts Options) (*run, error) {
 	if len(q) == 0 {
 		return nil, errors.New("evalsafe: empty query")
 	}
@@ -322,14 +366,19 @@ func Evaluate(ctx context.Context, ix *postings.Index, buf buffer.Pool, q []Quer
 		buf:    buf,
 		sched:  sched,
 		opts:   opts,
-		cands:  make(map[postings.DocID]*candidate, 64),
+		top:    topK{k: opts.TopN},
 		out:    &Outcome{},
 		sticky: -1,
 	}
 	if err := r.initLists(q); err != nil {
 		return nil, err
 	}
+	return r, nil
+}
 
+// evaluate is the page loop: prove, pick, read, until the proof fires
+// or every list is finished.
+func (r *run) evaluate(ctx context.Context) (*Outcome, error) {
 	for r.live > 0 {
 		if err := ctx.Err(); err != nil {
 			return r.partial(err)
@@ -338,8 +387,7 @@ func Evaluate(ctx context.Context, ix *postings.Index, buf buffer.Pool, q []Quer
 			r.out.Terminated = true
 			break
 		}
-		li := r.pickNext()
-		if err := r.readPage(ctx, li); err != nil {
+		if err := r.readPage(ctx, r.pickNext()); err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return r.partial(err)
 			}
@@ -349,23 +397,15 @@ func Evaluate(ctx context.Context, ix *postings.Index, buf buffer.Pool, q []Quer
 	return r.finalize(), nil
 }
 
-// initLists builds the canonical list states. Zero-page lists (a
-// shard term whose postings live in other partitions, or a df-carrying
-// term with no local pages) start finished: nothing local to read,
-// nothing to contribute, and absence from them is proven vacuously.
+// initLists builds the canonical list states and sizes the candidate
+// state from them. Zero-page lists (a shard term whose postings live
+// in other partitions, or a df-carrying term with no local pages)
+// start finished: nothing local to read, nothing to contribute, and
+// absence from them is proven vacuously.
 func (r *run) initLists(q []QueryTerm) error {
-	ordered := make([]QueryTerm, len(q))
-	copy(ordered, q)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		ia, ib := r.ix.IDF(a.Term), r.ix.IDF(b.Term)
-		if ia != ib {
-			return ia > ib
-		}
-		return a.Term < b.Term
-	})
-	r.lists = make([]listState, len(ordered))
-	for i, qt := range ordered {
+	r.lists = make([]listState, len(q))
+	postingsBound := 0
+	for i, qt := range q {
 		if int(qt.Term) < 0 || int(qt.Term) >= len(r.ix.Terms) {
 			return fmt.Errorf("evalsafe: term id %d out of range", qt.Term)
 		}
@@ -381,19 +421,39 @@ func (r *run) initLists(q []QueryTerm) error {
 			idf:   idf,
 			wqt:   wqt,
 			sigma: rank.DocWeight(tm.FMax, idf) * wqt,
+			solo:  -1,
 			st: TermStats{
 				Term:      qt.Term,
 				Fqt:       qt.Fqt,
 				ListPages: tm.NumPages,
 			},
 		}
-		if tm.NumPages == 0 {
-			r.lists[i].done = true
-			r.lists[i].st.Exhausted = true
-		} else {
-			r.live++
-		}
+		// A list holds DF entries, and no more than its pages can (a
+		// shard's DF may be the global one).
+		postingsBound += min(tm.DF, tm.NumPages*r.ix.PageSize)
 	}
+	sort.SliceStable(r.lists, func(i, j int) bool {
+		a, b := &r.lists[i], &r.lists[j]
+		if a.idf != b.idf {
+			return a.idf > b.idf
+		}
+		return a.qt.Term < b.qt.Term
+	})
+	words := (len(q) + 63) / 64
+	r.liveMask = make([]uint64, words)
+	for i := range r.lists {
+		li := &r.lists[i]
+		if li.tm.NumPages == 0 {
+			li.done = true
+			li.st.Exhausted = true
+			continue
+		}
+		li.bound = rank.DocWeight(li.tm.PageMaxFreq[0], li.idf) * li.wqt
+		r.liveMask[i/64] |= 1 << (i % 64)
+		r.live++
+	}
+	r.cands.init(min(postingsBound, r.ix.NumDocs), postingsBound)
+	r.classes.init(r.liveMask)
 	return nil
 }
 
@@ -411,9 +471,9 @@ func (r *run) unreadResident(li *listState) int {
 	return n
 }
 
-// pickNext chooses the next list to advance by one page. At least one
-// list is live when called.
-func (r *run) pickNext() *listState {
+// pickNext chooses the canonical position of the next list to advance
+// by one page. At least one list is live when called.
+func (r *run) pickNext() int {
 	switch r.sched {
 	case NRA:
 		return r.pickNRA()
@@ -427,27 +487,32 @@ func (r *run) pickNext() *listState {
 // pickTA pops the lockstep round queue, rebuilding it — live lists
 // ordered by unread residency, then canonical position — whenever a
 // round completes.
-func (r *run) pickTA() *listState {
+func (r *run) pickTA() int {
 	for {
-		for len(r.roundQueue) > 0 {
-			i := r.roundQueue[0]
-			r.roundQueue = r.roundQueue[1:]
+		for r.roundHead < len(r.round) {
+			i := r.round[r.roundHead].idx
+			r.roundHead++
 			if !r.lists[i].done {
-				return &r.lists[i]
+				return i
 			}
 		}
-		type entry struct{ idx, resident int }
-		round := make([]entry, 0, len(r.lists))
+		if r.round == nil {
+			r.round = make([]roundEntry, 0, len(r.lists))
+		}
+		r.round, r.roundHead = r.round[:0], 0
 		for i := range r.lists {
-			if !r.lists[i].done {
-				round = append(round, entry{i, r.unreadResident(&r.lists[i])})
+			if r.lists[i].done {
+				continue
 			}
-		}
-		sort.SliceStable(round, func(a, b int) bool {
-			return round[a].resident > round[b].resident
-		})
-		for _, e := range round {
-			r.roundQueue = append(r.roundQueue, e.idx)
+			// Stable insertion by residency descending: equal residency
+			// keeps canonical order.
+			e := roundEntry{i, r.unreadResident(&r.lists[i])}
+			j := len(r.round)
+			r.round = append(r.round, e)
+			for ; j > 0 && r.round[j-1].resident < e.resident; j-- {
+				r.round[j] = r.round[j-1]
+			}
+			r.round[j] = e
 		}
 	}
 }
@@ -455,7 +520,7 @@ func (r *run) pickTA() *listState {
 // pickNRA chooses adaptively: a buffer-resident next page first, then
 // the largest boundary contribution (the access that shrinks upper
 // bounds fastest), then canonical order.
-func (r *run) pickNRA() *listState {
+func (r *run) pickNRA() int {
 	best := -1
 	bestResident := false
 	bestBound := 0.0
@@ -465,23 +530,22 @@ func (r *run) pickNRA() *listState {
 			continue
 		}
 		resident := r.unreadResident(li) > 0
-		bound := li.curBound()
 		if best == -1 ||
 			(resident && !bestResident) ||
-			(resident == bestResident && bound > bestBound) {
-			best, bestResident, bestBound = i, resident, bound
+			(resident == bestResident && li.bound > bestBound) {
+			best, bestResident, bestBound = i, resident, li.bound
 		}
 	}
-	return &r.lists[best]
+	return best
 }
 
 // pickMaxscore keeps scanning the current list until it finishes,
 // then selects the next by fewest estimated disk reads (BAF's rule),
 // ties broken by larger σ_t, then canonical order. The termination
 // check between pages is what lets trailing low-σ lists go unopened.
-func (r *run) pickMaxscore() *listState {
+func (r *run) pickMaxscore() int {
 	if r.sticky >= 0 && !r.lists[r.sticky].done {
-		return &r.lists[r.sticky]
+		return r.sticky
 	}
 	best := -1
 	bestReads := 0
@@ -500,14 +564,16 @@ func (r *run) pickMaxscore() *listState {
 		}
 	}
 	r.sticky = best
-	return &r.lists[best]
+	return best
 }
 
-// readPage fetches and absorbs the list's next page. Context errors
-// propagate (the caller finalizes the partial answer); fetch faults
-// are charged to the budget, finishing the list Degraded-style, and
-// fail the query once the budget is spent.
-func (r *run) readPage(ctx context.Context, li *listState) error {
+// readPage fetches and absorbs the next page of the list at canonical
+// position pos. Context errors propagate (the caller finalizes the
+// partial answer); fetch faults are charged to the budget, finishing
+// the list Degraded-style, and fail the query once the budget is
+// spent.
+func (r *run) readPage(ctx context.Context, pos int) error {
+	li := &r.lists[pos]
 	frame, missed, err := r.buf.FetchContext(ctx, r.ix.PageOf(li.qt.Term, li.next))
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -523,7 +589,7 @@ func (r *run) readPage(ctx context.Context, li *listState) error {
 			// contract.
 			r.faults++
 			li.st.Faulted = true
-			r.finishList(li)
+			r.finishList(pos)
 			return nil
 		}
 		return fmt.Errorf("evalsafe: term %q page %d: %w", li.tm.Name, li.next, err)
@@ -534,176 +600,166 @@ func (r *run) readPage(ctx context.Context, li *listState) error {
 	} else {
 		li.st.PagesHit++
 	}
-	pos := r.posOf(li)
-	for _, entry := range frame.Data() {
-		li.st.EntriesProcessed++
-		r.absorb(pos, li, entry)
+	data := frame.Data()
+	li.st.EntriesProcessed += len(data)
+	r.cands.warm(data)
+	for _, entry := range data {
+		r.absorb(pos, rank.DocWeight(entry.Freq, li.idf)*li.wqt, entry.Doc)
 	}
 	r.buf.Unpin(frame)
 	li.next++
 	if li.next == li.tm.NumPages {
 		li.st.Exhausted = true
-		r.finishList(li)
+		r.finishList(pos)
+	} else {
+		li.bound = rank.DocWeight(li.tm.PageMaxFreq[li.next], li.idf) * li.wqt
 	}
 	return nil
 }
 
-// posOf returns the list's canonical position.
-func (r *run) posOf(li *listState) int {
-	// Lists are stored in canonical order; index arithmetic avoids a
-	// lookup table.
-	for i := range r.lists {
-		if &r.lists[i] == li {
-			return i
-		}
+// absorb records one posting's contribution from canonical list pos:
+// link it into the document's chain, replay the chain into the
+// canonical sum, and move the candidate to the class of its new
+// seen-mask.
+func (r *run) absorb(pos int, contrib float64, doc postings.DocID) {
+	si, fresh := r.cands.lookup(doc)
+	c := &r.cands.slots[si]
+	if fresh {
+		c.class = r.soloClass(pos)
 	}
-	panic("evalsafe: list not found")
-}
-
-// absorb records one posting for the candidate, refreshing its
-// canonical sum and cached score.
-func (r *run) absorb(pos int, li *listState, entry postings.Entry) {
-	c := r.cands[entry.Doc]
-	if c == nil {
-		c = &candidate{
-			contrib:    make([]float64, len(r.lists)),
-			seen:       make([]bool, len(r.lists)),
-			unseenLive: r.live,
-		}
-		r.cands[entry.Doc] = c
+	dup := r.cands.link(c, int32(pos), contrib)
+	if c.canon > r.smax {
+		r.smax = c.canon
 	}
-	contrib := rank.DocWeight(entry.Freq, li.idf) * li.wqt
-	if c.seen[pos] {
+	switch {
+	case dup:
 		// A malformed list carrying two entries for one document:
 		// accumulate like DF's sequential scan would (postings.Build
 		// never produces this; bit-identity is claimed only for
 		// well-formed lists).
-		c.contrib[pos] += contrib
-	} else {
-		c.contrib[pos] = contrib
-		c.seen[pos] = true
-		c.unseenLive--
-		if c.unseenLive == 0 {
-			r.complete++
-		}
+		r.rescored(si)
+		return
+	case !fresh:
+		r.classes.at(c.class).count--
+		c.class = r.classes.with(c.class, pos)
 	}
-	// Replay the canonical order: identical additions to exhaustive
-	// DF's accumulator trajectory for this document.
-	s := 0.0
-	for i, ok := range c.seen {
-		if ok {
-			s += c.contrib[i]
-		}
-	}
-	c.canon = s
-	if s > r.smax {
-		r.smax = s
-	}
-	c.score = 0
-	if w := r.ix.DocLen[entry.Doc]; w > 0 {
-		c.score = s / w
+	cl := r.classes.at(c.class)
+	cl.count++
+	if cl.complete {
+		r.complete++
+		r.settle(c)
 	}
 }
 
-// finishList marks a list done and settles completeness: every
-// candidate not seen in it now has its absence proven (exhausted) or
-// conceded (faulted).
-func (r *run) finishList(li *listState) {
+// soloClass returns the class of candidates seen only in list pos.
+func (r *run) soloClass(pos int) int32 {
+	li := &r.lists[pos]
+	if li.solo < 0 {
+		li.solo = r.classes.solo(pos)
+	}
+	return li.solo
+}
+
+// settle feeds a candidate that just completed to the heap — unless a
+// proof already retired it, in which case it provably cannot enter.
+// Documents with W_d <= 0 are never ranked (rank.TopN's rule).
+func (r *run) settle(c *slot) {
+	if c.state != active {
+		return
+	}
+	c.state = settled
+	if w := r.ix.DocLen[c.doc]; w > 0 {
+		r.top.offer(rank.ScoredDoc{Doc: c.doc, Score: c.canon / w})
+	}
+}
+
+// rescored repairs the heap and the queue after a duplicate entry grew
+// a candidate's sum behind the proof's back: a heap member is re-keyed,
+// a settled non-member is offered again, and a retired candidate — its
+// bound was computed without the extra entry — is made active again.
+func (r *run) rescored(si int32) {
+	c := &r.cands.slots[si]
+	switch c.state {
+	case settled:
+		if w := r.ix.DocLen[c.doc]; w > 0 {
+			r.top.rescore(rank.ScoredDoc{Doc: c.doc, Score: c.canon / w})
+		}
+	case retired:
+		c.state = active
+		if r.classes.at(c.class).complete {
+			r.settle(c)
+		} else if int(si) < r.firstActive {
+			r.firstActive = int(si)
+		}
+	}
+}
+
+// finishList marks the list at canonical position pos done and settles
+// completeness: every class whose mask now covers the live lists is
+// complete — its members' absence from the finished list is proven
+// (exhausted) or conceded (faulted).
+func (r *run) finishList(pos int) {
+	li := &r.lists[pos]
 	if li.done {
 		return
 	}
 	li.done = true
+	li.bound = 0
 	r.live--
-	pos := r.posOf(li)
-	for _, c := range r.cands {
-		if !c.seen[pos] {
-			c.unseenLive--
-			if c.unseenLive == 0 {
-				r.complete++
+	r.liveMask[pos/64] &^= 1 << (pos % 64)
+	if r.sticky == pos {
+		r.sticky = -1
+	}
+	if n := r.classes.completeCovered(); n > 0 {
+		r.complete += n
+		// The newly complete candidates are somewhere in the queue.
+		for i := r.firstActive; i < len(r.cands.slots); i++ {
+			if c := &r.cands.slots[i]; c.state == active && r.classes.at(c.class).complete {
+				r.settle(c)
 			}
 		}
 	}
-	if r.sticky >= 0 && r.lists[r.sticky].done {
-		r.sticky = -1
-	}
 }
 
-// proven runs the termination check: true when the provisional top-k
-// is provably final. Soundness does not depend on when it runs, so
-// failed proofs back off exponentially (see checkBackoffCap).
+// proven runs the termination check at its cadence: no proof is
+// possible before k candidates are complete, and the page boundary
+// right after a failed proof is skipped, so the full proof runs at
+// most every other page. Soundness does not depend on when it runs.
 func (r *run) proven() bool {
-	k := r.opts.TopN
-	if r.complete < k {
-		// Fewer complete candidates than answers owed: no proof is
-		// possible yet (and if the whole collection holds fewer than k
-		// scoring documents, the loop runs to exhaustion, which IS the
-		// exhaustive answer).
+	if r.complete < r.opts.TopN {
+		// Fewer complete candidates than answers owed (and if the whole
+		// collection holds fewer than k scoring documents, the loop runs
+		// to exhaustion, which IS the exhaustive answer).
 		return false
 	}
-	if r.checkSkip > 0 {
-		r.checkSkip--
+	if r.skipProof {
+		r.skipProof = false
 		return false
 	}
 	ok := r.provenFull()
-	if !ok {
-		r.checkSkip = 2*r.checkSkip + 1
-		if r.checkSkip > checkBackoffCap {
-			r.checkSkip = checkBackoffCap
-		}
-	}
+	r.skipProof = !ok
 	return ok
 }
 
-// provenFull is the full proof: select the provisional top-k among
-// complete candidates, then verify that no incomplete candidate and
-// no unseen document can displace its weakest member.
+// provenFull is the full proof: with the heap's root as the k-th
+// member, verify that no unseen document and no active candidate can
+// displace it, retiring every candidate shown to lose on the way.
 func (r *run) provenFull() bool {
-	k := r.opts.TopN
-	r.checkGen++
-
-	// Provisional top-k among complete candidates, under exactly
-	// rank.TopN's order (W_d <= 0 documents excluded as there).
-	top := make([]rank.ScoredDoc, 0, k)
-	for doc, c := range r.cands {
-		if c.unseenLive != 0 || r.ix.DocLen[doc] <= 0 {
-			continue
-		}
-		sd := rank.ScoredDoc{Doc: doc, Score: c.score}
-		if len(top) < k {
-			top = append(top, sd)
-			if len(top) == k {
-				sort.Slice(top, func(i, j int) bool { return rank.Before(top[i], top[j]) })
-			}
-			continue
-		}
-		if rank.Before(sd, top[k-1]) {
-			// Insert in order; k is small (the answer size), so a
-			// linear shift beats heap bookkeeping.
-			i := sort.Search(k-1, func(i int) bool { return rank.Before(sd, top[i]) })
-			copy(top[i+1:], top[i:k-1])
-			top[i] = sd
-		}
+	r.proofs++
+	if len(r.top.h) < r.opts.TopN {
+		return false // complete candidates with W_d <= 0 do not rank
 	}
-	if len(top) < k {
-		return false
-	}
-	if len(top) > 1 && !sort.SliceIsSorted(top, func(i, j int) bool { return rank.Before(top[i], top[j]) }) {
-		sort.Slice(top, func(i, j int) bool { return rank.Before(top[i], top[j]) })
-	}
-	kth := top[k-1]
-	for _, sd := range top {
-		r.cands[sd.Doc].mark = r.checkGen
-	}
+	kth := r.top.h[0]
 
 	// The unseen-document bound: R over the smallest vector length of
 	// any document not yet seen. Strict comparison — an unseen
 	// document's DocID could win a tie against the k-th member.
 	R := 0.0
 	for i := range r.lists {
-		R += r.lists[i].curBound()
+		R += r.lists[i].bound
 	}
 	byLen := r.ix.DocsByLen()
-	for r.dblCursor < len(byLen) && r.cands[byLen[r.dblCursor]] != nil {
+	for r.dblCursor < len(byLen) && r.cands.has(byLen[r.dblCursor]) {
 		r.dblCursor++
 	}
 	if r.dblCursor < len(byLen) {
@@ -713,43 +769,53 @@ func (r *run) provenFull() bool {
 		}
 	}
 
-	// Every incomplete candidate must provably lose to the k-th
-	// member. (Complete non-members lose by construction: the
-	// selection above used the same total order the final TopN will.)
-	for doc, c := range r.cands {
-		if c.unseenLive == 0 || c.mark == r.checkGen {
+	// Every active candidate must provably lose to the k-th member.
+	// (Complete non-members lost when the heap turned them away, under
+	// the same total order; retired candidates lost at an earlier proof
+	// and cannot have recovered.) The first one that does not lose
+	// stays at the front of the queue for the next proof.
+	r.gen++
+	for ; r.firstActive < len(r.cands.slots); r.firstActive++ {
+		c := &r.cands.slots[r.firstActive]
+		if c.state != active {
 			continue
 		}
-		w := r.ix.DocLen[doc]
-		if w <= 0 {
-			continue
-		}
-		ub := c.canon
-		for i := range r.lists {
-			if !c.seen[i] {
-				ub += r.lists[i].curBound()
+		if w := r.ix.DocLen[c.doc]; w > 0 {
+			ub := c.canon + r.unseenBound(c.class)
+			if !rank.Before(kth, rank.ScoredDoc{Doc: c.doc, Score: ub * ubInflate / w}) {
+				return false
 			}
 		}
-		if !rank.Before(kth, rank.ScoredDoc{Doc: doc, Score: ub * ubInflate / w}) {
-			return false
-		}
+		c.state = retired
 	}
 	return true
 }
 
-// finalize produces the exact answer: canonical sums of the complete
-// candidates through the same rank.TopN as DF. After exhaustion every
+// unseenBound returns Σ boundary contributions over the live lists
+// outside the class's mask, computed once per class per proof.
+func (r *run) unseenBound(class int32) float64 {
+	cl := r.classes.at(class)
+	if cl.gen != r.gen {
+		u := 0.0
+		for wi, m := range r.classes.mask(class) {
+			for rest := r.liveMask[wi] &^ m; rest != 0; rest &= rest - 1 {
+				u += r.lists[wi*64+bits.TrailingZeros64(rest)].bound
+			}
+		}
+		cl.unseen, cl.gen = u, r.gen
+	}
+	return cl.unseen
+}
+
+// finalize produces the exact answer: the heap holds the k best
+// complete candidates under rank.TopN's order. After exhaustion every
 // candidate is complete and this IS the exhaustive evaluation; after
 // an early termination the excluded incomplete candidates are exactly
 // those the proof showed cannot reach the top-k.
 func (r *run) finalize() *Outcome {
-	acc := make(map[postings.DocID]float64, r.complete)
-	for doc, c := range r.cands {
-		if c.unseenLive == 0 {
-			acc[doc] = c.canon
-		}
+	if r.complete > 0 {
+		r.out.Top = r.top.ranked()
 	}
-	r.out.Top = rank.TopN(acc, r.ix.DocLen, r.opts.TopN)
 	r.fillStats()
 	return r.out
 }
@@ -758,11 +824,16 @@ func (r *run) finalize() *Outcome {
 // of every candidate's known partial score (DF's partial semantics),
 // returned alongside the error.
 func (r *run) partial(err error) (*Outcome, error) {
-	acc := make(map[postings.DocID]float64, len(r.cands))
-	for doc, c := range r.cands {
-		acc[doc] = c.canon
+	if len(r.cands.slots) > 0 {
+		all := topK{k: r.opts.TopN}
+		for i := range r.cands.slots {
+			c := &r.cands.slots[i]
+			if w := r.ix.DocLen[c.doc]; w > 0 {
+				all.offer(rank.ScoredDoc{Doc: c.doc, Score: c.canon / w})
+			}
+		}
+		r.out.Top = all.ranked()
 	}
-	r.out.Top = rank.TopN(acc, r.ix.DocLen, r.opts.TopN)
 	r.out.Partial = true
 	r.fillStats()
 	return r.out, err
@@ -770,7 +841,7 @@ func (r *run) partial(err error) (*Outcome, error) {
 
 // fillStats copies the run's counters into the Outcome.
 func (r *run) fillStats() {
-	r.out.Candidates = len(r.cands)
+	r.out.Candidates = len(r.cands.slots)
 	r.out.Complete = r.complete
 	r.out.Smax = r.smax
 	r.out.Faults = r.faults

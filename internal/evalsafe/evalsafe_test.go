@@ -37,7 +37,13 @@ func (f *fixture) pool(t testing.TB, pages int) buffer.Pool {
 // poolOver builds the serial (one-shard) LRU pool over any store.
 func (f *fixture) poolOver(t testing.TB, pages int, store buffer.PageReader) buffer.Pool {
 	t.Helper()
-	mgr, err := buffer.NewManager(pages, 1, store, f.ix, func(int) buffer.Policy { return buffer.NewLRU() })
+	return f.manager(t, pages, store, func(int) buffer.Policy { return buffer.NewLRU() })
+}
+
+// manager builds the serial pool over any store under any policy.
+func (f *fixture) manager(t testing.TB, pages int, store buffer.PageReader, newPolicy func(int) buffer.Policy) *buffer.Manager {
+	t.Helper()
+	mgr, err := buffer.NewManager(pages, 1, store, f.ix, newPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,8 +74,7 @@ type goldenRecord struct {
 // goldenEnv is one seeded collection the golden runs read, with two
 // 70-term pools to draw queries from.
 type goldenEnv struct {
-	ix    *postings.Index
-	store *storage.Store
+	*fixture
 	pools [2][]QueryTerm
 }
 
@@ -120,7 +119,7 @@ func corpusEnv() (*goldenEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := &goldenEnv{ix: ix, store: storage.NewStore(pages)}
+	env := &goldenEnv{fixture: &fixture{lists: coll.Lists, ix: ix, store: storage.NewStore(pages)}}
 	// Pool p merges topics p, p+2, p+4, ... until it holds 70 distinct
 	// terms.
 	for p := range env.pools {
@@ -188,7 +187,7 @@ func skewEnv() (*goldenEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := &goldenEnv{ix: ix, store: storage.NewStore(pages)}
+	env := &goldenEnv{fixture: &fixture{lists: lists, ix: ix, store: storage.NewStore(pages)}}
 	for tm := 0; tm < terms; tm++ {
 		env.pools[tm%2] = append(env.pools[tm%2], QueryTerm{Term: postings.TermID(tm), Fqt: 1 + tm%3/2})
 	}
@@ -264,15 +263,6 @@ func record(name string, out *Outcome, sp *seqPool) goldenRecord {
 	return rec
 }
 
-func (e *goldenEnv) manager(t testing.TB, pages int, store buffer.PageReader, newPolicy func(int) buffer.Policy) *buffer.Manager {
-	t.Helper()
-	mgr, err := buffer.NewManager(pages, 1, store, e.ix, newPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mgr
-}
-
 // runGoldenGrid evaluates schedules × policies × pool sizes × the
 // twelve golden queries. Each (schedule, policy, size) cell keeps ONE
 // pool across its queries, so residency left by a query steers the
@@ -346,13 +336,15 @@ func compareGolden(t *testing.T, file string, got []goldenRecord) {
 	if *update {
 		// One compact record per line: a moved counter is a one-line diff.
 		var buf bytes.Buffer
-		for i, rec := range got {
+		sep := "[\n"
+		for _, rec := range got {
 			line, err := json.Marshal(rec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			buf.WriteString(map[bool]string{true: "[\n", false: ",\n"}[i == 0])
+			buf.WriteString(sep)
 			buf.Write(line)
+			sep = ",\n"
 		}
 		buf.WriteString("\n]\n")
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -15,9 +15,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
-.PHONY: ci lint depgraph vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store bench-serve policy-conformance bench-policy ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness bench-ingest
+.PHONY: ci lint depgraph vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store bench-serve policy-conformance bench-policy bench-policyops ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness bench-ingest
 
-ci: lint depgraph build test benchmark-test race leaks fuzz-seeds faults-smoke storetest policy-conformance ranksafe-exactness bench-evalsafe indextest ingest-exactness bench-store bench-serve bench-policy bench-ranksafe bench-ingest cover
+ci: lint depgraph build test benchmark-test race leaks fuzz-seeds faults-smoke storetest policy-conformance bench-policyops ranksafe-exactness bench-evalsafe indextest ingest-exactness bench-store bench-serve bench-policy bench-ranksafe bench-ingest cover
 
 lint:
 	@if [ -x "$(STATICCHECK)" ] || $(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) 2>/dev/null; then \
@@ -165,14 +165,28 @@ bench-serve:
 # Replacement-policy family gate under -race: the cross-policy
 # conformance suite (every registered policy held to the same
 # Victim/Removed/pin/Flush contract), the 2Q ghost-hygiene and
-# bounded-memory regressions, the ADAPTIVE unit tests, the E26 drift
-# smoke/determinism tests, and the root-level end-to-end family tests
-# (all six policies through Session/Engine/SharedSessionPool/Router
-# with bit-identical 1-worker replay).
+# bounded-memory regressions, the ADAPTIVE unit tests, the victim
+# goldens of RAP, RAP-headfirst and ADAPTIVE (recorded from the
+# frame-heap RAP, compared literally), RAP against its brute-force
+# oracle and its structure invariants, the lost-update race of the
+# weight-delta path, the E26 drift smoke/determinism tests, and the
+# root-level end-to-end family tests (all six policies through
+# Session/Engine/SharedSessionPool/Router with bit-identical 1-worker
+# replay).
 policy-conformance:
 	$(GO) test -race -count=1 \
-		-run 'TestPolicyConformance|TestTwoQ|TestAdaptive|TestGhostList|TestPolicyStats|TestDrift|TestPolicyFamily' \
+		-run 'TestPolicyConformance|TestTwoQ|TestAdaptive|TestGhostList|TestPolicyStats|TestGoldenVictims|TestRAP|TestAnnouncementsNotLost|TestDrift|TestPolicyFamily' \
 		./internal/buffer ./internal/experiments .
+
+# What the buffer manager pays per policy call (BenchmarkPolicyOps:
+# SetQuery for a one-term refinement step, Victim with 0 and 2 pinned
+# frames, Admitted+Removed) per policy × pool {512, 4096, 32768} ×
+# users {1, 16}, with allocations. The default runs every case once —
+# the ci smoke, so the benchmark cannot rot, not a gate on the numbers;
+# POLICYOPS_BENCHTIME=2000x gives numbers worth recording.
+POLICYOPS_BENCHTIME ?= 1x
+bench-policyops:
+	$(GO) test -run '^$$' -bench PolicyOps -benchtime $(POLICYOPS_BENCHTIME) ./internal/buffer
 
 # The workload-drift sweep (E26): every replacement policy through one
 # continuous refine -> churn -> fault-storm stream per buffer size,

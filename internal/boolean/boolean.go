@@ -220,7 +220,7 @@ func (e *Evaluator) Evaluate(expr Expr) (*Result, error) {
 // terms (boolean queries have no f_qt; weight 1·idf is the natural
 // choice).
 func weightsOf(ix *postings.Index, expr Expr) buffer.QueryWeights {
-	w := map[postings.TermID]float64{}
+	w := buffer.QueryWeights{}
 	var walk func(Expr)
 	walk = func(e Expr) {
 		switch v := e.(type) {
@@ -237,7 +237,7 @@ func weightsOf(ix *postings.Index, expr Expr) buffer.QueryWeights {
 		}
 	}
 	walk(expr)
-	return func(t postings.TermID) float64 { return w[t] }
+	return w
 }
 
 func (e *Evaluator) eval(expr Expr, reads *int) ([]postings.DocID, error) {

@@ -54,7 +54,7 @@ type StatsReporter interface {
 // (Vietri et al., HotStorage 2018, adapted to the paper's setting): it
 // runs LRU and RAP as experts over the one frame set — they coexist
 // because LRU uses the frames' intrusive recency links while RAP uses
-// their heap slots — and keeps a bounded ghost list of evicted pages,
+// their group pointer — and keeps a bounded ghost list of evicted pages,
 // each tagged with the expert whose recommendation evicted it. When a
 // ghosted page is referenced again, the eviction MAY have been a
 // mistake; to make the regret signal real rather than noise, each
@@ -196,11 +196,11 @@ func (p *Adaptive) Victim() *Frame {
 	return f
 }
 
-// SetQuery implements Policy: the query weights reach the RAP expert
+// SetQuery implements Policy: the weight changes reach the RAP expert
 // and its shadow (LRU is query-oblivious).
-func (p *Adaptive) SetQuery(w QueryWeights) {
-	p.rap.SetQuery(w)
-	p.shadowRAP.pol.SetQuery(w)
+func (p *Adaptive) SetQuery(changed []TermWeight) {
+	p.rap.SetQuery(changed)
+	p.shadowRAP.pol.SetQuery(changed)
 }
 
 // PolicyStats implements StatsReporter.

@@ -269,8 +269,7 @@ func TestAdaptiveVictimFollowsFavoredExpert(t *testing.T) {
 	for _, f := range []*Frame{a, b, c} {
 		p.Admitted(f)
 	}
-	w := map[postings.TermID]float64{0: 10, 1: 0, 2: 1}
-	p.SetQuery(func(tm postings.TermID) float64 { return w[tm] })
+	p.SetQuery([]TermWeight{{Term: 0, Weight: 10}, {Term: 2, Weight: 1}})
 	// Values: a = 1·10 = 10, b = 5·0 = 0, c = 3·1 = 3.
 
 	p.wLRU = 0.3 // RAP favored

@@ -40,7 +40,7 @@ func TestPolicyConformanceVictimNeverPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetQuery(func(tm postings.TermID) float64 { return float64(tm + 1) })
+		m.SetQuery(QueryWeights{0: 1, 1: 2, 2: 3})
 		held := []*Frame{get(t, m, 0), get(t, m, 1)}
 		free := get(t, m, 2)
 		m.Unpin(free)
@@ -117,9 +117,9 @@ func TestPolicyConformanceSetQuerySafe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetQuery(nil) // Manager substitutes the zero function
+		m.SetQuery(nil) // withdrawing before announcing is legal
 		touch(t, m, 0)
-		m.SetQuery(func(tm postings.TermID) float64 { return 2.5 })
+		m.SetQuery(QueryWeights{0: 2.5, 1: 2.5, 2: 2.5})
 		for p := postings.PageID(1); p < 6; p++ {
 			touch(t, m, p)
 		}
@@ -183,8 +183,7 @@ func TestPolicyConformanceDeterministicTrace(t *testing.T) {
 				case r.Intn(50) == 0:
 					m.Flush()
 				case r.Intn(25) == 0:
-					w := [3]float64{float64(r.Intn(4)), float64(r.Intn(4)), float64(r.Intn(4))}
-					m.SetQuery(func(tm postings.TermID) float64 { return w[tm%3] })
+					m.SetQuery(QueryWeights{0: float64(r.Intn(4)), 1: float64(r.Intn(4)), 2: float64(r.Intn(4))})
 				default:
 					touch(t, m, postings.PageID(r.Intn(7)))
 				}

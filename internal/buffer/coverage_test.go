@@ -1,15 +1,10 @@
 package buffer
 
-import (
-	"testing"
-
-	"bufir/internal/postings"
-)
+import "testing"
 
 // TestPolicySurfaces covers the small Policy-interface methods that
 // the behavioral tests never need to call directly.
 func TestPolicySurfaces(t *testing.T) {
-	noWeights := func(postings.TermID) float64 { return 0 }
 	cases := []struct {
 		pol  Policy
 		name string
@@ -25,7 +20,7 @@ func TestPolicySurfaces(t *testing.T) {
 		if got := c.pol.Name(); got != c.name {
 			t.Errorf("Name() = %q, want %q", got, c.name)
 		}
-		c.pol.SetQuery(noWeights) // must not panic on any policy
+		c.pol.SetQuery([]TermWeight{{Term: 0, Weight: 0}}) // must not panic on any policy
 	}
 }
 
@@ -71,10 +66,10 @@ func TestUserViewResidentPages(t *testing.T) {
 func TestRAPHeadFirstVariantBehavior(t *testing.T) {
 	ix, st := testEnv(t)
 	m, _ := newSerial(2, st, ix, NewRAPHeadFirst())
-	m.SetQuery(func(postings.TermID) float64 { return 0 }) // all values 0
-	touch(t, m, 4)                                         // term 1 page 0
-	touch(t, m, 5)                                         // term 1 page 1
-	touch(t, m, 0)                                         // forces one eviction
+	m.SetQuery(QueryWeights{}) // all values 0
+	touch(t, m, 4)             // term 1 page 0
+	touch(t, m, 5)             // term 1 page 1
+	touch(t, m, 0)             // forces one eviction
 	if m.Contains(4) || !m.Contains(5) {
 		t.Errorf("head-first should evict offset 0 first: 4=%v 5=%v",
 			m.Contains(4), m.Contains(5))

@@ -149,7 +149,7 @@ func (v victimLog) Victim() *Frame {
 // goldenUser is one simulated session: a query it refines step by
 // step and a scan cursor over one of its terms' lists.
 type goldenUser struct {
-	query  map[postings.TermID]float64
+	query  QueryWeights
 	term   postings.TermID
 	offset int
 	limit  int
@@ -181,17 +181,13 @@ func runGoldenTrace(t testing.TB, ix *postings.Index, pages [][]postings.Entry, 
 	mgr := sp.Manager()
 	// One user announces straight to the manager, as a private Session
 	// pool does; several go through their views and the registry.
-	announce := func(u int, w map[postings.TermID]float64) {
-		var qw QueryWeights
-		if w != nil {
-			qw = func(tm postings.TermID) float64 { return w[tm] }
-		}
+	announce := func(u int, w QueryWeights) {
 		if nusers == 1 {
-			mgr.SetQuery(qw)
+			mgr.SetQuery(w)
 		} else if w == nil {
 			sp.UserView(u).Close()
 		} else {
-			sp.UserView(u).SetQuery(qw)
+			sp.UserView(u).SetQuery(w)
 		}
 	}
 
@@ -201,7 +197,7 @@ func runGoldenTrace(t testing.TB, ix *postings.Index, pages [][]postings.Entry, 
 	weightOf := func(tm postings.TermID, fqt int) float64 { return float64(fqt) * ix.IDF(tm) }
 	refine := func(u *goldenUser, a, b, c int) {
 		// A fresh map per announcement: the pool may keep the old one.
-		next := make(map[postings.TermID]float64, len(u.query)+3)
+		next := make(QueryWeights, len(u.query)+3)
 		for tm, w := range u.query {
 			next[tm] = w
 		}

@@ -87,7 +87,7 @@ func (p *LRUK) Victim() *Frame {
 }
 
 // SetQuery implements Policy (LRU-K is query-oblivious).
-func (p *LRUK) SetQuery(QueryWeights) {}
+func (p *LRUK) SetQuery([]TermWeight) {}
 
 // key returns the eviction key: the K-th most recent reference time,
 // or the (negated, very old) last reference when the page has fewer

@@ -81,7 +81,7 @@ func (p *LRU) Victim() *Frame {
 }
 
 // SetQuery implements Policy (no-op for LRU).
-func (p *LRU) SetQuery(QueryWeights) {}
+func (p *LRU) SetQuery([]TermWeight) {}
 
 // MRU is the Most-Recently-Used policy, the textbook fix for repeated
 // sequential scans [CD85]. The paper shows it misbehaves on ADD-DROP
@@ -118,4 +118,4 @@ func (p *MRU) Victim() *Frame {
 }
 
 // SetQuery implements Policy (no-op for MRU).
-func (p *MRU) SetQuery(QueryWeights) {}
+func (p *MRU) SetQuery([]TermWeight) {}

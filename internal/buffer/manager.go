@@ -28,7 +28,7 @@ type PageReader interface {
 }
 
 // Frame is a buffer slot holding one inverted-list page. Policy
-// bookkeeping (list links, heap position) is embedded so policies are
+// bookkeeping (list links, heap position, RAP group) is embedded so policies are
 // allocation-free on the hot path.
 type Frame struct {
 	Page   postings.PageID
@@ -53,9 +53,10 @@ type Frame struct {
 
 	// intrusive doubly-linked list (LRU/MRU recency chain)
 	prev, next *Frame
-	// RAP priority-queue bookkeeping
-	value   float64
+	// LRU-K priority-queue position
 	heapIdx int
+	// RAP term group holding the frame
+	group *rapGroup
 }
 
 // Data returns the page's postings entries. Valid only while the
@@ -65,9 +66,22 @@ func (f *Frame) Data() []postings.Entry { return f.data }
 // Pinned reports whether the frame is currently pinned.
 func (f *Frame) Pinned() bool { return f.pin > 0 }
 
-// QueryWeights reports w_{q,t} for a term under the current query (0
-// for terms not in the query). RAP uses it to value pages.
-type QueryWeights func(t postings.TermID) float64
+// QueryWeights holds w_{q,t} for the terms of one query; a term that
+// is absent weighs 0, and so does one whose entry is not positive. RAP
+// uses the weights to value pages. A nil QueryWeights announces "no
+// query" (the announcer withdraws); an empty one is a query without
+// terms. The pool keeps the map until the announcer's next
+// announcement and compares the two term by term, so the caller must
+// not modify it after SetQuery.
+type QueryWeights map[postings.TermID]float64
+
+// TermWeight is one entry of a weight delta: the pool's combined
+// w_{q,t} of Term — the highest weight any registered query gives it —
+// is now Weight, 0 when no query holds the term any more.
+type TermWeight struct {
+	Term   postings.TermID
+	Weight float64
+}
 
 // Policy is a buffer replacement policy. The Manager serializes all
 // calls to one instance (each shard owns its own), so implementations
@@ -88,9 +102,14 @@ type Policy interface {
 	// pinned frames; nil if every frame is pinned. The Manager calls
 	// Removed on the returned frame.
 	Victim() *Frame
-	// SetQuery informs the policy that a new query is being evaluated.
-	// Only RAP reacts: page replacement values depend on w_{q,t}.
-	SetQuery(w QueryWeights)
+	// SetQuery informs the policy that the registered queries changed:
+	// each listed term's combined weight is now the one given, every
+	// other term keeps the weight it had (0 before any call). The
+	// Manager delivers every delta to every shard's instance, in the
+	// order the changes were registered; the slice is valid only during
+	// the call. Only RAP reacts: page replacement values depend on
+	// w_{q,t}.
+	SetQuery(changed []TermWeight)
 }
 
 // ErrNoVictim is returned by FetchContext when the page's shard is
@@ -141,10 +160,8 @@ type Manager struct {
 	misses   atomic.Int64
 	evicts   atomic.Int64
 
-	// querySeq orders concurrent SetQuery calls so every shard ends up
-	// with the globally newest weights even when two callers interleave
-	// their per-shard application.
-	querySeq atomic.Uint64
+	// queries is the registry of announced queries (see announce).
+	queries queryRegistry
 
 	polName string
 
@@ -160,7 +177,6 @@ type shard struct {
 	capacity int
 	frames   map[postings.PageID]*Frame
 	policy   Policy
-	querySeq uint64
 
 	// space, when non-nil, is closed (and replaced by nil) the next
 	// time a frame of this shard becomes evictable — the broadcast that
@@ -221,6 +237,8 @@ func NewManager(capacity, nshards int, store PageReader, ix *postings.Index, new
 		shards:   make([]shard, nshards),
 		resident: make([]atomic.Int32, len(ix.Terms)),
 	}
+	m.queries.by = make(map[announcer]QueryWeights)
+	m.queries.max = make(map[postings.TermID]float64)
 	base, rem := capacity/nshards, capacity%nshards
 	for i := range m.shards {
 		cap := base
@@ -544,28 +562,13 @@ func (m *Manager) ShardOccupancy() []int {
 	return occ
 }
 
-// SetQuery announces the query about to be evaluated by pushing its
-// term weights w_{q,t} to every shard's policy. LRU and MRU ignore
-// this; RAP re-keys every buffered page's replacement value (§3.3:
-// values change between queries, so a reorganizing capability is
-// required). Stale concurrent announcements are dropped via a global sequence number,
-// so after racing calls every shard holds the newest weights — the
-// coherence the shared registry of §3.3 needs across latch domains.
-func (m *Manager) SetQuery(w QueryWeights) {
-	if w == nil {
-		w = func(postings.TermID) float64 { return 0 }
-	}
-	seq := m.querySeq.Add(1)
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		if sh.querySeq < seq {
-			sh.querySeq = seq
-			sh.policy.SetQuery(w)
-		}
-		sh.mu.Unlock()
-	}
-}
+// SetQuery announces the query the pool's owner is about to evaluate
+// — the private pool of one Session; users of a shared pool announce
+// through their UserView instead. LRU and MRU ignore this; RAP re-keys
+// the pages of the terms whose weight changed since the owner's last
+// announcement (§3.3: values change between queries, so a reorganizing
+// capability is required).
+func (m *Manager) SetQuery(w QueryWeights) { m.announce(announcer{}, w) }
 
 // Flush empties the pool. Flushing with pinned pages (including pages
 // mid-load) is a programming error and panics; call it only between

@@ -209,12 +209,7 @@ func TestRAPEvictsLowestValue(t *testing.T) {
 	ix, st := testEnv(t)
 	m, _ := newSerial(3, st, ix, NewRAP())
 	// Query uses term 0 only: term 1 pages are worthless (w_qt = 0).
-	m.SetQuery(func(tm postings.TermID) float64 {
-		if tm == 0 {
-			return 1
-		}
-		return 0
-	})
+	m.SetQuery(QueryWeights{0: 1})
 	touch(t, m, 0) // term 0, w* high
 	touch(t, m, 1) // term 0, lower w*
 	touch(t, m, 4) // term 1, value 0
@@ -233,7 +228,7 @@ func TestRAPEvictsLowestValue(t *testing.T) {
 func TestRAPFirstPagesStay(t *testing.T) {
 	ix, st := testEnv(t)
 	m, _ := newSerial(3, st, ix, NewRAP())
-	m.SetQuery(func(postings.TermID) float64 { return 1 })
+	m.SetQuery(QueryWeights{0: 1, 1: 1, 2: 1})
 	touch(t, m, 0)
 	touch(t, m, 1)
 	touch(t, m, 2)
@@ -249,11 +244,11 @@ func TestRAPFirstPagesStay(t *testing.T) {
 func TestRAPDroppedTermTailFirst(t *testing.T) {
 	ix, st := testEnv(t)
 	m, _ := newSerial(2, st, ix, NewRAP())
-	m.SetQuery(func(postings.TermID) float64 { return 1 })
+	m.SetQuery(QueryWeights{0: 1, 1: 1, 2: 1})
 	touch(t, m, 4) // term 1 page 0
 	touch(t, m, 5) // term 1 page 1
 	// Re-key: term 1 dropped — both pages now value 0.
-	m.SetQuery(func(tm postings.TermID) float64 { return 0 })
+	m.SetQuery(QueryWeights{})
 	touch(t, m, 0) // one eviction: page 5 (higher offset) must go first
 	if m.Contains(5) || !m.Contains(4) {
 		t.Errorf("tail-before-head violated: contains 4=%v 5=%v", m.Contains(4), m.Contains(5))
@@ -265,21 +260,11 @@ func TestRAPDroppedTermTailFirst(t *testing.T) {
 func TestRAPSetQueryRekeys(t *testing.T) {
 	ix, st := testEnv(t)
 	m, _ := newSerial(2, st, ix, NewRAP())
-	m.SetQuery(func(tm postings.TermID) float64 {
-		if tm == 0 {
-			return 1
-		}
-		return 0
-	})
+	m.SetQuery(QueryWeights{0: 1})
 	touch(t, m, 4) // term 1: value 0
 	touch(t, m, 0) // term 0: valuable
 	// New query: term 1 now matters, term 0 dropped.
-	m.SetQuery(func(tm postings.TermID) float64 {
-		if tm == 1 {
-			return 1
-		}
-		return 0
-	})
+	m.SetQuery(QueryWeights{1: 1})
 	touch(t, m, 5) // should evict page 0 (term 0, now value 0)
 	if m.Contains(0) || !m.Contains(4) || !m.Contains(5) {
 		t.Errorf("re-keying failed: contains 0=%v 4=%v 5=%v",
@@ -369,7 +354,7 @@ func TestEvictionCountsConsistent(t *testing.T) {
 	ix, st := testEnv(t)
 	for _, pol := range []Policy{NewLRU(), NewMRU(), NewRAP()} {
 		m, _ := newSerial(3, st, ix, pol)
-		m.SetQuery(func(postings.TermID) float64 { return 1 })
+		m.SetQuery(QueryWeights{0: 1, 1: 1, 2: 1})
 		for i := 0; i < 50; i++ {
 			touch(t, m, postings.PageID(i%7))
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bufir/internal/postings"
+	"bufir/internal/storage"
 )
 
 // referenceLRU is an executable specification of LRU over page IDs.
@@ -81,82 +82,120 @@ func TestLRUAgainstModel(t *testing.T) {
 	}
 }
 
-// TestRAPAgainstLinearScan: RAP's heap-based victim selection must
-// always pick the same victim a brute-force scan over (value, offset
-// desc, page) would pick.
+// TestRAPAgainstLinearScan: RAP's group/heap victim selection must
+// always pick the frame a brute-force scan over (value, offset desc,
+// page) picks, where the scan knows nothing of RAP's structures: it
+// values each resident page from the index's w* and the highest weight
+// any user's current query gives the page's term, and skips the pages
+// the test itself holds pinned.
 func TestRAPAgainstLinearScan(t *testing.T) {
-	ix, st := testEnv(t)
+	ix, pages := goldenIndex(t)
+	st := storage.NewStore(pages)
 	r := rand.New(rand.NewSource(321))
-	for trial := 0; trial < 20; trial++ {
-		capacity := 2 + r.Intn(5)
+	// Fetches stay within a few long, medium and single-page lists so
+	// that pages are re-referenced and values tie.
+	terms := []postings.TermID{0, 1, 2, 3, 20, 21, 22, 23, 24, 60, 61, 62, 63, 64, 65}
+	for trial := 0; trial < 30; trial++ {
+		capacity := 2 + r.Intn(40)
+		nusers := 1 + r.Intn(4)
 		pol := NewRAP()
-		mgr, err := newSerial(capacity, st, ix, pol)
+		sp, err := NewShardedSharedPool(capacity, 1, st, ix, func(int) Policy { return pol })
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Random query weights, re-keyed occasionally.
-		setRandomQuery := func() {
-			w := make(map[postings.TermID]float64, 3)
-			for tm := postings.TermID(0); tm < 3; tm++ {
-				if r.Intn(2) == 0 {
-					w[tm] = float64(1 + r.Intn(5))
+		mgr := sp.Manager()
+		queries := make([]QueryWeights, nusers)
+		var held []*Frame
+		announce := func(u int) {
+			if r.Intn(6) == 0 {
+				queries[u] = nil
+				sp.UserView(u).Close()
+				return
+			}
+			w := make(QueryWeights)
+			for n := r.Intn(6); n > 0; n-- {
+				tm := terms[r.Intn(len(terms))]
+				w[tm] = float64(r.Intn(4)) * ix.IDF(tm) // 0 now and then: a dropped term
+			}
+			queries[u] = w
+			sp.UserView(u).SetQuery(w)
+		}
+		// before reports whether page p, valued vp, is evicted before q.
+		before := func(p postings.PageID, vp float64, q postings.PageID, vq float64) bool {
+			if vp != vq {
+				return vp < vq
+			}
+			if ix.PageOffset(p) != ix.PageOffset(q) {
+				return ix.PageOffset(p) > ix.PageOffset(q)
+			}
+			return p < q
+		}
+		bruteVictim := func() postings.PageID {
+			best, bestValue := postings.PageID(-1), 0.0
+			for p := postings.PageID(0); int(p) < ix.NumPagesTotal; p++ {
+				if !mgr.Contains(p) {
+					continue
+				}
+				pinned := false
+				for _, f := range held {
+					pinned = pinned || f.Page == p
+				}
+				if pinned {
+					continue
+				}
+				weight := 0.0
+				for _, q := range queries {
+					if v := q[ix.TermOfPage(p)]; v > weight {
+						weight = v
+					}
+				}
+				value := ix.PageWStar(p) * weight
+				if best >= 0 && !before(p, value, best, bestValue) {
+					continue
+				}
+				best, bestValue = p, value
+			}
+			return best
+		}
+		for u := range queries {
+			announce(u)
+		}
+		for op := 0; op < 500; op++ {
+			switch {
+			case r.Intn(12) == 0:
+				announce(r.Intn(nusers))
+			case len(held) > 0 && r.Intn(4) == 0:
+				i := r.Intn(len(held))
+				mgr.Unpin(held[i])
+				held = append(held[:i], held[i+1:]...)
+			default:
+				if mgr.InUse() >= capacity {
+					want := bruteVictim()
+					got := postings.PageID(-1)
+					if f := pol.Victim(); f != nil {
+						got = f.Page
+					}
+					if got != want {
+						t.Fatalf("trial %d op %d: victim page %d, brute-force %d", trial, op, got, want)
+					}
+				}
+				tm := terms[r.Intn(len(terms))]
+				p := ix.PageOf(tm, r.Intn(ix.Terms[tm].NumPages))
+				f, _, err := fetch(mgr, p)
+				if err == ErrNoVictim {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Intn(8) == 0 && len(held) < 3 {
+					held = append(held, f)
+				} else {
+					mgr.Unpin(f)
 				}
 			}
-			mgr.SetQuery(func(tm postings.TermID) float64 { return w[tm] })
-		}
-		setRandomQuery()
-		for op := 0; op < 300; op++ {
-			if r.Intn(25) == 0 {
-				setRandomQuery()
-			}
-			// Before a potential eviction, compute the brute-force
-			// victim from the heap's own contents.
-			if len(pol.pq.frames) >= capacity {
-				want := bruteVictim(pol.pq.frames)
-				got := pol.Victim()
-				if got != want {
-					t.Fatalf("trial %d op %d: heap victim page %d, brute-force %d",
-						trial, op, got.Page, want.Page)
-				}
-			}
-			p := postings.PageID(r.Intn(7))
-			f, err := pin(mgr, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mgr.Unpin(f)
 		}
 	}
-}
-
-// bruteVictim selects the min-(value, offset desc, page) frame.
-func bruteVictim(frames []*Frame) *Frame {
-	var best *Frame
-	for _, f := range frames {
-		if f.Pinned() {
-			continue
-		}
-		if best == nil {
-			best = f
-			continue
-		}
-		if f.value != best.value {
-			if f.value < best.value {
-				best = f
-			}
-			continue
-		}
-		if f.Offset != best.Offset {
-			if f.Offset > best.Offset {
-				best = f
-			}
-			continue
-		}
-		if f.Page < best.Page {
-			best = f
-		}
-	}
-	return best
 }
 
 // TestShardedManagerProperties replays random traces with pins held
@@ -182,7 +221,7 @@ func TestShardedManagerProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr.SetQuery(func(tm postings.TermID) float64 { return float64(tm + 1) })
+		mgr.SetQuery(QueryWeights{0: 1, 1: 2, 2: 3})
 		var held []*Frame
 		var fetches, noVictims int64
 		for op := 0; op < 400; op++ {
@@ -290,11 +329,11 @@ func TestSingleShardReplaysSerialManager(t *testing.T) {
 			}
 			for op := 0; op < 400; op++ {
 				if r.Intn(40) == 0 {
-					w := make(map[postings.TermID]float64, 3)
+					w := make(QueryWeights, 3)
 					for tm := postings.TermID(0); tm < 3; tm++ {
 						w[tm] = float64(r.Intn(5))
 					}
-					mgr.SetQuery(func(tm postings.TermID) float64 { return w[tm] })
+					mgr.SetQuery(w)
 				}
 				if r.Intn(80) == 0 {
 					mgr.Flush()
@@ -327,29 +366,107 @@ func TestSingleShardReplaysSerialManager(t *testing.T) {
 	}
 }
 
-// TestRAPHeapIndicesConsistent: after arbitrary operations every
-// frame's heapIdx must point at itself (the container/heap contract
-// the Remove path depends on).
+// TestRAPHeapIndicesConsistent: after arbitrary operations —
+// admissions, evictions past pinned frames, failed loads, re-keying
+// announcements, Flush — RAP's structure must be whole: every resident
+// frame in exactly one group (its term's), each group in its static
+// offset order with the weight the shard's table holds, the heap's
+// positions and keys current, and the heap order intact.
 func TestRAPHeapIndicesConsistent(t *testing.T) {
-	ix, st := testEnv(t)
-	pol := NewRAP()
-	mgr, _ := newSerial(3, st, ix, pol)
-	r := rand.New(rand.NewSource(9))
-	mgr.SetQuery(func(tm postings.TermID) float64 { return float64(tm + 1) })
-	for op := 0; op < 500; op++ {
-		p := postings.PageID(r.Intn(7))
-		f, err := pin(mgr, p)
+	ix, pages := goldenIndex(t)
+	for _, pol := range []*RAP{NewRAP(), NewRAPHeadFirst()} {
+		store := &nthReadFails{inner: storage.NewStore(pages), period: 23}
+		mgr, err := newSerial(24, store, ix, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr.Unpin(f)
-		if op%50 == 0 {
-			mgr.SetQuery(func(tm postings.TermID) float64 { return float64(r.Intn(4)) })
-		}
-		for i, fr := range pol.pq.frames {
-			if fr.heapIdx != i {
-				t.Fatalf("op %d: frame %d has heapIdx %d at position %d", op, fr.Page, fr.heapIdx, i)
+		r := rand.New(rand.NewSource(9))
+		var held []*Frame
+		for op := 0; op < 3000; op++ {
+			switch {
+			case op%20 == 0:
+				w := make(QueryWeights)
+				for n := r.Intn(8); n > 0; n-- {
+					tm := postings.TermID(r.Intn(30))
+					w[tm] = float64(r.Intn(3)) * ix.IDF(tm)
+				}
+				mgr.SetQuery(w)
+			case op%700 == 699:
+				for _, f := range held {
+					mgr.Unpin(f)
+				}
+				held = held[:0]
+				mgr.Flush()
+			case len(held) > 0 && r.Intn(3) == 0:
+				mgr.Unpin(held[0])
+				held = held[1:]
+			default:
+				tm := postings.TermID(r.Intn(30))
+				f, err := pin(mgr, ix.PageOf(tm, r.Intn(ix.Terms[tm].NumPages)))
+				if err != nil {
+					continue // a failed load: Admitted, then Removed
+				}
+				if r.Intn(6) == 0 && len(held) < 4 {
+					held = append(held, f)
+				} else {
+					mgr.Unpin(f)
+				}
 			}
+			checkRAPInvariants(t, op, pol, mgr.shards[0].frames)
+		}
+		for _, f := range held {
+			mgr.Unpin(f)
+		}
+	}
+}
+
+func checkRAPInvariants(t *testing.T, op int, p *RAP, resident map[postings.PageID]*Frame) {
+	t.Helper()
+	grouped := 0
+	for term, g := range p.groups {
+		if g.term != term || len(g.frames) == 0 {
+			t.Fatalf("%s op %d: group of term %d says term %d and holds %d frames", p.Name(), op, term, g.term, len(g.frames))
+		}
+		if g.w != p.weight[term] {
+			t.Fatalf("%s op %d: group of term %d weighs %v, table says %v", p.Name(), op, term, g.w, p.weight[term])
+		}
+		for i, f := range g.frames {
+			if f.Term != term || f.group != g || resident[f.Page] != f {
+				t.Fatalf("%s op %d: group of term %d holds a stranger, page %d", p.Name(), op, term, f.Page)
+			}
+			if i > 0 && (g.frames[i-1].Offset >= f.Offset || g.frames[i-1].WStar < f.WStar) {
+				t.Fatalf("%s op %d: group of term %d out of its static order at %d", p.Name(), op, term, i)
+			}
+		}
+		grouped += len(g.frames)
+		if g.pos >= len(p.heap) || p.heap[g.pos] != g {
+			t.Fatalf("%s op %d: group of term %d is not at heap position %d", p.Name(), op, term, g.pos)
+		}
+		// The key is the group's next victim: the minimum over its frames.
+		next := g.frames[0]
+		for _, f := range g.frames[1:] {
+			if p.less(g.keyOf(f), g.keyOf(next)) {
+				next = f
+			}
+		}
+		if g.key != g.keyOf(next) {
+			t.Fatalf("%s op %d: group of term %d keyed %+v, its next victim is %+v", p.Name(), op, term, g.key, g.keyOf(next))
+		}
+	}
+	if grouped != len(resident) {
+		t.Fatalf("%s op %d: %d frames in groups, %d resident", p.Name(), op, grouped, len(resident))
+	}
+	if len(p.heap) != len(p.groups) {
+		t.Fatalf("%s op %d: heap of %d groups, %d terms resident", p.Name(), op, len(p.heap), len(p.groups))
+	}
+	for i := 1; i < len(p.heap); i++ {
+		if p.less(p.heap[i].key, p.heap[(i-1)/2].key) {
+			t.Fatalf("%s op %d: heap order broken at %d", p.Name(), op, i)
+		}
+	}
+	for _, g := range p.free {
+		if len(g.frames) != 0 {
+			t.Fatalf("%s op %d: recycled group still holds %d frames", p.Name(), op, len(g.frames))
 		}
 	}
 }

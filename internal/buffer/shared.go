@@ -23,7 +23,8 @@ type Pool interface {
 	Unpin(f *Frame)
 	// ResidentPages reports b_t for a term.
 	ResidentPages(t postings.TermID) int
-	// SetQuery announces the caller's current query weights.
+	// SetQuery announces the caller's current query weights; the pool
+	// keeps w, which must not be modified afterwards.
 	SetQuery(w QueryWeights)
 	// Stats returns pool counters.
 	Stats() Stats
@@ -40,19 +41,11 @@ var _ Pool = (*UserView)(nil)
 // with, and users benefit from pages cached for each other.
 //
 // SharedPool is safe for concurrent use by many sessions; scalability
-// under parallel workers comes from the manager's latch shards.
+// under parallel workers comes from the manager's latch shards. The
+// registry itself lives in the Manager (see announce): a SharedPool is
+// the manager plus per-user handles on it.
 type SharedPool struct {
 	mgr *Manager
-
-	mu      sync.Mutex
-	weights map[int]QueryWeights
-	seq     uint64
-
-	// applyMu orders pushes of combined weights to the manager:
-	// a stale snapshot (built before a concurrent registry update) is
-	// dropped rather than applied over a newer one.
-	applyMu    sync.Mutex
-	appliedSeq uint64
 }
 
 // NewShardedSharedPool creates a shared pool over a Manager of the
@@ -63,7 +56,7 @@ func NewShardedSharedPool(capacity, nshards int, store PageReader, ix *postings.
 	if err != nil {
 		return nil, err
 	}
-	return &SharedPool{mgr: mgr, weights: make(map[int]QueryWeights)}, nil
+	return &SharedPool{mgr: mgr}, nil
 }
 
 // UserView returns user id's handle on the pool. Each concurrent user
@@ -71,7 +64,7 @@ func NewShardedSharedPool(capacity, nshards int, store PageReader, ix *postings.
 // combined with every other user's before reaching the replacement
 // policy.
 func (sp *SharedPool) UserView(id int) *UserView {
-	return &UserView{pool: sp, id: id}
+	return &UserView{pool: sp, who: announcer{view: true, user: id}}
 }
 
 // Manager exposes the underlying manager for stats, maintenance and
@@ -83,52 +76,117 @@ func (sp *SharedPool) Manager() *Manager { return sp.mgr }
 // after a clean Close this is zero — the no-leak property the
 // lifecycle tests assert.
 func (sp *SharedPool) ActiveUsers() int {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return len(sp.weights)
+	r := &sp.mgr.queries
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.by)
 }
 
-// setUserQuery records one user's weights and pushes the combined
-// function to the replacement policy. Snapshots are sequence-numbered
-// under the registry lock; a snapshot that lost a race to a newer one
-// is discarded, so the policy always ends up with the weights of the
-// newest registry state.
-func (sp *SharedPool) setUserQuery(id int, w QueryWeights) {
-	sp.mu.Lock()
-	if w == nil {
-		delete(sp.weights, id)
-	} else {
-		sp.weights[id] = w
-	}
-	views := make([]QueryWeights, 0, len(sp.weights))
-	for _, uw := range sp.weights {
-		views = append(views, uw)
-	}
-	sp.seq++
-	seq := sp.seq
-	sp.mu.Unlock()
+// announcer names who announced a query: a shared pool's user, or —
+// the zero value — the pool's owner calling Manager.SetQuery.
+type announcer struct {
+	view bool
+	user int
+}
 
-	sp.applyMu.Lock()
-	defer sp.applyMu.Unlock()
-	if seq <= sp.appliedSeq {
-		return // a newer registry snapshot has already been applied
+// queryRegistry holds every announcer's current query and, per term,
+// the highest weight any of them gives it: what each latch shard's
+// policy has been told, once the deltas issued so far are applied.
+type queryRegistry struct {
+	mu sync.Mutex
+	by map[announcer]QueryWeights
+	// max has an entry for every term some query holds with a positive
+	// weight.
+	max map[postings.TermID]float64
+	// delta is the scratch the changes of one announcement are
+	// collected in, reused under mu.
+	delta []TermWeight
+}
+
+// announce records the announcer's new query (nil withdraws it) and
+// tells every shard's policy which terms' combined weights changed. A
+// refinement step changes one to three terms, and a term whose weight the
+// announcer did not touch compares equal bit for bit, so the delta —
+// and the work under each shard's latch — is proportional to the
+// step, not to the pool or the number of users; only the comparison
+// itself walks the query's terms.
+//
+// The registry lock is held from the comparison to the last shard's
+// application: deltas are not idempotent, so every shard must see
+// every delta, in the order the registry produced them. (Two racing
+// announcements serialize here for the few microseconds a delta takes
+// to apply.) Lock order is registry, then one shard at a time.
+func (m *Manager) announce(who announcer, w QueryWeights) {
+	r := &m.queries
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := r.by[who]
+	if w == nil {
+		delete(r.by, who)
+	} else {
+		r.by[who] = w
 	}
-	sp.appliedSeq = seq
-	sp.mgr.SetQuery(func(t postings.TermID) float64 {
-		max := 0.0
-		for _, uw := range views {
-			if v := uw(t); v > max {
-				max = v
+	r.delta = r.delta[:0]
+	for t, ov := range old {
+		if nv := w[t]; nv != ov {
+			r.reweigh(t, ov, nv)
+		}
+	}
+	for t, nv := range w {
+		if _, had := old[t]; !had && nv != 0 {
+			r.reweigh(t, 0, nv)
+		}
+	}
+	if len(r.delta) == 0 {
+		return
+	}
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		sh.policy.SetQuery(r.delta)
+		sh.mu.Unlock()
+	}
+}
+
+// reweigh updates max[t] after one announcer's weight for t went from
+// ov to nv, appending to delta if the maximum moved. The other queries
+// are rescanned only when the announcer held the maximum and lowered
+// it.
+func (r *queryRegistry) reweigh(t postings.TermID, ov, nv float64) {
+	// Anything that is not a positive number — negative, NaN — weighs 0.
+	if !(ov > 0) {
+		ov = 0
+	}
+	if !(nv > 0) {
+		nv = 0
+	}
+	cur := r.max[t]
+	m := nv
+	if nv < cur {
+		if ov < cur {
+			return // another query holds the maximum
+		}
+		for _, q := range r.by {
+			if v := q[t]; v > m {
+				m = v
 			}
 		}
-		return max
-	})
+	}
+	if m == cur {
+		return
+	}
+	if m > 0 {
+		r.max[t] = m
+	} else {
+		delete(r.max, t)
+	}
+	r.delta = append(r.delta, TermWeight{Term: t, Weight: m})
 }
 
 // UserView is one user's handle on a SharedPool; it implements Pool.
 type UserView struct {
 	pool *SharedPool
-	id   int
+	who  announcer
 }
 
 // FetchContext implements Pool.
@@ -144,11 +202,11 @@ func (uv *UserView) ResidentPages(t postings.TermID) int { return uv.pool.mgr.Re
 
 // SetQuery implements Pool: the user's weights join the registry and
 // the combined maximum is what the policy sees.
-func (uv *UserView) SetQuery(w QueryWeights) { uv.pool.setUserQuery(uv.id, w) }
+func (uv *UserView) SetQuery(w QueryWeights) { uv.pool.mgr.announce(uv.who, w) }
 
 // Stats implements Pool (shared counters).
 func (uv *UserView) Stats() Stats { return uv.pool.mgr.Stats() }
 
 // Close removes the user's query from the registry (call when the
 // session ends so its weights stop protecting pages).
-func (uv *UserView) Close() { uv.pool.setUserQuery(uv.id, nil) }
+func (uv *UserView) Close() { uv.pool.mgr.announce(uv.who, nil) }

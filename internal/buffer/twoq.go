@@ -119,7 +119,7 @@ func (p *TwoQ) victim() *Frame {
 }
 
 // SetQuery implements Policy (2Q is query-oblivious).
-func (p *TwoQ) SetQuery(QueryWeights) {}
+func (p *TwoQ) SetQuery([]TermWeight) {}
 
 // tailUnpinned returns the oldest unpinned frame of a recency list.
 func tailUnpinned(l *recencyList) *Frame {

@@ -114,11 +114,11 @@ func (e *Evaluator) Evaluate(strategy Strategy, q eval.Query) (*Result, error) {
 	})
 
 	// Announce the query for RAP-managed pools.
-	weights := make(map[postings.TermID]float64, len(q))
+	weights := make(buffer.QueryWeights, len(q))
 	for _, qt := range q {
 		weights[qt.Term] = rank.QueryWeight(qt.Fqt, e.Idx.IDF(qt.Term))
 	}
-	e.Buf.SetQuery(func(t postings.TermID) float64 { return weights[t] })
+	e.Buf.SetQuery(weights)
 
 	res := &Result{}
 	acc := make(map[postings.DocID]float64, 256)

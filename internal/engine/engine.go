@@ -528,8 +528,10 @@ func (e *Engine) worker() {
 		}
 		j.res, j.err = res, err
 		j.cancel() // release the timeout timer and stop-link
-		close(j.done)
+		// Before done is signalled: a caller that reads the gauges right
+		// after its last answer must see the engine idle.
 		e.inFlight.Add(-1)
+		close(j.done)
 	}
 }
 

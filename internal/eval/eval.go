@@ -348,11 +348,11 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 	// replacement values (no-op for LRU/MRU). Resumed evaluations
 	// announce exactly like cold ones: the full query is what the
 	// user is running, whatever prefix of it we can avoid re-scanning.
-	weights := make(map[postings.TermID]float64, len(q))
+	weights := make(buffer.QueryWeights, len(q))
 	for _, qt := range q {
 		weights[qt.Term] = rank.QueryWeight(qt.Fqt, e.Idx.IDF(qt.Term))
 	}
-	e.Buf.SetQuery(func(t postings.TermID) float64 { return weights[t] })
+	e.Buf.SetQuery(weights)
 
 	if algo.Safe() {
 		// The rank-safe family runs in internal/evalsafe and returns

@@ -209,11 +209,11 @@ func (e *goldenEnv) query(i int) []QueryTerm {
 // announce tells the pool about the query the way eval.Evaluator does
 // before handing it to this package (RAP re-keys on it; LRU ignores it).
 func (e *goldenEnv) announce(pool buffer.Pool, q []QueryTerm) {
-	w := make(map[postings.TermID]float64, len(q))
+	w := make(buffer.QueryWeights, len(q))
 	for _, qt := range q {
 		w[qt.Term] = rank.QueryWeight(qt.Fqt, e.ix.IDF(qt.Term))
 	}
-	pool.SetQuery(func(t postings.TermID) float64 { return w[t] })
+	pool.SetQuery(w)
 }
 
 // seqPool hashes the fetch order and, when cancelAt > 0, cancels the

@@ -109,7 +109,7 @@ func TestDualPoolSetQuery(t *testing.T) {
 	d := dualEnv(t)
 	dtouch(t, d, 6)
 	dtouch(t, d, 0)
-	d.SetQuery(func(tm postings.TermID) float64 { return 1 }) // reaches both partitions, must not panic
+	d.SetQuery(buffer.QueryWeights{0: 1, 2: 1}) // reaches both partitions, must not panic
 	if d.ResidentPages(0) != 1 || d.ResidentPages(2) != 1 {
 		t.Error("SetQuery disturbed residency")
 	}

@@ -313,7 +313,11 @@ func Load(r io.Reader) (*postings.Index, [][]postings.Entry, *Aux, error) {
 		return nil, nil, nil, fmt.Errorf("indexfile: page count %d does not match term layout %d", numPages, nextPage)
 	}
 	pages := make([][]postings.Entry, numPages)
+	t, off := 0, 0 // page i is page off of term t's list
 	for i := range pages {
+		for off == ix.Terms[t].NumPages {
+			t, off = t+1, 0
+		}
 		byteLen, err := get()
 		if err != nil {
 			return nil, nil, nil, err
@@ -325,7 +329,11 @@ func Load(r io.Reader) (*postings.Index, [][]postings.Entry, *Aux, error) {
 		if _, err := io.ReadFull(cr, buf); err != nil {
 			return nil, nil, nil, err
 		}
-		page, err := codec.DecodePage(buf, nil)
+		// An entry takes at least a byte, so the blob bounds what
+		// unverified metadata may ask for.
+		n := min(ix.Terms[t].PageEntries(off, int(pageSize)), len(buf))
+		off++
+		page, err := codec.DecodePage(buf, make([]postings.Entry, 0, n))
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("indexfile: page %d: %w", i, err)
 		}

@@ -242,3 +242,45 @@ func TestAlignUp(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadersRejectRisingPageMaxima: a file whose metadata says a
+// page's maximum frequency exceeds its predecessor's in the same list
+// passes every checksum (the writers do not judge what they are given)
+// and must still be refused by both loaders — RAP would evict such a
+// list in the wrong order without a sound.
+func TestLoadersRejectRisingPageMaxima(t *testing.T) {
+	ix, pages := buildPages(t)
+	var victim *postings.TermMeta
+	for i := range ix.Terms {
+		if tm := &ix.Terms[i]; tm.NumPages >= 3 && tm.PageMaxFreq[0] > tm.PageMaxFreq[tm.NumPages-1] {
+			victim = tm
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("fixture has no list of three pages with falling maxima")
+	}
+	// The writers read only the metadata arrays, so swapping the first
+	// and last maxima of one list is all it takes.
+	tampered := append([]int32(nil), victim.PageMaxFreq...)
+	tampered[0], tampered[len(tampered)-1] = tampered[len(tampered)-1], tampered[0]
+	good := victim.PageMaxFreq
+	victim.PageMaxFreq = tampered
+	defer func() { victim.PageMaxFreq = good }()
+
+	var v1 bytes.Buffer
+	if err := Save(&v1, ix, pages, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := Load(&v1); err == nil {
+		t.Error("Load accepted metadata with rising page maxima")
+	}
+	path := filepath.Join(t.TempDir(), "tampered.bufir2")
+	if err := WritePageFile(path, ix, pages, nil, 4<<10); err != nil {
+		t.Fatal(err)
+	}
+	if pf, err := OpenPageFile(path, PageFileOptions{}); err == nil {
+		pf.Close()
+		t.Error("OpenPageFile accepted metadata with rising page maxima")
+	}
+}

@@ -2,12 +2,14 @@ package livedex
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"bufir/internal/postings"
+	"bufir/internal/shard"
 	"bufir/internal/storage"
 )
 
@@ -396,5 +398,58 @@ func TestCommitUntouchedTermsShareMainPages(t *testing.T) {
 		} else if d.Merged {
 			t.Fatalf("untouched term %d has a merged page", d.Term)
 		}
+	}
+}
+
+// TestEveryProducerKeepsPageMaximaFalling: RAP's eviction order within
+// a term is static because w* never rises along a list. Every producer
+// of index metadata must keep it so: postings.Build, a commit view
+// whose touched terms were merged and re-paged, and shard.Split's
+// local re-paging of both. (RebuildPageMaps would reject a violation;
+// the explicit walk keeps this test meaningful if that check moves.)
+func TestEveryProducerKeepsPageMaximaFalling(t *testing.T) {
+	falling := func(what string, ix *postings.Index) {
+		t.Helper()
+		multi := 0
+		for _, tm := range ix.Terms {
+			if tm.NumPages > 1 {
+				multi++
+			}
+			for i := 1; i < tm.NumPages; i++ {
+				if tm.PageMaxFreq[i] > tm.PageMaxFreq[i-1] {
+					t.Fatalf("%s: term %q page maxima rise at %d: %v", what, tm.Name, i, tm.PageMaxFreq)
+				}
+			}
+		}
+		if multi == 0 {
+			t.Fatalf("%s: no multi-page list, nothing checked", what)
+		}
+	}
+	rng := rand.New(rand.NewSource(77))
+	main := randomCorpus(rng, 60, 12, 10, "")
+	added := randomCorpus(rng, 25, 12, 10, "x")
+	s, _ := newTestState(t, main, 3)
+	falling("Build", sMainIx(s))
+	addAll(t, s, added)
+	c, err := s.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched := 0
+	for tm, frozen := range c.DeltaFrozen {
+		if len(frozen) > 0 && c.Meta.Terms[tm].NumPages > 1 {
+			touched++
+		}
+	}
+	if touched == 0 {
+		t.Fatal("no touched multi-page term in the commit view")
+	}
+	falling("commit view", c.Meta)
+	parts, err := shard.Split(c.Meta, Pages(c), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range parts {
+		falling(fmt.Sprintf("partition %d of the commit view", i), p.Index)
 	}
 }

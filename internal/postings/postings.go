@@ -65,6 +65,22 @@ type TermMeta struct {
 	PageMaxFreq []int32
 }
 
+// PageEntries returns how many entries page i of the term's list holds
+// at the given page size: a full page, or what is left of DF on the
+// last one. For a shard partition's local list, whose DF is the
+// collection's, it is an upper bound. Loaders size decode buffers with
+// it, so metadata that does not add up yields 0, never a negative.
+func (tm *TermMeta) PageEntries(i, pageSize int) int {
+	n := tm.DF - i*pageSize
+	if n > pageSize {
+		n = pageSize
+	}
+	if n < 0 {
+		n = 0
+	}
+	return n
+}
+
 // Index is the memory-resident part of the inverted index: everything
 // except the inverted-list pages themselves, which live in the paged
 // store and are accessed through the buffer manager.
@@ -93,6 +109,10 @@ type Index struct {
 	// walk it to bound the best normalized score any still-unseen
 	// document could reach.
 	docsByLen []DocID
+	// docSorted marks an index from BuildDocSorted: its lists are in
+	// document order, so RebuildPageMaps cannot ask the per-page maximum
+	// frequencies to fall along a list.
+	docSorted bool
 }
 
 // DocsByLen returns the documents with positive vector length in
@@ -194,6 +214,13 @@ func ListPostings(pages [][]Entry, ix *Index, t TermID) []Entry {
 // term metadata and DocLen. Build calls it implicitly; it is exported
 // for index loaders that reconstruct an Index from persisted metadata
 // (which must populate DocLen before calling).
+//
+// It rejects metadata in which a page's maximum frequency exceeds that
+// of the page before it in the same list. Frequency-sorted lists cannot
+// produce that, and the RAP replacement policy relies on it: w* falling
+// along a list is what makes its eviction order within a term
+// independent of the query (buffer.RAP), so a corrupt or hand-built
+// metadata block must fail here rather than mis-evict silently.
 func (ix *Index) RebuildPageMaps() error {
 	total := 0
 	for t := range ix.Terms {
@@ -204,6 +231,12 @@ func (ix *Index) RebuildPageMaps() error {
 		if len(tm.PageMinFreq) != tm.NumPages || len(tm.PageMaxFreq) != tm.NumPages {
 			return fmt.Errorf("postings: term %q has %d pages but %d/%d min/max entries",
 				tm.Name, tm.NumPages, len(tm.PageMinFreq), len(tm.PageMaxFreq))
+		}
+		for i := 1; i < tm.NumPages && !ix.docSorted; i++ {
+			if tm.PageMaxFreq[i] > tm.PageMaxFreq[i-1] {
+				return fmt.Errorf("postings: term %q is not frequency-sorted: page %d has maximum frequency %d, page %d only %d",
+					tm.Name, i, tm.PageMaxFreq[i], i-1, tm.PageMaxFreq[i-1])
+			}
 		}
 		total += tm.NumPages
 	}
@@ -247,12 +280,14 @@ type TermPostings struct {
 // by document identifier — the traditional organization of [ZMSD92,
 // MZ94, Bro95] that the paper contrasts with frequency sorting
 // (§2.3). Page min/max frequency metadata is still recorded (RAP's w*
-// remains well defined), but PagesToProcessExact and the conversion
-// table are meaningless over this layout: document-sorted evaluation
-// cannot terminate scans early on frequency, which is exactly the
-// deficiency footnote 14 points at.
+// remains well defined, but w* no longer falls along a list, so RAP's
+// tail-first order within a term is not its value order here; the
+// doc-sorted baselines run LRU), and PagesToProcessExact and the
+// conversion table are meaningless over this layout: document-sorted
+// evaluation cannot terminate scans early on frequency, which is
+// exactly the deficiency footnote 14 points at.
 func BuildDocSorted(lists []TermPostings, numDocs, pageSize int) (*Index, [][]Entry, error) {
-	return build(lists, numDocs, pageSize, func(entries []Entry) {
+	return build(lists, numDocs, pageSize, true, func(entries []Entry) {
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Doc < entries[j].Doc })
 	})
 }
@@ -267,7 +302,7 @@ func BuildDocSorted(lists []TermPostings, numDocs, pageSize int) (*Index, [][]En
 // Terms with no entries are rejected: every term in the index must
 // have f_t >= 1 for idf_t to be defined.
 func Build(lists []TermPostings, numDocs, pageSize int) (*Index, [][]Entry, error) {
-	return build(lists, numDocs, pageSize, func(entries []Entry) {
+	return build(lists, numDocs, pageSize, false, func(entries []Entry) {
 		sort.Slice(entries, func(i, j int) bool {
 			if entries[i].Freq != entries[j].Freq {
 				return entries[i].Freq > entries[j].Freq
@@ -279,7 +314,7 @@ func Build(lists []TermPostings, numDocs, pageSize int) (*Index, [][]Entry, erro
 
 // build is the shared construction path; sortEntries establishes the
 // physical within-list order.
-func build(lists []TermPostings, numDocs, pageSize int, sortEntries func([]Entry)) (*Index, [][]Entry, error) {
+func build(lists []TermPostings, numDocs, pageSize int, docSorted bool, sortEntries func([]Entry)) (*Index, [][]Entry, error) {
 	if pageSize < 1 {
 		return nil, nil, fmt.Errorf("postings: page size %d < 1", pageSize)
 	}
@@ -287,11 +322,12 @@ func build(lists []TermPostings, numDocs, pageSize int, sortEntries func([]Entry
 		return nil, nil, fmt.Errorf("postings: collection has %d documents", numDocs)
 	}
 	ix := &Index{
-		NumDocs:  numDocs,
-		PageSize: pageSize,
-		Terms:    make([]TermMeta, 0, len(lists)),
-		Vocab:    make(map[string]TermID, len(lists)),
-		DocLen:   make([]float64, numDocs),
+		NumDocs:   numDocs,
+		PageSize:  pageSize,
+		Terms:     make([]TermMeta, 0, len(lists)),
+		Vocab:     make(map[string]TermID, len(lists)),
+		DocLen:    make([]float64, numDocs),
+		docSorted: docSorted,
 	}
 	var pages [][]Entry
 	var sumSq = ix.DocLen // reused: accumulate sum of squares, sqrt at end

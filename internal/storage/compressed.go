@@ -20,7 +20,10 @@ import (
 type CompressedStore struct {
 	// pages is immutable after construction; reads are lock-free.
 	pages [][]byte
-	stats codec.Stats
+	// entries[i] is how many entries page i decodes to, so a read
+	// allocates its result once instead of growing it.
+	entries []int32
+	stats   codec.Stats
 
 	reads          atomic.Int64
 	decodedEntries atomic.Int64
@@ -32,7 +35,11 @@ func NewCompressedStore(pages [][]postings.Entry) (*CompressedStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CompressedStore{pages: enc, stats: st}, nil
+	entries := make([]int32, len(pages))
+	for i, p := range pages {
+		entries[i] = int32(len(p))
+	}
+	return &CompressedStore{pages: enc, entries: entries, stats: st}, nil
 }
 
 // NumPages returns the number of pages.
@@ -48,7 +55,7 @@ func (s *CompressedStore) ReadContext(ctx context.Context, id postings.PageID) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	entries, err := codec.DecodePage(s.pages[id], nil)
+	entries, err := codec.DecodePage(s.pages[id], make([]postings.Entry, 0, s.entries[id]))
 	if err != nil {
 		return nil, fmt.Errorf("storage: page %d: %w", id, err)
 	}
@@ -63,7 +70,7 @@ func (s *CompressedStore) ReadQuiet(id postings.PageID) ([]postings.Entry, error
 	if int(id) < 0 || int(id) >= len(s.pages) {
 		return nil, fmt.Errorf("storage: page %d out of range [0,%d)", id, len(s.pages))
 	}
-	entries, err := codec.DecodePage(s.pages[id], nil)
+	entries, err := codec.DecodePage(s.pages[id], make([]postings.Entry, 0, s.entries[id]))
 	if err != nil {
 		return nil, fmt.Errorf("storage: page %d: %w", id, err)
 	}

@@ -108,7 +108,8 @@ func (s *FileStore) ReadQuiet(id postings.PageID) ([]postings.Entry, error) {
 
 // decodePage reads page id's blob (zero-copy from the mapping, or via
 // a pooled staging buffer on the ReadAt path) and decodes it into a
-// fresh entries slice. Corrupt blobs surface as a permanent fault
+// fresh entries slice, sized from the term metadata so the decode
+// costs one allocation. Corrupt blobs surface as a permanent fault
 // (indexfile.CorruptPageError), so the buffer manager's retry path
 // does not burn its budget rereading bytes that cannot heal.
 func (s *FileStore) decodePage(id postings.PageID) ([]postings.Entry, error) {
@@ -121,7 +122,11 @@ func (s *FileStore) decodePage(id postings.PageID) ([]postings.Entry, error) {
 	if !s.pf.Mapped() {
 		*bp = blob // keep the (possibly grown) staging buffer
 	}
-	entries, err := codec.DecodePage(blob, nil)
+	ix := s.pf.Index
+	// An entry takes at least a byte, so the blob bounds what the
+	// file's metadata may ask for.
+	n := min(ix.Terms[ix.TermOfPage(id)].PageEntries(int(ix.PageOffset(id)), ix.PageSize), len(blob))
+	entries, err := codec.DecodePage(blob, make([]postings.Entry, 0, n))
 	s.bufs.Put(bp)
 	if err != nil {
 		return nil, fmt.Errorf("storage: page %d: %w", id, err)

@@ -180,3 +180,52 @@ func TestOpenFileStoreErrors(t *testing.T) {
 		t.Fatal("opening a non-index file succeeded")
 	}
 }
+
+// TestDecodingReadAllocatesOnce: a store that decodes on read knows
+// from its metadata how many entries the page holds, so the read costs
+// exactly one allocation — the entries slice the buffer frame keeps —
+// on the compressed simulator and on both access paths of the file
+// store. (Growing the slice from nil cost eight for a 100-entry page.)
+func TestDecodingReadAllocatesOnce(t *testing.T) {
+	path, _, pages := writeSampleFile(t)
+	comp, err := storage.NewCompressedStore(pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	pread, err := storage.OpenFileStore(path, indexfile.PageFileOptions{DisableMmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pread.Close()
+	// The longest page: the one growth would hurt most.
+	longest := 0
+	for i, p := range pages {
+		if len(p) > len(pages[longest]) {
+			longest = i
+		}
+	}
+	ctx := context.Background()
+	for _, st := range []struct {
+		name  string
+		store storage.PageStore
+	}{{"compressed", comp}, {"file/default", mapped}, {"file/pread", pread}} {
+		var got []postings.Entry
+		allocs := testing.AllocsPerRun(200, func() {
+			var err error
+			if got, err = st.store.ReadContext(ctx, postings.PageID(longest)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s: %v allocations per read of a %d-entry page, want 1", st.name, allocs, len(pages[longest]))
+		}
+		if len(got) != len(pages[longest]) || cap(got) != len(got) {
+			t.Errorf("%s: read %d entries into capacity %d, page holds %d", st.name, len(got), cap(got), len(pages[longest]))
+		}
+	}
+}

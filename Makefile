@@ -17,7 +17,7 @@ STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
 .PHONY: ci lint depgraph vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store bench-serve policy-conformance bench-policy bench-policyops ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness bench-ingest
 
-ci: lint depgraph build test benchmark-test race leaks fuzz-seeds faults-smoke storetest policy-conformance bench-policyops ranksafe-exactness bench-evalsafe indextest ingest-exactness bench-store bench-serve bench-policy bench-ranksafe bench-ingest cover
+ci: lint depgraph build test benchmark-test race leaks fuzz-seeds faults-smoke storetest policy-conformance bench-policyops ranksafe-exactness bench-evalsafe indextest ingest-exactness bench-serve bench-policy bench-ranksafe bench-ingest cover
 
 lint:
 	@if [ -x "$(STATICCHECK)" ] || $(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) 2>/dev/null; then \
@@ -131,27 +131,19 @@ loc:
 	@$(GO) list ./... | wc -l | awk '{print $$1, "packages"}'
 
 # The PageStore conformance suite under -race: every backend — the
-# in-memory simulator, the compressed store, and the file-backed store
-# over both access paths (mmap and pread) — held to the identical
-# read/accounting/context/fault contract.
+# in-memory simulator and the file-backed store over both access paths
+# (mmap and pread) — held to the identical read/accounting/context/fault
+# contract.
 storetest:
 	$(GO) test -race -count=1 -run 'TestPageStoreConformance|TestFileStore|TestOpenFileStore' ./internal/storage
 
-# Price one logical page read on every backend and emit the numbers as
-# BENCH_store.json (simulator counter bump vs real file I/O + checksum
-# + decompression). BENCHTIME is kept short for the ci smoke path;
-# raise it for stable numbers.
+# Price one logical page read on every backend (simulator counter bump
+# vs real file I/O + checksum + decompression). A developer target, not
+# part of ci: the numbers are timing only. Raise BENCHTIME for stable
+# numbers.
 BENCHTIME ?= 100x
 bench-store:
-	@$(GO) test -run=xxx -bench=BenchmarkPageStore -benchtime=$(BENCHTIME) ./internal/storage | tee /tmp/bufir-bench-store.txt
-	@awk 'BEGIN { print "[" } \
-		/^BenchmarkPageStore\// { \
-			sub(/^BenchmarkPageStore\//, "", $$1); \
-			if (n++) printf ",\n"; \
-			printf "  {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s}", $$1, $$2, $$3 \
-		} \
-		END { print "\n]" }' /tmp/bufir-bench-store.txt > BENCH_store.json
-	@echo "wrote BENCH_store.json"; cat BENCH_store.json
+	$(GO) test -run=xxx -bench=BenchmarkPageStore -benchtime=$(BENCHTIME) ./internal/storage
 
 # The serving-tier scale-out sweep (E25): the E21-style multi-user
 # refinement workload through the public scatter-gather Router at

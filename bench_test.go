@@ -387,54 +387,3 @@ func BenchmarkAblations(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkIndexSaveLoad measures single-file persistence round-trip
-// cost for the whole test-scale index.
-func BenchmarkIndexSaveLoad(b *testing.B) {
-	col, err := GenerateCollection(TinyCollectionConfig(1998))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := NewIndex(col)
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := b.TempDir() + "/bench.bufir"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ix.Save(path); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := OpenIndex(path); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompressedSearch measures query evaluation over the
-// compressed store (decompression on every miss).
-func BenchmarkCompressedSearch(b *testing.B) {
-	col, err := GenerateCollection(TinyCollectionConfig(1998))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := NewCompressedIndex(col)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := ix.TopicQuery(col.Topics[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := ix.NewSession(SessionConfig{EvalOptions: EvalOptions{Algorithm: BAF}, Policy: RAP, BufferPages: 512})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.FlushBuffers()
-		if _, err := s.Search(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

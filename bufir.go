@@ -239,39 +239,14 @@ func NewIndex(col *Collection) (*Index, error) {
 	return newStaticIndex(ix, storage.NewStore(pages), pages, nil), nil
 }
 
-// NewCompressedIndex builds the index with its pages held in the
-// compressed [PZSD96] format (the paper's physical design, §4.2):
-// pages are decompressed on every buffer miss, and CompressionStats
-// reports the achieved ratio. Query results are identical to an
-// uncompressed index.
-func NewCompressedIndex(col *Collection) (*Index, error) {
-	ix, pages, err := postings.Build(col.Lists, col.NumDocs, col.Cfg.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := storage.NewCompressedStore(pages)
-	if err != nil {
-		return nil, err
-	}
-	return newStaticIndex(ix, cs, pages, nil), nil
-}
-
-// CompressionStats reports the store's compression statistics, or
-// (zero, false) for an uncompressed index. Both the in-memory
-// compressed representation (NewCompressedIndex) and the file-backed
-// one (OpenIndexFile) report; fault-injection layers are looked
+// CompressionStats reports the compression statistics of a
+// file-backed index (OpenIndexFile) — the paper's [PZSD96] physical
+// design, §4.2 — or (zero, false) for an in-memory index, whose pages
+// are not compressed. Fault-injection and overlay layers are looked
 // through.
 func (ix *Index) CompressionStats() (CompressionStats, bool) {
-	st := ix.pageStore()
-	for st != nil {
-		switch s := st.(type) {
-		case *storage.CompressedStore:
-			return s.CompressionStats(), true
-		case *storage.FileStore:
-			return s.CompressionStats(), true
-		default:
-			st = unwrapStore(st)
-		}
+	if fs := ix.fileStore(); fs != nil {
+		return fs.CompressionStats(), true
 	}
 	return CompressionStats{}, false
 }
@@ -335,24 +310,13 @@ func (ix *Index) NearDocs(a, b string, k int) ([]DocID, error) {
 	return ix.positional.Near(a, b, k)
 }
 
-// Save persists the index to a single file: metadata plus pages in
-// the compressed on-disk format, protected by a checksum. Document
-// names and the stop-word list of document-built indexes are included
-// so OpenIndex restores text-query support.
-func (ix *Index) Save(path string) error {
-	pages, err := ix.pagePayloads()
-	if err != nil {
-		return err
-	}
-	return indexfile.SaveFile(path, ix.meta(), pages, ix.aux())
-}
-
 // WriteFile persists the index as a paged index file (the BUFIR2
 // format): block-compressed pages behind a fixed-size page directory,
 // each page individually checksummed and aligned to blockSize bytes
-// (0 = the 4 KiB default). Unlike Save — whose single compressed blob
-// OpenIndex must decode wholly into memory — a file written here can
-// be served page-at-a-time straight from disk with OpenIndexFile.
+// (0 = the 4 KiB default). OpenIndexFile serves the file
+// page-at-a-time straight from disk. Document names and the stop-word
+// list of document-built indexes are included, so the reopened index
+// keeps text-query support.
 func (ix *Index) WriteFile(path string, blockSize int) error {
 	if blockSize == 0 {
 		blockSize = indexfile.DefaultBlockSize
@@ -408,11 +372,8 @@ func OpenIndexFileOptions(path string, opts FileOptions) (*Index, error) {
 func (ix *Index) Close() error {
 	ix.mergeWG.Wait()
 	var err error
-	for st := ix.pageStore(); st != nil; st = unwrapStore(st) {
-		if s, ok := st.(*storage.FileStore); ok {
-			err = s.Close()
-			break
-		}
+	if fs := ix.fileStore(); fs != nil {
+		err = fs.Close()
 	}
 	ix.liveMu.Lock()
 	retired := ix.retired
@@ -468,18 +429,6 @@ func (ix *Index) pagePayloads() ([][]postings.Entry, error) {
 	return pages, nil
 }
 
-// OpenIndex loads an index persisted by Save. Queries over the loaded
-// index are identical to the original's.
-func OpenIndex(path string) (*Index, error) {
-	pix, pages, aux, err := indexfile.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	out := newStaticIndex(pix, storage.NewStore(pages), pages, nil)
-	out.applyAux(aux)
-	return out, nil
-}
-
 // NumDocs returns the collection size N (main + delta for live
 // indexes).
 func (ix *Index) NumDocs() int { return ix.meta().NumDocs }
@@ -510,7 +459,14 @@ func (ix *Index) SetSimulatedReadLatency(d time.Duration) bool {
 	ix.liveMu.Lock()
 	ix.simLatency = d
 	ix.liveMu.Unlock()
-	st := ix.pageStore()
+	return setSimLatency(ix.pageStore(), d)
+}
+
+// setSimLatency sets d on the latency-simulating layer of a store
+// decoration chain — the simulator Store or a live Overlay, looking
+// through fault-injection layers — and reports whether it found one
+// (file-backed stores have none).
+func setSimLatency(st storage.PageStore, d time.Duration) bool {
 	for {
 		switch s := st.(type) {
 		case *storage.Store:
@@ -523,28 +479,6 @@ func (ix *Index) SetSimulatedReadLatency(d time.Duration) bool {
 			st = s.Inner()
 		default:
 			return false
-		}
-	}
-}
-
-// applySimLatency re-applies a remembered simulated latency to a
-// not-yet-published view's store (called with liveMu held).
-func applySimLatency(st storage.PageStore, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	for {
-		switch s := st.(type) {
-		case *storage.Store:
-			s.SetReadLatency(d)
-			return
-		case *livedex.Overlay:
-			s.SetReadLatency(d)
-			return
-		case *storage.FaultStore:
-			st = s.Inner()
-		default:
-			return
 		}
 	}
 }

@@ -8,9 +8,9 @@
 //	irindex -dir PATH [-page N] [-stop N] [-glob PATTERN] [-out FILE]
 //	        [-shards N]
 //
-// With -out the built index is persisted to FILE in the single-file
-// on-disk format; cmd/irsearch loads it with -index FILE. With -out
-// and -shards N the index is instead written as an N-way
+// With -out the built index is persisted to FILE as a paged index
+// file; cmd/irsearch and cmd/irserve open it with -index FILE. With
+// -out and -shards N the index is instead written as an N-way
 // document-partitioned shard directory at OUT (one paged shard file
 // per partition); cmd/irserve serves it behind the scatter-gather
 // router with -index OUT.
@@ -121,7 +121,7 @@ func main() {
 		}
 		fmt.Printf("\nindex saved to %s as %d shard files (%.1f KB on disk)\n", *out, *shards, float64(size)/1024)
 	case *out != "":
-		if err := ix.Save(*out); err != nil {
+		if err := ix.WriteFile(*out, 0); err != nil {
 			log.Fatal(err)
 		}
 		info, err := os.Stat(*out)

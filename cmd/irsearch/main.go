@@ -37,7 +37,7 @@ func main() {
 	log.SetPrefix("irsearch: ")
 	var (
 		dir     = flag.String("dir", "", "index *.txt files from this directory (default: synthetic collection)")
-		indexAt = flag.String("index", "", "load a persisted index file (see irindex -out)")
+		indexAt = flag.String("index", "", "open a persisted index file (see irindex -out)")
 		algo    = flag.String("algo", "BAF", "evaluation algorithm: DF or BAF")
 		policy  = flag.String("policy", "RAP", "replacement policy: LRU, MRU or RAP")
 		buffers = flag.Int("buffers", 256, "buffer pool size in pages")
@@ -51,6 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer ix.Close()
 	var a bufir.Algorithm
 	switch strings.ToUpper(*algo) {
 	case "DF":
@@ -127,11 +128,12 @@ func main() {
 	}
 }
 
-// buildIndex loads a persisted index (if indexAt is set), indexes a
-// text corpus (if dir is set) or generates the synthetic collection.
+// buildIndex opens a persisted index file (if indexAt is set),
+// indexes a text corpus (if dir is set) or generates the synthetic
+// collection.
 func buildIndex(dir, indexAt string, seed int64) (*bufir.Index, []string, error) {
 	if indexAt != "" {
-		ix, err := bufir.OpenIndex(indexAt)
+		ix, err := bufir.OpenIndexFile(indexAt)
 		return ix, nil, err
 	}
 	if dir == "" {

@@ -1,6 +1,6 @@
 // Proximity: the operators the paper defers to future work (§2.1,
 // footnote 2) — exact phrases and NEAR queries over a positional
-// index — plus single-file index persistence.
+// index — plus persistence as a paged index file.
 //
 // Run with:
 //
@@ -74,14 +74,15 @@ func main() {
 
 	// Persist and reload: text search keeps working.
 	path := filepath.Join(os.TempDir(), "proximity-example.bufir")
-	if err := ix.Save(path); err != nil {
+	if err := ix.WriteFile(path, 0); err != nil {
 		log.Fatal(err)
 	}
 	defer os.Remove(path)
-	loaded, err := bufir.OpenIndex(path)
+	loaded, err := bufir.OpenIndexFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer loaded.Close()
 	s2, err := loaded.NewSession(bufir.SessionConfig{EvalOptions: bufir.EvalOptions{Unfiltered: true, TopN: 1}})
 	if err != nil {
 		log.Fatal(err)

@@ -163,23 +163,12 @@ func TestFileBackedEngineWithFaults(t *testing.T) {
 }
 
 // TestFileBackedRePersist: a file-backed index can be persisted again
-// (both formats) — pagePayloads materializes pages off the file — and
-// the copies answer identically.
+// — pagePayloads materializes pages off the file — and the copy
+// answers identically.
 func TestFileBackedRePersist(t *testing.T) {
 	col, ix := testIndex(t)
 	fb := openFileBacked(t, ix)
-
-	// Paged format again, from the file-backed source.
 	fb2 := openFileBacked(t, fb)
-	// And the V1 single-blob format.
-	v1 := filepath.Join(t.TempDir(), "ix.bufir")
-	if err := fb.Save(v1); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := OpenIndex(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	q, err := ix.TopicQuery(col.Topics[1])
 	if err != nil {
@@ -196,9 +185,9 @@ func TestFileBackedRePersist(t *testing.T) {
 		}
 		return res
 	}
-	a, b, c := run(fb), run(fb2), run(reloaded)
+	a, b := run(fb), run(fb2)
 	for i := range a.Top {
-		if a.Top[i] != b.Top[i] || a.Top[i] != c.Top[i] {
+		if a.Top[i] != b.Top[i] {
 			t.Fatalf("re-persisted copies diverge at %d", i)
 		}
 	}

@@ -21,8 +21,8 @@ import (
 // counted page fetch that abandons the read (simulated latency
 // included) when the caller's request is canceled or past its
 // deadline. It is the read half of storage.PageStore, so every backend
-// — the in-memory simulator, its compressed variant, the file-backed
-// store, and any fault-injection stack over them — plugs in unchanged.
+// — the in-memory simulator, the file-backed store, and any
+// fault-injection stack over them — plugs in unchanged.
 type PageReader interface {
 	ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error)
 }

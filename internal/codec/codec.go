@@ -171,21 +171,3 @@ func (s Stats) BytesPerEntry() float64 {
 	}
 	return float64(s.EncodedBytes) / float64(s.Entries)
 }
-
-// EncodePages compresses every page, returning the encoded pages and
-// aggregate stats.
-func EncodePages(pages [][]postings.Entry) ([][]byte, Stats, error) {
-	out := make([][]byte, len(pages))
-	var st Stats
-	for i, page := range pages {
-		enc, err := EncodePage(page)
-		if err != nil {
-			return nil, Stats{}, fmt.Errorf("page %d: %w", i, err)
-		}
-		out[i] = enc
-		st.Entries += len(page)
-		st.EncodedBytes += len(enc)
-		st.RawBytes += 6 * len(page)
-	}
-	return out, st, nil
-}

@@ -161,9 +161,15 @@ func TestCompressionRatio(t *testing.T) {
 		}
 		pages = append(pages, entries[start:end])
 	}
-	_, st, err := EncodePages(pages)
-	if err != nil {
-		t.Fatal(err)
+	var st Stats
+	for _, p := range pages {
+		enc, err := EncodePage(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Entries += len(p)
+		st.EncodedBytes += len(enc)
+		st.RawBytes += 6 * len(p)
 	}
 	if bpe := st.BytesPerEntry(); bpe > 2.0 {
 		t.Errorf("bytes/entry = %.2f, want <= 2.0 (paper: ~1)", bpe)

@@ -3,19 +3,22 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 
 	"bufir/internal/buffer"
 	"bufir/internal/codec"
 	"bufir/internal/eval"
+	"bufir/internal/indexfile"
 	"bufir/internal/storage"
 )
 
 // ---------------------------------------------------------------------------
 // E15 (physical design) — §4.2 bases the 404-entry page size on the
 // [PZSD96] compression scheme: a 6-byte (d, f_dt) entry compresses to
-// about one byte. This experiment encodes the whole synthetic index
-// with that scheme, reports the achieved ratio, and verifies that
-// query execution over the compressed store is identical (same
+// about one byte. This experiment writes the whole synthetic index to
+// a paged index file in that scheme, reports the achieved ratio, and
+// verifies that query execution over the file is identical (same
 // rankings, same page reads) while counting the decompression work
 // the paper attributes most retrieval CPU time to.
 // ---------------------------------------------------------------------------
@@ -24,8 +27,8 @@ import (
 type CompressionResult struct {
 	Stats codec.Stats
 	// Identical reports whether DF produced identical rankings and
-	// read counts over the compressed and plain stores for the sample
-	// queries.
+	// read counts over the compressed file and the plain store for the
+	// sample queries.
 	Identical bool
 	// DecodedEntries is the decompression work for the sample queries
 	// (the CPU-cost proxy; proportional to pages read).
@@ -33,13 +36,23 @@ type CompressionResult struct {
 	SampleQueries  int
 }
 
-// RunCompression encodes the index and replays the first few topics
-// over both representations.
+// RunCompression writes the index to a temporary paged index file and
+// replays the first few topics over both representations.
 func (e *Env) RunCompression() (*CompressionResult, error) {
-	cs, err := storage.NewCompressedStore(e.Pages)
+	dir, err := os.MkdirTemp("", "bufir-e15-")
 	if err != nil {
 		return nil, err
 	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "index.bufir")
+	if err := indexfile.WritePageFile(path, e.Idx, e.Pages, nil, 0); err != nil {
+		return nil, err
+	}
+	cs, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})
+	if err != nil {
+		return nil, err
+	}
+	defer cs.Close()
 	out := &CompressionResult{Stats: cs.CompressionStats(), Identical: true}
 
 	run := func(store buffer.PageReader, q eval.Query) (*eval.Result, error) {

@@ -304,7 +304,7 @@ func TestCompressionExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Identical {
-		t.Error("compressed store changed query results")
+		t.Error("the compressed index file changed query results")
 	}
 	if res.Stats.Ratio() < 3 {
 		t.Errorf("compression ratio %.1f below 3:1", res.Stats.Ratio())

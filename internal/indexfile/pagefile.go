@@ -1,10 +1,11 @@
-// The paged on-disk index format (BUFIR2). Where the V1 stream format
-// (Save/Load, "BUFIR1\n") is decode-everything-at-open — the whole
-// page set is materialized in memory and served by the simulator — the
-// V2 format is built for demand paging: the block-compressed pages
-// stay on disk and are located through a fixed-size page directory, so
-// a storage.FileStore can serve any single page with one bounded read
-// (an mmap access or a ReadAt) plus one codec decode.
+// Package indexfile persists the inverted index in the paged on-disk
+// format (BUFIR2), built for demand paging: the memory-resident
+// metadata (term dictionary, idf inputs, page minima and maxima,
+// document vector lengths) is read once at open, while the
+// block-compressed [PZSD96] pages stay on disk and are located through
+// a fixed-size page directory, so a storage.FileStore can serve any
+// single page with one bounded read (an mmap access or a ReadAt) plus
+// one codec decode.
 //
 // Layout (all fixed-width integers little-endian):
 //
@@ -49,6 +50,18 @@ import (
 
 const magic2 = "BUFIR2\n"
 
+// ErrNotIndexFile is what opening a file that does not begin with the
+// BUFIR2 magic matches under errors.Is.
+var ErrNotIndexFile = errors.New("not a bufir index file")
+
+// Aux carries the optional text-pipeline state of a document-built
+// index: external document names and the applied stop-word list (from
+// which the lexical pipeline is reconstructed on load).
+type Aux struct {
+	DocNames  []string
+	StopWords []string
+}
+
 // DefaultBlockSize is the disk-block alignment WritePageFile uses when
 // the caller passes blockSize 0 at the bufir API level: 4 KiB, the
 // page size the paper's physical design reasons about (§4.2).
@@ -85,11 +98,11 @@ func (e *CorruptPageError) Error() string {
 // interface buffer.RetryPolicy consults).
 func (e *CorruptPageError) PermanentFault() bool { return true }
 
-// WritePageFile persists the index in the paged V2 format, atomically
-// (temp file plus rename). blockSize aligns every page blob to a disk
-// block boundary; 0 packs the blobs back to back. Typical choices are
-// 1–8 KiB; the alignment costs padding but lets a page read touch the
-// minimum number of device blocks.
+// WritePageFile persists the index in the paged BUFIR2 format,
+// atomically (temp file plus rename). blockSize aligns every page blob
+// to a disk block boundary; 0 packs the blobs back to back. Typical
+// choices are 1–8 KiB; the alignment costs padding but lets a page
+// read touch the minimum number of device blocks.
 func WritePageFile(path string, ix *postings.Index, pages [][]postings.Entry, aux *Aux, blockSize int) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -113,7 +126,7 @@ func WritePageFile(path string, ix *postings.Index, pages [][]postings.Entry, au
 	return os.Rename(tmp, path)
 }
 
-// writePageFile writes the full V2 stream to w.
+// writePageFile writes the full BUFIR2 stream to w.
 func writePageFile(w io.Writer, ix *postings.Index, pages [][]postings.Entry, aux *Aux, blockSize int) error {
 	if blockSize < 0 || blockSize > maxBlockSize {
 		return fmt.Errorf("indexfile: block size %d outside [0,%d]", blockSize, maxBlockSize)
@@ -228,8 +241,8 @@ func writeZeros(w io.Writer, n uint64) error {
 	return nil
 }
 
-// encodeMeta serializes the memory-resident metadata (everything the
-// V1 format carries except the pages) as one varint stream.
+// encodeMeta serializes the memory-resident metadata (everything but
+// the pages) as one varint stream.
 func encodeMeta(ix *postings.Index, aux *Aux) ([]byte, error) {
 	var buf bytes.Buffer
 	var tmp [binary.MaxVarintLen64]byte
@@ -278,7 +291,7 @@ func encodeMeta(ix *postings.Index, aux *Aux) ([]byte, error) {
 }
 
 // decodeMeta reconstructs the index metadata from an encodeMeta blob,
-// applying the same plausibility checks as the V1 loader.
+// refusing implausible counts before sizing any allocation by them.
 func decodeMeta(data []byte) (*postings.Index, *Aux, error) {
 	br := bytes.NewReader(data)
 	get := func() (uint64, error) { return binary.ReadUvarint(br) }
@@ -447,7 +460,7 @@ func decodeMeta(data []byte) (*postings.Index, *Aux, error) {
 	return ix, aux, nil
 }
 
-// pageFileHeader is the parsed, verified header of a V2 file.
+// pageFileHeader is the parsed, verified header of a BUFIR2 file.
 type pageFileHeader struct {
 	ix        *postings.Index
 	aux       *Aux
@@ -458,18 +471,19 @@ type pageFileHeader struct {
 	dataLen   int64 // exact data-region length the directory implies
 }
 
-// readHeader parses and checksum-verifies the V2 header (meta +
+// readHeader parses and checksum-verifies the BUFIR2 header (meta +
 // directory) from r, leaving r positioned at the start of the padding
 // before the data region. It performs every structural validation that
 // does not need the file size; the caller bounds the directory against
 // the actual data region.
 func readHeader(r io.Reader) (*pageFileHeader, error) {
 	var fixed [20]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return nil, fmt.Errorf("indexfile: reading header: %w", err)
+	n, err := io.ReadFull(r, fixed[:])
+	if n < len(magic2) || string(fixed[:len(magic2)]) != magic2 {
+		return nil, fmt.Errorf("indexfile: bad magic %q: %w", fixed[:min(n, len(magic2))], ErrNotIndexFile)
 	}
-	if string(fixed[:7]) != magic2 {
-		return nil, fmt.Errorf("indexfile: bad magic %q (not a paged index file)", fixed[:7])
+	if err != nil {
+		return nil, fmt.Errorf("indexfile: reading header: %w", err)
 	}
 	if fixed[7] != 0 {
 		return nil, fmt.Errorf("indexfile: unknown flags %#x", fixed[7])

@@ -1,6 +1,6 @@
 package indexfile
 
-// Tests of the paged V2 container from inside the package: the
+// Tests of the paged BUFIR2 container from inside the package: the
 // round-trip property across block sizes, header validation against
 // hand-corrupted streams, and page access through both the mapping
 // and the pread fallback. The black-box behavior of the format (as a
@@ -199,8 +199,48 @@ func TestWritePageFileValidation(t *testing.T) {
 	if err := WritePageFile(path, ix, pages[:len(pages)-1], nil, 0); err == nil {
 		t.Fatal("page-count mismatch accepted")
 	}
+	if err := WritePageFile(filepath.Join(t.TempDir(), "missing", "ix.bufir2"), ix, pages, nil, 0); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("a refused write left a file behind")
+	}
+}
+
+// failingWriter errors after remaining bytes.
+type failingWriter struct{ remaining int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	n := min(len(p), w.remaining)
+	w.remaining -= n
+	if n < len(p) {
+		return n, os.ErrClosed
+	}
+	return n, nil
+}
+
+// TestSaveWriterErrors: a writer failing at any offset — header, block
+// padding or page blobs — fails the write. A minimal index keeps each
+// write cheap enough to sweep every offset.
+func TestSaveWriterErrors(t *testing.T) {
+	lists := []postings.TermPostings{
+		{Name: "aa", Entries: []postings.Entry{{Doc: 0, Freq: 3}, {Doc: 1, Freq: 1}, {Doc: 2, Freq: 1}}},
+		{Name: "bb", Entries: []postings.Entry{{Doc: 1, Freq: 2}}},
+	}
+	ix, pages, err := postings.Build(lists, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aux := &Aux{DocNames: []string{"x", "y", "z"}, StopWords: []string{"the"}}
+	const blockSize = 16 // pads between blobs
+	var buf bytes.Buffer
+	if err := writePageFile(&buf, ix, pages, aux, blockSize); err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < buf.Len(); cut++ {
+		if err := writePageFile(&failingWriter{remaining: cut}, ix, pages, aux, blockSize); err == nil {
+			t.Errorf("write with writer failing at %d/%d bytes succeeded", cut, buf.Len())
+		}
 	}
 }
 
@@ -245,9 +285,9 @@ func TestAlignUp(t *testing.T) {
 
 // TestLoadersRejectRisingPageMaxima: a file whose metadata says a
 // page's maximum frequency exceeds its predecessor's in the same list
-// passes every checksum (the writers do not judge what they are given)
-// and must still be refused by both loaders — RAP would evict such a
-// list in the wrong order without a sound.
+// passes every checksum (the writer does not judge what it is given)
+// and must still be refused at open — RAP would evict such a list in
+// the wrong order without a sound.
 func TestLoadersRejectRisingPageMaxima(t *testing.T) {
 	ix, pages := buildPages(t)
 	var victim *postings.TermMeta
@@ -260,7 +300,7 @@ func TestLoadersRejectRisingPageMaxima(t *testing.T) {
 	if victim == nil {
 		t.Fatal("fixture has no list of three pages with falling maxima")
 	}
-	// The writers read only the metadata arrays, so swapping the first
+	// The writer reads only the metadata arrays, so swapping the first
 	// and last maxima of one list is all it takes.
 	tampered := append([]int32(nil), victim.PageMaxFreq...)
 	tampered[0], tampered[len(tampered)-1] = tampered[len(tampered)-1], tampered[0]
@@ -268,13 +308,6 @@ func TestLoadersRejectRisingPageMaxima(t *testing.T) {
 	victim.PageMaxFreq = tampered
 	defer func() { victim.PageMaxFreq = good }()
 
-	var v1 bytes.Buffer
-	if err := Save(&v1, ix, pages, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := Load(&v1); err == nil {
-		t.Error("Load accepted metadata with rising page maxima")
-	}
 	path := filepath.Join(t.TempDir(), "tampered.bufir2")
 	if err := WritePageFile(path, ix, pages, nil, 4<<10); err != nil {
 		t.Fatal(err)

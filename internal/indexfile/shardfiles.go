@@ -2,51 +2,10 @@ package indexfile
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
-
-// Format identifies an index-file format by its magic.
-type Format int
-
-const (
-	// FormatUnknown is any file that is not a bufir index.
-	FormatUnknown Format = iota
-	// FormatBlob is the single-blob format (magic "BUFIR1\n",
-	// SaveFile/LoadFile): the whole index decodes into memory on open.
-	FormatBlob
-	// FormatPaged is the paged format (magic "BUFIR2\n",
-	// WritePageFile/OpenPageFile): pages served on demand from disk.
-	FormatPaged
-)
-
-// Sniff reports which index format the file holds by its 7-byte magic,
-// without reading further. FormatUnknown (and no error) means the file
-// exists but is not a bufir index.
-func Sniff(path string) (Format, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return FormatUnknown, err
-	}
-	defer f.Close()
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(f, head); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return FormatUnknown, nil
-		}
-		return FormatUnknown, err
-	}
-	switch string(head) {
-	case magic:
-		return FormatBlob, nil
-	case magic2:
-		return FormatPaged, nil
-	}
-	return FormatUnknown, nil
-}
 
 // ShardFileName returns the canonical file name of partition i of an
 // n-way document-partitioned index: "shard-0003-of-0008.bufir". The

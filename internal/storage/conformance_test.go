@@ -11,22 +11,15 @@ import (
 )
 
 // backends enumerates every PageStore implementation under the
-// conformance suite: the paper's in-memory simulator, its compressed
-// variant, and the file-backed store over both of its access paths
-// (memory-mapped and pread). One contract, four physiques.
+// conformance suite: the paper's in-memory simulator and the
+// file-backed store over both of its access paths (memory-mapped and
+// pread). One contract, three physiques.
 var backends = []struct {
 	name string
 	make storetest.Factory
 }{
 	{"simulator", func(tb testing.TB, ix *postings.Index, pages [][]postings.Entry) storage.PageStore {
 		return storage.NewStore(pages)
-	}},
-	{"compressed", func(tb testing.TB, ix *postings.Index, pages [][]postings.Entry) storage.PageStore {
-		cs, err := storage.NewCompressedStore(pages)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return cs
 	}},
 	{"file-mmap", fileFactory(indexfile.PageFileOptions{})},
 	{"file-readat", fileFactory(indexfile.PageFileOptions{DisableMmap: true})},

@@ -1,8 +1,8 @@
 package storage
 
 // FileStore is the real disk behind the PageStore interface: where
-// Store and CompressedStore simulate page reads against in-memory
-// slices, a FileStore serves every read from an actual index file —
+// Store simulates page reads against in-memory slices, a FileStore
+// serves every read from an actual index file —
 // an mmap'd view when the platform supports it (a cold page costs a
 // real page fault), or pread-style ReadAt calls otherwise. This is
 // the backend that lets the paper's central cost model (buffer misses

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bufir/internal/buffer"
+	"bufir/internal/codec"
 	"bufir/internal/indexfile"
 	"bufir/internal/postings"
 	"bufir/internal/storage"
@@ -124,9 +125,9 @@ func TestFileStoreAccessPaths(t *testing.T) {
 }
 
 // TestFileStoreStats checks the observability counters against the
-// in-memory compressed store: both hold the same codec encodings, so
-// their compression statistics must agree exactly, and DecodedEntries
-// must account every entry a counted read decompressed.
+// codec itself: the file holds exactly codec.EncodePage's encodings,
+// so its compression statistics must agree with them to the byte, and
+// DecodedEntries must account every entry a counted read decompressed.
 func TestFileStoreStats(t *testing.T) {
 	path, _, pages := writeSampleFile(t)
 	fs, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})
@@ -135,13 +136,18 @@ func TestFileStoreStats(t *testing.T) {
 	}
 	defer fs.Close()
 
-	cs, err := storage.NewCompressedStore(pages)
-	if err != nil {
-		t.Fatal(err)
+	var want codec.Stats
+	for _, p := range pages {
+		enc, err := codec.EncodePage(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Entries += len(p)
+		want.EncodedBytes += len(enc)
+		want.RawBytes += 6 * len(p)
 	}
-	got, want := fs.CompressionStats(), cs.CompressionStats()
-	if got != want {
-		t.Fatalf("CompressionStats: file %+v, in-memory %+v", got, want)
+	if got := fs.CompressionStats(); got != want {
+		t.Fatalf("CompressionStats: file %+v, codec %+v", got, want)
 	}
 
 	entries := 0
@@ -181,17 +187,13 @@ func TestOpenFileStoreErrors(t *testing.T) {
 	}
 }
 
-// TestDecodingReadAllocatesOnce: a store that decodes on read knows
-// from its metadata how many entries the page holds, so the read costs
-// exactly one allocation — the entries slice the buffer frame keeps —
-// on the compressed simulator and on both access paths of the file
-// store. (Growing the slice from nil cost eight for a 100-entry page.)
+// TestDecodingReadAllocatesOnce: the file store knows from its
+// metadata how many entries a page holds, so a read costs exactly one
+// allocation — the entries slice the buffer frame keeps — on both
+// access paths. (Growing the slice from nil cost eight for a
+// 100-entry page.)
 func TestDecodingReadAllocatesOnce(t *testing.T) {
 	path, _, pages := writeSampleFile(t)
-	comp, err := storage.NewCompressedStore(pages)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mapped, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +215,7 @@ func TestDecodingReadAllocatesOnce(t *testing.T) {
 	for _, st := range []struct {
 		name  string
 		store storage.PageStore
-	}{{"compressed", comp}, {"file/default", mapped}, {"file/pread", pread}} {
+	}{{"file/default", mapped}, {"file/pread", pread}} {
 		var got []postings.Entry
 		allocs := testing.AllocsPerRun(200, func() {
 			var err error

@@ -17,11 +17,10 @@ import (
 
 // PageStore is the pluggable backend contract of the paged disk:
 // counted reads for query execution, quiet reads for offline workload
-// construction, and read accounting. Four implementations exist — the
-// in-memory simulator (Store), its compressed variant
-// (CompressedStore), the real file-backed FileStore, and the
-// fault-injection wrapper (FaultStore), which composes over any of the
-// others.
+// construction, and read accounting. Three implementations exist — the
+// in-memory simulator (Store), the real file-backed FileStore serving
+// compressed pages, and the fault-injection wrapper (FaultStore),
+// which composes over either of the others.
 //
 // The contract every implementation (and the storetest conformance
 // suite) holds to:
@@ -69,10 +68,7 @@ type Store struct {
 // matches under errors.Is (see FaultError).
 var ErrInjectedFault = fmt.Errorf("storage: injected read fault")
 
-var (
-	_ PageStore = (*Store)(nil)
-	_ PageStore = (*CompressedStore)(nil)
-)
+var _ PageStore = (*Store)(nil)
 
 // NewStore creates a store over the given page payloads (indexed by
 // PageID, as produced by postings.Build).

@@ -213,7 +213,7 @@ func (ix *Index) publishLocked(meta *postings.Index, store storage.PageStore, pa
 		}
 		store = fs
 	}
-	applySimLatency(store, ix.simLatency)
+	setSimLatency(store, ix.simLatency)
 	v := ix.view()
 	ix.publish(&idxView{
 		epoch:    v.epoch + 1,

@@ -26,7 +26,7 @@ type openOptions struct {
 }
 
 // WithShards asks Open for an n-way document-partitioned deployment.
-// Opening a single index (in-memory, blob or paged file) splits it
+// Opening a single index (in-memory or an index file) splits it
 // into n partitions in memory, each behind its own engine and buffer
 // pool; opening a shard directory requires its partition count to be n
 // (0, the default, accepts whatever the directory holds — and means 1
@@ -65,21 +65,19 @@ func WithObs(addr string) Option {
 // them with a scatter-gather router when there is more than one, and
 // returns a Service — a Searcher that owns everything it opened.
 //
-// path takes four forms:
+// path takes three forms:
 //
 //   - "synth:SCALE[:SEED]" — a generated synthetic collection; SCALE
 //     is tiny, default or paper, SEED an optional integer (default
 //     1998). No files are touched.
-//   - a single-blob index file written by Index.Save (BUFIR1).
 //   - a paged index file written by Index.WriteFile (BUFIR2), served
-//     page-at-a-time from disk. The two file forms are told apart by
-//     their magic, not their name.
+//     page-at-a-time from disk.
 //   - a directory of shard files written by Index.WriteShardFiles —
 //     an on-disk document-partitioned index, one engine per shard.
 //
-// Open replaces the three historical construction paths (OpenIndex /
-// OpenIndexFile / NewEngine by hand) for serving use; those remain for
-// code that wants the index itself.
+// Open replaces the historical construction paths (OpenIndexFile /
+// NewEngine by hand) for serving use; those remain for code that wants
+// the index itself.
 func Open(path string, options ...Option) (*Service, error) {
 	var o openOptions
 	for _, opt := range options {
@@ -142,6 +140,7 @@ func resolveIndexes(path string, shards int) ([]*Index, error) {
 		if len(indexes) == 1 {
 			parts, err := indexes[0].Shard(shards)
 			if err != nil {
+				_ = indexes[0].Close()
 				return nil, err
 			}
 			// The source index owned no file (or its partitions copy its
@@ -193,20 +192,13 @@ func openSynth(spec string) (*Index, error) {
 	return NewIndex(col)
 }
 
-// openOne opens one index file, telling the blob and paged formats
-// apart by magic.
+// openOne opens one paged index file.
 func openOne(path string) (*Index, error) {
-	format, err := indexfile.Sniff(path)
-	if err != nil {
-		return nil, err
+	ix, err := OpenIndexFile(path)
+	if errors.Is(err, indexfile.ErrNotIndexFile) {
+		return nil, fmt.Errorf("bufir: %s is not a bufir index file", path)
 	}
-	switch format {
-	case indexfile.FormatBlob:
-		return OpenIndex(path)
-	case indexfile.FormatPaged:
-		return OpenIndexFile(path)
-	}
-	return nil, fmt.Errorf("bufir: %s is not a bufir index file", path)
+	return ix, err
 }
 
 // Shard splits the index into n in-memory document partitions, each a

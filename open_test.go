@@ -77,9 +77,9 @@ func TestOpenSyntheticSharded(t *testing.T) {
 	}
 }
 
-// Open must tell the two file formats apart by magic and serve a shard
-// directory behind a router — and the disk round trip must not change
-// a single unfiltered score.
+// Open must serve a paged index file and a shard directory behind a
+// router — and the disk round trip must not change a single unfiltered
+// score.
 func TestOpenFilesAndShardDir(t *testing.T) {
 	col, ix := testIndex(t)
 	q, err := ix.TopicQuery(col.Topics[0])
@@ -100,12 +100,8 @@ func TestOpenFilesAndShardDir(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	blob := filepath.Join(dir, "index.blob")
 	paged := filepath.Join(dir, "index.paged")
 	shardDir := filepath.Join(dir, "shards")
-	if err := ix.Save(blob); err != nil {
-		t.Fatal(err)
-	}
 	if err := ix.WriteFile(paged, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +109,7 @@ func TestOpenFilesAndShardDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, path := range []string{blob, paged, shardDir} {
+	for _, path := range []string{paged, shardDir} {
 		svc, err := Open(path, opts)
 		if err != nil {
 			t.Fatalf("Open(%s): %v", path, err)
@@ -163,13 +159,19 @@ func TestOpenErrors(t *testing.T) {
 		t.Error("Open of a missing path succeeded")
 	}
 
-	// A file that exists but is no bufir index.
-	junk := filepath.Join(t.TempDir(), "junk")
-	if err := os.WriteFile(junk, []byte("not an index at all"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(junk); err == nil || !strings.Contains(err.Error(), "not a bufir index") {
-		t.Errorf("Open(junk) = %v", err)
+	// Files that exist but are no bufir index: junk, and the retired
+	// single-blob format, whose magic BUFIR2 readers do not accept.
+	for name, body := range map[string]string{
+		"junk":   "not an index at all",
+		"bufir1": "BUFIR1\n" + strings.Repeat("\x00", 64),
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(body), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "not a bufir index") {
+			t.Errorf("Open(%s) = %v", name, err)
+		}
 	}
 
 	// An empty directory has no shard files.
@@ -190,5 +192,43 @@ func TestOpenErrors(t *testing.T) {
 		t.Errorf("WithShards(2) over a 2-partition directory: %v", err)
 	} else {
 		svc.Close()
+	}
+}
+
+// TestOpenShardsClosesSourceOnFailure: page checksums are verified
+// lazily, so a file with one corrupt page blob opens fine and fails
+// only when WithShards materializes its pages to split them. That
+// failure must close the file-backed source index, not leak its file
+// descriptor and mapping.
+func TestOpenShardsClosesSourceOnFailure(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	fds()
+	_, ix := testIndex(t)
+	path := filepath.Join(t.TempDir(), "index.bufir")
+	if err := ix.WriteFile(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xFF // inside the final page blob
+	if err := os.WriteFile(path, raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	before := fds()
+	if svc, err := Open(path, WithShards(2)); err == nil {
+		svc.Close()
+		t.Fatal("Open(WithShards(2)) over a corrupt page succeeded")
+	}
+	if after := fds(); after != before {
+		t.Fatalf("%d open file descriptors after the failed Open, %d before", after, before)
 	}
 }

@@ -96,3 +96,14 @@ func unwrapStore(st storage.PageStore) storage.PageStore {
 	}
 	return nil
 }
+
+// fileStore returns the file-backed store at the base of the current
+// view's decoration chain, or nil for an in-memory index.
+func (ix *Index) fileStore() *storage.FileStore {
+	for st := ix.pageStore(); st != nil; st = unwrapStore(st) {
+		if fs, ok := st.(*storage.FileStore); ok {
+			return fs
+		}
+	}
+	return nil
+}

@@ -17,7 +17,7 @@ STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
 .PHONY: ci lint depgraph vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store bench-serve policy-conformance bench-policy bench-policyops ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness bench-ingest
 
-ci: lint depgraph build test benchmark-test race leaks fuzz-seeds faults-smoke storetest policy-conformance bench-policyops ranksafe-exactness bench-evalsafe indextest ingest-exactness bench-serve bench-policy bench-ranksafe bench-ingest cover
+ci: lint depgraph build test benchmark-test race leaks fuzz-seeds faults-smoke storetest policy-conformance bench-policyops ranksafe-exactness bench-evalsafe indextest ingest-exactness bench-policy bench-ranksafe cover
 
 lint:
 	@if [ -x "$(STATICCHECK)" ] || $(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) 2>/dev/null; then \
@@ -148,8 +148,10 @@ bench-store:
 # The serving-tier scale-out sweep (E25): the E21-style multi-user
 # refinement workload through the public scatter-gather Router at
 # 1..16 shards, persisting QPS and tail latencies as BENCH_serve.json
-# for CI trend tracking. The sweep self-verifies: every shard count
-# must return the bit-identical top-k (unfiltered DF merge is exact).
+# for trend tracking. The sweep self-verifies: every shard count must
+# return the bit-identical top-k (unfiltered DF merge is exact). A
+# developer target, not part of ci: its simulated 200 µs reads sit on
+# the timer floor, so the file it rewrites holds only timing noise.
 bench-serve:
 	@$(GO) run ./cmd/irbench -exp shards -benchjson BENCH_serve.json
 	@echo "wrote BENCH_serve.json"
@@ -163,8 +165,7 @@ bench-serve:
 # oracle and its structure invariants, the lost-update race of the
 # weight-delta path, the E26 drift smoke/determinism tests, and the
 # root-level end-to-end family tests (all six policies through
-# Session/Engine/SharedSessionPool/Router with bit-identical 1-worker
-# replay).
+# Session/Engine/Router with bit-identical 1-worker replay).
 policy-conformance:
 	$(GO) test -race -count=1 \
 		-run 'TestPolicyConformance|TestTwoQ|TestAdaptive|TestGhostList|TestPolicyStats|TestGoldenVictims|TestRAP|TestAnnouncementsNotLost|TestDrift|TestPolicyFamily' \
@@ -196,12 +197,12 @@ bench-policy:
 # metamorphic exactness/fault/cancellation suites (safe answers
 # bit-identical to exhaustive DF across corpus scales, buffer sizes,
 # all six policies, fault schedules and cancellation), the root-level
-# end-to-end method tests (Session/Engine/SharedSessionPool/Router,
+# end-to-end method tests (Session/Engine/Router,
 # cross-shard tie-break, IDF edge cases), and the E27 smoke run.
 ranksafe-exactness:
 	$(GO) test -race -count=1 ./internal/evalsafe
 	$(GO) test -race -count=1 \
-		-run 'TestMetamorphicSafe|TestSafe|TestRankSafe|TestSessionSafeMethods|TestSharedPoolSafeMethod|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestOverlapAtK|TestParseAlgorithm' \
+		-run 'TestMetamorphicSafe|TestSafe|TestRankSafe|TestSessionSafeMethods|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestOverlapAtK|TestParseAlgorithm' \
 		./internal/eval ./internal/rank ./internal/experiments .
 
 # Smoke for BenchmarkEvaluate (evalsafe's bookkeeping in ns/entry and
@@ -244,8 +245,10 @@ ingest-exactness:
 # The live-ingestion serving study (E28): frozen vs steady-ingest vs
 # merge-storm phases on one engine, persisting per-phase QPS,
 # overlap@20 and the exactness verdict (merged generation
-# bit-identical to a pure-delta replay) as BENCH_ingest.json for CI
-# trend tracking.
+# bit-identical to a pure-delta replay) as BENCH_ingest.json for trend
+# tracking. A developer target, not part of ci, for the same reason as
+# bench-serve; the three verdicts are gated in ci by
+# TestIngestExperiment (go test ./internal/experiments).
 bench-ingest:
 	@$(GO) run ./cmd/irbench -scale tiny -exp ingest -ingestq 240 -benchjson BENCH_ingest.json
 	@echo "wrote BENCH_ingest.json"

@@ -8,6 +8,7 @@ package bufir_test
 // tables at the default (larger) scale.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -297,7 +298,7 @@ func BenchmarkConcurrentMultiUser(b *testing.B) {
 		}
 		tickets := make([]*Ticket, 0, users)
 		for u := 0; u < users; u++ {
-			t, err := eng.Submit(u, queries[u%len(queries)])
+			t, err := eng.SubmitContext(context.Background(), u, queries[u%len(queries)])
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -259,7 +259,7 @@ type IndexOptions struct {
 	// (0 = the paper's 100; negative disables stop-word removal).
 	NumStopWords int
 	// Positional also builds a positional index, enabling quoted
-	// phrases in SearchText and the Phrase/Near proximity operators —
+	// phrases in SearchTextContext and the Phrase/Near proximity operators —
 	// the future-work operators of the paper's §2.1 footnote 2.
 	Positional bool
 }
@@ -733,17 +733,12 @@ func (s *Session) SearchContext(ctx context.Context, q Query) (*Result, error) {
 	return res, err
 }
 
-// SearchText parses free text through the index's pipeline and
-// evaluates it (document-built indexes only). Double-quoted segments
+// SearchTextContext parses free text through the index's pipeline and
+// evaluates it under ctx (document-built indexes only; see
+// SearchContext for the cancellation contract). Double-quoted segments
 // are phrase constraints when the index carries positional data: the
 // ranked answer is filtered to documents containing every quoted
 // phrase exactly.
-func (s *Session) SearchText(text string) (*Result, error) {
-	return s.SearchTextContext(context.Background(), text)
-}
-
-// SearchTextContext is SearchText bound to a context (see
-// SearchContext for the cancellation contract).
 func (s *Session) SearchTextContext(ctx context.Context, text string) (*Result, error) {
 	phrases, stripped := extractPhrases(text)
 	q, err := s.ix.ParseQuery(stripped)

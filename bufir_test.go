@@ -1,7 +1,7 @@
 package bufir
 
 import (
-	"fmt"
+	"context"
 	"strings"
 	"testing"
 
@@ -252,7 +252,7 @@ func TestIndexDocumentsAndSearchText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.SearchText("drastic price increases in American stockmarkets")
+	res, err := s.SearchTextContext(context.Background(), "drastic price increases in American stockmarkets")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestIndexDocumentsAndSearchText(t *testing.T) {
 		t.Errorf("top doc = %q, want wsj-1", ix.DocName(res.Top[0].Doc))
 	}
 	// ParseQuery fails gracefully on nonsense.
-	if _, err := s.SearchText("zzzzqqqq xxxyyy"); err == nil {
+	if _, err := s.SearchTextContext(context.Background(), "zzzzqqqq xxxyyy"); err == nil {
 		t.Error("unindexable query should fail")
 	}
 	// ParseQuery is unavailable for synthetic indexes.
@@ -293,56 +293,6 @@ func TestParseQueryFrequencies(t *testing.T) {
 	}
 	if byName["gold"] != 2 || byName["silver"] != 1 {
 		t.Errorf("query frequencies = %v", byName)
-	}
-}
-
-func TestSharedSessionPool(t *testing.T) {
-	col, ix := testIndex(t)
-	pool, err := ix.NewSharedSessionPool(128, RAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q0, _ := ix.TopicQuery(col.Topics[0])
-	q1, _ := ix.TopicQuery(col.Topics[1])
-
-	s0, err := pool.NewSession(SessionConfig{EvalOptions: EvalOptions{Algorithm: BAF}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s0.Close()
-	s1, err := pool.NewSession(SessionConfig{EvalOptions: EvalOptions{Algorithm: BAF}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s1.Close()
-
-	if _, err := s0.Search(q0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s1.Search(q1); err != nil {
-		t.Fatal(err)
-	}
-	// A second user running the SAME topic must profit from user 0's
-	// cached pages.
-	s2, err := pool.NewSession(SessionConfig{EvalOptions: EvalOptions{Algorithm: BAF}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	before := pool.BufferStats()
-	res, err := s2.Search(q0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := pool.BufferStats()
-	if after.Hits == before.Hits {
-		t.Error("no cross-user buffer hits on a repeated topic")
-	}
-	if res.PagesRead > res.PagesProcessed/2 {
-		t.Errorf("warm cross-user query read %d of %d pages", res.PagesRead, res.PagesProcessed)
-	}
-	if _, err := ix.NewSharedSessionPool(8, "BOGUS"); err == nil {
-		t.Error("unknown policy should fail")
 	}
 }
 
@@ -444,7 +394,7 @@ func TestDocumentIndexSaveOpenKeepsTextSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.SearchText("gold markets")
+	res, err := s.SearchTextContext(context.Background(), "gold markets")
 	if err != nil {
 		t.Fatalf("text search after reload: %v", err)
 	}
@@ -497,7 +447,7 @@ func TestPhraseSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unquoted: every doc mentioning the terms ranks.
-	loose, err := s.SearchText("stock market")
+	loose, err := s.SearchTextContext(context.Background(), "stock market")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +455,7 @@ func TestPhraseSearch(t *testing.T) {
 		t.Fatalf("loose search returned %d docs, want 3", len(loose.Top))
 	}
 	// Quoted: only the doc with the exact adjacency survives.
-	strict, err := s.SearchText(`"stock market" crashed`)
+	strict, err := s.SearchTextContext(context.Background(), `"stock market" crashed`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +483,7 @@ func TestPhraseSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps, _ := plain.NewSession(SessionConfig{EvalOptions: EvalOptions{Unfiltered: true}})
-	if _, err := ps.SearchText(`"stock market"`); err == nil {
+	if _, err := ps.SearchTextContext(context.Background(), `"stock market"`); err == nil {
 		t.Error("phrase query without positional index should fail")
 	}
 	if _, err := plain.PhraseDocs([]string{"stock"}); err == nil {
@@ -561,54 +511,5 @@ func TestExtractPhrases(t *testing.T) {
 	_, st := extractPhrases(`a "b c`)
 	if !strings.Contains(st, "b") {
 		t.Errorf("unbalanced quote lost text: %q", st)
-	}
-}
-
-// TestSharedSessionsConcurrent drives several shared sessions from
-// separate goroutines (run with -race): the shared pool must serialize
-// correctly and produce sane per-query results throughout.
-func TestSharedSessionsConcurrent(t *testing.T) {
-	col, ix := testIndex(t)
-	pool, err := ix.NewSharedSessionPool(96, RAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const users = 4
-	errs := make(chan error, users)
-	for u := 0; u < users; u++ {
-		go func(u int) {
-			s, err := pool.NewSession(SessionConfig{EvalOptions: EvalOptions{Algorithm: BAF}})
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer s.Close()
-			q, err := ix.TopicQuery(col.Topics[u%3])
-			if err != nil {
-				errs <- err
-				return
-			}
-			for i := 0; i < 10; i++ {
-				res, err := s.Search(q)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if len(res.Top) == 0 {
-					errs <- fmt.Errorf("user %d: empty results", u)
-					return
-				}
-			}
-			errs <- nil
-		}(u)
-	}
-	for u := 0; u < users; u++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := pool.BufferStats()
-	if st.Hits == 0 {
-		t.Error("no cross-query buffer hits under concurrency")
 	}
 }

@@ -36,6 +36,7 @@ package main
 // cycling through its in-package benchmarks.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -203,7 +204,7 @@ func runShardsOnce(env *experiments.Env, seqs [][]bufir.Query, terms map[bufir.T
 			for p := 0; p < passes; p++ {
 				for _, q := range seq {
 					t0 := time.Now()
-					if _, err := router.Search(u, q); err != nil {
+					if _, err := router.SearchContext(context.Background(), u, q); err != nil {
 						errs[u] = err
 						return
 					}
@@ -222,7 +223,7 @@ func runShardsOnce(env *experiments.Env, seqs [][]bufir.Query, terms map[bufir.T
 
 	// The cross-count verification query: the largest refinement of
 	// topic 0, outside the timed window.
-	verify, err := router.Search(0, seqs[0][len(seqs[0])-1])
+	verify, err := router.SearchContext(context.Background(), 0, seqs[0][len(seqs[0])-1])
 	if err != nil {
 		return nil, nil, err
 	}

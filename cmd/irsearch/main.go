@@ -22,6 +22,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -170,7 +171,7 @@ func buildIndex(dir, indexAt string, seed int64) (*bufir.Index, []string, error)
 // search parses text queries on document indexes and falls back to
 // term-name lookup on synthetic collections.
 func search(s *bufir.Session, ix *bufir.Index, line string) (*bufir.Result, error) {
-	if res, err := s.SearchText(line); err == nil {
+	if res, err := s.SearchTextContext(context.Background(), line); err == nil {
 		return res, nil
 	}
 	// Synthetic collection: words are raw term names like "t00123".

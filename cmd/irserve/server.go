@@ -42,6 +42,10 @@ type statsResponse struct {
 	Shards  []bufir.EngineStats `json:"shards"`
 }
 
+// maxIngestBody bounds a POST /ingest body; a larger one is refused
+// with 413 before it is decoded in full.
+const maxIngestBody = 1 << 20
+
 // ingestRequest is the POST /ingest body.
 type ingestRequest struct {
 	Name string `json:"name"`
@@ -87,7 +91,12 @@ func newMux(svc *bufir.Service) *http.ServeMux {
 // Queries admitted after the response see the document.
 func handleIngest(svc *bufir.Service, w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad JSON body: "+err.Error(), http.StatusBadRequest)
 		return
 	}

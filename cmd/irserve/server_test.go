@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"bufir"
@@ -241,6 +242,10 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 	if status, _ := post(t, srv, "/ingest", `{"name": "x"}`); status != http.StatusBadRequest {
 		t.Errorf("empty text: status %d", status)
+	}
+	big := `{"name": "big", "text": "` + strings.Repeat("a ", maxIngestBody/2) + `"}`
+	if status, _ := post(t, srv, "/ingest", big); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", status)
 	}
 	frozen := testService(t, 1)
 	frozenSrv := httptest.NewServer(newMux(frozen))

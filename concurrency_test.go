@@ -50,7 +50,7 @@ func runUsers(t *testing.T, ix *Index, steps [][]Query, conc bool) ([][][]Scored
 	}
 	run := func(u int) error {
 		for i, q := range steps[u] {
-			res, err := eng.Search(u, q)
+			res, err := eng.SearchContext(context.Background(), u, q)
 			if err != nil {
 				return fmt.Errorf("user %d step %d: %w", u, i, err)
 			}
@@ -126,41 +126,81 @@ func TestEngineStressDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineSharedPoolCrossUserHits: concurrent users on overlapping
-// topics must benefit from each other's pages (the point of §3.3's
-// shared pool), visible as buffer hits well above what any single
-// user's own re-accesses could produce.
+// TestEngineSharedPoolCrossUserHits: users on overlapping topics must
+// benefit from each other's pages (the point of §3.3's shared pool):
+// concurrent users all get answers, and a fresh user re-running topic 0
+// afterwards hits the buffer — reading at most half the pages it
+// processes when the pool holds every topic's working set (warm). The
+// inputs cover many workers over a sharded pool, several goroutines
+// contending for a small pool on three topics, and the serial two-user
+// warm-up.
 func TestEngineSharedPoolCrossUserHits(t *testing.T) {
-	col, ix := testIndex(t)
-	eng, err := ix.NewEngine(EngineConfig{EvalOptions: EvalOptions{Algorithm: BAF}, Workers: 4, Shards: 4, BufferPages: 256})
-	if err != nil {
-		t.Fatal(err)
+	col, _ := testIndex(t)
+	cases := []struct {
+		name                          string
+		workers, shards, pages, users int
+		rounds, topics                int
+		warm                          bool
+	}{
+		{"one topic, 4 workers x 4 shards", 4, 4, 256, 8, 5, 1, true},
+		{"three topics, 4 workers", 4, 1, 96, 4, 10, 3, false},
+		{"two topics, one pass", 1, 1, 128, 2, 1, 2, true},
 	}
-	defer eng.Close()
-	q, err := ix.TopicQuery(col.Topics[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for u := 0; u < 8; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				if _, err := eng.Search(u, q); err != nil {
-					t.Error(err)
-					return
-				}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, ix := testIndex(t)
+			eng, err := ix.NewEngine(EngineConfig{EvalOptions: EvalOptions{Algorithm: BAF},
+				Workers: c.workers, Shards: c.shards, BufferPages: c.pages})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(u)
-	}
-	wg.Wait()
-	st := eng.BufferStats()
-	if st.Hits == 0 {
-		t.Error("no cross-user buffer hits on identical topics")
-	}
-	if es := eng.Stats(); es.Queries != 40 || es.Errors != 0 {
-		t.Errorf("serving counters = %+v, want 40 queries, 0 errors", es)
+			defer eng.Close()
+			ctx := context.Background()
+			var wg sync.WaitGroup
+			for u := 0; u < c.users; u++ {
+				wg.Add(1)
+				go func(u int) {
+					defer wg.Done()
+					q, err := ix.TopicQuery(col.Topics[u%c.topics])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := 0; i < c.rounds; i++ {
+						res, err := eng.SearchContext(ctx, u, q)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if len(res.Top) == 0 {
+							t.Errorf("user %d: empty results", u)
+							return
+						}
+					}
+				}(u)
+			}
+			wg.Wait()
+
+			q0, err := ix.TopicQuery(col.Topics[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := eng.BufferStats()
+			res, err := eng.SearchContext(ctx, c.users, q0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.BufferStats().Hits == before.Hits {
+				t.Error("no cross-user buffer hits on a repeated topic")
+			}
+			if c.warm && res.PagesRead > res.PagesProcessed/2 {
+				t.Errorf("warm cross-user query read %d of %d pages", res.PagesRead, res.PagesProcessed)
+			}
+			want := int64(c.users*c.rounds + 1)
+			if es := eng.Stats(); es.Queries != want || es.Errors != 0 {
+				t.Errorf("serving counters = %+v, want %d queries, 0 errors", es, want)
+			}
+		})
 	}
 }
 
@@ -230,7 +270,7 @@ func TestOneShardOverlapsLoads(t *testing.T) {
 	eng, gate := gatedEngine(t, ix)
 	var tickets []*Ticket
 	for u := 0; u < 2; u++ { // one single-term query per user, different terms
-		tk, err := eng.Submit(u, q[u:u+1])
+		tk, err := eng.SubmitContext(context.Background(), u, q[u:u+1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +299,7 @@ func TestOneShardSingleFlight(t *testing.T) {
 	eng, gate := gatedEngine(t, ix)
 	var tickets []*Ticket
 	for u := 0; u < 2; u++ {
-		tk, err := eng.Submit(u, q[:1])
+		tk, err := eng.SubmitContext(context.Background(), u, q[:1])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,11 +51,11 @@ type EngineConfig struct {
 	// user's pages safe from another's refinement).
 	Policy Policy
 	// MaxQueue, when > 0, turns admission fail-fast: at most MaxQueue
-	// requests wait in the queue and Submit returns ErrQueueFull
+	// requests wait in the queue and SubmitContext returns ErrQueueFull
 	// instead of blocking when it is full.
 	MaxQueue int
 	// QueryTimeout, when > 0, is the default per-request deadline,
-	// measured from Submit (queue wait counts against it). A tighter
+	// measured from submission (queue wait counts against it). A tighter
 	// deadline on the context passed to SubmitContext still wins.
 	QueryTimeout time.Duration
 	// OnDeadline selects the deadline outcome: AbortOnDeadline
@@ -267,29 +267,13 @@ func policyFactory(p Policy) (func(capacity int) buffer.Policy, error) {
 	return f, nil
 }
 
-// Search is an exact alias of SearchContext with context.Background():
-// same admission, ordering, queue-full shedding (ErrQueueFull with
-// MaxQueue set) and post-Close (ErrEngineClosed) behavior — the only
-// difference is that a background context never cancels. It blocks
-// until the result is ready; calls for the same user from one
-// goroutine execute in call order.
-func (e *Engine) Search(user int, q Query) (*Result, error) {
-	return e.SearchContext(context.Background(), user, q)
-}
-
-// SearchContext is Search bound to a context: canceling it stops the
-// request within one page read. With EngineConfig.QueryTimeout set,
-// the request additionally carries that deadline from submission.
+// SearchContext executes one request for the user and blocks until
+// its result is ready; calls for the same user from one goroutine
+// execute in call order. Canceling ctx stops the request within one
+// page read. With EngineConfig.QueryTimeout set, the request
+// additionally carries that deadline from submission.
 func (e *Engine) SearchContext(ctx context.Context, user int, q Query) (*Result, error) {
 	return e.inner.SearchContext(ctx, user, q)
-}
-
-// Submit is an exact alias of SubmitContext with context.Background():
-// same admission path, including ErrQueueFull when MaxQueue is set and
-// the queue is at capacity, and ErrEngineClosed after Close — the only
-// difference is that a background context never cancels the request.
-func (e *Engine) Submit(user int, q Query) (*Ticket, error) {
-	return e.SubmitContext(context.Background(), user, q)
 }
 
 // SubmitContext enqueues a request bound to ctx and returns

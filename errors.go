@@ -13,11 +13,11 @@ import (
 // site-specific hint), so matching on errors.Is is always safe where
 // matching on message text never was.
 var (
-	// ErrEngineClosed is returned by Engine.Submit/Search once Close
-	// or Shutdown has begun.
+	// ErrEngineClosed is returned by Engine.SubmitContext and
+	// SearchContext once Close or Shutdown has begun.
 	ErrEngineClosed = engine.ErrEngineClosed
-	// ErrQueueFull is returned by Engine.Submit/Search when
-	// EngineConfig.MaxQueue is set and the admission queue is at
+	// ErrQueueFull is returned by Engine.SubmitContext and
+	// SearchContext when EngineConfig.MaxQueue is set and the admission queue is at
 	// capacity: the request was shed, not queued.
 	ErrQueueFull = engine.ErrQueueFull
 	// ErrEmptyQuery is returned when a query has no terms (or only

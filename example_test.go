@@ -1,6 +1,7 @@
 package bufir_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,7 +58,7 @@ func ExampleIndexDocuments() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s.SearchText(`"interest rates"`)
+	res, err := s.SearchTextContext(context.Background(), `"interest rates"`)
 	if err != nil {
 		log.Fatal(err)
 	}

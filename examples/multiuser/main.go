@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -75,23 +76,22 @@ func main() {
 	})
 	segmented := ix.DiskReads()
 
-	// Configuration 2: one shared pool of totalPages with global RAP.
+	// Configuration 2: one shared pool of totalPages with global RAP,
+	// served by a one-worker Engine (user u is the pool identity).
 	ix.ResetDiskReads()
-	pool, err := ix.NewSharedSessionPool(totalPages, bufir.RAP)
+	eng, err := ix.NewEngine(bufir.EngineConfig{
+		Workers:     1,
+		BufferPages: totalPages,
+		Policy:      bufir.RAP,
+		EvalOptions: bufir.EvalOptions{Algorithm: bufir.BAF},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sharedSessions := make([]*bufir.SharedSession, len(userTopics))
-	for u := range sharedSessions {
-		s, err := pool.NewSession(bufir.SessionConfig{EvalOptions: bufir.EvalOptions{Algorithm: bufir.BAF}})
-		if err != nil {
-			log.Fatal(err)
-		}
-		sharedSessions[u] = s
-		defer s.Close()
-	}
+	defer eng.Close()
+	ctx := context.Background()
 	runRounds(sequences, rounds, func(u int, q bufir.Query) error {
-		_, err := sharedSessions[u].Search(q)
+		_, err := eng.SearchContext(ctx, u, q)
 		return err
 	})
 	shared := ix.DiskReads()

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -42,7 +43,7 @@ func main() {
 	}
 
 	// Loose ranked query: every document mentioning the terms scores.
-	loose, err := session.SearchText(`interest rates`)
+	loose, err := session.SearchTextContext(context.Background(), `interest rates`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 	}
 
 	// Quoted phrase: only exact adjacency survives.
-	strict, err := session.SearchText(`"interest rates"`)
+	strict, err := session.SearchTextContext(context.Background(), `"interest rates"`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := s2.SearchText("mortgage housing")
+	res, err := s2.SearchTextContext(context.Background(), "mortgage housing")
 	if err != nil {
 		log.Fatal(err)
 	}

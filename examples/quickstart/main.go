@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -63,7 +64,7 @@ func main() {
 	}
 
 	query := "drastic price increases in American stockmarkets"
-	res, err := session.SearchText(query)
+	res, err := session.SearchTextContext(context.Background(), query)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func main() {
 		res.PagesRead, res.EntriesProcessed, res.Accumulators)
 
 	// A refined query reuses buffered pages: note the drop in reads.
-	res2, err := session.SearchText(query + " investors")
+	res2, err := session.SearchTextContext(context.Background(), query+" investors")
 	if err != nil {
 		log.Fatal(err)
 	}

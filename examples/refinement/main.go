@@ -89,7 +89,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref, res, err := session.StartRefinementOpts(ctx, seq.Refinements[0],
+	ref, res, err := session.StartRefinement(ctx, seq.Refinements[0],
 		bufir.RefineOptions{Incremental: true})
 	if err != nil {
 		log.Fatal(err)

@@ -7,6 +7,7 @@ package bufir
 // mirror the README's fault-injection example.
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -38,7 +39,7 @@ func TestFaultInjectionPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tk, err := eng.Submit(i%6, q)
+		tk, err := eng.SubmitContext(context.Background(), i%6, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ package bufir
 // under an Engine with fault injection layered over the real file.
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -129,7 +130,7 @@ func TestFileBackedEngineWithFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ref.Close()
-		res, err := ref.Search(0, q)
+		res, err := ref.SearchContext(context.Background(), 0, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestFileBackedEngineWithFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	res, err := eng.Search(0, q)
+	res, err := eng.SearchContext(context.Background(), 0, q)
 	if err != nil {
 		t.Fatalf("search over faulty file-backed store: %v", err)
 	}

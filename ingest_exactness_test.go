@@ -341,7 +341,7 @@ func TestIngestExactnessRefinement(t *testing.T) {
 	}
 
 	initial := mkQuery(t, live, map[string]int{exactTerm(0): 1, exactTerm(1): 1})
-	r, res, err := s.StartRefinementOpts(context.Background(), initial, RefineOptions{Incremental: true})
+	r, res, err := s.StartRefinement(context.Background(), initial, RefineOptions{Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestIngestExactnessRefinement(t *testing.T) {
 
 	// ADD-ONLY step on a quiet index: may resume the snapshot.
 	id2 := mkQuery(t, live, map[string]int{exactTerm(2): 1})
-	res, err = r.Add(id2...)
+	res, err = r.AddContext(context.Background(), id2...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestIngestExactnessRefinement(t *testing.T) {
 	c.add(name, counts)
 
 	id3 := mkQuery(t, live, map[string]int{exactTerm(3): 1})
-	res, err = r.Add(id3...)
+	res, err = r.AddContext(context.Background(), id3...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestIngestExactnessRefinement(t *testing.T) {
 
 	// And once more on the new generation: resume is allowed again.
 	id4 := mkQuery(t, live, map[string]int{exactTerm(4): 1})
-	res, err = r.Add(id4...)
+	res, err = r.AddContext(context.Background(), id4...)
 	if err != nil {
 		t.Fatal(err)
 	}

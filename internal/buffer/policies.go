@@ -5,7 +5,7 @@ import "fmt"
 // PolicyNames lists every built-in replacement policy, in the family's
 // presentation order. Each name is accepted by PolicyFactory and — via
 // the public bufir.Policy constants — by every construction surface
-// (Session, Engine, SharedSessionPool, Router, Open).
+// (Session, Engine, Router, Open).
 var PolicyNames = []string{"LRU", "MRU", "RAP", "LRU-2", "2Q", "ADAPTIVE"}
 
 // PolicyFactory maps a policy name to a constructor of fresh policy

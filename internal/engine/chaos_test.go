@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -60,7 +61,7 @@ func TestChaosServingInvariants(t *testing.T) {
 	for i := 0; i < 240; i++ {
 		user := i % 8
 		q := e.Queries[rng.Intn(len(e.Queries))]
-		job, err := eng.Submit(user, q)
+		job, err := eng.SubmitContext(context.Background(), user, q)
 		if err != nil {
 			t.Fatal(err)
 		}

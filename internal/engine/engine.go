@@ -47,10 +47,10 @@ import (
 
 // Sentinel errors, testable with errors.Is.
 var (
-	// ErrEngineClosed is returned by Submit/Search after Close or
-	// Shutdown has begun.
+	// ErrEngineClosed is returned by SubmitContext/SearchContext after
+	// Close or Shutdown has begun.
 	ErrEngineClosed = errors.New("engine: closed")
-	// ErrQueueFull is returned by Submit when MaxQueue is set and the
+	// ErrQueueFull is returned by SubmitContext when MaxQueue is set and the
 	// admission queue is at capacity (the request was shed, not
 	// queued).
 	ErrQueueFull = errors.New("engine: queue full")
@@ -82,15 +82,15 @@ type Config struct {
 	// Params are the evaluator tuning knobs shared by all sessions.
 	Params eval.Params
 	// QueueDepth bounds the number of submitted-but-unfinished
-	// requests before Submit blocks (0 = 4×Workers, minimum 64).
+	// requests before SubmitContext blocks (0 = 4×Workers, minimum 64).
 	// Ignored when MaxQueue is set.
 	QueueDepth int
 	// MaxQueue, when > 0, switches admission to fail-fast: the queue
-	// holds at most MaxQueue requests and Submit returns ErrQueueFull
+	// holds at most MaxQueue requests and SubmitContext returns ErrQueueFull
 	// instead of blocking when it is at capacity.
 	MaxQueue int
 	// QueryTimeout, when > 0, is the default per-request deadline,
-	// measured from Submit (queue wait counts against it, as it does
+	// measured from submission (queue wait counts against it, as it does
 	// for the paper's interactive users). A tighter caller deadline
 	// still wins; SubmitContext composes both.
 	QueryTimeout time.Duration
@@ -141,7 +141,7 @@ func (j *Job) Cancel() { j.cancel() }
 // valid after Wait returns.
 func (j *Job) Service() time.Duration { return j.service }
 
-// QueueWait returns how long the job sat between Submit and execution
+// QueueWait returns how long the job sat between submission and execution
 // start — queue time plus any parking behind the same user's previous
 // job — valid after Wait returns.
 func (j *Job) QueueWait() time.Duration { return j.wait }
@@ -212,9 +212,9 @@ type userState struct {
 }
 
 // Engine is the concurrent query engine. Create with New, submit with
-// Submit or Search (from any number of goroutines), and Close (or
-// Shutdown with a deadline) when done so sessions withdraw from the
-// shared pool's query registry.
+// SubmitContext or SearchContext (from any number of goroutines), and
+// Close (or Shutdown with a deadline) when done so sessions withdraw
+// from the shared pool's query registry.
 type Engine struct {
 	src Source
 	cfg Config
@@ -314,11 +314,6 @@ func NewWithSource(src Source, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Submit is SubmitContext with a background context.
-func (e *Engine) Submit(user int, q eval.Query) (*Job, error) {
-	return e.SubmitContext(context.Background(), user, q)
-}
-
 // SubmitContext enqueues a request bound to ctx and returns its Job
 // handle. Canceling ctx (or its deadline, or the engine's
 // QueryTimeout — whichever fires first) stops the request within one
@@ -379,11 +374,6 @@ func (e *Engine) SubmitContext(ctx context.Context, user int, q eval.Query) (*Jo
 	e.queueDepth.Add(1)
 	us.tail = j.done
 	return j, nil
-}
-
-// Search is Submit followed by Wait.
-func (e *Engine) Search(user int, q eval.Query) (*eval.Result, error) {
-	return e.SearchContext(context.Background(), user, q)
 }
 
 // SearchContext is SubmitContext followed by Wait.

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -127,7 +128,7 @@ func engineRun(t *testing.T, e *experiments.Env, seqs []*refine.Sequence, pages,
 			if j >= len(s.Refinements) {
 				continue
 			}
-			job, err := eng.Submit(u, s.Refinements[j])
+			job, err := eng.SubmitContext(context.Background(), u, s.Refinements[j])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +260,7 @@ func TestSubmitRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				// Users overlap across submitters (g%3).
-				if _, err := eng.Search(g%3, e.Queries[g%2]); err != nil {
+				if _, err := eng.SearchContext(context.Background(), g%3, e.Queries[g%2]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -272,7 +273,7 @@ func TestSubmitRace(t *testing.T) {
 	}
 }
 
-// TestCloseSemantics: Close is idempotent and Submit after Close fails.
+// TestCloseSemantics: Close is idempotent and SubmitContext after Close fails.
 func TestCloseSemantics(t *testing.T) {
 	e := testEnv(t)
 	pool := rapPool(t, e, 16, 1)
@@ -280,12 +281,12 @@ func TestCloseSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Search(0, e.Queries[0]); err != nil {
+	if _, err := eng.SearchContext(context.Background(), 0, e.Queries[0]); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
 	eng.Close()
-	if _, err := eng.Submit(0, e.Queries[0]); err == nil {
+	if _, err := eng.SubmitContext(context.Background(), 0, e.Queries[0]); err == nil {
 		t.Error("Submit after Close should fail")
 	}
 }

@@ -138,7 +138,7 @@ func TestQueueFullShed(t *testing.T) {
 	var jobs []*engine.Job
 	shed := 0
 	for i := 0; i < 20; i++ {
-		j, err := eng.Submit(i%3, e.Queries[i%len(e.Queries)])
+		j, err := eng.SubmitContext(context.Background(), i%3, e.Queries[i%len(e.Queries)])
 		if err != nil {
 			if !errors.Is(err, engine.ErrQueueFull) {
 				t.Fatalf("submit %d: %v", i, err)
@@ -182,7 +182,7 @@ func TestDeadlinePartial(t *testing.T) {
 
 	sawPartial := false
 	for i := 0; i < 8 && !sawPartial; i++ {
-		res, err := eng.Search(0, e.Queries[i%len(e.Queries)])
+		res, err := eng.SearchContext(context.Background(), 0, e.Queries[i%len(e.Queries)])
 		if err != nil {
 			// Deadline before any round completed: still a legal
 			// outcome of the partial policy when nothing accumulated.
@@ -224,7 +224,7 @@ func TestDeadlineAbort(t *testing.T) {
 	e.Store.SetReadLatency(200 * time.Microsecond)
 	defer e.Store.SetReadLatency(0)
 
-	res, err := eng.Search(0, e.Queries[0])
+	res, err := eng.SearchContext(context.Background(), 0, e.Queries[0])
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -255,7 +255,7 @@ func TestCanceledWhileQueued(t *testing.T) {
 	defer e.Store.SetReadLatency(0)
 
 	// Occupy the lone worker, then queue a request and cancel it.
-	first, err := eng.Submit(0, e.Queries[0])
+	first, err := eng.SubmitContext(context.Background(), 0, e.Queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,13 +375,13 @@ func TestOutcomeInvariant(t *testing.T) {
 	}
 }
 
-// TestSubmitAfterCloseSentinel: Submit after Close fails with the
+// TestSubmitAfterCloseSentinel: SubmitContext after Close fails with the
 // ErrEngineClosed sentinel.
 func TestSubmitAfterCloseSentinel(t *testing.T) {
 	e := testEnv(t)
 	eng, pool := newTestEngine(t, 16, 1, 1, engine.Config{})
 	eng.Close()
-	if _, err := eng.Submit(0, e.Queries[0]); !errors.Is(err, engine.ErrEngineClosed) {
+	if _, err := eng.SubmitContext(context.Background(), 0, e.Queries[0]); !errors.Is(err, engine.ErrEngineClosed) {
 		t.Errorf("err = %v, want ErrEngineClosed", err)
 	}
 	assertNoEngineLeaks(t, pool)
@@ -399,7 +399,7 @@ func TestShutdownDeadline(t *testing.T) {
 
 	var jobs []*engine.Job
 	for i := 0; i < 12; i++ {
-		j, err := eng.Submit(i%4, e.Queries[i%len(e.Queries)])
+		j, err := eng.SubmitContext(context.Background(), i%4, e.Queries[i%len(e.Queries)])
 		if err != nil {
 			t.Fatal(err)
 		}

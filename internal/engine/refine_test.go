@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"testing"
@@ -91,7 +92,7 @@ func TestRefineCacheHit(t *testing.T) {
 	defer eng.Close()
 	q := dfOrdered(t, 0)
 
-	first, err := eng.Search(0, q)
+	first, err := eng.SearchContext(context.Background(), 0, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestRefineCacheHit(t *testing.T) {
 		split = split[1:]
 	}
 	for name, resub := range map[string]eval.Query{"identical": q, "permuted": perm, "split": split} {
-		res, err := eng.Search(0, resub)
+		res, err := eng.SearchContext(context.Background(), 0, resub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,13 +150,13 @@ func TestRefineResumeAcrossSubmits(t *testing.T) {
 	}
 	cut := len(q) / 2
 
-	res, err := eng.Search(3, q[:cut])
+	res, err := eng.SearchContext(context.Background(), 3, q[:cut])
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameAnswer(t, "prefix", res, coldResult(t, q[:cut]))
 
-	res, err = eng.Search(3, q)
+	res, err = eng.SearchContext(context.Background(), 3, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestRefineResumeAcrossSubmits(t *testing.T) {
 
 	// Shrinking the query is not ADD-ONLY: the snapshot is dropped,
 	// the evaluation runs cold, and the invalidation is counted.
-	res, err = eng.Search(3, q[1:])
+	res, err = eng.SearchContext(context.Background(), 3, q[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,18 +201,18 @@ func TestRefineCacheLRUBound(t *testing.T) {
 	qA, qB, qC := q[:1], q[:2], q[:3]
 
 	for _, sub := range []eval.Query{qA, qB, qC} { // cache: {B, C}; A evicted
-		if _, err := eng.Search(0, sub); err != nil {
+		if _, err := eng.SearchContext(context.Background(), 0, sub); err != nil {
 			t.Fatal(err)
 		}
 	}
-	resA, err := eng.Search(0, qA) // miss; cache: {C, A}; B evicted
+	resA, err := eng.SearchContext(context.Background(), 0, qA) // miss; cache: {C, A}; B evicted
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resA.Cached {
 		t.Fatal("evicted entry still hit the cache")
 	}
-	resC, err := eng.Search(0, qC) // most recent survivor: hit
+	resC, err := eng.SearchContext(context.Background(), 0, qC) // most recent survivor: hit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,17 +233,17 @@ func TestRefineCachePerUser(t *testing.T) {
 	defer eng.Close()
 	q := dfOrdered(t, 0)
 
-	if _, err := eng.Search(0, q); err != nil {
+	if _, err := eng.SearchContext(context.Background(), 0, q); err != nil {
 		t.Fatal(err)
 	}
-	other, err := eng.Search(1, q)
+	other, err := eng.SearchContext(context.Background(), 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if other.Cached {
 		t.Fatal("user 1 hit user 0's cache entry")
 	}
-	again, err := eng.Search(1, q)
+	again, err := eng.SearchContext(context.Background(), 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +286,14 @@ func TestRefineDegradedNotCached(t *testing.T) {
 	}
 	defer eng.Close()
 
-	res, err := eng.Search(0, q)
+	res, err := eng.SearchContext(context.Background(), 0, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Degraded {
 		t.Fatal("the faulted first page did not degrade the first answer")
 	}
-	clean, err := eng.Search(0, q)
+	clean, err := eng.SearchContext(context.Background(), 0, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestRefineConcurrentUsers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, sub := range steps {
-				res, err := eng.Search(u, sub)
+				res, err := eng.SearchContext(context.Background(), u, sub)
 				if err != nil {
 					errs[u] = err
 					return

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -204,7 +205,7 @@ func (e *Env) runEngineOnce(seqs []*refine.Sequence, totalPages, w, nshards int,
 			if j >= len(s.Refinements) {
 				continue
 			}
-			job, err := eng.Submit(u, s.Refinements[j])
+			job, err := eng.SubmitContext(context.Background(), u, s.Refinements[j])
 			if err != nil {
 				return 0, err
 			}

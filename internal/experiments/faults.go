@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -205,7 +206,7 @@ func (e *Env) runFaultsOnce(seqs []*refine.Sequence, res *FaultsResult, prob flo
 				continue
 			}
 			row.Submitted++
-			job, err := eng.Submit(u, s.Refinements[j])
+			job, err := eng.SubmitContext(context.Background(), u, s.Refinements[j])
 			if err != nil {
 				return row, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -243,7 +244,7 @@ func (e *Env) runLifecycleOnce(seqs []*refine.Sequence, res *LifecycleResult, cf
 				continue
 			}
 			submitted++
-			job, err := eng.Submit(u, s.Refinements[j])
+			job, err := eng.SubmitContext(context.Background(), u, s.Refinements[j])
 			if err != nil {
 				if failFast && errors.Is(err, engine.ErrQueueFull) {
 					continue // shed; the engine counted it

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -160,7 +161,7 @@ func (e *Env) RunObs(addr string, users, workers, shards int, readLatency time.D
 			if j >= len(s.Refinements) {
 				continue
 			}
-			job, err := eng.Submit(u, s.Refinements[j])
+			job, err := eng.SubmitContext(context.Background(), u, s.Refinements[j])
 			if err != nil {
 				return nil, err
 			}

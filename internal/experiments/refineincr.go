@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -118,7 +119,7 @@ func (e *Env) RunRefineIncr(topics int) (*RefineIncrResult, error) {
 // refineIncrStep submits q for user ti and evaluates it cold, pairing
 // the two into one comparison row.
 func (e *Env) refineIncrStep(eng *engine.Engine, ti int, q eval.Query) (RefineIncrStep, error) {
-	incr, err := eng.Search(ti, q)
+	incr, err := eng.SearchContext(context.Background(), ti, q)
 	if err != nil {
 		return RefineIncrStep{}, err
 	}

@@ -231,3 +231,26 @@ func TestRefineIncrExperiment(t *testing.T) {
 	}
 	t.Logf("refine-incr:\n%s", buf.String())
 }
+
+// TestIngestExperiment gates E28's three verdicts at tiny scale: the
+// frozen phase answers exactly, no reader sees its epoch go backwards,
+// and the merged generation is bit-identical to a pure-delta replay.
+func TestIngestExperiment(t *testing.T) {
+	env := newTinyEnv(t)
+	r, err := env.RunIngest(4, 40)
+	if err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	var buf bytes.Buffer
+	r.Format(&buf)
+	if !r.FrozenExact {
+		t.Error("frozen phase not exact")
+	}
+	if !r.MonotoneEpochs {
+		t.Error("a reader observed its epoch go backwards")
+	}
+	if !r.ExactAfterMerge {
+		t.Error("merged generation differs from the pure-delta replay")
+	}
+	t.Logf("ingest:\n%s", buf.String())
+}

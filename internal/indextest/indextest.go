@@ -17,6 +17,7 @@
 package indextest
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -117,7 +118,7 @@ func answer(t *testing.T, ix *bufir.Index, opts bufir.EvalOptions, query string)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	res, err := s.SearchText(query)
+	res, err := s.SearchTextContext(context.Background(), query)
 	if err != nil {
 		t.Fatalf("SearchText(%q): %v", query, err)
 	}
@@ -203,7 +204,7 @@ func deliveredPages(t *testing.T, backends []Backend, docs []bufir.Document) {
 				t.Fatal(err)
 			}
 			ix.ResetDiskReads()
-			res, err := s.SearchText(queries[1])
+			res, err := s.SearchTextContext(context.Background(), queries[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +212,7 @@ func deliveredPages(t *testing.T, backends []Backend, docs []bufir.Document) {
 				t.Errorf("cold search: store delivered %d pages, result charged %d", got, res.PagesRead)
 			}
 			ix.ResetDiskReads()
-			res2, err := s.SearchText(queries[1])
+			res2, err := s.SearchTextContext(context.Background(), queries[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +326,7 @@ func swapIsolation(t *testing.T, b Backend, docs []bufir.Document) {
 					return
 				default:
 				}
-				res, err := s.SearchText(query)
+				res, err := s.SearchTextContext(context.Background(), query)
 				if err != nil {
 					t.Error(err)
 					return

@@ -9,7 +9,7 @@ import (
 )
 
 // TestExtractPhrasesEdgeCases pins the quote-parsing behavior of
-// SearchText's phrase extraction at its boundaries.
+// SearchTextContext's phrase extraction at its boundaries.
 func TestExtractPhrasesEdgeCases(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -136,7 +136,7 @@ func TestSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Search(0, q); !errors.Is(err, ErrEngineClosed) {
+	if _, err := eng.SearchContext(context.Background(), 0, q); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("closed engine: err = %v, want ErrEngineClosed", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestEngineRequestLifecycle(t *testing.T) {
 	var tickets []*Ticket
 	shed := 0
 	for i := 0; i < 16; i++ {
-		tk, err := eng.Submit(i%2, q)
+		tk, err := eng.SubmitContext(context.Background(), i%2, q)
 		if err != nil {
 			if !errors.Is(err, ErrQueueFull) {
 				t.Fatal(err)
@@ -185,8 +185,8 @@ func TestEngineRequestLifecycle(t *testing.T) {
 			t.Errorf("accepted request failed: %v", err)
 		}
 	}
-	if st := eng.Stats(); st.Shed != int64(shed) {
-		t.Errorf("Stats().Shed = %d, want %d", st.Shed, shed)
+	if st := eng.Stats(); st.Shed != int64(shed) || st.Queries != int64(len(tickets)) {
+		t.Errorf("Stats() Shed = %d, Queries = %d, want %d shed, %d admitted", st.Shed, st.Queries, shed, len(tickets))
 	}
 	eng.Close()
 
@@ -224,7 +224,7 @@ func TestEngineRequestLifecycle(t *testing.T) {
 		t.Errorf("Shutdown = %v", err)
 	}
 	eng2.Close()
-	if _, err := eng2.Submit(0, q); !errors.Is(err, ErrEngineClosed) {
+	if _, err := eng2.SubmitContext(context.Background(), 0, q); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("Submit after Shutdown: err = %v, want ErrEngineClosed", err)
 	}
 }

@@ -9,6 +9,7 @@ package bufir
 // non-test dependency graph.
 
 import (
+	"context"
 	"testing"
 )
 
@@ -32,7 +33,7 @@ func TestObsSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Search(i%3, q); err != nil {
+		if _, err := eng.SearchContext(context.Background(), i%3, q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ package obshttp_test
 // agrees with the engine's own counters.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -43,7 +44,7 @@ func TestEngineEndpointEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Search(i, q); err != nil {
+		if _, err := eng.SearchContext(context.Background(), i, q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -338,11 +338,6 @@ func (s *Service) RefineContext(ctx context.Context, user int, q Query) (*Result
 	return s.searcher.RefineContext(ctx, user, q)
 }
 
-// Search is an exact alias of SearchContext with context.Background().
-func (s *Service) Search(user int, q Query) (*Result, error) {
-	return s.searcher.SearchContext(context.Background(), user, q)
-}
-
 // EnableLiveUpdates turns every partition index mutable (see
 // Index.EnableLiveUpdates), after which IngestContext accepts
 // documents. For a sharded deployment each partition ingests, commits
@@ -372,17 +367,14 @@ func (s *Service) IngestContext(ctx context.Context, doc Document) (DocID, error
 }
 
 // MergeContext merges every partition's pending delta (see
-// Ingester.MergeContext). MergeAll is the background-free way to end
-// a merge storm deterministically in tests and benchmarks.
+// Ingester.MergeContext). Called with context.Background() it is the
+// way to end a merge storm deterministically in tests and benchmarks.
 func (s *Service) MergeContext(ctx context.Context) error {
 	if s.router != nil {
 		return s.router.MergeContext(ctx)
 	}
 	return s.engines[0].MergeContext(ctx)
 }
-
-// MergeAll is MergeContext with a background context.
-func (s *Service) MergeAll() error { return s.MergeContext(context.Background()) }
 
 // Epoch reports the deployment's generation number (the maximum
 // across partitions when sharded; partitions drift independently).

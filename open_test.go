@@ -24,7 +24,7 @@ func TestOpenSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Search(0, q)
+	res, err := svc.SearchContext(context.Background(), 0, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestOpenSyntheticSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Search(0, q)
+	res, err := svc.SearchContext(context.Background(), 0, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package bufir
 import "bufir/internal/eval"
 
 // EvalOptions is the set of evaluation knobs shared by every way of
-// running queries — private Sessions (SessionConfig), sessions on a
-// SharedSessionPool, and the concurrent Engine (EngineConfig). The
-// configs embed it, so the knobs read the same everywhere; in
+// running queries — private Sessions (SessionConfig) and the
+// concurrent Engine (EngineConfig), whose one shared pool serves every
+// user. The configs embed it, so the knobs read the same everywhere; in
 // composite literals set them through the embedded field:
 //
 //	bufir.SessionConfig{EvalOptions: bufir.EvalOptions{Algorithm: bufir.BAF}}
@@ -20,9 +20,9 @@ type EvalOptions struct {
 	// CAdd and CIns are the filtering constants. Both zero selects the
 	// config's default tuning — the paper's WSJ calibration
 	// (CAdd=0.002, CIns=0.07) for private Sessions, the
-	// collection-tuned constants for Engines and shared-pool sessions
-	// (their workloads run on the synthetic collection the tuning was
-	// fit to) — unless Unfiltered is set.
+	// collection-tuned constants for Engines (their workloads run on
+	// the synthetic collection the tuning was fit to) — unless
+	// Unfiltered is set.
 	CAdd, CIns float64
 	// Unfiltered disables the unsafe optimization entirely (safe,
 	// exhaustive evaluation).

@@ -1,6 +1,7 @@
 package bufir
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -17,8 +18,8 @@ var policyFamily = []Policy{LRU, MRU, RAP, LRU2, TwoQ, Adaptive}
 var familyEvalOptions = EvalOptions{Algorithm: DF, CAdd: 0.005, CIns: 0.15}
 
 // TestPolicyFamilyEndToEnd: every policy constant must be accepted by
-// every public entry point — private Session, concurrent Engine,
-// SharedSessionPool, and the scatter-gather Router — and a 1-worker
+// every public entry point — private Session, concurrent Engine and
+// the scatter-gather Router — and a 1-worker
 // Engine must replay a serial Session's refinement stream
 // bit-identically (DF's rankings are buffer-independent, and with one
 // worker the page-reference stream is too, so even the read counters
@@ -61,7 +62,7 @@ func TestPolicyFamilyEndToEnd(t *testing.T) {
 			}
 			defer eng.Close()
 			for i, step := range steps {
-				res, err := eng.Search(0, step)
+				res, err := eng.SearchContext(context.Background(), 0, step)
 				if err != nil {
 					t.Fatalf("engine step %d: %v", i, err)
 				}
@@ -69,20 +70,6 @@ func TestPolicyFamilyEndToEnd(t *testing.T) {
 					t.Fatalf("%s: engine step %d differs from serial session\nsession: %+v\nengine:  %+v",
 						pol, i, want[i], got)
 				}
-			}
-
-			// SharedSessionPool accepts the policy and serves queries.
-			pool, err := ix.NewSharedSessionPool(pages, pol)
-			if err != nil {
-				t.Fatalf("NewSharedSessionPool(%s): %v", pol, err)
-			}
-			ps, err := pool.NewSession(SessionConfig{EvalOptions: familyEvalOptions})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ps.Close()
-			if res, err := ps.Search(q); err != nil || len(res.Top) == 0 {
-				t.Fatalf("pool session search: %v (top %d)", err, 0)
 			}
 
 			// Router over a backend Engine running the policy.
@@ -97,7 +84,7 @@ func TestPolicyFamilyEndToEnd(t *testing.T) {
 			}
 			defer router.Close()
 			for i, step := range steps {
-				res, err := router.Search(0, step)
+				res, err := router.SearchContext(context.Background(), 0, step)
 				if err != nil {
 					t.Fatalf("routed step %d: %v", i, err)
 				}
@@ -129,7 +116,7 @@ func TestPolicyFamilyDeterministicReplay(t *testing.T) {
 				defer eng.Close()
 				var out []*Result
 				for _, step := range addOnlySteps(q) {
-					res, err := eng.Search(0, step)
+					res, err := eng.SearchContext(context.Background(), 0, step)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -149,13 +136,12 @@ func TestPolicyFamilyDeterministicReplay(t *testing.T) {
 // unknown policy name with ErrUnknownPolicy.
 func TestPolicyFamilyUnknownRejected(t *testing.T) {
 	_, ix := testIndex(t)
-	if _, err := ix.NewSession(SessionConfig{Policy: "CLOCK"}); !errors.Is(err, ErrUnknownPolicy) {
-		t.Errorf("NewSession: got %v, want ErrUnknownPolicy", err)
-	}
-	if _, err := ix.NewEngine(EngineConfig{Policy: "CLOCK"}); !errors.Is(err, ErrUnknownPolicy) {
-		t.Errorf("NewEngine: got %v, want ErrUnknownPolicy", err)
-	}
-	if _, err := ix.NewSharedSessionPool(8, "CLOCK"); !errors.Is(err, ErrUnknownPolicy) {
-		t.Errorf("NewSharedSessionPool: got %v, want ErrUnknownPolicy", err)
+	for _, pol := range []Policy{"CLOCK", "BOGUS"} {
+		if _, err := ix.NewSession(SessionConfig{Policy: pol}); !errors.Is(err, ErrUnknownPolicy) {
+			t.Errorf("NewSession(%s): got %v, want ErrUnknownPolicy", pol, err)
+		}
+		if _, err := ix.NewEngine(EngineConfig{Policy: pol, BufferPages: 8}); !errors.Is(err, ErrUnknownPolicy) {
+			t.Errorf("NewEngine(%s): got %v, want ErrUnknownPolicy", pol, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package bufir
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -68,33 +69,6 @@ func TestSessionSafeMethodsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSharedPoolSafeMethod: a shared-pool session running a safe
-// method answers exactly, concurrently warmed pool and all.
-func TestSharedPoolSafeMethod(t *testing.T) {
-	col, ix := testIndex(t)
-	sp, err := ix.NewSharedSessionPool(64, RAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sp.NewSession(SessionConfig{EvalOptions: EvalOptions{Algorithm: NRA, TopN: 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for _, topic := range col.Topics {
-		q, err := ix.TopicQuery(topic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := searchTop(t, ix, DF, 10, q)
-		res, err := s.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRanking(t, "shared-pool NRA", res.Top, want)
-	}
-}
-
 // TestEngineSafeMethod: the concurrent engine with a safe method —
 // including its refinement path, which has no snapshots to resume —
 // stays exact.
@@ -115,7 +89,7 @@ func TestEngineSafeMethod(t *testing.T) {
 	}
 	for _, sub := range []Query{q[:1], q} { // a growing refinement
 		want := searchTop(t, ix, DF, 10, sub)
-		res, err := eng.Search(0, sub)
+		res, err := eng.SearchContext(context.Background(), 0, sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +130,7 @@ func TestRouterSafeMethodsMatchSingleIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := searchTop(t, ix, DF, topN, q)
-			got, err := router.Search(0, q)
+			got, err := router.SearchContext(context.Background(), 0, q)
 			if err != nil {
 				t.Fatalf("%s topic %d: %v", m.name, ti, err)
 			}
@@ -220,7 +194,7 @@ func TestRouterCrossShardEqualScoreTieBreak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := router.Search(0, q)
+		got, err := router.SearchContext(context.Background(), 0, q)
 		if err != nil {
 			t.Fatal(err)
 		}

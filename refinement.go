@@ -87,22 +87,10 @@ type RefinementStep struct {
 }
 
 // StartRefinement begins a refinement session with the initial query
-// and evaluates it. It is StartRefinementContext with a background
-// context.
-func (s *Session) StartRefinement(initial Query) (*Refinement, *Result, error) {
-	return s.StartRefinementContext(context.Background(), initial)
-}
-
-// StartRefinementContext begins a refinement session under a request
-// context (see SearchContext for the cancellation contract).
-func (s *Session) StartRefinementContext(ctx context.Context, initial Query) (*Refinement, *Result, error) {
-	return s.StartRefinementOpts(ctx, initial, RefineOptions{})
-}
-
-// StartRefinementOpts begins a refinement session with explicit
-// options; see RefineOptions.Incremental for evaluation-state reuse
+// and evaluates it under ctx (see SearchContext for the cancellation
+// contract); see RefineOptions.Incremental for evaluation-state reuse
 // across ADD-ONLY steps.
-func (s *Session) StartRefinementOpts(ctx context.Context, initial Query, opts RefineOptions) (*Refinement, *Result, error) {
+func (s *Session) StartRefinement(ctx context.Context, initial Query, opts RefineOptions) (*Refinement, *Result, error) {
 	r := &Refinement{session: s, opts: opts}
 	res, err := r.resubmit(ctx, initial)
 	if err != nil {
@@ -116,18 +104,12 @@ func (r *Refinement) Current() Query {
 	return append(Query{}, r.current...)
 }
 
-// Add appends terms to the query and resubmits it. Terms already in
-// the query have their frequencies raised instead (repeated terms come
-// from relevance feedback, §2.2). It is AddContext with a background
-// context.
-func (r *Refinement) Add(terms ...QueryTerm) (*Result, error) {
-	return r.AddContext(context.Background(), terms...)
-}
-
-// AddContext is Add under a request context. A canceled or expired
-// step commits nothing: the current query, History and the carried
-// snapshot all keep their pre-step state, and the anytime partial
-// result is returned alongside the context's error (see
+// AddContext appends terms to the query and resubmits it under ctx.
+// Terms already in the query have their frequencies raised instead
+// (repeated terms come from relevance feedback, §2.2). A canceled or
+// expired step commits nothing: the current query, History and the
+// carried snapshot all keep their pre-step state, and the anytime
+// partial result is returned alongside the context's error (see
 // SearchContext).
 func (r *Refinement) AddContext(ctx context.Context, terms ...QueryTerm) (*Result, error) {
 	if len(terms) == 0 {
@@ -150,14 +132,8 @@ func (r *Refinement) AddContext(ctx context.Context, terms ...QueryTerm) (*Resul
 	return r.resubmit(ctx, next)
 }
 
-// Drop removes a term from the query and resubmits it. It is
-// DropContext with a background context.
-func (r *Refinement) Drop(term TermID) (*Result, error) {
-	return r.DropContext(context.Background(), term)
-}
-
-// DropContext is Drop under a request context (see AddContext for the
-// mid-step cancellation contract).
+// DropContext removes a term from the query and resubmits it under
+// ctx (see AddContext for the mid-step cancellation contract).
 func (r *Refinement) DropContext(ctx context.Context, term TermID) (*Result, error) {
 	next := make(Query, 0, len(r.current))
 	for _, qt := range r.current {

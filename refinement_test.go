@@ -34,7 +34,7 @@ func TestRefinementSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, res, err := s.StartRefinement(q[:3])
+	ref, res, err := s.StartRefinement(context.Background(), q[:3], RefineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRefinementSession(t *testing.T) {
 	}
 
 	// Add the next three terms.
-	if _, err := ref.Add(q[3], q[4], q[5]); err != nil {
+	if _, err := ref.AddContext(context.Background(), q[3], q[4], q[5]); err != nil {
 		t.Fatal(err)
 	}
 	if len(ref.Current()) != 6 {
@@ -55,7 +55,7 @@ func TestRefinementSession(t *testing.T) {
 
 	// Adding an existing term raises its frequency.
 	before := ref.Current()
-	if _, err := ref.Add(QueryTerm{Term: q[0].Term, Fqt: 2}); err != nil {
+	if _, err := ref.AddContext(context.Background(), QueryTerm{Term: q[0].Term, Fqt: 2}); err != nil {
 		t.Fatal(err)
 	}
 	after := ref.Current()
@@ -69,7 +69,7 @@ func TestRefinementSession(t *testing.T) {
 	}
 
 	// Drop a term.
-	if _, err := ref.Drop(q[1].Term); err != nil {
+	if _, err := ref.DropContext(context.Background(), q[1].Term); err != nil {
 		t.Fatal(err)
 	}
 	if len(ref.Current()) != 5 {
@@ -82,18 +82,18 @@ func TestRefinementSession(t *testing.T) {
 	}
 
 	// Error paths: unknown drop, empty add, dropping to empty.
-	if _, err := ref.Drop(q[1].Term); err == nil {
+	if _, err := ref.DropContext(context.Background(), q[1].Term); err == nil {
 		t.Error("dropping an absent term should fail")
 	}
-	if _, err := ref.Add(); err == nil {
+	if _, err := ref.AddContext(context.Background()); err == nil {
 		t.Error("empty add should fail")
 	}
 	for len(ref.Current()) > 1 {
-		if _, err := ref.Drop(ref.Current()[0].Term); err != nil {
+		if _, err := ref.DropContext(context.Background(), ref.Current()[0].Term); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ref.Drop(ref.Current()[0].Term); err == nil {
+	if _, err := ref.DropContext(context.Background(), ref.Current()[0].Term); err == nil {
 		t.Error("dropping the last term should fail")
 	}
 
@@ -156,7 +156,7 @@ func TestRefinementTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, _, err := s.StartRefinement(initial)
+		ref, _, err := s.StartRefinement(context.Background(), initial, RefineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestRefinementTable(t *testing.T) {
 		{
 			name: "add raises duplicate frequency",
 			run: func(t *testing.T, ref *Refinement) error {
-				_, err := ref.Add(QueryTerm{Term: q[0].Term, Fqt: 3})
+				_, err := ref.AddContext(context.Background(), QueryTerm{Term: q[0].Term, Fqt: 3})
 				return err
 			},
 			check: func(t *testing.T, ref *Refinement) {
@@ -189,7 +189,7 @@ func TestRefinementTable(t *testing.T) {
 		{
 			name: "add nothing fails",
 			run: func(t *testing.T, ref *Refinement) error {
-				_, err := ref.Add()
+				_, err := ref.AddContext(context.Background())
 				return err
 			},
 			wantErr: true,
@@ -197,7 +197,7 @@ func TestRefinementTable(t *testing.T) {
 		{
 			name: "drop unknown term fails without committing",
 			run: func(t *testing.T, ref *Refinement) error {
-				_, err := ref.Drop(q[2].Term)
+				_, err := ref.DropContext(context.Background(), q[2].Term)
 				return err
 			},
 			wantErr: true,
@@ -210,10 +210,10 @@ func TestRefinementTable(t *testing.T) {
 		{
 			name: "drop to last term then fail",
 			run: func(t *testing.T, ref *Refinement) error {
-				if _, err := ref.Drop(q[0].Term); err != nil {
+				if _, err := ref.DropContext(context.Background(), q[0].Term); err != nil {
 					return err
 				}
-				_, err := ref.Drop(q[1].Term)
+				_, err := ref.DropContext(context.Background(), q[1].Term)
 				return err
 			},
 			wantErr: true,
@@ -226,10 +226,10 @@ func TestRefinementTable(t *testing.T) {
 		{
 			name: "history sums disk reads",
 			run: func(t *testing.T, ref *Refinement) error {
-				if _, err := ref.Add(q[2]); err != nil {
+				if _, err := ref.AddContext(context.Background(), q[2]); err != nil {
 					return err
 				}
-				_, err := ref.Drop(q[2].Term)
+				_, err := ref.DropContext(context.Background(), q[2].Term)
 				return err
 			},
 			check: func(t *testing.T, ref *Refinement) {
@@ -298,13 +298,13 @@ func TestIncrementalRefinementBitIdentical(t *testing.T) {
 		return res
 	}
 
-	ref, res, err := s.StartRefinementOpts(context.Background(), q[:3], RefineOptions{Incremental: true})
+	ref, res, err := s.StartRefinement(context.Background(), q[:3], RefineOptions{Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	equalRankings(t, "initial", res, coldOf(t, ref.Current()))
 
-	res, err = ref.Add(q[3], q[4])
+	res, err = ref.AddContext(context.Background(), q[3], q[4])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestIncrementalRefinementBitIdentical(t *testing.T) {
 	}
 
 	// DROP invalidates: the evaluation runs cold and says so.
-	res, err = ref.Drop(q[0].Term)
+	res, err = ref.DropContext(context.Background(), q[0].Term)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestIncrementalRefinementBitIdentical(t *testing.T) {
 
 	// The post-drop evaluation reseeded the snapshot: adding again
 	// resumes again.
-	res, err = ref.Add(q[5])
+	res, err = ref.AddContext(context.Background(), q[5])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestRefinementCancelMidStepConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := s.StartRefinementOpts(context.Background(), q[:3], RefineOptions{Incremental: true})
+	ref, _, err := s.StartRefinement(context.Background(), q[:3], RefineOptions{Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestRefinementDegradedStepKeepsSnapshotHonest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, res, err := s.StartRefinementOpts(context.Background(), q[:3], RefineOptions{Incremental: true})
+	ref, res, err := s.StartRefinement(context.Background(), q[:3], RefineOptions{Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestRefinementDegradedStepKeepsSnapshotHonest(t *testing.T) {
 	// faults. Every truncated round was recorded not-clean, so if the
 	// snapshot is honest the passes converge to a clean result.
 	for i := 0; res.Degraded && i < 20; i++ {
-		res, err = ref.Add(QueryTerm{Term: q[0].Term, Fqt: 1})
+		res, err = ref.AddContext(context.Background(), QueryTerm{Term: q[0].Term, Fqt: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -508,7 +508,7 @@ func TestRefinementDegradedStepKeepsSnapshotHonest(t *testing.T) {
 	// DF-order term's frequency reuses every round before it and stays
 	// exact — the earlier degraded steps did not poison the carried
 	// state.
-	res, err = ref.Add(QueryTerm{Term: q[2].Term, Fqt: 1})
+	res, err = ref.AddContext(context.Background(), QueryTerm{Term: q[2].Term, Fqt: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

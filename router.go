@@ -85,14 +85,6 @@ func NewRouter(shards []Searcher, cfg RouterConfig) (*Router, error) {
 // NumShards returns the number of partitions behind the router.
 func (r *Router) NumShards() int { return len(r.shards) }
 
-// Search is an exact alias of SearchContext with context.Background():
-// identical fan-out, merge and counter effects — the only difference
-// is that a background context never cancels (per-shard budgets from
-// RouterConfig.ShardTimeout still apply).
-func (r *Router) Search(user int, q Query) (*Result, error) {
-	return r.SearchContext(context.Background(), user, q)
-}
-
 // SearchContext scatters the query to every shard under ctx (plus the
 // per-shard budget), gathers the per-shard top-k, and merges by score
 // descending with DocID ascending as the deterministic tie-break —

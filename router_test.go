@@ -102,8 +102,8 @@ func TestRouterSingleShardIdenticalE12(t *testing.T) {
 			defer router.Close()
 			for i, req := range stream {
 				user, q := req[0].(int), req[1].(Query)
-				want, errA := direct.Search(user, q)
-				got, errB := router.Search(user, q)
+				want, errA := direct.SearchContext(context.Background(), user, q)
+				got, errB := router.SearchContext(context.Background(), user, q)
 				if (errA == nil) != (errB == nil) {
 					t.Fatalf("step %d: direct err %v, routed err %v", i, errA, errB)
 				}
@@ -162,11 +162,11 @@ func TestRouterMergeEqualsSingleIndex(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := single.Search(0, q)
+				want, err := single.SearchContext(context.Background(), 0, q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := router.Search(0, q)
+				got, err := router.SearchContext(context.Background(), 0, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,7 +219,7 @@ func TestRouterMergeFilteredLegalRanking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := router.Search(0, q)
+		res, err := router.SearchContext(context.Background(), 0, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestRouterDegradedOnMissingShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := router.Search(0, q)
+	res, err := router.SearchContext(context.Background(), 0, q)
 	if err != nil {
 		t.Fatalf("default tolerance: want degraded answer, got error %v", err)
 	}
@@ -304,7 +304,7 @@ func TestRouterDegradedOnMissingShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer strict.Close()
-	if _, err := strict.Search(0, q); !errors.Is(err, errShardDown) {
+	if _, err := strict.SearchContext(context.Background(), 0, q); !errors.Is(err, errShardDown) {
 		t.Errorf("MaxFailures -1: want wrapped shard error, got %v", err)
 	}
 	st = strict.Stats()
@@ -356,7 +356,7 @@ func TestRouterShardTimeoutChaos(t *testing.T) {
 			for i := 0; i < perUser; i++ {
 				switch i % 3 {
 				case 0: // plain request under the shard budget only
-					router.Search(u, q)
+					router.SearchContext(context.Background(), u, q)
 				case 1: // parent canceled before the fan-out
 					ctx, cancel := context.WithCancel(context.Background())
 					cancel()
@@ -412,7 +412,7 @@ func TestRouterObsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := router.Search(0, q); err != nil {
+	if _, err := router.SearchContext(context.Background(), 0, q); err != nil {
 		t.Fatal(err)
 	}
 	snap := router.ObsSnapshot()

@@ -12,8 +12,8 @@ import (
 
 // Searcher is the backend-neutral serving contract implemented by
 // every way of answering queries concurrently: the worker-pool Engine,
-// a SharedSession on a SharedSessionPool, and the scatter-gather
-// Router over document partitions. Code that serves queries — cmd
+// the scatter-gather Router over document partitions, and the Service
+// that wraps one or the other. Code that serves queries — cmd
 // binaries, the HTTP tier, experiments — programs against Searcher and
 // runs unchanged over a single engine or a sharded deployment.
 //
@@ -25,9 +25,8 @@ import (
 //     alongside the context's error, or in place of it, per the
 //     implementation's deadline policy.
 //   - RefineContext is SearchContext routed through the refinement
-//     path where the implementation has one (Engine with
-//     EngineConfig.Refine); implementations without refinement state
-//     document it as an exact alias of SearchContext.
+//     path (Engine with EngineConfig.Refine; a Router forwards it to
+//     every shard).
 //   - Stats returns the implementation's serving counters. At
 //     quiescence every executed request lands in exactly one outcome
 //     bucket: Queries == Completed + Timeouts + Canceled + Errors +
@@ -41,11 +40,10 @@ type Searcher interface {
 	Close() error
 }
 
-// Compile-time conformance: the three serving surfaces stay on the
-// shared contract.
+// Compile-time conformance: the serving surfaces stay on the shared
+// contract.
 var (
 	_ Searcher = (*Engine)(nil)
-	_ Searcher = (*SharedSession)(nil)
 	_ Searcher = (*Router)(nil)
 	_ Searcher = (*Service)(nil)
 )
@@ -93,9 +91,9 @@ type resolvedConfig struct {
 }
 
 // resolveConfig is the single defaulting path for the construction
-// knobs shared by Sessions, shared-pool sessions, and Engines: buffer
-// capacity (default 128 pages), replacement policy (defaultPolicy when
-// unset — LRU for private sessions, RAP for shared pools), and the
+// knobs shared by Sessions and Engines: buffer capacity (default 128
+// pages), replacement policy (defaultPolicy when unset — LRU for
+// private sessions, RAP for the Engine's shared pool), and the
 // evaluation parameters via EvalOptions.params with the caller's
 // filtering-constant fallback. Every public constructor routes through
 // here, so policy resolution and parameter validation exist in exactly
@@ -123,8 +121,8 @@ func resolveConfig(o EvalOptions, policy Policy, bufferPages int, defaultPolicy 
 // reads the same regardless of backend: exactly one outcome bucket per
 // request (Completed, Timeouts, Canceled, Errors, or Degraded), cost
 // counters charged for whatever actually ran, Partials marking the
-// timed-out requests that carried an anytime answer. SharedSession and
-// Router both record through here.
+// timed-out requests that carried an anytime answer. The Router
+// records through here.
 func recordOutcome(c *metrics.ServingCounters, res *Result, err error, service time.Duration) {
 	c.Queries.Add(1)
 	c.ServiceNanos.Add(int64(service))

@@ -10,7 +10,7 @@ import (
 // bound together so no query ever mixes state from two generations.
 // Views are immutable after publication; live ingestion and merges
 // publish fresh views instead of mutating, and every serving surface
-// (Session, Engine, shared-pool sessions) binds a query to exactly one
+// (Session, Engine, Router) binds a query to exactly one
 // view.
 //
 // The epoch is the invalidation key the rest of the system hangs off:

@@ -104,12 +104,14 @@ cover:
 # Fault smoke gate: the seeded-fault regression tests of every layer —
 # loader retry/backoff, waiter re-attempt, residency-at-failure, victim
 # backpressure, the pinned serial fault trace, the eval fault budget, and
-# the engine chaos invariants — under -race.
+# the engine chaos invariants — under -race. The chaos runs depend on
+# goroutine interleaving, so they run ten times.
 .PHONY: faults-smoke
 faults-smoke:
 	$(GO) test -race -count=1 \
 		-run 'TestLoaderRetries|TestRetryBudget|TestPermanentFault|TestWaiterReattempts|TestFailedLoadDrops|TestVictimWait|TestSerialShardedFaultParity|TestChaos|TestFaultBudget|TestFault' \
-		./internal/buffer ./internal/eval ./internal/engine ./internal/storage .
+		./internal/buffer ./internal/eval ./internal/storage .
+	$(GO) test -race -count=10 -run TestChaos ./internal/engine
 
 bench:
 	$(GO) test -run=xxx -bench=. -benchtime=1x .

@@ -13,6 +13,7 @@ import (
 	"bufir/internal/codec"
 	"bufir/internal/corpus"
 	"bufir/internal/docindex"
+	"bufir/internal/engine"
 	"bufir/internal/eval"
 	"bufir/internal/indexfile"
 	"bufir/internal/livedex"
@@ -642,8 +643,9 @@ type SessionConfig struct {
 	Fault FaultToleranceOptions
 }
 
-// Session is a search session: an Index plus a private buffer pool.
-// Sessions are not safe for concurrent use; create one per user.
+// Session is a search session: one engine user, stepped inline, over
+// a private 1-shard buffer pool of its Index. Sessions are not safe for
+// concurrent use; create one per user.
 //
 // A session binds to one published view of its index at a time. When
 // the index moves on (live commit, merge swap, InjectFaults), the next
@@ -654,15 +656,9 @@ type SessionConfig struct {
 // evaluation runs entirely against the view it started on, and its
 // Result is stamped with that view's epoch.
 type Session struct {
-	ix    *Index
-	rc    resolvedConfig
-	fault FaultToleranceOptions
-	algo  Algorithm
-
-	// Current binding (rebuilt by rebind when ix publishes a new view).
-	v   *idxView
-	ev  *eval.Evaluator
-	mgr *buffer.Manager
+	ix   *Index
+	algo Algorithm
+	user *engine.User
 }
 
 // NewSession creates a session over the index.
@@ -671,43 +667,18 @@ func (ix *Index) NewSession(cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{ix: ix, rc: rc, fault: cfg.Fault, algo: cfg.Algorithm}
-	if err := s.bind(ix.view()); err != nil {
+	src := &poolSource{ix: ix, rc: rc, shards: 1, fault: cfg.Fault}
+	user, err := engine.NewUser(src, 0, rc.params)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// bind (re)builds the session's pool and evaluator against view v.
-func (s *Session) bind(v *idxView) error {
-	mgr, err := buffer.NewManager(s.rc.bufferPages, 1, v.store, v.ix, s.rc.newPolicy)
-	if err != nil {
-		return err
-	}
-	applyFaultOptions(mgr, s.fault, nil)
-	ev, err := eval.NewEvaluator(v.ix, mgr, v.conv, s.rc.params)
-	if err != nil {
-		return err
-	}
-	s.v, s.mgr, s.ev = v, mgr, ev
-	return nil
-}
-
-// rebind refreshes the binding if the index has published a new view
-// since the session last looked. The view pointer, not the epoch, is
-// the identity: a same-epoch republication (InjectFaults) also
-// rebinds.
-func (s *Session) rebind() error {
-	if v := s.ix.view(); v != s.v {
-		return s.bind(v)
-	}
-	return nil
+	return &Session{ix: ix, algo: cfg.Algorithm, user: user}, nil
 }
 
 // Epoch returns the index generation the session is currently bound
 // to (the epoch its next Search will run at, barring a concurrent
 // publication).
-func (s *Session) Epoch() uint64 { return s.v.epoch }
+func (s *Session) Epoch() uint64 { return s.user.Epoch() }
 
 // Search is an exact alias of SearchContext with context.Background():
 // identical evaluation on every path — the only difference is that a
@@ -721,15 +692,11 @@ func (s *Session) Search(q Query) (*Result, error) {
 // round and page boundary: canceling it (or an expiring deadline)
 // stops the evaluation within one page read. On a context error the
 // anytime partial answer is returned alongside it (Result.Partial
-// set); see Result.
+// set); see Result. An I/O error mid-evaluation returns, alongside it,
+// a Result with no answer that carries the cost of the pages read
+// before the failure.
 func (s *Session) SearchContext(ctx context.Context, q Query) (*Result, error) {
-	if err := s.rebind(); err != nil {
-		return nil, err
-	}
-	res, err := s.ev.EvaluateContext(ctx, s.algo, q)
-	if res != nil {
-		res.Epoch = s.v.epoch
-	}
+	res, _, err := s.user.Step(ctx, s.algo, q, false)
 	return res, err
 }
 
@@ -747,7 +714,7 @@ func (s *Session) SearchTextContext(ctx context.Context, text string) (*Result, 
 	}
 	res, err := s.SearchContext(ctx, q)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
 	if len(phrases) == 0 {
 		return res, nil
@@ -820,17 +787,17 @@ func (ix *Index) phraseFilter(phrases [][]string) (map[DocID]bool, error) {
 }
 
 // FlushBuffers empties the session's buffer pool.
-func (s *Session) FlushBuffers() { s.mgr.Flush() }
+func (s *Session) FlushBuffers() { s.user.Pool().Manager().Flush() }
 
 // BufferStats returns the session's hit/miss/eviction counters.
-func (s *Session) BufferStats() BufferStats { return s.mgr.Stats() }
+func (s *Session) BufferStats() BufferStats { return s.user.Pool().Manager().Stats() }
 
 // ResetBufferStats zeroes the counters without touching pool contents.
-func (s *Session) ResetBufferStats() { s.mgr.ResetStats() }
+func (s *Session) ResetBufferStats() { s.user.Pool().Manager().ResetStats() }
 
 // BufferedPages reports how many pages of term t are currently
 // resident (the b_t quantity BAF consults).
-func (s *Session) BufferedPages(t TermID) int { return s.mgr.ResidentPages(t) }
+func (s *Session) BufferedPages(t TermID) int { return s.user.Pool().Manager().ResidentPages(t) }
 
 // RankTermsByContribution orders the query's terms by their average
 // contribution to the cosine score of the current top documents,

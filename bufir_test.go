@@ -146,27 +146,46 @@ func TestDFRankingBufferIndependent(t *testing.T) {
 }
 
 func TestSessionDefaultsAndValidation(t *testing.T) {
-	_, ix := testIndex(t)
+	col, ix := testIndex(t)
+	q, err := ix.TopicQuery(col.Topics[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := ix.NewSession(SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ev.Params.CAdd == 0 || s.ev.Params.CIns == 0 {
-		t.Error("defaults should enable filtering")
+	res, err := s.Search(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.ev.Params.TopN != 20 {
-		t.Errorf("default TopN = %d", s.ev.Params.TopN)
+	if len(res.Top) != 20 {
+		t.Errorf("default TopN = %d", len(res.Top))
 	}
 	if _, err := ix.NewSession(SessionConfig{Policy: "FIFO"}); err == nil {
 		t.Error("unknown policy should fail")
 	}
-	// Unfiltered session runs exhaustive evaluation.
+	// Unfiltered session runs exhaustive evaluation: every document of
+	// every list gets an accumulator, which the default filter prevents.
 	su, err := ix.NewSession(SessionConfig{EvalOptions: EvalOptions{Unfiltered: true}, BufferPages: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if su.ev.Params.CAdd != 0 || su.ev.Params.CIns != 0 {
-		t.Error("Unfiltered should zero the constants")
+	full, err := su.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Accumulators <= res.Accumulators {
+		t.Errorf("unfiltered accumulators %d <= default %d: defaults should enable filtering",
+			full.Accumulators, res.Accumulators)
+	}
+	postings := 0
+	for _, qt := range q {
+		postings += ix.meta().Terms[qt.Term].DF
+	}
+	if full.EntriesProcessed != postings {
+		t.Errorf("Unfiltered processed %d entries, want all %d: it should zero the constants",
+			full.EntriesProcessed, postings)
 	}
 }
 

@@ -148,7 +148,8 @@ type Engine struct {
 // live-update design requires falls out of pool-per-view construction:
 // no frame of the old generation is reachable through the new pool.
 // The remembered fault-tolerance options (and the engine's retry
-// hook, once installed) are re-applied to every pool.
+// hook, once installed) are re-applied to every pool. An Engine's
+// source has cfg.Shards latch shards; a Session's has one.
 type poolSource struct {
 	ix     *Index
 	rc     resolvedConfig

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -104,4 +105,56 @@ func TestChaosServingInvariants(t *testing.T) {
 	}
 	t.Logf("chaos: %d queries (%d completed, %d degraded, %d errors), %d retries, faults %+v",
 		st.Queries, st.Completed, st.Degraded, st.Errors, st.Retries, fst)
+}
+
+// TestChaosPermanentFaultPagesRead is the deterministic core of the
+// PagesRead invariant above: with no fault budget, a query that hits a
+// permanently dead page fails — after reading the pages in front of
+// it. Those reads happened, so the engine must charge them: PagesRead
+// equals the pool's misses even when queries error.
+func TestChaosPermanentFaultPagesRead(t *testing.T) {
+	e := testEnv(t)
+	// The second page of a query term's list: every query holding the
+	// term reads its first page, and usually others, before failing.
+	var dead int
+	for _, qt := range e.Queries[0] {
+		if e.Idx.Terms[qt.Term].NumPages > 1 {
+			dead = int(e.Idx.PageOf(qt.Term, 1))
+			break
+		}
+	}
+	rules, err := storage.ParseFaultSchedule(fmt.Sprintf("permanent:pages=%d", dead))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := storage.NewFaultStore(e.Store, 1, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := buffer.NewShardedSharedPool(64, 1, fs, e.Idx,
+		func(int) buffer.Policy { return buffer.NewRAP() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := e.Params()
+	params.FaultBudget = 0
+	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{Workers: 1, Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range e.Queries {
+		res, err := eng.SearchContext(context.Background(), 0, q)
+		if err != nil && res != nil {
+			t.Fatalf("failed query delivered a result: %v", err)
+		}
+	}
+	eng.Close()
+
+	st := eng.Counters()
+	if st.Errors == 0 {
+		t.Fatal("no query hit the dead page")
+	}
+	if misses := pool.Manager().Stats().Misses; st.PagesRead != misses {
+		t.Errorf("PagesRead %d != pool misses %d (%d errors)", st.PagesRead, misses, st.Errors)
+	}
 }

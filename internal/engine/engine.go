@@ -189,26 +189,12 @@ func StaticSource(b Binding) Source {
 	return staticSource{b: b}
 }
 
-// userState is one user's session: a registry view on the shared pool
-// and a (re-entrant) evaluator, bound to one Binding at a time (key
-// and epoch identify it; the worker rebinds between jobs when the
-// Source moves on). tail chains the user's jobs so they execute in
-// submission order.
+// userState is one user's session: the User that binds and evaluates
+// their requests, and tail, which chains the user's jobs so they
+// execute in submission order.
 type userState struct {
-	view  *buffer.UserView
-	ev    *eval.Evaluator
-	key   any
-	epoch uint64
-	tail  chan struct{}
-
-	// Refinement-reuse state (Config.Refine): the snapshot of the
-	// user's last completed evaluation and the canonical query that
-	// produced it. Accessed only by the worker executing the user's
-	// current job — the done-channel chain serializes a user's jobs,
-	// so no lock is needed (close of the previous done channel
-	// happens-before the next job runs).
-	lastSnap  *eval.Snapshot
-	lastQuery eval.Query
+	user *User
+	tail chan struct{}
 }
 
 // Engine is the concurrent query engine. Create with New, submit with
@@ -391,48 +377,14 @@ func (e *Engine) userLocked(user int) (*userState, error) {
 	if us, ok := e.users[user]; ok {
 		return us, nil
 	}
-	b, err := e.src.Binding()
+	u, err := NewUser(e.src, user, e.cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	view := b.Pool.UserView(user)
-	ev, err := eval.NewEvaluator(b.Ix, view, b.Conv, e.cfg.Params)
-	if err != nil {
-		view.Close()
-		return nil, err
-	}
-	us := &userState{view: view, ev: ev, key: b.Key, epoch: b.Epoch}
+	u.cache = e.refine
+	us := &userState{user: u}
 	e.users[user] = us
 	return us, nil
-}
-
-// rebind refreshes us against the Source's current binding if it has
-// moved since the user's last job: the old registry view is withdrawn,
-// a fresh view and evaluator are built over the new generation's pool,
-// and any carried refinement snapshot dies (it indexes the old
-// generation's statistics). Called only by the worker executing the
-// user's current job — the done-channel chain makes that exclusive.
-func (e *Engine) rebind(us *userState, user int) error {
-	b, err := e.src.Binding()
-	if err != nil {
-		return err
-	}
-	if us.key == b.Key {
-		return nil
-	}
-	view := b.Pool.UserView(user)
-	ev, err := eval.NewEvaluator(b.Ix, view, b.Conv, e.cfg.Params)
-	if err != nil {
-		view.Close()
-		return err
-	}
-	us.view.Close()
-	us.view, us.ev, us.key, us.epoch = view, ev, b.Key, b.Epoch
-	if us.lastSnap != nil {
-		us.lastSnap, us.lastQuery = nil, nil
-		e.counters.RefineInvalidations.Add(1)
-	}
-	return nil
 }
 
 // worker drains the queue. A job whose same-user predecessor is still
@@ -441,9 +393,11 @@ func (e *Engine) rebind(us *userState, user int) error {
 // done) and progress is guaranteed — no deadlock, and per-user order
 // holds for free. A canceled job still parks on its predecessor
 // before completing, so a user's jobs never overlap even when some
-// are withdrawn mid-stream.
+// are withdrawn mid-stream. The user's job chain is also what makes
+// Step's exclusive access to the User safe.
 func (e *Engine) worker() {
 	defer e.wg.Done()
+	refine := e.cfg.Refine.enabled()
 	for j := range e.queue {
 		e.queueDepth.Add(-1)
 		e.inFlight.Add(1)
@@ -456,73 +410,81 @@ func (e *Engine) worker() {
 		var res *eval.Result
 		err := j.ctx.Err()
 		if err == nil {
-			err = e.rebind(j.us, j.User)
-		}
-		if err == nil {
-			if e.cfg.Refine.enabled() {
-				res, err = e.refineEvaluate(j)
-			} else {
-				res, err = j.us.ev.EvaluateContext(j.ctx, e.cfg.Algo, j.Query)
+			q := j.Query
+			if refine {
+				// Resume and the result cache work on the canonical query.
+				q = eval.CanonicalQuery(q)
 			}
-			if res != nil {
-				// The whole evaluation ran against the binding rebind
-				// installed; stamp its generation on the answer.
-				res.Epoch = j.us.epoch
+			var invalidated bool
+			res, invalidated, err = j.us.user.Step(j.ctx, e.cfg.Algo, q, refine)
+			if refine {
+				e.countRefine(res, invalidated, err)
 			}
 		}
 		j.service = time.Since(start)
-
-		e.counters.Queries.Add(1)
-		e.counters.ServiceNanos.Add(int64(j.service))
 		e.service.Observe(j.service)
-		if res != nil {
-			// Charge disk and CPU costs for EVERY evaluation that ran —
-			// completed, partial, timed-out or canceled — before the
-			// outcome switch below may discard the result. The I/O
-			// happened whether or not an answer is delivered, and
-			// charging here (not on the surviving result) is what keeps
-			// PagesRead equal to the buffer pool's miss count.
-			e.counters.PagesRead.Add(int64(res.PagesRead))
-			e.counters.PagesProcessed.Add(int64(res.PagesProcessed))
-			e.counters.EntriesProcessed.Add(int64(res.EntriesProcessed))
-			e.counters.Faults.Add(int64(res.Faults))
-		}
-		switch {
-		case err == nil && res != nil && res.Degraded:
-			// Ran to the end, but an I/O fault cost it at least one
-			// term round (Result.Degraded): a delivered answer, yet not
-			// a completed one — kept out of Completed so the completed
-			// latency mean stays honest.
-			e.counters.Degraded.Add(1)
-		case err == nil:
-			e.counters.Completed.Add(1)
-			e.counters.CompletedServiceNanos.Add(int64(j.service))
-		case errors.Is(err, context.DeadlineExceeded):
-			e.counters.Timeouts.Add(1)
-			if e.cfg.OnDeadline == PartialOnDeadline && res != nil {
-				// Anytime semantics: surface the partial answer
-				// (Result.Partial is set) instead of the error.
-				e.counters.Partials.Add(1)
-				err = nil
-			} else {
-				res = nil
-			}
-		case errors.Is(err, context.Canceled):
-			// The caller withdrew; nobody wants even a partial answer —
-			// but the pages it read were charged above.
-			e.counters.Canceled.Add(1)
-			res = nil
-		default:
-			e.counters.Errors.Add(1)
-			res = nil
-		}
-		j.res, j.err = res, err
+		j.res, j.err = Classify(&e.counters, res, err, j.service, e.cfg.OnDeadline)
 		j.cancel() // release the timeout timer and stop-link
 		// Before done is signalled: a caller that reads the gauges right
 		// after its last answer must see the engine idle.
 		e.inFlight.Add(-1)
 		close(j.done)
 	}
+}
+
+// Classify files one executed request in c — Queries, its service
+// time, the cost counters of whatever ran, and exactly one outcome
+// bucket (Completed, Timeouts, Canceled, Errors or Degraded) — and
+// returns what the caller delivers. Costs are charged for every
+// evaluation that ran, even one whose answer is discarded: the I/O
+// happened, and charging it is what keeps PagesRead equal to the
+// buffer pool's miss count.
+//
+// A deadline hit counts as a timeout. Under PartialOnDeadline its
+// anytime answer is delivered in place of the error and counted in
+// Partials; an answer already delivered that way (Partial set, nil
+// error) is filed the same, so a Router over engines counts exactly
+// what they count. Otherwise a failed request delivers only its error.
+// Every serving surface — the Engine's workers and the Router — counts
+// through here.
+func Classify(c *metrics.ServingCounters, res *eval.Result, err error, service time.Duration, onDeadline DeadlinePolicy) (*eval.Result, error) {
+	c.Queries.Add(1)
+	c.ServiceNanos.Add(int64(service))
+	if res != nil {
+		c.PagesRead.Add(int64(res.PagesRead))
+		c.PagesProcessed.Add(int64(res.PagesProcessed))
+		c.EntriesProcessed.Add(int64(res.EntriesProcessed))
+		c.Faults.Add(int64(res.Faults))
+	}
+	switch {
+	case err == nil && res != nil && res.Partial:
+		c.Timeouts.Add(1)
+		c.Partials.Add(1)
+	case err == nil && res != nil && res.Degraded:
+		// Ran to the end, but an I/O fault cost it at least one term
+		// round (Result.Degraded): a delivered answer, yet not a
+		// completed one — kept out of Completed so the completed latency
+		// mean stays honest.
+		c.Degraded.Add(1)
+	case err == nil:
+		c.Completed.Add(1)
+		c.CompletedServiceNanos.Add(int64(service))
+	case errors.Is(err, context.DeadlineExceeded):
+		c.Timeouts.Add(1)
+		if onDeadline == PartialOnDeadline && res != nil {
+			c.Partials.Add(1)
+			return res, nil
+		}
+		return nil, err
+	case errors.Is(err, context.Canceled):
+		// The caller withdrew; nobody wants even a partial answer.
+		c.Canceled.Add(1)
+		return nil, err
+	default:
+		c.Errors.Add(1)
+		return nil, err
+	}
+	return res, nil
 }
 
 // Counters returns a snapshot of the engine's atomic serving counters.
@@ -638,7 +600,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 			e.wg.Wait()
 			e.mu.Lock()
 			for _, us := range e.users {
-				us.view.Close()
+				us.user.Close()
 			}
 			e.mu.Unlock()
 			close(e.drained)

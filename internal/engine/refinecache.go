@@ -1,9 +1,9 @@
-// Engine-level incremental refinement: a per-user carried evaluation
-// snapshot (the same reuse bufir.Refinement gets, here surviving
-// across SubmitContext calls) plus a small bounded result cache keyed
-// by canonicalized query, so resubmitting a query the engine already
-// answered — permuted term order and split duplicates included —
-// costs no evaluation at all.
+// Engine-level incremental refinement: the per-user carried evaluation
+// snapshot of User.Step (the same reuse bufir.Refinement gets, here
+// surviving across SubmitContext calls) plus a small bounded result
+// cache keyed by canonicalized query, so resubmitting a query the
+// engine already answered — permuted term order and split duplicates
+// included — costs no evaluation at all.
 package engine
 
 import (
@@ -146,53 +146,20 @@ func cachedCopy(orig *eval.Result) *eval.Result {
 	return cp
 }
 
-// refineEvaluate is the worker's evaluation path when the refine
-// config is enabled: result cache first, snapshot resume second, cold
-// evaluation last. Per-user snapshot state (us.lastSnap/lastQuery)
-// needs no lock — a user's jobs are serialized by the done-channel
-// chain, and the close of the previous job's done channel
-// happens-before this job's execution.
-func (e *Engine) refineEvaluate(j *Job) (*eval.Result, error) {
-	us := j.us
-	cq := eval.CanonicalQuery(j.Query)
-	k := refineKey{user: j.User, epoch: us.epoch, key: eval.CanonicalKey(cq)}
-
-	if ent, ok := e.refine.get(k); ok {
+// countRefine files one refine-path step in the refinement counters:
+// a cache hit, or a miss that may have resumed; and whether the step
+// invalidated the carried snapshot.
+func (e *Engine) countRefine(res *eval.Result, invalidated bool, err error) {
+	if res != nil && res.Cached {
 		e.counters.RefineHits.Add(1)
-		// Returning to a cached query also restores its resume point:
-		// the next ADD-ONLY step resumes from here.
-		if ent.snap != nil {
-			us.lastSnap, us.lastQuery = ent.snap, cq
+	} else {
+		e.counters.RefineMisses.Add(1)
+		if err == nil && res.ReusedRounds > 0 {
+			e.counters.RefineResumes.Add(1)
+			e.counters.RefineReusedRounds.Add(int64(res.ReusedRounds))
 		}
-		return cachedCopy(ent.res), nil
 	}
-	e.counters.RefineMisses.Add(1)
-
-	prev := us.lastSnap
-	if prev != nil && !eval.AddOnlyStep(us.lastQuery, cq) {
-		// Not an ADD-ONLY step: the carried snapshot is dead weight for
-		// this query, and per the invalidation rule it is dropped
-		// rather than kept around for a hypothetical return.
-		us.lastSnap, us.lastQuery = nil, nil
-		prev = nil
+	if invalidated {
 		e.counters.RefineInvalidations.Add(1)
 	}
-	res, snap, err := us.ev.EvaluateResumeContext(j.ctx, e.cfg.Algo, cq, prev)
-	if err != nil {
-		return res, err
-	}
-	if res.ReusedRounds > 0 {
-		e.counters.RefineResumes.Add(1)
-		e.counters.RefineReusedRounds.Add(int64(res.ReusedRounds))
-	}
-	if snap != nil {
-		us.lastSnap, us.lastQuery = snap, cq
-	}
-	// Only clean completed evaluations are cached: a degraded result
-	// must not be replayed to a later submitter whose run could have
-	// been fault-free.
-	if !res.Degraded && !res.Partial {
-		e.refine.put(k, res, snap)
-	}
-	return res, nil
 }

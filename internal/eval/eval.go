@@ -319,8 +319,11 @@ func (e *Evaluator) Evaluate(algo Algorithm, q Query) (*Result, error) {
 // marked Truncated). DF and BAF process terms in rounds and may stop
 // after any round with a valid, if less refined, answer (§2.2's
 // filtering loop) — the caller chooses whether to surface the partial
-// answer or only the error. Every non-context error still returns a
-// nil result.
+// answer or only the error. Any other error mid-evaluation returns a
+// Result holding no answer, only the cost counters and trace of the
+// work done before it, so the pages it read can still be charged.
+// Errors before any page is read (an invalid query, a dead context)
+// return a nil Result.
 func (e *Evaluator) EvaluateContext(ctx context.Context, algo Algorithm, q Query) (*Result, error) {
 	res, _, err := e.evaluate(ctx, algo, q, nil, false)
 	return res, err
@@ -387,20 +390,19 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 		return nil, nil, fmt.Errorf("eval: unknown algorithm %d", int(algo))
 	}
 	if err != nil {
+		// No snapshot is returned — a truncated trajectory is not a
+		// legal resume point, and the caller keeps its previous one.
+		st.res.Faults = st.faults
+		st.res.Degraded = st.faults > 0
+		st.res.Elapsed = time.Since(start)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Anytime semantics: finalize what was accumulated. No
-			// snapshot is returned — a truncated trajectory is not a
-			// legal resume point, and the caller keeps its previous one.
+			// Anytime semantics: finalize what was accumulated.
 			st.res.Top = rank.TopN(st.acc, e.Idx.DocLen, e.Params.TopN)
 			st.res.Accumulators = len(st.acc)
 			st.res.Smax = st.smax
 			st.res.Partial = true
-			st.res.Faults = st.faults
-			st.res.Degraded = st.faults > 0
-			st.res.Elapsed = time.Since(start)
-			return st.res, nil, err
 		}
-		return nil, nil, err
+		return st.res, nil, err
 	}
 
 	// Steps 5-6: normalize by W_d and pick the n best.
@@ -550,7 +552,7 @@ func (e *Evaluator) processTerm(ctx context.Context, qt QueryTerm, estReads int,
 	}
 
 	wqt := rank.QueryWeight(qt.Fqt, tm.IDF)
-	var ctxErr error
+	var roundErr error
 
 scan:
 	for i := 0; i < tm.NumPages; i++ {
@@ -558,9 +560,10 @@ scan:
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				tr.Truncated = true
-				ctxErr = err
+				roundErr = err
 				break scan
 			}
+			tr.Faulted = true
 			if st.faults < e.Params.FaultBudget {
 				// Charge the fault to the query's error budget and
 				// abandon the rest of this list: the pages already
@@ -569,10 +572,12 @@ scan:
 				// on to its remaining terms as a degraded ranking
 				// instead of erroring.
 				st.faults++
-				tr.Faulted = true
 				break scan
 			}
-			return fmt.Errorf("eval: term %q page %d: %w", tm.Name, i, err)
+			// Past the budget the query fails, but the pages this round
+			// read are still charged below.
+			roundErr = fmt.Errorf("eval: term %q page %d: %w", tm.Name, i, err)
+			break scan
 		}
 		tr.PagesProcessed++
 		if missed {
@@ -624,7 +629,7 @@ scan:
 	// round is not a legal resume point, so it is marked not-clean and
 	// the prefix matcher stops in front of it.
 	st.endRound(qt, !tr.Truncated && !tr.Faulted, tr)
-	return ctxErr
+	return roundErr
 }
 
 // dfOrder returns the query in Figure 1's canonical processing order:

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"bufir/internal/evalsafe"
@@ -36,7 +35,7 @@ func (e *Evaluator) evaluateSafe(ctx context.Context, algo Algorithm, q Query) (
 		TopN:        e.Params.TopN,
 		FaultBudget: e.Params.FaultBudget,
 	})
-	if err != nil && !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+	if out == nil {
 		return nil, err
 	}
 	res := &Result{

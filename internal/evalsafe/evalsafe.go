@@ -337,8 +337,9 @@ type roundEntry struct{ idx, resident int }
 // defensive subset is re-checked here). The context is honored at
 // every page boundary; on a context error the partial Outcome is
 // returned alongside it, like eval.EvaluateContext's anytime
-// contract. Any other fetch error beyond FaultBudget returns a nil
-// Outcome.
+// contract. Any other fetch error beyond FaultBudget returns an Outcome
+// with no answer, only the cost counters of the pages read before it.
+// A request that fails validation returns a nil Outcome.
 func Evaluate(ctx context.Context, ix *postings.Index, buf buffer.Pool, q []QueryTerm, sched Schedule, opts Options) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -391,7 +392,8 @@ func (r *run) evaluate(ctx context.Context) (*Outcome, error) {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return r.partial(err)
 			}
-			return nil, err
+			r.fillStats()
+			return r.out, err
 		}
 	}
 	return r.finalize(), nil

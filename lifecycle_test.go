@@ -266,3 +266,34 @@ func TestSessionSearchContext(t *testing.T) {
 		t.Error("SearchContext with a live context diverged from Search")
 	}
 }
+
+// TestSearchTextContextCanceledReturnsPartial: SearchTextContext keeps
+// SearchContext's anytime contract — a request canceled mid-evaluation
+// returns its partial answer alongside context.Canceled.
+func TestSearchTextContextCanceledReturnsPartial(t *testing.T) {
+	docs := []Document{
+		{Name: "a", Text: "gold markets rallied as gold prices rose"},
+		{Name: "b", Text: "silver markets fell while gold held steady"},
+		{Name: "c", Text: "bond markets were quiet"},
+	}
+	ix, err := IndexDocuments(docs, IndexOptions{PageSize: 1, NumStopWords: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every read takes 2 ms, so the cancel at 1 ms lands mid-read.
+	ix.SetSimulatedReadLatency(2 * time.Millisecond)
+	s, err := ix.NewSession(SessionConfig{EvalOptions: EvalOptions{Unfiltered: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(time.Millisecond, cancel)
+	res, err := s.SearchTextContext(ctx, "gold markets")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res == nil || !res.Partial {
+		t.Fatalf("canceled text search returned %+v, want the partial answer", res)
+	}
+}

@@ -266,10 +266,13 @@ func (ix *Index) WriteShardFiles(dir string, n, blockSize int) error {
 // code written against the interface runs unchanged over a single
 // engine or a 16-shard deployment.
 type Service struct {
-	indexes  []*Index
-	engines  []*Engine
-	router   *Router // nil for a single partition
-	searcher Searcher
+	indexes []*Index
+	engines []*Engine
+	// front serves every request: the Router, or the single Engine.
+	front interface {
+		Searcher
+		Ingester
+	}
 	obs      obs.HTTPServer // nil unless WithObs
 	closeErr error
 	once     sync.Once
@@ -291,7 +294,7 @@ func newService(indexes []*Index, o openOptions) (*Service, error) {
 		svc.engines = append(svc.engines, eng)
 	}
 	if len(svc.engines) == 1 {
-		svc.searcher = svc.engines[0]
+		svc.front = svc.engines[0]
 	} else {
 		backends := make([]Searcher, len(svc.engines))
 		for i, e := range svc.engines {
@@ -308,13 +311,12 @@ func newService(indexes []*Index, o openOptions) (*Service, error) {
 			}
 			return nil, err
 		}
-		svc.router = r
-		svc.searcher = r
+		svc.front = r
 	}
 	if o.obsAddr != "" {
 		var src obs.Source = svc.engines[0].inner
-		if svc.router != nil {
-			src = svc.router
+		if r, ok := svc.front.(*Router); ok {
+			src = r
 		}
 		srv, err := obs.StartHTTPServer(o.obsAddr, src)
 		if err != nil {
@@ -329,13 +331,13 @@ func newService(indexes []*Index, o openOptions) (*Service, error) {
 // SearchContext executes one request through the deployment (see
 // Searcher; routed with scatter-gather when sharded).
 func (s *Service) SearchContext(ctx context.Context, user int, q Query) (*Result, error) {
-	return s.searcher.SearchContext(ctx, user, q)
+	return s.front.SearchContext(ctx, user, q)
 }
 
 // RefineContext is SearchContext through the refinement path of every
 // partition engine (see Engine.RefineContext).
 func (s *Service) RefineContext(ctx context.Context, user int, q Query) (*Result, error) {
-	return s.searcher.RefineContext(ctx, user, q)
+	return s.front.RefineContext(ctx, user, q)
 }
 
 // EnableLiveUpdates turns every partition index mutable (see
@@ -360,35 +362,24 @@ func (s *Service) EnableLiveUpdates(opts LiveOptions) error {
 // owning shard by name hash when sharded, straight to the single
 // engine otherwise. Requires EnableLiveUpdates first.
 func (s *Service) IngestContext(ctx context.Context, doc Document) (DocID, error) {
-	if s.router != nil {
-		return s.router.IngestContext(ctx, doc)
-	}
-	return s.engines[0].IngestContext(ctx, doc)
+	return s.front.IngestContext(ctx, doc)
 }
 
 // MergeContext merges every partition's pending delta (see
 // Ingester.MergeContext). Called with context.Background() it is the
 // way to end a merge storm deterministically in tests and benchmarks.
 func (s *Service) MergeContext(ctx context.Context) error {
-	if s.router != nil {
-		return s.router.MergeContext(ctx)
-	}
-	return s.engines[0].MergeContext(ctx)
+	return s.front.MergeContext(ctx)
 }
 
 // Epoch reports the deployment's generation number (the maximum
 // across partitions when sharded; partitions drift independently).
-func (s *Service) Epoch() uint64 {
-	if s.router != nil {
-		return s.router.Epoch()
-	}
-	return s.engines[0].Epoch()
-}
+func (s *Service) Epoch() uint64 { return s.front.Epoch() }
 
 // Stats returns the deployment's serving counters: the router's for a
 // sharded deployment (each routed request counted once), the engine's
 // otherwise.
-func (s *Service) Stats() EngineStats { return s.searcher.Stats() }
+func (s *Service) Stats() EngineStats { return s.front.Stats() }
 
 // ShardStats returns each partition engine's own counters, in shard
 // order (one entry for a single-partition deployment).
@@ -444,21 +435,12 @@ func (s *Service) ObsAddr() string {
 	return s.obs.Addr()
 }
 
-// closeServing tears down the serving tier (router or engines) and the
-// opened indexes, joining errors.
+// closeServing tears down the serving tier (a Router closes every
+// engine behind it) and the opened indexes, joining errors.
 func (s *Service) closeServing() error {
 	var errs []error
-	if s.router != nil {
-		// Router.Close closes every engine behind it.
-		if err := s.router.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	} else {
-		for _, e := range s.engines {
-			if err := e.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
+	if err := s.front.Close(); err != nil {
+		errs = append(errs, err)
 	}
 	for _, ix := range s.indexes {
 		if err := ix.Close(); err != nil {

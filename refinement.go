@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"bufir/internal/eval"
 )
 
 // RefineOptions tunes a refinement session.
@@ -43,19 +41,15 @@ type RefineOptions struct {
 // whose warm buffer pool is exactly what BAF and RAP exploit; with
 // RefineOptions.Incremental the evaluation state itself is carried
 // across ADD-ONLY steps on top of the buffer-level reuse.
+//
+// The carried snapshot is the Session's, as an engine user's is: a
+// step resumes it only when it is an ADD-ONLY step of the query that
+// produced it on the current index generation (a live commit or merge
+// swap makes the next step run cold, recorded as Invalidated).
 type Refinement struct {
 	session *Session
 	opts    RefineOptions
 	current Query
-	// snap is the carried evaluation snapshot (incremental mode only);
-	// nil until the first completed DF submission, and dropped on
-	// invalidation. snapV is the index view the snapshot was computed
-	// against: a live commit or merge swap publishes a new view, and a
-	// snapshot of the old generation's statistics must never seed an
-	// evaluation over the new one (the step runs cold instead, recorded
-	// as Invalidated).
-	snap  *eval.Snapshot
-	snapV *idxView
 	// History records every successful submission's outcome.
 	History []RefinementStep
 }
@@ -156,40 +150,9 @@ func (r *Refinement) DropContext(ctx context.Context, term TermID) (*Result, err
 // always in the state of its last successful step; a canceled step's
 // partial result is still returned alongside the error.
 func (r *Refinement) resubmit(ctx context.Context, q Query) (*Result, error) {
-	if !r.opts.Incremental {
-		res, err := r.session.SearchContext(ctx, q)
-		if err != nil {
-			return res, err
-		}
-		r.commit(q, res, RefinementStep{})
-		return res, nil
-	}
-
-	// Incremental path: resume from the carried snapshot when the step
-	// is ADD-ONLY, invalidate it otherwise — or when the index moved to
-	// a new generation since the snapshot was taken (rebind first, so
-	// the step evaluates against the current view).
-	if err := r.session.rebind(); err != nil {
-		return nil, err
-	}
-	prev := r.snap
-	invalidated := false
-	if prev != nil && (r.snapV != r.session.v || !eval.AddOnlyStep(r.current, q)) {
-		prev = nil
-		invalidated = true
-	}
-	res, snap, err := r.session.ev.EvaluateResumeContext(ctx, r.session.algo, q, prev)
-	if res != nil {
-		res.Epoch = r.session.v.epoch
-	}
+	res, invalidated, err := r.session.user.Step(ctx, r.session.algo, q, r.opts.Incremental)
 	if err != nil {
 		return res, err
-	}
-	if invalidated {
-		r.snap = nil
-	}
-	if snap != nil {
-		r.snap, r.snapV = snap, r.session.v
 	}
 	r.commit(q, res, RefinementStep{
 		Resumed:      res.ReusedRounds > 0,

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"time"
 
+	"bufir/internal/engine"
 	"bufir/internal/metrics"
 	"bufir/internal/obs"
 	"bufir/internal/rank"
@@ -109,12 +110,15 @@ type shardAnswer struct {
 	err error
 }
 
-// scatter fans one request out via call, gathers, merges, and records
-// the outcome in the router's serving counters.
+// scatter fans one request out via call, gathers, merges, and files
+// the outcome in the router's serving counters with the engine's
+// classifier. The router delivers its merge unchanged: the anytime
+// answer of an expired caller context rides alongside the error, so
+// the classifier counts it as a partial and its return is not used.
 func (r *Router) scatter(ctx context.Context, user int, q Query, call func(Searcher, context.Context, int, Query) (*Result, error)) (*Result, error) {
 	start := time.Now()
 	res, err := r.scatterInner(ctx, user, q, call)
-	recordOutcome(&r.counters, res, err, time.Since(start))
+	engine.Classify(&r.counters, res, err, time.Since(start), engine.PartialOnDeadline)
 	return res, err
 }
 

@@ -437,3 +437,45 @@ func TestRouterObsSnapshot(t *testing.T) {
 		t.Errorf("router serving Queries = %d, want 1", snap.Serving.Queries)
 	}
 }
+
+// TestRouterBucketsPartialAsEngine: a router files a request in the
+// same outcome bucket as the engine behind it. Under PartialOnDeadline
+// an expired request's anytime answer comes back with a nil error and
+// Partial set; the engine counts it as a timeout with a partial, and a
+// 1-shard router over it must too, not as a completed request.
+func TestRouterBucketsPartialAsEngine(t *testing.T) {
+	col, ix := testIndex(t)
+	// A read takes twice the deadline, so a query that misses is cut
+	// mid-scan and returns a partial answer. (A 1 ns deadline would
+	// expire before evaluation starts and leave no answer at all.)
+	ix.SetSimulatedReadLatency(2 * time.Millisecond)
+	eng, err := ix.NewEngine(EngineConfig{
+		Workers: 1, BufferPages: 64,
+		QueryTimeout: time.Millisecond,
+		OnDeadline:   PartialOnDeadline,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter([]Searcher{eng}, RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; i < 40; i++ {
+		q, err := ix.TopicQuery(col.Topics[i%len(col.Topics)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = r.SearchContext(context.Background(), i%4, q)
+	}
+	got, want := r.Stats(), eng.Stats()
+	checkOutcomeInvariant(t, "router", got)
+	buckets := func(s EngineStats) [7]int64 {
+		return [7]int64{s.Queries, s.Completed, s.Timeouts, s.Partials, s.Canceled, s.Errors, s.Degraded}
+	}
+	if buckets(got) != buckets(want) {
+		t.Errorf("router buckets %v, engine %v (queries completed timeouts partials canceled errors degraded)",
+			buckets(got), buckets(want))
+	}
+}

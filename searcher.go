@@ -2,12 +2,10 @@ package bufir
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"bufir/internal/buffer"
 	"bufir/internal/eval"
-	"bufir/internal/metrics"
 )
 
 // Searcher is the backend-neutral serving contract implemented by
@@ -114,40 +112,6 @@ func resolveConfig(o EvalOptions, policy Policy, bufferPages int, defaultPolicy 
 		return resolvedConfig{}, err
 	}
 	return resolvedConfig{params: params, bufferPages: bufferPages, newPolicy: newPolicy}, nil
-}
-
-// recordOutcome classifies one request's (result, error) into the
-// serving counters, mirroring the Engine worker's bucketing so Stats
-// reads the same regardless of backend: exactly one outcome bucket per
-// request (Completed, Timeouts, Canceled, Errors, or Degraded), cost
-// counters charged for whatever actually ran, Partials marking the
-// timed-out requests that carried an anytime answer. The Router
-// records through here.
-func recordOutcome(c *metrics.ServingCounters, res *Result, err error, service time.Duration) {
-	c.Queries.Add(1)
-	c.ServiceNanos.Add(int64(service))
-	if res != nil {
-		c.PagesRead.Add(int64(res.PagesRead))
-		c.PagesProcessed.Add(int64(res.PagesProcessed))
-		c.EntriesProcessed.Add(int64(res.EntriesProcessed))
-		c.Faults.Add(int64(res.Faults))
-	}
-	switch {
-	case err == nil && res != nil && res.Degraded:
-		c.Degraded.Add(1)
-	case err == nil:
-		c.Completed.Add(1)
-		c.CompletedServiceNanos.Add(int64(service))
-	case errors.Is(err, context.DeadlineExceeded):
-		c.Timeouts.Add(1)
-		if res != nil {
-			c.Partials.Add(1)
-		}
-	case errors.Is(err, context.Canceled):
-		c.Canceled.Add(1)
-	default:
-		c.Errors.Add(1)
-	}
 }
 
 // applyFaultOptions wires FaultToleranceOptions onto a buffer manager.

@@ -192,8 +192,9 @@ bench-policy:
 	@$(GO) run ./cmd/irbench -exp drift -benchjson BENCH_policy.json
 	@echo "wrote BENCH_policy.json"
 
-# Rank-safe exactness gate under -race: the evalsafe unit suite (with
-# the goldens recorded from the pre-rewrite evaluator — counters,
+# Rank-safe exactness gate under -race: the rank-safe unit suite of
+# internal/eval (with the goldens recorded from the pre-rewrite
+# evaluator — counters,
 # verdicts, answer bits and fetch order compared literally — and the
 # retirement/heap property test at every page boundary), the
 # metamorphic exactness/fault/cancellation suites (safe answers
@@ -202,17 +203,19 @@ bench-policy:
 # end-to-end method tests (Session/Engine/Router,
 # cross-shard tie-break, IDF edge cases), and the E27 smoke run.
 ranksafe-exactness:
-	$(GO) test -race -count=1 ./internal/evalsafe
+	$(GO) test -race -count=1 \
+		-run 'TestGolden|TestProofCadence|TestRetirementSound|TestSeenMaskWidths|TestTablesGrow|TestDuplicateEntries|TestAllSchedules|TestEarlyTermination|TestMaxscoreSkips|TestNeverMorePages|TestCancellationReturnsPartial|TestSelectionInquiries|TestExhaustionEquals|TestFaultOnFirstPage|TestQueryValidation|TestValidation|TestScheduleString' \
+		./internal/eval
 	$(GO) test -race -count=1 \
 		-run 'TestMetamorphicSafe|TestSafe|TestRankSafe|TestSessionSafeMethods|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestOverlapAtK|TestParseAlgorithm' \
 		./internal/eval ./internal/rank ./internal/experiments .
 
-# Smoke for BenchmarkEvaluate (evalsafe's bookkeeping in ns/entry and
-# allocs over candidates × lists × schedule — the layer the repository
+# Smoke for BenchmarkEvaluate (the rank-safe bookkeeping in ns/entry
+# and allocs over candidates × lists × method — the layer the repository
 # benchmark's outside-in trace reports as one number): one iteration
 # per case, so the benchmark cannot rot. Not a gate on the numbers.
 bench-evalsafe:
-	$(GO) test -run '^$$' -bench Evaluate -benchtime 1x ./internal/evalsafe
+	$(GO) test -run '^$$' -bench Evaluate -benchtime 1x ./internal/eval
 
 # The rank-safe frontier sweep (E27): TA/NRA/MAXSCORE vs exhaustive
 # evaluation and the DF/BAF filters across buffer sizes and policies,

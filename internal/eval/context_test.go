@@ -108,6 +108,39 @@ func TestPreCanceledContextSkipsRegistry(t *testing.T) {
 	}
 }
 
+// announceCounter counts the query announcements a pool receives.
+type announceCounter struct {
+	buffer.Pool
+	n int
+}
+
+func (p *announceCounter) SetQuery(w buffer.QueryWeights) {
+	p.n++
+	p.Pool.SetQuery(w)
+}
+
+// TestUnknownAlgorithmSkipsRegistry: a request for an algorithm that
+// does not exist fails before announcing its query, so it cannot
+// re-key the shared pool for everyone else.
+func TestUnknownAlgorithmSkipsRegistry(t *testing.T) {
+	f := smallFixture(t)
+	pool := &announceCounter{Pool: f.newPool(t, 8, buffer.NewRAP())}
+	ev, err := NewEvaluator(f.ix, pool, f.conv, fullParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{{Term: 0, Fqt: 1}}
+	if res, err := ev.Evaluate(Algorithm(42), q); err == nil || res != nil {
+		t.Fatalf("Algorithm(42): res=%v err=%v, want an error and no result", res, err)
+	}
+	if pool.n != 0 {
+		t.Errorf("unknown algorithm announced its query %d times", pool.n)
+	}
+	if _, err := ev.Evaluate(DF, q); err != nil || pool.n != 1 {
+		t.Errorf("DF: err=%v, %d announcements, want one", err, pool.n)
+	}
+}
+
 // TestEmptyQuerySentinel: the empty-query failure is a sentinel
 // matchable with errors.Is.
 func TestEmptyQuerySentinel(t *testing.T) {

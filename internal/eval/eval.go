@@ -12,15 +12,22 @@
 //
 // Setting CAdd = CIns = 0 turns the unsafe optimization off, yielding
 // the exhaustive ("FULL") evaluation the paper uses as a safety
-// baseline.
+// baseline. TA, NRA and MAXSCORE (safe.go) return that exhaustive
+// answer exactly while reading only what a bound proof needs.
+//
+// Every method shares one skeleton: checkQuery validates the query and
+// puts it in the one canonical order, readPage is the one page-read
+// step, and finish is the one place a Result's totals and flags are
+// written. The methods differ in schedule, admission and stop rule.
 package eval
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"bufir/internal/buffer"
@@ -50,8 +57,8 @@ const (
 	// quantitatively. A fully cold query falls back to DF (there is
 	// nothing buffered to prefer).
 	WebLegend
-	// TA, NRA and MAXSCORE are the rank-safe methods of
-	// internal/evalsafe: guaranteed bit-identical to exhaustive
+	// TA, NRA and MAXSCORE are the rank-safe methods of safe.go:
+	// guaranteed bit-identical to exhaustive
 	// (unfiltered) DF, terminating as soon as the provisional top-k is
 	// provably final, with buffer-residency-driven access order. They
 	// ignore the CAdd/CIns filtering constants — exactness is the
@@ -227,8 +234,9 @@ type Result struct {
 	PagesProcessed int
 	// PagesRead counts buffer misses, i.e. actual disk reads.
 	PagesRead int
-	// SelectionInquiries counts BAF's b_t inquiries to the buffer
-	// manager (T(T+1)/2 in the worst case); 0 under DF.
+	// SelectionInquiries counts the residency (b_t) inquiries a
+	// buffer-aware schedule made to the buffer manager: BAF's, T(T+1)/2
+	// in the worst case, and the safe methods' schedule probes.
 	SelectionInquiries int
 	// Smax is the final maximum unnormalized accumulator value.
 	Smax float64
@@ -338,12 +346,16 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := e.checkQuery(q); err != nil {
+	// A request that can only fail, or that is already dead, must not
+	// perturb the shared query registry (RAP re-keys replacement values
+	// on every announcement).
+	if algo < DF || algo > MAXSCORE {
+		return nil, nil, fmt.Errorf("eval: unknown algorithm %d", int(algo))
+	}
+	q, err := e.checkQuery(q)
+	if err != nil {
 		return nil, nil, err
 	}
-	// A request that is already dead must not perturb the shared
-	// query registry (RAP re-keys replacement values on every
-	// announcement).
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -357,97 +369,161 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 	}
 	e.Buf.SetQuery(weights)
 
+	start := time.Now()
 	if algo.Safe() {
-		// The rank-safe family runs in internal/evalsafe and returns
-		// exhaustive DF's exact answer; it has no accumulator-replay
-		// snapshots (nothing to resume — the method already reads the
-		// minimum it can prove sufficient), so prev/record are ignored
-		// and refinement falls back to cold safe evaluations plus the
-		// engine's result cache.
-		res, err := e.evaluateSafe(ctx, algo, q)
-		return res, nil, err
+		// The rank-safe family returns exhaustive DF's exact answer; it
+		// has no accumulator-replay snapshots (nothing to resume — the
+		// method already reads the minimum it can prove sufficient), so
+		// prev/record are ignored and refinement falls back to cold safe
+		// evaluations plus the engine's result cache.
+		r := e.newSafeRun(algo, q)
+		err = r.evaluate(ctx)
+		finish(r.res, err, start)
+		return r.res, nil, err
 	}
 
-	start := time.Now()
 	st := &evalState{
 		acc:       make(map[postings.DocID]float64, 64),
 		res:       &Result{},
 		recording: record && algo == DF,
 	}
-	var err error
 	switch algo {
 	case DF:
-		ord := e.dfOrder(q)
-		if p := e.resumePrefix(ord, prev); p > 0 {
+		if p := e.resumePrefix(q, prev); p > 0 {
 			e.replay(prev, p, st)
 		}
-		err = e.runOrdered(ctx, ord[st.res.ReusedRounds:], st)
+		err = e.runOrdered(ctx, q[st.res.ReusedRounds:], st)
 	case BAF:
 		err = e.runBAF(ctx, q, st)
 	case WebLegend:
 		err = e.runWebLegend(ctx, q, st)
-	default:
-		return nil, nil, fmt.Errorf("eval: unknown algorithm %d", int(algo))
 	}
-	if err != nil {
-		// No snapshot is returned — a truncated trajectory is not a
-		// legal resume point, and the caller keeps its previous one.
-		st.res.Faults = st.faults
-		st.res.Degraded = st.faults > 0
-		st.res.Elapsed = time.Since(start)
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Anytime semantics: finalize what was accumulated.
-			st.res.Top = rank.TopN(st.acc, e.Idx.DocLen, e.Params.TopN)
-			st.res.Accumulators = len(st.acc)
-			st.res.Smax = st.smax
-			st.res.Partial = true
-		}
-		return st.res, nil, err
+	if answered(err) {
+		// Steps 5-6: normalize by W_d and pick the n best — on a context
+		// error, the anytime answer over what was accumulated.
+		st.res.Top = rank.TopN(st.acc, e.Idx.DocLen, e.Params.TopN)
+		st.res.Accumulators = len(st.acc)
+		st.res.Smax = st.smax
 	}
-
-	// Steps 5-6: normalize by W_d and pick the n best.
-	st.res.Top = rank.TopN(st.acc, e.Idx.DocLen, e.Params.TopN)
-	st.res.Accumulators = len(st.acc)
-	st.res.Smax = st.smax
-	st.res.Faults = st.faults
-	st.res.Degraded = st.faults > 0
-	st.res.Elapsed = time.Since(start)
+	finish(st.res, err, start)
+	// A failed evaluation returns no snapshot — a truncated trajectory
+	// is not a legal resume point, and the caller keeps its previous one.
 	var snap *Snapshot
-	if st.recording {
+	if err == nil && st.recording {
 		snap = &Snapshot{algo: algo, params: e.Params, rounds: st.rec}
 	}
-	return st.res, snap, nil
+	return st.res, snap, err
 }
 
-func (e *Evaluator) checkQuery(q Query) error {
+// checkQuery validates q — non-empty, term ids in range, query
+// frequencies >= 1, no duplicate terms — and returns a copy in the one
+// canonical order every method starts from: decreasing idf_t (shortest
+// lists first), ties broken by TermID. This is Figure 1's DF processing
+// order, the order snapshots record and the safe methods' canonical
+// list positions. It is a pure function of the query and the index —
+// never of buffer state — which is what makes a DF trajectory
+// resumable: any query sharing a prefix of this order shares the state
+// trajectory through that prefix.
+func (e *Evaluator) checkQuery(q Query) (Query, error) {
 	if len(q) == 0 {
-		return ErrEmptyQuery
+		return nil, ErrEmptyQuery
 	}
-	seen := make(map[postings.TermID]bool, len(q))
 	for _, qt := range q {
 		if int(qt.Term) < 0 || int(qt.Term) >= len(e.Idx.Terms) {
-			return fmt.Errorf("eval: term id %d out of range", qt.Term)
+			return nil, fmt.Errorf("eval: term id %d out of range", qt.Term)
 		}
 		if qt.Fqt < 1 {
-			return fmt.Errorf("eval: term %q has query frequency %d < 1", e.Idx.Terms[qt.Term].Name, qt.Fqt)
+			return nil, fmt.Errorf("eval: term %q has query frequency %d < 1", e.Idx.Terms[qt.Term].Name, qt.Fqt)
 		}
-		if seen[qt.Term] {
-			return fmt.Errorf("eval: duplicate query term %q", e.Idx.Terms[qt.Term].Name)
-		}
-		seen[qt.Term] = true
 	}
-	return nil
+	ordered := slices.Clone(q)
+	slices.SortFunc(ordered, func(a, b QueryTerm) int {
+		if c := cmp.Compare(e.Idx.IDF(b.Term), e.Idx.IDF(a.Term)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Term, b.Term)
+	})
+	// Sorted, a duplicate term sits next to its twin.
+	for i := 1; i < len(ordered); i++ {
+		if ordered[i].Term == ordered[i-1].Term {
+			return nil, fmt.Errorf("eval: duplicate query term %q", e.Idx.Terms[ordered[i].Term].Name)
+		}
+	}
+	return ordered, nil
 }
 
-// evalState carries the accumulation state across terms. All of it is
-// confined to one Evaluate call: nothing here is read from shared pool
-// counters, which is what makes sessions re-entrant and their
+// isContextErr reports whether err is the request context ending.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// answered reports whether an evaluation that ended with err owes its
+// caller a ranking: after a clean finish, and after a context error —
+// the anytime answer. Any other error leaves the Result with no answer,
+// only the cost counters and trace of the work done before it.
+func answered(err error) bool { return err == nil || isContextErr(err) }
+
+// finish is the one Result writer every method ends in. The method has
+// written its trace rows, its answer (when answered) and Faults;
+// finish totals the cost counters from the trace and stamps the flags
+// and the wall time.
+func finish(res *Result, err error, start time.Time) {
+	for i := range res.Trace {
+		tr := &res.Trace[i]
+		res.PagesProcessed += tr.PagesProcessed
+		res.PagesRead += tr.PagesRead
+		res.EntriesProcessed += tr.EntriesProcessed
+	}
+	res.Partial = err != nil && answered(err)
+	res.Degraded = res.Faults > 0
+	res.Elapsed = time.Since(start)
+}
+
+// readPage is the one page-read step of every method: fetch page i of
+// the trace row's term list and book it on the row — a hit or a miss,
+// and the page's entries (a scan that stops mid-page gives back the
+// ones it did not examine). The caller unpins the returned frame.
+//
+// A nil frame ends the list's scan. On a context error the row is
+// marked Truncated and the error returned: the fetch aborts mid-read,
+// so cancellation latency is bounded by a single page read. Any other
+// fetch error marks the row Faulted; within Params.FaultBudget it is
+// charged to res.Faults and absorbed (nil error — the list is
+// abandoned, the pages already scanned keep their contribution, the
+// same legal §2.2 stopping point a truncation uses), past it the
+// query fails with it.
+func (e *Evaluator) readPage(ctx context.Context, tr *TermTrace, i int, res *Result) (*buffer.Frame, error) {
+	frame, missed, err := e.Buf.FetchContext(ctx, e.Idx.PageOf(tr.Term, i))
+	if err != nil {
+		if isContextErr(err) {
+			tr.Truncated = true
+			return nil, err
+		}
+		tr.Faulted = true
+		if res.Faults < e.Params.FaultBudget {
+			res.Faults++
+			return nil, nil
+		}
+		return nil, fmt.Errorf("eval: term %q page %d: %w", tr.Name, i, err)
+	}
+	tr.PagesProcessed++
+	if missed {
+		tr.PagesRead++
+	} else {
+		tr.PagesHit++
+	}
+	tr.EntriesProcessed += len(frame.Data())
+	return frame, nil
+}
+
+// evalState carries DF/BAF's accumulation state across terms. All of
+// it is confined to one Evaluate call: nothing here is read from shared
+// pool counters, which is what makes sessions re-entrant and their
 // statistics exact when many queries run in parallel on one pool.
 type evalState struct {
-	acc    map[postings.DocID]float64
-	smax   float64
-	faults int // term rounds abandoned under Params.FaultBudget
-	res    *Result
+	acc  map[postings.DocID]float64
+	smax float64
+	res  *Result
 
 	// Snapshot recording (EvaluateResumeContext). When recording is
 	// set, every accumulator assignment of the current round is
@@ -515,13 +591,11 @@ func (e *Evaluator) thresholds(t postings.TermID, fqt int, smax float64) (fins, 
 // processTerm runs Figure 1 step 4 (equivalently Figure 2 steps 3(b)-(d))
 // for one term, mutating the accumulator state and appending a trace row.
 //
-// The context is checked once per page — before each fetch — and the
-// fetch itself aborts mid-read when the context dies, so cancellation
-// latency is bounded by a single page read. On a context error the
-// pages already processed are flushed into the result (the partial
-// answer must account for the work that shaped it), the trace row is
-// appended with Truncated set, and the context's error is returned;
-// the pinned frame is always released first.
+// Pages are read through readPage. When the scan ends on a context
+// error or a fault past the budget, the trace row is still appended
+// (the partial answer, or the cost-only failure, must account for the
+// work done) and the error is returned; the pinned frame is always
+// released first.
 func (e *Evaluator) processTerm(ctx context.Context, qt QueryTerm, estReads int, st *evalState) error {
 	tm := &e.Idx.Terms[qt.Term]
 	roundStart := time.Now()
@@ -556,38 +630,15 @@ func (e *Evaluator) processTerm(ctx context.Context, qt QueryTerm, estReads int,
 
 scan:
 	for i := 0; i < tm.NumPages; i++ {
-		frame, missed, err := e.Buf.FetchContext(ctx, e.Idx.PageOf(qt.Term, i))
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				tr.Truncated = true
-				roundErr = err
-				break scan
-			}
-			tr.Faulted = true
-			if st.faults < e.Params.FaultBudget {
-				// Charge the fault to the query's error budget and
-				// abandon the rest of this list: the pages already
-				// scanned keep their contribution (the same legal §2.2
-				// stopping point a truncation uses), and the query goes
-				// on to its remaining terms as a degraded ranking
-				// instead of erroring.
-				st.faults++
-				break scan
-			}
-			// Past the budget the query fails, but the pages this round
-			// read are still charged below.
-			roundErr = fmt.Errorf("eval: term %q page %d: %w", tm.Name, i, err)
-			break scan
-		}
-		tr.PagesProcessed++
-		if missed {
-			tr.PagesRead++
-		} else {
-			tr.PagesHit++
+		frame, err := e.readPage(ctx, &tr, i, st.res)
+		if frame == nil {
+			// A fault within the budget goes on to the remaining terms
+			// as a degraded ranking; anything else ends the query.
+			roundErr = err
+			break
 		}
 		entries := frame.Data()
-		for _, entry := range entries {
-			tr.EntriesProcessed++
+		for j, entry := range entries {
 			switch {
 			case float64(entry.Freq) > fins:
 				// Steps 4(c)i-ii: add to, or insert into, the
@@ -612,6 +663,7 @@ scan:
 			default:
 				// Step 4(c)iv: frequency ordering guarantees no later
 				// entry can pass; stop scanning this list.
+				tr.EntriesProcessed -= len(entries) - j - 1
 				e.Buf.Unpin(frame)
 				break scan
 			}
@@ -620,9 +672,6 @@ scan:
 	}
 
 	tr.Elapsed = time.Since(roundStart)
-	st.res.PagesRead += tr.PagesRead
-	st.res.PagesProcessed += tr.PagesProcessed
-	st.res.EntriesProcessed += tr.EntriesProcessed
 	st.res.Trace = append(st.res.Trace, tr)
 	// A truncated or faulted round applied only part of its list: its
 	// writes are real (the partial answer accounts for them) but the
@@ -632,28 +681,8 @@ scan:
 	return roundErr
 }
 
-// dfOrder returns the query in Figure 1's canonical processing order:
-// decreasing idf_t (shortest lists first), ties broken by TermID for
-// determinism. This order is a pure function of the query and the
-// index — never of buffer state — which is what makes a DF trajectory
-// resumable: any query sharing a prefix of this order shares the
-// state trajectory through that prefix.
-func (e *Evaluator) dfOrder(q Query) Query {
-	ordered := make(Query, len(q))
-	copy(ordered, q)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		ia, ib := e.Idx.IDF(a.Term), e.Idx.IDF(b.Term)
-		if ia != ib {
-			return ia > ib
-		}
-		return a.Term < b.Term
-	})
-	return ordered
-}
-
-// runOrdered is Figure 1's round loop over an already-ordered term
-// list. The context is re-checked at every term round — the paper's
+// runOrdered is Figure 1's round loop over terms in canonical order.
+// The context is re-checked at every term round — the paper's
 // filtering loop is round-structured, which is what makes stopping
 // between rounds a legal (anytime) termination.
 func (e *Evaluator) runOrdered(ctx context.Context, ordered Query, st *evalState) error {
@@ -668,17 +697,13 @@ func (e *Evaluator) runOrdered(ctx context.Context, ordered Query, st *evalState
 	return nil
 }
 
-// runDF is Figure 1: canonical order, then the round loop.
-func (e *Evaluator) runDF(ctx context.Context, q Query, st *evalState) error {
-	return e.runOrdered(ctx, e.dfOrder(q), st)
-}
-
 // runBAF is Figure 2: in each round, select the unmarked term with the
 // lowest estimated disk reads d_t = max(p_t − b_t, 0), breaking ties
-// by higher idf_t (then TermID). f_add and p_t are cached per term and
-// recomputed only when S_max has changed since they were computed; b_t
-// is asked of the buffer manager on every round, as the paper
-// prescribes.
+// by higher idf_t (then TermID). The choice is a total order, so it
+// does not depend on the order q arrives in. f_add and p_t are cached
+// per term and recomputed only when S_max has changed since they were
+// computed; b_t is asked of the buffer manager on every round, as the
+// paper prescribes.
 func (e *Evaluator) runBAF(ctx context.Context, q Query, st *evalState) error {
 	n := len(q)
 	done := make([]bool, n)
@@ -734,10 +759,10 @@ func (e *Evaluator) runBAF(ctx context.Context, q Query, st *evalState) error {
 	return nil
 }
 
-// runWebLegend processes, in decreasing-idf order, ONLY the query
-// terms with at least one buffer-resident page; unbuffered terms are
-// not accessed at all. A completely cold query degenerates to DF.
-// Ignored terms appear in the trace with Skipped set and an
+// runWebLegend processes, in canonical (decreasing-idf) order, ONLY
+// the query terms with at least one buffer-resident page; unbuffered
+// terms are not accessed at all. A completely cold query degenerates
+// to DF. Ignored terms appear in the trace with Skipped set and an
 // EstimatedReads of 0, so callers can count how often user intent was
 // discarded.
 func (e *Evaluator) runWebLegend(ctx context.Context, q Query, st *evalState) error {
@@ -750,40 +775,25 @@ func (e *Evaluator) runWebLegend(ctx context.Context, q Query, st *evalState) er
 		}
 	}
 	if !anyBuffered {
-		return e.runDF(ctx, q, st)
+		return e.runOrdered(ctx, q, st)
 	}
-	type indexed struct {
-		qt  QueryTerm
-		buf bool
-	}
-	ordered := make([]indexed, len(q))
 	for i, qt := range q {
-		ordered[i] = indexed{qt, buffered[i]}
-	}
-	sort.SliceStable(ordered, func(i, j int) bool {
-		a, b := e.Idx.IDF(ordered[i].qt.Term), e.Idx.IDF(ordered[j].qt.Term)
-		if a != b {
-			return a > b
-		}
-		return ordered[i].qt.Term < ordered[j].qt.Term
-	})
-	for _, it := range ordered {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !it.buf {
-			tm := &e.Idx.Terms[it.qt.Term]
+		if !buffered[i] {
+			tm := &e.Idx.Terms[qt.Term]
 			st.res.Trace = append(st.res.Trace, TermTrace{
-				Term:      it.qt.Term,
+				Term:      qt.Term,
 				Name:      tm.Name,
 				IDF:       tm.IDF,
-				Fqt:       it.qt.Fqt,
+				Fqt:       qt.Fqt,
 				ListPages: tm.NumPages,
 				Skipped:   true,
 			})
 			continue
 		}
-		if err := e.processTerm(ctx, it.qt, -1, st); err != nil {
+		if err := e.processTerm(ctx, qt, -1, st); err != nil {
 			return err
 		}
 	}

@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,7 +60,13 @@ func (f *fixture) heal() { f.disk.inner = f.store }
 // fixture's disk.
 func (f *fixture) newPool(t testing.TB, bufPages int, pol buffer.Policy) *buffer.Manager {
 	t.Helper()
-	mgr, err := buffer.NewManager(bufPages, 1, f.disk, f.ix, func(int) buffer.Policy { return pol })
+	return f.poolOver(t, bufPages, f.disk, pol)
+}
+
+// poolOver builds the serial buffer manager over any store.
+func (f *fixture) poolOver(t testing.TB, bufPages int, store buffer.PageReader, pol buffer.Policy) *buffer.Manager {
+	t.Helper()
+	mgr, err := buffer.NewManager(bufPages, 1, store, f.ix, func(int) buffer.Policy { return pol })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +101,16 @@ func (f *fixture) evaluator(t testing.TB, bufPages int, pol buffer.Policy, p Par
 	return ev
 }
 
-// bruteForce computes the exact cosine ranking from the raw lists.
+// bruteForce computes the exact cosine ranking from the raw lists the
+// way exhaustive DF does — contributions added from zero in canonical
+// term order, then rank.TopN — so its scores are DF's bits.
 func (f *fixture) bruteForce(q Query, topN int) []rank.ScoredDoc {
+	ordered := slices.Clone(q)
+	slices.SortStableFunc(ordered, func(a, b QueryTerm) int {
+		return cmp.Or(cmp.Compare(f.ix.IDF(b.Term), f.ix.IDF(a.Term)), cmp.Compare(a.Term, b.Term))
+	})
 	acc := make(map[postings.DocID]float64)
-	for _, qt := range q {
+	for _, qt := range ordered {
 		tm := f.ix.Terms[qt.Term]
 		wqt := rank.QueryWeight(qt.Fqt, tm.IDF)
 		for _, e := range f.lists[qt.Term].Entries {
@@ -351,19 +365,28 @@ func TestPagesReadNeverExceedsProcessed(t *testing.T) {
 	}
 }
 
+// TestQueryValidation: one validator serves every method, and a
+// rejected query returns no Result.
 func TestQueryValidation(t *testing.T) {
 	f := smallFixture(t)
 	ev := f.evaluator(t, 8, buffer.NewLRU(), fullParams())
-	cases := []Query{
-		{},
-		{{Term: 99, Fqt: 1}},
-		{{Term: -1, Fqt: 1}},
-		{{Term: 0, Fqt: 0}},
-		{{Term: 0, Fqt: 1}, {Term: 0, Fqt: 2}},
+	cases := []struct {
+		name string
+		q    Query
+	}{
+		{"empty query", Query{}},
+		{"term out of range", Query{{Term: 99, Fqt: 1}}},
+		{"negative term id", Query{{Term: -1, Fqt: 1}}},
+		{"fqt < 1", Query{{Term: 0, Fqt: 0}}},
+		{"duplicate term", Query{{Term: 0, Fqt: 1}, {Term: 0, Fqt: 2}}},
+		// Canonical order puts the twins side by side.
+		{"duplicate term apart", Query{{Term: 0, Fqt: 1}, {Term: 2, Fqt: 1}, {Term: 0, Fqt: 2}}},
 	}
-	for i, q := range cases {
-		if _, err := ev.Evaluate(DF, q); err == nil {
-			t.Errorf("case %d: expected validation error", i)
+	for _, algo := range []Algorithm{DF, BAF, WebLegend, TA, NRA, MAXSCORE} {
+		for _, tc := range cases {
+			if res, err := ev.Evaluate(algo, tc.q); err == nil || res != nil {
+				t.Errorf("%v %s: res=%v err=%v, want a validation error", algo, tc.name, res, err)
+			}
 		}
 	}
 }

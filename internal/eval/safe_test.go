@@ -1,13 +1,15 @@
-// Metamorphic exactness suite for the rank-safe evaluator family
-// (ISSUE PR-9 satellite 4): over random corpora at several scales,
-// buffer sizes spanning under- to over-provisioned pools, all six
-// replacement policies, fault schedules and cancellation
-// interleavings, TA/NRA/MAXSCORE must return the bit-identical top-k
-// of an exhaustive (unfiltered) DF evaluation — same documents, same
-// float64 scores, same tie order. Faulted and canceled runs cannot
-// promise exactness (neither can DF's); there the contract is a legal
-// degraded/partial ranking, and exactness must return the moment the
-// store heals. Runs under -race in the ci ranksafe gate.
+// Tests of the rank-safe evaluator family. The metamorphic exactness
+// suite: over random corpora at several scales, buffer sizes spanning
+// under- to over-provisioned pools, all six replacement policies,
+// fault schedules and cancellation interleavings, TA/NRA/MAXSCORE must
+// return the bit-identical top-k of an exhaustive (unfiltered) DF
+// evaluation — same documents, same float64 scores, same tie order.
+// Faulted and canceled runs cannot promise exactness (neither can
+// DF's); there the contract is a legal degraded/partial ranking, and
+// exactness must return the moment the store heals. The unit tests
+// below it pin early termination, the schedules' savings and the
+// shared fault/cancellation behaviour. Runs under -race in the ci
+// ranksafe gate.
 package eval
 
 import (
@@ -16,11 +18,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bufir/internal/buffer"
 	"bufir/internal/postings"
 	"bufir/internal/rank"
+	"bufir/internal/storage"
 )
 
 var safeAlgos = []Algorithm{TA, NRA, MAXSCORE}
@@ -179,7 +183,7 @@ func TestMetamorphicSafeFaultInterleavings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d %v: budget run errored: %v", i, algo, err)
 		}
-		assertLegalSafeRanking(t, res.Top, k)
+		assertLegalRanking(t, res.Top, k)
 		if res.Faults > 0 && !res.Degraded {
 			t.Fatalf("iter %d %v: %d faults but not Degraded", i, algo, res.Faults)
 		}
@@ -244,7 +248,7 @@ func TestMetamorphicSafeCancellation(t *testing.T) {
 			if res == nil || !res.Partial {
 				t.Fatalf("iter %d %v: no partial result on cancellation", i, algo)
 			}
-			assertLegalSafeRanking(t, res.Top, k)
+			assertLegalRanking(t, res.Top, k)
 		}
 		if n := mgr.PinnedFrames(); n != 0 {
 			t.Fatalf("iter %d %v: %d frames pinned after cancel", i, algo, n)
@@ -263,10 +267,10 @@ func TestMetamorphicSafeCancellation(t *testing.T) {
 	}
 }
 
-// assertLegalSafeRanking checks the structural contract of a degraded
+// assertLegalRanking checks the structural contract of a degraded
 // or partial answer: at most k entries, rank.Before order, no
 // duplicate documents, finite scores.
-func assertLegalSafeRanking(t *testing.T, top []rank.ScoredDoc, k int) {
+func assertLegalRanking(t *testing.T, top []rank.ScoredDoc, k int) {
 	t.Helper()
 	if len(top) > k {
 		t.Fatalf("%d results for k=%d", len(top), k)
@@ -312,6 +316,42 @@ func TestSafeResumePathIgnoresSnapshots(t *testing.T) {
 	}
 }
 
+// TestScheduleString pins the names of the three safe schedules and
+// the fallback name of an unknown value.
+func TestScheduleString(t *testing.T) {
+	for a, want := range map[Algorithm]string{TA: "TA", NRA: "NRA", MAXSCORE: "MAXSCORE", Algorithm(9): "Algorithm(9)"} {
+		if got := a.String(); got != want {
+			t.Errorf("Algorithm(%d).String() = %q, want %q", int(a), got, want)
+		}
+	}
+}
+
+// TestValidation: a safe evaluation is refused for a bad query or bad
+// parameters.
+func TestValidation(t *testing.T) {
+	f := skewed(t)
+	cases := []struct {
+		name string
+		q    Query
+		p    Params
+	}{
+		{"empty query", nil, Params{TopN: 10}},
+		{"zero TopN", Query{{Term: 0, Fqt: 1}}, Params{TopN: 0}},
+		{"negative budget", Query{{Term: 0, Fqt: 1}}, Params{TopN: 10, FaultBudget: -1}},
+		{"term out of range", Query{{Term: 99, Fqt: 1}}, Params{TopN: 10}},
+		{"fqt < 1", Query{{Term: 0, Fqt: 0}}, Params{TopN: 10}},
+	}
+	for _, tc := range cases {
+		ev, err := NewEvaluator(f.ix, f.newPool(t, 8, buffer.NewLRU()), f.conv, tc.p)
+		if err == nil {
+			_, err = ev.Evaluate(TA, tc.q)
+		}
+		if err == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
+	}
+}
+
 // TestSafeAlgorithmStrings pins the String names the Method knob and
 // E27 rows use.
 func TestSafeAlgorithmStrings(t *testing.T) {
@@ -328,5 +368,248 @@ func TestSafeAlgorithmStrings(t *testing.T) {
 		if algo.Safe() {
 			t.Errorf("%s.Safe() = true", algo)
 		}
+	}
+}
+
+// skewed builds a fixture with one dominant document in the queried
+// term and a long low-frequency tail whose documents carry large
+// vector lengths from a second (unqueried) term — the shape where the
+// unseen-document bound collapses quickly.
+func skewed(t testing.TB) *fixture {
+	a := postings.TermPostings{Name: "rare"}
+	b := postings.TermPostings{Name: "ballast"}
+	a.Entries = append(a.Entries, postings.Entry{Doc: 0, Freq: 50})
+	for d := postings.DocID(1); d < 20; d++ {
+		a.Entries = append(a.Entries, postings.Entry{Doc: d, Freq: 1})
+		b.Entries = append(b.Entries, postings.Entry{Doc: d, Freq: 10})
+	}
+	return newFixture(t, []postings.TermPostings{a, b}, 40, 2)
+}
+
+// randFixture is a random unit-scale collection of 3–7 lists.
+func randFixture(t testing.TB, r *rand.Rand) *fixture {
+	numDocs := 8 + r.Intn(33)
+	numTerms := 3 + r.Intn(5)
+	lists := make([]postings.TermPostings, numTerms)
+	for tm := 0; tm < numTerms; tm++ {
+		df := 1 + r.Intn(numDocs)
+		perm := r.Perm(numDocs)[:df]
+		entries := make([]postings.Entry, df)
+		for i, d := range perm {
+			entries[i] = postings.Entry{Doc: postings.DocID(d), Freq: int32(1 + r.Intn(30))}
+		}
+		lists[tm] = postings.TermPostings{Name: string(rune('a' + tm)), Entries: entries}
+	}
+	return newFixture(t, lists, numDocs, 1+r.Intn(4))
+}
+
+func TestAllSchedulesBitIdenticalToExhaustive(t *testing.T) {
+	f := skewed(t)
+	q := Query{{Term: 0, Fqt: 2}, {Term: 1, Fqt: 1}}
+	want := f.bruteForce(q, 10)
+	for _, algo := range safeAlgos {
+		res, err := f.evaluator(t, 4, buffer.NewLRU(), Params{TopN: 10}).Evaluate(algo, q)
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		assertTopIdentical(t, algo.String(), res.Top, want)
+	}
+}
+
+// TestEarlyTermination: on the skewed fixture with k=1, the dominant
+// document is provably final after a page or two — far before the
+// 10-page list is exhausted — and the answer is still exact.
+func TestEarlyTermination(t *testing.T) {
+	f := skewed(t)
+	q := Query{{Term: 0, Fqt: 1}}
+	want := f.bruteForce(q, 1)
+	total := f.ix.Terms[0].NumPages
+	for _, algo := range safeAlgos {
+		r := newTestRun(t, f.ix, f.newPool(t, 4, buffer.NewLRU()), q, algo, Params{TopN: 1})
+		if err := r.evaluate(context.Background()); err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		if !r.terminated {
+			t.Errorf("%v: did not terminate early", algo)
+		}
+		if pages := r.res.Trace[0].PagesProcessed; pages >= total {
+			t.Errorf("%v: processed %d pages of a %d-page list", algo, pages, total)
+		}
+		assertTopIdentical(t, algo.String(), r.res.Top, want)
+	}
+}
+
+// TestMaxscoreSkipsLowSigmaTail: with a huge-idf list that settles
+// the answer, maxscore needs the low-sigma list only long enough to
+// complete the winner's score — its long tail goes unread.
+func TestMaxscoreSkipsLowSigmaTail(t *testing.T) {
+	rare := postings.TermPostings{Name: "rare", Entries: []postings.Entry{{Doc: 0, Freq: 90}}}
+	common := postings.TermPostings{Name: "common"}
+	ballast := postings.TermPostings{Name: "ballast"}
+	for d := postings.DocID(1); d < 30; d++ {
+		common.Entries = append(common.Entries, postings.Entry{Doc: d, Freq: 1})
+		ballast.Entries = append(ballast.Entries, postings.Entry{Doc: d, Freq: 40})
+	}
+	// Doc 0 also appears once in common so it is complete the moment
+	// common's head page is read — and it never needs to be, because
+	// rare finishing makes it complete too.
+	common.Entries = append([]postings.Entry{{Doc: 0, Freq: 2}}, common.Entries...)
+	f := newFixture(t, []postings.TermPostings{rare, common, ballast}, 64, 2)
+
+	q := Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}}
+	want := f.bruteForce(q, 1)
+	r := newTestRun(t, f.ix, f.newPool(t, 4, buffer.NewLRU()), q, MAXSCORE, Params{TopN: 1})
+	if err := r.evaluate(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	assertTopIdentical(t, "MAXSCORE", r.res.Top, want)
+	var commonRow *TermTrace
+	for i := range r.res.Trace {
+		if r.res.Trace[i].Term == 1 {
+			commonRow = &r.res.Trace[i]
+		}
+	}
+	if commonRow == nil {
+		t.Fatal("no trace row for the common term")
+	}
+	// One page completes doc 0 (it sits in the frequency-sorted head);
+	// everything past that is the saving.
+	if commonRow.PagesProcessed > 2 || commonRow.PagesProcessed == commonRow.ListPages {
+		t.Errorf("maxscore read %d of the low-sigma list's %d pages",
+			commonRow.PagesProcessed, commonRow.ListPages)
+	}
+	if !r.terminated {
+		t.Error("expected early termination")
+	}
+}
+
+// TestNeverMorePagesThanExhaustive: across random fixtures, queries
+// and schedules, a safe method processes at most the pages an
+// exhaustive scan of the query lists would.
+func TestNeverMorePagesThanExhaustive(t *testing.T) {
+	r := rand.New(rand.NewSource(271828))
+	for iter := 0; iter < 60; iter++ {
+		f := randFixture(t, r)
+		q := randSafeQuery(r, len(f.lists))
+		k := 1 + r.Intn(10)
+		want := f.bruteForce(q, k)
+		exhaustivePages := 0
+		for _, qt := range q {
+			exhaustivePages += f.ix.Terms[qt.Term].NumPages
+		}
+		for _, algo := range safeAlgos {
+			bufPages := 1 + r.Intn(f.ix.NumPagesTotal+2)
+			res, err := f.evaluator(t, bufPages, buffer.NewLRU(), Params{TopN: k}).Evaluate(algo, q)
+			if err != nil {
+				t.Fatalf("iter %d %v: %v", iter, algo, err)
+			}
+			if res.PagesProcessed > exhaustivePages {
+				t.Fatalf("iter %d %v: processed %d pages, exhaustive needs %d",
+					iter, algo, res.PagesProcessed, exhaustivePages)
+			}
+			assertTopIdentical(t, fmt.Sprintf("iter %d %v", iter, algo), res.Top, want)
+		}
+	}
+}
+
+// TestFaultOnFirstPageEveryMethod: a list whose first page faults is
+// the same trace row under every method — Faulted, not Skipped (it was
+// opened) — and costs one unit of budget, leaving a Degraded answer;
+// with no budget every method fails with the same error.
+func TestFaultOnFirstPageEveryMethod(t *testing.T) {
+	f := smallFixture(t)
+	beta := f.ix.Terms[1]
+	spec := storage.FormatFaultSchedule([]storage.FaultRule{{
+		Kind: storage.FaultPermanent, FirstPage: int(beta.FirstPage), LastPage: int(beta.FirstPage), Prob: 1,
+	}})
+	q := Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}, {Term: 2, Fqt: 1}}
+	const wantErr = `eval: term "beta" page 0: `
+	for _, algo := range []Algorithm{DF, BAF, TA, NRA, MAXSCORE} {
+		p := fullParams()
+		p.FaultBudget = 1
+		res, err := faultEvaluator(t, f, spec, p).Evaluate(algo, q)
+		f.heal()
+		if err != nil {
+			t.Fatalf("%v: budget run: %v", algo, err)
+		}
+		if res.Faults != 1 || !res.Degraded {
+			t.Errorf("%v: Faults=%d Degraded=%v, want 1/true", algo, res.Faults, res.Degraded)
+		}
+		var row *TermTrace
+		for i := range res.Trace {
+			if res.Trace[i].Term == 1 {
+				row = &res.Trace[i]
+			}
+		}
+		if row == nil || !row.Faulted || row.Skipped || row.PagesProcessed != 0 {
+			t.Errorf("%v: beta's row = %+v, want Faulted, not Skipped, no pages", algo, row)
+		}
+		assertLegalRanking(t, res.Top, p.TopN)
+
+		_, err = faultEvaluator(t, f, spec, fullParams()).Evaluate(algo, q)
+		f.heal()
+		if err == nil || !strings.HasPrefix(err.Error(), wantErr) || !errors.Is(err, storage.ErrInjectedFault) {
+			t.Errorf("%v: zero budget: err = %v, want prefix %q wrapping the injected fault", algo, err, wantErr)
+		}
+	}
+}
+
+func TestCancellationReturnsPartial(t *testing.T) {
+	f := skewed(t)
+	q := Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}}
+	for _, algo := range safeAlgos {
+		ctx, cancel := context.WithCancel(context.Background())
+		pool := &cancelAfterPool{Pool: f.newPool(t, 4, buffer.NewLRU()), cancel: cancel, n: 2}
+		ev, err := NewEvaluator(f.ix, pool, f.conv, Params{TopN: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ev.EvaluateContext(ctx, algo, q)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: err = %v, want context.Canceled", algo, err)
+		}
+		if res == nil || !res.Partial {
+			t.Fatalf("%v: no partial result on cancellation", algo)
+		}
+		assertLegalRanking(t, res.Top, 5)
+	}
+}
+
+// TestSelectionInquiriesCounted: buffer-aware scheduling must account
+// its residency probes, like BAF.
+func TestSelectionInquiriesCounted(t *testing.T) {
+	f := skewed(t)
+	q := Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}}
+	for _, algo := range safeAlgos {
+		res, err := f.evaluator(t, 4, buffer.NewLRU(), Params{TopN: 5}).Evaluate(algo, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SelectionInquiries == 0 {
+			t.Errorf("%v: no selection inquiries recorded", algo)
+		}
+	}
+}
+
+// TestExhaustionEqualsExhaustive: with k larger than the candidate
+// set, no early stop is possible; the run must exhaust every list and
+// report DF's exact Smax.
+func TestExhaustionEqualsExhaustive(t *testing.T) {
+	f := skewed(t)
+	q := Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}}
+	want := exhaustiveRef(t, f, 50, q)
+	for _, algo := range safeAlgos {
+		res, err := f.evaluator(t, 4, buffer.NewLRU(), Params{TopN: 50}).Evaluate(algo, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PagesProcessed != want.PagesProcessed {
+			t.Errorf("%v: processed %d pages, want %d", algo, res.PagesProcessed, want.PagesProcessed)
+		}
+		if res.Smax != want.Smax {
+			t.Errorf("%v: Smax %v, want DF's %v", algo, res.Smax, want.Smax)
+		}
+		assertTopIdentical(t, algo.String(), res.Top, want.Top)
 	}
 }

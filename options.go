@@ -1,6 +1,10 @@
 package bufir
 
-import "bufir/internal/eval"
+import (
+	"fmt"
+
+	"bufir/internal/eval"
+)
 
 // EvalOptions is the set of evaluation knobs shared by every way of
 // running queries — private Sessions (SessionConfig) and the
@@ -44,8 +48,12 @@ type EvalOptions struct {
 // params resolves the options into evaluator parameters: TopN defaults
 // to 20, and when filtering is enabled with both constants zero, CAdd
 // and CIns are taken from fallback. This is the single defaulting and
-// validation path for all configs.
+// validation path for all configs; an unknown Algorithm is rejected
+// here, at construction, rather than failing every query.
 func (o EvalOptions) params(fallback eval.Params) (eval.Params, error) {
+	if o.Algorithm < eval.DF || o.Algorithm > eval.MAXSCORE {
+		return eval.Params{}, fmt.Errorf("bufir: unknown algorithm %v", o.Algorithm)
+	}
 	p := eval.Params{
 		CAdd:           o.CAdd,
 		CIns:           o.CIns,

@@ -306,3 +306,16 @@ func TestParseAlgorithm(t *testing.T) {
 		t.Error("unknown name accepted")
 	}
 }
+
+// TestUnknownAlgorithmRejected: an Algorithm value no method answers to
+// fails construction instead of every query.
+func TestUnknownAlgorithmRejected(t *testing.T) {
+	_, ix := testIndex(t)
+	opts := EvalOptions{Algorithm: Algorithm(42)}
+	if _, err := ix.NewSession(SessionConfig{EvalOptions: opts}); err == nil {
+		t.Error("NewSession accepted Algorithm(42)")
+	}
+	if _, err := ix.NewEngine(EngineConfig{EvalOptions: opts, BufferPages: 8}); err == nil {
+		t.Error("NewEngine accepted Algorithm(42)")
+	}
+}

@@ -143,6 +143,55 @@ func TestObsExperiment(t *testing.T) {
 	t.Logf("obs:\n%s", buf.String())
 }
 
+// TestConcurrencyExperiment gates E21's verification half: the
+// 1-worker engine reproduces the serial E12 interleave's reads at every
+// pool size.
+func TestConcurrencyExperiment(t *testing.T) {
+	env := newTinyEnv(t)
+	r, err := env.RunConcurrency(4, 2, []int{1, 2}, 0, 4)
+	if err != nil {
+		t.Fatalf("concurrency: %v", err)
+	}
+	var buf bytes.Buffer
+	r.Format(&buf)
+	if len(r.Verify) == 0 {
+		t.Fatal("no verification rows")
+	}
+	for _, v := range r.Verify {
+		if v.SerialReads != v.EngineReads {
+			t.Errorf("size %d: engine reads %d != serial %d", v.Size, v.EngineReads, v.SerialReads)
+		}
+	}
+	t.Logf("concurrency:\n%s", buf.String())
+}
+
+// TestLifecycleExperiment gates the lifecycle counters: every offered
+// request is shed or executed, and every executed one lands in exactly
+// one outcome.
+func TestLifecycleExperiment(t *testing.T) {
+	env := newTinyEnv(t)
+	r, err := env.RunLifecycle(4, 2, 2, 0)
+	if err != nil {
+		t.Fatalf("lifecycle: %v", err)
+	}
+	var buf bytes.Buffer
+	r.Format(&buf)
+	if len(r.Rows) == 0 {
+		t.Fatal("no deadline rows")
+	}
+	for _, row := range r.Rows {
+		if int64(row.Submitted) != row.Shed+row.Executed {
+			t.Errorf("timeout %v: submitted %d != shed %d + executed %d",
+				row.Timeout, row.Submitted, row.Shed, row.Executed)
+		}
+		if got := row.Completed + row.Partials + row.Aborted + row.Canceled; row.Executed != got {
+			t.Errorf("timeout %v: executed %d != completed %d + partials %d + aborted %d + canceled %d",
+				row.Timeout, row.Executed, row.Completed, row.Partials, row.Aborted, row.Canceled)
+		}
+	}
+	t.Logf("lifecycle:\n%s", buf.String())
+}
+
 func TestAblations(t *testing.T) {
 	env := newTinyEnv(t)
 	ab, err := env.RunAblations()

@@ -16,6 +16,10 @@
 //	summary effect refine-incr ranksafe ingest
 //
 // (fig56/fig78 are aliases for the figure pairs; default "all").
+// The serving experiments (concurrency, lifecycle, faults, obs,
+// refine-incr, shards, ingest) build a bufir.Index over the collection
+// and serve it through Index.NewEngine — and NewRouter for shards —
+// the same assembly a library user gets.
 // concurrency sweeps -workers over the E12 workload with -cusers
 // sessions and -disklat simulated read latency, comparing the
 // one-latch pool against one sharded -cshards ways. lifecycle
@@ -228,7 +232,7 @@ func main() {
 	run("fig8", func() (formatter, error) { return env.RunSweep("Figure 8", 1, refine.AddDrop, *points) })
 	run("multiuser", func() (formatter, error) { return env.RunMultiUser(*points) })
 	run("concurrency", func() (formatter, error) {
-		return env.RunConcurrency(*cusers, *cshards, parseWorkers(*workers), *disklat, *points)
+		return env.RunConcurrency(*cusers, *cshards, parseCounts("workers", *workers), *disklat, *points)
 	})
 	run("lifecycle", func() (formatter, error) {
 		return env.RunLifecycle(*cusers, 4, *cshards, *disklat)
@@ -240,7 +244,7 @@ func main() {
 		return env.RunObs(*obsaddr, *cusers, 4, *cshards, *disklat, *points, *obshold)
 	})
 	run("shards", func() (formatter, error) {
-		return runShards(env, *cusers, 4, *passes, parseWorkers(*shardcnts), *disklat)
+		return env.RunShards(*cusers, 4, *passes, parseCounts("shardcounts", *shardcnts), *disklat)
 	})
 	run("drift", func() (formatter, error) {
 		return env.RunDrift(*points, uint64(*faultseed))
@@ -271,8 +275,8 @@ func effTopics(requested int) int {
 	return 20
 }
 
-// parseWorkers parses the -workers sweep list ("1,2,4,8").
-func parseWorkers(s string) []int {
+// parseCounts parses the sweep list ("1,2,4,8") given to flag name.
+func parseCounts(name, s string) []int {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -281,7 +285,7 @@ func parseWorkers(s string) []int {
 		}
 		var n int
 		if _, err := fmt.Sscanf(part, "%d", &n); err != nil || n < 1 {
-			log.Fatalf("bad -workers entry %q", part)
+			log.Fatalf("bad -%s entry %q", name, part)
 		}
 		out = append(out, n)
 	}

@@ -20,12 +20,12 @@
 //
 // Endpoints:
 //
-//	GET  /search?q=TERMS[&user=N][&k=N][&refine=1]  ranked answer (JSON)
-//	GET  /healthz                                   liveness + shard count + epoch
-//	GET  /stats                                     serving counters + epoch (JSON)
-//	POST /ingest                                    add a document (requires -live);
-//	                                                body {"name": "...", "text": "..."}
-//	POST /merge                                     compact pending deltas on every shard
+//	GET  /search?q=TERMS[&user=N][&k=N]  ranked answer (JSON)
+//	GET  /healthz                        liveness + shard count + epoch
+//	GET  /stats                          serving counters + epoch (JSON)
+//	POST /ingest                         add a document (requires -live);
+//	                                     body {"name": "...", "text": "..."}
+//	POST /merge                          compact pending deltas on every shard
 //
 // With -live the deployment accepts documents while serving: each
 // POST /ingest tokenizes the body, appends it to the owning shard's

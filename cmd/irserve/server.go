@@ -137,12 +137,7 @@ func handleSearch(svc *bufir.Service, w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	var res *bufir.Result
-	if r.URL.Query().Get("refine") != "" {
-		res, err = svc.RefineContext(r.Context(), user, q)
-	} else {
-		res, err = svc.SearchContext(r.Context(), user, q)
-	}
+	res, err := svc.SearchContext(r.Context(), user, q)
 	if err != nil {
 		switch {
 		case errors.Is(err, bufir.ErrQueueFull):

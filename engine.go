@@ -224,7 +224,7 @@ func (ix *Index) NewEngine(cfg EngineConfig) (*Engine, error) {
 		return nil, err
 	}
 	src := &poolSource{ix: ix, rc: rc, shards: cfg.Shards, fault: cfg.Fault}
-	inner, err := engine.NewWithSource(src, engine.Config{
+	inner, err := engine.New(src, engine.Config{
 		Workers:      cfg.Workers,
 		Algo:         cfg.Algorithm,
 		Params:       rc.params,
@@ -286,21 +286,6 @@ func (e *Engine) SubmitContext(ctx context.Context, user int, q Query) (*Ticket,
 		return nil, err
 	}
 	return &Ticket{job: j}, nil
-}
-
-// RefineContext executes one request for the user through the
-// incremental refinement path, blocking until its result is ready. It
-// is SearchContext under EngineConfig.Refine.Incremental: resubmitting
-// an already-answered query returns the cached ranking (Result.Cached,
-// zero cost counters), and an ADD-ONLY extension of the user's
-// previous query resumes from the carried snapshot
-// (Result.ReusedRounds) instead of re-scanning — bit-identical to a
-// cold evaluation either way. Without Refine.Incremental in the
-// engine's config, RefineContext is plain SearchContext: there is no
-// per-request opt-in, because reuse state must be maintained on every
-// submission to be valid on any.
-func (e *Engine) RefineContext(ctx context.Context, user int, q Query) (*Result, error) {
-	return e.inner.SearchContext(ctx, user, q)
 }
 
 // IngestContext adds one document to the engine's index (which must

@@ -59,7 +59,7 @@ func TestEngineResultCacheInvalidatedByEpochBump(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r1, err := eng.RefineContext(ctx, 1, q)
+	r1, err := eng.SearchContext(ctx, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestEngineResultCacheInvalidatedByEpochBump(t *testing.T) {
 
 	// Same user, same query, same generation: served from the cache,
 	// stamped with the generation it was computed against.
-	r2, err := eng.RefineContext(ctx, 1, q)
+	r2, err := eng.SearchContext(ctx, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestEngineResultCacheInvalidatedByEpochBump(t *testing.T) {
 	// The cached ranking is keyed on the dead epoch: the resubmission
 	// must evaluate cold against the new generation and see the
 	// ingested document, never replay the stale entry.
-	r3, err := eng.RefineContext(ctx, 1, q)
+	r3, err := eng.SearchContext(ctx, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEngineResultCacheInvalidatedByEpochBump(t *testing.T) {
 
 	// Within the NEW generation the cache works again — keyed on the
 	// new epoch.
-	r4, err := eng.RefineContext(ctx, 1, q)
+	r4, err := eng.SearchContext(ctx, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +142,14 @@ func TestEngineResultCacheInvalidatedByMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := eng.RefineContext(ctx, 1, q)
+	r1, err := eng.SearchContext(ctx, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.MergeContext(ctx); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := eng.RefineContext(ctx, 1, q)
+	r2, err := eng.SearchContext(ctx, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestChaosServingInvariants(t *testing.T) {
 	}
 	params := e.Params()
 	params.FaultBudget = 8
-	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{
+	eng, err := newEngine(e, pool, engine.Config{
 		Workers: 8, Params: params,
 	})
 	if err != nil {
@@ -138,7 +138,7 @@ func TestChaosPermanentFaultPagesRead(t *testing.T) {
 	}
 	params := e.Params()
 	params.FaultBudget = 0
-	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{Workers: 1, Params: params})
+	eng, err := newEngine(e, pool, engine.Config{Workers: 1, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,13 +81,11 @@ type Config struct {
 	Algo eval.Algorithm
 	// Params are the evaluator tuning knobs shared by all sessions.
 	Params eval.Params
-	// QueueDepth bounds the number of submitted-but-unfinished
-	// requests before SubmitContext blocks (0 = 4×Workers, minimum 64).
-	// Ignored when MaxQueue is set.
-	QueueDepth int
 	// MaxQueue, when > 0, switches admission to fail-fast: the queue
 	// holds at most MaxQueue requests and SubmitContext returns ErrQueueFull
-	// instead of blocking when it is at capacity.
+	// instead of blocking when it is at capacity. Otherwise the queue
+	// holds 4×Workers requests (at least 64) and SubmitContext blocks
+	// when it is full.
 	MaxQueue int
 	// QueryTimeout, when > 0, is the default per-request deadline,
 	// measured from submission (queue wait counts against it, as it does
@@ -121,7 +119,6 @@ type Job struct {
 
 	res     *eval.Result
 	err     error
-	wait    time.Duration
 	service time.Duration
 }
 
@@ -140,11 +137,6 @@ func (j *Job) Cancel() { j.cancel() }
 // Service returns the job's service time (dequeue to completion),
 // valid after Wait returns.
 func (j *Job) Service() time.Duration { return j.service }
-
-// QueueWait returns how long the job sat between submission and execution
-// start — queue time plus any parking behind the same user's previous
-// job — valid after Wait returns.
-func (j *Job) QueueWait() time.Duration { return j.wait }
 
 // Binding is one index generation as the engine consumes it: the
 // metadata, conversion table and shared buffer pool of a single
@@ -172,21 +164,6 @@ type Binding struct {
 // good Binding so observability paths keep a pool to report on.
 type Source interface {
 	Binding() (Binding, error)
-}
-
-// staticSource is the Source of an index that never changes — the
-// historical engine construction path.
-type staticSource struct{ b Binding }
-
-func (s staticSource) Binding() (Binding, error) { return s.b, nil }
-
-// StaticSource wraps a fixed binding as a Source. A nil Key defaults
-// to the pool pointer (any per-construction unique comparable works).
-func StaticSource(b Binding) Source {
-	if b.Key == nil {
-		b.Key = b.Pool
-	}
-	return staticSource{b: b}
 }
 
 // userState is one user's session: the User that binds and evaluates
@@ -237,22 +214,14 @@ type Engine struct {
 
 var _ obs.Source = (*Engine)(nil)
 
-// New starts an engine with cfg.Workers goroutines serving queries
-// against the shared pool of a fixed index generation.
-func New(ix *postings.Index, conv *postings.ConversionTable, pool *buffer.SharedPool, cfg Config) (*Engine, error) {
-	if ix == nil || conv == nil || pool == nil {
-		return nil, errors.New("engine: nil index, conversion table or pool")
-	}
-	return NewWithSource(StaticSource(Binding{Ix: ix, Conv: conv, Pool: pool}), cfg)
-}
-
-// NewWithSource starts an engine whose index generation is supplied
-// per request by src: a live index's Source publishes a new Binding
-// per commit or merge swap, and each user session rebinds — fresh
-// registry view, fresh evaluator, carried refinement snapshot dropped
-// — before its next job runs. src is consulted once here so a broken
-// initial binding fails construction, not the first query.
-func NewWithSource(src Source, cfg Config) (*Engine, error) {
+// New starts an engine with cfg.Workers goroutines whose index
+// generation is supplied per request by src: a live index's Source
+// publishes a new Binding per commit or merge swap, and each user
+// session rebinds — fresh registry view, fresh evaluator, carried
+// refinement snapshot dropped — before its next job runs. src is
+// consulted once here so a broken initial binding fails construction,
+// not the first query.
+func New(src Source, cfg Config) (*Engine, error) {
 	if src == nil {
 		return nil, errors.New("engine: nil source")
 	}
@@ -272,13 +241,7 @@ func NewWithSource(src Source, cfg Config) (*Engine, error) {
 	}
 	depth := cfg.MaxQueue
 	if depth <= 0 {
-		depth = cfg.QueueDepth
-		if depth <= 0 {
-			depth = 4 * cfg.Workers
-			if depth < 64 {
-				depth = 64
-			}
-		}
+		depth = max(4*cfg.Workers, 64)
 	}
 	stopCtx, stopCancel := context.WithCancel(context.Background())
 	e := &Engine{
@@ -405,8 +368,7 @@ func (e *Engine) worker() {
 			<-j.prev
 		}
 		start := time.Now()
-		j.wait = start.Sub(j.enqueued)
-		e.queueWait.Observe(j.wait)
+		e.queueWait.Observe(start.Sub(j.enqueued))
 		var res *eval.Result
 		err := j.ctx.Err()
 		if err == nil {
@@ -561,10 +523,6 @@ func (e *Engine) currentPool() *buffer.SharedPool {
 
 // BufferStats returns the current generation's shared-pool counters.
 func (e *Engine) BufferStats() buffer.Stats { return e.currentPool().Manager().Stats() }
-
-// Pool returns the shared pool the engine currently serves from (the
-// current generation's; a live swap replaces it).
-func (e *Engine) Pool() *buffer.SharedPool { return e.currentPool() }
 
 // Close drains the queue, stops the workers, and withdraws every
 // session from the shared registry, waiting as long as that takes.

@@ -71,6 +71,16 @@ func rapPool(t *testing.T, e *experiments.Env, pages, shards int) *buffer.Shared
 	return pool
 }
 
+// static is the Source of a fixed index generation.
+type static struct{ b engine.Binding }
+
+func (s static) Binding() (engine.Binding, error) { return s.b, nil }
+
+// newEngine starts an engine over the test Env's index, served by pool.
+func newEngine(e *experiments.Env, pool *buffer.SharedPool, cfg engine.Config) (*engine.Engine, error) {
+	return engine.New(static{engine.Binding{Key: pool, Ix: e.Idx, Conv: e.Conv, Pool: pool}}, cfg)
+}
+
 // serialRun executes the interleaved stream on a plain shared pool in
 // strict round-robin order, returning per-job results in stream order
 // and the pool's total misses.
@@ -112,7 +122,7 @@ func serialRun(t *testing.T, e *experiments.Env, seqs []*refine.Sequence, pages 
 func engineRun(t *testing.T, e *experiments.Env, seqs []*refine.Sequence, pages, workers, shards int, algo eval.Algorithm) ([]*eval.Result, int64, *engine.Engine) {
 	t.Helper()
 	pool := rapPool(t, e, pages, shards)
-	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{Workers: workers, Algo: algo, Params: e.Params()})
+	eng, err := newEngine(e, pool, engine.Config{Workers: workers, Algo: algo, Params: e.Params()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +258,7 @@ func TestSubmitRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{Workers: 1, Algo: eval.DF, Params: e.Params()})
+	eng, err := newEngine(e, pool, engine.Config{Workers: 1, Algo: eval.DF, Params: e.Params()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +287,7 @@ func TestSubmitRace(t *testing.T) {
 func TestCloseSemantics(t *testing.T) {
 	e := testEnv(t)
 	pool := rapPool(t, e, 16, 1)
-	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{Workers: 2, Algo: eval.DF, Params: e.Params()})
+	eng, err := newEngine(e, pool, engine.Config{Workers: 2, Algo: eval.DF, Params: e.Params()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +305,10 @@ func TestCloseSemantics(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	e := testEnv(t)
 	pool := rapPool(t, e, 16, 1)
-	if _, err := engine.New(e.Idx, e.Conv, pool, engine.Config{Workers: 0, Params: e.Params()}); err == nil {
+	if _, err := newEngine(e, pool, engine.Config{Workers: 0, Params: e.Params()}); err == nil {
 		t.Error("workers=0 should fail")
 	}
-	if _, err := engine.New(e.Idx, e.Conv, nil, engine.Config{Workers: 1, Params: e.Params()}); err == nil {
+	if _, err := newEngine(e, nil, engine.Config{Workers: 1, Params: e.Params()}); err == nil {
 		t.Error("nil pool should fail")
 	}
 }

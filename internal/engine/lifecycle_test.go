@@ -26,7 +26,7 @@ func newTestEngine(t *testing.T, pages, workers, shards int, cfg engine.Config) 
 	cfg.Workers = workers
 	cfg.Algo = eval.BAF
 	cfg.Params = e.Params()
-	eng, err := engine.New(e.Idx, e.Conv, pool, cfg)
+	eng, err := newEngine(e, pool, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func refineEngine(t *testing.T, workers, cacheEntries int) (*engine.Engine, *buf
 	t.Helper()
 	e := testEnv(t)
 	pool := rapPool(t, e, e.Idx.NumPagesTotal+8, 1)
-	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{
+	eng, err := newEngine(e, pool, engine.Config{
 		Workers: workers,
 		Algo:    eval.DF,
 		Params:  e.Params(),
@@ -275,7 +275,7 @@ func TestRefineDegradedNotCached(t *testing.T) {
 	}
 	p := e.Params()
 	p.FaultBudget = 100
-	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{
+	eng, err := newEngine(e, pool, engine.Config{
 		Workers: 1,
 		Algo:    eval.DF,
 		Params:  p,

@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
-	"bufir/internal/buffer"
-	"bufir/internal/engine"
-	"bufir/internal/eval"
-	"bufir/internal/refine"
+	"bufir"
 )
 
 // ---------------------------------------------------------------------------
@@ -26,14 +22,6 @@ import (
 // regime the paper's cost model describes — not from raw CPU
 // parallelism.
 // ---------------------------------------------------------------------------
-
-// VerifyPoint compares total disk reads at one pool size: the serial
-// E12 interleave vs. the 1-worker engine over the same stream.
-type VerifyPoint struct {
-	Size        int
-	SerialReads int64
-	EngineReads int64
-}
 
 // ConcurrencyRow is one scaling measurement.
 type ConcurrencyRow struct {
@@ -83,23 +71,13 @@ func (e *Env) RunConcurrency(users, shards int, workerSet []int, readLatency tim
 		workerSet = []int{1, 2, 4, 8}
 	}
 
-	// --- Verification: 1-worker engine ≡ serial E12 interleave. ---
-	userTopics := []int{0, 1, 0, 1}
-	seqs := make([]*refine.Sequence, len(userTopics))
-	ws := 0
-	for u, ti := range userTopics {
-		seq, err := e.Sequence(ti, refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		seqs[u] = seq
+	verify, err := e.verifySweep(points, "")
+	if err != nil {
+		return nil, err
 	}
-	for _, ti := range []int{0, 1} {
-		seq, err := e.Sequence(ti, refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		ws += e.WorkingSetPages(seq)
+	seqs, ws, err := e.userStream(users)
+	if err != nil {
+		return nil, err
 	}
 
 	// The scaling half runs with a pool well below the working set so
@@ -107,140 +85,59 @@ func (e *Env) RunConcurrency(users, shards int, workerSet []int, readLatency tim
 	// out-of-latch reads matter; with an ample pool every worker count
 	// degenerates to the warm-cache CPU path.
 	out := &ConcurrencyResult{
+		Verify:      verify,
 		Users:       users,
 		Shards:      shards,
 		BufferPages: ws/4 + 1,
 		ReadLatency: readLatency,
 	}
-	for _, size := range SweepSizes(ws, points) {
-		serial, err := e.runMultiUserOnce("shared/RAP", seqs, size)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := e.runEngineOnce(seqs, size, 1, 1, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		out.Verify = append(out.Verify, VerifyPoint{
-			Size:        size,
-			SerialReads: int64(serial),
-			EngineReads: eng,
-		})
+	ix, err := bufir.NewIndex(e.Col)
+	if err != nil {
+		return nil, err
 	}
-
-	// --- Scaling: QPS and latency vs. workers, serial vs. sharded
-	// pool, under simulated disk latency. ---
-	scaleSeqs := make([]*refine.Sequence, users)
-	for u := range scaleSeqs {
-		seq, err := e.Sequence(userTopics[u%len(userTopics)], refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		scaleSeqs[u] = seq
-	}
+	ix.SetSimulatedReadLatency(readLatency)
 	for _, pool := range []string{"serial", "sharded"} {
 		nshards := 1
 		if pool == "sharded" {
 			nshards = shards
 		}
 		for _, w := range workerSet {
-			row := ConcurrencyRow{Pool: pool, Workers: w}
-			var services []time.Duration
-			reads, err := e.runEngineOnce(scaleSeqs, out.BufferPages, w, nshards, readLatency, func(n int, elapsed time.Duration, svc []time.Duration) {
-				row.Queries = n
-				row.Elapsed = elapsed
-				services = svc
+			eng, err := ix.NewEngine(bufir.EngineConfig{
+				EvalOptions: e.evalOptions(bufir.BAF),
+				Workers:     w,
+				Shards:      nshards,
+				BufferPages: out.BufferPages,
 			})
 			if err != nil {
 				return nil, err
 			}
-			row.Reads = reads
-			sort.Slice(services, func(i, j int) bool { return services[i] < services[j] })
-			if len(services) > 0 {
-				row.P50 = services[len(services)/2]
-				row.P99 = services[len(services)*99/100]
+			var services []time.Duration
+			start := time.Now()
+			n, err := serveRounds(eng, seqs, func(_, _ int, _ *bufir.Result, err error, svc time.Duration) error {
+				services = append(services, svc)
+				return err
+			})
+			elapsed := time.Since(start)
+			reads := eng.BufferStats().Misses
+			eng.Close()
+			if err != nil {
+				return nil, err
 			}
-			out.Rows = append(out.Rows, row)
+			slices.Sort(services)
+			out.Rows = append(out.Rows, ConcurrencyRow{
+				Pool: pool, Workers: w, Queries: n, Reads: reads, Elapsed: elapsed,
+				P50: percentile(services, 50), P99: percentile(services, 99),
+			})
 		}
 	}
 	return out, nil
-}
-
-// runEngineOnce executes the interleaved refinement stream of seqs on a
-// fresh engine (w workers, nshards latches, totalPages buffer) and
-// returns the pool's total disk reads. The stream is submitted in the
-// serial experiment's order — round j of every user in turn — so with
-// one worker the execution order is identical to runMultiUserOnce.
-// measure, when non-nil, receives the query count, wall-clock time and
-// per-query service times.
-func (e *Env) runEngineOnce(seqs []*refine.Sequence, totalPages, w, nshards int, readLatency time.Duration, measure func(int, time.Duration, []time.Duration)) (int64, error) {
-	pool, err := buffer.NewShardedSharedPool(totalPages, nshards, e.Store, e.Idx,
-		func(int) buffer.Policy { return buffer.NewRAP() })
-	if err != nil {
-		return 0, err
-	}
-	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{
-		Workers: w,
-		Algo:    eval.BAF,
-		Params:  e.Params(),
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer eng.Close()
-
-	maxRef := 0
-	for _, s := range seqs {
-		if len(s.Refinements) > maxRef {
-			maxRef = len(s.Refinements)
-		}
-	}
-	e.Store.SetReadLatency(readLatency)
-	defer e.Store.SetReadLatency(0)
-
-	start := time.Now()
-	var jobs []*engine.Job
-	for j := 0; j < maxRef; j++ {
-		for u, s := range seqs {
-			if j >= len(s.Refinements) {
-				continue
-			}
-			job, err := eng.SubmitContext(context.Background(), u, s.Refinements[j])
-			if err != nil {
-				return 0, err
-			}
-			jobs = append(jobs, job)
-		}
-	}
-	services := make([]time.Duration, 0, len(jobs))
-	for _, job := range jobs {
-		if _, err := job.Wait(); err != nil {
-			return 0, err
-		}
-		services = append(services, job.Service())
-	}
-	elapsed := time.Since(start)
-	if measure != nil {
-		measure(len(jobs), elapsed, services)
-	}
-	return pool.Manager().Stats().Misses, nil
 }
 
 // Format prints both tables.
 func (r *ConcurrencyResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "Concurrent engine over the §3.3 shared pool\n\n")
 	fmt.Fprintf(w, "Verification: 1-worker engine vs. serial E12 interleave (shared/RAP, total disk reads)\n")
-	fmt.Fprintf(w, "%8s  %12s  %12s  %s\n", "buffers", "serial", "engine(w=1)", "match")
-	exact := true
-	for _, v := range r.Verify {
-		match := "ok"
-		if v.SerialReads != v.EngineReads {
-			match = "MISMATCH"
-			exact = false
-		}
-		fmt.Fprintf(w, "%8d  %12d  %12d  %s\n", v.Size, v.SerialReads, v.EngineReads, match)
-	}
-	if exact {
+	if formatVerify(w, r.Verify) {
 		fmt.Fprintf(w, "single-worker path reproduces the serial read counts exactly\n")
 	}
 

@@ -7,12 +7,9 @@ import (
 	"io"
 	"time"
 
-	"bufir/internal/buffer"
-	"bufir/internal/engine"
-	"bufir/internal/eval"
+	"bufir"
 	"bufir/internal/rank"
 	"bufir/internal/refine"
-	"bufir/internal/storage"
 )
 
 // ---------------------------------------------------------------------------
@@ -86,24 +83,10 @@ func (e *Env) RunFaults(users, workers, shards int, seed uint64) (*FaultsResult,
 		seed = 1998
 	}
 
-	userTopics := []int{0, 1, 0, 1}
-	seqs := make([]*refine.Sequence, users)
-	ws := 0
-	for u := range seqs {
-		seq, err := e.Sequence(userTopics[u%len(userTopics)], refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		seqs[u] = seq
+	seqs, ws, err := e.userStream(users)
+	if err != nil {
+		return nil, err
 	}
-	for _, ti := range []int{0, 1} {
-		seq, err := e.Sequence(ti, refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		ws += e.WorkingSetPages(seq)
-	}
-
 	out := &FaultsResult{
 		Users:       users,
 		Workers:     workers,
@@ -113,10 +96,17 @@ func (e *Env) RunFaults(users, workers, shards int, seed uint64) (*FaultsResult,
 		MaxRetries:  3,
 		FaultBudget: 4,
 	}
+	// One index serves the whole sweep: each pass's engine starts a
+	// cold pool, and each InjectFaults call replaces the fault layer
+	// (fresh counters) over the same simulated disk.
+	ix, err := bufir.NewIndex(e.Col)
+	if err != nil {
+		return nil, err
+	}
 
 	// --- Fault-free reference pass (prob = 0). ---
 	ref := make(map[[2]int][]rank.ScoredDoc)
-	refRow, err := e.runFaultsOnce(seqs, out, 0, func(u, round int, res *eval.Result) {
+	refRow, err := e.runFaultsOnce(ix, seqs, out, 0, func(u, round int, res *bufir.Result) {
 		ref[[2]int{u, round}] = res.Top
 	})
 	if err != nil {
@@ -130,15 +120,19 @@ func (e *Env) RunFaults(users, workers, shards int, seed uint64) (*FaultsResult,
 
 	// --- Sweep the transient fault probability. ---
 	for _, prob := range []float64{0.001, 0.01, 0.05, 0.1} {
+		if err := ix.InjectFaults(fmt.Sprintf("transient:prob=%g", prob), seed); err != nil {
+			return nil, err
+		}
 		var overlapSum float64
 		var answered int64
-		row, err := e.runFaultsOnce(seqs, out, prob, func(u, round int, res *eval.Result) {
+		row, err := e.runFaultsOnce(ix, seqs, out, prob, func(u, round int, res *bufir.Result) {
 			answered++
 			overlapSum += overlapAt20(res.Top, ref[[2]int{u, round}])
 		})
 		if err != nil {
 			return nil, err
 		}
+		row.Injected = ix.FaultStats().Transient
 		if answered > 0 {
 			row.MeanOverlap = overlapSum / float64(answered)
 		}
@@ -147,90 +141,51 @@ func (e *Env) RunFaults(users, workers, shards int, seed uint64) (*FaultsResult,
 	return out, nil
 }
 
-// runFaultsOnce runs the full interleaved refinement stream against a
-// store faulting with the given probability, invoking report for every
-// delivered answer, and returns the pass's outcome row.
-func (e *Env) runFaultsOnce(seqs []*refine.Sequence, res *FaultsResult, prob float64,
-	report func(u, round int, r *eval.Result)) (FaultRow, error) {
+// runFaultsOnce runs the full interleaved refinement stream on a fresh
+// engine over ix (whose disk faults per its InjectFaults schedule, if
+// any), with the retry loop and the fault budget on, invoking report
+// for every delivered answer, and returns the pass's outcome row.
+func (e *Env) runFaultsOnce(ix *bufir.Index, seqs []*refine.Sequence, res *FaultsResult, prob float64,
+	report func(u, round int, r *bufir.Result)) (FaultRow, error) {
 
 	row := FaultRow{Prob: prob}
-	var store buffer.PageReader = e.Store
-	var fs *storage.FaultStore
-	if prob > 0 {
-		rules := []storage.FaultRule{{Kind: storage.FaultTransient, LastPage: -1, Prob: prob}}
-		var err error
-		fs, err = storage.NewFaultStore(e.Store, res.Seed, rules)
-		if err != nil {
-			return row, err
-		}
-		store = fs
-	}
-	pool, err := buffer.NewShardedSharedPool(res.BufferPages, res.Shards, store, e.Idx,
-		func(int) buffer.Policy { return buffer.NewRAP() })
-	if err != nil {
-		return row, err
-	}
-	params := e.Params()
-	params.FaultBudget = res.FaultBudget
-	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{
-		Workers: res.Workers,
-		Algo:    eval.BAF,
-		Params:  params,
+	eo := e.evalOptions(bufir.BAF)
+	eo.FaultBudget = res.FaultBudget
+	eng, err := ix.NewEngine(bufir.EngineConfig{
+		EvalOptions: eo,
+		Workers:     res.Workers,
+		Shards:      res.Shards,
+		BufferPages: res.BufferPages,
+		Fault: bufir.FaultToleranceOptions{
+			Retries:      res.MaxRetries,
+			RetryBackoff: 50 * time.Microsecond,
+			VictimWait:   time.Second,
+		},
 	})
 	if err != nil {
 		return row, err
 	}
 	defer eng.Close()
-	pool.Manager().SetRetryPolicy(buffer.RetryPolicy{
-		MaxRetries: res.MaxRetries,
-		Backoff:    50 * time.Microsecond,
-		VictimWait: time.Second,
-		OnRetry:    eng.RecordRetry,
-	})
 
-	reads0 := e.Store.Reads()
-	maxRef := 0
-	for _, s := range seqs {
-		if len(s.Refinements) > maxRef {
-			maxRef = len(s.Refinements)
+	reads0 := ix.DiskReads()
+	row.Submitted, err = serveRounds(eng, seqs, func(u, j int, r *bufir.Result, err error, _ time.Duration) error {
+		if err == nil && r != nil {
+			report(u, j, r)
 		}
-	}
-	type pending struct {
-		u, round int
-		job      *engine.Job
-	}
-	for j := 0; j < maxRef; j++ {
-		var jobs []pending
-		for u, s := range seqs {
-			if j >= len(s.Refinements) {
-				continue
-			}
-			row.Submitted++
-			job, err := eng.SubmitContext(context.Background(), u, s.Refinements[j])
-			if err != nil {
-				return row, err
-			}
-			jobs = append(jobs, pending{u: u, round: j, job: job})
-		}
-		for _, p := range jobs {
-			r, jerr := p.job.Wait()
-			if jerr == nil && r != nil {
-				report(p.u, p.round, r)
-			}
-		}
-	}
-	if err := eng.Shutdown(nil); err != nil {
+		return nil
+	})
+	if err != nil {
 		return row, err
 	}
-	snap := eng.Counters()
+	if err := eng.Shutdown(context.Background()); err != nil {
+		return row, err
+	}
+	snap := eng.Stats()
 	row.Completed = snap.Completed
 	row.Degraded = snap.Degraded
 	row.Errors = snap.Errors
 	row.Retries = snap.Retries
-	row.Reads = e.Store.Reads() - reads0
-	if fs != nil {
-		row.Injected = fs.FaultStats().Transient
-	}
+	row.Reads = ix.DiskReads() - reads0
 	return row, nil
 }
 

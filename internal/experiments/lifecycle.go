@@ -5,13 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
-	"bufir/internal/buffer"
-	"bufir/internal/engine"
-	"bufir/internal/eval"
-	"bufir/internal/metrics"
+	"bufir"
 	"bufir/internal/rank"
 	"bufir/internal/refine"
 )
@@ -99,24 +96,10 @@ func (e *Env) RunLifecycle(users, workers, shards int, readLatency time.Duration
 		readLatency = 200 * time.Microsecond
 	}
 
-	userTopics := []int{0, 1, 0, 1}
-	seqs := make([]*refine.Sequence, users)
-	ws := 0
-	for u := range seqs {
-		seq, err := e.Sequence(userTopics[u%len(userTopics)], refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		seqs[u] = seq
+	seqs, ws, err := e.userStream(users)
+	if err != nil {
+		return nil, err
 	}
-	for _, ti := range []int{0, 1} {
-		seq, err := e.Sequence(ti, refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		ws += e.WorkingSetPages(seq)
-	}
-
 	out := &LifecycleResult{
 		Users:       users,
 		Workers:     workers,
@@ -127,45 +110,52 @@ func (e *Env) RunLifecycle(users, workers, shards int, readLatency time.Duration
 		MaxQueue:    users/2 + 1,
 		ReadLatency: readLatency,
 	}
+	ix, err := bufir.NewIndex(e.Col)
+	if err != nil {
+		return nil, err
+	}
+	ix.SetSimulatedReadLatency(readLatency)
 
 	// --- Untimed pass: reference answers + service-time distribution. ---
 	ref := make(map[[2]int][]rank.ScoredDoc)
 	var services []time.Duration
-	_, _, err := e.runLifecycleOnce(seqs, out, engine.Config{}, func(u, round int, res *eval.Result, jerr error, svc time.Duration) {
+	_, _, err = e.runLifecycleOnce(ix, seqs, out, bufir.EngineConfig{}, func(u, round int, res *bufir.Result, jerr error, svc time.Duration) error {
 		if jerr == nil && res != nil {
 			ref[[2]int{u, round}] = res.Top
 			services = append(services, svc)
 		}
-	}, false)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	if len(services) == 0 {
 		return nil, errors.New("experiments: lifecycle baseline produced no answers")
 	}
-	sort.Slice(services, func(i, j int) bool { return services[i] < services[j] })
-	pct := func(p int) time.Duration { return services[min(len(services)*p/100, len(services)-1)] }
+	slices.Sort(services)
 	out.BaselineQueries = len(services)
-	out.BaselineP50 = pct(50)
-	out.BaselineP95 = pct(95)
+	out.BaselineP50 = percentile(services, 50)
+	out.BaselineP95 = percentile(services, 95)
 
 	// --- Deadline sweep across the service-time distribution. ---
-	sweep := []time.Duration{pct(5), pct(25), pct(50), pct(75), pct(95), 2 * pct(95)}
 	seen := make(map[time.Duration]bool)
-	for _, timeout := range sweep {
+	for _, timeout := range []time.Duration{
+		percentile(services, 5), percentile(services, 25), out.BaselineP50,
+		percentile(services, 75), out.BaselineP95, 2 * out.BaselineP95,
+	} {
 		if timeout <= 0 || seen[timeout] {
 			continue
 		}
 		seen[timeout] = true
 		row := LifecycleRow{Timeout: timeout}
 		var overlapSum float64
-		submitted, snap, err := e.runLifecycleOnce(seqs, out, engine.Config{
+		submitted, snap, err := e.runLifecycleOnce(ix, seqs, out, bufir.EngineConfig{
 			MaxQueue:     out.MaxQueue,
 			QueryTimeout: timeout,
-			OnDeadline:   engine.PartialOnDeadline,
-		}, func(u, round int, res *eval.Result, jerr error, svc time.Duration) {
+			OnDeadline:   bufir.PartialOnDeadline,
+		}, func(u, round int, res *bufir.Result, jerr error, _ time.Duration) error {
 			if jerr != nil || res == nil {
-				return
+				return nil
 			}
 			row.Answered++
 			if res.Partial {
@@ -174,7 +164,8 @@ func (e *Env) RunLifecycle(users, workers, shards int, readLatency time.Duration
 				row.Completed++
 			}
 			overlapSum += overlapAt20(res.Top, ref[[2]int{u, round}])
-		}, true)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -194,74 +185,32 @@ func (e *Env) RunLifecycle(users, workers, shards int, readLatency time.Duration
 	return out, nil
 }
 
-// runLifecycleOnce runs the full interleaved refinement stream on a
-// fresh engine built from cfg's admission/deadline knobs (worker
-// count, algorithm and parameters come from the experiment), invoking
-// report for every request that was accepted, and returning the
-// submitted-request count and the engine's final counters. failFast
-// selects whether ErrQueueFull is tolerated (counted by the engine)
-// or treated as a hard error.
-func (e *Env) runLifecycleOnce(seqs []*refine.Sequence, res *LifecycleResult, cfg engine.Config,
-	report func(u, round int, r *eval.Result, err error, svc time.Duration), failFast bool) (int, metrics.ServingSnapshot, error) {
+// runLifecycleOnce serves the full interleaved refinement stream on a
+// fresh engine over ix built from cfg's admission/deadline knobs
+// (worker count, shards, pool size and evaluation come from the
+// experiment), invoking report for every request that was admitted,
+// and returns the offered-request count and the engine's final
+// counters. Shed requests are counted by the engine.
+func (e *Env) runLifecycleOnce(ix *bufir.Index, seqs []*refine.Sequence, res *LifecycleResult, cfg bufir.EngineConfig,
+	report func(u, round int, r *bufir.Result, err error, svc time.Duration) error) (int, bufir.EngineStats, error) {
 
-	var zero metrics.ServingSnapshot
-	pool, err := buffer.NewShardedSharedPool(res.BufferPages, res.Shards, e.Store, e.Idx,
-		func(int) buffer.Policy { return buffer.NewRAP() })
-	if err != nil {
-		return 0, zero, err
-	}
+	cfg.EvalOptions = e.evalOptions(bufir.BAF)
 	cfg.Workers = res.Workers
-	cfg.Algo = eval.BAF
-	cfg.Params = e.Params()
-	eng, err := engine.New(e.Idx, e.Conv, pool, cfg)
+	cfg.Shards = res.Shards
+	cfg.BufferPages = res.BufferPages
+	eng, err := ix.NewEngine(cfg)
 	if err != nil {
-		return 0, zero, err
+		return 0, bufir.EngineStats{}, err
 	}
 	defer eng.Close()
-
-	e.Store.SetReadLatency(res.ReadLatency)
-	defer e.Store.SetReadLatency(0)
-
-	maxRef := 0
-	for _, s := range seqs {
-		if len(s.Refinements) > maxRef {
-			maxRef = len(s.Refinements)
-		}
+	submitted, err := serveRounds(eng, seqs, report)
+	if err == nil {
+		err = eng.Shutdown(context.Background())
 	}
-	// Submission is paced by refinement round — a user refines after
-	// seeing the previous answer — so each round is a burst of
-	// len(seqs) requests against the admission queue. A shed
-	// refinement is simply skipped; the user's next round proceeds.
-	type pending struct {
-		u, round int
-		job      *engine.Job
+	if err != nil {
+		return 0, bufir.EngineStats{}, err
 	}
-	submitted := 0
-	for j := 0; j < maxRef; j++ {
-		var jobs []pending
-		for u, s := range seqs {
-			if j >= len(s.Refinements) {
-				continue
-			}
-			submitted++
-			job, err := eng.SubmitContext(context.Background(), u, s.Refinements[j])
-			if err != nil {
-				if failFast && errors.Is(err, engine.ErrQueueFull) {
-					continue // shed; the engine counted it
-				}
-				return 0, zero, err
-			}
-			jobs = append(jobs, pending{u: u, round: j, job: job})
-		}
-		for _, p := range jobs {
-			r, jerr := p.job.Wait()
-			report(p.u, p.round, r, jerr, p.job.Service())
-		}
-	}
-	if err := eng.Shutdown(nil); err != nil {
-		return 0, zero, err
-	}
-	return submitted, eng.Counters(), nil
+	return submitted, eng.Stats(), nil
 }
 
 // overlapAt20 is rank.OverlapAtK at the paper's answer size: one

@@ -38,26 +38,14 @@ var MultiUserConfigs = []string{"segmented/RAP", "shared/RAP", "shared/LRU"}
 // total disk reads under each buffering configuration across a sweep
 // of total pool sizes.
 func (e *Env) RunMultiUser(points int) (*MultiUserResult, error) {
-	userTopics := []int{0, 1, 0, 1} // users 0/2 and 1/3 share topics
 	const K = 4
-
-	// Build each user's refinement sequence once.
-	seqs := make([]*refine.Sequence, K)
-	ws := 0
-	for u, ti := range userTopics {
-		seq, err := e.Sequence(ti, refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		seqs[u] = seq
+	seqs, ws, err := e.userStream(K)
+	if err != nil {
+		return nil, err
 	}
-	// Working set: union over distinct topics (0 and 1).
-	for _, ti := range []int{0, 1} {
-		seq, err := e.Sequence(ti, refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		ws += e.WorkingSetPages(seq)
+	userTopics := make([]int, K)
+	for u := range userTopics {
+		userTopics[u] = u % 2
 	}
 
 	out := &MultiUserResult{
@@ -138,24 +126,12 @@ func (e *Env) runMultiUserOnce(cfg string, seqs []*refine.Sequence, totalPages i
 		return 0, fmt.Errorf("experiments: unknown multi-user config %q", cfg)
 	}
 
-	// Interleave: round j runs refinement j of every user in turn
-	// (users resubmit at roughly the same cadence).
-	maxRef := 0
-	for _, s := range seqs {
-		if len(s.Refinements) > maxRef {
-			maxRef = len(s.Refinements)
-		}
-	}
-	for j := 0; j < maxRef; j++ {
-		for u, s := range seqs {
-			if j >= len(s.Refinements) {
-				continue
-			}
-			algo := eval.BAF
-			if _, err := evs[u].Evaluate(algo, s.Refinements[j]); err != nil {
-				return 0, err
-			}
-		}
+	err := eachRound(seqs, func(u, _ int, q eval.Query) error {
+		_, err := evs[u].Evaluate(eval.BAF, q)
+		return err
+	}, nil)
+	if err != nil {
+		return 0, err
 	}
 	return int(stats()), nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,16 +9,10 @@ import (
 	"strings"
 	"time"
 
-	"bufir/internal/buffer"
-	"bufir/internal/engine"
-	"bufir/internal/eval"
-	"bufir/internal/obs"
-	"bufir/internal/refine"
+	"bufir"
 
-	// Register the HTTP endpoint implementation. The experiments
-	// package is a leaf above the serving stack, so pulling net/http in
-	// here does not violate the core library's depgraph constraint.
-	_ "bufir/internal/obshttp"
+	// Link the HTTP endpoint, as any user of ObsOptions.Addr does.
+	_ "bufir/obshttp"
 )
 
 // ---------------------------------------------------------------------------
@@ -47,7 +40,7 @@ type ObsResult struct {
 	Queries     int
 	Elapsed     time.Duration
 	Addr        string
-	Snap        obs.Snapshot
+	Snap        bufir.ObsSnapshot
 
 	// ScrapedPagesRead is bufir_pages_read_total parsed back from a
 	// live GET of /metrics; Scraped reports whether the scrape worked.
@@ -76,106 +69,48 @@ func (e *Env) RunObs(addr string, users, workers, shards int, readLatency time.D
 	}
 
 	// --- Verification: observation on, read counts unchanged. ---
-	userTopics := []int{0, 1, 0, 1}
-	seqs := make([]*refine.Sequence, len(userTopics))
-	ws := 0
-	for u, ti := range userTopics {
-		seq, err := e.Sequence(ti, refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		seqs[u] = seq
+	verify, err := e.verifySweep(points, "127.0.0.1:0")
+	if err != nil {
+		return nil, err
 	}
-	for _, ti := range []int{0, 1} {
-		seq, err := e.Sequence(ti, refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		ws += e.WorkingSetPages(seq)
+	seqs, ws, err := e.userStream(users)
+	if err != nil {
+		return nil, err
 	}
 	out := &ObsResult{
+		Verify:      verify,
 		Users:       users,
 		Workers:     workers,
 		Shards:      shards,
 		BufferPages: ws/4 + 1,
 		ReadLatency: readLatency,
 	}
-	for _, size := range SweepSizes(ws, points) {
-		serial, err := e.runMultiUserOnce("shared/RAP", seqs, size)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := e.runEngineOnce(seqs, size, 1, 1, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		out.Verify = append(out.Verify, VerifyPoint{
-			Size:        size,
-			SerialReads: int64(serial),
-			EngineReads: eng,
-		})
-	}
 
 	// --- Observed run: live engine + endpoint, then self-scrape. ---
-	scaleSeqs := make([]*refine.Sequence, users)
-	for u := range scaleSeqs {
-		seq, err := e.Sequence(userTopics[u%len(userTopics)], refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		scaleSeqs[u] = seq
-	}
-	pool, err := buffer.NewShardedSharedPool(out.BufferPages, shards, e.Store, e.Idx,
-		func(int) buffer.Policy { return buffer.NewRAP() })
+	ix, err := bufir.NewIndex(e.Col)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{
-		Workers: workers,
-		Algo:    eval.BAF,
-		Params:  e.Params(),
+	ix.SetSimulatedReadLatency(readLatency)
+	eng, err := ix.NewEngine(bufir.EngineConfig{
+		EvalOptions: e.evalOptions(bufir.BAF),
+		Workers:     workers,
+		Shards:      shards,
+		BufferPages: out.BufferPages,
+		Obs:         bufir.ObsOptions{Addr: addr},
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Close()
-	srv, err := obs.StartHTTPServer(addr, eng)
-	if err != nil {
+	out.Addr = eng.ObsAddr()
+
+	start := time.Now()
+	if out.Queries, err = serveRounds(eng, seqs, failOnError); err != nil {
 		return nil, err
 	}
-	defer srv.Close()
-	out.Addr = srv.Addr()
-
-	e.Store.SetReadLatency(readLatency)
-	defer e.Store.SetReadLatency(0)
-	maxRef := 0
-	for _, s := range scaleSeqs {
-		if len(s.Refinements) > maxRef {
-			maxRef = len(s.Refinements)
-		}
-	}
-	start := time.Now()
-	var jobs []*engine.Job
-	for j := 0; j < maxRef; j++ {
-		for u, s := range scaleSeqs {
-			if j >= len(s.Refinements) {
-				continue
-			}
-			job, err := eng.SubmitContext(context.Background(), u, s.Refinements[j])
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, job)
-		}
-	}
-	for _, job := range jobs {
-		if _, err := job.Wait(); err != nil {
-			return nil, err
-		}
-	}
-	out.Queries = len(jobs)
 	out.Elapsed = time.Since(start)
-	out.Snap = eng.ObsSnapshot()
+	out.Snap = eng.Obs()
 
 	if v, err := scrapePagesRead(out.Addr); err == nil {
 		out.ScrapedPagesRead = v
@@ -212,17 +147,7 @@ func scrapePagesRead(addr string) (int64, error) {
 func (r *ObsResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "Observability layer over the concurrent engine\n\n")
 	fmt.Fprintf(w, "Verification: observation on, 1-worker engine vs. serial E12 interleave (total disk reads)\n")
-	fmt.Fprintf(w, "%8s  %12s  %12s  %s\n", "buffers", "serial", "engine(w=1)", "match")
-	exact := true
-	for _, v := range r.Verify {
-		match := "ok"
-		if v.SerialReads != v.EngineReads {
-			match = "MISMATCH"
-			exact = false
-		}
-		fmt.Fprintf(w, "%8d  %12d  %12d  %s\n", v.Size, v.SerialReads, v.EngineReads, match)
-	}
-	if exact {
+	if formatVerify(w, r.Verify) {
 		fmt.Fprintf(w, "observed single-worker path reproduces the serial read counts exactly\n")
 	}
 
@@ -245,7 +170,7 @@ func (r *ObsResult) Format(w io.Writer) {
 
 	fmt.Fprintf(w, "\nlatency histograms\n")
 	fmt.Fprintf(w, "  %-10s  %7s  %10s  %10s  %10s  %10s\n", "", "count", "mean", "p50", "p95", "p99")
-	row := func(name string, h obs.HistogramSnapshot) {
+	row := func(name string, h bufir.HistogramSnapshot) {
 		rnd := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 		fmt.Fprintf(w, "  %-10s  %7d  %10v  %10v  %10v  %10v\n",
 			name, h.Count, rnd(h.Mean()), rnd(h.P50()), rnd(h.P95()), rnd(h.P99()))

@@ -7,10 +7,8 @@ import (
 	"sort"
 	"time"
 
-	"bufir/internal/buffer"
-	"bufir/internal/engine"
+	"bufir"
 	"bufir/internal/eval"
-	"bufir/internal/metrics"
 )
 
 // ---------------------------------------------------------------------------
@@ -52,7 +50,7 @@ type RefineIncrTopic struct {
 type RefineIncrResult struct {
 	BufferPages int
 	Topics      []RefineIncrTopic
-	Counters    metrics.ServingSnapshot
+	Counters    bufir.EngineStats
 }
 
 // RunRefineIncr grows each of the first `topics` topic queries one
@@ -68,23 +66,22 @@ func (e *Env) RunRefineIncr(topics int) (*RefineIncrResult, error) {
 	if topics > len(e.Queries) {
 		topics = len(e.Queries)
 	}
-	pool, err := buffer.NewShardedSharedPool(e.Idx.NumPagesTotal+8, 1, e.Store, e.Idx,
-		func(int) buffer.Policy { return buffer.NewRAP() })
+	ix, err := bufir.NewIndex(e.Col)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := engine.New(e.Idx, e.Conv, pool, engine.Config{
-		Workers: 1,
-		Algo:    eval.DF,
-		Params:  e.Params(),
-		Refine:  engine.RefineConfig{Incremental: true},
+	out := &RefineIncrResult{BufferPages: ix.NumPages() + 8}
+	eng, err := ix.NewEngine(bufir.EngineConfig{
+		EvalOptions: e.evalOptions(bufir.DF),
+		Workers:     1,
+		BufferPages: out.BufferPages,
+		Refine:      bufir.RefineOptions{Incremental: true},
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Close()
 
-	out := &RefineIncrResult{BufferPages: e.Idx.NumPagesTotal + 8}
 	for ti := 0; ti < topics; ti++ {
 		// DF processing order: growing the query by its tail terms
 		// makes every step a full-prefix resume.
@@ -112,13 +109,13 @@ func (e *Env) RunRefineIncr(topics int) (*RefineIncrResult, error) {
 		topic.Steps = append(topic.Steps, step)
 		out.Topics = append(out.Topics, topic)
 	}
-	out.Counters = eng.Counters()
+	out.Counters = eng.Stats()
 	return out, nil
 }
 
 // refineIncrStep submits q for user ti and evaluates it cold, pairing
 // the two into one comparison row.
-func (e *Env) refineIncrStep(eng *engine.Engine, ti int, q eval.Query) (RefineIncrStep, error) {
+func (e *Env) refineIncrStep(eng *bufir.Engine, ti int, q eval.Query) (RefineIncrStep, error) {
 	incr, err := eng.SearchContext(context.Background(), ti, q)
 	if err != nil {
 		return RefineIncrStep{}, err

@@ -1,22 +1,35 @@
-package main
+package experiments
 
-// E25 — serving-tier scaling: the same E21-style multi-user refinement
-// workload pushed through the public scatter-gather Router at
-// increasing shard counts, with a simulated per-read disk latency
-// putting the system in the I/O-bound regime the paper's cost model
-// describes. What scales is parallel I/O: a query's list pages are
-// spread over n independent stores and engines, so its reads overlap
-// n ways, and the per-shard worker pools multiply.
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"slices"
+	"sync"
+	"time"
+
+	"bufir"
+)
+
+// ---------------------------------------------------------------------------
+// E25 (extension) — serving-tier scaling: the same E21-style
+// multi-user refinement workload pushed through the public
+// scatter-gather Router at increasing shard counts, with a simulated
+// per-read disk latency putting the system in the I/O-bound regime the
+// paper's cost model describes. What scales is parallel I/O: a query's list pages
+// are spread over n independent stores and engines, so its reads
+// overlap n ways, and the per-shard worker pools multiply.
 //
 // Buffer sizing follows the shared-nothing model of a real
 // document-partitioned deployment: every shard gets the E21 ratio — a
 // quarter of ITS OWN working set — as if each partition were a node
-// with its own memory. Sizing against the post-split working set
-// matters because partitioning fragments pages (a 10-page list split
-// 8 ways refills into 8 partially-empty pages), so a shard's page
-// count is more than 1/n of the source's; the reported buffer_pages
-// and pages_read columns show that amplification explicitly rather
-// than hiding it in a thrashing shared budget.
+// with its own memory. Sizing against the post-split working set matters
+// because partitioning fragments pages (a 10-page list split 8 ways
+// refills into 8 partially-empty pages), so a shard's page count is
+// more than 1/n of the source's; the reported buffer_pages and
+// pages_read columns show that amplification explicitly rather than
+// hiding it in a thrashing shared budget.
 //
 // The sweep evaluates UNFILTERED: total page work is then invariant in
 // the partition layout (every query touches every page of its terms,
@@ -28,26 +41,7 @@ package main
 // shards filter less aggressively and stay legal), covered by the
 // router test suite, and its extra page reads are a cost of sharding,
 // not a serving-tier speedup to report.
-//
-// The sweep lives in package main (not internal/experiments) on
-// purpose: it exercises the public serving surface — Index.Shard,
-// NewRouter, Searcher — end to end, exactly as cmd/irserve composes
-// it; internal/experiments cannot import the root package without
-// cycling through its in-package benchmarks.
-
-import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-	"time"
-
-	"bufir"
-	"bufir/internal/experiments"
-	"bufir/internal/refine"
-)
+// ---------------------------------------------------------------------------
 
 // shardsRow is one shard count's measurement.
 type shardsRow struct {
@@ -73,27 +67,22 @@ type ShardsResult struct {
 	Rows          []shardsRow `json:"rows"`
 }
 
-// runShards runs the sweep: users concurrent sessions, each walking
+// RunShards runs the sweep: users concurrent sessions, each walking
 // its topic's ADD-ONLY refinement sequence passes times, against a
 // router over counts[i] shards.
-func runShards(env *experiments.Env, users, workersPerShard, passes int, counts []int, lat time.Duration) (*ShardsResult, error) {
-	// The E21/E12 workload shape: users round-robin over topics 0 and
-	// 1, each walking the first refinements of that topic's ADD-ONLY
-	// sequence (the sweep multiplies the workload by |counts| shard
-	// deployments, so it trims the sequence tails to stay CI-sized).
+func (e *Env) RunShards(users, workersPerShard, passes int, counts []int, lat time.Duration) (*ShardsResult, error) {
+	// The E12 stream, with every user walking only the first
+	// refinements of their sequence (the sweep multiplies the workload
+	// by |counts| shard deployments, so it trims the sequence tails to
+	// stay CI-sized).
 	const maxRefinements = 4
-	topics := []int{0, 1}
-	seqs := make([][]bufir.Query, len(topics))
-	for i, ti := range topics {
-		seq, err := env.Sequence(ti, refine.AddOnly)
-		if err != nil {
-			return nil, err
-		}
-		refs := seq.Refinements
-		if len(refs) > maxRefinements {
-			refs = refs[:maxRefinements]
-		}
-		seqs[i] = refs
+	stream, _, err := e.userStream(users)
+	if err != nil {
+		return nil, err
+	}
+	seqs := make([][]bufir.Query, users)
+	for u, s := range stream {
+		seqs[u] = s.Refinements[:min(len(s.Refinements), maxRefinements)]
 	}
 	// The workload's term union, for sizing each shard's buffer
 	// against its own local working set.
@@ -115,7 +104,7 @@ func runShards(env *experiments.Env, users, workersPerShard, passes int, counts 
 	}
 	var reference []bufir.ScoredDoc
 	for _, n := range counts {
-		row, top, err := runShardsOnce(env, seqs, terms, users, workersPerShard, passes, n, lat)
+		row, top, err := e.runShardsOnce(seqs, terms, workersPerShard, passes, n, lat)
 		if err != nil {
 			return nil, fmt.Errorf("shards=%d: %w", n, err)
 		}
@@ -150,8 +139,11 @@ func sameTopK(want, got []bufir.ScoredDoc) error {
 	return nil
 }
 
-func runShardsOnce(env *experiments.Env, seqs [][]bufir.Query, terms map[bufir.TermID]bool, users, workersPerShard, passes, n int, lat time.Duration) (*shardsRow, []bufir.ScoredDoc, error) {
-	ix, err := bufir.NewIndex(env.Col)
+// runShardsOnce serves every user's stream through a router over n
+// shards and returns the row plus the verification query's merged
+// top-k.
+func (e *Env) runShardsOnce(seqs [][]bufir.Query, terms map[bufir.TermID]bool, workersPerShard, passes, n int, lat time.Duration) (*shardsRow, []bufir.ScoredDoc, error) {
+	ix, err := bufir.NewIndex(e.Col)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -192,15 +184,14 @@ func runShardsOnce(env *experiments.Env, seqs [][]bufir.Query, terms map[bufir.T
 	}
 	defer router.Close()
 
-	latencies := make([][]time.Duration, users)
-	errs := make([]error, users)
+	latencies := make([][]time.Duration, len(seqs))
+	errs := make([]error, len(seqs))
 	var wg sync.WaitGroup
 	start := time.Now()
-	for u := 0; u < users; u++ {
+	for u, seq := range seqs {
 		wg.Add(1)
-		go func(u int) {
+		go func(u int, seq []bufir.Query) {
 			defer wg.Done()
-			seq := seqs[u%len(seqs)]
 			for p := 0; p < passes; p++ {
 				for _, q := range seq {
 					t0 := time.Now()
@@ -211,7 +202,7 @@ func runShardsOnce(env *experiments.Env, seqs [][]bufir.Query, terms map[bufir.T
 					latencies[u] = append(latencies[u], time.Since(t0))
 				}
 			}
-		}(u)
+		}(u, seq)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -232,7 +223,7 @@ func runShardsOnce(env *experiments.Env, seqs [][]bufir.Query, terms map[bufir.T
 	for _, ls := range latencies {
 		all = append(all, ls...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	st := router.Stats()
 	if got := st.Completed + st.Timeouts + st.Canceled + st.Errors + st.Degraded; st.Queries != got {
 		return nil, nil, fmt.Errorf("serving invariant violated: %d queries, %d outcomes", st.Queries, got)
@@ -247,20 +238,11 @@ func runShardsOnce(env *experiments.Env, seqs [][]bufir.Query, terms map[bufir.T
 		BufferPages:   bufferPages,
 		ElapsedMillis: float64(elapsed.Microseconds()) / 1000,
 		QPS:           float64(len(all)) / elapsed.Seconds(),
-		P50Micros:     float64(quantileDur(all, 0.50).Microseconds()),
-		P99Micros:     float64(quantileDur(all, 0.99).Microseconds()),
+		P50Micros:     float64(percentile(all, 50).Microseconds()),
+		P99Micros:     float64(percentile(all, 99).Microseconds()),
 		PagesRead:     reads,
 		Degraded:      st.Degraded,
 	}, verify.Top, nil
-}
-
-// quantileDur reads quantile q from an ascending-sorted sample.
-func quantileDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 // Format prints the paper-style scaling table.

@@ -192,6 +192,28 @@ func TestLifecycleExperiment(t *testing.T) {
 	t.Logf("lifecycle:\n%s", buf.String())
 }
 
+// TestShardsExperiment runs E25 at 1, 2 and 4 shards without simulated
+// latency: the sweep itself fails when any shard count's merged top-k
+// differs from the 1-shard reference.
+func TestShardsExperiment(t *testing.T) {
+	env := newTinyEnv(t)
+	r, err := env.RunShards(4, 2, 1, []int{1, 2, 4}, 0)
+	if err != nil {
+		t.Fatalf("shards: %v", err)
+	}
+	var buf bytes.Buffer
+	r.Format(&buf)
+	if len(r.Rows) != 3 {
+		t.Fatalf("want 3 rows, got %d", len(r.Rows))
+	}
+	for _, row := range r.Rows {
+		if row.Queries == 0 || row.PagesRead == 0 {
+			t.Errorf("shards=%d: %d queries, %d pages read", row.Shards, row.Queries, row.PagesRead)
+		}
+	}
+	t.Logf("shards:\n%s", buf.String())
+}
+
 func TestAblations(t *testing.T) {
 	env := newTinyEnv(t)
 	ab, err := env.RunAblations()

@@ -7,8 +7,8 @@
 // (engine, buffer, eval) can record into it without pulling an HTTP
 // server, or net/http/pprof's DefaultServeMux side effects, into every
 // binary that links the library. The endpoint itself lives in
-// internal/obshttp and is enabled only by an explicit import (the
-// public bufir/obshttp package); `make depgraph` enforces the split.
+// bufir/obshttp and is enabled only by an explicit import of it;
+// `make depgraph` enforces the split.
 package obs
 
 import (

@@ -29,7 +29,7 @@ type ServerFactory func(addr string, src Source) (HTTPServer, error)
 var httpFactory atomic.Pointer[ServerFactory]
 
 // RegisterHTTPServer installs the endpoint implementation. Called from
-// internal/obshttp's init; last registration wins.
+// bufir/obshttp's init; last registration wins.
 func RegisterHTTPServer(f ServerFactory) {
 	if f == nil {
 		return

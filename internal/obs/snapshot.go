@@ -6,7 +6,7 @@ import "bufir/internal/metrics"
 // exposes: the atomic serving counters, live engine gauges, the
 // queue-wait and service-time distributions, and the buffer pool's
 // occupancy. It is plain data — JSON-serializable for /statusz,
-// renderable as Prometheus text by internal/obshttp — and cheap to
+// renderable as Prometheus text by bufir/obshttp — and cheap to
 // assemble (a handful of atomic loads plus one pass over the pool's
 // shard latches).
 type Snapshot struct {

@@ -60,7 +60,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (string, *http.Respons
 // with the snapshot's exact counter values, labeled evictions, shard
 // gauges, and well-formed cumulative histograms.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler(fakeSource{testSnapshot()}))
+	srv := httptest.NewServer(handler(fakeSource{testSnapshot()}))
 	defer srv.Close()
 
 	body, resp := get(t, srv, "/metrics")
@@ -108,7 +108,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestStatuszEndpoint: /statusz returns the snapshot as JSON that
 // round-trips into an obs.Snapshot.
 func TestStatuszEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler(fakeSource{testSnapshot()}))
+	srv := httptest.NewServer(handler(fakeSource{testSnapshot()}))
 	defer srv.Close()
 
 	body, resp := get(t, srv, "/statusz")
@@ -127,7 +127,7 @@ func TestStatuszEndpoint(t *testing.T) {
 // TestPprofEndpoint: the pprof index and a cheap profile respond on
 // the private mux.
 func TestPprofEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler(fakeSource{testSnapshot()}))
+	srv := httptest.NewServer(handler(fakeSource{testSnapshot()}))
 	defer srv.Close()
 
 	body, resp := get(t, srv, "/debug/pprof/")
@@ -142,7 +142,7 @@ func TestPprofEndpoint(t *testing.T) {
 
 // TestHealthz: liveness probe.
 func TestHealthz(t *testing.T) {
-	srv := httptest.NewServer(Handler(fakeSource{testSnapshot()}))
+	srv := httptest.NewServer(handler(fakeSource{testSnapshot()}))
 	defer srv.Close()
 	body, resp := get(t, srv, "/healthz")
 	if resp.StatusCode != http.StatusOK || body != "ok\n" {
@@ -150,7 +150,7 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestRealServerLifecycle: New binds :0, serves, registers with the
+// TestRealServerLifecycle: newServer binds :0, serves, registers with the
 // obs hook, and Close is idempotent.
 func TestRealServerLifecycle(t *testing.T) {
 	s, err := obs.StartHTTPServer("127.0.0.1:0", fakeSource{testSnapshot()})

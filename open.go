@@ -334,12 +334,6 @@ func (s *Service) SearchContext(ctx context.Context, user int, q Query) (*Result
 	return s.front.SearchContext(ctx, user, q)
 }
 
-// RefineContext is SearchContext through the refinement path of every
-// partition engine (see Engine.RefineContext).
-func (s *Service) RefineContext(ctx context.Context, user int, q Query) (*Result, error) {
-	return s.front.RefineContext(ctx, user, q)
-}
-
 // EnableLiveUpdates turns every partition index mutable (see
 // Index.EnableLiveUpdates), after which IngestContext accepts
 // documents. For a sharded deployment each partition ingests, commits

@@ -90,18 +90,16 @@ func (r *Router) NumShards() int { return len(r.shards) }
 // per-shard budget), gathers the per-shard top-k, and merges by score
 // descending with DocID ascending as the deterministic tie-break —
 // exactly rank.TopN's order, so a merged ranking is indistinguishable
-// from a single-index one.
+// from a single-index one. The outcome is filed in the router's serving
+// counters with the engine's classifier. The router delivers its merge
+// unchanged: the anytime answer of an expired caller context rides
+// alongside the error, so the classifier counts it as a partial and its
+// return is not used.
 func (r *Router) SearchContext(ctx context.Context, user int, q Query) (*Result, error) {
-	return r.scatter(ctx, user, q, Searcher.SearchContext)
-}
-
-// RefineContext is SearchContext routed through every shard's
-// refinement path: a user's resubmissions fan out to the same N
-// backends, so each shard's engine sees the user's full query stream
-// and can serve its local portion from snapshot resume or its result
-// cache. The merge is the same as SearchContext's.
-func (r *Router) RefineContext(ctx context.Context, user int, q Query) (*Result, error) {
-	return r.scatter(ctx, user, q, Searcher.RefineContext)
+	start := time.Now()
+	res, err := r.scatter(ctx, user, q)
+	engine.Classify(&r.counters, res, err, time.Since(start), engine.PartialOnDeadline)
+	return res, err
 }
 
 // shardAnswer is one gathered fan-out response.
@@ -110,30 +108,19 @@ type shardAnswer struct {
 	err error
 }
 
-// scatter fans one request out via call, gathers, merges, and files
-// the outcome in the router's serving counters with the engine's
-// classifier. The router delivers its merge unchanged: the anytime
-// answer of an expired caller context rides alongside the error, so
-// the classifier counts it as a partial and its return is not used.
-func (r *Router) scatter(ctx context.Context, user int, q Query, call func(Searcher, context.Context, int, Query) (*Result, error)) (*Result, error) {
-	start := time.Now()
-	res, err := r.scatterInner(ctx, user, q, call)
-	engine.Classify(&r.counters, res, err, time.Since(start), engine.PartialOnDeadline)
-	return res, err
-}
-
-func (r *Router) scatterInner(ctx context.Context, user int, q Query, call func(Searcher, context.Context, int, Query) (*Result, error)) (*Result, error) {
+// scatter fans one request out to every shard, gathers and merges.
+func (r *Router) scatter(ctx context.Context, user int, q Query) (*Result, error) {
 	if len(r.shards) == 1 {
 		// Transparent single-shard proxy: the backend's Result passes
 		// through unchanged (trace, counters, everything) — the
 		// identity behind the router-vs-engine equivalence tests.
-		return r.callShard(ctx, 0, user, q, call)
+		return r.callShard(ctx, 0, user, q)
 	}
 	answers := make([]shardAnswer, len(r.shards))
 	done := make(chan int, len(r.shards))
 	for i := range r.shards {
 		go func(i int) {
-			res, err := r.callShard(ctx, i, user, q, call)
+			res, err := r.callShard(ctx, i, user, q)
 			answers[i] = shardAnswer{res: res, err: err}
 			done <- i
 		}(i)
@@ -145,13 +132,13 @@ func (r *Router) scatterInner(ctx context.Context, user int, q Query, call func(
 }
 
 // callShard runs one fan-out call under the per-shard budget.
-func (r *Router) callShard(ctx context.Context, i, user int, q Query, call func(Searcher, context.Context, int, Query) (*Result, error)) (*Result, error) {
+func (r *Router) callShard(ctx context.Context, i, user int, q Query) (*Result, error) {
 	if r.cfg.ShardTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.cfg.ShardTimeout)
 		defer cancel()
 	}
-	return call(r.shards[i], ctx, user, q)
+	return r.shards[i].SearchContext(ctx, user, q)
 }
 
 // merge combines the gathered per-shard answers into one Result. Shard

@@ -250,9 +250,6 @@ var errShardDown = errors.New("shard down")
 func (e *errSearcher) SearchContext(ctx context.Context, user int, q Query) (*Result, error) {
 	return nil, errShardDown
 }
-func (e *errSearcher) RefineContext(ctx context.Context, user int, q Query) (*Result, error) {
-	return nil, errShardDown
-}
 func (e *errSearcher) Stats() EngineStats { return EngineStats{} }
 func (e *errSearcher) Close() error       { return e.closeErr }
 
@@ -363,7 +360,7 @@ func TestRouterShardTimeoutChaos(t *testing.T) {
 					router.SearchContext(ctx, u, q)
 				case 2: // parent deadline tighter than any shard
 					ctx, cancel := context.WithTimeout(context.Background(), 50*time.Microsecond)
-					router.RefineContext(ctx, u, q)
+					router.SearchContext(ctx, u, q)
 					cancel()
 				}
 			}

@@ -46,7 +46,7 @@ lint:
 # regression here would put an HTTP stack in every binary using the
 # library.
 depgraph:
-	@bad=$$($(GO) list -deps . ./internal/engine ./internal/buffer ./internal/eval ./internal/obs \
+	@bad=$$($(GO) list -deps . ./internal/engine ./internal/buffer ./internal/eval ./internal/metrics \
 		| grep -x 'net/http\|net/http/pprof\|bufir/obshttp' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "depgraph: core packages must not depend on:"; echo "$$bad"; exit 1; \
@@ -83,12 +83,12 @@ leaks:
 # Replays the checked-in seed corpora (testdata/fuzz/**) plus the f.Add
 # seeds through every fuzz target, without engaging the fuzzing engine.
 fuzz-seeds:
-	$(GO) test -run=Fuzz ./internal/codec ./internal/textproc ./internal/storage ./internal/eval ./internal/indexfile ./internal/livedex
+	$(GO) test -run=Fuzz ./internal/codec ./internal/text ./internal/storage ./internal/eval ./internal/indexfile ./internal/livedex
 
 # Short exploratory fuzzing of every target (not part of ci; minutes).
 fuzz:
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=60s ./internal/codec
-	$(GO) test -fuzz=FuzzTokenize -fuzztime=60s ./internal/textproc
+	$(GO) test -fuzz=FuzzTokenize -fuzztime=60s ./internal/text
 	$(GO) test -fuzz=FuzzParseFaultSchedule -fuzztime=60s ./internal/storage
 	$(GO) test -fuzz=FuzzCanonicalQuery -fuzztime=60s ./internal/eval
 	$(GO) test -fuzz=FuzzPageFileHeader -fuzztime=60s ./internal/indexfile
@@ -144,10 +144,13 @@ bench-compare:
 	bash benchmark/run.sh -compare $(PARENT) $(CHANGE)
 
 # The two tracked size numbers of ROADMAP aim 2: non-test Go lines and
-# package count outside the benchmark module. Both should go down.
+# package count outside the benchmark module. Both should go down. The
+# third line, test Go lines, shows code that moved into _test.go files:
+# such a move lowers the first number without being a reduction.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l | awk '{print $$1, "non-test Go lines"}'
 	@$(GO) list ./... | wc -l | awk '{print $$1, "packages"}'
+	@find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l | awk '{print $$1, "test Go lines"}'
 
 # The PageStore conformance suite under -race: every backend — the
 # in-memory simulator and the file-backed store over both access paths

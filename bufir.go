@@ -12,18 +12,16 @@ import (
 	"bufir/internal/buffer"
 	"bufir/internal/codec"
 	"bufir/internal/corpus"
-	"bufir/internal/docindex"
 	"bufir/internal/engine"
 	"bufir/internal/eval"
 	"bufir/internal/indexfile"
 	"bufir/internal/livedex"
 	"bufir/internal/metrics"
-	"bufir/internal/positional"
 	"bufir/internal/postings"
 	"bufir/internal/rank"
 	"bufir/internal/refine"
 	"bufir/internal/storage"
-	"bufir/internal/textproc"
+	"bufir/internal/text"
 )
 
 // Core identifier and data types, shared with the internal engine.
@@ -68,7 +66,7 @@ type (
 	// BufferStats are buffer-pool hit/miss/eviction counters.
 	BufferStats = buffer.Stats
 	// Document is a raw text document for IndexDocuments.
-	Document = docindex.Document
+	Document = text.Document
 	// CompressionStats reports compressed-index storage statistics.
 	CompressionStats = codec.Stats
 	// FeedbackOptions tunes relevance-feedback sequence construction.
@@ -199,17 +197,17 @@ type Index struct {
 	stopWords []string
 	// pipe is non-nil for document-built indexes and processes query
 	// text identically to document text.
-	pipe *textproc.Pipeline
+	pipe *text.Pipeline
 	// positional is non-nil when the index was built with
 	// IndexOptions.Positional. Positional data has no delta path, so
 	// EnableLiveUpdates refuses positional indexes.
-	positional *positional.Index
+	positional *text.PositionalIndex
 
 	// Live-update state; all nil/zero until EnableLiveUpdates.
 	liveMu   sync.Mutex
 	live     *livedex.State
 	liveOpts LiveOptions
-	livePipe *textproc.Pipeline
+	livePipe *text.Pipeline
 	// liveBase names the main generation's documents (delta names
 	// append positionally); liveMerges counts completed merges.
 	liveBase   []string
@@ -268,7 +266,7 @@ type IndexOptions struct {
 // IndexDocuments builds an index from raw documents through the full
 // lexical pipeline (tokenization, stop-word removal, Porter stemming).
 func IndexDocuments(docs []Document, opts IndexOptions) (*Index, error) {
-	res, err := docindex.Build(docs, docindex.Options{
+	res, err := text.Build(docs, text.Options{
 		PageSize:     opts.PageSize,
 		NumStopWords: opts.NumStopWords,
 	})
@@ -283,7 +281,7 @@ func IndexDocuments(docs []Document, opts IndexOptions) (*Index, error) {
 		for i, d := range docs {
 			texts[i] = d.Text
 		}
-		pos, err := positional.Build(texts, res.Pipeline)
+		pos, err := text.BuildPositional(texts, res.Pipeline)
 		if err != nil {
 			return nil, err
 		}
@@ -407,7 +405,7 @@ func (ix *Index) applyAux(aux *indexfile.Aux) {
 	ix.view().docNames = aux.DocNames
 	ix.stopWords = aux.StopWords
 	if aux.DocNames != nil || aux.StopWords != nil {
-		ix.pipe = textproc.NewPipeline(aux.StopWords)
+		ix.pipe = text.NewPipeline(aux.StopWords)
 	}
 }
 

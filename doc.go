@@ -49,7 +49,7 @@
 //		fmt.Println(d.Doc, d.Score)
 //	}
 //
-// See the examples directory for runnable programs, cmd/irbench for
-// the harness that regenerates every table and figure of the paper,
-// and EXPERIMENTS.md for measured-versus-paper results.
+// See the Example functions (example_test.go) for runnable programs,
+// cmd/irbench for the harness that regenerates every table and figure
+// of the paper, and EXPERIMENTS.md for measured-versus-paper results.
 package bufir

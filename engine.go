@@ -10,7 +10,6 @@ import (
 	"bufir/internal/engine"
 	"bufir/internal/eval"
 	"bufir/internal/metrics"
-	"bufir/internal/obs"
 )
 
 // DeadlinePolicy selects what a request that hits its deadline
@@ -114,11 +113,11 @@ type ObsOptions struct {
 // ObsSnapshot is the full observability snapshot: serving counters,
 // queue-wait and service latency histograms, engine gauges, and the
 // buffer pool's live state.
-type ObsSnapshot = obs.Snapshot
+type ObsSnapshot = metrics.Snapshot
 
 // HistogramSnapshot is a mergeable fixed-bucket latency histogram
 // snapshot with P50/P95/P99/Mean accessors.
-type HistogramSnapshot = obs.HistogramSnapshot
+type HistogramSnapshot = metrics.HistogramSnapshot
 
 // EngineStats is a snapshot of the engine's atomic serving counters.
 type EngineStats = metrics.ServingSnapshot
@@ -138,7 +137,7 @@ type EngineStats = metrics.ServingSnapshot
 type Engine struct {
 	inner *engine.Engine
 	ix    *Index
-	obs   obs.HTTPServer // nil unless ObsOptions.Addr was set
+	obs   metrics.HTTPServer // nil unless ObsOptions.Addr was set
 }
 
 // poolSource adapts an Index to the internal engine's Source: one
@@ -244,7 +243,7 @@ func (ix *Index) NewEngine(cfg EngineConfig) (*Engine, error) {
 	src.setOnRetry(inner.RecordRetry)
 	e := &Engine{inner: inner, ix: ix}
 	if cfg.Obs.Addr != "" {
-		srv, err := obs.StartHTTPServer(cfg.Obs.Addr, inner)
+		srv, err := metrics.StartHTTPServer(cfg.Obs.Addr, inner)
 		if err != nil {
 			inner.Close()
 			return nil, err

@@ -5,7 +5,7 @@ import (
 
 	"bufir/internal/engine"
 	"bufir/internal/eval"
-	"bufir/internal/obs"
+	"bufir/internal/metrics"
 )
 
 // Sentinel errors of the public API, testable with errors.Is. Error
@@ -33,7 +33,7 @@ var (
 	// is set but no HTTP endpoint implementation is linked in. Import
 	// bufir/obshttp (blank import is enough) to enable it; the core
 	// library deliberately does not depend on net/http.
-	ErrObsUnavailable = obs.ErrHTTPUnavailable
+	ErrObsUnavailable = metrics.ErrHTTPUnavailable
 )
 
 // hintedErr carries a site-specific message while unwrapping to a

@@ -11,7 +11,7 @@ import (
 // names contain digits (which the tokenizer strips), terms are renamed
 // to purely alphabetic identifiers; AlphaName gives the mapping.
 //
-// Feeding the emitted texts through docindex.Build with stop-words and
+// Feeding the emitted texts through text.Build with stop-words and
 // stemming disabled reconstructs exactly the same inverted index —
 // the validation that the direct index synthesis (DESIGN.md §2's
 // substitution) and the full text pipeline are interchangeable. The

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"bufir/internal/docindex"
 	"bufir/internal/postings"
+	"bufir/internal/text"
 )
 
 func TestAlphaName(t *testing.T) {
@@ -68,11 +68,11 @@ func TestEmitDocumentsRoundTrip(t *testing.T) {
 	// Text path: emit documents, run the full pipeline (tokenizer on;
 	// stop-words and stemming off so identifiers survive verbatim).
 	texts := EmitDocuments(col, 99)
-	docs := make([]docindex.Document, len(texts))
+	docs := make([]text.Document, len(texts))
 	for i, txt := range texts {
-		docs[i] = docindex.Document{Name: "d", Text: txt}
+		docs[i] = text.Document{Name: "d", Text: txt}
 	}
-	res, err := docindex.Build(docs, docindex.Options{
+	res, err := text.Build(docs, text.Options{
 		PageSize:        cfg.PageSize,
 		NumStopWords:    -1,
 		DisableStemming: true,

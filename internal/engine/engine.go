@@ -41,7 +41,6 @@ import (
 	"bufir/internal/buffer"
 	"bufir/internal/eval"
 	"bufir/internal/metrics"
-	"bufir/internal/obs"
 	"bufir/internal/postings"
 )
 
@@ -205,14 +204,14 @@ type Engine struct {
 
 	// Observability: latency distributions and live gauges. All
 	// lock-free — workers record on the hot path.
-	queueWait  obs.Histogram
-	service    obs.Histogram
-	retryWait  obs.Histogram // backoff waits of buffer load retries
-	queueDepth atomic.Int64  // accepted, not yet picked up by a worker
-	inFlight   atomic.Int64  // currently held by a worker
+	queueWait  metrics.Histogram
+	service    metrics.Histogram
+	retryWait  metrics.Histogram // backoff waits of buffer load retries
+	queueDepth atomic.Int64      // accepted, not yet picked up by a worker
+	inFlight   atomic.Int64      // currently held by a worker
 }
 
-var _ obs.Source = (*Engine)(nil)
+var _ metrics.Source = (*Engine)(nil)
 
 // New starts an engine with cfg.Workers goroutines whose index
 // generation is supplied per request by src: a live index's Source
@@ -470,12 +469,12 @@ func (e *Engine) RecordRetry(wait time.Duration) {
 // are atomic); the buffer gauges take the pool's shard latches one at
 // a time. Exact at quiescence, approximate mid-flight — both are fine
 // for /metrics scrapes and experiment reports.
-func (e *Engine) ObsSnapshot() obs.Snapshot {
+func (e *Engine) ObsSnapshot() metrics.Snapshot {
 	mgr := e.currentPool().Manager()
 	st := mgr.Stats()
-	return obs.Snapshot{
+	return metrics.Snapshot{
 		Serving: e.counters.Snapshot(),
-		Engine: obs.EngineGauges{
+		Engine: metrics.EngineGauges{
 			Workers:    e.cfg.Workers,
 			QueueDepth: e.queueDepth.Load(),
 			InFlight:   e.inFlight.Load(),
@@ -483,7 +482,7 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 		QueueWait: e.queueWait.Snapshot(),
 		Service:   e.service.Snapshot(),
 		RetryWait: e.retryWait.Snapshot(),
-		Buffer: obs.BufferSnapshot{
+		Buffer: metrics.BufferSnapshot{
 			Policy:         mgr.Policy(),
 			Capacity:       mgr.Capacity(),
 			InUse:          mgr.InUse(),
@@ -500,12 +499,12 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 // adaptiveGauges converts the pool's PolicyStats — present only when
 // the replacement policy reports them (ADAPTIVE) — into the snapshot's
 // optional gauge block.
-func adaptiveGauges(mgr *buffer.Manager) *obs.AdaptivePolicyGauges {
+func adaptiveGauges(mgr *buffer.Manager) *metrics.AdaptivePolicyGauges {
 	ps, ok := mgr.PolicyStats()
 	if !ok {
 		return nil
 	}
-	return &obs.AdaptivePolicyGauges{
+	return &metrics.AdaptivePolicyGauges{
 		GhostHitsLRU: ps.GhostHitsLRU,
 		GhostHitsRAP: ps.GhostHitsRAP,
 		WeightLRU:    ps.WeightLRU,

@@ -1,16 +1,17 @@
-// Package boolean implements the Boolean query model of early
-// commercial IR systems, which §2.1 contrasts with the natural
-// language model: `t1 AND t2` returns, in no particular order, the
-// documents containing both terms; `t1 OR t2` those containing
-// either; NOT complements. The paper recounts the model's central
-// problem — "formulating boolean queries that return result sets of
-// manageable size has been shown to require significant expertise"
-// [Tur94] — which the experiments quantify against ranked retrieval.
+package experiments
+
+// The Boolean query model of early commercial IR systems, which §2.1
+// contrasts with the natural language model: `t1 AND t2` returns, in
+// no particular order, the documents containing both terms; `t1 OR
+// t2` those containing either; NOT complements. The paper recounts the
+// model's central problem — "formulating boolean queries that return
+// result sets of manageable size has been shown to require significant
+// expertise" [Tur94] — which the experiments quantify against ranked
+// retrieval.
 //
 // Queries evaluate over document-sorted inverted lists (the layout
 // boolean systems use) through the buffer manager, with classic
-// sorted-list merges for AND/OR/AND-NOT.
-package boolean
+// sorted-list merges for AND/OR/AND-NOT. E19 (boolexp.go) drives it.
 
 import (
 	"context"
@@ -18,45 +19,45 @@ import (
 	"strings"
 
 	"bufir/internal/buffer"
-	"bufir/internal/eval"
 	"bufir/internal/postings"
 )
 
-// Expr is a parsed boolean expression.
-type Expr interface {
+// boolExpr is a parsed boolean expression.
+type boolExpr interface {
 	// String renders the expression in canonical form.
 	String() string
 }
 
-// TermExpr matches documents containing a term.
-type TermExpr struct {
+// boolTerm matches documents containing a term.
+type boolTerm struct {
 	Term postings.TermID
 	Name string
 }
 
-// AndExpr is the conjunction of its children.
-type AndExpr struct{ Left, Right Expr }
+// boolAnd is the conjunction of its children.
+type boolAnd struct{ Left, Right boolExpr }
 
-// OrExpr is the disjunction of its children.
-type OrExpr struct{ Left, Right Expr }
+// boolOr is the disjunction of its children.
+type boolOr struct{ Left, Right boolExpr }
 
-// NotExpr is the complement of its child.
-type NotExpr struct{ Child Expr }
+// boolNot is the complement of its child.
+type boolNot struct{ Child boolExpr }
 
-// String implements Expr.
-func (e *TermExpr) String() string { return e.Name }
+// String implements boolExpr.
+func (e *boolTerm) String() string { return e.Name }
 
-// String implements Expr.
-func (e *AndExpr) String() string { return "(" + e.Left.String() + " AND " + e.Right.String() + ")" }
+// String implements boolExpr.
+func (e *boolAnd) String() string { return "(" + e.Left.String() + " AND " + e.Right.String() + ")" }
 
-// String implements Expr.
-func (e *OrExpr) String() string { return "(" + e.Left.String() + " OR " + e.Right.String() + ")" }
+// String implements boolExpr.
+func (e *boolOr) String() string { return "(" + e.Left.String() + " OR " + e.Right.String() + ")" }
 
-// String implements Expr.
-func (e *NotExpr) String() string { return "(NOT " + e.Child.String() + ")" }
+// String implements boolExpr.
+func (e *boolNot) String() string { return "(NOT " + e.Child.String() + ")" }
 
-// Parse reads a boolean expression over index terms. Grammar (AND
-// binds tighter than OR; NOT is a prefix operator; parentheses group):
+// parseBoolean reads a boolean expression over index terms. Grammar
+// (AND binds tighter than OR; NOT is a prefix operator; parentheses
+// group):
 //
 //	expr   := conj (OR conj)*
 //	conj   := factor (AND factor)*
@@ -64,9 +65,9 @@ func (e *NotExpr) String() string { return "(NOT " + e.Child.String() + ")" }
 //
 // Words are resolved through lookup, which should apply the same
 // normalization as indexing (e.g. Index.LookupTerm).
-func Parse(query string, lookup func(string) (postings.TermID, bool)) (Expr, error) {
-	p := &parser{lookup: lookup}
-	p.tokens = tokenize(query)
+func parseBoolean(query string, lookup func(string) (postings.TermID, bool)) (boolExpr, error) {
+	p := &boolParser{lookup: lookup}
+	p.tokens = boolTokens(query)
 	expr, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -77,26 +78,26 @@ func Parse(query string, lookup func(string) (postings.TermID, bool)) (Expr, err
 	return expr, nil
 }
 
-func tokenize(s string) []string {
+func boolTokens(s string) []string {
 	s = strings.ReplaceAll(s, "(", " ( ")
 	s = strings.ReplaceAll(s, ")", " ) ")
 	return strings.Fields(s)
 }
 
-type parser struct {
+type boolParser struct {
 	tokens []string
 	pos    int
 	lookup func(string) (postings.TermID, bool)
 }
 
-func (p *parser) peek() (string, bool) {
+func (p *boolParser) peek() (string, bool) {
 	if p.pos >= len(p.tokens) {
 		return "", false
 	}
 	return p.tokens[p.pos], true
 }
 
-func (p *parser) next() (string, bool) {
+func (p *boolParser) next() (string, bool) {
 	tok, ok := p.peek()
 	if ok {
 		p.pos++
@@ -104,7 +105,7 @@ func (p *parser) next() (string, bool) {
 	return tok, ok
 }
 
-func (p *parser) parseExpr() (Expr, error) {
+func (p *boolParser) parseExpr() (boolExpr, error) {
 	left, err := p.parseConj()
 	if err != nil {
 		return nil, err
@@ -119,11 +120,11 @@ func (p *parser) parseExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &OrExpr{left, right}
+		left = &boolOr{left, right}
 	}
 }
 
-func (p *parser) parseConj() (Expr, error) {
+func (p *boolParser) parseConj() (boolExpr, error) {
 	left, err := p.parseFactor()
 	if err != nil {
 		return nil, err
@@ -138,11 +139,11 @@ func (p *parser) parseConj() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &AndExpr{left, right}
+		left = &boolAnd{left, right}
 	}
 }
 
-func (p *parser) parseFactor() (Expr, error) {
+func (p *boolParser) parseFactor() (boolExpr, error) {
 	tok, ok := p.next()
 	if !ok {
 		return nil, fmt.Errorf("boolean: unexpected end of query")
@@ -153,7 +154,7 @@ func (p *parser) parseFactor() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &NotExpr{child}, nil
+		return &boolNot{child}, nil
 	case tok == "(":
 		expr, err := p.parseExpr()
 		if err != nil {
@@ -171,38 +172,38 @@ func (p *parser) parseFactor() (Expr, error) {
 		if !found {
 			return nil, fmt.Errorf("boolean: term %q not in index", tok)
 		}
-		return &TermExpr{Term: id, Name: tok}, nil
+		return &boolTerm{Term: id, Name: tok}, nil
 	}
 }
 
-// Result is a boolean answer: an unordered document set (returned
+// boolResult is a boolean answer: an unordered document set (returned
 // sorted for determinism) plus read accounting.
-type Result struct {
+type boolResult struct {
 	Docs      []postings.DocID
 	PagesRead int
 }
 
-// Evaluator evaluates boolean expressions through a buffer pool over a
-// doc-sorted index (postings.BuildDocSorted).
-type Evaluator struct {
+// boolEvaluator evaluates boolean expressions through a buffer pool
+// over a doc-sorted index (postings.BuildDocSorted).
+type boolEvaluator struct {
 	Idx *postings.Index
 	Buf buffer.Pool
 }
 
-// NewEvaluator wires the evaluator.
-func NewEvaluator(ix *postings.Index, buf buffer.Pool) (*Evaluator, error) {
+// newBoolEvaluator wires the evaluator.
+func newBoolEvaluator(ix *postings.Index, buf buffer.Pool) (*boolEvaluator, error) {
 	if ix == nil || buf == nil {
 		return nil, fmt.Errorf("boolean: nil index or buffer pool")
 	}
-	return &Evaluator{Idx: ix, Buf: buf}, nil
+	return &boolEvaluator{Idx: ix, Buf: buf}, nil
 }
 
 // Evaluate computes the expression's document set.
-func (e *Evaluator) Evaluate(expr Expr) (*Result, error) {
+func (e *boolEvaluator) Evaluate(expr boolExpr) (*boolResult, error) {
 	if expr == nil {
 		return nil, fmt.Errorf("boolean: nil expression")
 	}
-	e.Buf.SetQuery(weightsOf(e.Idx, expr))
+	e.Buf.SetQuery(boolWeights(e.Idx, expr))
 	// Reads are counted from per-Fetch miss reports, confined to this
 	// call, so concurrent evaluations on a shared pool stay exact.
 	reads := 0
@@ -210,29 +211,29 @@ func (e *Evaluator) Evaluate(expr Expr) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
+	return &boolResult{
 		Docs:      docs,
 		PagesRead: reads,
 	}, nil
 }
 
-// weightsOf gives RAP-managed pools a usable w_qt for the expression's
-// terms (boolean queries have no f_qt; weight 1·idf is the natural
-// choice).
-func weightsOf(ix *postings.Index, expr Expr) buffer.QueryWeights {
+// boolWeights gives RAP-managed pools a usable w_qt for the
+// expression's terms (boolean queries have no f_qt; weight 1·idf is
+// the natural choice).
+func boolWeights(ix *postings.Index, expr boolExpr) buffer.QueryWeights {
 	w := buffer.QueryWeights{}
-	var walk func(Expr)
-	walk = func(e Expr) {
+	var walk func(boolExpr)
+	walk = func(e boolExpr) {
 		switch v := e.(type) {
-		case *TermExpr:
+		case *boolTerm:
 			w[v.Term] = ix.IDF(v.Term)
-		case *AndExpr:
+		case *boolAnd:
 			walk(v.Left)
 			walk(v.Right)
-		case *OrExpr:
+		case *boolOr:
 			walk(v.Left)
 			walk(v.Right)
-		case *NotExpr:
+		case *boolNot:
 			walk(v.Child)
 		}
 	}
@@ -240,14 +241,14 @@ func weightsOf(ix *postings.Index, expr Expr) buffer.QueryWeights {
 	return w
 }
 
-func (e *Evaluator) eval(expr Expr, reads *int) ([]postings.DocID, error) {
+func (e *boolEvaluator) eval(expr boolExpr, reads *int) ([]postings.DocID, error) {
 	switch v := expr.(type) {
-	case *TermExpr:
+	case *boolTerm:
 		return e.termDocs(v.Term, reads)
-	case *AndExpr:
+	case *boolAnd:
 		// AND NOT gets the dedicated difference merge: the complement
 		// never materializes.
-		if not, ok := v.Right.(*NotExpr); ok {
+		if not, ok := v.Right.(*boolNot); ok {
 			left, err := e.eval(v.Left, reads)
 			if err != nil {
 				return nil, err
@@ -267,7 +268,7 @@ func (e *Evaluator) eval(expr Expr, reads *int) ([]postings.DocID, error) {
 			return nil, err
 		}
 		return intersect(left, right), nil
-	case *OrExpr:
+	case *boolOr:
 		left, err := e.eval(v.Left, reads)
 		if err != nil {
 			return nil, err
@@ -277,7 +278,7 @@ func (e *Evaluator) eval(expr Expr, reads *int) ([]postings.DocID, error) {
 			return nil, err
 		}
 		return union(left, right), nil
-	case *NotExpr:
+	case *boolNot:
 		child, err := e.eval(v.Child, reads)
 		if err != nil {
 			return nil, err
@@ -289,7 +290,7 @@ func (e *Evaluator) eval(expr Expr, reads *int) ([]postings.DocID, error) {
 }
 
 // termDocs reads a term's full doc-sorted list through the pool.
-func (e *Evaluator) termDocs(t postings.TermID, reads *int) ([]postings.DocID, error) {
+func (e *boolEvaluator) termDocs(t postings.TermID, reads *int) ([]postings.DocID, error) {
 	tm := &e.Idx.Terms[t]
 	out := make([]postings.DocID, 0, tm.DF)
 	for p := 0; p < tm.NumPages; p++ {
@@ -367,7 +368,7 @@ func difference(a, b []postings.DocID) []postings.DocID {
 }
 
 // complement returns all collection documents not in a (top-level NOT).
-func (e *Evaluator) complement(a []postings.DocID) []postings.DocID {
+func (e *boolEvaluator) complement(a []postings.DocID) []postings.DocID {
 	out := make([]postings.DocID, 0, e.Idx.NumDocs-len(a))
 	j := 0
 	for d := 0; d < e.Idx.NumDocs; d++ {
@@ -378,48 +379,4 @@ func (e *Evaluator) complement(a []postings.DocID) []postings.DocID {
 		out = append(out, postings.DocID(d))
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// TermsOf extracts the distinct terms of an expression, for building
-// the ranked-retrieval comparison query.
-func TermsOf(expr Expr) []postings.TermID {
-	seen := map[postings.TermID]bool{}
-	var out []postings.TermID
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch v := e.(type) {
-		case *TermExpr:
-			if !seen[v.Term] {
-				seen[v.Term] = true
-				out = append(out, v.Term)
-			}
-		case *AndExpr:
-			walk(v.Left)
-			walk(v.Right)
-		case *OrExpr:
-			walk(v.Left)
-			walk(v.Right)
-		case *NotExpr:
-			walk(v.Child)
-		}
-	}
-	walk(expr)
-	return out
-}
-
-// QueryOf converts an expression's terms into a ranked-retrieval
-// query with unit frequencies.
-func QueryOf(expr Expr) eval.Query {
-	var q eval.Query
-	for _, t := range TermsOf(expr) {
-		q = append(q, eval.QueryTerm{Term: t, Fqt: 1})
-	}
-	return q
 }

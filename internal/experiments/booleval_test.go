@@ -1,4 +1,4 @@
-package boolean
+package experiments
 
 import (
 	"math/rand"
@@ -11,24 +11,10 @@ import (
 	"bufir/internal/storage"
 )
 
-// fixture: three terms over 10 docs.
-//
-//	alpha: 0 1 2 3 4 5
-//	beta:  1 6 7
-//	gamma: 0
-func fixture(t *testing.T) (*Evaluator, *postings.Index) {
+// boolFixture evaluates over toyLists.
+func boolFixture(t *testing.T) (*boolEvaluator, *postings.Index) {
 	t.Helper()
-	lists := []postings.TermPostings{
-		{Name: "alpha", Entries: []postings.Entry{
-			{Doc: 0, Freq: 9}, {Doc: 1, Freq: 6}, {Doc: 2, Freq: 4},
-			{Doc: 3, Freq: 2}, {Doc: 4, Freq: 1}, {Doc: 5, Freq: 1},
-		}},
-		{Name: "beta", Entries: []postings.Entry{
-			{Doc: 1, Freq: 5}, {Doc: 6, Freq: 3}, {Doc: 7, Freq: 1},
-		}},
-		{Name: "gamma", Entries: []postings.Entry{{Doc: 0, Freq: 2}}},
-	}
-	ix, pages, err := postings.BuildDocSorted(lists, 10, 2)
+	ix, pages, err := postings.BuildDocSorted(toyLists(), 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,22 +23,22 @@ func fixture(t *testing.T) (*Evaluator, *postings.Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(ix, mgr)
+	ev, err := newBoolEvaluator(ix, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ev, ix
 }
 
-func lookupOf(ix *postings.Index) func(string) (postings.TermID, bool) {
+func boolLookup(ix *postings.Index) func(string) (postings.TermID, bool) {
 	return func(s string) (postings.TermID, bool) { return ix.LookupTerm(s) }
 }
 
-func docs(ids ...postings.DocID) []postings.DocID { return ids }
+func docIDs(ids ...postings.DocID) []postings.DocID { return ids }
 
-func evalQuery(t *testing.T, ev *Evaluator, ix *postings.Index, q string) []postings.DocID {
+func evalBoolean(t *testing.T, ev *boolEvaluator, ix *postings.Index, q string) []postings.DocID {
 	t.Helper()
-	expr, err := Parse(q, lookupOf(ix))
+	expr, err := parseBoolean(q, boolLookup(ix))
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
@@ -64,25 +50,25 @@ func evalQuery(t *testing.T, ev *Evaluator, ix *postings.Index, q string) []post
 }
 
 func TestBooleanOperators(t *testing.T) {
-	ev, ix := fixture(t)
+	ev, ix := boolFixture(t)
 	cases := []struct {
 		q    string
 		want []postings.DocID
 	}{
-		{"alpha", docs(0, 1, 2, 3, 4, 5)},
-		{"alpha AND beta", docs(1)},
-		{"alpha OR beta", docs(0, 1, 2, 3, 4, 5, 6, 7)},
-		{"alpha AND gamma", docs(0)},
+		{"alpha", docIDs(0, 1, 2, 3, 4, 5)},
+		{"alpha AND beta", docIDs(1)},
+		{"alpha OR beta", docIDs(0, 1, 2, 3, 4, 5, 6, 7)},
+		{"alpha AND gamma", docIDs(0)},
 		{"beta AND gamma", nil},
-		{"alpha AND NOT beta", docs(0, 2, 3, 4, 5)},
-		{"NOT alpha", docs(6, 7, 8, 9)},
-		{"(alpha OR beta) AND gamma", docs(0)},
-		{"alpha AND (beta OR gamma)", docs(0, 1)},
-		{"NOT (alpha OR beta)", docs(8, 9)},
-		{"alpha and beta", docs(1)}, // keywords case-insensitive
+		{"alpha AND NOT beta", docIDs(0, 2, 3, 4, 5)},
+		{"NOT alpha", docIDs(6, 7, 8, 9)},
+		{"(alpha OR beta) AND gamma", docIDs(0)},
+		{"alpha AND (beta OR gamma)", docIDs(0, 1)},
+		{"NOT (alpha OR beta)", docIDs(8, 9)},
+		{"alpha and beta", docIDs(1)}, // keywords case-insensitive
 	}
 	for _, c := range cases {
-		got := evalQuery(t, ev, ix, c.q)
+		got := evalBoolean(t, ev, ix, c.q)
 		if len(got) == 0 && len(c.want) == 0 {
 			continue
 		}
@@ -93,16 +79,16 @@ func TestBooleanOperators(t *testing.T) {
 }
 
 func TestBooleanPrecedence(t *testing.T) {
-	ev, ix := fixture(t)
+	ev, ix := boolFixture(t)
 	// AND binds tighter: gamma OR alpha AND beta = gamma OR (alpha AND beta).
-	got := evalQuery(t, ev, ix, "gamma OR alpha AND beta")
-	if !reflect.DeepEqual(got, docs(0, 1)) {
+	got := evalBoolean(t, ev, ix, "gamma OR alpha AND beta")
+	if !reflect.DeepEqual(got, docIDs(0, 1)) {
 		t.Errorf("precedence wrong: %v", got)
 	}
 }
 
-func TestParseErrors(t *testing.T) {
-	_, ix := fixture(t)
+func TestBooleanParseErrors(t *testing.T) {
+	_, ix := boolFixture(t)
 	bad := []string{
 		"",
 		"alpha AND",
@@ -115,15 +101,15 @@ func TestParseErrors(t *testing.T) {
 		"NOT",
 	}
 	for _, q := range bad {
-		if _, err := Parse(q, lookupOf(ix)); err == nil {
-			t.Errorf("Parse(%q) should fail", q)
+		if _, err := parseBoolean(q, boolLookup(ix)); err == nil {
+			t.Errorf("parseBoolean(%q) should fail", q)
 		}
 	}
 }
 
-func TestExprString(t *testing.T) {
-	_, ix := fixture(t)
-	expr, err := Parse("alpha AND NOT (beta OR gamma)", lookupOf(ix))
+func TestBooleanExprString(t *testing.T) {
+	_, ix := boolFixture(t)
+	expr, err := parseBoolean("alpha AND NOT (beta OR gamma)", boolLookup(ix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,25 +119,12 @@ func TestExprString(t *testing.T) {
 	}
 }
 
-func TestTermsOfAndQueryOf(t *testing.T) {
-	_, ix := fixture(t)
-	expr, _ := Parse("alpha AND (beta OR alpha) AND NOT gamma", lookupOf(ix))
-	terms := TermsOf(expr)
-	if len(terms) != 3 {
-		t.Errorf("TermsOf = %v, want 3 distinct terms", terms)
-	}
-	q := QueryOf(expr)
-	if len(q) != 3 || q[0].Fqt != 1 {
-		t.Errorf("QueryOf = %v", q)
-	}
-}
-
 func TestBooleanReadsAccounting(t *testing.T) {
-	ev, ix := fixture(t)
-	got := evalQuery(t, ev, ix, "alpha AND beta")
+	ev, ix := boolFixture(t)
+	got := evalBoolean(t, ev, ix, "alpha AND beta")
 	_ = got
 	// alpha: 3 pages, beta: 2 pages — all cold.
-	expr, _ := Parse("alpha AND beta", lookupOf(ix))
+	expr, _ := parseBoolean("alpha AND beta", boolLookup(ix))
 	res, err := ev.Evaluate(expr)
 	if err != nil {
 		t.Fatal(err)

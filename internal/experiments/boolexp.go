@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"bufir/internal/boolean"
 	"bufir/internal/buffer"
 	"bufir/internal/eval"
 	"bufir/internal/metrics"
@@ -65,7 +64,7 @@ func (e *Env) RunBoolean(numTopics int) (*BooleanResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	bev, err := boolean.NewEvaluator(dsIx, mgr)
+	bev, err := newBoolEvaluator(dsIx, mgr)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +88,7 @@ func (e *Env) RunBoolean(numTopics int) (*BooleanResult, error) {
 		lookup := func(s string) (postings.TermID, bool) { return dsIx.LookupTerm(s) }
 		for _, mode := range []string{"AND", "OR"} {
 			q := names[0] + " " + mode + " " + names[1] + " " + mode + " " + names[2]
-			expr, err := boolean.Parse(q, lookup)
+			expr, err := parseBoolean(q, lookup)
 			if err != nil {
 				return nil, err
 			}

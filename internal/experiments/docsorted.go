@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"bufir/internal/buffer"
-	"bufir/internal/docsorted"
 	"bufir/internal/eval"
 	"bufir/internal/postings"
 	"bufir/internal/refine"
@@ -63,12 +62,12 @@ func (e *Env) RunDocSorted(points int) (*DocSortedResult, error) {
 		AvgAccums:  make(map[string]float64),
 	}
 
-	runDS := func(strategy docsorted.Strategy, size int) (int, float64, error) {
+	runDS := func(strategy docSortedStrategy, size int) (int, float64, error) {
 		mgr, err := serialPool(size, dsStore, dsIx, buffer.NewLRU())
 		if err != nil {
 			return 0, 0, err
 		}
-		ev, err := docsorted.NewEvaluator(dsIx, mgr, e.Params().TopN)
+		ev, err := newDocSortedEvaluator(dsIx, mgr, e.Params().TopN)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -95,9 +94,9 @@ func (e *Env) RunDocSorted(points int) (*DocSortedResult, error) {
 			var err error
 			switch cfg {
 			case "docsorted-OR/LRU":
-				reads, accums, err = runDS(docsorted.OR, size)
+				reads, accums, err = runDS(strategyOR, size)
 			case "docsorted-CONT/LRU":
-				reads, accums, err = runDS(docsorted.Continue, size)
+				reads, accums, err = runDS(strategyContinue, size)
 			case "DF/LRU":
 				var sr *SequenceResult
 				sr, err = e.RunSequence(seq, eval.DF, "LRU", size, e.Params(), nil)

@@ -1,9 +1,11 @@
-// Package docsorted implements term-at-a-time ranked retrieval over
-// document-ordered inverted lists — the traditional physical design of
-// [ZMSD92, MZ94, Bro95] that the paper uses as its implicit baseline:
-// footnote 14 observes that such algorithms "can be expected to read
-// most of the inverted list pages" and "would perform significantly
-// worse than DF" on refinement workloads.
+package experiments
+
+// Term-at-a-time ranked retrieval over document-ordered inverted lists
+// — the traditional physical design of [ZMSD92, MZ94, Bro95] that the
+// paper uses as its implicit baseline: footnote 14 observes that such
+// algorithms "can be expected to read most of the inverted list pages"
+// and "would perform significantly worse than DF" on refinement
+// workloads.
 //
 // Three strategies are provided:
 //
@@ -14,7 +16,8 @@
 //	Continue  as Quit, but remaining terms still update documents that
 //	          already hold accumulators — which requires reading their
 //	          full lists anyway, saving memory but not I/O [MZ94].
-package docsorted
+//
+// E17 (docsorted.go) drives it.
 
 import (
 	"context"
@@ -27,71 +30,73 @@ import (
 	"bufir/internal/rank"
 )
 
-// Strategy selects the evaluation behavior.
-type Strategy int
+// docSortedStrategy selects the evaluation behavior.
+type docSortedStrategy int
 
 const (
-	// OR is exhaustive disjunctive evaluation.
-	OR Strategy = iota
-	// Quit stops processing terms once the accumulator limit is hit.
-	Quit
-	// Continue stops adding accumulators but keeps updating existing
-	// ones.
-	Continue
+	// strategyOR is exhaustive disjunctive evaluation.
+	strategyOR docSortedStrategy = iota
+	// strategyQuit stops processing terms once the accumulator limit
+	// is hit.
+	strategyQuit
+	// strategyContinue stops adding accumulators but keeps updating
+	// existing ones.
+	strategyContinue
 )
 
 // String names the strategy.
-func (s Strategy) String() string {
+func (s docSortedStrategy) String() string {
 	switch s {
-	case OR:
+	case strategyOR:
 		return "OR"
-	case Quit:
+	case strategyQuit:
 		return "QUIT"
-	case Continue:
+	case strategyContinue:
 		return "CONTINUE"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
 }
 
-// Result carries the ranked answer and execution statistics.
-type Result struct {
+// docSortedEvalResult carries the ranked answer and execution
+// statistics.
+type docSortedEvalResult struct {
 	Top              []rank.ScoredDoc
 	Accumulators     int
 	PagesRead        int
 	PagesProcessed   int
 	EntriesProcessed int
-	// TermsProcessed counts terms whose lists were touched (Quit can
-	// skip trailing terms entirely).
+	// TermsProcessed counts terms whose lists were touched
+	// (strategyQuit can skip trailing terms entirely).
 	TermsProcessed int
 }
 
-// Evaluator runs doc-sorted evaluation through a buffer pool. Build
-// the index with postings.BuildDocSorted.
-type Evaluator struct {
+// docSortedEvaluator runs doc-sorted evaluation through a buffer
+// pool. Build the index with postings.BuildDocSorted.
+type docSortedEvaluator struct {
 	Idx *postings.Index
 	Buf buffer.Pool
 	// TopN is the answer size n.
 	TopN int
-	// AccumLimit bounds the candidate set for Quit/Continue
-	// (ignored by OR). Zero means no limit.
+	// AccumLimit bounds the candidate set for strategyQuit and
+	// strategyContinue (ignored by strategyOR). Zero means no limit.
 	AccumLimit int
 }
 
-// NewEvaluator wires the evaluator.
-func NewEvaluator(ix *postings.Index, buf buffer.Pool, topN int) (*Evaluator, error) {
+// newDocSortedEvaluator wires the evaluator.
+func newDocSortedEvaluator(ix *postings.Index, buf buffer.Pool, topN int) (*docSortedEvaluator, error) {
 	if ix == nil || buf == nil {
 		return nil, fmt.Errorf("docsorted: nil index or buffer pool")
 	}
 	if topN < 1 {
 		return nil, fmt.Errorf("docsorted: topN %d < 1", topN)
 	}
-	return &Evaluator{Idx: ix, Buf: buf, TopN: topN}, nil
+	return &docSortedEvaluator{Idx: ix, Buf: buf, TopN: topN}, nil
 }
 
 // Evaluate runs the query under the strategy. Terms are processed in
 // decreasing idf order, as in the classic algorithms.
-func (e *Evaluator) Evaluate(strategy Strategy, q eval.Query) (*Result, error) {
+func (e *docSortedEvaluator) Evaluate(strategy docSortedStrategy, q eval.Query) (*docSortedEvalResult, error) {
 	if len(q) == 0 {
 		return nil, fmt.Errorf("docsorted: empty query")
 	}
@@ -120,12 +125,12 @@ func (e *Evaluator) Evaluate(strategy Strategy, q eval.Query) (*Result, error) {
 	}
 	e.Buf.SetQuery(weights)
 
-	res := &Result{}
+	res := &docSortedEvalResult{}
 	acc := make(map[postings.DocID]float64, 256)
-	limited := false // Quit/Continue switch has tripped
+	limited := false // strategyQuit/strategyContinue switch has tripped
 
 	for _, qt := range ordered {
-		if limited && strategy == Quit {
+		if limited && strategy == strategyQuit {
 			break
 		}
 		tm := &e.Idx.Terms[qt.Term]
@@ -147,10 +152,10 @@ func (e *Evaluator) Evaluate(strategy Strategy, q eval.Query) (*Result, error) {
 					continue
 				}
 				if limited {
-					continue // Continue: no new accumulators
+					continue // strategyContinue: no new accumulators
 				}
 				acc[entry.Doc] = rank.DocWeight(entry.Freq, tm.IDF) * wqt
-				if strategy != OR && e.AccumLimit > 0 && len(acc) >= e.AccumLimit {
+				if strategy != strategyOR && e.AccumLimit > 0 && len(acc) >= e.AccumLimit {
 					limited = true
 				}
 			}

@@ -1,4 +1,4 @@
-package docsorted
+package experiments
 
 import (
 	"math"
@@ -11,7 +11,13 @@ import (
 	"bufir/internal/storage"
 )
 
-func testLists() []postings.TermPostings {
+// toyLists are three terms over 10 docs, the fixture of the
+// doc-sorted and boolean evaluator tests:
+//
+//	alpha: 0 1 2 3 4 5
+//	beta:  1 6 7
+//	gamma: 0
+func toyLists() []postings.TermPostings {
 	return []postings.TermPostings{
 		{Name: "alpha", Entries: []postings.Entry{
 			{Doc: 0, Freq: 9}, {Doc: 1, Freq: 6}, {Doc: 2, Freq: 4},
@@ -24,9 +30,9 @@ func testLists() []postings.TermPostings {
 	}
 }
 
-func newEval(t *testing.T, topN int) (*Evaluator, *postings.Index) {
+func newDocSortedEval(t *testing.T, topN int) (*docSortedEvaluator, *postings.Index) {
 	t.Helper()
-	ix, pages, err := postings.BuildDocSorted(testLists(), 10, 2)
+	ix, pages, err := postings.BuildDocSorted(toyLists(), 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +41,7 @@ func newEval(t *testing.T, topN int) (*Evaluator, *postings.Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(ix, mgr, topN)
+	ev, err := newDocSortedEvaluator(ix, mgr, topN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +49,7 @@ func newEval(t *testing.T, topN int) (*Evaluator, *postings.Index) {
 }
 
 func TestBuildDocSortedOrder(t *testing.T) {
-	ix, pages, err := postings.BuildDocSorted(testLists(), 10, 2)
+	ix, pages, err := postings.BuildDocSorted(toyLists(), 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +62,7 @@ func TestBuildDocSortedOrder(t *testing.T) {
 		}
 	}
 	// Same W_d and idf as the frequency-sorted build.
-	fix, _, err := postings.Build(testLists(), 10, 2)
+	fix, _, err := postings.Build(toyLists(), 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +74,9 @@ func TestBuildDocSortedOrder(t *testing.T) {
 }
 
 func TestORMatchesFrequencySortedExhaustive(t *testing.T) {
-	ev, ix := newEval(t, 10)
+	ev, ix := newDocSortedEval(t, 10)
 	q := eval.Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 2}, {Term: 2, Fqt: 1}}
-	res, err := ev.Evaluate(OR, q)
+	res, err := ev.Evaluate(strategyOR, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +85,7 @@ func TestORMatchesFrequencySortedExhaustive(t *testing.T) {
 	acc := map[postings.DocID]float64{}
 	for _, qt := range q {
 		tm := ix.Terms[qt.Term]
-		for _, e := range testLists()[qt.Term].Entries {
+		for _, e := range toyLists()[qt.Term].Entries {
 			acc[e.Doc] += rank.DocWeight(e.Freq, tm.IDF) * rank.QueryWeight(qt.Fqt, tm.IDF)
 		}
 	}
@@ -93,22 +99,22 @@ func TestORMatchesFrequencySortedExhaustive(t *testing.T) {
 		}
 	}
 	if res.PagesRead != ix.NumPagesTotal {
-		t.Errorf("OR read %d pages, want all %d", res.PagesRead, ix.NumPagesTotal)
+		t.Errorf("strategyOR read %d pages, want all %d", res.PagesRead, ix.NumPagesTotal)
 	}
 }
 
 func TestQuitStopsProcessingTerms(t *testing.T) {
-	ev, _ := newEval(t, 10)
+	ev, _ := newDocSortedEval(t, 10)
 	ev.AccumLimit = 1
 	// idf order: gamma (1 doc), beta (3), alpha (6). gamma's single
-	// entry fills the accumulator budget; Quit must not process beta
+	// entry fills the accumulator budget; strategyQuit must not process beta
 	// or alpha at all.
-	res, err := ev.Evaluate(Quit, eval.Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}, {Term: 2, Fqt: 1}})
+	res, err := ev.Evaluate(strategyQuit, eval.Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}, {Term: 2, Fqt: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TermsProcessed != 1 {
-		t.Errorf("Quit processed %d terms, want 1", res.TermsProcessed)
+		t.Errorf("strategyQuit processed %d terms, want 1", res.TermsProcessed)
 	}
 	if res.Accumulators != 1 {
 		t.Errorf("accumulators = %d, want 1", res.Accumulators)
@@ -116,21 +122,21 @@ func TestQuitStopsProcessingTerms(t *testing.T) {
 }
 
 func TestContinueKeepsUpdatingButReadsEverything(t *testing.T) {
-	ev, ix := newEval(t, 10)
+	ev, ix := newDocSortedEval(t, 10)
 	ev.AccumLimit = 1
-	res, err := ev.Evaluate(Continue, eval.Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}, {Term: 2, Fqt: 1}})
+	res, err := ev.Evaluate(strategyContinue, eval.Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}, {Term: 2, Fqt: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TermsProcessed != 3 {
-		t.Errorf("Continue processed %d terms, want 3", res.TermsProcessed)
+		t.Errorf("strategyContinue processed %d terms, want 3", res.TermsProcessed)
 	}
 	if res.Accumulators != 1 {
 		t.Errorf("accumulators = %d, want 1", res.Accumulators)
 	}
-	// Continue saves memory but not I/O — the Moffat-Zobel point.
+	// strategyContinue saves memory but not I/O — the Moffat-Zobel point.
 	if res.PagesRead != ix.NumPagesTotal {
-		t.Errorf("Continue read %d pages, want all %d", res.PagesRead, ix.NumPagesTotal)
+		t.Errorf("strategyContinue read %d pages, want all %d", res.PagesRead, ix.NumPagesTotal)
 	}
 	// Doc 0 (gamma + alpha) keeps accumulating across terms.
 	if len(res.Top) != 1 || res.Top[0].Doc != 0 {
@@ -142,33 +148,33 @@ func TestContinueKeepsUpdatingButReadsEverything(t *testing.T) {
 	}
 }
 
-func TestValidation(t *testing.T) {
-	ev, _ := newEval(t, 5)
-	if _, err := ev.Evaluate(OR, nil); err == nil {
+func TestDocSortedValidation(t *testing.T) {
+	ev, _ := newDocSortedEval(t, 5)
+	if _, err := ev.Evaluate(strategyOR, nil); err == nil {
 		t.Error("empty query accepted")
 	}
-	if _, err := ev.Evaluate(OR, eval.Query{{Term: 99, Fqt: 1}}); err == nil {
+	if _, err := ev.Evaluate(strategyOR, eval.Query{{Term: 99, Fqt: 1}}); err == nil {
 		t.Error("bad term accepted")
 	}
-	if _, err := ev.Evaluate(OR, eval.Query{{Term: 0, Fqt: 0}}); err == nil {
+	if _, err := ev.Evaluate(strategyOR, eval.Query{{Term: 0, Fqt: 0}}); err == nil {
 		t.Error("zero fqt accepted")
 	}
-	ix, pages, _ := postings.BuildDocSorted(testLists(), 10, 2)
+	ix, pages, _ := postings.BuildDocSorted(toyLists(), 10, 2)
 	st := storage.NewStore(pages)
 	mgr, _ := buffer.NewManager(4, 1, st, ix, func(int) buffer.Policy { return buffer.NewLRU() })
-	if _, err := NewEvaluator(nil, mgr, 5); err == nil {
+	if _, err := newDocSortedEvaluator(nil, mgr, 5); err == nil {
 		t.Error("nil index accepted")
 	}
-	if _, err := NewEvaluator(ix, mgr, 0); err == nil {
+	if _, err := newDocSortedEvaluator(ix, mgr, 0); err == nil {
 		t.Error("topN 0 accepted")
 	}
 }
 
-func TestStrategyString(t *testing.T) {
-	if OR.String() != "OR" || Quit.String() != "QUIT" || Continue.String() != "CONTINUE" {
+func TestDocSortedStrategyString(t *testing.T) {
+	if strategyOR.String() != "OR" || strategyQuit.String() != "QUIT" || strategyContinue.String() != "CONTINUE" {
 		t.Error("strategy names wrong")
 	}
-	if Strategy(7).String() == "" {
+	if docSortedStrategy(7).String() == "" {
 		t.Error("unknown strategy should format")
 	}
 }

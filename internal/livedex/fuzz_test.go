@@ -7,7 +7,7 @@ import (
 
 	"bufir/internal/postings"
 	"bufir/internal/storage"
-	"bufir/internal/textproc"
+	"bufir/internal/text"
 )
 
 // FuzzDeltaAppend drives arbitrary UTF-8 documents through the full
@@ -29,7 +29,7 @@ func FuzzDeltaAppend(f *testing.F) {
 	f.Add("numbers 123 456 mixed7tokens", "punctuation, (everywhere)! yes?", "tabs\tand\nnewlines")
 	f.Add("\x80\xff invalid utf8 bytes", "\xc3\x28 more invalid", "valid tail")
 
-	pipe := textproc.NewPipeline(nil)
+	pipe := text.NewPipeline(nil)
 
 	f.Fuzz(func(t *testing.T, mainText, doc1, doc2 string) {
 		const pageSize = 3

@@ -31,13 +31,3 @@ func DefaultCostModel() CostModel {
 func (m CostModel) ResponseMicros(pagesRead, entriesProcessed int) float64 {
 	return m.PageReadMicros*float64(pagesRead) + m.EntryCPUMicros*float64(entriesProcessed)
 }
-
-// DiskShare returns the fraction of the modeled response time spent on
-// disk (0 when nothing was charged).
-func (m CostModel) DiskShare(pagesRead, entriesProcessed int) float64 {
-	total := m.ResponseMicros(pagesRead, entriesProcessed)
-	if total == 0 {
-		return 0
-	}
-	return m.PageReadMicros * float64(pagesRead) / total
-}

@@ -1,15 +1,15 @@
-// Package obs is the serving stack's observability layer: lock-free
-// latency histograms, point-in-time snapshots of the engine and buffer
-// gauges, and the registration hook behind the optional HTTP endpoint.
+package metrics
+
+// The serving stack's observability layer: lock-free latency
+// histograms, point-in-time snapshots of the engine and buffer gauges,
+// and the registration hook behind the optional HTTP endpoint.
 //
-// The package deliberately depends on nothing but internal/metrics —
-// in particular it never imports net/http — so the core serving layers
+// The package never imports net/http, so the core serving layers
 // (engine, buffer, eval) can record into it without pulling an HTTP
 // server, or net/http/pprof's DefaultServeMux side effects, into every
 // binary that links the library. The endpoint itself lives in
 // bufir/obshttp and is enabled only by an explicit import of it;
 // `make depgraph` enforces the split.
-package obs
 
 import (
 	"math/bits"

@@ -1,7 +1,9 @@
-// Package metrics implements the retrieval-effectiveness measures of
-// §2.2 and §4.1: precision, recall, and the non-interpolated average
-// precision the paper (and TREC) uses as its single-number
-// effectiveness metric.
+// Package metrics measures the system: the retrieval-effectiveness
+// measures of §2.2 and §4.1 (precision and the non-interpolated
+// average precision the paper, and TREC, uses as its single-number
+// effectiveness metric), the §2.4 cost model, the serving counters,
+// and the observability layer (latency histograms, engine and buffer
+// snapshots, and the hook behind the optional HTTP endpoint).
 package metrics
 
 import (
@@ -42,26 +44,6 @@ func PrecisionAtK(ranked []rank.ScoredDoc, rel RelevanceSet, k int) float64 {
 		}
 	}
 	return float64(hits) / float64(k)
-}
-
-// Recall returns the fraction of all relevant documents that appear in
-// the ranked result. An empty relevance set yields 0. Each relevant
-// document counts once even if the ranking lists it at several ranks
-// (merged partial results can produce duplicates), so recall never
-// exceeds 1.
-func Recall(ranked []rank.ScoredDoc, rel RelevanceSet) float64 {
-	if len(rel) == 0 {
-		return 0
-	}
-	seen := make(map[postings.DocID]bool, len(ranked))
-	hits := 0
-	for _, sd := range ranked {
-		if rel[sd.Doc] && !seen[sd.Doc] {
-			seen[sd.Doc] = true
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(rel))
 }
 
 // AveragePrecision computes the non-interpolated average precision of

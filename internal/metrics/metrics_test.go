@@ -40,46 +40,6 @@ func TestPrecisionAtK(t *testing.T) {
 	}
 }
 
-func TestRecall(t *testing.T) {
-	rel := NewRelevanceSet([]postings.DocID{1, 3, 9})
-	if got := Recall(ranked(1, 2, 3), rel); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("Recall = %g", got)
-	}
-	if got := Recall(ranked(1, 2, 3), RelevanceSet{}); got != 0 {
-		t.Errorf("Recall with empty rel = %g", got)
-	}
-}
-
-// TestRecallDuplicates: a ranking that lists the same relevant document
-// at several ranks (as merged partial results can) credits it once —
-// recall stays <= 1 and equals the deduplicated coverage.
-func TestRecallDuplicates(t *testing.T) {
-	rel := NewRelevanceSet([]postings.DocID{1, 3})
-	// Doc 1 appears three times; only one of two relevant docs is found.
-	if got := Recall(ranked(1, 1, 1, 2), rel); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Recall with duplicates = %g, want 0.5", got)
-	}
-	// Before the fix this returned 1.5.
-	if got := Recall(ranked(1, 1, 3), rel); got != 1 {
-		t.Errorf("Recall with duplicate hit = %g, want 1", got)
-	}
-	prop := func(order []uint8, relRaw []uint8) bool {
-		rs := make([]rank.ScoredDoc, len(order))
-		for i, d := range order {
-			rs[i] = rank.ScoredDoc{Doc: postings.DocID(d % 10)}
-		}
-		var relDocs []postings.DocID
-		for _, d := range relRaw {
-			relDocs = append(relDocs, postings.DocID(d%10))
-		}
-		r := Recall(rs, NewRelevanceSet(relDocs))
-		return r >= 0 && r <= 1+1e-12
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAveragePrecision(t *testing.T) {
 	rel := NewRelevanceSet([]postings.DocID{1, 3})
 	// Ranked: 1 (rel, P=1/1), 2, 3 (rel, P=2/3) -> AP = (1 + 2/3)/2
@@ -218,12 +178,6 @@ func TestCostModel(t *testing.T) {
 	m := CostModel{PageReadMicros: 1000, EntryCPUMicros: 1}
 	if got := m.ResponseMicros(10, 500); got != 10_500 {
 		t.Errorf("ResponseMicros = %g", got)
-	}
-	if got := m.DiskShare(10, 500); math.Abs(got-10_000.0/10_500) > 1e-12 {
-		t.Errorf("DiskShare = %g", got)
-	}
-	if got := m.DiskShare(0, 0); got != 0 {
-		t.Errorf("DiskShare(0,0) = %g", got)
 	}
 	d := DefaultCostModel()
 	if d.PageReadMicros <= 0 || d.EntryCPUMicros <= 0 {

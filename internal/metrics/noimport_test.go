@@ -1,4 +1,4 @@
-package obs_test
+package metrics_test
 
 // This external test package pins the endpoint-enablement contract:
 // its test binary imports the public bufir package but NOT
@@ -13,11 +13,11 @@ import (
 	"testing"
 
 	"bufir"
-	"bufir/internal/obs"
+	"bufir/internal/metrics"
 )
 
 func TestStartHTTPServerUnregistered(t *testing.T) {
-	if _, err := obs.StartHTTPServer("127.0.0.1:0", nil); !errors.Is(err, obs.ErrHTTPUnavailable) {
+	if _, err := metrics.StartHTTPServer("127.0.0.1:0", nil); !errors.Is(err, metrics.ErrHTTPUnavailable) {
 		t.Fatalf("StartHTTPServer without a registered factory: err = %v, want ErrHTTPUnavailable", err)
 	}
 }

@@ -1,6 +1,4 @@
-package obs
-
-import "bufir/internal/metrics"
+package metrics
 
 // Snapshot is a point-in-time view of everything the serving stack
 // exposes: the atomic serving counters, live engine gauges, the
@@ -11,7 +9,7 @@ import "bufir/internal/metrics"
 // shard latches).
 type Snapshot struct {
 	// Serving is the engine's outcome and cost counter set.
-	Serving metrics.ServingSnapshot
+	Serving ServingSnapshot
 	// Engine holds the live engine gauges.
 	Engine EngineGauges
 	// QueueWait is the distribution of submit-to-execution wait times
@@ -21,7 +19,7 @@ type Snapshot struct {
 	// Service is the distribution of service times (execution start to
 	// completion), one observation per executed request — including
 	// timed-out and canceled requests, whose service time is truncated
-	// by the cutoff; see metrics.ServingSnapshot.MeanServiceMicros for
+	// by the cutoff; see ServingSnapshot.MeanServiceMicros for
 	// the same caveat on the mean.
 	Service HistogramSnapshot
 	// RetryWait is the distribution of backoff waits applied before
@@ -59,7 +57,7 @@ type ShardGauge struct {
 }
 
 // EngineGauges are the engine's live (instantaneous) gauges, as
-// opposed to the monotone counters in metrics.ServingCounters.
+// opposed to the monotone counters in ServingCounters.
 type EngineGauges struct {
 	// Workers is the configured worker-goroutine count.
 	Workers int

@@ -1,16 +1,16 @@
-// Package docindex builds the paper's inverted index from raw
-// document text (§4.2): non-words removed, terms lower-cased, the
-// most frequent raw terms dropped as stop-words, remaining terms
-// Porter-stemmed, per-document occurrences summed into (d, f_dt)
-// entries, and the resulting lists frequency-sorted and paged.
-package docindex
+package text
+
+// Build turns raw document text into the paper's inverted index
+// (§4.2): non-words removed, terms lower-cased, the most frequent raw
+// terms dropped as stop-words, remaining terms Porter-stemmed,
+// per-document occurrences summed into (d, f_dt) entries, and the
+// resulting lists frequency-sorted and paged.
 
 import (
 	"fmt"
 	"sort"
 
 	"bufir/internal/postings"
-	"bufir/internal/textproc"
 )
 
 // Document is one input document.
@@ -48,13 +48,13 @@ type Result struct {
 	StopWords []string
 	// Pipeline is the lexical pipeline used; apply it to query text so
 	// queries and documents agree on stemming and stop-words.
-	Pipeline *textproc.Pipeline
+	Pipeline *Pipeline
 }
 
 // Build indexes the documents. DocIDs are assigned in input order.
 func Build(docs []Document, opts Options) (*Result, error) {
 	if len(docs) == 0 {
-		return nil, fmt.Errorf("docindex: no documents")
+		return nil, fmt.Errorf("text: no documents")
 	}
 	if opts.PageSize == 0 {
 		opts.PageSize = postings.DefaultPageSize
@@ -70,7 +70,7 @@ func Build(docs []Document, opts Options) (*Result, error) {
 	rawDF := make(map[string]int)
 	for _, d := range docs {
 		seen := make(map[string]bool)
-		for _, tok := range textproc.Tokenize(d.Text) {
+		for _, tok := range Tokenize(d.Text) {
 			if len(tok) < 2 || seen[tok] {
 				continue
 			}
@@ -86,8 +86,8 @@ func Build(docs []Document, opts Options) (*Result, error) {
 	if max := len(rawDF) / 10; nStop > max {
 		nStop = max
 	}
-	stop := textproc.TopFrequentTerms(rawDF, nStop)
-	pipe := textproc.NewPipeline(stop)
+	stop := TopFrequentTerms(rawDF, nStop)
+	pipe := NewPipeline(stop)
 	if opts.DisableStemming {
 		pipe.DisableStemming()
 	}

@@ -1,4 +1,4 @@
-package docindex
+package text
 
 import (
 	"strings"

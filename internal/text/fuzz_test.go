@@ -1,4 +1,4 @@
-package textproc
+package text
 
 import (
 	"strings"

@@ -1,4 +1,4 @@
-package textproc
+package text
 
 // Porter stemming algorithm (M.F. Porter, "An algorithm for suffix
 // stripping", Program 14(3), 1980), the stemmer the paper uses via

@@ -1,9 +1,11 @@
-// Package positional implements the positional index and proximity
-// operators the paper explicitly defers ("In many systems, additional
-// operators, such as proximity operators, which restrict the location
-// of terms in the documents, are provided. For simplicity we have
-// left such operators out of this work; adding support for them is
-// one avenue for future work" — §2.1, footnote 2).
+package text
+
+// The positional index and the proximity operators the paper
+// explicitly defers ("In many systems, additional operators, such as
+// proximity operators, which restrict the location of terms in the
+// documents, are provided. For simplicity we have left such operators
+// out of this work; adding support for them is one avenue for future
+// work" — §2.1, footnote 2).
 //
 // The index records, per (term, document), the ordered token positions
 // of the term after the lexical pipeline (stop-words removed, stems
@@ -13,14 +15,13 @@
 //	                      consecutive positions;
 //	Near(t1, t2, k)       documents where some occurrence of t1 and t2
 //	                      lie within k positions of each other.
-package positional
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"bufir/internal/postings"
-	"bufir/internal/textproc"
 )
 
 // Posting is one document's occurrence list for a term.
@@ -31,27 +32,28 @@ type Posting struct {
 	Positions []int32
 }
 
-// Index is a positional inverted index. It is immutable after Build.
-type Index struct {
+// PositionalIndex is a positional inverted index. It is immutable
+// after BuildPositional.
+type PositionalIndex struct {
 	// NumDocs is the collection size.
 	NumDocs int
 	// terms maps stemmed term -> doc-sorted postings.
 	terms map[string][]Posting
 	// pipe normalizes query terms identically to the documents.
-	pipe *textproc.Pipeline
+	pipe *Pipeline
 }
 
-// Build indexes the document texts through the given pipeline (nil
-// selects a pipeline without stop-words). Document IDs are assigned
-// in input order, matching docindex.Build over the same slice.
-func Build(texts []string, pipe *textproc.Pipeline) (*Index, error) {
+// BuildPositional indexes the document texts through the given
+// pipeline (nil selects a pipeline without stop-words). Document IDs
+// are assigned in input order, matching Build over the same slice.
+func BuildPositional(texts []string, pipe *Pipeline) (*PositionalIndex, error) {
 	if len(texts) == 0 {
-		return nil, fmt.Errorf("positional: no documents")
+		return nil, fmt.Errorf("text: no documents")
 	}
 	if pipe == nil {
-		pipe = textproc.NewPipeline(nil)
+		pipe = NewPipeline(nil)
 	}
-	ix := &Index{
+	ix := &PositionalIndex{
 		NumDocs: len(texts),
 		terms:   make(map[string][]Posting),
 		pipe:    pipe,
@@ -78,11 +80,11 @@ func Build(texts []string, pipe *textproc.Pipeline) (*Index, error) {
 }
 
 // NumTerms returns the vocabulary size.
-func (ix *Index) NumTerms() int { return len(ix.terms) }
+func (ix *PositionalIndex) NumTerms() int { return len(ix.terms) }
 
 // Postings returns the positional postings of a raw surface term
 // (normalized through the pipeline), or nil if absent.
-func (ix *Index) Postings(term string) []Posting {
+func (ix *PositionalIndex) Postings(term string) []Posting {
 	norm := ix.normalize(term)
 	if norm == "" {
 		return nil
@@ -92,7 +94,7 @@ func (ix *Index) Postings(term string) []Posting {
 
 // normalize runs one word through the pipeline; stop-words and empty
 // results normalize to "".
-func (ix *Index) normalize(term string) string {
+func (ix *PositionalIndex) normalize(term string) string {
 	ts := ix.pipe.Terms(term)
 	if len(ts) != 1 {
 		return ""
@@ -104,9 +106,9 @@ func (ix *Index) normalize(term string) string {
 // consecutive positions, in ascending DocID order. Terms pass through
 // the pipeline; a phrase containing a stop-word or unknown term
 // matches nothing (boolean-style strictness — the caller can relax).
-func (ix *Index) Phrase(terms []string) ([]postings.DocID, error) {
+func (ix *PositionalIndex) Phrase(terms []string) ([]postings.DocID, error) {
 	if len(terms) == 0 {
-		return nil, fmt.Errorf("positional: empty phrase")
+		return nil, fmt.Errorf("text: empty phrase")
 	}
 	norm := make([]string, len(terms))
 	for i, t := range terms {
@@ -168,10 +170,13 @@ func advance(prev, cur []int32) []int32 {
 
 // Near returns documents where an occurrence of a and one of b lie
 // within k positions of each other (k >= 1), ascending DocID order.
-func (ix *Index) Near(a, b string, k int) ([]postings.DocID, error) {
+// Positions are int32, so any k past math.MaxInt32 means "anywhere in
+// the document".
+func (ix *PositionalIndex) Near(a, b string, k int) ([]postings.DocID, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("positional: k %d < 1", k)
+		return nil, fmt.Errorf("text: k %d < 1", k)
 	}
+	k = min(k, math.MaxInt32)
 	na, nb := ix.normalize(a), ix.normalize(b)
 	if na == "" || nb == "" {
 		return nil, nil
@@ -215,11 +220,4 @@ func withinK(a, b []int32, k int32) bool {
 		}
 	}
 	return false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,14 +1,13 @@
-package positional
+package text
 
 import (
 	"reflect"
 	"testing"
 
 	"bufir/internal/postings"
-	"bufir/internal/textproc"
 )
 
-func sample(t *testing.T) *Index {
+func sample(t *testing.T) *PositionalIndex {
 	t.Helper()
 	texts := []string{
 		"the stock market crashed today",       // doc 0
@@ -17,7 +16,7 @@ func sample(t *testing.T) *Index {
 		"weather report: sunny skies",          // doc 3
 		"the market for stock options",         // doc 4
 	}
-	ix, err := Build(texts, textproc.NewPipeline([]string{"the"}))
+	ix, err := BuildPositional(texts, NewPipeline([]string{"the"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +103,18 @@ func TestPhraseThroughPipeline(t *testing.T) {
 func TestNear(t *testing.T) {
 	ix := sample(t)
 	// doc 4 after the pipeline: market(0) for(1) stock(2) option(3) —
-	// "market" and "options" are 3 apart.
-	got, err := ix.Near("market", "options", 3)
-	if err != nil {
-		t.Fatal(err)
+	// "market" and "options" are 3 apart. Windows past math.MaxInt32
+	// must not wrap around the int32 positions.
+	for _, k := range []int{3, 100, 1 << 31, 1 << 32} {
+		got, err := ix.Near("market", "options", k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, []postings.DocID{4}) {
+			t.Errorf("Near(market, options, %d) = %v", k, got)
+		}
 	}
-	if !reflect.DeepEqual(got, []postings.DocID{4}) {
-		t.Errorf("Near(market, options, 3) = %v", got)
-	}
-	got, err = ix.Near("market", "options", 2)
+	got, err := ix.Near("market", "options", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestNear(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(nil, nil); err == nil {
+	if _, err := BuildPositional(nil, nil); err == nil {
 		t.Error("no documents should fail")
 	}
 }

@@ -1,10 +1,13 @@
-// Package textproc implements the lexical pipeline used to turn raw
-// document text into index terms: tokenization, stop-word removal and
-// Porter stemming, following the setup of Jónsson/Franklin/Srivastava
-// (SIGMOD 1998, §4.2): non-words (punctuation, numbers, ...) are
-// removed, terms are lower-cased and stemmed, and the most frequent
-// terms of the collection are treated as stop-words.
-package textproc
+// Package text is the root's text path: the lexical pipeline that
+// turns raw document text into index terms (tokenization, stop-word
+// removal and Porter stemming, following the setup of
+// Jónsson/Franklin/Srivastava, SIGMOD 1998, §4.2: non-words
+// (punctuation, numbers, ...) are removed, terms are lower-cased and
+// stemmed, and the most frequent terms of the collection are treated
+// as stop-words), the inverted-index build over it (Build), and the
+// positional index with the phrase and proximity operators of §2.1's
+// footnote 2 (BuildPositional).
+package text
 
 import (
 	"sort"
@@ -75,12 +78,6 @@ func (p *Pipeline) Terms(text string) []string {
 		out = append(out, p.stemmer(tok))
 	}
 	return out
-}
-
-// IsStopword reports whether the (raw, pre-stemming) token is removed
-// by the pipeline.
-func (p *Pipeline) IsStopword(tok string) bool {
-	return p.stop[strings.ToLower(tok)]
 }
 
 // CountTerms aggregates the pipeline output for text into a term ->

@@ -1,4 +1,4 @@
-package textproc
+package text
 
 import (
 	"reflect"
@@ -67,12 +67,6 @@ func TestPipelineStopwordsAndStemming(t *testing.T) {
 	want := []string{"comput", "comput", "market"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Terms = %v, want %v", got, want)
-	}
-	if !p.IsStopword("THE") {
-		t.Error("IsStopword should be case-insensitive")
-	}
-	if p.IsStopword("market") {
-		t.Error("market should not be a stop-word")
 	}
 }
 

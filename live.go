@@ -8,7 +8,7 @@ import (
 	"bufir/internal/livedex"
 	"bufir/internal/postings"
 	"bufir/internal/storage"
-	"bufir/internal/textproc"
+	"bufir/internal/text"
 )
 
 // LiveOptions configures live index updates (EnableLiveUpdates).
@@ -96,7 +96,7 @@ func (ix *Index) EnableLiveUpdates(opts LiveOptions) error {
 		// loaded shard files) keys its vocabulary by raw tokens, and
 		// LookupTerm matches them verbatim. Ingest with stemming off so
 		// a token added here is findable under the same spelling.
-		ix.livePipe = textproc.NewPipeline(nil)
+		ix.livePipe = text.NewPipeline(nil)
 		ix.livePipe.DisableStemming()
 	}
 	return nil

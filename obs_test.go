@@ -2,7 +2,7 @@ package bufir
 
 // Observability tests of the core library's in-process snapshot. The
 // enablement contract (Obs.Addr without a bufir/obshttp import fails
-// with ErrObsUnavailable) is pinned in internal/obs/noimport_test.go —
+// with ErrObsUnavailable) is pinned in internal/metrics/noimport_test.go —
 // it cannot live here because this package's test binary pulls in
 // internal/experiments (bench_test.go), which registers the endpoint.
 // `make depgraph` separately proves net/http stays out of the

@@ -2,7 +2,8 @@
 // endpoint: Prometheus-text /metrics, JSON /statusz, a /healthz probe
 // and net/http/pprof under /debug/pprof/. Importing it — a blank import
 // is enough — links the net/http implementation and registers it with
-// the core library:
+// the core library's server hook (metrics.RegisterHTTPServer in
+// internal/metrics, which itself never imports net/http):
 //
 //	import (
 //		"bufir"
@@ -39,16 +40,16 @@ import (
 	"sync"
 	"time"
 
-	"bufir/internal/obs"
+	"bufir/internal/metrics"
 )
 
 func init() {
-	obs.RegisterHTTPServer(func(addr string, src obs.Source) (obs.HTTPServer, error) {
+	metrics.RegisterHTTPServer(func(addr string, src metrics.Source) (metrics.HTTPServer, error) {
 		return newServer(addr, src)
 	})
 }
 
-// server is a running observability endpoint over one obs.Source.
+// server is a running observability endpoint over one metrics.Source.
 type server struct {
 	ln        net.Listener
 	srv       *http.Server
@@ -59,7 +60,7 @@ type server struct {
 // newServer binds addr (":0" picks a free port) and starts serving
 // src's snapshots. The caller owns the returned server and must Close
 // it.
-func newServer(addr string, src obs.Source) (*server, error) {
+func newServer(addr string, src metrics.Source) (*server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -92,10 +93,10 @@ func (s *server) Close() error {
 // handler returns the endpoint's route table on a private mux:
 //
 //	/metrics      Prometheus text format
-//	/statusz      the full obs.Snapshot as JSON
+//	/statusz      the full metrics.Snapshot as JSON
 //	/healthz      200 "ok" (liveness)
 //	/debug/pprof/ the standard pprof index and profiles
-func handler(src obs.Source) http.Handler {
+func handler(src metrics.Source) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

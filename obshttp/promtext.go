@@ -5,14 +5,14 @@ import (
 	"io"
 	"sort"
 
-	"bufir/internal/obs"
+	"bufir/internal/metrics"
 )
 
 // writeMetrics renders a snapshot in the Prometheus text exposition
 // format (version 0.0.4). Metric names follow the Prometheus naming
 // conventions: a bufir_ namespace, _total suffixes on counters, base
 // units (seconds) for durations.
-func writeMetrics(w io.Writer, s obs.Snapshot) {
+func writeMetrics(w io.Writer, s metrics.Snapshot) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -95,24 +95,24 @@ func writeMetrics(w io.Writer, s obs.Snapshot) {
 	// higher than the router's own counters: every routed request fans
 	// out to all shards.
 	if len(s.Shards) > 0 {
-		shardCounter := func(name, help string, get func(obs.ShardGauge) int64) {
+		shardCounter := func(name, help string, get func(metrics.ShardGauge) int64) {
 			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
 			for _, sg := range s.Shards {
 				fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, sg.Shard, get(sg))
 			}
 		}
 		shardCounter("bufir_shard_queries_total", "Per-shard requests executed (router fan-out).",
-			func(g obs.ShardGauge) int64 { return g.Queries })
+			func(g metrics.ShardGauge) int64 { return g.Queries })
 		shardCounter("bufir_shard_completed_total", "Per-shard requests that ran to completion.",
-			func(g obs.ShardGauge) int64 { return g.Completed })
+			func(g metrics.ShardGauge) int64 { return g.Completed })
 		shardCounter("bufir_shard_timeouts_total", "Per-shard requests cut by a shard deadline.",
-			func(g obs.ShardGauge) int64 { return g.Timeouts })
+			func(g metrics.ShardGauge) int64 { return g.Timeouts })
 		shardCounter("bufir_shard_errors_total", "Per-shard requests failed with a non-context error.",
-			func(g obs.ShardGauge) int64 { return g.Errors })
+			func(g metrics.ShardGauge) int64 { return g.Errors })
 		shardCounter("bufir_shard_degraded_total", "Per-shard requests degraded by I/O faults.",
-			func(g obs.ShardGauge) int64 { return g.Degraded })
+			func(g metrics.ShardGauge) int64 { return g.Degraded })
 		shardCounter("bufir_shard_pages_read_total", "Per-shard inverted-list pages read from disk.",
-			func(g obs.ShardGauge) int64 { return g.PagesRead })
+			func(g metrics.ShardGauge) int64 { return g.PagesRead })
 	}
 
 	writeHistogram(w, "bufir_queue_wait_seconds",
@@ -127,7 +127,7 @@ func writeMetrics(w io.Writer, s obs.Snapshot) {
 // form. Only occupied buckets are emitted (plus +Inf); cumulative
 // counts stay monotone, which is all the format requires. Bounds are
 // converted from nanoseconds to seconds.
-func writeHistogram(w io.Writer, name, help string, h obs.HistogramSnapshot) {
+func writeHistogram(w io.Writer, name, help string, h metrics.HistogramSnapshot) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 	type bk struct {
 		upper int64

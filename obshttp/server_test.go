@@ -11,28 +11,27 @@ import (
 	"time"
 
 	"bufir/internal/metrics"
-	"bufir/internal/obs"
 )
 
 // fakeSource returns a fixed snapshot with one known value per metric
 // family, so the rendered text can be asserted exactly.
-type fakeSource struct{ snap obs.Snapshot }
+type fakeSource struct{ snap metrics.Snapshot }
 
-func (f fakeSource) ObsSnapshot() obs.Snapshot { return f.snap }
+func (f fakeSource) ObsSnapshot() metrics.Snapshot { return f.snap }
 
-func testSnapshot() obs.Snapshot {
-	var h obs.Histogram
+func testSnapshot() metrics.Snapshot {
+	var h metrics.Histogram
 	h.Observe(1 * time.Millisecond)
 	h.Observe(2 * time.Millisecond)
 	h.Observe(40 * time.Millisecond)
-	return obs.Snapshot{
+	return metrics.Snapshot{
 		Serving: metrics.ServingSnapshot{
 			Queries: 10, Completed: 7, Timeouts: 2, Partials: 1, Canceled: 1,
 			PagesRead: 123, PagesProcessed: 456, EntriesProcessed: 789,
 			Shed: 3,
 		},
-		Engine: obs.EngineGauges{Workers: 4, QueueDepth: 2, InFlight: 4},
-		Buffer: obs.BufferSnapshot{
+		Engine: metrics.EngineGauges{Workers: 4, QueueDepth: 2, InFlight: 4},
+		Buffer: metrics.BufferSnapshot{
 			Policy: "RAP", Capacity: 64, InUse: 60, Pinned: 3,
 			Hits: 1000, Misses: 123, Evictions: 59,
 			ShardOccupancy: []int{30, 30},
@@ -106,7 +105,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestStatuszEndpoint: /statusz returns the snapshot as JSON that
-// round-trips into an obs.Snapshot.
+// round-trips into an metrics.Snapshot.
 func TestStatuszEndpoint(t *testing.T) {
 	srv := httptest.NewServer(handler(fakeSource{testSnapshot()}))
 	defer srv.Close()
@@ -115,7 +114,7 @@ func TestStatuszEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type = %q, want application/json", ct)
 	}
-	var snap obs.Snapshot
+	var snap metrics.Snapshot
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("statusz is not valid snapshot JSON: %v", err)
 	}
@@ -153,7 +152,7 @@ func TestHealthz(t *testing.T) {
 // TestRealServerLifecycle: newServer binds :0, serves, registers with the
 // obs hook, and Close is idempotent.
 func TestRealServerLifecycle(t *testing.T) {
-	s, err := obs.StartHTTPServer("127.0.0.1:0", fakeSource{testSnapshot()})
+	s, err := metrics.StartHTTPServer("127.0.0.1:0", fakeSource{testSnapshot()})
 	if err != nil {
 		t.Fatalf("StartHTTPServer (hook should be registered by this package's init): %v", err)
 	}

@@ -10,7 +10,7 @@ import (
 	"sync"
 
 	"bufir/internal/indexfile"
-	"bufir/internal/obs"
+	"bufir/internal/metrics"
 	"bufir/internal/shard"
 	"bufir/internal/storage"
 )
@@ -273,7 +273,7 @@ type Service struct {
 		Searcher
 		Ingester
 	}
-	obs      obs.HTTPServer // nil unless WithObs
+	obs      metrics.HTTPServer // nil unless WithObs
 	closeErr error
 	once     sync.Once
 }
@@ -314,11 +314,11 @@ func newService(indexes []*Index, o openOptions) (*Service, error) {
 		svc.front = r
 	}
 	if o.obsAddr != "" {
-		var src obs.Source = svc.engines[0].inner
+		var src metrics.Source = svc.engines[0].inner
 		if r, ok := svc.front.(*Router); ok {
 			src = r
 		}
-		srv, err := obs.StartHTTPServer(o.obsAddr, src)
+		srv, err := metrics.StartHTTPServer(o.obsAddr, src)
 		if err != nil {
 			_ = svc.closeServing()
 			return nil, err

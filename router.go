@@ -9,7 +9,6 @@ import (
 
 	"bufir/internal/engine"
 	"bufir/internal/metrics"
-	"bufir/internal/obs"
 	"bufir/internal/rank"
 )
 
@@ -286,16 +285,16 @@ func (r *Router) ShardStats() []EngineStats {
 	return out
 }
 
-// ObsSnapshot implements obs.Source: the router's own serving counters
+// ObsSnapshot implements metrics.Source: the router's own serving counters
 // plus per-shard gauges, and — when the backends are Engines — their
 // engine and buffer gauges aggregated, so one /metrics endpoint tells
 // the whole deployment's story.
-func (r *Router) ObsSnapshot() obs.Snapshot {
-	snap := obs.Snapshot{Serving: r.counters.Snapshot()}
+func (r *Router) ObsSnapshot() metrics.Snapshot {
+	snap := metrics.Snapshot{Serving: r.counters.Snapshot()}
 	adaptiveShards := 0
 	for i, s := range r.shards {
 		st := s.Stats()
-		sg := obs.ShardGauge{
+		sg := metrics.ShardGauge{
 			Shard:        i,
 			Queries:      st.Queries,
 			Completed:    st.Completed,
@@ -324,7 +323,7 @@ func (r *Router) ObsSnapshot() obs.Snapshot {
 			// the same policy, so in practice all or none report).
 			if a := sub.Buffer.Adaptive; a != nil {
 				if snap.Buffer.Adaptive == nil {
-					snap.Buffer.Adaptive = &obs.AdaptivePolicyGauges{}
+					snap.Buffer.Adaptive = &metrics.AdaptivePolicyGauges{}
 				}
 				agg := snap.Buffer.Adaptive
 				agg.GhostHitsLRU += a.GhostHitsLRU

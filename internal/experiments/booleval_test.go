@@ -30,15 +30,11 @@ func boolFixture(t *testing.T) (*boolEvaluator, *postings.Index) {
 	return ev, ix
 }
 
-func boolLookup(ix *postings.Index) func(string) (postings.TermID, bool) {
-	return func(s string) (postings.TermID, bool) { return ix.LookupTerm(s) }
-}
-
 func docIDs(ids ...postings.DocID) []postings.DocID { return ids }
 
 func evalBoolean(t *testing.T, ev *boolEvaluator, ix *postings.Index, q string) []postings.DocID {
 	t.Helper()
-	expr, err := parseBoolean(q, boolLookup(ix))
+	expr, err := parseBoolean(q, ix.LookupTerm)
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
@@ -101,7 +97,7 @@ func TestBooleanParseErrors(t *testing.T) {
 		"NOT",
 	}
 	for _, q := range bad {
-		if _, err := parseBoolean(q, boolLookup(ix)); err == nil {
+		if _, err := parseBoolean(q, ix.LookupTerm); err == nil {
 			t.Errorf("parseBoolean(%q) should fail", q)
 		}
 	}
@@ -109,7 +105,7 @@ func TestBooleanParseErrors(t *testing.T) {
 
 func TestBooleanExprString(t *testing.T) {
 	_, ix := boolFixture(t)
-	expr, err := parseBoolean("alpha AND NOT (beta OR gamma)", boolLookup(ix))
+	expr, err := parseBoolean("alpha AND NOT (beta OR gamma)", ix.LookupTerm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +120,7 @@ func TestBooleanReadsAccounting(t *testing.T) {
 	got := evalBoolean(t, ev, ix, "alpha AND beta")
 	_ = got
 	// alpha: 3 pages, beta: 2 pages — all cold.
-	expr, _ := parseBoolean("alpha AND beta", boolLookup(ix))
+	expr, _ := parseBoolean("alpha AND beta", ix.LookupTerm)
 	res, err := ev.Evaluate(expr)
 	if err != nil {
 		t.Fatal(err)

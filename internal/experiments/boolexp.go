@@ -85,10 +85,9 @@ func (e *Env) RunBoolean(numTopics int) (*BooleanResult, error) {
 		rel := e.Rel[ti]
 		row := BooleanRow{TopicID: e.Col.Topics[ti].ID}
 
-		lookup := func(s string) (postings.TermID, bool) { return dsIx.LookupTerm(s) }
 		for _, mode := range []string{"AND", "OR"} {
 			q := names[0] + " " + mode + " " + names[1] + " " + mode + " " + names[2]
-			expr, err := parseBoolean(q, lookup)
+			expr, err := parseBoolean(q, dsIx.LookupTerm)
 			if err != nil {
 				return nil, err
 			}

@@ -3,7 +3,7 @@
 # loud vet fallback when the install cannot reach the module proxy,
 # plus a gofmt check), the dependency-graph check (the optional HTTP
 # observability endpoint must stay out of the core library's build
-# graph), build, the nested benchmark module's tests, the fuzz seed
+# graph), the public-surface check (api/), build, the nested benchmark module's tests, the fuzz seed
 # corpora, the benchmark smokes and JSON emitters, then ONE pass of the whole test suite under
 # -race with a coverage profile — every unit, conformance, exactness
 # and leak test runs exactly once, and the coverage floor is
@@ -21,9 +21,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
-.PHONY: ci lint depgraph vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store bench-serve policy-conformance bench-policy bench-policyops ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness bench-ingest
+.PHONY: ci lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store bench-serve policy-conformance bench-policy bench-policyops ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness bench-ingest
 
-ci: lint depgraph build benchmark-test fuzz-seeds bench-policyops bench-evalsafe bench-policy bench-ranksafe
+ci: lint depgraph api-check build benchmark-test fuzz-seeds bench-policyops bench-evalsafe bench-policy bench-ranksafe
 	$(GO) test -race -count=1 -covermode=atomic -coverprofile=$(COVER_PROFILE) ./...
 	$(cover-floor)
 	$(GO) test -race -count=10 -run TestChaos ./internal/engine
@@ -52,6 +52,33 @@ depgraph:
 		echo "depgraph: core packages must not depend on:"; echo "$$bad"; exit 1; \
 	fi; \
 	echo "depgraph ok: core library free of net/http"
+
+# The public surface is a checked file, after Go's own api/go1.*.txt:
+# api/bufir.txt and api/obshttp.txt list every exported identifier of
+# the public packages with its signature (TestAPI, api_test.go), and
+# api/cmd/<name>.txt holds each command's -h usage. `api` rewrites
+# them; `api-check` fails on any difference, so every change to the
+# surface shows up in review. The commands define their flags inside
+# main(), so the usage comes from built binaries, not from the source.
+API_CMDS := irbench irindex irsearch irserve
+# cmd-usage is a shell fragment: it builds each command into $$bin and
+# writes its -h output to $(1)/<name>.txt, running the binary from $$bin
+# so that the usage line reads "Usage of ./<name>:" wherever the
+# repository lives.
+cmd-usage = for c in $(API_CMDS); do \
+		$(GO) build -o "$$bin/$$c" ./cmd/$$c || exit 1; \
+		(cd "$$bin" && ./$$c -h) > $(1)/$$c.txt 2>&1; \
+	done
+
+api:
+	$(GO) test . -run '^TestAPI$$' -count=1 -update
+	@bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; mkdir -p api/cmd; $(call cmd-usage,api/cmd)
+
+api-check:
+	$(GO) test . -run '^TestAPI$$' -count=1
+	@bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; mkdir "$$bin/usage"; $(call cmd-usage,"$$bin/usage"); \
+	diff -ru api/cmd "$$bin/usage" || { echo "api-check: command usage differs from api/cmd/ (make api rewrites it)"; exit 1; }; \
+	echo "api-check ok"
 
 vet:
 	$(GO) vet ./...

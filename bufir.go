@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bufir/internal/buffer"
-	"bufir/internal/codec"
 	"bufir/internal/corpus"
 	"bufir/internal/engine"
 	"bufir/internal/eval"
@@ -32,8 +32,6 @@ type (
 	TermID = postings.TermID
 	// Entry is one (document, frequency) posting.
 	Entry = postings.Entry
-	// TermPostings is a raw inverted list (term name + entries).
-	TermPostings = postings.TermPostings
 	// ScoredDoc is a ranked result document.
 	ScoredDoc = rank.ScoredDoc
 	// QueryTerm is one query term with its query frequency f_qt.
@@ -46,8 +44,6 @@ type (
 	// Result carries the ranked answer and execution statistics of one
 	// query evaluation.
 	Result = eval.Result
-	// TermTrace is the per-term execution detail inside a Result.
-	TermTrace = eval.TermTrace
 	// Topic is a synthetic topic: query terms plus relevance judgments.
 	Topic = corpus.Topic
 	// CollectionConfig parameterizes synthetic collection generation.
@@ -67,10 +63,6 @@ type (
 	BufferStats = buffer.Stats
 	// Document is a raw text document for IndexDocuments.
 	Document = text.Document
-	// CompressionStats reports compressed-index storage statistics.
-	CompressionStats = codec.Stats
-	// FeedbackOptions tunes relevance-feedback sequence construction.
-	FeedbackOptions = refine.FeedbackOptions
 )
 
 // Evaluation algorithms. DF and BAF are the paper's unsafe filtering
@@ -238,18 +230,6 @@ func NewIndex(col *Collection) (*Index, error) {
 	return newStaticIndex(ix, storage.NewStore(pages), pages, nil), nil
 }
 
-// CompressionStats reports the compression statistics of a
-// file-backed index (OpenIndexFile) — the paper's [PZSD96] physical
-// design, §4.2 — or (zero, false) for an in-memory index, whose pages
-// are not compressed. Fault-injection and overlay layers are looked
-// through.
-func (ix *Index) CompressionStats() (CompressionStats, bool) {
-	if fs := ix.fileStore(); fs != nil {
-		return fs.CompressionStats(), true
-	}
-	return CompressionStats{}, false
-}
-
 // IndexOptions controls IndexDocuments.
 type IndexOptions struct {
 	// PageSize is the page capacity in entries (0 = the paper's 404).
@@ -290,16 +270,6 @@ func IndexDocuments(docs []Document, opts IndexOptions) (*Index, error) {
 	return out, nil
 }
 
-// PhraseDocs returns the documents containing the exact phrase
-// (consecutive terms after the lexical pipeline). Requires an index
-// built with IndexOptions.Positional.
-func (ix *Index) PhraseDocs(terms []string) ([]DocID, error) {
-	if ix.positional == nil {
-		return nil, ErrNoPositional
-	}
-	return ix.positional.Phrase(terms)
-}
-
 // NearDocs returns the documents where occurrences of a and b lie
 // within k positions of each other. Requires IndexOptions.Positional.
 func (ix *Index) NearDocs(a, b string, k int) ([]DocID, error) {
@@ -335,21 +305,14 @@ func (ix *Index) WriteFile(path string, blockSize int) error {
 // in-memory store; only the physical cost of a miss changes. Close
 // the index when done with it.
 func OpenIndexFile(path string) (*Index, error) {
-	return OpenIndexFileOptions(path, FileOptions{})
+	return openIndexFile(path, indexfile.PageFileOptions{})
 }
 
-// FileOptions tunes how a paged index file is accessed.
-type FileOptions struct {
-	// DisableMmap forces the pread access path even where a
-	// memory-mapped view is available — the file-readat backend of the
-	// index conformance suite, and the right choice when the file can
-	// be truncated underneath the process.
-	DisableMmap bool
-}
-
-// OpenIndexFileOptions is OpenIndexFile with explicit access options.
-func OpenIndexFileOptions(path string, opts FileOptions) (*Index, error) {
-	fs, err := storage.OpenFileStore(path, indexfile.PageFileOptions{DisableMmap: opts.DisableMmap})
+// openIndexFile is OpenIndexFile with explicit access options; the
+// index conformance suite's file-readat backend forces the pread path
+// through it.
+func openIndexFile(path string, opts indexfile.PageFileOptions) (*Index, error) {
+	fs, err := storage.OpenFileStore(path, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -572,9 +535,6 @@ func (ix *Index) LookupTerm(term string) (TermID, bool) {
 // TermName returns the indexed name of a term.
 func (ix *Index) TermName(t TermID) string { return ix.meta().Terms[t].Name }
 
-// TermIDF returns idf_t = log2(N/f_t).
-func (ix *Index) TermIDF(t TermID) float64 { return ix.meta().IDF(t) }
-
 // TermPages returns the length of term t's inverted list in pages.
 func (ix *Index) TermPages(t TermID) int { return ix.meta().Terms[t].NumPages }
 
@@ -592,17 +552,26 @@ func (ix *Index) TopicQuery(t Topic) (Query, error) {
 	return refine.QueryFromTopic(ix.meta(), t)
 }
 
-// ParseQuery turns free text into a Query using the index's lexical
-// pipeline (document-built indexes only): terms are tokenized,
-// stop-words dropped, stemmed, and repeated terms get proportionally
-// higher query frequencies. Unknown terms are skipped.
+// ParseQuery turns free text into a Query against the index's
+// vocabulary: through the lexical pipeline for document-built indexes
+// (tokenized, stop-words dropped, stemmed), by whitespace splitting
+// otherwise (synthetic collections and files written from them, whose
+// terms are flat tokens). Repeated terms get proportionally higher
+// query frequencies. Unknown terms are skipped; a query with no
+// indexed term is an error.
 func (ix *Index) ParseQuery(text string) (Query, error) {
-	if ix.pipe == nil {
-		return nil, fmt.Errorf("bufir: ParseQuery requires a document-built index; use TopicQuery or explicit QueryTerms")
+	var counts map[string]int
+	if ix.pipe != nil {
+		counts = ix.pipe.CountTerms(text)
+	} else {
+		counts = make(map[string]int)
+		for _, w := range strings.Fields(text) {
+			counts[w]++
+		}
 	}
 	m := ix.meta()
 	var q Query
-	for term, f := range ix.pipe.CountTerms(text) {
+	for term, f := range counts {
 		if id, ok := m.LookupTerm(term); ok {
 			q = append(q, QueryTerm{Term: id, Fqt: f})
 		}
@@ -612,16 +581,8 @@ func (ix *Index) ParseQuery(text string) (Query, error) {
 	}
 	// Deterministic order (evaluation order is decided by the
 	// algorithm anyway).
-	sortQuery(q)
+	sort.Slice(q, func(i, j int) bool { return q[i].Term < q[j].Term })
 	return q, nil
-}
-
-func sortQuery(q Query) {
-	for i := 1; i < len(q); i++ {
-		for j := i; j > 0 && q[j].Term < q[j-1].Term; j-- {
-			q[j], q[j-1] = q[j-1], q[j]
-		}
-	}
 }
 
 // SessionConfig configures a search Session. The evaluation knobs
@@ -698,30 +659,27 @@ func (s *Session) SearchContext(ctx context.Context, q Query) (*Result, error) {
 	return res, err
 }
 
-// SearchTextContext parses free text through the index's pipeline and
-// evaluates it under ctx (document-built indexes only; see
-// SearchContext for the cancellation contract). Double-quoted segments
-// are phrase constraints when the index carries positional data: the
-// ranked answer is filtered to documents containing every quoted
-// phrase exactly.
+// SearchTextContext parses free text with ParseQuery and evaluates it
+// under ctx (see SearchContext for the cancellation contract).
+// Double-quoted segments are phrase constraints: the ranked answer is
+// filtered to documents containing every quoted phrase exactly. A
+// phrase on an index built without IndexOptions.Positional fails with
+// ErrNoPositional before anything is evaluated.
 func (s *Session) SearchTextContext(ctx context.Context, text string) (*Result, error) {
 	phrases, stripped := extractPhrases(text)
+	if len(phrases) > 0 && s.ix.positional == nil {
+		return nil, &hintedErr{
+			msg:  "bufir: phrase query needs an index built with IndexOptions.Positional",
+			base: ErrNoPositional,
+		}
+	}
 	q, err := s.ix.ParseQuery(stripped)
 	if err != nil {
 		return nil, err
 	}
 	res, err := s.SearchContext(ctx, q)
-	if err != nil {
+	if err != nil || len(phrases) == 0 {
 		return res, err
-	}
-	if len(phrases) == 0 {
-		return res, nil
-	}
-	if s.ix.positional == nil {
-		return nil, &hintedErr{
-			msg:  "bufir: phrase query needs an index built with IndexOptions.Positional",
-			base: ErrNoPositional,
-		}
 	}
 	allowed, err := s.ix.phraseFilter(phrases)
 	if err != nil {
@@ -790,13 +748,6 @@ func (s *Session) FlushBuffers() { s.user.Pool().Manager().Flush() }
 // BufferStats returns the session's hit/miss/eviction counters.
 func (s *Session) BufferStats() BufferStats { return s.user.Pool().Manager().Stats() }
 
-// ResetBufferStats zeroes the counters without touching pool contents.
-func (s *Session) ResetBufferStats() { s.user.Pool().Manager().ResetStats() }
-
-// BufferedPages reports how many pages of term t are currently
-// resident (the b_t quantity BAF consults).
-func (s *Session) BufferedPages(t TermID) int { return s.user.Pool().Manager().ResidentPages(t) }
-
 // RankTermsByContribution orders the query's terms by their average
 // contribution to the cosine score of the current top documents,
 // computed — as in the paper's workload construction — against an
@@ -819,26 +770,6 @@ func (ix *Index) RankTermsByContribution(q Query) ([]RankedTerm, error) {
 // sequence (3 terms per refinement) from a contribution ranking.
 func BuildRefinementSequence(topicID int, kind RefinementKind, ranked []RankedTerm) (*RefinementSequence, error) {
 	return refine.BuildSequence(topicID, kind, ranked, refine.GroupSize)
-}
-
-// BuildFeedbackSequence grows a refinement sequence by relevance
-// feedback (the paper's §7 future work): each round expands the query
-// with the Rocchio-strongest terms of the current answer's top
-// documents, evaluated exhaustively offline.
-func (ix *Index) BuildFeedbackSequence(initial Query, opts FeedbackOptions) (*RefinementSequence, error) {
-	v := ix.view()
-	ev, err := fullEvaluator(v)
-	if err != nil {
-		return nil, err
-	}
-	return refine.FeedbackSequence(v.ix, v.store, initial, opts,
-		func(q Query) ([]ScoredDoc, error) {
-			res, err := ev.Evaluate(eval.DF, q)
-			if err != nil {
-				return nil, err
-			}
-			return res.Top, nil
-		})
 }
 
 // fullEvaluator builds a throwaway exhaustive evaluator over one view

@@ -2,10 +2,14 @@ package bufir
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"bufir/internal/corpus"
+	"bufir/internal/eval"
+	"bufir/internal/refine"
 )
 
 // testIndex builds a tiny synthetic collection + index shared by the
@@ -44,8 +48,8 @@ func TestIndexAccessors(t *testing.T) {
 	if ix.TermName(id) != col.Lists[0].Name {
 		t.Error("TermName mismatch")
 	}
-	if ix.TermIDF(id) == 0 && len(col.Lists[0].Entries) != col.NumDocs {
-		t.Error("TermIDF zero for non-universal term")
+	if ix.meta().IDF(id) == 0 && len(col.Lists[0].Entries) != col.NumDocs {
+		t.Error("IDF zero for non-universal term")
 	}
 	if ix.TermPages(id) < 1 {
 		t.Error("TermPages < 1")
@@ -104,13 +108,14 @@ func TestSessionSearch(t *testing.T) {
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	s.ResetBufferStats()
+	mgr := s.user.Pool().Manager()
+	mgr.ResetStats()
 	if s.BufferStats() != (BufferStats{}) {
-		t.Error("ResetBufferStats failed")
+		t.Error("ResetStats failed")
 	}
 	s.FlushBuffers()
-	if got := s.BufferedPages(q[0].Term); got != 0 {
-		t.Errorf("BufferedPages after flush = %d", got)
+	if got := mgr.ResidentPages(q[0].Term); got != 0 {
+		t.Errorf("resident pages after flush = %d", got)
 	}
 }
 
@@ -292,26 +297,49 @@ func TestIndexDocumentsAndSearchText(t *testing.T) {
 	}
 }
 
+// TestParseQueryFrequencies: a repeated word counts as one query term
+// with f_qt = 2, through the lexical pipeline of a document-built
+// index and through the whitespace path of a synthetic one.
 func TestParseQueryFrequencies(t *testing.T) {
 	docs := []Document{
 		{Name: "a", Text: "gold gold gold silver copper metals gold silver"},
 		{Name: "b", Text: "silver copper platinum"},
 		{Name: "c", Text: "iron ore mining"},
 	}
-	ix, err := IndexDocuments(docs, IndexOptions{PageSize: 8, NumStopWords: -1})
+	text, err := IndexDocuments(docs, IndexOptions{PageSize: 8, NumStopWords: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := ix.ParseQuery("gold gold silver")
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]int{}
-	for _, qt := range q {
-		byName[ix.TermName(qt.Term)] = qt.Fqt
-	}
-	if byName["gold"] != 2 || byName["silver"] != 1 {
-		t.Errorf("query frequencies = %v", byName)
+	_, synth := testIndex(t)
+	a, b := synth.TermName(10), synth.TermName(11)
+	for _, tc := range []struct {
+		name  string
+		ix    *Index
+		query string
+		want  map[string]int
+	}{
+		{"document-built", text, "gold gold silver", map[string]int{"gold": 2, "silver": 1}},
+		{"synthetic", synth, a + " " + b + " " + a, map[string]int{a: 2, b: 1}},
+	} {
+		q, err := tc.ix.ParseQuery(tc.query)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		byName := map[string]int{}
+		for _, qt := range q {
+			byName[tc.ix.TermName(qt.Term)] = qt.Fqt
+		}
+		if !reflect.DeepEqual(byName, tc.want) {
+			t.Errorf("%s: query frequencies = %v, want %v", tc.name, byName, tc.want)
+		}
+		// The query evaluates: no term appears twice in it.
+		s, err := tc.ix.NewSession(SessionConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Search(q); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 
@@ -358,15 +386,15 @@ func TestIndexSaveOpen(t *testing.T) {
 		loaded.NumPages() != ix.NumPages() {
 		t.Fatal("loaded index shape differs")
 	}
-	st, ok := loaded.CompressionStats()
-	if !ok {
-		t.Fatal("file-backed index reports no compression stats")
+	fs := loaded.fileStore()
+	if fs == nil {
+		t.Fatal("file-backed index has no file store")
 	}
-	if st.Ratio() < 2 {
+	if st := fs.CompressionStats(); st.Ratio() < 2 {
 		t.Errorf("compression ratio %.2f suspiciously low", st.Ratio())
 	}
-	if _, ok := ix.CompressionStats(); ok {
-		t.Error("in-memory index should report no compression stats")
+	if ix.fileStore() != nil {
+		t.Error("in-memory index should have no file store")
 	}
 	q, err := ix.TopicQuery(col.Topics[0])
 	if err != nil {
@@ -428,7 +456,7 @@ func TestBuildFeedbackSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := ix.BuildFeedbackSequence(q[:3], FeedbackOptions{Rounds: 3})
+	seq, err := feedbackSequence(ix, q[:3], refine.FeedbackOptions{Rounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,12 +510,12 @@ func TestPhraseSearch(t *testing.T) {
 		t.Fatalf("phrase search = %v", strict.Top)
 	}
 	// Direct operators.
-	ph, err := ix.PhraseDocs([]string{"stock", "market"})
+	ph, err := ix.positional.Phrase([]string{"stock", "market"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ph) != 1 || ph[0] != 0 {
-		t.Errorf("PhraseDocs = %v", ph)
+		t.Errorf("Phrase = %v", ph)
 	}
 	near, err := ix.NearDocs("stock", "crashed", 3)
 	if err != nil {
@@ -496,18 +524,37 @@ func TestPhraseSearch(t *testing.T) {
 	if len(near) != 2 { // doc a (distance 2) and doc b (distance 3)
 		t.Errorf("NearDocs = %v", near)
 	}
-	// Phrase queries without positional data fail loudly.
+	// Phrase queries without positional data fail loudly, before
+	// anything is evaluated: no page enters the pool, no read is charged.
 	plain, err := IndexDocuments(docs, IndexOptions{PageSize: 8, NumStopWords: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps, _ := plain.NewSession(SessionConfig{EvalOptions: EvalOptions{Unfiltered: true}})
-	if _, err := ps.SearchTextContext(context.Background(), `"stock market"`); err == nil {
-		t.Error("phrase query without positional index should fail")
+	if _, err := ps.SearchTextContext(context.Background(), `"stock market"`); !errors.Is(err, ErrNoPositional) {
+		t.Errorf("phrase query without positional index: err = %v, want ErrNoPositional", err)
 	}
-	if _, err := plain.PhraseDocs([]string{"stock"}); err == nil {
-		t.Error("PhraseDocs without positional index should fail")
+	if st := ps.BufferStats(); st.Misses != 0 || plain.DiskReads() != 0 {
+		t.Errorf("refused phrase query read pages: %d misses, %d disk reads", st.Misses, plain.DiskReads())
 	}
+}
+
+// feedbackSequence grows a refinement sequence by relevance feedback
+// over exhaustive evaluation of the index's current view.
+func feedbackSequence(ix *Index, initial Query, opts refine.FeedbackOptions) (*RefinementSequence, error) {
+	v := ix.view()
+	ev, err := fullEvaluator(v)
+	if err != nil {
+		return nil, err
+	}
+	return refine.FeedbackSequence(v.ix, v.store, initial, opts,
+		func(q Query) ([]ScoredDoc, error) {
+			res, err := ev.Evaluate(eval.DF, q)
+			if err != nil {
+				return nil, err
+			}
+			return res.Top, nil
+		})
 }
 
 func TestExtractPhrases(t *testing.T) {

@@ -6,14 +6,14 @@
 //
 // Usage:
 //
-//	irsearch [-dir PATH | -index FILE] [-algo DF|BAF]
-//	         [-policy LRU|MRU|RAP] [-buffers N] [-topn N] [-seed N]
-//	         [-trace]
+//	irsearch [-dir PATH | -index FILE] [-algo DF|BAF|TA|NRA|MAXSCORE]
+//	         [-policy LRU|MRU|RAP|LRU-2|2Q|ADAPTIVE] [-buffers N]
+//	         [-topn N] [-seed N] [-trace]
 //
 // Commands inside the shell:
 //
 //	<text>        search (on a text corpus) / space-separated terms;
-//	              "double quotes" mark exact phrases on text corpora
+//	              "double quotes" mark exact phrases on a -dir corpus
 //	:stats        buffer-pool statistics
 //	:flush        empty the buffer pool
 //	:trace        toggle per-term trace output
@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"bufir"
+	"bufir/internal/buffer"
 )
 
 func main() {
@@ -39,8 +40,8 @@ func main() {
 	var (
 		dir     = flag.String("dir", "", "index *.txt files from this directory (default: synthetic collection)")
 		indexAt = flag.String("index", "", "open a persisted index file (see irindex -out)")
-		algo    = flag.String("algo", "BAF", "evaluation algorithm: DF or BAF")
-		policy  = flag.String("policy", "RAP", "replacement policy: LRU, MRU or RAP")
+		algo    = flag.String("algo", "BAF", "evaluation algorithm: DF, BAF, TA, NRA or MAXSCORE")
+		policy  = flag.String("policy", "RAP", "replacement policy: "+strings.Join(buffer.PolicyNames, ", "))
 		buffers = flag.Int("buffers", 256, "buffer pool size in pages")
 		topn    = flag.Int("topn", 10, "answer size")
 		seed    = flag.Int64("seed", 1, "seed for the synthetic collection")
@@ -48,20 +49,15 @@ func main() {
 	)
 	flag.Parse()
 
-	ix, names, err := buildIndex(*dir, *indexAt, *seed)
+	a, err := bufir.ParseAlgorithm(*algo)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ix, err := buildIndex(*dir, *indexAt, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ix.Close()
-	var a bufir.Algorithm
-	switch strings.ToUpper(*algo) {
-	case "DF":
-		a = bufir.DF
-	case "BAF":
-		a = bufir.BAF
-	default:
-		log.Fatalf("unknown algorithm %q", *algo)
-	}
 	session, err := ix.NewSession(bufir.SessionConfig{
 		EvalOptions: bufir.EvalOptions{Algorithm: a, TopN: *topn},
 		Policy:      bufir.Policy(strings.ToUpper(*policy)),
@@ -104,17 +100,13 @@ func main() {
 			continue
 		}
 
-		res, err := search(session, ix, line)
+		res, err := session.SearchTextContext(context.Background(), line)
 		if err != nil {
 			fmt.Printf("error: %v\n", err)
 			continue
 		}
 		for i, sd := range res.Top {
-			name := ix.DocName(sd.Doc)
-			if names != nil && int(sd.Doc) < len(names) {
-				name = names[sd.Doc]
-			}
-			fmt.Printf("%3d. %-30s %.4f\n", i+1, name, sd.Score)
+			fmt.Printf("%3d. %-30s %.4f\n", i+1, ix.DocName(sd.Doc), sd.Score)
 		}
 		fmt.Printf("[%d disk reads, %d pages processed, %d entries, %d accumulators]\n",
 			res.PagesRead, res.PagesProcessed, res.EntriesProcessed, res.Accumulators)
@@ -132,57 +124,33 @@ func main() {
 // buildIndex opens a persisted index file (if indexAt is set),
 // indexes a text corpus (if dir is set) or generates the synthetic
 // collection.
-func buildIndex(dir, indexAt string, seed int64) (*bufir.Index, []string, error) {
+func buildIndex(dir, indexAt string, seed int64) (*bufir.Index, error) {
 	if indexAt != "" {
-		ix, err := bufir.OpenIndexFile(indexAt)
-		return ix, nil, err
+		return bufir.OpenIndexFile(indexAt)
 	}
 	if dir == "" {
 		col, err := bufir.GenerateCollection(bufir.TinyCollectionConfig(seed))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		ix, err := bufir.NewIndex(col)
-		return ix, nil, err
+		return bufir.NewIndex(col)
 	}
 	paths, err := filepath.Glob(filepath.Join(dir, "*.txt"))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("no *.txt files in %s", dir)
+		return nil, fmt.Errorf("no *.txt files in %s", dir)
 	}
 	docs := make([]bufir.Document, 0, len(paths))
-	names := make([]string, 0, len(paths))
 	for _, p := range paths {
 		body, err := os.ReadFile(p)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		docs = append(docs, bufir.Document{Name: filepath.Base(p), Text: string(body)})
-		names = append(names, filepath.Base(p))
 	}
 	// Positional data enables double-quoted phrase queries in the
 	// shell ("exact phrase" terms ...).
-	ix, err := bufir.IndexDocuments(docs, bufir.IndexOptions{Positional: true})
-	return ix, names, err
-}
-
-// search parses text queries on document indexes and falls back to
-// term-name lookup on synthetic collections.
-func search(s *bufir.Session, ix *bufir.Index, line string) (*bufir.Result, error) {
-	if res, err := s.SearchTextContext(context.Background(), line); err == nil {
-		return res, nil
-	}
-	// Synthetic collection: words are raw term names like "t00123".
-	var q bufir.Query
-	for _, w := range strings.Fields(line) {
-		if id, ok := ix.LookupTerm(w); ok {
-			q = append(q, bufir.QueryTerm{Term: id, Fqt: 1})
-		}
-	}
-	if len(q) == 0 {
-		return nil, fmt.Errorf("no indexed terms in %q", line)
-	}
-	return s.Search(q)
+	return bufir.IndexDocuments(docs, bufir.IndexOptions{Positional: true})
 }

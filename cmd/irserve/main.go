@@ -25,14 +25,15 @@
 //	GET  /stats                          serving counters + epoch (JSON)
 //	POST /ingest                         add a document (requires -live);
 //	                                     body {"name": "...", "text": "..."}
-//	POST /merge                          compact pending deltas on every shard
+//	POST /merge                          compact the pending delta (requires -live)
 //
 // With -live the deployment accepts documents while serving: each
-// POST /ingest tokenizes the body, appends it to the owning shard's
-// delta index and publishes a new generation, so queries admitted
-// after the response see the document. -automerge N compacts a
-// shard's delta into a new main generation in the background once it
-// holds N documents; POST /merge forces compaction everywhere.
+// POST /ingest tokenizes the body, appends it to the index's delta and
+// publishes a new generation, so queries admitted after the response
+// see the document. -automerge N compacts the delta into a new main
+// generation in the background once it holds N documents; POST /merge
+// forces compaction. Live updates serve one partition: -live with a
+// sharded index exits at startup.
 //
 // With -obs ADDR the Prometheus /metrics and JSON /statusz endpoints
 // (including per-shard gauges for a sharded deployment) are served on
@@ -69,7 +70,7 @@ func main() {
 		shardTimeout = flag.Duration("shardtimeout", 0, "per-shard budget inside a request, 0 = none")
 		obsAddr      = flag.String("obs", "", "observability endpoint address (/metrics, /statusz); empty = off")
 		live         = flag.Bool("live", false, "accept POST /ingest: serve queries while documents arrive")
-		autoMerge    = flag.Int("automerge", 0, "with -live, background-merge a shard's delta once it holds N documents (0 = manual /merge only)")
+		autoMerge    = flag.Int("automerge", 0, "with -live, background-merge the delta once it holds N documents (0 = manual /merge only)")
 	)
 	flag.Parse()
 

@@ -52,10 +52,8 @@ type ingestRequest struct {
 	Text string `json:"text"`
 }
 
-// ingestResponse is the POST /ingest answer. Doc is the per-shard
-// DocID the document was assigned (shards keep independent DocID
-// spaces; Doc identifies the document only together with its owning
-// shard).
+// ingestResponse is the POST /ingest answer: the DocID the document
+// was assigned and the generation that publishes it.
 type ingestResponse struct {
 	Doc   int    `json:"doc"`
 	Epoch uint64 `json:"epoch"`
@@ -130,7 +128,7 @@ func handleSearch(svc *bufir.Service, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	q, err := svc.Query(text)
+	q, err := svc.Index().ParseQuery(text)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

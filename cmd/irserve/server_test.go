@@ -254,3 +254,21 @@ func TestIngestEndpoint(t *testing.T) {
 		t.Errorf("read-only ingest: status %d", status)
 	}
 }
+
+// TestShardedIngestConflicts: live updates serve one partition, so a
+// sharded deployment refuses them at startup (irserve -live -shards 2
+// exits through EnableLiveUpdates' error) and answers /ingest and
+// /merge with 409, as any read-only deployment does.
+func TestShardedIngestConflicts(t *testing.T) {
+	svc := testService(t, 2)
+	if err := svc.EnableLiveUpdates(bufir.LiveOptions{}); err == nil {
+		t.Fatal("EnableLiveUpdates on a 2-shard deployment returned nil")
+	}
+	srv := httptest.NewServer(newMux(svc))
+	defer srv.Close()
+	for _, path := range []string{"/ingest", "/merge"} {
+		if status, body := post(t, srv, path, `{"name": "x", "text": "t00010"}`); status != http.StatusConflict {
+			t.Errorf("%s on a sharded deployment: status %d, want 409: %s", path, status, body)
+		}
+	}
+}

@@ -115,10 +115,6 @@ type ObsOptions struct {
 // buffer pool's live state.
 type ObsSnapshot = metrics.Snapshot
 
-// HistogramSnapshot is a mergeable fixed-bucket latency histogram
-// snapshot with P50/P95/P99/Mean accessors.
-type HistogramSnapshot = metrics.HistogramSnapshot
-
 // EngineStats is a snapshot of the engine's atomic serving counters.
 type EngineStats = metrics.ServingSnapshot
 
@@ -201,11 +197,6 @@ type Ticket struct {
 
 // Wait blocks until the request completes and returns its result.
 func (t *Ticket) Wait() (*Result, error) { return t.job.Wait() }
-
-// Cancel withdraws the request: still-queued requests complete
-// immediately with context.Canceled, an executing one stops within one
-// page read. Safe to call at any time.
-func (t *Ticket) Cancel() { t.job.Cancel() }
 
 // Service returns the request's service time (valid after Wait).
 func (t *Ticket) Service() time.Duration { return t.job.Service() }
@@ -299,7 +290,7 @@ func (e *Engine) IngestContext(ctx context.Context, doc Document) (DocID, error)
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return e.ix.AddDocument(doc)
+	return e.ix.Add(doc.Name, doc.Text)
 }
 
 // MergeContext compacts the index's pending delta into a new main

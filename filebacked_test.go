@@ -42,8 +42,8 @@ func TestFileBackedSearchEquivalence(t *testing.T) {
 		fb.NumPages() != ix.NumPages() || fb.PageSize() != ix.PageSize() {
 		t.Fatal("file-backed index shape differs")
 	}
-	if _, ok := fb.CompressionStats(); !ok {
-		t.Fatal("file-backed index reports no compression statistics")
+	if fb.fileStore() == nil {
+		t.Fatal("file-backed index has no file store")
 	}
 
 	for _, algo := range []Algorithm{DF, BAF} {

@@ -32,7 +32,7 @@ func memBackend() indextest.Backend {
 	}
 }
 
-func fileBackend(name string, opts bufir.FileOptions) indextest.Backend {
+func fileBackend(name string, open func(path string) (*bufir.Index, error)) indextest.Backend {
 	return indextest.Backend{
 		Name: name,
 		Open: func(t *testing.T, docs []bufir.Document) *bufir.Index {
@@ -44,7 +44,7 @@ func fileBackend(name string, opts bufir.FileOptions) indextest.Backend {
 			if err := built.WriteFile(path, 0); err != nil {
 				t.Fatal(err)
 			}
-			ix, err := bufir.OpenIndexFileOptions(path, opts)
+			ix, err := open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func overlayBackend(name string, merge bool, dir func(t *testing.T) string) inde
 				t.Fatal(err)
 			}
 			for _, d := range docs[split:] {
-				if _, err := ix.AddDocument(d); err != nil {
+				if _, err := ix.Add(d.Name, d.Text); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -114,8 +114,8 @@ func overlayBackend(name string, merge bool, dir func(t *testing.T) string) inde
 func conformanceBackends() []indextest.Backend {
 	return []indextest.Backend{
 		memBackend(), // reference
-		fileBackend("file-mmap", bufir.FileOptions{}),
-		fileBackend("file-readat", bufir.FileOptions{DisableMmap: true}),
+		fileBackend("file-mmap", bufir.OpenIndexFile),
+		fileBackend("file-readat", bufir.OpenIndexFileReadAt),
 		liveBackend(),
 		overlayBackend("delta-overlay", false, nil),
 		overlayBackend("generational-file", true, func(t *testing.T) string { return t.TempDir() }),

@@ -121,7 +121,7 @@ func mkQuery(t *testing.T, ix *Index, terms map[string]int) Query {
 		}
 		q = append(q, QueryTerm{Term: id, Fqt: f})
 	}
-	sortQuery(q)
+	sort.Slice(q, func(i, j int) bool { return q[i].Term < q[j].Term })
 	return q
 }
 

@@ -127,12 +127,6 @@ func (j *Job) Wait() (*eval.Result, error) {
 	return j.res, j.err
 }
 
-// Cancel withdraws the request: if it is still queued it completes
-// immediately with context.Canceled; if it is mid-evaluation it stops
-// within one page read. Safe to call at any time, including after the
-// job finished.
-func (j *Job) Cancel() { j.cancel() }
-
 // Service returns the job's service time (dequeue to completion),
 // valid after Wait returns.
 func (j *Job) Service() time.Duration { return j.service }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bufir"
+	"bufir/internal/metrics"
 
 	// Link the HTTP endpoint, as any user of ObsOptions.Addr does.
 	_ "bufir/obshttp"
@@ -170,7 +171,7 @@ func (r *ObsResult) Format(w io.Writer) {
 
 	fmt.Fprintf(w, "\nlatency histograms\n")
 	fmt.Fprintf(w, "  %-10s  %7s  %10s  %10s  %10s  %10s\n", "", "count", "mean", "p50", "p95", "p99")
-	row := func(name string, h bufir.HistogramSnapshot) {
+	row := func(name string, h metrics.HistogramSnapshot) {
 		rnd := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 		fmt.Fprintf(w, "  %-10s  %7d  %10v  %10v  %10v  %10v\n",
 			name, h.Count, rnd(h.Mean()), rnd(h.P50()), rnd(h.P95()), rnd(h.P99()))

@@ -226,15 +226,13 @@ func deliveredPages(t *testing.T, backends []Backend, docs []bufir.Document) {
 	}
 }
 
-// extraDoc returns the i-th ingested document of the live properties:
+// addExtraDoc ingests the i-th extra document of the live properties:
 // heavy in the common query terms so each publication visibly reshapes
 // the top of the ranking.
-func extraDoc(i int) bufir.Document {
+func addExtraDoc(ix *bufir.Index, i int) error {
 	common := word(0) + " " + word(1) + " " + word(2) + " "
-	return bufir.Document{
-		Name: fmt.Sprintf("x%04d", i),
-		Text: strings.Repeat(common, 3+i) + "v" + word(i)[1:],
-	}
+	_, err := ix.Add(fmt.Sprintf("x%04d", i), strings.Repeat(common, 3+i)+"v"+word(i)[1:])
+	return err
 }
 
 // epochMonotonicity: every Add publishes a strictly larger epoch, a
@@ -246,7 +244,7 @@ func epochMonotonicity(t *testing.T, b Backend, docs []bufir.Document) {
 	last := ix.Epoch()
 	base := ix.DeltaDocs() // overlay backends open with a populated delta
 	for i := 0; i < 5; i++ {
-		if _, err := ix.AddDocument(extraDoc(i)); err != nil {
+		if err := addExtraDoc(ix, i); err != nil {
 			t.Fatalf("Add %d: %v", i, err)
 		}
 		if e := ix.Epoch(); e <= last {
@@ -353,7 +351,7 @@ func swapIsolation(t *testing.T, b Backend, docs []bufir.Document) {
 	}
 	awaitReads(3)
 	for i := 0; i < extras; i++ {
-		if _, err := ix.AddDocument(extraDoc(i)); err != nil {
+		if err := addExtraDoc(ix, i); err != nil {
 			t.Errorf("Add %d: %v", i, err)
 			break
 		}

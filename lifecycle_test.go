@@ -120,8 +120,8 @@ func TestSentinelErrors(t *testing.T) {
 
 	// The positional sentinel, from both the operator and the
 	// phrase-query paths (the latter keeps its site-specific message).
-	if _, err := ix.PhraseDocs([]string{"a", "b"}); !errors.Is(err, ErrNoPositional) {
-		t.Errorf("PhraseDocs: err = %v, want ErrNoPositional", err)
+	if _, err := s.SearchTextContext(context.Background(), `"a b"`); !errors.Is(err, ErrNoPositional) {
+		t.Errorf("phrase query: err = %v, want ErrNoPositional", err)
 	}
 	if _, err := ix.NearDocs("a", "b", 3); !errors.Is(err, ErrNoPositional) {
 		t.Errorf("NearDocs: err = %v, want ErrNoPositional", err)

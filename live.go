@@ -43,7 +43,7 @@ type LiveStats struct {
 	Merging bool
 }
 
-// EnableLiveUpdates turns the index mutable: Add and friends append
+// EnableLiveUpdates turns the index mutable: Add and AddTerms append
 // documents to an in-memory frequency-ordered delta, every commit
 // publishes a combined (main + delta) view whose answers are
 // bit-identical to a from-scratch rebuild of the merged corpus, and
@@ -116,11 +116,6 @@ func (ix *Index) Add(name, text string) (DocID, error) {
 	return ix.addLocked(name, ix.livePipe.CountTerms(text))
 }
 
-// AddDocument is Add over a Document value.
-func (ix *Index) AddDocument(d Document) (DocID, error) {
-	return ix.Add(d.Name, d.Text)
-}
-
 // AddTerms appends a document given directly as (term, frequency)
 // pairs, bypassing the lexical pipeline — the paths that already hold
 // processed terms (generated collections, replication) and the
@@ -134,49 +129,17 @@ func (ix *Index) AddTerms(name string, counts map[string]int) (DocID, error) {
 	return ix.addLocked(name, counts)
 }
 
-// AddBatch appends several documents in one commit — one new epoch,
-// one O(postings) statistics pass — and returns the assigned DocIDs.
-// On error nothing is committed, but documents preceding the failed
-// one remain pending and join the next successful commit.
-func (ix *Index) AddBatch(docs []Document) ([]DocID, error) {
-	ix.liveMu.Lock()
-	defer ix.liveMu.Unlock()
-	if ix.live == nil {
-		return nil, errNotLive()
-	}
-	ids := make([]DocID, 0, len(docs))
-	for _, d := range docs {
-		id, err := ix.live.AddDoc(ix.docName(d.Name), ix.livePipe.CountTerms(d.Text))
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, id)
-	}
-	if len(ids) > 0 {
-		if err := ix.commitLocked(); err != nil {
-			return nil, err
-		}
-	}
-	return ids, nil
-}
-
 func errNotLive() error {
 	return fmt.Errorf("bufir: index is read-only; call EnableLiveUpdates first")
 }
 
-// docName substitutes a synthetic name for an empty one (called with
-// liveMu held).
-func (ix *Index) docName(name string) string {
-	if name == "" {
-		return fmt.Sprintf("doc%d", ix.live.NumDocs())
-	}
-	return name
-}
-
-// addLocked appends one document and commits (called with liveMu
-// held).
+// addLocked appends one document, substituting a synthetic name for
+// an empty one, and commits (called with liveMu held).
 func (ix *Index) addLocked(name string, counts map[string]int) (DocID, error) {
-	id, err := ix.live.AddDoc(ix.docName(name), counts)
+	if name == "" {
+		name = fmt.Sprintf("doc%d", ix.live.NumDocs())
+	}
+	id, err := ix.live.AddDoc(name, counts)
 	if err != nil {
 		return 0, err
 	}

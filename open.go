@@ -269,10 +269,7 @@ type Service struct {
 	indexes []*Index
 	engines []*Engine
 	// front serves every request: the Router, or the single Engine.
-	front interface {
-		Searcher
-		Ingester
-	}
+	front    Searcher
 	obs      metrics.HTTPServer // nil unless WithObs
 	closeErr error
 	once     sync.Once
@@ -334,41 +331,59 @@ func (s *Service) SearchContext(ctx context.Context, user int, q Query) (*Result
 	return s.front.SearchContext(ctx, user, q)
 }
 
-// EnableLiveUpdates turns every partition index mutable (see
-// Index.EnableLiveUpdates), after which IngestContext accepts
-// documents. For a sharded deployment each partition ingests, commits
-// and merges independently; opts applies to every partition
-// (LiveOptions.Dir, when set, receives every shard's generation files
-// — their names embed per-shard epochs and do not collide while
-// epochs differ, so prefer per-shard directories or in-memory
-// generations for sharded deployments).
-func (s *Service) EnableLiveUpdates(opts LiveOptions) error {
-	var errs []error
-	for i, ix := range s.indexes {
-		if err := ix.EnableLiveUpdates(opts); err != nil {
-			errs = append(errs, fmt.Errorf("bufir: enabling live updates on shard %d: %w", i, err))
-		}
+// liveEngine returns the engine of a single-partition deployment, the
+// only kind that takes live updates: every partition of a sharded one
+// carries the global vocabulary, statistics and TermIDs, which no
+// per-partition commit can keep.
+func (s *Service) liveEngine() (*Engine, error) {
+	if len(s.engines) > 1 {
+		return nil, fmt.Errorf("bufir: live updates serve a single partition; this deployment has %d", len(s.engines))
 	}
-	return errors.Join(errs...)
+	return s.engines[0], nil
 }
 
-// IngestContext adds one document to the deployment: routed to its
-// owning shard by name hash when sharded, straight to the single
-// engine otherwise. Requires EnableLiveUpdates first.
+// EnableLiveUpdates turns the deployment's index mutable (see
+// Index.EnableLiveUpdates), after which IngestContext accepts
+// documents. Live updates serve one partition: a sharded deployment
+// refuses them with an error.
+func (s *Service) EnableLiveUpdates(opts LiveOptions) error {
+	e, err := s.liveEngine()
+	if err != nil {
+		return err
+	}
+	return e.ix.EnableLiveUpdates(opts)
+}
+
+// IngestContext adds one document to the deployment's index (see
+// Engine.IngestContext). Requires EnableLiveUpdates first.
 func (s *Service) IngestContext(ctx context.Context, doc Document) (DocID, error) {
-	return s.front.IngestContext(ctx, doc)
+	e, err := s.liveEngine()
+	if err != nil {
+		return 0, err
+	}
+	return e.IngestContext(ctx, doc)
 }
 
-// MergeContext merges every partition's pending delta (see
-// Ingester.MergeContext). Called with context.Background() it is the
+// MergeContext merges the index's pending delta (see
+// Engine.MergeContext). Called with context.Background() it is the
 // way to end a merge storm deterministically in tests and benchmarks.
 func (s *Service) MergeContext(ctx context.Context) error {
-	return s.front.MergeContext(ctx)
+	e, err := s.liveEngine()
+	if err != nil {
+		return err
+	}
+	return e.MergeContext(ctx)
 }
 
-// Epoch reports the deployment's generation number (the maximum
-// across partitions when sharded; partitions drift independently).
-func (s *Service) Epoch() uint64 { return s.front.Epoch() }
+// Epoch reports the deployment's index generation number, the
+// maximum over its partition engines.
+func (s *Service) Epoch() uint64 {
+	var epoch uint64
+	for _, e := range s.engines {
+		epoch = max(epoch, e.Epoch())
+	}
+	return epoch
+}
 
 // Stats returns the deployment's serving counters: the router's for a
 // sharded deployment (each routed request counted once), the engine's
@@ -392,33 +407,6 @@ func (s *Service) NumShards() int { return len(s.engines) }
 // vocabulary operations (LookupTerm, TermName, ParseQuery): every
 // partition carries the full vocabulary and the global statistics.
 func (s *Service) Index() *Index { return s.indexes[0] }
-
-// Query turns free text into a Query against the deployment's
-// vocabulary: through the index's lexical pipeline when it has one
-// (document-built indexes), by whitespace-splitting and term lookup
-// otherwise (synthetic collections, whose terms are flat tokens).
-// Unknown terms are dropped; a query with no known terms errors.
-func (s *Service) Query(text string) (Query, error) {
-	ix := s.Index()
-	if ix.pipe != nil {
-		return ix.ParseQuery(text)
-	}
-	counts := make(map[TermID]int)
-	for _, f := range strings.Fields(text) {
-		if id, ok := ix.LookupTerm(f); ok {
-			counts[id]++
-		}
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("bufir: no indexed terms in query %q", text)
-	}
-	q := make(Query, 0, len(counts))
-	for id, f := range counts {
-		q = append(q, QueryTerm{Term: id, Fqt: f})
-	}
-	sortQuery(q)
-	return q, nil
-}
 
 // ObsAddr returns the observability endpoint's bound address, or ""
 // when WithObs was not used.

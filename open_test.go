@@ -17,10 +17,10 @@ func TestOpenSynthetic(t *testing.T) {
 	if svc.NumShards() != 1 {
 		t.Fatalf("NumShards = %d, want 1", svc.NumShards())
 	}
-	// The tiny collection's terms are flat tokens; Service.Query takes
-	// the lookup path.
+	// The tiny collection's terms are flat tokens; ParseQuery takes
+	// the whitespace path.
 	name := svc.Index().TermName(0)
-	q, err := svc.Query(name + " nosuchterm")
+	q, err := svc.Index().ParseQuery(name + " nosuchterm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestOpenSynthetic(t *testing.T) {
 	if len(res.Top) == 0 {
 		t.Error("no results from synthetic deployment")
 	}
-	if _, err := svc.Query("nosuchterm"); err == nil {
+	if _, err := svc.Index().ParseQuery("nosuchterm"); err == nil {
 		t.Error("query with no indexed terms did not error")
 	}
 	st := svc.Stats()
@@ -53,7 +53,7 @@ func TestOpenSyntheticSharded(t *testing.T) {
 	if svc.NumShards() != 4 {
 		t.Fatalf("NumShards = %d, want 4", svc.NumShards())
 	}
-	q, err := svc.Query(svc.Index().TermName(0))
+	q, err := svc.Index().ParseQuery(svc.Index().TermName(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +74,19 @@ func TestOpenSyntheticSharded(t *testing.T) {
 	}
 	if fanned != 4 {
 		t.Errorf("fan-out reached %d shard queries, want 4", fanned)
+	}
+	// Live updates serve one partition: the sharded deployment refuses
+	// them up front, and its ingestion and merge entry points keep
+	// refusing.
+	if err := svc.EnableLiveUpdates(LiveOptions{}); err == nil {
+		t.Error("EnableLiveUpdates on a 4-shard deployment returned nil")
+	}
+	ctx := context.Background()
+	if _, err := svc.IngestContext(ctx, Document{Name: "x", Text: svc.Index().TermName(0)}); err == nil {
+		t.Error("IngestContext on a 4-shard deployment returned nil")
+	}
+	if err := svc.MergeContext(ctx); err == nil {
+		t.Error("MergeContext on a 4-shard deployment returned nil")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"bufir/internal/postings"
 	"bufir/internal/rank"
 )
 
@@ -15,7 +16,7 @@ var safeMethods = []struct {
 
 // customIndex builds an index over hand-written postings lists (the
 // synthetic-collection plumbing without its randomness).
-func customIndex(t testing.TB, lists []TermPostings, numDocs, pageSize int) *Index {
+func customIndex(t testing.TB, lists []postings.TermPostings, numDocs, pageSize int) *Index {
 	t.Helper()
 	cfg := TinyCollectionConfig(1)
 	cfg.PageSize = pageSize
@@ -152,11 +153,11 @@ func TestRouterCrossShardEqualScoreTieBreak(t *testing.T) {
 	// (idf > 0 because half the collection lacks the term): every
 	// score is the same float64, so ranking is decided purely by the
 	// tie-break.
-	tied := TermPostings{Name: "tied"}
+	tied := postings.TermPostings{Name: "tied"}
 	for d := DocID(0); d < 12; d++ {
 		tied.Entries = append(tied.Entries, Entry{Doc: d, Freq: 1})
 	}
-	ix := customIndex(t, []TermPostings{tied}, 24, 2)
+	ix := customIndex(t, []postings.TermPostings{tied}, 24, 2)
 	id, ok := ix.LookupTerm("tied")
 	if !ok {
 		t.Fatal("term not indexed")
@@ -210,16 +211,16 @@ func TestRouterCrossShardEqualScoreTieBreak(t *testing.T) {
 // definition, so adding it to a query changes nothing — same answer,
 // finite scores, no NaN poisoning — on every method.
 func TestSearchIDFEdgeUbiquitousTerm(t *testing.T) {
-	ubiq := TermPostings{Name: "ubiq"}
-	rare := TermPostings{Name: "rare"}
+	ubiq := postings.TermPostings{Name: "ubiq"}
+	rare := postings.TermPostings{Name: "rare"}
 	for d := DocID(0); d < 24; d++ {
 		ubiq.Entries = append(ubiq.Entries, Entry{Doc: d, Freq: 3})
 	}
 	for d := DocID(0); d < 8; d++ {
 		rare.Entries = append(rare.Entries, Entry{Doc: d, Freq: int32(1 + d%5)})
 	}
-	ix := customIndex(t, []TermPostings{ubiq, rare}, 24, 2)
-	if idf := ix.TermIDF(0); idf != 0 {
+	ix := customIndex(t, []postings.TermPostings{ubiq, rare}, 24, 2)
+	if idf := ix.meta().IDF(0); idf != 0 {
 		t.Fatalf("ubiquitous term idf = %v, want 0", idf)
 	}
 	withUbiq := Query{{Term: 0, Fqt: 2}, {Term: 1, Fqt: 1}}
@@ -249,15 +250,15 @@ func TestSearchIDFEdgeUbiquitousTerm(t *testing.T) {
 // every accumulator the list touched; the guarded IDF keeps the whole
 // answer finite and identical to the query without the term.
 func TestSearchIDFEdgeZeroDF(t *testing.T) {
-	alpha := TermPostings{Name: "alpha"}
-	ghost := TermPostings{Name: "ghost"}
+	alpha := postings.TermPostings{Name: "alpha"}
+	ghost := postings.TermPostings{Name: "ghost"}
 	for d := DocID(0); d < 8; d++ {
 		alpha.Entries = append(alpha.Entries, Entry{Doc: d, Freq: int32(2 + d)})
 	}
 	for d := DocID(8); d < 16; d++ {
 		ghost.Entries = append(ghost.Entries, Entry{Doc: d, Freq: 1})
 	}
-	ix := customIndex(t, []TermPostings{alpha, ghost}, 24, 2)
+	ix := customIndex(t, []postings.TermPostings{alpha, ghost}, 24, 2)
 
 	// Doctor the ghost term's global statistics to the degenerate
 	// edge, exactly as loaded shard metadata can present them, and

@@ -14,7 +14,7 @@ import (
 func sortByIDF(ix *Index, q Query) Query {
 	out := append(Query{}, q...)
 	sort.SliceStable(out, func(i, j int) bool {
-		a, b := ix.TermIDF(out[i].Term), ix.TermIDF(out[j].Term)
+		a, b := ix.meta().IDF(out[i].Term), ix.meta().IDF(out[j].Term)
 		if a != b {
 			return a > b
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"bufir/internal/engine"
@@ -207,65 +206,6 @@ func (r *Router) merge(ctx context.Context, answers []shardAnswer) (*Result, err
 		out.Degraded = true
 	}
 	return out, nil
-}
-
-// IngestContext routes one document to a single shard by the stable
-// FNV-1a hash of its name, so the same name always lands on the same
-// partition regardless of ingestion order or shard drift. The target
-// shard's backend must itself be an Ingester (an Engine over a
-// live-enabled index). Shards grow — and later re-merge — completely
-// independently: each keeps its own DocID space and its own epoch
-// counter, which is why the returned DocID is only meaningful
-// together with the owning shard and why per-shard Results can carry
-// different Epoch values during steady ingest.
-func (r *Router) IngestContext(ctx context.Context, doc Document) (DocID, error) {
-	i := r.shardFor(doc.Name)
-	ing, ok := r.shards[i].(Ingester)
-	if !ok {
-		return 0, fmt.Errorf("bufir: shard %d backend %T is not an Ingester", i, r.shards[i])
-	}
-	return ing.IngestContext(ctx, doc)
-}
-
-// shardFor assigns a document name to a partition (FNV-1a mod N, the
-// stable assignment IngestContext routes by).
-func (r *Router) shardFor(name string) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(name))
-	return int(h.Sum32() % uint32(len(r.shards)))
-}
-
-// MergeContext merges every shard that is an Ingester, sequentially
-// in shard order (merges are per-shard atomic swaps; queries keep
-// flowing throughout). Shards without ingestion are skipped.
-func (r *Router) MergeContext(ctx context.Context) error {
-	var errs []error
-	for i, s := range r.shards {
-		if err := ctx.Err(); err != nil {
-			errs = append(errs, err)
-			break
-		}
-		if ing, ok := s.(Ingester); ok {
-			if err := ing.MergeContext(ctx); err != nil {
-				errs = append(errs, fmt.Errorf("bufir: merging shard %d: %w", i, err))
-			}
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Epoch reports the maximum generation number across the shard
-// Ingesters (shards drift independently; 0 when no shard ingests).
-func (r *Router) Epoch() uint64 {
-	var max uint64
-	for _, s := range r.shards {
-		if ing, ok := s.(Ingester); ok {
-			if e := ing.Epoch(); e > max {
-				max = e
-			}
-		}
-	}
-	return max
 }
 
 // Stats returns the router's serving counters. Each routed request

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bufir/internal/eval"
+	"bufir/internal/refine"
 )
 
 // stripVolatile returns a copy of the result with wall-clock fields
@@ -17,7 +20,7 @@ func stripVolatile(res *Result) *Result {
 	}
 	out := *res
 	out.Elapsed = 0
-	out.Trace = append([]TermTrace(nil), res.Trace...)
+	out.Trace = append([]eval.TermTrace(nil), res.Trace...)
 	for i := range out.Trace {
 		out.Trace[i].Elapsed = 0
 	}
@@ -50,7 +53,7 @@ func e12Workload(t *testing.T, col *Collection, ix *Index) [][2]interface{} {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := ix.BuildFeedbackSequence(fullQ[:1], FeedbackOptions{Rounds: 3, AddPerRound: 2})
+		seq, err := feedbackSequence(ix, fullQ[:1], refine.FeedbackOptions{Rounds: 3, AddPerRound: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

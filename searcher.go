@@ -45,36 +45,6 @@ var (
 	_ Searcher = (*Service)(nil)
 )
 
-// Ingester is the backend-neutral live-ingestion contract: a serving
-// surface whose underlying index (or indexes) accepts documents while
-// queries keep flowing. Implemented by Engine (over a live-enabled
-// Index), Router (consistent fan-out to shard Ingesters by document
-// name), and Service.
-//
-// The contract:
-//
-//   - IngestContext adds one document, publishing a new index
-//     generation; queries admitted after it returns see the document.
-//     An already-dead ctx refuses before any work.
-//   - MergeContext compacts pending delta postings into a new main
-//     generation (a no-op when there is nothing pending). For fan-out
-//     implementations every shard merges.
-//   - Epoch reports the current generation number (the maximum across
-//     shards for fan-out implementations — shards drift and re-merge
-//     independently by design).
-type Ingester interface {
-	IngestContext(ctx context.Context, doc Document) (DocID, error)
-	MergeContext(ctx context.Context) error
-	Epoch() uint64
-}
-
-// Compile-time conformance of the ingestion surfaces.
-var (
-	_ Ingester = (*Engine)(nil)
-	_ Ingester = (*Router)(nil)
-	_ Ingester = (*Service)(nil)
-)
-
 // resolvedConfig is the output of resolveConfig: every defaulted knob
 // a construction path needs to build its pool and evaluator.
 type resolvedConfig struct {

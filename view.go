@@ -58,7 +58,7 @@ func (ix *Index) pageStore() storage.PageStore { return ix.view().store }
 func (ix *Index) publish(v *idxView) { ix.cur.Store(v) }
 
 // Epoch returns the index's current generation number: 0 at
-// construction, +1 for every live commit (Add/AddBatch) and every
+// construction, +1 for every live commit (Add/AddTerms) and every
 // merge swap. Results are stamped with the epoch they were evaluated
 // at (Result.Epoch), so Epoch is the reference point for "did this
 // answer come from the current generation".

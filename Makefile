@@ -4,7 +4,9 @@
 # plus a gofmt check), the dependency-graph check (the optional HTTP
 # observability endpoint must stay out of the core library's build
 # graph), the public-surface check (api/), build, the nested benchmark module's tests, the fuzz seed
-# corpora, the benchmark smokes and JSON emitters, then ONE pass of the whole test suite under
+# corpora, the benchmark smokes and the two deterministic JSON emitters
+# (whose files must come out byte-identical to the committed ones),
+# then ONE pass of the whole test suite under
 # -race with a coverage profile — every unit, conformance, exactness
 # and leak test runs exactly once, and the coverage floor is
 # read off that profile — and finally the engine chaos tests ten more
@@ -21,9 +23,10 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
-.PHONY: ci lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store bench-serve policy-conformance bench-policy bench-policyops ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness bench-ingest
+.PHONY: ci lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store policy-conformance bench-policy bench-policyops ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness
 
 ci: lint depgraph api-check build benchmark-test fuzz-seeds bench-policyops bench-evalsafe bench-policy bench-ranksafe
+	git diff --exit-code -- BENCH_policy.json BENCH_ranksafe.json
 	$(GO) test -race -count=1 -covermode=atomic -coverprofile=$(COVER_PROFILE) ./...
 	$(cover-floor)
 	$(GO) test -race -count=10 -run TestChaos ./internal/engine
@@ -194,17 +197,6 @@ BENCHTIME ?= 100x
 bench-store:
 	$(GO) test -run=xxx -bench=BenchmarkPageStore -benchtime=$(BENCHTIME) ./internal/storage
 
-# The serving-tier scale-out sweep (E25): the E21-style multi-user
-# refinement workload through the public scatter-gather Router at
-# 1..16 shards, persisting QPS and tail latencies as BENCH_serve.json
-# for trend tracking. The sweep self-verifies: every shard count must
-# return the bit-identical top-k (unfiltered DF merge is exact). A
-# developer target, not part of ci: its simulated 200 µs reads sit on
-# the timer floor, so the file it rewrites holds only timing noise.
-bench-serve:
-	@$(GO) run ./cmd/irbench -exp shards -benchjson BENCH_serve.json
-	@echo "wrote BENCH_serve.json"
-
 # Replacement-policy family gate under -race: the cross-policy
 # conformance suite (every registered policy held to the same
 # Victim/Removed/pin/Flush contract), the 2Q ghost-hygiene and
@@ -234,7 +226,8 @@ bench-policyops:
 # continuous refine -> churn -> fault-storm stream per buffer size,
 # persisting per-phase disk reads and the ADAPTIVE acceptance verdict
 # (tracks the winning static expert in each phase while each static
-# policy loses one) as BENCH_policy.json for CI trend tracking.
+# policy loses one) as BENCH_policy.json. The sweep is deterministic,
+# so ci fails unless the file comes out equal to the committed one.
 bench-policy:
 	@$(GO) run ./cmd/irbench -exp drift -benchjson BENCH_policy.json
 	@echo "wrote BENCH_policy.json"
@@ -269,7 +262,7 @@ bench-evalsafe:
 # persisting pages read, overlap@20, per-cell exactness and the
 # acceptance verdict (safe methods exact everywhere; at least one
 # anchor cell where a safe method reads fewer pages than FULL) as
-# BENCH_ranksafe.json for CI trend tracking.
+# BENCH_ranksafe.json. Deterministic too, and gated by ci the same way.
 bench-ranksafe:
 	@$(GO) run ./cmd/irbench -exp ranksafe -points 4 -benchjson BENCH_ranksafe.json
 	@echo "wrote BENCH_ranksafe.json"
@@ -293,17 +286,6 @@ indextest:
 ingest-exactness:
 	$(GO) test -race -count=1 \
 		-run 'TestIngestExactness|TestEngineResultCache' .
-
-# The live-ingestion serving study (E28): frozen vs steady-ingest vs
-# merge-storm phases on one engine, persisting per-phase QPS,
-# overlap@20 and the exactness verdict (merged generation
-# bit-identical to a pure-delta replay) as BENCH_ingest.json for trend
-# tracking. A developer target, not part of ci, for the same reason as
-# bench-serve; the three verdicts are gated in ci by
-# TestIngestExperiment (go test ./internal/experiments).
-bench-ingest:
-	@$(GO) run ./cmd/irbench -scale tiny -exp ingest -ingestq 240 -benchjson BENCH_ingest.json
-	@echo "wrote BENCH_ingest.json"
 
 # The concurrency experiment: QPS/latency vs. worker count and the
 # 1-worker exactness verification against the serial E12 run.

@@ -27,6 +27,9 @@
 //	                                     body {"name": "...", "text": "..."}
 //	POST /merge                          compact the pending delta (requires -live)
 //
+// The deployment keeps per-user state for every user id it has
+// served, so user ids run from 0 to 1023; a larger one gets 400.
+//
 // With -live the deployment accepts documents while serving: each
 // POST /ingest tokenizes the body, appends it to the index's delta and
 // publishes a new generation, so queries admitted after the response

@@ -42,6 +42,12 @@ type statsResponse struct {
 	Shards  []bufir.EngineStats `json:"shards"`
 }
 
+// maxUsers bounds the user id of a /search request. The deployment
+// keeps per-user state (an engine user and its query-registry view) for
+// every id it has served until it closes, so ids are refused with 400
+// from maxUsers on.
+const maxUsers = 1024
+
 // maxIngestBody bounds a POST /ingest body; a larger one is refused
 // with 413 before it is decoded in full.
 const maxIngestBody = 1 << 20
@@ -119,6 +125,9 @@ func handleSearch(svc *bufir.Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	user, err := intParam(r, "user", 0)
+	if err == nil && user >= maxUsers {
+		err = errors.New("user parameter must be below " + strconv.Itoa(maxUsers))
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

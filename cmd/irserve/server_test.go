@@ -149,10 +149,12 @@ func TestSearchErrors(t *testing.T) {
 	defer srv.Close()
 
 	for path, want := range map[string]int{
-		"/search":                 http.StatusBadRequest, // no q
-		"/search?q=nosuchterm":    http.StatusBadRequest, // nothing indexed
-		"/search?q=a&user=x":      http.StatusBadRequest,
-		"/search?q=a&user=0&k=-1": http.StatusBadRequest,
+		"/search":                    http.StatusBadRequest, // no q
+		"/search?q=nosuchterm":       http.StatusBadRequest, // nothing indexed
+		"/search?q=a&user=x":         http.StatusBadRequest,
+		"/search?q=t00000&user=1024": http.StatusBadRequest, // user ids stop below maxUsers
+		"/search?q=t00000&user=1023": http.StatusOK,
+		"/search?q=a&user=0&k=-1":    http.StatusBadRequest,
 	} {
 		if status, _ := get(t, srv, path); status != want {
 			t.Errorf("GET %s: status %d, want %d", path, status, want)

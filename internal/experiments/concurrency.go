@@ -61,16 +61,6 @@ type ConcurrencyResult struct {
 // latency, and points the pool-size sweep density of the verification
 // half.
 func (e *Env) RunConcurrency(users, shards int, workerSet []int, readLatency time.Duration, points int) (*ConcurrencyResult, error) {
-	if users < 1 {
-		users = 16
-	}
-	if shards < 1 {
-		shards = 8
-	}
-	if len(workerSet) == 0 {
-		workerSet = []int{1, 2, 4, 8}
-	}
-
 	verify, err := e.verifySweep(points, "")
 	if err != nil {
 		return nil, err

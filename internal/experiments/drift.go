@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -96,9 +95,6 @@ func (wl *driftWorkload) churnQuery(i int) eval.Query {
 
 // RunDrift runs the E26 three-phase drift sweep.
 func (e *Env) RunDrift(points int, seed uint64) (*DriftResult, error) {
-	if seed == 0 {
-		seed = 1998
-	}
 	seq, err := e.Sequence(0, refine.AddOnly)
 	if err != nil {
 		return nil, err
@@ -362,33 +358,6 @@ func (r *DriftResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "  ADAPTIVE within 10%% of best on churn:   %v\n", r.AdaptiveWithin10Churn)
 	fmt.Fprintln(w, "(no static policy wins both phases; the regret-minimizing policy follows")
 	fmt.Fprintln(w, " whichever expert the drifting workload currently favors)")
-}
-
-// WriteCSV implements CSVWriter (E26).
-func (r *DriftResult) WriteCSV(w io.Writer) error {
-	var rows [][]string
-	for i, size := range r.Sizes {
-		for p, phase := range r.Phases {
-			row := []string{itoa(size), phase}
-			for _, pol := range r.Policies {
-				row = append(row, itoa(r.Series[pol][i][p]))
-			}
-			rows = append(rows, row)
-		}
-	}
-	header := []string{"buffers", "phase"}
-	for _, pol := range r.Policies {
-		header = append(header, pol)
-	}
-	return writeCSV(w, header, rows)
-}
-
-// WriteBenchJSON persists the sweep and the acceptance verdict for CI
-// trend tracking (BENCH_policy.json via make bench-policy).
-func (r *DriftResult) WriteBenchJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 func abs(x int) int {

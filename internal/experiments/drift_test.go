@@ -74,17 +74,6 @@ func TestDriftSmoke(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Error("empty Format output")
 	}
-	buf.Reset()
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Errorf("WriteCSV: %v", err)
-	}
-	buf.Reset()
-	if err := res.WriteBenchJSON(&buf); err != nil {
-		t.Errorf("WriteBenchJSON: %v", err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("AdaptiveWithin10Refine")) {
-		t.Error("bench JSON missing the acceptance verdict")
-	}
 }
 
 // TestDriftDeterministic: the whole three-phase sweep is a pure

@@ -112,9 +112,6 @@ func NewPolicy(name string, capacity int) (buffer.Policy, error) {
 // presentation order.
 var Policies = []string{"LRU", "MRU", "RAP"}
 
-// Algorithms lists the studied evaluation algorithms.
-var Algorithms = []eval.Algorithm{eval.DF, eval.BAF}
-
 // serialPool builds the one-shard buffer manager — the serial,
 // bit-for-bit-reproducible pool every table and figure runs on —
 // around one policy instance.

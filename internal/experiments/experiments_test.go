@@ -390,61 +390,6 @@ func TestWebLegendExperiment(t *testing.T) {
 	}
 }
 
-func TestCSVWriters(t *testing.T) {
-	env := newTinyEnv(t)
-	var results []CSVWriter
-	fig3, err := env.RunFig3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig4, err := env.RunFig4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep, err := env.RunSweep("t", 0, refine.AddOnly, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := env.RunSummary(refine.AddOnly, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu, err := env.RunMultiUser(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := env.RunBaselines(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := env.RunFeedback(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := env.RunDocSorted(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results = append(results, fig3, fig4, sweep, sum, mu, base, fb, ds)
-	for i, r := range results {
-		var buf bytes.Buffer
-		if err := r.WriteCSV(&buf); err != nil {
-			t.Fatalf("result %d: %v", i, err)
-		}
-		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-		if len(lines) < 2 {
-			t.Errorf("result %d: only %d CSV lines", i, len(lines))
-		}
-		// Every row has the header's column count.
-		cols := strings.Count(lines[0], ",")
-		for j, line := range lines[1:] {
-			if strings.Count(line, ",") != cols {
-				t.Errorf("result %d row %d: column count mismatch", i, j)
-			}
-		}
-	}
-}
-
 func TestBooleanExperiment(t *testing.T) {
 	env := newTinyEnv(t)
 	res, err := env.RunBoolean(5)

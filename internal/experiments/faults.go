@@ -70,19 +70,6 @@ type FaultsResult struct {
 // budget turned on. The prob=0 pass doubles as the fault-free
 // reference for overlap@20.
 func (e *Env) RunFaults(users, workers, shards int, seed uint64) (*FaultsResult, error) {
-	if users < 1 {
-		users = 8
-	}
-	if workers < 1 {
-		workers = 4
-	}
-	if shards < 1 {
-		shards = 4
-	}
-	if seed == 0 {
-		seed = 1998
-	}
-
 	seqs, ws, err := e.userStream(users)
 	if err != nil {
 		return nil, err
@@ -207,22 +194,4 @@ func (r *FaultsResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "answers; retries absorb transient faults invisibly, the fault budget converts\n")
 	fmt.Fprintf(w, "retry-budget overruns into degraded answers (one term round sacrificed — a legal\n")
 	fmt.Fprintf(w, "§2.2 stopping point), and only budget overruns surface as errors\n")
-}
-
-// WriteCSV implements CSVWriter (E23).
-func (r *FaultsResult) WriteCSV(w io.Writer) error {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			ftoa(row.Prob), itoa(row.Submitted),
-			fmt.Sprintf("%d", row.Completed), fmt.Sprintf("%d", row.Degraded),
-			fmt.Sprintf("%d", row.Errors), fmt.Sprintf("%d", row.Retries),
-			fmt.Sprintf("%d", row.Injected), fmt.Sprintf("%d", row.Reads),
-			ftoa(row.DeliveredShare()), ftoa(row.MeanOverlap),
-		})
-	}
-	return writeCSV(w, []string{
-		"prob", "submitted", "completed", "degraded", "errors", "retries",
-		"injected", "reads", "delivered_share", "overlap_at_20",
-	}, rows)
 }

@@ -16,7 +16,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -84,12 +83,6 @@ func ingestColdTop(ix *bufir.Index, opts bufir.EvalOptions, q bufir.Query) ([]ra
 // RunIngest runs E28: users concurrent readers against one live
 // engine, perPhase queries per phase.
 func (e *Env) RunIngest(users, perPhase int) (*IngestResult, error) {
-	if users <= 0 {
-		users = 8
-	}
-	if perPhase < users {
-		perPhase = users * 50
-	}
 	live, err := bufir.NewIndex(e.Col)
 	if err != nil {
 		return nil, err
@@ -336,26 +329,4 @@ func (r *IngestResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "merged == delta-replay (bit-identical): %v\n", r.ExactAfterMerge)
 	fmt.Fprintln(w, "(overlap drops below 1.0 only because ingested documents legitimately enter")
 	fmt.Fprintln(w, " the rankings; exactness per generation is pinned by the replay comparison)")
-}
-
-// WriteCSV implements CSVWriter (E28).
-func (r *IngestResult) WriteCSV(w io.Writer) error {
-	rows := make([][]string, 0, len(r.Phases))
-	for _, p := range r.Phases {
-		rows = append(rows, []string{
-			p.Name, itoa(p.Queries), ftoa(p.QPS), ftoa(p.Overlap),
-			ftoa(p.Seconds), itoa(p.Adds), itoa(p.Merges), fmt.Sprintf("%d", p.EpochEnd),
-		})
-	}
-	return writeCSV(w, []string{
-		"phase", "queries", "qps", "overlap_at_20", "seconds", "adds", "merges", "epoch",
-	}, rows)
-}
-
-// WriteBenchJSON persists the run and verdict for CI trend tracking
-// (BENCH_ingest.json via make bench-ingest).
-func (r *IngestResult) WriteBenchJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

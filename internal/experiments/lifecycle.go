@@ -83,19 +83,6 @@ type LifecycleResult struct {
 // with MaxQueue = 2×users (fail-fast admission) and
 // OnDeadline=Partial.
 func (e *Env) RunLifecycle(users, workers, shards int, readLatency time.Duration) (*LifecycleResult, error) {
-	if users < 1 {
-		users = 16
-	}
-	if workers < 1 {
-		workers = 4
-	}
-	if shards < 1 {
-		shards = 8
-	}
-	if readLatency <= 0 {
-		readLatency = 200 * time.Microsecond
-	}
-
 	seqs, ws, err := e.userStream(users)
 	if err != nil {
 		return nil, err
@@ -239,23 +226,4 @@ func (r *LifecycleResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "delivered one; partial answers trade deadline headroom for refinement (§2.2's\n")
 	fmt.Fprintf(w, "filtering rounds are legal stopping points), so overlap rises with the deadline\n")
 	fmt.Fprintf(w, "while shed+aborted fall\n")
-}
-
-// WriteCSV implements CSVWriter (EL).
-func (r *LifecycleResult) WriteCSV(w io.Writer) error {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", row.Timeout.Microseconds()),
-			itoa(row.Submitted), fmt.Sprintf("%d", row.Shed),
-			fmt.Sprintf("%d", row.Completed), fmt.Sprintf("%d", row.Partials),
-			fmt.Sprintf("%d", row.Aborted), fmt.Sprintf("%d", row.Canceled),
-			fmt.Sprintf("%d", row.Reads), ftoa(row.MeanOverlap),
-			ftoa(row.AnsweredShare()),
-		})
-	}
-	return writeCSV(w, []string{
-		"timeout_us", "submitted", "shed", "completed", "partial", "aborted",
-		"canceled", "reads", "overlap_at_20", "answered_share",
-	}, rows)
 }

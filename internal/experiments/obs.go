@@ -56,19 +56,6 @@ type ObsResult struct {
 // that long after the run so it can be inspected from outside (the
 // address is announced on stderr).
 func (e *Env) RunObs(addr string, users, workers, shards int, readLatency time.Duration, points int, hold time.Duration) (*ObsResult, error) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	if users < 1 {
-		users = 8
-	}
-	if workers < 1 {
-		workers = 4
-	}
-	if shards < 1 {
-		shards = 4
-	}
-
 	// --- Verification: observation on, read counts unchanged. ---
 	verify, err := e.verifySweep(points, "127.0.0.1:0")
 	if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -281,28 +280,4 @@ func (r *RankSafeResult) row(method, policy string, size int) (RankSafeRow, bool
 		}
 	}
 	return RankSafeRow{}, false
-}
-
-// WriteCSV implements CSVWriter (E27).
-func (r *RankSafeResult) WriteCSV(w io.Writer) error {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Method, row.Policy, itoa(row.BufPages),
-			itoa(row.PagesRead), itoa(row.PagesProcessed),
-			ftoa(row.Overlap), fmt.Sprintf("%v", row.Exact),
-		})
-	}
-	return writeCSV(w, []string{
-		"method", "policy", "buffers", "pages_read", "pages_processed",
-		"overlap_at_20", "exact",
-	}, rows)
-}
-
-// WriteBenchJSON persists the sweep and verdict for CI trend tracking
-// (BENCH_ranksafe.json via make bench-ranksafe).
-func (r *RankSafeResult) WriteBenchJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -60,9 +60,6 @@ type RefineIncrResult struct {
 // step of each topic resubmits the final query verbatim to exercise
 // the result cache.
 func (e *Env) RunRefineIncr(topics int) (*RefineIncrResult, error) {
-	if topics < 1 {
-		topics = 2
-	}
 	if topics > len(e.Queries) {
 		topics = len(e.Queries)
 	}

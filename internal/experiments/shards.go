@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -59,7 +58,6 @@ type shardsRow struct {
 
 // ShardsResult is the E25 sweep outcome.
 type ShardsResult struct {
-	Experiment    string      `json:"experiment"`
 	Workload      string      `json:"workload"`
 	Users         int         `json:"users"`
 	WorkersPerID  int         `json:"workers_per_shard"`
@@ -96,7 +94,6 @@ func (e *Env) RunShards(users, workersPerShard, passes int, counts []int, lat ti
 	}
 
 	res := &ShardsResult{
-		Experiment:    "E25",
 		Workload:      "E21-style multi-user ADD-ONLY refinement stream",
 		Users:         users,
 		WorkersPerID:  workersPerShard,
@@ -257,12 +254,4 @@ func (r *ShardsResult) Format(w io.Writer) {
 			row.Shards, row.Queries, row.BufferPages, row.ElapsedMillis, row.QPS,
 			row.P50Micros, row.P99Micros, row.PagesRead, row.Speedup)
 	}
-}
-
-// WriteBenchJSON persists the sweep for CI trend tracking
-// (BENCH_serve.json via make bench-serve).
-func (r *ShardsResult) WriteBenchJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

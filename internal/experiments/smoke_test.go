@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"bufir/internal/corpus"
 	"bufir/internal/refine"
@@ -170,7 +171,7 @@ func TestConcurrencyExperiment(t *testing.T) {
 // one outcome.
 func TestLifecycleExperiment(t *testing.T) {
 	env := newTinyEnv(t)
-	r, err := env.RunLifecycle(4, 2, 2, 0)
+	r, err := env.RunLifecycle(4, 2, 2, 200*time.Microsecond)
 	if err != nil {
 		t.Fatalf("lifecycle: %v", err)
 	}

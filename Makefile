@@ -5,8 +5,9 @@
 # observability endpoint must stay out of the core library's build
 # graph), the public-surface check (api/), build, the nested benchmark module's tests, the fuzz seed
 # corpora, the benchmark smokes and the two deterministic JSON emitters
-# (whose files must come out byte-identical to the committed ones),
-# then ONE pass of the whole test suite under
+# (whose files must come out byte-identical to the committed ones), a
+# GOOS=windows vet of the file store (the pread-only mmap_off.go path,
+# which no Linux build compiles), then ONE pass of the whole test suite under
 # -race with a coverage profile — every unit, conformance, exactness
 # and leak test runs exactly once, and the coverage floor is
 # read off that profile — and finally the engine chaos tests ten more
@@ -26,6 +27,7 @@ STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 .PHONY: ci lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store policy-conformance bench-policy bench-policyops ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness
 
 ci: lint depgraph api-check build benchmark-test fuzz-seeds bench-policyops bench-evalsafe bench-policy bench-ranksafe
+	GOOS=windows $(GO) vet ./internal/indexfile ./internal/storage
 	git diff --exit-code -- BENCH_policy.json BENCH_ranksafe.json
 	$(GO) test -race -count=1 -covermode=atomic -coverprofile=$(COVER_PROFILE) ./...
 	$(cover-floor)

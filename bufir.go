@@ -238,8 +238,8 @@ type IndexOptions struct {
 	// (0 = the paper's 100; negative disables stop-word removal).
 	NumStopWords int
 	// Positional also builds a positional index, enabling quoted
-	// phrases in SearchTextContext and the Phrase/Near proximity operators —
-	// the future-work operators of the paper's §2.1 footnote 2.
+	// phrases in SearchTextContext — the phrase operator of the
+	// paper's §2.1 footnote 2.
 	Positional bool
 }
 
@@ -268,15 +268,6 @@ func IndexDocuments(docs []Document, opts IndexOptions) (*Index, error) {
 		out.positional = pos
 	}
 	return out, nil
-}
-
-// NearDocs returns the documents where occurrences of a and b lie
-// within k positions of each other. Requires IndexOptions.Positional.
-func (ix *Index) NearDocs(a, b string, k int) ([]DocID, error) {
-	if ix.positional == nil {
-		return nil, ErrNoPositional
-	}
-	return ix.positional.Near(a, b, k)
 }
 
 // WriteFile persists the index as a paged index file (the BUFIR2

@@ -509,20 +509,13 @@ func TestPhraseSearch(t *testing.T) {
 	if len(strict.Top) != 1 || ix.DocName(strict.Top[0].Doc) != "a" {
 		t.Fatalf("phrase search = %v", strict.Top)
 	}
-	// Direct operators.
+	// The operator directly.
 	ph, err := ix.positional.Phrase([]string{"stock", "market"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ph) != 1 || ph[0] != 0 {
 		t.Errorf("Phrase = %v", ph)
-	}
-	near, err := ix.NearDocs("stock", "crashed", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(near) != 2 { // doc a (distance 2) and doc b (distance 3)
-		t.Errorf("NearDocs = %v", near)
 	}
 	// Phrase queries without positional data fail loudly, before
 	// anything is evaluated: no page enters the pool, no read is charged.

@@ -141,17 +141,13 @@ func openService(cfg serveConfig) (*bufir.Service, error) {
 			MaxQueue:     cfg.maxQueue,
 			QueryTimeout: cfg.timeout,
 			OnDeadline:   bufir.PartialOnDeadline,
+			Obs:          bufir.ObsOptions{Addr: cfg.obsAddr},
 		}),
 		bufir.WithRouter(bufir.RouterConfig{
 			TopN:         cfg.topN,
 			ShardTimeout: cfg.shardTimeout,
 		}),
-	}
-	if cfg.shards > 0 {
-		opts = append(opts, bufir.WithShards(cfg.shards))
-	}
-	if cfg.obsAddr != "" {
-		opts = append(opts, bufir.WithObs(cfg.obsAddr))
+		bufir.WithShards(cfg.shards),
 	}
 	return bufir.Open(cfg.index, opts...)
 }

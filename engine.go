@@ -62,6 +62,8 @@ type EngineConfig struct {
 	OnDeadline DeadlinePolicy
 	// Obs configures the optional observability endpoint. Zero value:
 	// no listener, no overhead beyond the always-on atomic counters.
+	// Under Open it configures the one endpoint of the deployment (see
+	// ObsOptions).
 	Obs ObsOptions
 	// Fault configures the fault-tolerant I/O path of the shared pool.
 	// Zero value: loads fail on the first error and a fully-pinned pool
@@ -86,11 +88,8 @@ type FaultToleranceOptions struct {
 	// surfaces. Context errors and permanent faults are never retried.
 	Retries int
 	// RetryBackoff is the wait before the first retry, doubling per
-	// attempt (default 500µs when Retries > 0).
+	// attempt up to 100×RetryBackoff (default 500µs when Retries > 0).
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential growth (default
-	// 100×RetryBackoff).
-	RetryBackoffMax time.Duration
 	// VictimWait bounds how long a fetch waits for an evictable frame
 	// when every frame of its shard is pinned, instead of failing
 	// immediately: momentary full-pin under load is backpressure, not
@@ -98,15 +97,42 @@ type FaultToleranceOptions struct {
 	VictimWait time.Duration
 }
 
-// ObsOptions configures the engine's optional HTTP observability
-// endpoint (Prometheus-text /metrics, JSON /statusz, pprof).
+// RefineOptions configures an engine's incremental refinement reuse
+// (EngineConfig.Refine).
+type RefineOptions struct {
+	// Incremental enables accumulator-state reuse across a user's
+	// ADD-ONLY resubmissions: after each completed submission the
+	// post-query evaluation state (accumulators, S_max, per-term trace)
+	// is snapshotted, and a submission that only adds terms (or raises
+	// frequencies) resumes from the snapshot — only the new terms'
+	// lists are scanned, with thresholds re-derived from the carried
+	// S_max. Results are bit-identical to a cold evaluation of the
+	// refined query; the saved work shows up as Result.ReusedRounds and
+	// Reused trace rows. A submission that drops a term (or lowers a
+	// frequency), or follows a live commit or merge swap, runs cold.
+	// Reuse requires DF (BAF's round order depends on buffer residency
+	// and cannot be resumed exactly); under BAF the option is accepted
+	// but never resumes. It also turns on a 256-entry LRU result cache
+	// over each user's canonicalized queries: resubmitting a query the
+	// engine already answered — permuted term order and split duplicate
+	// terms included — returns the cached ranking with Result.Cached
+	// set and zero cost counters, without evaluating.
+	Incremental bool
+}
+
+// ObsOptions configures the optional HTTP observability endpoint
+// (Prometheus-text /metrics, JSON /statusz, pprof). NewEngine serves
+// the engine's snapshot on it. Open starts one endpoint for the whole
+// deployment instead of one per partition engine: the router's
+// aggregated snapshot with per-shard gauges when sharded, the
+// engine's otherwise.
 type ObsOptions struct {
 	// Addr, when non-empty, is the listen address (e.g.
 	// "127.0.0.1:9090"; ":0" picks a free port — read it back with
-	// Engine.ObsAddr). Requires a blank import of bufir/obshttp, which
-	// links the HTTP implementation; without it NewEngine fails with
-	// ErrObsUnavailable. The endpoint has no authentication: bind it to
-	// localhost or a private interface.
+	// Engine.ObsAddr or Service.ObsAddr). Requires a blank import of
+	// bufir/obshttp, which links the HTTP implementation; without it
+	// NewEngine and Open fail with ErrObsUnavailable. The endpoint has
+	// no authentication: bind it to localhost or a private interface.
 	Addr string
 }
 
@@ -221,10 +247,7 @@ func (ix *Index) NewEngine(cfg EngineConfig) (*Engine, error) {
 		MaxQueue:     cfg.MaxQueue,
 		QueryTimeout: cfg.QueryTimeout,
 		OnDeadline:   cfg.OnDeadline,
-		Refine: engine.RefineConfig{
-			Incremental:  cfg.Refine.Incremental,
-			CacheEntries: cfg.Refine.CacheEntries,
-		},
+		Refine:       cfg.Refine.Incremental,
 	})
 	if err != nil {
 		return nil, err
@@ -276,21 +299,6 @@ func (e *Engine) SubmitContext(ctx context.Context, user int, q Query) (*Ticket,
 		return nil, err
 	}
 	return &Ticket{job: j}, nil
-}
-
-// IngestContext adds one document to the engine's index (which must
-// have live updates enabled — see Index.EnableLiveUpdates),
-// publishing a new generation. In-flight queries finish on the
-// generation they started on; every session rebinds — fresh pool,
-// fresh evaluator — before its next request, so no query ever mixes
-// generations. An already-dead ctx refuses before any work; ingestion
-// itself is synchronous and not cancelable mid-commit (commits are
-// atomic: they publish entirely or not at all).
-func (e *Engine) IngestContext(ctx context.Context, doc Document) (DocID, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return e.ix.Add(doc.Name, doc.Text)
 }
 
 // MergeContext compacts the index's pending delta into a new main

@@ -81,7 +81,7 @@ func TestEngineResultCacheInvalidatedByEpochBump(t *testing.T) {
 	}
 
 	// Publish a new generation whose content reshapes the answer.
-	doc, err := eng.IngestContext(ctx, bufir.Document{Name: "fresh", Text: strings.Repeat("alpha gamma ", 20)})
+	doc, err := ix.Add("fresh", strings.Repeat("alpha gamma ", 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestEngineResultCacheInvalidatedByEpochBump(t *testing.T) {
 func TestEngineResultCacheInvalidatedByMerge(t *testing.T) {
 	ix, eng := liveEngineFixture(t)
 	ctx := context.Background()
-	if _, err := eng.IngestContext(ctx, bufir.Document{Name: "fresh", Text: "alpha beta gamma"}); err != nil {
+	if _, err := ix.Add("fresh", "alpha beta gamma"); err != nil {
 		t.Fatal(err)
 	}
 	q, err := ix.ParseQuery("alpha gamma")

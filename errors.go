@@ -23,16 +23,17 @@ var (
 	// ErrEmptyQuery is returned when a query has no terms (or only
 	// non-positive query frequencies).
 	ErrEmptyQuery = eval.ErrEmptyQuery
-	// ErrNoPositional is returned by phrase and proximity operations
-	// on an index built without IndexOptions.Positional.
+	// ErrNoPositional is returned by phrase queries on an index built
+	// without IndexOptions.Positional.
 	ErrNoPositional = errors.New("bufir: index was built without positional data")
 	// ErrUnknownPolicy is returned for a Policy name outside the
 	// implemented family: LRU, MRU, RAP, LRU-2, 2Q, ADAPTIVE.
 	ErrUnknownPolicy = errors.New("bufir: unknown policy")
-	// ErrObsUnavailable is returned by NewEngine when ObsOptions.Addr
-	// is set but no HTTP endpoint implementation is linked in. Import
-	// bufir/obshttp (blank import is enough) to enable it; the core
-	// library deliberately does not depend on net/http.
+	// ErrObsUnavailable is returned by NewEngine and Open when
+	// ObsOptions.Addr is set but no HTTP endpoint implementation is
+	// linked in. Import bufir/obshttp (blank import is enough) to
+	// enable it; the core library deliberately does not depend on
+	// net/http.
 	ErrObsUnavailable = metrics.ErrHTTPUnavailable
 )
 

@@ -251,38 +251,36 @@ func Example_refinement() {
 	fmt.Println("BAF processes buffer-resident lists first, so each refinement")
 	fmt.Println("re-reads far less than DF under the same LRU pool.")
 
-	// Incremental refinement goes one layer above buffer reuse: a DF
-	// session carries the accumulator snapshot across ADD-ONLY steps,
-	// so each resubmission replays the already-processed term rounds
-	// for free and scans only the new lists — bit-identical to a cold
-	// evaluation of the grown query.
-	session, err := ix.NewSession(bufir.SessionConfig{
+	// Incremental refinement goes one layer above buffer reuse: with
+	// EngineConfig.Refine a DF engine carries each user's accumulator
+	// snapshot across ADD-ONLY resubmissions, so each one replays the
+	// already-processed term rounds for free and scans only the new
+	// lists — bit-identical to a cold evaluation of the grown query.
+	// The engine takes the sessions' filtering constants (the paper's
+	// WSJ tuning) so its reads compare with the DF run above.
+	eng, err := ix.NewEngine(bufir.EngineConfig{
+		EvalOptions: bufir.EvalOptions{CAdd: 0.002, CIns: 0.07},
+		Workers:     1,
 		Policy:      bufir.LRU,
 		BufferPages: bufferPages,
+		Refine:      bufir.RefineOptions{Incremental: true},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref, res, err := session.StartRefinement(ctx, seq.Refinements[0],
-		bufir.RefineOptions{Incremental: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nDF incremental session:\n")
-	fmt.Printf("  refinement  1 (%2d terms): %4d disk reads\n",
-		len(ref.Current()), res.PagesRead)
-	for i := 1; i < len(seq.Refinements); i++ {
-		// Each refinement grows the previous one; feed only the delta.
-		added := seq.Refinements[i][len(seq.Refinements[i-1]):]
-		res, err := ref.AddContext(ctx, added...)
+	defer eng.Close()
+	fmt.Printf("\nDF incremental engine:\n")
+	total := 0
+	for i, rq := range seq.Refinements {
+		res, err := eng.SearchContext(ctx, 0, rq)
 		if err != nil {
 			log.Fatal(err)
 		}
-		step := ref.History[len(ref.History)-1]
+		total += res.PagesRead
 		fmt.Printf("  refinement %2d (%2d terms): %4d disk reads, %d rounds replayed from the snapshot\n",
-			i+1, len(ref.Current()), res.PagesRead, step.ReusedRounds)
+			i+1, len(rq), res.PagesRead, res.ReusedRounds)
 	}
-	fmt.Printf("  total: %d disk reads\n", ref.TotalDiskReads())
+	fmt.Printf("  total: %d disk reads\n", total)
 
 	// Output:
 	// topic 1 (dominant): 36 terms -> 12 refinements
@@ -320,8 +318,8 @@ func Example_refinement() {
 	// BAF processes buffer-resident lists first, so each refinement
 	// re-reads far less than DF under the same LRU pool.
 	//
-	// DF incremental session:
-	//   refinement  1 ( 3 terms):    8 disk reads
+	// DF incremental engine:
+	//   refinement  1 ( 3 terms):    8 disk reads, 0 rounds replayed from the snapshot
 	//   refinement  2 ( 6 terms):   13 disk reads, 1 rounds replayed from the snapshot
 	//   refinement  3 ( 9 terms):    9 disk reads, 0 rounds replayed from the snapshot
 	//   refinement  4 (12 terms):   10 disk reads, 1 rounds replayed from the snapshot
@@ -655,17 +653,6 @@ func Example_proximity() {
 		fmt.Printf("  %-14s %.3f\n", ix.DocName(d.Doc), d.Score)
 	}
 
-	// NEAR: central ... bank within 1 position.
-	near, err := ix.NearDocs("central", "bank", 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print("NEAR(central, bank, 1):")
-	for _, d := range near {
-		fmt.Printf(" %s", ix.DocName(d))
-	}
-	fmt.Println()
-
 	// Persist and reload: text search keeps working.
 	dir, err := os.MkdirTemp("", "proximity-example")
 	if err != nil {
@@ -700,7 +687,6 @@ func Example_proximity() {
 	//   markets-close  0.042
 	// phrase "interest rates":
 	//   fed-minutes    0.116
-	// NEAR(central, bank, 1): fed-minutes housing
 	// reloaded index, 'mortgage housing' -> housing
 	// (note: phrase operators need the in-memory positional data;
 	//  the persisted file carries the ranked index + pipeline state)

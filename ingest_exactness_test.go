@@ -341,7 +341,7 @@ func TestIngestExactnessRefinement(t *testing.T) {
 	}
 
 	initial := mkQuery(t, live, map[string]int{exactTerm(0): 1, exactTerm(1): 1})
-	r, res, err := s.StartRefinement(context.Background(), initial, RefineOptions{Incremental: true})
+	r, res, err := startRefinement(context.Background(), s, initial, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,11 +95,14 @@ type Config struct {
 	// context.DeadlineExceeded (default) or return the anytime
 	// partial answer.
 	OnDeadline DeadlinePolicy
-	// Refine enables incremental refinement reuse: per-user snapshot
-	// resume across ADD-ONLY resubmissions and a bounded result cache
-	// over canonicalized queries. Zero value = off (every submission
+	// Refine enables incremental refinement reuse: every submission is
+	// canonicalized, results of clean completed evaluations are cached
+	// (a bounded LRU over each user's canonical queries), and each user
+	// carries the last evaluation's snapshot so an ADD-ONLY next query
+	// resumes instead of re-scanning (DF only; under BAF the path still
+	// caches results but never resumes). false = off (every submission
 	// evaluates cold, the historical behavior).
-	Refine RefineConfig
+	Refine bool
 }
 
 // Job is one submitted request. Wait blocks until it completes.
@@ -246,8 +249,8 @@ func New(src Source, cfg Config) (*Engine, error) {
 		drained:    make(chan struct{}),
 		users:      make(map[int]*userState),
 	}
-	if cfg.Refine.enabled() {
-		e.refine = newRefineCache(cfg.Refine.capacity())
+	if cfg.Refine {
+		e.refine = newRefineCache(refineCacheEntries)
 	}
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -353,7 +356,7 @@ func (e *Engine) userLocked(user int) (*userState, error) {
 // Step's exclusive access to the User safe.
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	refine := e.cfg.Refine.enabled()
+	refine := e.cfg.Refine
 	for j := range e.queue {
 		e.queueDepth.Add(-1)
 		e.inFlight.Add(1)

@@ -15,7 +15,7 @@ import (
 
 // refineEngine builds an Engine with the incremental-refinement path
 // enabled (snapshot resume plus the per-user result cache).
-func refineEngine(t *testing.T, workers, cacheEntries int) (*engine.Engine, *buffer.SharedPool) {
+func refineEngine(t *testing.T, workers int) (*engine.Engine, *buffer.SharedPool) {
 	t.Helper()
 	e := testEnv(t)
 	pool := rapPool(t, e, e.Idx.NumPagesTotal+8, 1)
@@ -23,7 +23,7 @@ func refineEngine(t *testing.T, workers, cacheEntries int) (*engine.Engine, *buf
 		Workers: workers,
 		Algo:    eval.DF,
 		Params:  e.Params(),
-		Refine:  engine.RefineConfig{Incremental: true, CacheEntries: cacheEntries},
+		Refine:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func assertSameAnswer(t *testing.T, label string, got, want *eval.Result) {
 // cache: Result.Cached, zero cost counters (preserving the PagesRead ==
 // pool-misses invariant), hit/miss counters visible.
 func TestRefineCacheHit(t *testing.T) {
-	eng, pool := refineEngine(t, 1, 0)
+	eng, pool := refineEngine(t, 1)
 	defer eng.Close()
 	q := dfOrdered(t, 0)
 
@@ -142,7 +142,7 @@ func TestRefineCacheHit(t *testing.T) {
 // pages processed than cold, counters record the reuse, answers stay
 // bit-identical to cold.
 func TestRefineResumeAcrossSubmits(t *testing.T) {
-	eng, _ := refineEngine(t, 4, 0)
+	eng, _ := refineEngine(t, 4)
 	defer eng.Close()
 	q := dfOrdered(t, 1)
 	if len(q) < 4 {
@@ -188,11 +188,13 @@ func TestRefineResumeAcrossSubmits(t *testing.T) {
 	}
 }
 
-// TestRefineCacheLRUBound: with CacheEntries=2, the third distinct
-// query evicts the least-recently-used entry; the evicted query misses
-// on resubmission while the fresher one still hits.
+// TestRefineCacheLRUBound: with the cache bounded at 2 entries, the
+// third distinct query evicts the least-recently-used entry; the
+// evicted query misses on resubmission while the fresher one still
+// hits.
 func TestRefineCacheLRUBound(t *testing.T) {
-	eng, _ := refineEngine(t, 1, 2)
+	eng, _ := refineEngine(t, 1)
+	engine.SetRefineCacheEntries(eng, 2)
 	defer eng.Close()
 	q := dfOrdered(t, 0)
 	if len(q) < 3 {
@@ -229,7 +231,7 @@ func TestRefineCacheLRUBound(t *testing.T) {
 // answers never leak into another's stream, but each user's own
 // resubmission hits.
 func TestRefineCachePerUser(t *testing.T) {
-	eng, _ := refineEngine(t, 2, 0)
+	eng, _ := refineEngine(t, 2)
 	defer eng.Close()
 	q := dfOrdered(t, 0)
 
@@ -279,7 +281,7 @@ func TestRefineDegradedNotCached(t *testing.T) {
 		Workers: 1,
 		Algo:    eval.DF,
 		Params:  p,
-		Refine:  engine.RefineConfig{Incremental: true},
+		Refine:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +311,7 @@ func TestRefineDegradedNotCached(t *testing.T) {
 // many users at once under -race: per-user answers stay bit-identical
 // to cold, and hits+misses account for every submission.
 func TestRefineConcurrentUsers(t *testing.T) {
-	eng, _ := refineEngine(t, 8, 0)
+	eng, _ := refineEngine(t, 8)
 	defer eng.Close()
 	const users = 6
 	q := dfOrdered(t, 0)

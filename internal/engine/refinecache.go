@@ -1,9 +1,8 @@
 // Engine-level incremental refinement: the per-user carried evaluation
-// snapshot of User.Step (the same reuse bufir.Refinement gets, here
-// surviving across SubmitContext calls) plus a small bounded result
-// cache keyed by canonicalized query, so resubmitting a query the
-// engine already answered — permuted term order and split duplicates
-// included — costs no evaluation at all.
+// snapshot of User.Step, surviving across SubmitContext calls, plus a
+// small bounded result cache keyed by canonicalized query, so
+// resubmitting a query the engine already answered — permuted term
+// order and split duplicates included — costs no evaluation at all.
 package engine
 
 import (
@@ -14,35 +13,9 @@ import (
 	"bufir/internal/rank"
 )
 
-// RefineConfig enables and sizes the engine's refinement-reuse path.
-type RefineConfig struct {
-	// Incremental routes every submission through the refine path:
-	// queries are canonicalized, results of clean completed
-	// evaluations are cached, and each user carries the last
-	// evaluation's snapshot so an ADD-ONLY next query resumes instead
-	// of re-scanning (DF only; under BAF the path still caches results
-	// but never resumes).
-	Incremental bool
-	// CacheEntries bounds the result cache (LRU over {user, canonical
-	// query}). 0 selects the default of 256; negative disables result
-	// caching while keeping snapshot resume.
-	CacheEntries int
-}
-
-// enabled reports whether the refine path is on at all.
-func (rc RefineConfig) enabled() bool { return rc.Incremental }
-
-// capacity resolves the result-cache bound.
-func (rc RefineConfig) capacity() int {
-	switch {
-	case rc.CacheEntries < 0:
-		return 0
-	case rc.CacheEntries == 0:
-		return 256
-	default:
-		return rc.CacheEntries
-	}
-}
+// refineCacheEntries bounds the result cache (LRU over {user,
+// canonical query}).
+const refineCacheEntries = 256
 
 // refineKey identifies a cached result: one user's canonicalized
 // query at one index epoch. Results are kept per-user — the cache
@@ -85,7 +58,7 @@ func newRefineCache(capacity int) *refineCache {
 
 // get returns the entry for k, promoting it to most-recent.
 func (c *refineCache) get(k refineKey) (*refineEntry, bool) {
-	if c == nil || c.cap == 0 {
+	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
@@ -101,7 +74,7 @@ func (c *refineCache) get(k refineKey) (*refineEntry, bool) {
 // put inserts or refreshes k's entry, evicting the least-recent entry
 // past capacity.
 func (c *refineCache) put(k refineKey, res *eval.Result, snap *eval.Snapshot) {
-	if c == nil || c.cap == 0 {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
@@ -117,16 +90,6 @@ func (c *refineCache) put(k refineKey, res *eval.Result, snap *eval.Snapshot) {
 		c.ll.Remove(tail)
 		delete(c.idx, tail.Value.(*refineEntry).key)
 	}
-}
-
-// len reports the resident entry count (tests).
-func (c *refineCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // cachedCopy returns the result to hand a cache-hit caller: the

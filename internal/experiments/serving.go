@@ -116,13 +116,12 @@ func failOnError(_, _ int, _ *bufir.Result, err error, _ time.Duration) error { 
 func (e *Env) evalOptions(algo bufir.Algorithm) bufir.EvalOptions {
 	p := e.Params()
 	return bufir.EvalOptions{
-		Algorithm:      algo,
-		CAdd:           p.CAdd,
-		CIns:           p.CIns,
-		Unfiltered:     p.CAdd == 0 && p.CIns == 0,
-		TopN:           p.TopN,
-		ForceFirstPage: p.ForceFirstPage,
-		FaultBudget:    p.FaultBudget,
+		Algorithm:   algo,
+		CAdd:        p.CAdd,
+		CIns:        p.CIns,
+		Unfiltered:  p.CAdd == 0 && p.CIns == 0,
+		TopN:        p.TopN,
+		FaultBudget: p.FaultBudget,
 	}
 }
 

@@ -1,11 +1,10 @@
-//go:build !(linux || darwin || freebsd || netbsd || openbsd || dragonfly) || bufir_readat
+//go:build !(linux || darwin || freebsd || netbsd || openbsd || dragonfly)
 
 package indexfile
 
 // Portable fallback: no memory mapping. PageFile serves every blob
 // with ReadAt (pread) into a caller-supplied staging buffer. Selected
-// automatically on platforms without syscall.Mmap, or explicitly with
-// the bufir_readat build tag.
+// automatically on platforms without syscall.Mmap.
 
 import (
 	"errors"

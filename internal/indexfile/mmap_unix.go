@@ -1,4 +1,4 @@
-//go:build (linux || darwin || freebsd || netbsd || openbsd || dragonfly) && !bufir_readat
+//go:build linux || darwin || freebsd || netbsd || openbsd || dragonfly
 
 package indexfile
 
@@ -6,9 +6,8 @@ package indexfile
 // lets PageBlob hand out zero-copy views of the page blobs: the first
 // touch of a page costs a real page fault and disk read, a warm touch
 // costs nothing — exactly the cost shape the paper's buffer-miss
-// model wants to be validated against. Build with -tags bufir_readat
-// to force the portable pread path instead (OpenPageFile's
-// DisableMmap option does the same at runtime).
+// model wants to be validated against. OpenPageFile's DisableMmap
+// option forces the portable pread path instead.
 
 import (
 	"fmt"

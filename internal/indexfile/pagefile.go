@@ -589,8 +589,7 @@ func readHeader(r io.Reader) (*pageFileHeader, error) {
 // PageFileOptions configures OpenPageFile.
 type PageFileOptions struct {
 	// DisableMmap forces the ReadAt access path even on platforms
-	// where memory mapping is available. The bufir_readat build tag
-	// forces the same thing at compile time.
+	// where memory mapping is available.
 	DisableMmap bool
 }
 

@@ -1,24 +1,19 @@
 package text
 
-// The positional index and the proximity operators the paper
-// explicitly defers ("In many systems, additional operators, such as
-// proximity operators, which restrict the location of terms in the
-// documents, are provided. For simplicity we have left such operators
-// out of this work; adding support for them is one avenue for future
-// work" — §2.1, footnote 2).
+// The positional index behind the phrase operator, one of the
+// operators the paper explicitly defers ("In many systems, additional
+// operators, such as proximity operators, which restrict the location
+// of terms in the documents, are provided. For simplicity we have left
+// such operators out of this work; adding support for them is one
+// avenue for future work" — §2.1, footnote 2).
 //
 // The index records, per (term, document), the ordered token positions
 // of the term after the lexical pipeline (stop-words removed, stems
-// applied), enabling:
-//
-//	Phrase(t1 t2 ... tn)  documents containing the terms at strictly
-//	                      consecutive positions;
-//	Near(t1, t2, k)       documents where some occurrence of t1 and t2
-//	                      lie within k positions of each other.
+// applied), enabling Phrase(t1 t2 ... tn): the documents containing
+// the terms at strictly consecutive positions.
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"bufir/internal/postings"
@@ -166,58 +161,4 @@ func advance(prev, cur []int32) []int32 {
 		}
 	}
 	return out
-}
-
-// Near returns documents where an occurrence of a and one of b lie
-// within k positions of each other (k >= 1), ascending DocID order.
-// Positions are int32, so any k past math.MaxInt32 means "anywhere in
-// the document".
-func (ix *PositionalIndex) Near(a, b string, k int) ([]postings.DocID, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("text: k %d < 1", k)
-	}
-	k = min(k, math.MaxInt32)
-	na, nb := ix.normalize(a), ix.normalize(b)
-	if na == "" || nb == "" {
-		return nil, nil
-	}
-	pa, pb := ix.terms[na], ix.terms[nb]
-	out := []postings.DocID{}
-	i, j := 0, 0
-	for i < len(pa) && j < len(pb) {
-		switch {
-		case pa[i].Doc < pb[j].Doc:
-			i++
-		case pa[i].Doc > pb[j].Doc:
-			j++
-		default:
-			if withinK(pa[i].Positions, pb[j].Positions, int32(k)) {
-				out = append(out, pa[i].Doc)
-			}
-			i++
-			j++
-		}
-	}
-	return out, nil
-}
-
-// withinK reports whether any pair (x from a, y from b) has |x-y| <= k.
-// Both inputs ascending; linear merge.
-func withinK(a, b []int32, k int32) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		d := a[i] - b[j]
-		if d < 0 {
-			d = -d
-		}
-		if d <= k {
-			return true
-		}
-		if a[i] < b[j] {
-			i++
-		} else {
-			j++
-		}
-	}
-	return false
 }

@@ -100,38 +100,6 @@ func TestPhraseThroughPipeline(t *testing.T) {
 	}
 }
 
-func TestNear(t *testing.T) {
-	ix := sample(t)
-	// doc 4 after the pipeline: market(0) for(1) stock(2) option(3) —
-	// "market" and "options" are 3 apart. Windows past math.MaxInt32
-	// must not wrap around the int32 positions.
-	for _, k := range []int{3, 100, 1 << 31, 1 << 32} {
-		got, err := ix.Near("market", "options", k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, []postings.DocID{4}) {
-			t.Errorf("Near(market, options, %d) = %v", k, got)
-		}
-	}
-	got, err := ix.Near("market", "options", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("Near k=2 = %v, want none", got)
-	}
-	// Symmetry.
-	a, _ := ix.Near("stock", "crashed", 3)
-	b, _ := ix.Near("crashed", "stock", 3)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("Near not symmetric: %v vs %v", a, b)
-	}
-	if _, err := ix.Near("a", "b", 0); err == nil {
-		t.Error("k=0 should fail")
-	}
-}
-
 func TestBuildErrors(t *testing.T) {
 	if _, err := BuildPositional(nil, nil); err == nil {
 		t.Error("no documents should fail")

@@ -118,13 +118,10 @@ func TestSentinelErrors(t *testing.T) {
 		t.Errorf("empty query: err = %v, want ErrEmptyQuery", err)
 	}
 
-	// The positional sentinel, from both the operator and the
-	// phrase-query paths (the latter keeps its site-specific message).
+	// The positional sentinel from the phrase-query path, which keeps
+	// its site-specific message.
 	if _, err := s.SearchTextContext(context.Background(), `"a b"`); !errors.Is(err, ErrNoPositional) {
 		t.Errorf("phrase query: err = %v, want ErrNoPositional", err)
-	}
-	if _, err := ix.NearDocs("a", "b", 3); !errors.Is(err, ErrNoPositional) {
-		t.Errorf("NearDocs: err = %v, want ErrNoPositional", err)
 	}
 
 	eng, err := ix.NewEngine(EngineConfig{Workers: 1})

@@ -15,12 +15,9 @@ import (
 type LiveOptions struct {
 	// Dir, when non-empty, makes merges durable: each compacted
 	// generation is written as a BUFIR2 page file gen-<epoch>.bufir2
-	// under Dir and served from disk. Empty keeps generations in
-	// memory (the simulator default).
+	// (pages aligned to 4 KiB blocks) under Dir and served from disk.
+	// Empty keeps generations in memory (the simulator default).
 	Dir string
-	// BlockSize is the page alignment of generation files (0 = the
-	// 4 KiB default). Ignored when Dir is empty.
-	BlockSize int
 	// AutoMergeDocs, when positive, starts a background merge whenever
 	// a commit leaves at least this many documents in the delta. Zero
 	// means merges happen only when Merge is called.
@@ -219,12 +216,8 @@ func (ix *Index) mergeLocked() error {
 	var viewPages [][]postings.Entry
 	if ix.liveOpts.Dir != "" {
 		path := filepath.Join(ix.liveOpts.Dir, fmt.Sprintf("gen-%06d.bufir2", ix.view().epoch+1))
-		blockSize := ix.liveOpts.BlockSize
-		if blockSize == 0 {
-			blockSize = indexfile.DefaultBlockSize
-		}
 		aux := &indexfile.Aux{DocNames: names, StopWords: ix.stopWords}
-		if err := indexfile.WritePageFile(path, c.Meta, pages, aux, blockSize); err != nil {
+		if err := indexfile.WritePageFile(path, c.Meta, pages, aux, indexfile.DefaultBlockSize); err != nil {
 			return err
 		}
 		fs, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})

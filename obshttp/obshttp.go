@@ -10,15 +10,18 @@
 //		_ "bufir/obshttp"
 //	)
 //
-//	eng, err := ix.NewEngine(bufir.EngineConfig{
+//	svc, err := bufir.Open("synth:default", bufir.WithEngine(bufir.EngineConfig{
 //		Obs: bufir.ObsOptions{Addr: "127.0.0.1:9090"},
-//	})
+//	}))
 //	// curl localhost:9090/metrics  -> Prometheus text format
 //	// curl localhost:9090/statusz  -> full snapshot as JSON
 //	// go tool pprof localhost:9090/debug/pprof/heap
 //
-// Without this import, setting ObsOptions.Addr makes NewEngine fail
-// with bufir.ErrObsUnavailable, and — the point of the split — binaries
+// Open serves one endpoint per deployment (the router's aggregated
+// snapshot when sharded, the engine's otherwise); Index.NewEngine with
+// the same option serves that one engine's. Without this import,
+// setting ObsOptions.Addr makes Open and NewEngine fail with
+// bufir.ErrObsUnavailable, and — the point of the split — binaries
 // that don't import it carry no net/http (or net/http/pprof) in their
 // dependency graph at all. `make depgraph` enforces that.
 //

@@ -19,27 +19,27 @@ import (
 type Option func(*openOptions)
 
 type openOptions struct {
-	shards  int
-	engine  EngineConfig
-	router  RouterConfig
-	obsAddr string
+	shards int
+	engine EngineConfig
+	router RouterConfig
 }
 
 // WithShards asks Open for an n-way document-partitioned deployment.
-// Opening a single index (in-memory or an index file) splits it
-// into n partitions in memory, each behind its own engine and buffer
-// pool; opening a shard directory requires its partition count to be n
-// (0, the default, accepts whatever the directory holds — and means 1
-// for single-index paths).
+// Opening a single index (in-memory or an index file) with n ≥ 2
+// splits it into n partitions in memory, each behind its own engine
+// and buffer pool. Opening a shard directory with n ≥ 1 requires its
+// partition count to be n. 0, the default, accepts whatever the
+// directory holds and means 1 for single-index paths; a negative n is
+// an error.
 func WithShards(n int) Option {
 	return func(o *openOptions) { o.shards = n }
 }
 
 // WithEngine sets the per-shard engine configuration: workers, buffer
 // pages, policy, admission control, deadline policy, fault tolerance
-// and refinement reuse all apply to each partition's engine. The
-// engine-level Obs option is ignored — observability for a deployment
-// is configured once, with WithObs.
+// and refinement reuse all apply to each partition's engine. Obs is
+// the exception: it starts one endpoint for the whole deployment, not
+// one per partition (see ObsOptions).
 func WithEngine(cfg EngineConfig) Option {
 	return func(o *openOptions) { o.engine = cfg }
 }
@@ -49,15 +49,6 @@ func WithEngine(cfg EngineConfig) Option {
 // for single-partition deployments, where there is nothing to route.
 func WithRouter(cfg RouterConfig) Option {
 	return func(o *openOptions) { o.router = cfg }
-}
-
-// WithObs starts the HTTP observability endpoint on addr (":0" picks a
-// free port — read it back with Service.ObsAddr). For a sharded
-// deployment the endpoint serves the router's aggregated snapshot with
-// per-shard gauges; for a single partition, the engine's. Requires a
-// blank import of bufir/obshttp, like ObsOptions.Addr.
-func WithObs(addr string) Option {
-	return func(o *openOptions) { o.obsAddr = addr }
 }
 
 // Open is the single entry point to a serving deployment: it resolves
@@ -100,61 +91,60 @@ func Open(path string, options ...Option) (*Service, error) {
 // resolveIndexes turns an Open path into the deployment's indexes, one
 // per partition.
 func resolveIndexes(path string, shards int) ([]*Index, error) {
-	var indexes []*Index
-	switch {
-	case strings.HasPrefix(path, "synth:"):
-		ix, err := openSynth(path)
-		if err != nil {
-			return nil, err
-		}
-		indexes = []*Index{ix}
-	default:
-		st, err := os.Stat(path)
-		if err != nil {
-			return nil, err
+	if shards < 0 {
+		return nil, fmt.Errorf("bufir: WithShards(%d): the partition count cannot be negative", shards)
+	}
+	var ix *Index
+	var err error
+	if strings.HasPrefix(path, "synth:") {
+		ix, err = openSynth(path)
+	} else {
+		st, serr := os.Stat(path)
+		if serr != nil {
+			return nil, serr
 		}
 		if st.IsDir() {
-			files, err := indexfile.ShardFiles(path)
-			if err != nil {
-				return nil, err
-			}
-			for _, f := range files {
-				ix, err := openOne(f)
-				if err != nil {
-					for _, open := range indexes {
-						_ = open.Close()
-					}
-					return nil, err
-				}
-				indexes = append(indexes, ix)
-			}
-		} else {
-			ix, err := openOne(path)
-			if err != nil {
-				return nil, err
-			}
-			indexes = []*Index{ix}
+			return openShardDir(path, shards)
 		}
+		ix, err = openOne(path)
 	}
-	if shards > 1 {
-		if len(indexes) == 1 {
-			parts, err := indexes[0].Shard(shards)
-			if err != nil {
-				_ = indexes[0].Close()
-				return nil, err
+	if err != nil {
+		return nil, err
+	}
+	if shards <= 1 {
+		return []*Index{ix}, nil
+	}
+	parts, err := ix.Shard(shards)
+	// The partitions hold copies of the source's pages, so a
+	// file-backed source is closed once they are materialized (or
+	// failed to be).
+	_ = ix.Close()
+	if err != nil {
+		return nil, err
+	}
+	return parts, nil
+}
+
+// openShardDir opens every shard file of a directory written by
+// WriteShardFiles; a positive shards must equal their count.
+func openShardDir(dir string, shards int) ([]*Index, error) {
+	files, err := indexfile.ShardFiles(dir)
+	if err != nil {
+		return nil, err
+	}
+	if shards > 0 && shards != len(files) {
+		return nil, fmt.Errorf("bufir: WithShards(%d) but %s holds %d partitions", shards, dir, len(files))
+	}
+	indexes := make([]*Index, 0, len(files))
+	for _, f := range files {
+		ix, err := openOne(f)
+		if err != nil {
+			for _, open := range indexes {
+				_ = open.Close()
 			}
-			// The source index owned no file (or its partitions copy its
-			// pages into memory) — but a file-backed source must stay
-			// open only through the partitions, which hold copies. Close
-			// the original now that its pages are materialized.
-			_ = indexes[0].Close()
-			indexes = parts
-		} else if len(indexes) != shards {
-			for _, ix := range indexes {
-				_ = ix.Close()
-			}
-			return nil, fmt.Errorf("bufir: WithShards(%d) but %s holds %d partitions", shards, path, len(indexes))
+			return nil, err
 		}
+		indexes = append(indexes, ix)
 	}
 	return indexes, nil
 }
@@ -270,7 +260,7 @@ type Service struct {
 	engines []*Engine
 	// front serves every request: the Router, or the single Engine.
 	front    Searcher
-	obs      metrics.HTTPServer // nil unless WithObs
+	obs      metrics.HTTPServer // nil unless EngineConfig.Obs.Addr is set
 	closeErr error
 	once     sync.Once
 }
@@ -278,7 +268,7 @@ type Service struct {
 // newService builds the serving tier over the resolved indexes.
 func newService(indexes []*Index, o openOptions) (*Service, error) {
 	cfg := o.engine
-	cfg.Obs = ObsOptions{} // deployment-level observability only
+	cfg.Obs = ObsOptions{} // one endpoint per deployment, started below
 	svc := &Service{indexes: indexes}
 	for _, ix := range indexes {
 		eng, err := ix.NewEngine(cfg)
@@ -310,12 +300,12 @@ func newService(indexes []*Index, o openOptions) (*Service, error) {
 		}
 		svc.front = r
 	}
-	if o.obsAddr != "" {
+	if addr := o.engine.Obs.Addr; addr != "" {
 		var src metrics.Source = svc.engines[0].inner
 		if r, ok := svc.front.(*Router); ok {
 			src = r
 		}
-		srv, err := metrics.StartHTTPServer(o.obsAddr, src)
+		srv, err := metrics.StartHTTPServer(addr, src)
 		if err != nil {
 			_ = svc.closeServing()
 			return nil, err
@@ -331,15 +321,15 @@ func (s *Service) SearchContext(ctx context.Context, user int, q Query) (*Result
 	return s.front.SearchContext(ctx, user, q)
 }
 
-// liveEngine returns the engine of a single-partition deployment, the
+// liveIndex returns the index of a single-partition deployment, the
 // only kind that takes live updates: every partition of a sharded one
 // carries the global vocabulary, statistics and TermIDs, which no
 // per-partition commit can keep.
-func (s *Service) liveEngine() (*Engine, error) {
-	if len(s.engines) > 1 {
-		return nil, fmt.Errorf("bufir: live updates serve a single partition; this deployment has %d", len(s.engines))
+func (s *Service) liveIndex() (*Index, error) {
+	if len(s.indexes) > 1 {
+		return nil, fmt.Errorf("bufir: live updates serve a single partition; this deployment has %d", len(s.indexes))
 	}
-	return s.engines[0], nil
+	return s.indexes[0], nil
 }
 
 // EnableLiveUpdates turns the deployment's index mutable (see
@@ -347,32 +337,46 @@ func (s *Service) liveEngine() (*Engine, error) {
 // documents. Live updates serve one partition: a sharded deployment
 // refuses them with an error.
 func (s *Service) EnableLiveUpdates(opts LiveOptions) error {
-	e, err := s.liveEngine()
+	ix, err := s.liveIndex()
 	if err != nil {
 		return err
 	}
-	return e.ix.EnableLiveUpdates(opts)
+	return ix.EnableLiveUpdates(opts)
 }
 
 // IngestContext adds one document to the deployment's index (see
-// Engine.IngestContext). Requires EnableLiveUpdates first.
+// Index.Add), publishing a new generation. Requires EnableLiveUpdates
+// first. In-flight queries finish on the generation they started on;
+// every engine user rebinds — fresh pool, fresh evaluator — before its
+// next request, so no query ever mixes generations. An already-dead
+// ctx refuses before any work; ingestion itself is synchronous and not
+// cancelable mid-commit (commits publish entirely or not at all).
 func (s *Service) IngestContext(ctx context.Context, doc Document) (DocID, error) {
-	e, err := s.liveEngine()
+	ix, err := s.liveIndex()
 	if err != nil {
 		return 0, err
 	}
-	return e.IngestContext(ctx, doc)
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return ix.Add(doc.Name, doc.Text)
 }
 
-// MergeContext merges the index's pending delta (see
-// Engine.MergeContext). Called with context.Background() it is the
-// way to end a merge storm deterministically in tests and benchmarks.
+// MergeContext compacts the index's pending delta into a new main
+// generation (see Index.Merge; a no-op when nothing is pending).
+// Queries keep flowing throughout; concurrent ingestion waits for the
+// merge. An already-dead ctx refuses before any work. Called with
+// context.Background() it is the way to end a merge storm
+// deterministically in tests and benchmarks.
 func (s *Service) MergeContext(ctx context.Context) error {
-	e, err := s.liveEngine()
+	ix, err := s.liveIndex()
 	if err != nil {
 		return err
 	}
-	return e.MergeContext(ctx)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return ix.Merge()
 }
 
 // Epoch reports the deployment's index generation number, the
@@ -409,7 +413,7 @@ func (s *Service) NumShards() int { return len(s.engines) }
 func (s *Service) Index() *Index { return s.indexes[0] }
 
 // ObsAddr returns the observability endpoint's bound address, or ""
-// when WithObs was not used.
+// when EngineConfig.Obs.Addr was empty.
 func (s *Service) ObsAddr() string {
 	if s.obs == nil {
 		return ""

@@ -2,6 +2,8 @@ package bufir
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -192,19 +194,92 @@ func TestOpenErrors(t *testing.T) {
 		t.Error("Open of an empty directory succeeded")
 	}
 
-	// WithShards must match an on-disk partition count.
+	// WithShards refuses a negative count, and on a directory any
+	// n ≥ 1 must equal its partition count (0 accepts what it holds).
 	_, ix := testIndex(t)
 	shardDir := filepath.Join(t.TempDir(), "shards")
 	if err := ix.WriteShardFiles(shardDir, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(shardDir, WithShards(3)); err == nil {
-		t.Error("WithShards(3) over a 2-partition directory succeeded")
-	}
-	if svc, err := Open(shardDir, WithShards(2)); err != nil {
-		t.Errorf("WithShards(2) over a 2-partition directory: %v", err)
-	} else {
+	for _, tc := range []struct {
+		path  string
+		n     int
+		parts int // 0: Open must fail
+	}{
+		{shardDir, 0, 2},
+		{shardDir, 2, 2},
+		{shardDir, 1, 0},
+		{shardDir, 3, 0},
+		{shardDir, -3, 0},
+		{"synth:tiny:21", 1, 1},
+		{"synth:tiny:21", -3, 0},
+	} {
+		svc, err := Open(tc.path, WithShards(tc.n))
+		if tc.parts == 0 {
+			if err == nil {
+				svc.Close()
+				t.Errorf("Open(%s, WithShards(%d)) succeeded", tc.path, tc.n)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Open(%s, WithShards(%d)): %v", tc.path, tc.n, err)
+			continue
+		}
+		if got := svc.NumShards(); got != tc.parts {
+			t.Errorf("Open(%s, WithShards(%d)) serves %d partitions, want %d", tc.path, tc.n, got, tc.parts)
+		}
 		svc.Close()
+	}
+
+	// A negative router size is refused, not left to panic in the
+	// first merge.
+	if svc, err := Open("synth:tiny:21", WithShards(2), WithRouter(RouterConfig{TopN: -1})); err == nil {
+		svc.Close()
+		t.Error("Open with RouterConfig{TopN: -1} succeeded")
+	}
+}
+
+// TestOpenObs: EngineConfig.Obs.Addr under Open starts exactly one
+// endpoint for the deployment — the engine's snapshot for one
+// partition, the router's aggregate with per-shard gauges when
+// sharded. (This package's test binary links bufir/obshttp through
+// internal/experiments.)
+func TestOpenObs(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		svc, err := Open("synth:tiny:21", WithShards(shards),
+			WithEngine(EngineConfig{Obs: ObsOptions{Addr: "127.0.0.1:0"}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		if svc.ObsAddr() == "" {
+			t.Fatalf("%d shard(s): ObsAddr is empty, no endpoint started", shards)
+		}
+		q, err := svc.Index().ParseQuery(svc.Index().TermName(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.SearchContext(context.Background(), 0, q); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get("http://" + svc.ObsAddr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(body)
+		if !strings.Contains(text, "\nbufir_queries_total 1\n") {
+			t.Errorf("%d shard(s): /metrics does not count the one query:\n%s", shards, text)
+		}
+		perShard := strings.Contains(text, `bufir_shard_queries_total{shard="1"} 1`)
+		if perShard != (shards > 1) {
+			t.Errorf("%d shard(s): per-shard gauges present = %v, want %v", shards, perShard, shards > 1)
+		}
 	}
 }
 

@@ -33,9 +33,6 @@ type EvalOptions struct {
 	Unfiltered bool
 	// TopN is the result size n (default 20).
 	TopN int
-	// ForceFirstPage guarantees at least one page of every query term
-	// is processed (the paper's fix for ignored refinement terms).
-	ForceFirstPage bool
 	// FaultBudget is the per-query error budget: how many term rounds
 	// may be lost to I/O faults (fetch errors that survived the
 	// buffer's retries) before the query itself errors. A query that
@@ -55,11 +52,10 @@ func (o EvalOptions) params(fallback eval.Params) (eval.Params, error) {
 		return eval.Params{}, fmt.Errorf("bufir: unknown algorithm %v", o.Algorithm)
 	}
 	p := eval.Params{
-		CAdd:           o.CAdd,
-		CIns:           o.CIns,
-		TopN:           o.TopN,
-		ForceFirstPage: o.ForceFirstPage,
-		FaultBudget:    o.FaultBudget,
+		CAdd:        o.CAdd,
+		CIns:        o.CIns,
+		TopN:        o.TopN,
+		FaultBudget: o.FaultBudget,
 	}
 	if p.TopN == 0 {
 		p.TopN = 20

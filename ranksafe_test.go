@@ -78,7 +78,7 @@ func TestEngineSafeMethod(t *testing.T) {
 	eng, err := ix.NewEngine(EngineConfig{
 		EvalOptions: EvalOptions{Algorithm: Maxscore, TopN: 10},
 		Workers:     2, BufferPages: 64,
-		Refine: RefineOptions{Incremental: true, CacheEntries: 8},
+		Refine: RefineOptions{Incremental: true},
 	})
 	if err != nil {
 		t.Fatal(err)

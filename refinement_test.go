@@ -3,6 +3,8 @@ package bufir
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -23,6 +25,103 @@ func sortByIDF(ix *Index, q Query) Query {
 	return out
 }
 
+// refinement walks a Session through the paper's §2.1 user model —
+// add or drop terms, resubmit — with the exact s.user.Step calls an
+// engine user makes, recording every committed step. A failed or
+// canceled step commits nothing: the current query, History and the
+// carried snapshot keep their pre-step state, and the partial result,
+// if any, rides along with the error.
+type refinement struct {
+	s           *Session
+	incremental bool
+	current     Query
+	History     []refinementStep
+}
+
+// refinementStep is one committed submission's outcome.
+type refinementStep struct {
+	DiskReads         int
+	Partial, Degraded bool
+	Elapsed           time.Duration
+	// Resumed and ReusedRounds report snapshot reuse; Invalidated, a
+	// step that dropped the carried snapshot and ran cold.
+	Resumed      bool
+	ReusedRounds int
+	Invalidated  bool
+}
+
+// startRefinement submits the initial query; incremental carries the
+// evaluation snapshot across ADD-ONLY steps, as EngineConfig.Refine
+// does for an engine user.
+func startRefinement(ctx context.Context, s *Session, initial Query, incremental bool) (*refinement, *Result, error) {
+	r := &refinement{s: s, incremental: incremental}
+	res, err := r.submit(ctx, initial)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, res, nil
+}
+
+// Current returns a copy of the current query.
+func (r *refinement) Current() Query { return append(Query{}, r.current...) }
+
+// AddContext appends terms (raising the frequency of terms already in
+// the query) and resubmits.
+func (r *refinement) AddContext(ctx context.Context, terms ...QueryTerm) (*Result, error) {
+	if len(terms) == 0 {
+		return nil, errors.New("no terms to add")
+	}
+	next := r.Current()
+	for _, qt := range terms {
+		i := slices.IndexFunc(next, func(c QueryTerm) bool { return c.Term == qt.Term })
+		if i < 0 {
+			next = append(next, qt)
+		} else {
+			next[i].Fqt += qt.Fqt
+		}
+	}
+	return r.submit(ctx, next)
+}
+
+// DropContext removes a term and resubmits; the last term cannot go.
+func (r *refinement) DropContext(ctx context.Context, term TermID) (*Result, error) {
+	next := slices.DeleteFunc(r.Current(), func(c QueryTerm) bool { return c.Term == term })
+	switch {
+	case len(next) == len(r.current):
+		return nil, fmt.Errorf("term %d not in the current query", term)
+	case len(next) == 0:
+		return nil, errors.New("cannot drop the last query term")
+	}
+	return r.submit(ctx, next)
+}
+
+func (r *refinement) submit(ctx context.Context, q Query) (*Result, error) {
+	res, invalidated, err := r.s.user.Step(ctx, r.s.algo, q, r.incremental)
+	if err != nil {
+		return res, err
+	}
+	r.current = q
+	r.History = append(r.History, refinementStep{
+		DiskReads:    res.PagesRead,
+		Partial:      res.Partial,
+		Degraded:     res.Degraded,
+		Elapsed:      res.Elapsed,
+		Resumed:      res.ReusedRounds > 0,
+		ReusedRounds: res.ReusedRounds,
+		Invalidated:  invalidated,
+	})
+	return res, nil
+}
+
+// TotalDiskReads sums the committed steps' disk reads.
+func (r *refinement) TotalDiskReads() int {
+	total := 0
+	for _, st := range r.History {
+		total += st.DiskReads
+	}
+	return total
+}
+
 func TestRefinementSession(t *testing.T) {
 	col, ix := testIndex(t)
 	s, err := ix.NewSession(SessionConfig{EvalOptions: EvalOptions{Algorithm: BAF}, Policy: RAP, BufferPages: 96})
@@ -34,7 +133,7 @@ func TestRefinementSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, res, err := s.StartRefinement(context.Background(), q[:3], RefineOptions{})
+	ref, res, err := startRefinement(context.Background(), s, q[:3], false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +249,13 @@ func TestRefinementTable(t *testing.T) {
 	if len(q) < 3 {
 		t.Skip("topic too small")
 	}
-	newRef := func(t *testing.T, initial Query) *Refinement {
+	newRef := func(t *testing.T, initial Query) *refinement {
 		t.Helper()
 		s, err := ix.NewSession(SessionConfig{Policy: LRU, BufferPages: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, _, err := s.StartRefinement(context.Background(), initial, RefineOptions{})
+		ref, _, err := startRefinement(context.Background(), s, initial, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,17 +263,17 @@ func TestRefinementTable(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
-		run     func(t *testing.T, ref *Refinement) error
+		run     func(t *testing.T, ref *refinement) error
 		wantErr bool
-		check   func(t *testing.T, ref *Refinement)
+		check   func(t *testing.T, ref *refinement)
 	}{
 		{
 			name: "add raises duplicate frequency",
-			run: func(t *testing.T, ref *Refinement) error {
+			run: func(t *testing.T, ref *refinement) error {
 				_, err := ref.AddContext(context.Background(), QueryTerm{Term: q[0].Term, Fqt: 3})
 				return err
 			},
-			check: func(t *testing.T, ref *Refinement) {
+			check: func(t *testing.T, ref *refinement) {
 				cur := ref.Current()
 				if len(cur) != 2 {
 					t.Fatalf("term count = %d, want 2 (no new term)", len(cur))
@@ -188,7 +287,7 @@ func TestRefinementTable(t *testing.T) {
 		},
 		{
 			name: "add nothing fails",
-			run: func(t *testing.T, ref *Refinement) error {
+			run: func(t *testing.T, ref *refinement) error {
 				_, err := ref.AddContext(context.Background())
 				return err
 			},
@@ -196,12 +295,12 @@ func TestRefinementTable(t *testing.T) {
 		},
 		{
 			name: "drop unknown term fails without committing",
-			run: func(t *testing.T, ref *Refinement) error {
+			run: func(t *testing.T, ref *refinement) error {
 				_, err := ref.DropContext(context.Background(), q[2].Term)
 				return err
 			},
 			wantErr: true,
-			check: func(t *testing.T, ref *Refinement) {
+			check: func(t *testing.T, ref *refinement) {
 				if len(ref.Current()) != 2 || len(ref.History) != 1 {
 					t.Fatal("failed drop mutated the session")
 				}
@@ -209,7 +308,7 @@ func TestRefinementTable(t *testing.T) {
 		},
 		{
 			name: "drop to last term then fail",
-			run: func(t *testing.T, ref *Refinement) error {
+			run: func(t *testing.T, ref *refinement) error {
 				if _, err := ref.DropContext(context.Background(), q[0].Term); err != nil {
 					return err
 				}
@@ -217,7 +316,7 @@ func TestRefinementTable(t *testing.T) {
 				return err
 			},
 			wantErr: true,
-			check: func(t *testing.T, ref *Refinement) {
+			check: func(t *testing.T, ref *refinement) {
 				if len(ref.Current()) != 1 {
 					t.Fatalf("term count = %d, want 1", len(ref.Current()))
 				}
@@ -225,14 +324,14 @@ func TestRefinementTable(t *testing.T) {
 		},
 		{
 			name: "history sums disk reads",
-			run: func(t *testing.T, ref *Refinement) error {
+			run: func(t *testing.T, ref *refinement) error {
 				if _, err := ref.AddContext(context.Background(), q[2]); err != nil {
 					return err
 				}
 				_, err := ref.DropContext(context.Background(), q[2].Term)
 				return err
 			},
-			check: func(t *testing.T, ref *Refinement) {
+			check: func(t *testing.T, ref *refinement) {
 				if len(ref.History) != 3 {
 					t.Fatalf("history = %d entries, want 3", len(ref.History))
 				}
@@ -298,7 +397,7 @@ func TestIncrementalRefinementBitIdentical(t *testing.T) {
 		return res
 	}
 
-	ref, res, err := s.StartRefinement(context.Background(), q[:3], RefineOptions{Incremental: true})
+	ref, res, err := startRefinement(context.Background(), s, q[:3], true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +472,7 @@ func TestRefinementCancelMidStepConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := s.StartRefinement(context.Background(), q[:3], RefineOptions{Incremental: true})
+	ref, _, err := startRefinement(context.Background(), s, q[:3], true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +565,7 @@ func TestRefinementDegradedStepKeepsSnapshotHonest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, res, err := s.StartRefinement(context.Background(), q[:3], RefineOptions{Incremental: true})
+	ref, res, err := startRefinement(context.Background(), s, q[:3], true)
 	if err != nil {
 		t.Fatal(err)
 	}

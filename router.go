@@ -23,13 +23,6 @@ type RouterConfig struct {
 	// shard is declared missing and the query degrades. 0 leaves shards
 	// bounded only by the caller's context.
 	ShardTimeout time.Duration
-	// MaxFailures is the failed-shard tolerance: how many shards may
-	// time out or fault before the query itself errors. 0 — the default
-	// — tolerates all but one (any answer beats no answer: a missing
-	// shard yields a Degraded anytime ranking, the §2.2 semantics, not
-	// an error). Set -1 to fail the query on the first missing shard,
-	// or k > 0 to tolerate exactly k.
-	MaxFailures int
 }
 
 // Router is a document-partitioned scatter-gather searcher: it fans
@@ -50,9 +43,11 @@ type RouterConfig struct {
 //
 // A shard that misses its deadline budget or faults is treated like a
 // faulted term round in the single-engine FaultBudget path: the query
-// completes over the remaining shards with Result.Degraded set, within
-// RouterConfig.MaxFailures. The caller's own context expiring is still
-// a timeout/cancellation, with the anytime merge of whatever had been
+// completes over the remaining shards with Result.Degraded set (any
+// answer beats no answer: a missing shard yields a Degraded anytime
+// ranking, the §2.2 semantics). Only when every shard fails does the
+// query error. The caller's own context expiring is still a
+// timeout/cancellation, with the anytime merge of whatever had been
 // gathered.
 //
 // Router implements Searcher; with one shard it is a transparent proxy
@@ -65,24 +60,20 @@ type Router struct {
 }
 
 // NewRouter builds a router over the per-partition backends, shard s
-// serving partition s of the index (the shard.ForDoc assignment).
+// serving partition s of the index (the shard.ForDoc assignment). A
+// negative TopN or ShardTimeout is an error.
 func NewRouter(shards []Searcher, cfg RouterConfig) (*Router, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("bufir: router needs at least one shard")
 	}
+	if cfg.TopN < 0 || cfg.ShardTimeout < 0 {
+		return nil, fmt.Errorf("bufir: negative router TopN %d or ShardTimeout %v", cfg.TopN, cfg.ShardTimeout)
+	}
 	if cfg.TopN == 0 {
 		cfg.TopN = 20
 	}
-	if cfg.MaxFailures == 0 {
-		cfg.MaxFailures = len(shards) - 1
-	} else if cfg.MaxFailures < 0 {
-		cfg.MaxFailures = 0
-	}
 	return &Router{shards: shards, cfg: cfg}, nil
 }
-
-// NumShards returns the number of partitions behind the router.
-func (r *Router) NumShards() int { return len(r.shards) }
 
 // SearchContext scatters the query to every shard under ctx (plus the
 // per-shard budget), gathers the per-shard top-k, and merges by score
@@ -196,9 +187,8 @@ func (r *Router) merge(ctx context.Context, answers []shardAnswer) (*Result, err
 		out.Partial = true
 		return out, err
 	}
-	if failed > r.cfg.MaxFailures {
-		return nil, fmt.Errorf("bufir: %d of %d shards failed (budget %d): %w",
-			failed, len(r.shards), r.cfg.MaxFailures, firstErr)
+	if failed == len(r.shards) {
+		return nil, fmt.Errorf("bufir: all %d shards failed: %w", failed, firstErr)
 	}
 	if failed > 0 {
 		// Missing shards degrade the answer, §2.2-style: a legal
@@ -213,17 +203,6 @@ func (r *Router) merge(ctx context.Context, answers []shardAnswer) (*Result, err
 // fanned out to, so the invariant Queries == Completed + Timeouts +
 // Canceled + Errors + Degraded holds here exactly as on an Engine.
 func (r *Router) Stats() EngineStats { return r.counters.Snapshot() }
-
-// ShardStats returns each partition backend's own serving counters, in
-// shard order. These sum higher than Stats: every routed request runs
-// on all shards.
-func (r *Router) ShardStats() []EngineStats {
-	out := make([]EngineStats, len(r.shards))
-	for i, s := range r.shards {
-		out[i] = s.Stats()
-	}
-	return out
-}
 
 // ObsSnapshot implements metrics.Source: the router's own serving counters
 // plus per-shard gauges, and — when the backends are Engines — their

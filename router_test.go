@@ -256,8 +256,8 @@ func (e *errSearcher) SearchContext(ctx context.Context, user int, q Query) (*Re
 func (e *errSearcher) Stats() EngineStats { return EngineStats{} }
 func (e *errSearcher) Close() error       { return e.closeErr }
 
-// A missing shard must degrade the answer, not fail it — unless the
-// failed-shard tolerance says otherwise.
+// A missing shard must degrade the answer, not fail it — unless every
+// shard is missing.
 func TestRouterDegradedOnMissingShard(t *testing.T) {
 	col, ix := testIndex(t)
 	q, err := ix.TopicQuery(col.Topics[0])
@@ -294,24 +294,45 @@ func TestRouterDegradedOnMissingShard(t *testing.T) {
 		t.Errorf("Close did not join shard close error: %v", err)
 	}
 
-	// Zero tolerance: the same miss is now an error.
-	eng2, err := ix.NewEngine(EngineConfig{BufferPages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strict, err := NewRouter([]Searcher{eng2, &errSearcher{}}, RouterConfig{MaxFailures: -1})
+	// No shard answers: the query itself errors.
+	strict, err := NewRouter([]Searcher{&errSearcher{}, &errSearcher{}}, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer strict.Close()
 	if _, err := strict.SearchContext(context.Background(), 0, q); !errors.Is(err, errShardDown) {
-		t.Errorf("MaxFailures -1: want wrapped shard error, got %v", err)
+		t.Errorf("all shards down: want wrapped shard error, got %v", err)
 	}
 	st = strict.Stats()
 	if st.Errors != 1 {
 		t.Errorf("strict Errors = %d, want 1", st.Errors)
 	}
 	checkOutcomeInvariant(t, "strict router", st)
+}
+
+// A negative merged size or per-shard budget is refused at
+// construction: a TopN of -1 used to pass and then panic in the first
+// merge over two shards.
+func TestRouterRejectsNegativeConfig(t *testing.T) {
+	_, ix := testIndex(t)
+	parts, err := ix.Shard(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := make([]Searcher, len(parts))
+	for i, p := range parts {
+		eng, err := p.NewEngine(EngineConfig{BufferPages: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		backends[i] = eng
+	}
+	for _, cfg := range []RouterConfig{{TopN: -1}, {ShardTimeout: -time.Millisecond}} {
+		if _, err := NewRouter(backends, cfg); err == nil {
+			t.Errorf("NewRouter(%+v) succeeded", cfg)
+		}
+	}
 }
 
 // Chaos test behind the serving invariant: a deliberately slow shard
@@ -382,8 +403,8 @@ func TestRouterShardTimeoutChaos(t *testing.T) {
 	if st.Canceled == 0 {
 		t.Error("pre-canceled parents never counted as Canceled")
 	}
-	for i, s := range router.ShardStats() {
-		checkOutcomeInvariant(t, "shard "+string(rune('0'+i)), s)
+	for i, s := range backends {
+		checkOutcomeInvariant(t, "shard "+string(rune('0'+i)), s.Stats())
 	}
 }
 

@@ -96,7 +96,6 @@ func applyFaultOptions(mgr *buffer.Manager, ft FaultToleranceOptions, onRetry fu
 	mgr.SetRetryPolicy(buffer.RetryPolicy{
 		MaxRetries: ft.Retries,
 		Backoff:    ft.RetryBackoff,
-		BackoffMax: ft.RetryBackoffMax,
 		VictimWait: ft.VictimWait,
 		OnRetry:    onRetry,
 	})

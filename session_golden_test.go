@@ -15,11 +15,12 @@ import (
 )
 
 // The session goldens pin what the single-user surfaces produce, step
-// by step: Session.SearchContext over a refinement sequence, and a
-// Refinement walking the same sequence through AddContext/DropContext
-// with RefineOptions.Incremental off and on. Every cell of
-// {DF, BAF, MAXSCORE} × {LRU, RAP, ADAPTIVE} × {ADD-ONLY, ADD-DROP}
-// runs on a fresh live index, and one Add publication lands
+// by step: Session.SearchContext over a refinement sequence, and the
+// refinement helper (refinement_test.go) walking the same sequence
+// through AddContext/DropContext with snapshot reuse off and on (the
+// User.Step calls of an engine user under EngineConfig.Refine). Every
+// cell of {DF, BAF, MAXSCORE} × {LRU, RAP, ADAPTIVE} × {ADD-ONLY,
+// ADD-DROP} runs on a fresh live index, and one Add publication lands
 // mid-sequence, so rebinding to a new generation is pinned too. Each
 // step records its ranking (an FNV-64a hash over every (doc, score
 // bits) pair), PagesRead, EntriesProcessed and Epoch, and for
@@ -163,7 +164,7 @@ func TestSessionGoldens(t *testing.T) {
 				for _, incr := range []bool{false, true} {
 					ix, s := fresh(t, algo, policy)
 					run := goldenRun{Name: fmt.Sprintf("%s/refine/incremental=%v", cell, incr)}
-					ref, res, err := s.StartRefinement(ctx, refs[0], RefineOptions{Incremental: incr})
+					ref, res, err := startRefinement(ctx, s, refs[0], incr)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -396,6 +396,11 @@ func TestParamsValidation(t *testing.T) {
 		{CAdd: -1, CIns: 0, TopN: 1},
 		{CAdd: 0.5, CIns: 0.1, TopN: 1}, // CIns < CAdd
 		{CAdd: 0, CIns: 0, TopN: 0},
+		{CAdd: math.NaN(), CIns: math.NaN(), TopN: 1},
+		{CAdd: 0.001, CIns: math.NaN(), TopN: 1},
+		{CAdd: math.Inf(1), CIns: math.Inf(1), TopN: 1},
+		{CAdd: 0.001, CIns: math.Inf(1), TopN: 1},
+		{CAdd: math.Inf(-1), CIns: 0.1, TopN: 1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -648,6 +653,17 @@ func TestWebLegendIgnoresUnbufferedTerms(t *testing.T) {
 	}
 	if res.PagesRead != 0 {
 		t.Errorf("WebLegend read %d pages despite beta being fully buffered", res.PagesRead)
+	}
+	// One counted residency probe per query term, warm or cold.
+	if res.SelectionInquiries != 2 {
+		t.Errorf("warm WebLegend counted %d selection inquiries, want 2", res.SelectionInquiries)
+	}
+	cold, err := f.evaluator(t, 64, buffer.NewLRU(), fullParams()).Evaluate(WebLegend, Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}, {Term: 2, Fqt: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.SelectionInquiries != 3 {
+		t.Errorf("cold WebLegend counted %d selection inquiries, want 3", cold.SelectionInquiries)
 	}
 	if WebLegend.String() != "WEB" {
 		t.Error("WebLegend name")

@@ -57,7 +57,7 @@ func TopN(acc map[postings.DocID]float64, docLen []float64, n int) []ScoredDoc {
 	if n <= 0 || len(acc) == 0 {
 		return nil
 	}
-	h := make(topHeap, 0, n+1)
+	h := make(topHeap, 0, min(n, len(acc))+1)
 	for d, a := range acc {
 		wd := docLen[d]
 		if wd <= 0 {

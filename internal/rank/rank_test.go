@@ -87,6 +87,12 @@ func TestTopNEdgeCases(t *testing.T) {
 	if got := TopN(acc, []float64{1}, 10); len(got) != 1 {
 		t.Errorf("n beyond size: %v", got)
 	}
+	// The heap is sized by the accumulators, not by n: math.MaxInt
+	// must neither overflow the capacity nor allocate for it.
+	acc[1] = 2
+	if got := TopN(acc, []float64{1, 1}, math.MaxInt); len(got) != 2 || got[0].Doc != 1 {
+		t.Errorf("n = math.MaxInt: %v", got)
+	}
 }
 
 // TestTopNMatchesFullSort: against random inputs, the heap-based

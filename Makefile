@@ -24,7 +24,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
-.PHONY: ci lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store policy-conformance bench-policy bench-policyops ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness
+.PHONY: ci lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store policy-conformance bench-policy bench-policyops ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness deep
 
 ci: lint depgraph api-check build benchmark-test fuzz-seeds bench-policyops bench-evalsafe bench-policy bench-ranksafe
 	GOOS=windows $(GO) vet ./internal/indexfile ./internal/storage
@@ -104,6 +104,13 @@ benchmark-test:
 
 race:
 	$(GO) test -race ./...
+
+# The full sweeps behind the ci pass's seeded samples: with
+# BUFIR_DEEP=1, TestRetirementSoundAtEveryPageBoundary checks every
+# skew query at every k, not one k of the short ones. Same tests, same
+# -race; a developer and nightly target, not part of ci.
+deep:
+	BUFIR_DEEP=1 $(GO) test -race -count=1 ./internal/eval
 
 # Leak gate: cancellation/shutdown under -race must leave zero pinned
 # frames, zero registry entries and no worker goroutines behind.

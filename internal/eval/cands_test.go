@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"bufir/internal/buffer"
@@ -26,19 +27,19 @@ func (p *boundaryPool) FetchContext(ctx context.Context, id postings.PageID) (*b
 // newTestRun builds a rank-safe run the way EvaluateContext does, minus
 // the announcement to the pool, so a test can drive its steps and read
 // its state.
-func newTestRun(t testing.TB, ix *postings.Index, pool buffer.Pool, q Query, algo Algorithm, p Params) *safeRun {
+func newTestRun(t testing.TB, ix *postings.Index, pool buffer.Pool, q Query, algo Algorithm, p Params) *run {
 	t.Helper()
 	ev := &Evaluator{Idx: ix, Buf: pool, Params: p}
 	ordered, err := ev.checkQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ev.newSafeRun(algo, ordered)
+	return ev.newRun(algo, ordered, false)
 }
 
 // scratchTop selects the k best complete candidates from the slots
 // alone, the way the pre-heap evaluator did at every proof.
-func scratchTop(r *safeRun) []rank.ScoredDoc {
+func scratchTop(r *run) []rank.ScoredDoc {
 	var all []rank.ScoredDoc
 	for i := range r.cands.slots {
 		c := &r.cands.slots[i]
@@ -56,7 +57,7 @@ func scratchTop(r *safeRun) []rank.ScoredDoc {
 // checkBoundary asserts the two invariants retirement rests on: the
 // heap is the from-scratch top-k of the complete candidates, and no
 // retired document belongs to the exhaustive answer.
-func checkBoundary(t *testing.T, r *safeRun, want []rank.ScoredDoc, where string) (nRetired int) {
+func checkBoundary(t *testing.T, r *run, want []rank.ScoredDoc, where string) (nRetired int) {
 	t.Helper()
 	got := r.top.ranked()
 	scratch := scratchTop(r)
@@ -98,11 +99,22 @@ func checkBoundary(t *testing.T, r *safeRun, want []rank.ScoredDoc, where string
 	return nRetired
 }
 
+// deep reports whether BUFIR_DEEP=1 asks for the full sweeps the ci
+// pass samples (make deep).
+func deep() bool { return os.Getenv("BUFIR_DEEP") == "1" }
+
 // TestRetirementSoundAtEveryPageBoundary is the property monotone
 // retirement rests on, checked where it could first break: at every
 // page boundary of every schedule, over seeded corpora, the retired
 // set holds no document of the exhaustive top-k, the heap equals a
 // from-scratch selection, and the class counts add up.
+//
+// The checks at every boundary of the long skew queries cost minutes
+// under -race, so by default the test takes a seeded sample: all 40
+// random fixtures and, for each skew query of at most 13 lists, one of
+// the three k. BUFIR_DEEP=1 (make deep) sweeps every input. Either way
+// the run must retire candidates, attempt proofs, stop early, and meet
+// boundaries with both a full and a partial heap.
 func TestRetirementSoundAtEveryPageBoundary(t *testing.T) {
 	type input struct {
 		name string
@@ -112,9 +124,17 @@ func TestRetirementSoundAtEveryPageBoundary(t *testing.T) {
 	}
 	var inputs []input
 	skew := loadGoldenEnv(t, "skew")
-	for i := range goldenLists {
-		for _, k := range []int{1, 3, 10} {
-			inputs = append(inputs, input{fmt.Sprintf("skew lists=%d k=%d", goldenLists[i], k), skew.fixture, skew.query(i), k})
+	sample := rand.New(rand.NewSource(7))
+	for i, n := range goldenLists {
+		ks := []int{1, 3, 10}
+		if !deep() {
+			if n > 13 {
+				continue
+			}
+			ks = ks[sample.Intn(len(ks)):][:1]
+		}
+		for _, k := range ks {
+			inputs = append(inputs, input{fmt.Sprintf("skew lists=%d k=%d", n, k), skew.fixture, skew.query(i), k})
 		}
 	}
 	rnd := rand.New(rand.NewSource(161803))
@@ -123,7 +143,7 @@ func TestRetirementSoundAtEveryPageBoundary(t *testing.T) {
 		inputs = append(inputs, input{fmt.Sprintf("random %d", i), f, randSafeQuery(rnd, len(f.lists)), 1 + rnd.Intn(6)})
 	}
 
-	retiredEver, proofs := 0, 0
+	retiredEver, proofs, stops, fullHeap, partialHeap := 0, 0, 0, 0, 0
 	for _, in := range inputs {
 		for _, algo := range safeAlgos {
 			bp := &boundaryPool{Pool: in.f.newPool(t, 64, buffer.NewLRU())}
@@ -133,6 +153,11 @@ func TestRetirementSoundAtEveryPageBoundary(t *testing.T) {
 			page := 0
 			bp.onFetch = func() {
 				checkBoundary(t, r, want, fmt.Sprintf("%s page %d", where, page))
+				if len(r.top.h) == r.top.k {
+					fullHeap++
+				} else {
+					partialHeap++
+				}
 				page++
 			}
 			if err := r.evaluate(context.Background()); err != nil {
@@ -140,12 +165,18 @@ func TestRetirementSoundAtEveryPageBoundary(t *testing.T) {
 			}
 			retiredEver += checkBoundary(t, r, want, where+" end")
 			proofs += r.proofs
+			if r.terminated {
+				stops++
+			}
 			assertTopIdentical(t, where, r.res.Top, want)
 		}
 	}
-	if retiredEver == 0 || proofs == 0 {
-		t.Fatalf("vacuous: %d proofs retired %d candidates", proofs, retiredEver)
+	if retiredEver == 0 || proofs == 0 || stops == 0 || fullHeap == 0 || partialHeap == 0 {
+		t.Fatalf("vacuous: %d proofs retired %d candidates and stopped %d runs; %d boundaries with a full heap, %d with a partial one",
+			proofs, retiredEver, stops, fullHeap, partialHeap)
 	}
+	t.Logf("%d inputs: %d proofs retired %d candidates and stopped %d runs; %d boundaries with a full heap, %d with a partial one",
+		len(inputs), proofs, retiredEver, stops, fullHeap, partialHeap)
 }
 
 // TestProofCadence pins when the full proof runs: at every page

@@ -118,33 +118,36 @@ func (e *Evaluator) resumePrefix(ord Query, prev *Snapshot) int {
 	return p
 }
 
-// replay applies the first p rounds of prev to a fresh evalState:
+// replay applies the first p rounds of prev to a fresh run:
 // accumulator assignments in their original chronological order,
 // S_max stepped to each round's recorded value, a Reused trace row
 // per round with the cost counters zeroed (no buffer traffic
-// happened). When the state is recording a new snapshot, the replayed
-// rounds are copied into it verbatim, so the new snapshot covers the
-// full trajectory and can itself seed further resumes.
-func (e *Evaluator) replay(prev *Snapshot, p int, st *evalState) {
+// happened), the round's list finished. When the run is recording a
+// new snapshot, the replayed rounds are copied into it verbatim, so
+// the new snapshot covers the full trajectory and can itself seed
+// further resumes.
+func (r *run) replay(prev *Snapshot, p int) {
 	for i := 0; i < p; i++ {
-		r := prev.rounds[i]
-		for _, w := range r.Writes {
-			st.acc[w.Doc] = w.Val
+		rr := prev.rounds[i]
+		for _, w := range rr.Writes {
+			r.acc[w.Doc] = w.Val
 		}
-		st.smax = r.SmaxAfter
-		tr := r.Trace
+		r.smax = rr.SmaxAfter
+		tr := rr.Trace
 		tr.PagesProcessed = 0
 		tr.PagesRead = 0
 		tr.PagesHit = 0
 		tr.EntriesProcessed = 0
 		tr.Elapsed = 0
 		tr.Reused = true
-		st.res.Trace = append(st.res.Trace, tr)
-		st.res.ReusedRounds++
-		if st.recording {
-			// Append the element, never the sub-slice: st.rec must own
+		r.res.Trace = append(r.res.Trace, tr)
+		r.res.ReusedRounds++
+		r.lists[i].done = true
+		r.live--
+		if r.recording {
+			// Append the element, never the sub-slice: r.rec must own
 			// its backing array so a later append cannot clobber prev.
-			st.rec = append(st.rec, r)
+			r.rec = append(r.rec, rr)
 		}
 	}
 }

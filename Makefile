@@ -24,9 +24,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
-.PHONY: ci lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store policy-conformance bench-policy bench-policyops ranksafe-exactness bench-evalsafe bench-ranksafe indextest ingest-exactness deep
+.PHONY: ci lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store policy-conformance bench-policy bench-policyops ranksafe-exactness bench-eval bench-ranksafe indextest ingest-exactness deep
 
-ci: lint depgraph api-check build benchmark-test fuzz-seeds bench-policyops bench-evalsafe bench-policy bench-ranksafe
+ci: lint depgraph api-check build benchmark-test fuzz-seeds bench-policyops bench-eval bench-policy bench-ranksafe
 	GOOS=windows $(GO) vet ./internal/indexfile ./internal/storage
 	git diff --exit-code -- BENCH_policy.json BENCH_ranksafe.json
 	$(GO) test -race -count=1 -covermode=atomic -coverprofile=$(COVER_PROFILE) ./...
@@ -259,11 +259,13 @@ ranksafe-exactness:
 		-run 'TestMetamorphicSafe|TestSafe|TestRankSafe|TestSessionSafeMethods|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestOverlapAtK|TestParseAlgorithm' \
 		./internal/eval ./internal/rank ./internal/experiments .
 
-# Smoke for BenchmarkEvaluate (the rank-safe bookkeeping in ns/entry
-# and allocs over candidates × lists × method — the layer the repository
-# benchmark's outside-in trace reports as one number): one iteration
-# per case, so the benchmark cannot rot. Not a gate on the numbers.
-bench-evalsafe:
+# Smoke for BenchmarkEvaluate (the evaluator's bookkeeping in ns/entry
+# and allocs over candidates × lists × method: TA, NRA and MAXSCORE,
+# plus DF and BAF under TunedParams on the 40 000-document collection —
+# the layer the repository benchmark's outside-in trace reports as one
+# number): one iteration per case, so the benchmark cannot rot. Not a
+# gate on the numbers; -benchtime 200x gives numbers worth recording.
+bench-eval:
 	$(GO) test -run '^$$' -bench Evaluate -benchtime 1x ./internal/eval
 
 # The rank-safe frontier sweep (E27): TA/NRA/MAXSCORE vs exhaustive

@@ -22,6 +22,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"bufir/internal/postings"
 )
@@ -85,66 +86,105 @@ func EncodePage(entries []postings.Entry) ([]byte, error) {
 }
 
 // DecodePage reconstructs a page encoded by EncodePage. The dst slice
-// is reused if it has capacity (pass nil to allocate).
+// is reused if it has capacity (pass nil to allocate); otherwise it is
+// grown once, to what the rest of the blob can hold at one byte per
+// entry. A frequency or document id that does not fit the entry's
+// int32 fields is rejected, never truncated.
 func DecodePage(data []byte, dst []postings.Entry) ([]postings.Entry, error) {
 	dst = dst[:0]
-	pos := 0
-	get := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("codec: truncated page at offset %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-
-	numRuns, err := get()
-	if err != nil {
-		return nil, err
+	numRuns, pos := uvarint(data, 0)
+	if pos < 0 {
+		return nil, truncated(0)
 	}
 	if numRuns == 0 || numRuns > uint64(len(data)) {
 		return nil, fmt.Errorf("codec: implausible run count %d", numRuns)
 	}
-	firstFreq, err := get()
-	if err != nil {
-		return nil, err
+	freq, next := uvarint(data, pos)
+	if next < 0 {
+		return nil, truncated(pos)
 	}
-	freq := int64(firstFreq)
+	pos = next
+	if freq > math.MaxInt32 {
+		return nil, fmt.Errorf("codec: first frequency %d overflows int32", freq)
+	}
 	for r := uint64(0); r < numRuns; r++ {
-		drop, err := get()
-		if err != nil {
-			return nil, err
+		drop, next := uvarint(data, pos)
+		if next < 0 {
+			return nil, truncated(pos)
 		}
-		freq -= int64(drop)
-		if freq < 1 {
-			return nil, fmt.Errorf("codec: run %d frequency %d < 1", r, freq)
+		pos = next
+		if drop >= freq {
+			return nil, fmt.Errorf("codec: run %d drops frequency %d by %d, below 1", r, freq, drop)
 		}
-		count, err := get()
-		if err != nil {
-			return nil, err
+		freq -= drop
+		count, next := uvarint(data, pos)
+		if next < 0 {
+			return nil, truncated(pos)
 		}
-		if count == 0 || count > uint64(len(data))+1 {
+		pos = next
+		// Every entry still to come takes at least one byte.
+		if count == 0 || count > uint64(len(data)-pos) {
 			return nil, fmt.Errorf("codec: implausible run length %d", count)
 		}
-		doc, err := get()
-		if err != nil {
-			return nil, err
+		doc, next := uvarint(data, pos)
+		if next < 0 {
+			return nil, truncated(pos)
 		}
-		d := int64(doc)
-		dst = append(dst, postings.Entry{Doc: postings.DocID(d), Freq: int32(freq)})
-		for i := uint64(1); i < count; i++ {
-			gap, err := get()
-			if err != nil {
-				return nil, err
+		if doc > math.MaxInt32 {
+			return nil, fmt.Errorf("codec: run %d document %d overflows int32", r, doc)
+		}
+		n := len(dst) + int(count)
+		if n > cap(dst) {
+			grown := make([]postings.Entry, len(dst), len(dst)+len(data)-pos)
+			copy(grown, dst)
+			dst = grown
+		}
+		pos = next
+		dst = dst[:n]
+		run := dst[n-int(count):]
+		f := int32(freq)
+		run[0] = postings.Entry{Doc: postings.DocID(doc), Freq: f}
+		// doc cannot wrap: each step adds at most 2^31, so wrapping
+		// would take 2^32 entries. It is range-checked once per run.
+		rest := run[1:]
+		for i := range rest {
+			// Most gaps are one-byte varints.
+			gap := uint64(0)
+			if pos < len(data) && data[pos] < 0x80 {
+				gap, pos = uint64(data[pos]), pos+1
+			} else if gap, next = uvarint(data, pos); next < 0 {
+				return nil, truncated(pos)
+			} else if gap > math.MaxInt32 {
+				return nil, fmt.Errorf("codec: run %d gap %d overflows int32", r, gap)
+			} else {
+				pos = next
 			}
-			d += int64(gap) + 1
-			dst = append(dst, postings.Entry{Doc: postings.DocID(d), Freq: int32(freq)})
+			doc += gap + 1
+			rest[i] = postings.Entry{Doc: postings.DocID(doc), Freq: f}
+		}
+		if doc > math.MaxInt32 {
+			return nil, fmt.Errorf("codec: run %d document %d overflows int32", r, doc)
 		}
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("codec: %d trailing bytes after page", len(data)-pos)
 	}
 	return dst, nil
+}
+
+// uvarint reads the varint at data[pos:] and returns it with the
+// position after it, or with position -1 when the bytes end first or
+// the value overflows 64 bits.
+func uvarint(data []byte, pos int) (uint64, int) {
+	v, n := binary.Uvarint(data[pos:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, pos + n
+}
+
+func truncated(pos int) error {
+	return fmt.Errorf("codec: truncated page at offset %d", pos)
 }
 
 // Stats describes the compression achieved over a set of pages.

@@ -7,10 +7,13 @@ import (
 )
 
 // FuzzCodecRoundTrip throws arbitrary bytes at DecodePage. Anything
-// that decodes successfully and satisfies the frequency-sorted
-// invariant must re-encode and decode back to the identical entries;
-// everything else must be rejected with an error, never a panic or an
-// out-of-range read. Seed corpus: testdata/fuzz/FuzzCodecRoundTrip.
+// that decodes successfully must be a legal page — frequencies >= 1
+// and non-increasing, document ids >= 0 — and re-encode and decode
+// back to the identical entries, unless it is non-canonical in the one
+// way the format allows: adjacent runs of equal frequency whose
+// documents do not ascend across the seam. Everything else must be
+// rejected with an error, never a panic or an out-of-range read.
+// Seed corpus: testdata/fuzz/FuzzCodecRoundTrip.
 func FuzzCodecRoundTrip(f *testing.F) {
 	// Valid encodings of representative pages.
 	for _, page := range [][]postings.Entry{
@@ -38,10 +41,18 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if len(entries) == 0 {
 			t.Fatal("DecodePage succeeded with zero entries")
 		}
+		seam := false
+		for i, e := range entries {
+			if e.Freq < 1 || e.Doc < 0 || i > 0 && e.Freq > entries[i-1].Freq {
+				t.Fatalf("entry %d: decoded %+v out of a legal page", i, e)
+			}
+			seam = seam || i > 0 && e.Freq == entries[i-1].Freq && e.Doc <= entries[i-1].Doc
+		}
 		enc, err := EncodePage(entries)
 		if err != nil {
-			// Decodable but non-canonical (e.g. adjacent runs of equal
-			// frequency, or value truncation): not re-encodable, fine.
+			if !seam {
+				t.Fatalf("decoded page does not re-encode: %v", err)
+			}
 			return
 		}
 		back, err := DecodePage(enc, nil)

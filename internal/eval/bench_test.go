@@ -13,14 +13,21 @@ import (
 
 var benchSink *Result
 
-// BenchmarkEvaluate prices the rank-safe evaluator's own bookkeeping —
-// the layer the repository benchmark's outside-in trace reports as one
-// number (evalsafe.ns_per_entry) and cannot split — over candidates
-// (the tiny 4 000-document corpus and the 40 000-document one the
-// repository benchmark serves) × lists × method. The pool holds every
-// page and is warmed first, so fetches are hits and the time is table,
-// arena, heap and proof upkeep. `make ci` runs it once per case as a
-// smoke.
+// benchCase is one evaluator and method BenchmarkEvaluate prices.
+type benchCase struct {
+	ev   *Evaluator
+	algo Algorithm
+}
+
+// BenchmarkEvaluate prices the evaluator's own bookkeeping — the layer
+// the repository benchmark's outside-in trace reports as one number
+// (eval.ns_per_entry, evalsafe.ns_per_entry) and cannot split — over
+// candidates (the tiny 4 000-document corpus and the 40 000-document
+// one the repository benchmark serves) × lists × method: the rank-safe
+// methods unfiltered, and on the 40 000-document collection DF and BAF
+// under TunedParams too. The pool holds every page and is warmed
+// first, so fetches are hits and the time is admission, table, heap
+// and proof upkeep. `make ci` runs it once per case as a smoke.
 func BenchmarkEvaluate(b *testing.B) {
 	for _, cfg := range []corpus.Config{corpus.TinyConfig(1998), corpus.DefaultConfig(1998)} {
 		coll, err := corpus.Generate(cfg)
@@ -35,7 +42,12 @@ func BenchmarkEvaluate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ev, err := NewEvaluator(ix, pool, postings.NewConversionTable(ix, postings.DefaultMaxKey), Params{TopN: 20})
+		conv := postings.NewConversionTable(ix, postings.DefaultMaxKey)
+		ev, err := NewEvaluator(ix, pool, conv, Params{TopN: 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		filtered, err := NewEvaluator(ix, pool, conv, TunedParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +65,12 @@ func BenchmarkEvaluate(b *testing.B) {
 		}
 		for _, lists := range []int{8, 32, 70} {
 			q := terms[:lists]
-			for _, algo := range safeAlgos {
+			cases := []benchCase{{ev, TA}, {ev, NRA}, {ev, MAXSCORE}}
+			if cfg.NumDocs == corpus.DefaultConfig(1998).NumDocs {
+				cases = append(cases, benchCase{filtered, DF}, benchCase{filtered, BAF})
+			}
+			for _, c := range cases {
+				ev, algo := c.ev, c.algo
 				b.Run(fmt.Sprintf("docs=%d/lists=%d/%v", cfg.NumDocs, lists, algo), func(b *testing.B) {
 					res, err := ev.EvaluateContext(context.Background(), algo, q)
 					if err != nil {

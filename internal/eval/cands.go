@@ -68,12 +68,40 @@ type tableEntry struct {
 	ref int32
 }
 
-// candTable is the DocID → slot table: linear probing over a
-// power-of-two index kept at most half full, slots dense in arrival
-// order, contribution nodes in one append-only arena.
-type candTable struct {
+// docIndex is the DocID → position index both candidate tables use:
+// linear probing over a power-of-two array of entries, kept at most
+// half full by its owner.
+type docIndex struct {
 	index []tableEntry
 	shift uint // 32 − log2(len(index)): Fibonacci hashing keeps the top bits
+}
+
+func (t *docIndex) setIndex(size int) {
+	t.index = make([]tableEntry, size)
+	t.shift = 32
+	for s := size; s > 1; s /= 2 {
+		t.shift--
+	}
+}
+
+func (t *docIndex) home(doc postings.DocID) int {
+	return int(uint32(doc) * 0x9E3779B1 >> t.shift)
+}
+
+// vacancy returns the first empty index entry on the probe path of a
+// document that is not in the index.
+func (t *docIndex) vacancy(doc postings.DocID) int {
+	mask := len(t.index) - 1
+	i := t.home(doc)
+	for ; t.index[i].ref != 0; i = (i + 1) & mask {
+	}
+	return i
+}
+
+// candTable is the rank-safe DocID → slot table: a docIndex, slots
+// dense in arrival order, contribution nodes in one append-only arena.
+type candTable struct {
+	docIndex
 	slots []slot
 	arena []node
 	// warmed keeps warm's loads from being optimized away.
@@ -93,18 +121,6 @@ func (t *candTable) init(docs, postings int) {
 	t.setIndex(size)
 	t.slots = make([]slot, 0, docs)
 	t.arena = make([]node, 0, postings)
-}
-
-func (t *candTable) setIndex(size int) {
-	t.index = make([]tableEntry, size)
-	t.shift = 32
-	for s := size; s > 1; s /= 2 {
-		t.shift--
-	}
-}
-
-func (t *candTable) home(doc postings.DocID) int {
-	return int(uint32(doc) * 0x9E3779B1 >> t.shift)
 }
 
 // warm loads the index entry each posting of a page will probe first.
@@ -158,16 +174,6 @@ func (t *candTable) grow() {
 		doc := t.slots[si].doc
 		t.index[t.vacancy(doc)] = tableEntry{doc: doc, ref: int32(si + 1)}
 	}
-}
-
-// vacancy returns the first empty index entry on the probe path of a
-// document that is not in the table.
-func (t *candTable) vacancy(doc postings.DocID) int {
-	mask := len(t.index) - 1
-	i := t.home(doc)
-	for ; t.index[i].ref != 0; i = (i + 1) & mask {
-	}
-	return i
 }
 
 // link adds a contribution from canonical list pos to the candidate's

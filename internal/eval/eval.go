@@ -307,6 +307,12 @@ type Result struct {
 // re-entrant: concurrent Evaluate calls are safe whenever Buf is (all
 // Pool implementations in internal/buffer are). Per-user sessions
 // still serialize their own refinement steps for ordering, not safety.
+//
+// DF, BAF and WEB take their accumulator table from a package-level
+// sync.Pool and hand it back reset when the call returns, so a steady
+// stream of evaluations allocates no accumulator storage. A table is
+// owned by one call at a time; one whose index grew past 2^14 entries
+// (more than 8 192 accumulators) is dropped instead of pooled.
 type Evaluator struct {
 	Idx    *postings.Index
 	Buf    buffer.Pool
@@ -393,6 +399,10 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 		r.replay(prev, e.resumePrefix(q, prev))
 	}
 	err = r.evaluate(ctx)
+	if r.acc != nil {
+		putAccTable(r.acc)
+		r.acc = nil
+	}
 	finish(r.res, err, start)
 	// A failed evaluation returns no snapshot — a truncated trajectory
 	// is not a legal resume point, and the caller keeps its previous one.
@@ -551,15 +561,15 @@ type run struct {
 	// scans until it finishes; -1 between lists.
 	sticky int
 
-	// DF, BAF and WEB's admission: the accumulator map, the open round's
-	// start, and S_max at BAF's last p_t refresh. When recording a
-	// snapshot (EvaluateResumeContext), every accumulator assignment of
-	// the open round is appended to curWrites in chronological order,
-	// and endRound finalizes each round into rec. Replaying those
-	// assignments in order reproduces the exact floating-point
-	// accumulator state — the foundation of the bit-identical resume
-	// guarantee.
-	acc        map[postings.DocID]float64
+	// DF, BAF and WEB's admission: the accumulator table (pooled; see
+	// Evaluator), the open round's start, and S_max at BAF's last p_t
+	// refresh. When recording a snapshot (EvaluateResumeContext), every
+	// accumulator assignment of the open round is appended to curWrites
+	// in chronological order, and endRound finalizes each round into
+	// rec. Replaying those assignments in order reproduces the exact
+	// floating-point accumulator state — the foundation of the
+	// bit-identical resume guarantee.
+	acc        *accTable
 	roundStart time.Time
 	ptSmax     float64
 	recording  bool
@@ -625,7 +635,7 @@ func (e *Evaluator) newRun(algo Algorithm, q Query, record bool) *run {
 		}
 	}
 	if !algo.Safe() {
-		r.acc = make(map[postings.DocID]float64, 64)
+		r.acc = getAccTable(e.Idx.NumDocs)
 		r.recording = record && algo == DF
 		if algo == WebLegend {
 			// WEB reads only the lists with a page resident at query
@@ -697,7 +707,9 @@ func (r *run) evaluate(ctx context.Context) error {
 	switch {
 	case r.acc != nil:
 		// Figure 1 steps 5-6: normalize by W_d and pick the n best.
-		r.res.Top = rank.TopN(r.acc, r.e.Idx.DocLen, r.e.Params.TopN)
+		r.res.Top = r.rankAll(len(r.acc.docs), func(i int) (postings.DocID, float64) {
+			return r.acc.docs[i], r.acc.vals[i]
+		})
 	case err == nil:
 		// The heap holds the k best complete candidates under
 		// rank.TopN's order. After exhaustion every candidate is complete
@@ -707,19 +719,33 @@ func (r *run) evaluate(ctx context.Context) error {
 		if r.complete > 0 {
 			r.res.Top = r.top.ranked()
 		}
-	case len(r.cands.slots) > 0:
-		all := topK{k: r.top.k}
-		for i := range r.cands.slots {
-			c := &r.cands.slots[i]
-			if w := r.e.Idx.DocLen[c.doc]; w > 0 {
-				all.offer(rank.ScoredDoc{Doc: c.doc, Score: c.canon / w})
-			}
-		}
-		r.res.Top = all.ranked()
+	default:
+		r.res.Top = r.rankAll(len(r.cands.slots), func(i int) (postings.DocID, float64) {
+			return r.cands.slots[i].doc, r.cands.slots[i].canon
+		})
 	}
-	r.res.Accumulators = len(r.acc) + len(r.cands.slots) // one is empty
+	r.res.Accumulators = len(r.cands.slots)
+	if r.acc != nil {
+		r.res.Accumulators = len(r.acc.docs)
+	}
 	r.res.Smax = r.smax
 	return err
+}
+
+// rankAll ranks n candidates, candidate i's accumulator being acc(i):
+// the k best by acc/W_d in rank.TopN's order, skipping documents of
+// zero length; nil when there are no candidates.
+func (r *run) rankAll(n int, acc func(i int) (postings.DocID, float64)) []rank.ScoredDoc {
+	if n == 0 {
+		return nil
+	}
+	all := topK{k: r.e.Params.TopN}
+	for i := 0; i < n; i++ {
+		if doc, a := acc(i); r.e.Idx.DocLen[doc] > 0 {
+			all.offer(rank.ScoredDoc{Doc: doc, Score: a / r.e.Idx.DocLen[doc]})
+		}
+	}
+	return all.ranked()
 }
 
 // scan is the one page loop every method runs: check the context, try
@@ -891,29 +917,31 @@ func (r *run) open(pos, estReads int) int {
 }
 
 // filter is Figure 1 step 4(c) over one page of a DF, BAF or WEB
-// round. It reports whether the list's scan stops on this page.
+// round. It reports whether the list's scan stops on this page. A page
+// is runs of equal f_dt, so the threshold tests and the contribution
+// w_{d,t}·w_{q,t} are worked out once per run.
 func (r *run) filter(li *listState, entries []postings.Entry) bool {
-	tm, fins, fadd, wqt := li.tm, li.fins, li.fadd, li.wqt
-	for j, entry := range entries {
+	acc := r.acc
+	for j := 0; j < len(entries); {
+		f := entries[j].Freq
+		end := j + 1
+		for end < len(entries) && entries[end].Freq == f {
+			end++
+		}
+		w := rank.DocWeight(f, li.idf) * li.wqt
 		switch {
-		case float64(entry.Freq) > fins:
+		case float64(f) > li.fins:
 			// Steps 4(c)i-ii: add to, or insert into, the
 			// candidate set.
-			ad := r.acc[entry.Doc] + rank.DocWeight(entry.Freq, tm.IDF)*wqt
-			r.acc[entry.Doc] = ad
-			r.noteWrite(entry.Doc, ad)
-			if ad > r.smax {
-				r.smax = ad
+			for _, e := range entries[j:end] {
+				r.add(acc.slot(e.Doc), w)
 			}
-		case float64(entry.Freq) > fadd:
+		case float64(f) > li.fadd:
 			// Step 4(c)iii: only documents already in the
 			// candidate set receive the partial similarity.
-			if old, ok := r.acc[entry.Doc]; ok {
-				ad := old + rank.DocWeight(entry.Freq, tm.IDF)*wqt
-				r.acc[entry.Doc] = ad
-				r.noteWrite(entry.Doc, ad)
-				if ad > r.smax {
-					r.smax = ad
+			for _, e := range entries[j:end] {
+				if acc.has(e.Doc) {
+					r.add(acc.pos(e.Doc), w)
 				}
 			}
 		default:
@@ -922,8 +950,20 @@ func (r *run) filter(li *listState, entries []postings.Entry) bool {
 			li.tr.EntriesProcessed -= len(entries) - j - 1
 			return true
 		}
+		j = end
 	}
 	return false
+}
+
+// add adds w to the accumulator at position i, recording the write
+// and raising S_max.
+func (r *run) add(i int32, w float64) {
+	ad := r.acc.vals[i] + w
+	r.acc.vals[i] = ad
+	r.noteWrite(r.acc.docs[i], ad)
+	if ad > r.smax {
+		r.smax = ad
+	}
 }
 
 // noteWrite records one accumulator assignment for the round being

@@ -31,7 +31,7 @@ import (
 
 // accWrite is one accumulator assignment: document doc's accumulator
 // was set to val. Replaying a round's writes in order reproduces the
-// exact map state the original scan left behind.
+// exact accumulator state the original scan left behind.
 type accWrite struct {
 	Doc postings.DocID
 	Val float64
@@ -130,7 +130,7 @@ func (r *run) replay(prev *Snapshot, p int) {
 	for i := 0; i < p; i++ {
 		rr := prev.rounds[i]
 		for _, w := range rr.Writes {
-			r.acc[w.Doc] = w.Val
+			r.acc.vals[r.acc.slot(w.Doc)] = w.Val
 		}
 		r.smax = rr.SmaxAfter
 		tr := rr.Trace

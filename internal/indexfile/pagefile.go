@@ -82,15 +82,21 @@ type pageDirEntry struct {
 const pageDirEntrySize = 16
 
 // CorruptPageError reports a page blob whose checksum did not match
-// its directory entry. It is permanent: rereading the same bytes
-// cannot heal it, so the buffer manager's retry path must not burn
-// its budget on it.
+// its directory entry or, with Reason set, one whose checksum matched
+// but whose content the index cannot hold (storage.FileStore's checks
+// after the decode). It is permanent: rereading the same bytes cannot
+// heal it, so the buffer manager's retry path must not burn its
+// budget on it.
 type CorruptPageError struct {
-	Page int
+	Page   int
+	Reason string
 }
 
 // Error implements error.
 func (e *CorruptPageError) Error() string {
+	if e.Reason != "" {
+		return fmt.Sprintf("indexfile: page %d corrupt: %s", e.Page, e.Reason)
+	}
 	return fmt.Sprintf("indexfile: page %d checksum mismatch (corrupt page blob)", e.Page)
 }
 

@@ -12,7 +12,12 @@ package storage
 // Read semantics follow the PageStore contract exactly (the storetest
 // conformance suite holds both backends to it): Reads() counts
 // delivered pages only, a dead context fails before any I/O or decode
-// work, and ReadQuiet bypasses the counters. Entries returned by a
+// work, and ReadQuiet bypasses the counters. A page is delivered only
+// if the index can hold it: besides a checksum mismatch, a blob that
+// does not decode, a document id outside [0, NumDocs) and an entry
+// count the term metadata does not allow are rejected as
+// indexfile.CorruptPageError — the evaluator indexes per-document
+// arrays by those ids. Entries returned by a
 // read are freshly decoded per call — the buffer manager retains them
 // in frames until eviction with no release hook, so decoded pages
 // cannot be pooled; what IS reused is the ReadAt staging buffer
@@ -123,15 +128,36 @@ func (s *FileStore) decodePage(id postings.PageID) ([]postings.Entry, error) {
 		*bp = blob // keep the (possibly grown) staging buffer
 	}
 	ix := s.pf.Index
+	tm := &ix.Terms[ix.TermOfPage(id)]
+	i := int(ix.PageOffset(id))
+	want := tm.PageEntries(i, ix.PageSize)
 	// An entry takes at least a byte, so the blob bounds what the
 	// file's metadata may ask for.
-	n := min(ix.Terms[ix.TermOfPage(id)].PageEntries(int(ix.PageOffset(id)), ix.PageSize), len(blob))
-	entries, err := codec.DecodePage(blob, make([]postings.Entry, 0, n))
+	entries, err := codec.DecodePage(blob, make([]postings.Entry, 0, min(want, len(blob))))
 	s.bufs.Put(bp)
+	if err == nil {
+		err = checkPage(entries, want, i == tm.NumPages-1, ix.NumDocs)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("storage: page %d: %w", id, err)
+		return nil, fmt.Errorf("storage: page %d: %w", id, &indexfile.CorruptPageError{Page: int(id), Reason: err.Error()})
 	}
 	return entries, nil
+}
+
+// checkPage reports why a decoded page does not fit the index, or nil.
+// A page holds want entries — the term's PageEntries — except that a
+// list's last page may hold fewer: a shard partition's terms carry the
+// collection's DF, so there want is only an upper bound.
+func checkPage(entries []postings.Entry, want int, last bool, numDocs int) error {
+	if n := len(entries); n > want || n < want && !last {
+		return fmt.Errorf("%d entries, the term metadata says %d", n, want)
+	}
+	for _, e := range entries {
+		if e.Doc < 0 || int(e.Doc) >= numDocs {
+			return fmt.Errorf("document %d outside [0,%d)", e.Doc, numDocs)
+		}
+	}
+	return nil
 }
 
 // Reads returns the cumulative delivered-page count.

@@ -10,6 +10,8 @@ import (
 
 	"bufir/internal/buffer"
 	"bufir/internal/codec"
+	"bufir/internal/corpus"
+	"bufir/internal/eval"
 	"bufir/internal/indexfile"
 	"bufir/internal/postings"
 	"bufir/internal/storage"
@@ -96,6 +98,87 @@ func TestFileStoreCorruptPage(t *testing.T) {
 			}
 			if retries != 0 {
 				t.Fatalf("retries = %d rereading a permanently corrupt page, want 0", retries)
+			}
+		})
+	}
+}
+
+// TestFileStoreRejectsPagesTheIndexCannotHold: a page whose checksum
+// matches but whose content the index cannot hold — a document id past
+// NumDocs, or fewer entries than the term metadata promises on a page
+// that is not the list's last — fails the read as a permanent
+// CorruptPageError. Through the buffer manager the query then fails
+// with that error, or completes degraded within a fault budget,
+// instead of the evaluator indexing past its per-document arrays.
+func TestFileStoreRejectsPagesTheIndexCannotHold(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(page []postings.Entry, numDocs int) []postings.Entry
+	}{
+		{"doc past NumDocs", func(page []postings.Entry, numDocs int) []postings.Entry {
+			page[len(page)-1].Doc = postings.DocID(numDocs + 5)
+			return page
+		}},
+		{"short page", func(page []postings.Entry, _ int) []postings.Entry {
+			return page[:len(page)-1]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coll, err := corpus.Generate(corpus.TinyConfig(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, pages, err := postings.Build(coll.Lists, coll.NumDocs, coll.Cfg.PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The longest list's first page: full, and not its last.
+			term := postings.TermID(0)
+			for tm := range ix.Terms {
+				if ix.Terms[tm].NumPages > ix.Terms[term].NumPages {
+					term = postings.TermID(tm)
+				}
+			}
+			bad := ix.PageOf(term, 0)
+			pages[bad] = tc.mutate(pages[bad], ix.NumDocs)
+			path := filepath.Join(t.TempDir(), "pages.bufir2")
+			if err := indexfile.WritePageFile(path, ix, pages, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Close()
+
+			var corrupt *indexfile.CorruptPageError
+			got, err := fs.ReadContext(context.Background(), bad)
+			if !errors.As(err, &corrupt) || corrupt.Page != int(bad) || !corrupt.PermanentFault() {
+				t.Fatalf("read = %d entries, err %v; want a permanent CorruptPageError for page %d", len(got), err, bad)
+			}
+			if fs.Reads() != 0 {
+				t.Fatalf("Reads() = %d after a rejected read, want 0", fs.Reads())
+			}
+
+			fix := fs.File().Index
+			conv := postings.NewConversionTable(fix, postings.DefaultMaxKey)
+			q := eval.Query{{Term: term, Fqt: 1}}
+			for _, budget := range []int{0, 1} {
+				mgr, err := buffer.NewManager(8, 1, fs, fix, func(int) buffer.Policy { return buffer.NewLRU() })
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev, err := eval.NewEvaluator(fix, mgr, conv, eval.Params{TopN: 10, FaultBudget: budget})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := ev.Evaluate(eval.DF, q)
+				if budget == 0 && !errors.As(err, &corrupt) {
+					t.Fatalf("Evaluate: err = %v, want CorruptPageError", err)
+				}
+				if budget == 1 && (err != nil || !res.Degraded) {
+					t.Fatalf("Evaluate with a fault budget: err = %v, want a degraded result", err)
+				}
 			}
 		})
 	}

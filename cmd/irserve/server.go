@@ -48,6 +48,12 @@ type statsResponse struct {
 // from maxUsers on.
 const maxUsers = 1024
 
+// maxQueryTerms bounds the distinct indexed terms of a /search query,
+// which is refused with 400 past it: BAF makes T(T+1)/2 residency
+// probes for T terms, and the longest query of any test or workload
+// has 70.
+const maxQueryTerms = 1024
+
 // maxIngestBody bounds a POST /ingest body; a larger one is refused
 // with 413 before it is decoded in full.
 const maxIngestBody = 1 << 20
@@ -138,6 +144,9 @@ func handleSearch(svc *bufir.Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q, err := svc.Index().ParseQuery(text)
+	if err == nil && len(q) > maxQueryTerms {
+		err = errors.New("query has more than " + strconv.Itoa(maxQueryTerms) + " distinct indexed terms")
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -164,6 +165,33 @@ func TestSearchErrors(t *testing.T) {
 	status, _ := get(t, srv, "/stats")
 	if status != http.StatusOK {
 		t.Errorf("/stats status %d", status)
+	}
+}
+
+// TestSearchTermCap: a query of more than maxQueryTerms distinct
+// indexed terms is refused with 400, one of exactly maxQueryTerms runs.
+func TestSearchTermCap(t *testing.T) {
+	svc := testService(t, 1)
+	srv := httptest.NewServer(newMux(svc))
+	defer srv.Close()
+	var terms []string
+	for i := 0; len(terms) <= maxQueryTerms; i++ {
+		if i == 100000 {
+			t.Fatalf("only %d indexed terms", len(terms))
+		}
+		name := fmt.Sprintf("t%05d", i)
+		if q, err := svc.Index().ParseQuery(name); err == nil && len(q) == 1 {
+			terms = append(terms, name)
+		}
+	}
+	for _, n := range []int{maxQueryTerms + 1, maxQueryTerms} {
+		want := http.StatusOK
+		if n > maxQueryTerms {
+			want = http.StatusBadRequest
+		}
+		if status, body := get(t, srv, "/search?q="+strings.Join(terms[:n], "+")); status != want {
+			t.Errorf("%d terms: status %d, want %d: %s", n, status, want, body)
+		}
 	}
 }
 

@@ -137,6 +137,27 @@ func TestRefineCacheHit(t *testing.T) {
 	}
 }
 
+// TestRefineCacheKeyIsTheQuery: two different queries whose canonical
+// forms collide under a 64-bit FNV-1a hash are two cache entries — the
+// second is evaluated, not served the first one's answer.
+func TestRefineCacheKeyIsTheQuery(t *testing.T) {
+	eng, _ := refineEngine(t, 1)
+	defer eng.Close()
+	q1 := eval.Query{{Term: 1, Fqt: 4001132572}, {Term: 2, Fqt: 4070952487}}
+	q2 := eval.Query{{Term: 1, Fqt: 3160233565}, {Term: 2, Fqt: 2083523208}}
+	if _, err := eng.SearchContext(context.Background(), 0, q1); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.SearchContext(context.Background(), 0, q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cached {
+		t.Fatalf("q2 served from q1's cache entry (Smax %g)", res.Smax)
+	}
+	assertSameAnswer(t, "q2", res, coldResult(t, q2))
+}
+
 // TestRefineResumeAcrossSubmits: a user growing a query across
 // separate Submit calls resumes from the carried snapshot — fewer
 // pages processed than cold, counters record the reuse, answers stay

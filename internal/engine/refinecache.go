@@ -18,7 +18,8 @@ import (
 const refineCacheEntries = 256
 
 // refineKey identifies a cached result: one user's canonicalized
-// query at one index epoch. Results are kept per-user — the cache
+// query at one index epoch. The query is kept exactly, not hashed: a
+// hash collision would serve one query another's answer. Results are kept per-user — the cache
 // mirrors the paper's per-user refinement sessions, and a user's
 // resubmission hitting another user's entry would cross
 // request-isolation lines the rest of the engine maintains. The epoch
@@ -29,7 +30,7 @@ const refineCacheEntries = 256
 type refineKey struct {
 	user  int
 	epoch uint64
-	key   uint64
+	query string // eval.CanonicalEncoding
 }
 
 // refineEntry is one cached outcome: the completed result and the

@@ -104,7 +104,7 @@ func (u *User) Step(ctx context.Context, algo eval.Algorithm, q eval.Query, resu
 func (u *User) resume(ctx context.Context, algo eval.Algorithm, q eval.Query) (*eval.Result, bool, error) {
 	// A snapshot of another generation's statistics never seeds this one.
 	stale := u.snap != nil && u.snapKey != u.b.Key
-	k := refineKey{user: u.id, epoch: u.b.Epoch, key: eval.CanonicalKey(q)}
+	k := refineKey{user: u.id, epoch: u.b.Epoch, query: eval.CanonicalEncoding(q)}
 	if ent, ok := u.cache.get(k); ok {
 		if ent.snap != nil {
 			u.carry(ent.snap, q)

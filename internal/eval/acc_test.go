@@ -14,12 +14,12 @@ import (
 )
 
 // TestAccTableReset: a reset table is empty — no presence bit, no
-// index entry — whatever it held, including after its index grew.
+// index entry, no slot or contribution node — whatever it held,
+// including after its index grew; and a table keeping more than
+// maxPooledBytes, in any of its arrays, is not pooled.
 func TestAccTableReset(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	tab := &accTable{}
-	tab.setIndex(64)
-	tab.present = make([]uint64, 5000/64+1)
+	tab := getAccTable(5000, 0, 0)
 	for _, n := range []int{0, 1, 31, 32, 33, 700, 4000} {
 		want := make(map[postings.DocID]float64)
 		for len(want) < n {
@@ -27,6 +27,8 @@ func TestAccTableReset(t *testing.T) {
 			v := float64(r.Intn(100))
 			tab.vals[tab.slot(doc)] += v
 			want[doc] += v
+			tab.slots = push(tab.slots, slot{})
+			tab.arena = push(tab.arena, node{})
 		}
 		got := make(map[postings.DocID]float64)
 		for i, doc := range tab.docs {
@@ -49,8 +51,34 @@ func TestAccTableReset(t *testing.T) {
 				t.Fatalf("n=%d: index entry %d = %+v after reset", n, i, e)
 			}
 		}
-		if len(tab.docs) != 0 || len(tab.vals) != 0 {
-			t.Fatalf("n=%d: %d docs, %d values after reset", n, len(tab.docs), len(tab.vals))
+		if len(tab.docs)+len(tab.vals)+len(tab.slots)+len(tab.arena) != 0 {
+			t.Fatalf("n=%d: %d docs, %d values, %d slots, %d nodes after reset",
+				n, len(tab.docs), len(tab.vals), len(tab.slots), len(tab.arena))
+		}
+	}
+
+	// The cap counts every array: a DF table of 8 192 accumulators (an
+	// index of 2^14 entries) is pooled, one more doubles its index past
+	// the cap, and so does a rank-safe reservation of many contributions
+	// over few candidates.
+	for _, c := range []struct {
+		name                 string
+		docs, entries, slots int
+		pooled               bool
+	}{
+		{"8192 accumulators", 0, 0, 8192, true},
+		{"8193 accumulators", 0, 0, 8193, false},
+		{"100 candidates, 20 000 contributions", 100, 20000, 100, false},
+		{"100 candidates, 1 000 contributions", 100, 1000, 100, true},
+	} {
+		freshAccTables()
+		tab := getAccTable(40000, c.docs, c.entries)
+		for d := 0; d < c.slots; d++ {
+			tab.slot(postings.DocID(d))
+		}
+		putAccTable(tab)
+		if pooled := len(tab.docs) == 0; pooled != c.pooled || !pooled && accTables.Get() == tab {
+			t.Errorf("%s: %d bytes, pooled = %v, want %v", c.name, tab.bytes(), pooled, c.pooled)
 		}
 	}
 }
@@ -106,9 +134,10 @@ func runStep(t *testing.T, f *fixture, ev *Evaluator, s step) filterRecord {
 
 // TestAccTableReuseSequences: the second evaluation of each sequence
 // — after a run that outgrew the pool cap, one canceled mid-list and
-// one degraded by faults — equals, counters, trace and answer bits,
-// the same evaluation on an identical pool with a table built from
-// nothing.
+// one degraded by faults, each also with the table passing between a
+// filtering and a rank-safe method — equals, counters, trace rows,
+// fetch order and answer bits, the same evaluation on an identical
+// pool with a table built from nothing.
 func TestAccTableReuseSequences(t *testing.T) {
 	wide := wideFixture(t)
 	tiny := loadGoldenEnv(t, "corpus")
@@ -132,6 +161,18 @@ func TestAccTableReuseSequences(t *testing.T) {
 			{algo: DF, q: tiny.query(11), p: degradable, faults: true},
 			{algo: WebLegend, q: tiny.query(10), p: filtered},
 		}},
+		{"BAF, then MAXSCORE", tiny.fixture, [2]step{
+			{algo: BAF, q: tiny.query(9), p: filtered},
+			{algo: MAXSCORE, q: tiny.query(8), p: filtered},
+		}},
+		{"NRA canceled mid-list, then DF", tiny.fixture, [2]step{
+			{algo: NRA, q: tiny.query(8), p: filtered, cancel: 12},
+			{algo: DF, q: tiny.query(9), p: filtered},
+		}},
+		{"MAXSCORE degraded, then TA", tiny.fixture, [2]step{
+			{algo: MAXSCORE, q: tiny.query(11), p: degradable, faults: true},
+			{algo: TA, q: tiny.query(10), p: filtered},
+		}},
 	} {
 		t.Run(seq.name, func(t *testing.T) {
 			var got [2]filterRecord
@@ -151,14 +192,15 @@ func TestAccTableReuseSequences(t *testing.T) {
 			}
 		})
 	}
-	if got := runStep(t, wide, wide.evaluator(t, 256, buffer.NewLRU(), filtered), step{algo: DF, q: Query{{0, 1}, {1, 1}}, p: fullParams()}); got.Accumulators <= maxPooledIndex/2 {
-		t.Fatalf("the wide query has %d accumulators, not past the %d a pooled table indexes", got.Accumulators, maxPooledIndex/2)
+	// Past 8 192 accumulators the index has 2^15 entries: 256 KiB alone.
+	if got := runStep(t, wide, wide.evaluator(t, 256, buffer.NewLRU(), filtered), step{algo: DF, q: Query{{0, 1}, {1, 1}}, p: fullParams()}); got.Accumulators <= 1<<13 {
+		t.Fatalf("the wide query has %d accumulators, not enough to pass the pool cap", got.Accumulators)
 	}
 }
 
 // TestConcurrentFilteredEvaluations: under -race, eight goroutines
-// evaluating DF, BAF and WEB on one Evaluator get the answers a serial
-// run gets. Every page is resident before the first query, so the
+// evaluating all six methods on one Evaluator, each taking its table
+// from the one pool, get the answers a serial run gets. Every page is resident before the first query, so the
 // schedules see the same residency whatever the interleaving.
 func TestConcurrentFilteredEvaluations(t *testing.T) {
 	env := loadGoldenEnv(t, "corpus")
@@ -175,7 +217,7 @@ func TestConcurrentFilteredEvaluations(t *testing.T) {
 		q    Query
 	}
 	var jobs []job
-	for _, algo := range filterAlgos {
+	for _, algo := range append(append([]Algorithm{}, filterAlgos...), safeAlgos...) {
 		for i := range goldenLists {
 			jobs = append(jobs, job{algo, env.query(i)})
 		}

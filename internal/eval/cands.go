@@ -1,11 +1,10 @@
 package eval
 
-import (
-	"bufir/internal/postings"
-	"bufir/internal/rank"
-)
+import "bufir/internal/postings"
 
-// The candidate state of one rank-safe evaluation. Every type here is
+// The rank-safe state of one evaluation beside the candidate table
+// (acc.go): each candidate's slot, its contribution chain in the
+// table's arena, and the interned seen-masks. Every type here is
 // pointer-free, so each backing array is a single allocation the
 // garbage collector never scans, and growing one is a memmove.
 
@@ -37,19 +36,18 @@ const (
 	retired
 )
 
-// slot is one candidate: a document seen in at least one list.
+// slot is one candidate's rank-safe state; the document and its
+// canonical sum are the table's docs and vals at the same position.
+// The sum is the canonical-order sum of the seen contributions — the
+// exact float64 an exhaustive DF accumulator holds after the same
+// terms; sum / W_d is the score.
 type slot struct {
-	doc postings.DocID
 	// class is the candidate's interned seen-mask (classTable).
 	class int32
 	// head and tail are the ends of the contribution chain; tailPos is
 	// the tail's canonical position, the highest seen so far.
 	head, tail, tailPos int32
 	state               candState
-	// canon is the canonical-order sum of the seen contributions — the
-	// exact float64 an exhaustive DF accumulator holds after the same
-	// terms; canon / W_d is the score.
-	canon float64
 }
 
 // node is one (list, contribution) pair of a candidate. A candidate's
@@ -60,73 +58,10 @@ type node struct {
 	next    int32 // -1 at the tail
 }
 
-// tableEntry maps a document to its slot: ref is the slot index plus
-// one, zero for an empty entry. The document is repeated here so a
-// probe that misses never touches the slot array.
-type tableEntry struct {
-	doc postings.DocID
-	ref int32
-}
-
-// docIndex is the DocID → position index both candidate tables use:
-// linear probing over a power-of-two array of entries, kept at most
-// half full by its owner.
-type docIndex struct {
-	index []tableEntry
-	shift uint // 32 − log2(len(index)): Fibonacci hashing keeps the top bits
-}
-
-func (t *docIndex) setIndex(size int) {
-	t.index = make([]tableEntry, size)
-	t.shift = 32
-	for s := size; s > 1; s /= 2 {
-		t.shift--
-	}
-}
-
-func (t *docIndex) home(doc postings.DocID) int {
-	return int(uint32(doc) * 0x9E3779B1 >> t.shift)
-}
-
-// vacancy returns the first empty index entry on the probe path of a
-// document that is not in the index.
-func (t *docIndex) vacancy(doc postings.DocID) int {
-	mask := len(t.index) - 1
-	i := t.home(doc)
-	for ; t.index[i].ref != 0; i = (i + 1) & mask {
-	}
-	return i
-}
-
-// candTable is the rank-safe DocID → slot table: a docIndex, slots
-// dense in arrival order, contribution nodes in one append-only arena.
-type candTable struct {
-	docIndex
-	slots []slot
-	arena []node
-	// warmed keeps warm's loads from being optimized away.
-	warmed int32
-}
-
-// init sizes the table for at most docs candidates and postings
-// contributions — the bounds the query's lists give. An evaluation
-// that runs to exhaustion (the usual end on these lists) fills the
-// arena exactly, so nothing is ever copied; one that stops early
-// over-allocates by no more than the input it did not have to read.
-func (t *candTable) init(docs, postings int) {
-	size := 16
-	for size < 2*docs {
-		size *= 2
-	}
-	t.setIndex(size)
-	t.slots = make([]slot, 0, docs)
-	t.arena = make([]node, 0, postings)
-}
-
 // warm loads the index entry each posting of a page will probe first.
 // The loads do not depend on each other, so their cache misses overlap
 // here instead of queuing one behind each absorb.
-func (t *candTable) warm(entries []postings.Entry) {
+func (t *accTable) warm(entries []postings.Entry) {
 	var refs int32
 	for _, e := range entries {
 		refs |= t.index[t.home(e.Doc)].ref
@@ -134,56 +69,15 @@ func (t *candTable) warm(entries []postings.Entry) {
 	t.warmed = refs
 }
 
-// has reports whether the document is a candidate.
-func (t *candTable) has(doc postings.DocID) bool {
-	mask := len(t.index) - 1
-	for i := t.home(doc); ; i = (i + 1) & mask {
-		switch e := t.index[i]; {
-		case e.ref == 0:
-			return false
-		case e.doc == doc:
-			return true
-		}
-	}
-}
-
-// lookup returns the document's slot index, creating an empty slot
-// (no class, no contributions yet) when the document is new.
-func (t *candTable) lookup(doc postings.DocID) (si int32, fresh bool) {
-	mask := len(t.index) - 1
-	i := t.home(doc)
-	for ; t.index[i].ref != 0; i = (i + 1) & mask {
-		if t.index[i].doc == doc {
-			return t.index[i].ref - 1, false
-		}
-	}
-	if 2*(len(t.slots)+1) > len(t.index) {
-		t.grow()
-		i = t.vacancy(doc)
-	}
-	t.slots = push(t.slots, slot{doc: doc, head: -1, tail: -1, tailPos: -1})
-	t.index[i] = tableEntry{doc: doc, ref: int32(len(t.slots))}
-	return int32(len(t.slots) - 1), true
-}
-
-// grow doubles the index and re-enters every slot; slot indices, and
-// with them the queue and the chains, are unaffected.
-func (t *candTable) grow() {
-	t.setIndex(2 * len(t.index))
-	for si := range t.slots {
-		doc := t.slots[si].doc
-		t.index[t.vacancy(doc)] = tableEntry{doc: doc, ref: int32(si + 1)}
-	}
-}
-
-// link adds a contribution from canonical list pos to the candidate's
-// chain and refreshes canon, the chain's sum in canonical order — the
+// link adds a contribution from canonical list pos to candidate si's
+// chain and refreshes vals[si], the chain's sum in canonical order — the
 // same additions, in the same order, as exhaustive DF's accumulator.
 // A position past the tail extends the sum by one addition; anything
 // else is linked in place and the chain replayed. When the chain
 // already has a node for pos (dup), the contribution is added to it
 // instead.
-func (t *candTable) link(c *slot, pos int32, contrib float64) (dup bool) {
+func (t *accTable) link(si, pos int32, contrib float64) (dup bool) {
+	c := &t.slots[si]
 	if pos > c.tailPos {
 		t.arena = push(t.arena, node{contrib: contrib, pos: pos, next: -1})
 		n := int32(len(t.arena) - 1)
@@ -193,7 +87,7 @@ func (t *candTable) link(c *slot, pos int32, contrib float64) (dup bool) {
 			t.arena[c.tail].next = n
 		}
 		c.tail, c.tailPos = n, pos
-		c.canon += contrib
+		t.vals[si] += contrib
 		return false
 	}
 	// pos <= tailPos: the walk stops at a node, never off the end.
@@ -217,7 +111,7 @@ func (t *candTable) link(c *slot, pos int32, contrib float64) (dup bool) {
 	for ; n >= 0; n = t.arena[n].next {
 		sum += t.arena[n].contrib
 	}
-	c.canon = sum
+	t.vals[si] = sum
 	return dup
 }
 
@@ -357,71 +251,4 @@ func (t *classTable) completeCovered() int {
 		}
 	}
 	return n
-}
-
-// topK is a min-heap of at most k scored documents under rank.Before:
-// the root is the weakest kept, so h[0] of a full heap is the k-th
-// best ever offered — selected by the same total order as rank.TopN.
-type topK struct {
-	k int
-	h []rank.ScoredDoc
-}
-
-// offer keeps sd if it ranks among the k best offered so far.
-func (t *topK) offer(sd rank.ScoredDoc) {
-	if len(t.h) < t.k {
-		t.h = append(t.h, sd)
-		t.up(len(t.h) - 1)
-	} else if rank.Before(sd, t.h[0]) {
-		t.h[0] = sd
-		t.down(0)
-	}
-}
-
-// rescore re-keys the member with sd's document to sd's (higher)
-// score, or offers sd when the document is not a member.
-func (t *topK) rescore(sd rank.ScoredDoc) {
-	for i := range t.h {
-		if t.h[i].Doc == sd.Doc {
-			t.h[i] = sd
-			t.down(i)
-			return
-		}
-	}
-	t.offer(sd)
-}
-
-func (t *topK) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !rank.Before(t.h[parent], t.h[i]) {
-			break
-		}
-		t.h[parent], t.h[i] = t.h[i], t.h[parent]
-		i = parent
-	}
-}
-
-func (t *topK) down(i int) {
-	for {
-		weakest := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(t.h); c++ {
-			if rank.Before(t.h[weakest], t.h[c]) {
-				weakest = c
-			}
-		}
-		if weakest == i {
-			return
-		}
-		t.h[i], t.h[weakest] = t.h[weakest], t.h[i]
-		i = weakest
-	}
-}
-
-// ranked returns the kept documents in result order, leaving the heap
-// intact.
-func (t *topK) ranked() []rank.ScoredDoc {
-	out := append([]rank.ScoredDoc{}, t.h...)
-	rank.SortDesc(out)
-	return out
 }

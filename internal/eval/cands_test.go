@@ -41,15 +41,14 @@ func newTestRun(t testing.TB, ix *postings.Index, pool buffer.Pool, q Query, alg
 // alone, the way the pre-heap evaluator did at every proof.
 func scratchTop(r *run) []rank.ScoredDoc {
 	var all []rank.ScoredDoc
-	for i := range r.cands.slots {
-		c := &r.cands.slots[i]
-		if w := r.e.Idx.DocLen[c.doc]; w > 0 && covers(r.classes.mask(c.class), r.liveMask) {
-			all = append(all, rank.ScoredDoc{Doc: c.doc, Score: c.canon / w})
+	for i := range r.acc.slots {
+		if sd, ok := r.scored(int32(i)); ok && covers(r.classes.mask(r.acc.slots[i].class), r.liveMask) {
+			all = append(all, sd)
 		}
 	}
 	rank.SortDesc(all)
-	if len(all) > r.top.k {
-		all = all[:r.top.k]
+	if k := r.e.Params.TopN; len(all) > k {
+		all = all[:k]
 	}
 	return all
 }
@@ -59,7 +58,7 @@ func scratchTop(r *run) []rank.ScoredDoc {
 // retired document belongs to the exhaustive answer.
 func checkBoundary(t *testing.T, r *run, want []rank.ScoredDoc, where string) (nRetired int) {
 	t.Helper()
-	got := r.top.ranked()
+	got := r.top.Ranked()
 	scratch := scratchTop(r)
 	if len(got) != len(scratch) {
 		t.Fatalf("%s: heap holds %d, from-scratch selection %d", where, len(got), len(scratch))
@@ -69,16 +68,16 @@ func checkBoundary(t *testing.T, r *run, want []rank.ScoredDoc, where string) (n
 			t.Fatalf("%s: heap[%d] = %+v, from scratch %+v", where, i, got[i], scratch[i])
 		}
 	}
-	if len(got) == r.top.k && r.top.h[0] != got[len(got)-1] {
-		t.Fatalf("%s: heap root %+v is not the k-th %+v", where, r.top.h[0], got[len(got)-1])
+	if kth, full := r.top.Kth(); full && kth != got[len(got)-1] {
+		t.Fatalf("%s: heap root %+v is not the k-th %+v", where, kth, got[len(got)-1])
 	}
 	inAnswer := make(map[postings.DocID]bool, len(want))
 	for _, sd := range want {
 		inAnswer[sd.Doc] = true
 	}
 	complete := 0
-	for i := range r.cands.slots {
-		c := &r.cands.slots[i]
+	for i := range r.acc.slots {
+		c := &r.acc.slots[i]
 		if covers(r.classes.mask(c.class), r.liveMask) {
 			complete++
 		}
@@ -86,8 +85,8 @@ func checkBoundary(t *testing.T, r *run, want []rank.ScoredDoc, where string) (n
 			continue
 		}
 		nRetired++
-		if inAnswer[c.doc] {
-			t.Fatalf("%s: document %d of the exhaustive top-%d was retired", where, c.doc, r.top.k)
+		if doc := r.acc.docs[i]; inAnswer[doc] {
+			t.Fatalf("%s: document %d of the exhaustive top-%d was retired", where, doc, r.e.Params.TopN)
 		}
 		if i >= r.firstActive {
 			t.Fatalf("%s: retired slot %d at or past the queue front %d", where, i, r.firstActive)
@@ -153,7 +152,7 @@ func TestRetirementSoundAtEveryPageBoundary(t *testing.T) {
 			page := 0
 			bp.onFetch = func() {
 				checkBoundary(t, r, want, fmt.Sprintf("%s page %d", where, page))
-				if len(r.top.h) == r.top.k {
+				if _, full := r.top.Kth(); full {
 					fullHeap++
 				} else {
 					partialHeap++
@@ -256,39 +255,37 @@ func TestSeenMaskWidths(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertTopIdentical(t, fmt.Sprintf("%d lists %v", n, algo), r.res.Top, want)
-			if !r.terminated && r.complete != len(r.cands.slots) {
-				t.Fatalf("%d lists %v: exhausted with %d of %d candidates complete", n, algo, r.complete, len(r.cands.slots))
+			if !r.terminated && r.complete != len(r.acc.docs) {
+				t.Fatalf("%d lists %v: exhausted with %d of %d candidates complete", n, algo, r.complete, len(r.acc.docs))
 			}
 		}
 	}
 }
 
-// TestTablesGrowAcrossResize: a candidate table sized for 4 documents
-// and a class table starting at 64 index entries keep every slot,
-// chain and class reachable through repeated doublings.
+// TestTablesGrowAcrossResize: a candidate table reserved for 4
+// documents and a class table starting at 64 index entries keep every
+// slot, chain and class reachable through repeated doublings.
 func TestTablesGrowAcrossResize(t *testing.T) {
-	var ct candTable
-	ct.init(4, 4)
+	ct := getAccTable(7*5000, 4, 4)
 	const n = 5000
 	for d := 0; d < n; d++ {
-		si, fresh := ct.lookup(postings.DocID(7 * d))
-		if !fresh || int(si) != d {
-			t.Fatalf("doc %d: slot %d fresh=%v", 7*d, si, fresh)
+		if si := ct.slot(postings.DocID(7 * d)); int(si) != d {
+			t.Fatalf("doc %d: slot %d", 7*d, si)
 		}
-		ct.link(&ct.slots[si], 2, float64(d))
+		ct.slots = push(ct.slots, slot{head: -1, tail: -1, tailPos: -1})
+		ct.link(int32(d), 2, float64(d))
 	}
 	for d := 0; d < n; d++ {
-		si, fresh := ct.lookup(postings.DocID(7 * d))
-		if fresh || int(si) != d {
-			t.Fatalf("after growth doc %d: slot %d fresh=%v", 7*d, si, fresh)
+		doc := postings.DocID(7 * d)
+		if !ct.has(doc) || int(ct.pos(doc)) != d {
+			t.Fatalf("after growth doc %d: not at slot %d", doc, d)
 		}
-		c := &ct.slots[si]
-		ct.link(c, 1, 0.5) // before the tail: a mid-chain insert and replay
-		if want := 0.5 + float64(d); c.canon != want {
-			t.Fatalf("doc %d: canon %v, want %v", 7*d, c.canon, want)
+		ct.link(int32(d), 1, 0.5) // before the tail: a mid-chain insert and replay
+		if want := 0.5 + float64(d); ct.vals[d] != want {
+			t.Fatalf("doc %d: sum %v, want %v", doc, ct.vals[d], want)
 		}
-		if ct.has(postings.DocID(7*d + 1)) {
-			t.Fatalf("doc %d reported present", 7*d+1)
+		if ct.has(doc + 1) {
+			t.Fatalf("doc %d reported present", doc+1)
 		}
 	}
 	if len(ct.slots) != n || len(ct.arena) != 2*n {
@@ -363,11 +360,10 @@ func TestDuplicateEntriesAccumulate(t *testing.T) {
 	// cannot reach on purpose: k = 1, two lists, list 1 still live.
 	r := newTestRun(t, f.ix, f.newPool(t, 4, buffer.NewLRU()), Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}}, NRA, Params{TopN: 1})
 	state := func(doc postings.DocID) candState {
-		si, fresh := r.cands.lookup(doc)
-		if fresh {
+		if !r.acc.has(doc) {
 			t.Fatalf("document %d is not a candidate", doc)
 		}
-		return r.cands.slots[si].state
+		return r.acc.slots[r.acc.pos(doc)].state
 	}
 	r.absorb(0, 100, 1)
 	r.absorb(1, 100, 1) // doc 1: seen in both lists, complete, the heap's only member
@@ -390,15 +386,15 @@ func TestDuplicateEntriesAccumulate(t *testing.T) {
 		t.Fatal("proof fired over a reactivated candidate that now wins")
 	}
 	r.absorb(1, 1, 2) // completes: must displace doc 1
-	if got := r.top.ranked(); len(got) != 1 || got[0].Doc != 2 {
+	if got := r.top.Ranked(); len(got) != 1 || got[0].Doc != 2 {
 		t.Fatalf("heap = %+v, want doc 2", got)
 	}
 	r.absorb(1, 1000, 1) // duplicate for a settled document the heap turned away
-	if got := r.top.ranked(); len(got) != 1 || got[0].Doc != 1 {
+	if got := r.top.Ranked(); len(got) != 1 || got[0].Doc != 1 {
 		t.Fatalf("heap = %+v, want doc 1 back", got)
 	}
 	r.absorb(0, 7, 1) // duplicate for the heap member: re-keyed in place
-	if got, w := r.top.ranked(), f.ix.DocLen[1]; got[0].Score != (107+1100)/w {
+	if got, w := r.top.Ranked(), f.ix.DocLen[1]; got[0].Score != (107+1100)/w {
 		t.Fatalf("member score %v, want %v", got[0].Score, (107+1100)/w)
 	}
 }

@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"bufir/internal/postings"
@@ -30,28 +31,19 @@ func CanonicalQuery(q Query) Query {
 	return out
 }
 
-// CanonicalKey hashes q's canonical form to a 64-bit cache key
-// (FNV-1a over the term/frequency pairs in TermID order). Queries
-// with equal canonical forms hash identically regardless of term
-// order or duplicate splitting.
-func CanonicalKey(q Query) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
+// CanonicalEncoding returns q's canonical form encoded exactly: the
+// (term, f_qt) pairs in TermID order, each number a signed varint.
+// Varints delimit themselves, so two queries share an encoding exactly
+// when their canonical forms are equal — whatever their term order or
+// duplicate splitting — which is what lets the refinement cache use it
+// as its key without ever comparing the queries themselves.
+func CanonicalEncoding(q Query) string {
+	var b []byte
 	for _, qt := range CanonicalQuery(q) {
-		mix(uint64(qt.Term))
-		mix(uint64(qt.Fqt))
+		b = binary.AppendVarint(b, int64(qt.Term))
+		b = binary.AppendVarint(b, int64(qt.Fqt))
 	}
-	return h
+	return string(b)
 }
 
 // AddOnlyStep reports whether next is an ADD-ONLY refinement of prev

@@ -29,10 +29,15 @@ func TestCanonicalQueryMergesAndSorts(t *testing.T) {
 }
 
 // TestCanonicalKeyProperty: over random queries, every permutation
-// and every split of a duplicate term hashes to the same key, and
-// genuinely different queries (a bumped frequency, an extra term)
-// hash differently.
+// and every split of a duplicate term encodes to the same cache key,
+// and genuinely different queries (a bumped frequency, an extra term,
+// two queries whose 64-bit FNV-1a hashes collide) encode differently.
 func TestCanonicalKeyProperty(t *testing.T) {
+	q1 := Query{{Term: 1, Fqt: 4001132572}, {Term: 2, Fqt: 4070952487}}
+	q2 := Query{{Term: 1, Fqt: 3160233565}, {Term: 2, Fqt: 2083523208}}
+	if CanonicalEncoding(q1) == CanonicalEncoding(q2) {
+		t.Fatal("two different queries share a key")
+	}
 	r := rand.New(rand.NewSource(8))
 	for iter := 0; iter < 300; iter++ {
 		n := 1 + r.Intn(6)
@@ -46,13 +51,13 @@ func TestCanonicalKeyProperty(t *testing.T) {
 			seen[tm] = true
 			q = append(q, QueryTerm{Term: tm, Fqt: 1 + r.Intn(5)})
 		}
-		key := CanonicalKey(q)
+		key := CanonicalEncoding(q)
 
 		// Permutation invariance.
 		perm := append(Query{}, q...)
 		r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		if CanonicalKey(perm) != key {
-			t.Fatalf("iter %d: permuted query hashed differently", iter)
+		if CanonicalEncoding(perm) != key {
+			t.Fatalf("iter %d: permuted query encoded differently", iter)
 		}
 
 		// Split invariance: a term with fqt >= 2 listed twice.
@@ -68,18 +73,18 @@ func TestCanonicalKeyProperty(t *testing.T) {
 				split = append(split, qt)
 			}
 		}
-		if CanonicalKey(split) != key {
-			t.Fatalf("iter %d: split-duplicate query hashed differently", iter)
+		if CanonicalEncoding(split) != key {
+			t.Fatalf("iter %d: split-duplicate query encoded differently", iter)
 		}
 
 		// Sensitivity: bump one frequency, or add a fresh term.
 		bump := append(Query{}, q...)
 		bump[r.Intn(len(bump))].Fqt++
-		if CanonicalKey(bump) == key {
+		if CanonicalEncoding(bump) == key {
 			t.Fatalf("iter %d: raised frequency kept the same key", iter)
 		}
 		extra := append(append(Query{}, q...), QueryTerm{Term: postings.TermID(50 + r.Intn(10)), Fqt: 1})
-		if CanonicalKey(extra) == key {
+		if CanonicalEncoding(extra) == key {
 			t.Fatalf("iter %d: added term kept the same key", iter)
 		}
 	}
@@ -125,7 +130,8 @@ func queryFromBytes(data []byte) Query {
 
 // FuzzCanonicalQuery: for any byte-derived query, canonicalization is
 // idempotent, order- and split-insensitive, frequency-preserving, and
-// the key is a pure function of the canonical form.
+// the key is a pure function of the canonical form that a changed
+// frequency changes.
 func FuzzCanonicalQuery(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1})
@@ -136,7 +142,7 @@ func FuzzCanonicalQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q := queryFromBytes(data)
 		canon := CanonicalQuery(q)
-		key := CanonicalKey(q)
+		key := CanonicalEncoding(q)
 
 		// Idempotence and key agreement.
 		again := CanonicalQuery(canon)
@@ -153,8 +159,15 @@ func FuzzCanonicalQuery(f *testing.F) {
 			}
 			total[canon[i].Term] = canon[i].Fqt
 		}
-		if CanonicalKey(canon) != key {
-			t.Fatal("canonical form hashes differently from the raw query")
+		if CanonicalEncoding(canon) != key {
+			t.Fatal("canonical form encodes differently from the raw query")
+		}
+		if len(canon) > 0 {
+			bump := append(Query{}, canon...)
+			bump[len(bump)-1].Fqt += 1 << 32
+			if CanonicalEncoding(bump) == key {
+				t.Fatal("a different query shares the key")
+			}
 		}
 
 		// Frequency preservation: the canonical form holds exactly the
@@ -177,8 +190,8 @@ func FuzzCanonicalQuery(f *testing.F) {
 		for i, qt := range q {
 			rev[len(q)-1-i] = qt
 		}
-		if CanonicalKey(rev) != key {
-			t.Fatal("reversed query hashes differently")
+		if CanonicalEncoding(rev) != key {
+			t.Fatal("reversed query encodes differently")
 		}
 
 		// An ADD-ONLY self-step is always true; with one more

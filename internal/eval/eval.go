@@ -308,11 +308,12 @@ type Result struct {
 // Pool implementations in internal/buffer are). Per-user sessions
 // still serialize their own refinement steps for ordering, not safety.
 //
-// DF, BAF and WEB take their accumulator table from a package-level
-// sync.Pool and hand it back reset when the call returns, so a steady
-// stream of evaluations allocates no accumulator storage. A table is
-// owned by one call at a time; one whose index grew past 2^14 entries
-// (more than 8 192 accumulators) is dropped instead of pooled.
+// Every method takes its candidate table from one package-level
+// sync.Pool and hands it back reset when the call returns, so a steady
+// stream of evaluations allocates no candidate storage. A table is
+// owned by one call at a time; one keeping more than 256 KiB — a DF
+// table of more than 8 192 accumulators, a rank-safe one sized for
+// thousands of candidates — is dropped instead of pooled.
 type Evaluator struct {
 	Idx    *postings.Index
 	Buf    buffer.Pool
@@ -399,10 +400,8 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 		r.replay(prev, e.resumePrefix(q, prev))
 	}
 	err = r.evaluate(ctx)
-	if r.acc != nil {
-		putAccTable(r.acc)
-		r.acc = nil
-	}
+	putAccTable(r.acc)
+	r.acc = nil
 	finish(r.res, err, start)
 	// A failed evaluation returns no snapshot — a truncated trajectory
 	// is not a legal resume point, and the caller keeps its previous one.
@@ -561,15 +560,17 @@ type run struct {
 	// scans until it finishes; -1 between lists.
 	sticky int
 
-	// DF, BAF and WEB's admission: the accumulator table (pooled; see
-	// Evaluator), the open round's start, and S_max at BAF's last p_t
-	// refresh. When recording a snapshot (EvaluateResumeContext), every
-	// accumulator assignment of the open round is appended to curWrites
-	// in chronological order, and endRound finalizes each round into
-	// rec. Replaying those assignments in order reproduces the exact
-	// floating-point accumulator state — the foundation of the
-	// bit-identical resume guarantee.
-	acc        *accTable
+	// The candidate table of every method (pooled; see Evaluator).
+	acc *accTable
+
+	// DF, BAF and WEB's admission: the open round's start and S_max at
+	// BAF's last p_t refresh. When recording a snapshot
+	// (EvaluateResumeContext), every accumulator assignment of the open
+	// round is appended to curWrites in chronological order, and
+	// endRound finalizes each round into rec. Replaying those
+	// assignments in order reproduces the exact floating-point
+	// accumulator state — the foundation of the bit-identical resume
+	// guarantee.
 	roundStart time.Time
 	ptSmax     float64
 	recording  bool
@@ -579,13 +580,12 @@ type run struct {
 	// The rank-safe admission and proof (safe.go). liveMask has bit i
 	// set while canonical list i is unfinished.
 	liveMask []uint64
-	cands    candTable
 	classes  classTable
 	// top holds the k best complete candidates. The active candidates
 	// — incomplete, not yet retired by a proof — queue in arrival
 	// order, which is slot order: every slot before firstActive is
 	// settled or retired, and the proof advances it.
-	top         topK
+	top         rank.TopK
 	firstActive int
 	// complete counts candidates whose class is complete.
 	complete int
@@ -635,7 +635,7 @@ func (e *Evaluator) newRun(algo Algorithm, q Query, record bool) *run {
 		}
 	}
 	if !algo.Safe() {
-		r.acc = getAccTable(e.Idx.NumDocs)
+		r.acc = getAccTable(e.Idx.NumDocs, 0, 0)
 		r.recording = record && algo == DF
 		if algo == WebLegend {
 			// WEB reads only the lists with a page resident at query
@@ -652,7 +652,6 @@ func (e *Evaluator) newRun(algo Algorithm, q Query, record bool) *run {
 		return r
 	}
 	r.liveMask = make([]uint64, (len(q)+63)/64)
-	r.top = topK{k: e.Params.TopN}
 	postingsBound := 0
 	for i := range r.lists {
 		li := &r.lists[i]
@@ -668,7 +667,9 @@ func (e *Evaluator) newRun(algo Algorithm, q Query, record bool) *run {
 		li.bound = rank.DocWeight(li.tm.PageMaxFreq[0], li.idf) * li.wqt
 		r.liveMask[i/64] |= 1 << (i % 64)
 	}
-	r.cands.init(min(postingsBound, e.Idx.NumDocs), postingsBound)
+	docsBound := min(postingsBound, e.Idx.NumDocs)
+	r.acc = getAccTable(e.Idx.NumDocs, docsBound, postingsBound)
+	r.top = rank.NewTopK(e.Params.TopN, docsBound)
 	r.classes.init(r.liveMask)
 	return r
 }
@@ -698,54 +699,44 @@ func (r *run) newRow(pos int) *TermTrace {
 // other error.
 func (r *run) evaluate(ctx context.Context) error {
 	err := r.scan(ctx)
-	if err != nil && r.acc != nil && r.sticky >= 0 {
+	if err != nil && !r.algo.Safe() && r.sticky >= 0 {
 		r.finishList(r.sticky) // the open round, truncated or faulted
 	}
 	if !answered(err) {
 		return err
 	}
 	switch {
-	case r.acc != nil:
-		// Figure 1 steps 5-6: normalize by W_d and pick the n best.
-		r.res.Top = r.rankAll(len(r.acc.docs), func(i int) (postings.DocID, float64) {
-			return r.acc.docs[i], r.acc.vals[i]
-		})
-	case err == nil:
+	case r.algo.Safe() && err == nil:
 		// The heap holds the k best complete candidates under
 		// rank.TopN's order. After exhaustion every candidate is complete
 		// and this IS the exhaustive evaluation; after an early
 		// termination the excluded incomplete candidates are exactly
 		// those the proof showed cannot reach the top-k.
 		if r.complete > 0 {
-			r.res.Top = r.top.ranked()
+			r.res.Top = r.top.Ranked()
 		}
-	default:
-		r.res.Top = r.rankAll(len(r.cands.slots), func(i int) (postings.DocID, float64) {
-			return r.cands.slots[i].doc, r.cands.slots[i].canon
-		})
+	case len(r.acc.docs) > 0:
+		// Figure 1 steps 5-6, and a safe method's anytime answer:
+		// normalize every accumulator by W_d and pick the n best.
+		all := rank.NewTopK(r.e.Params.TopN, len(r.acc.docs))
+		for i := range r.acc.docs {
+			if sd, ok := r.scored(int32(i)); ok {
+				all.Offer(sd)
+			}
+		}
+		r.res.Top = all.Ranked()
 	}
-	r.res.Accumulators = len(r.cands.slots)
-	if r.acc != nil {
-		r.res.Accumulators = len(r.acc.docs)
-	}
+	r.res.Accumulators = len(r.acc.docs)
 	r.res.Smax = r.smax
 	return err
 }
 
-// rankAll ranks n candidates, candidate i's accumulator being acc(i):
-// the k best by acc/W_d in rank.TopN's order, skipping documents of
-// zero length; nil when there are no candidates.
-func (r *run) rankAll(n int, acc func(i int) (postings.DocID, float64)) []rank.ScoredDoc {
-	if n == 0 {
-		return nil
-	}
-	all := topK{k: r.e.Params.TopN}
-	for i := 0; i < n; i++ {
-		if doc, a := acc(i); r.e.Idx.DocLen[doc] > 0 {
-			all.offer(rank.ScoredDoc{Doc: doc, Score: a / r.e.Idx.DocLen[doc]})
-		}
-	}
-	return all.ranked()
+// scored returns candidate si's document and score, normalized by W_d;
+// ok is false for a document of zero length, which never ranks.
+func (r *run) scored(si int32) (sd rank.ScoredDoc, ok bool) {
+	doc := r.acc.docs[si]
+	w := r.e.Idx.DocLen[doc]
+	return rank.ScoredDoc{Doc: doc, Score: r.acc.vals[si] / w}, w > 0
 }
 
 // scan is the one page loop every method runs: check the context, try
@@ -757,7 +748,7 @@ func (r *run) rankAll(n int, acc func(i int) (postings.DocID, float64)) []rank.S
 // legal (anytime) termination.
 func (r *run) scan(ctx context.Context) error {
 	for r.live > 0 {
-		if r.acc == nil || r.sticky < 0 {
+		if r.algo.Safe() || r.sticky < 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -781,14 +772,13 @@ func (r *run) scan(ctx context.Context) error {
 			continue
 		}
 		stop := false
-		if r.acc != nil {
-			stop = r.filter(li, frame.Data())
-		} else {
-			data := frame.Data()
-			r.cands.warm(data)
+		if data := frame.Data(); r.algo.Safe() {
+			r.acc.warm(data)
 			for _, entry := range data {
 				r.absorb(pos, rank.DocWeight(entry.Freq, li.idf)*li.wqt, entry.Doc)
 			}
+		} else {
+			stop = r.filter(li, data)
 		}
 		r.e.Buf.Unpin(frame)
 		li.next++
@@ -1007,7 +997,7 @@ func (r *run) finishList(pos int) {
 	if r.sticky == pos {
 		r.sticky = -1
 	}
-	if r.acc != nil {
+	if !r.algo.Safe() {
 		li.tr.Elapsed = time.Since(r.roundStart)
 		r.endRound(li, !li.tr.Truncated && !li.tr.Faulted)
 		return
@@ -1016,9 +1006,9 @@ func (r *run) finishList(pos int) {
 	if n := r.classes.completeCovered(); n > 0 {
 		r.complete += n
 		// The newly complete candidates are somewhere in the queue.
-		for i := r.firstActive; i < len(r.cands.slots); i++ {
-			if c := &r.cands.slots[i]; c.state == active && r.classes.at(c.class).complete {
-				r.settle(c)
+		for i := r.firstActive; i < len(r.acc.slots); i++ {
+			if c := &r.acc.slots[i]; c.state == active && r.classes.at(c.class).complete {
+				r.settle(int32(i))
 			}
 		}
 	}

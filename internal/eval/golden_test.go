@@ -260,7 +260,7 @@ func record(name string, r *run, sp *seqPool) goldenRecord {
 		PagesRead:          out.PagesRead,
 		EntriesProcessed:   out.EntriesProcessed,
 		SelectionInquiries: out.SelectionInquiries,
-		Candidates:         len(r.cands.slots),
+		Candidates:         len(r.acc.docs),
 		Complete:           r.complete,
 		Terminated:         r.terminated,
 		Partial:            out.Partial,

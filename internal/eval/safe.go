@@ -67,20 +67,24 @@
 //
 // # Bookkeeping
 //
-// All per-evaluation state is a handful of pointer-free slices (see
-// cands.go) sized once from the lists' document frequencies, so an
-// evaluation allocates a few dozen objects whatever its candidate count
-// and the collector scans none of them:
+// The candidates live in the one candidate table every method uses
+// (acc.go), taken from its pool and reserved up front for the lists'
+// document frequencies; beside it, all per-evaluation state is a
+// handful of pointer-free slices (see cands.go), so an evaluation
+// allocates a few dozen objects whatever its candidate count — none
+// when a pooled table is large enough — and the collector scans none
+// of them:
 //
-//   - an open-addressing DocID → slot table; a slot holds the canonical
-//     sum, the ends of the contribution chain and the candidate's
-//     CLASS — its seen-mask (⌈lists/64⌉ words), interned, with a count
-//     of the candidates that carry it;
+//   - the table's DocID → position index behind its presence bitmap,
+//     with the canonical sum as the candidate's accumulator; a slot at
+//     the same position holds the ends of the contribution chain and
+//     the candidate's CLASS — its seen-mask (⌈lists/64⌉ words),
+//     interned, with a count of the candidates that carry it;
 //   - completeness per class, not per candidate: a class is complete
 //     when its mask covers every live list, so finishing a list is one
 //     pass over the distinct masks, and the run's complete count is a
 //     sum of class counts;
-//   - a size-k min-heap of the best complete candidates, fed as each
+//   - a size-k rank.TopK of the best complete candidates, fed as each
 //     completes, whose root is the proof's k-th member at all times and
 //     whose contents are the answer;
 //   - the still-ACTIVE candidates (incomplete, not yet bounded away)
@@ -200,15 +204,17 @@ func (r *run) pickNRA() int {
 // canonical sum, and move the candidate to the class of its new
 // seen-mask.
 func (r *run) absorb(pos int, contrib float64, doc postings.DocID) {
-	si, fresh := r.cands.lookup(doc)
-	c := &r.cands.slots[si]
+	t := r.acc
+	fresh := !t.has(doc)
+	si := t.slot(doc)
 	if fresh {
-		c.class = r.soloClass(pos)
+		t.slots = push(t.slots, slot{class: r.soloClass(pos), head: -1, tail: -1, tailPos: -1})
 	}
-	dup := r.cands.link(c, int32(pos), contrib)
-	if c.canon > r.smax {
-		r.smax = c.canon
+	dup := t.link(si, int32(pos), contrib)
+	if t.vals[si] > r.smax {
+		r.smax = t.vals[si]
 	}
+	c := &t.slots[si]
 	switch {
 	case dup:
 		// A malformed list carrying two entries for one document:
@@ -225,7 +231,7 @@ func (r *run) absorb(pos int, contrib float64, doc postings.DocID) {
 	cl.count++
 	if cl.complete {
 		r.complete++
-		r.settle(c)
+		r.settle(si)
 	}
 }
 
@@ -238,16 +244,17 @@ func (r *run) soloClass(pos int) int32 {
 	return li.solo
 }
 
-// settle feeds a candidate that just completed to the heap — unless a
-// proof already retired it, in which case it provably cannot enter.
-// Documents with W_d <= 0 are never ranked (rank.TopN's rule).
-func (r *run) settle(c *slot) {
+// settle feeds candidate si, which just completed, to the heap —
+// unless a proof already retired it, in which case it provably cannot
+// enter. Documents with W_d <= 0 are never ranked (rank.TopN's rule).
+func (r *run) settle(si int32) {
+	c := &r.acc.slots[si]
 	if c.state != active {
 		return
 	}
 	c.state = settled
-	if w := r.e.Idx.DocLen[c.doc]; w > 0 {
-		r.top.offer(rank.ScoredDoc{Doc: c.doc, Score: c.canon / w})
+	if sd, ok := r.scored(si); ok {
+		r.top.Offer(sd)
 	}
 }
 
@@ -256,16 +263,16 @@ func (r *run) settle(c *slot) {
 // a settled non-member is offered again, and a retired candidate — its
 // bound was computed without the extra entry — is made active again.
 func (r *run) rescored(si int32) {
-	c := &r.cands.slots[si]
+	c := &r.acc.slots[si]
 	switch c.state {
 	case settled:
-		if w := r.e.Idx.DocLen[c.doc]; w > 0 {
-			r.top.rescore(rank.ScoredDoc{Doc: c.doc, Score: c.canon / w})
+		if sd, ok := r.scored(si); ok {
+			r.top.Rescore(sd)
 		}
 	case retired:
 		c.state = active
 		if r.classes.at(c.class).complete {
-			r.settle(c)
+			r.settle(si)
 		} else if int(si) < r.firstActive {
 			r.firstActive = int(si)
 		}
@@ -277,7 +284,7 @@ func (r *run) rescored(si int32) {
 // right after a failed proof is skipped, so the full proof runs at
 // most every other page. Soundness does not depend on when it runs.
 func (r *run) proven() bool {
-	if r.complete < r.top.k {
+	if r.complete < r.e.Params.TopN {
 		// Fewer complete candidates than answers owed (and if the whole
 		// collection holds fewer than k scoring documents, the loop runs
 		// to exhaustion, which IS the exhaustive answer).
@@ -297,10 +304,10 @@ func (r *run) proven() bool {
 // displace it, retiring every candidate shown to lose on the way.
 func (r *run) provenFull() bool {
 	r.proofs++
-	if len(r.top.h) < r.top.k {
+	kth, full := r.top.Kth()
+	if !full {
 		return false // complete candidates with W_d <= 0 do not rank
 	}
-	kth := r.top.h[0]
 	ix := r.e.Idx
 
 	// The unseen-document bound: R over the smallest vector length of
@@ -311,7 +318,7 @@ func (r *run) provenFull() bool {
 		R += r.lists[i].bound
 	}
 	byLen := ix.DocsByLen()
-	for r.dblCursor < len(byLen) && r.cands.has(byLen[r.dblCursor]) {
+	for r.dblCursor < len(byLen) && r.acc.has(byLen[r.dblCursor]) {
 		r.dblCursor++
 	}
 	if r.dblCursor < len(byLen) {
@@ -327,14 +334,15 @@ func (r *run) provenFull() bool {
 	// and cannot have recovered.) The first one that does not lose
 	// stays at the front of the queue for the next proof.
 	r.gen++
-	for ; r.firstActive < len(r.cands.slots); r.firstActive++ {
-		c := &r.cands.slots[r.firstActive]
+	for ; r.firstActive < len(r.acc.slots); r.firstActive++ {
+		c := &r.acc.slots[r.firstActive]
 		if c.state != active {
 			continue
 		}
-		if w := ix.DocLen[c.doc]; w > 0 {
-			ub := c.canon + r.unseenBound(c.class)
-			if !rank.Before(kth, rank.ScoredDoc{Doc: c.doc, Score: ub * ubInflate / w}) {
+		doc := r.acc.docs[r.firstActive]
+		if w := ix.DocLen[doc]; w > 0 {
+			ub := r.acc.vals[r.firstActive] + r.unseenBound(c.class)
+			if !rank.Before(kth, rank.ScoredDoc{Doc: doc, Score: ub * ubInflate / w}) {
 				return false
 			}
 		}

@@ -5,7 +5,6 @@
 package rank
 
 import (
-	"container/heap"
 	"sort"
 
 	"bufir/internal/postings"
@@ -57,50 +56,26 @@ func TopN(acc map[postings.DocID]float64, docLen []float64, n int) []ScoredDoc {
 	if n <= 0 || len(acc) == 0 {
 		return nil
 	}
-	h := make(topHeap, 0, min(n, len(acc))+1)
+	top := NewTopK(n, len(acc))
 	for d, a := range acc {
-		wd := docLen[d]
-		if wd <= 0 {
-			continue
-		}
-		sd := ScoredDoc{Doc: d, Score: a / wd}
-		if len(h) < n {
-			heap.Push(&h, sd)
-			continue
-		}
-		if lessScored(h[0], sd) {
-			h[0] = sd
-			heap.Fix(&h, 0)
+		if wd := docLen[d]; wd > 0 {
+			top.Offer(ScoredDoc{Doc: d, Score: a / wd})
 		}
 	}
-	// Drain the min-heap into descending order.
-	out := make([]ScoredDoc, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(ScoredDoc)
-	}
-	return out
-}
-
-// lessScored orders a strictly below b: lower score first, higher
-// DocID first among equal scores (so that the heap keeps the
-// best-scoring, lowest-DocID documents).
-func lessScored(a, b ScoredDoc) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Doc > b.Doc
+	return top.Ranked()
 }
 
 // Before reports whether a ranks strictly ahead of b in result order:
-// higher score first, lower DocID first among equal scores. It is the
-// exact complement view of the lessScored predicate TopN's heap uses,
-// exported so every ranking produced in the system — TopN selection,
-// the router's cross-shard merge, rank-safe termination comparisons —
-// totals-orders ties identically. Two rankings of the same documents
-// can differ only if they use different predicates; this is the only
-// one.
+// higher score first, lower DocID first among equal scores. Every
+// ranking produced in the system — TopK selection, the router's
+// cross-shard merge, rank-safe termination comparisons — total-orders
+// ties with it. Two rankings of the same documents can differ only if
+// they use different predicates; this is the only one.
 func Before(a, b ScoredDoc) bool {
-	return lessScored(b, a)
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Doc < b.Doc
 }
 
 // SortDesc sorts docs into result order (Before: score descending,
@@ -145,18 +120,85 @@ func OverlapAtK(got, want []ScoredDoc, k int) float64 {
 	return float64(hit) / float64(hit+len(wantSet))
 }
 
-// topHeap is a min-heap of ScoredDocs: the root is the weakest kept
-// result, so a stronger candidate replaces it in O(log n).
-type topHeap []ScoredDoc
+// TopK is a min-heap of at most k scored documents under Before: the
+// root is the weakest kept, so the root of a full heap is the k-th best
+// ever offered. It is the one bounded selection of the system — TopN's,
+// and the evaluator's over its candidates.
+type TopK struct {
+	k int
+	h []ScoredDoc
+}
 
-func (h topHeap) Len() int           { return len(h) }
-func (h topHeap) Less(i, j int) bool { return lessScored(h[i], h[j]) }
-func (h topHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *topHeap) Push(x any)        { *h = append(*h, x.(ScoredDoc)) }
-func (h *topHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// NewTopK returns an empty heap keeping the k best (k >= 1) of at most
+// hint offers; the hint only sizes the storage.
+func NewTopK(k, hint int) TopK {
+	return TopK{k: k, h: make([]ScoredDoc, 0, min(k, hint))}
+}
+
+// Offer keeps sd if it ranks among the k best offered so far.
+func (t *TopK) Offer(sd ScoredDoc) {
+	if len(t.h) < t.k {
+		t.h = append(t.h, sd)
+		t.up(len(t.h) - 1)
+	} else if Before(sd, t.h[0]) {
+		t.h[0] = sd
+		t.down(0)
+	}
+}
+
+// Rescore re-keys the member with sd's document to sd's (higher)
+// score, or offers sd when the document is not a member.
+func (t *TopK) Rescore(sd ScoredDoc) {
+	for i := range t.h {
+		if t.h[i].Doc == sd.Doc {
+			t.h[i] = sd
+			t.down(i)
+			return
+		}
+	}
+	t.Offer(sd)
+}
+
+// Kth returns the k-th best document offered so far; full is false
+// while fewer than k are kept.
+func (t *TopK) Kth() (kth ScoredDoc, full bool) {
+	if len(t.h) < t.k {
+		return ScoredDoc{}, false
+	}
+	return t.h[0], true
+}
+
+// Ranked returns the kept documents in result order, leaving the heap
+// intact.
+func (t *TopK) Ranked() []ScoredDoc {
+	out := append([]ScoredDoc{}, t.h...)
+	SortDesc(out)
+	return out
+}
+
+func (t *TopK) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !Before(t.h[parent], t.h[i]) {
+			break
+		}
+		t.h[parent], t.h[i] = t.h[i], t.h[parent]
+		i = parent
+	}
+}
+
+func (t *TopK) down(i int) {
+	for {
+		weakest := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(t.h); c++ {
+			if Before(t.h[weakest], t.h[c]) {
+				weakest = c
+			}
+		}
+		if weakest == i {
+			return
+		}
+		t.h[i], t.h[weakest] = t.h[weakest], t.h[i]
+		i = weakest
+	}
 }

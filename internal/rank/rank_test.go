@@ -81,8 +81,10 @@ func TestTopNEdgeCases(t *testing.T) {
 		t.Errorf("empty acc: %v", got)
 	}
 	acc := map[postings.DocID]float64{0: 1}
-	if got := TopN(acc, []float64{1}, 0); got != nil {
-		t.Errorf("n=0: %v", got)
+	for _, n := range []int{0, -3} {
+		if got := TopN(acc, []float64{1}, n); got != nil {
+			t.Errorf("n=%d: %v", n, got)
+		}
 	}
 	if got := TopN(acc, []float64{1}, 10); len(got) != 1 {
 		t.Errorf("n beyond size: %v", got)
@@ -92,6 +94,14 @@ func TestTopNEdgeCases(t *testing.T) {
 	acc[1] = 2
 	if got := TopN(acc, []float64{1, 1}, math.MaxInt); len(got) != 2 || got[0].Doc != 1 {
 		t.Errorf("n = math.MaxInt: %v", got)
+	}
+	// TopN's heap itself: k = math.MaxInt is never full.
+	top := NewTopK(math.MaxInt, len(acc))
+	for d, a := range acc {
+		top.Offer(ScoredDoc{Doc: d, Score: a})
+	}
+	if _, full := top.Kth(); full || len(top.Ranked()) != 2 {
+		t.Errorf("k = math.MaxInt: full = %v, ranked %v", full, top.Ranked())
 	}
 }
 

@@ -195,11 +195,12 @@ loc:
 	@find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l | awk '{print $$1, "test Go lines"}'
 
 # The PageStore conformance suite under -race: every backend — the
-# in-memory simulator and the file-backed store over both access paths
-# (mmap and pread) — held to the identical read/accounting/context/fault
-# contract.
+# in-memory simulator, the file-backed store over both access paths
+# (mmap and pread) and the live-index overlay — held to the identical
+# read/accounting/context/fault contract.
 storetest:
 	$(GO) test -race -count=1 -run 'TestPageStoreConformance|TestFileStore|TestOpenFileStore' ./internal/storage
+	$(GO) test -race -count=1 -run 'TestOverlayConformance' ./internal/livedex
 
 # Price one logical page read on every backend (simulator counter bump
 # vs real file I/O + checksum + decompression). A developer target, not

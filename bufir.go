@@ -3,12 +3,10 @@ package bufir
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bufir/internal/buffer"
 	"bufir/internal/corpus"
@@ -209,12 +207,11 @@ type Index struct {
 	// ordinals restart per generation).
 	faultRules []storage.FaultRule
 	faultSeed  uint64
-	// simLatency is re-applied to every published view's store.
-	simLatency time.Duration
-	// retired holds closers of superseded generations. Queries may
-	// still be mid-read on an old generation when a merge swaps it
-	// out, so files are closed at Index.Close, not at swap.
-	retired []io.Closer
+	// files holds every page file the index opened, the current
+	// generation's and those a merge superseded. Queries may still be
+	// mid-read on an old generation when a merge swaps it out, so
+	// files are closed at Index.Close, not at swap.
+	files []*storage.FileStore
 	// merging guards the single background merge slot; mergeWG lets
 	// Close wait for it.
 	merging atomic.Bool
@@ -309,6 +306,7 @@ func openIndexFile(path string, opts indexfile.PageFileOptions) (*Index, error) 
 	}
 	pf := fs.File()
 	out := newStaticIndex(pf.Index, fs, nil, nil)
+	out.files = []*storage.FileStore{fs}
 	out.applyAux(pf.Aux)
 	return out, nil
 }
@@ -319,21 +317,17 @@ func openIndexFile(path string, opts indexfile.PageFileOptions) (*Index, error) 
 // generation files stay open until Close because queries bound to an
 // old view may still be mid-read when the swap happens). A pending
 // background merge is waited out first. It is a no-op for purely
-// in-memory indexes, and looks through fault-injection and overlay
-// layers. Do not use the index — or sessions, engines and pools
-// created from it — after Close.
+// in-memory indexes. Do not use the index — or sessions, engines and
+// pools created from it — after Close.
 func (ix *Index) Close() error {
 	ix.mergeWG.Wait()
-	var err error
-	if fs := ix.fileStore(); fs != nil {
-		err = fs.Close()
-	}
 	ix.liveMu.Lock()
-	retired := ix.retired
-	ix.retired = nil
+	files := ix.files
+	ix.files = nil
 	ix.liveMu.Unlock()
-	for _, c := range retired {
-		if cerr := c.Close(); cerr != nil && err == nil {
+	var err error
+	for _, fs := range files {
+		if cerr := fs.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
@@ -401,41 +395,6 @@ func (ix *Index) PageSize() int { return ix.meta().PageSize }
 // starts at zero.
 func (ix *Index) DiskReads() int64 { return ix.pageStore().Reads() }
 
-// SetSimulatedReadLatency makes every page read of an in-memory
-// (simulated-disk) index take d of wall time — the benchmarking knob
-// that puts experiments in the I/O-bound regime the paper's cost model
-// describes. It looks through fault-injection layers, applies to live
-// overlay views (and is remembered, so every subsequently published
-// generation inherits it), and returns false (doing nothing) for
-// file-backed indexes, whose reads cost what the hardware charges.
-func (ix *Index) SetSimulatedReadLatency(d time.Duration) bool {
-	ix.liveMu.Lock()
-	ix.simLatency = d
-	ix.liveMu.Unlock()
-	return setSimLatency(ix.pageStore(), d)
-}
-
-// setSimLatency sets d on the latency-simulating layer of a store
-// decoration chain — the simulator Store or a live Overlay, looking
-// through fault-injection layers — and reports whether it found one
-// (file-backed stores have none).
-func setSimLatency(st storage.PageStore, d time.Duration) bool {
-	for {
-		switch s := st.(type) {
-		case *storage.Store:
-			s.SetReadLatency(d)
-			return true
-		case *livedex.Overlay:
-			s.SetReadLatency(d)
-			return true
-		case *storage.FaultStore:
-			st = s.Inner()
-		default:
-			return false
-		}
-	}
-}
-
 // ResetDiskReads zeroes the disk-read counter of the current
 // generation's store.
 func (ix *Index) ResetDiskReads() { ix.pageStore().ResetReads() }
@@ -458,6 +417,11 @@ type FaultStats = storage.FaultStats
 //	ix.InjectFaults("transient:prob=0.01", 42)        // 1% flaky reads
 //	ix.InjectFaults("permanent:pages=7", 1)           // page 7 is dead
 //	ix.InjectFaults("latency:prob=0.05,spike=5ms", 7) // slow 5% of reads
+//	ix.InjectFaults("latency:spike=200us", 0)         // every read takes 200µs
+//
+// A latency rule with no selector is the simulated disk time: it puts
+// every read in the I/O-bound regime the paper's cost model describes.
+// A later call replaces the whole schedule, so combine rules in one.
 //
 // Call before creating sessions, engines or pools — they capture the
 // store at construction and keep reading the unwrapped disk otherwise
@@ -478,11 +442,7 @@ func (ix *Index) InjectFaults(schedule string, seed uint64) error {
 	ix.liveMu.Lock()
 	defer ix.liveMu.Unlock()
 	v := ix.view()
-	base := v.store
-	if fs, ok := base.(*storage.FaultStore); ok {
-		base = fs.Inner()
-	}
-	fs, err := storage.NewFaultStore(base, seed, rules)
+	fs, err := storage.NewFaultStore(v.base, seed, rules)
 	if err != nil {
 		return err
 	}

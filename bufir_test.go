@@ -10,6 +10,7 @@ import (
 	"bufir/internal/corpus"
 	"bufir/internal/eval"
 	"bufir/internal/refine"
+	"bufir/internal/storage"
 )
 
 // testIndex builds a tiny synthetic collection + index shared by the
@@ -386,14 +387,14 @@ func TestIndexSaveOpen(t *testing.T) {
 		loaded.NumPages() != ix.NumPages() {
 		t.Fatal("loaded index shape differs")
 	}
-	fs := loaded.fileStore()
-	if fs == nil {
+	fs, ok := loaded.view().base.(*storage.FileStore)
+	if !ok {
 		t.Fatal("file-backed index has no file store")
 	}
 	if st := fs.CompressionStats(); st.Ratio() < 2 {
 		t.Errorf("compression ratio %.2f suspiciously low", st.Ratio())
 	}
-	if ix.fileStore() != nil {
+	if _, ok := ix.view().base.(*storage.FileStore); ok {
 		t.Error("in-memory index should have no file store")
 	}
 	q, err := ix.TopicQuery(col.Topics[0])

@@ -9,6 +9,8 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+
+	"bufir/internal/storage"
 )
 
 // openFileBacked round-trips the index through the paged format and
@@ -42,7 +44,7 @@ func TestFileBackedSearchEquivalence(t *testing.T) {
 		fb.NumPages() != ix.NumPages() || fb.PageSize() != ix.PageSize() {
 		t.Fatal("file-backed index shape differs")
 	}
-	if fb.fileStore() == nil {
+	if _, ok := fb.view().base.(*storage.FileStore); !ok {
 		t.Fatal("file-backed index has no file store")
 	}
 

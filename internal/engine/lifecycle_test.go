@@ -14,15 +14,31 @@ import (
 	"bufir/internal/buffer"
 	"bufir/internal/engine"
 	"bufir/internal/eval"
+	"bufir/internal/storage"
 )
 
 // newTestEngine builds a sharded shared pool plus an engine over the
 // shared test Env, returning both so tests can inspect the pool after
-// Close.
-func newTestEngine(t *testing.T, pages, workers, shards int, cfg engine.Config) (*engine.Engine, *buffer.SharedPool) {
+// Close. A positive readLatency puts the pool over a latency layer of
+// its own that makes every read take that long; the Env's store is
+// never touched.
+func newTestEngine(t *testing.T, pages, workers, shards int, readLatency time.Duration, cfg engine.Config) (*engine.Engine, *buffer.SharedPool) {
 	t.Helper()
 	e := testEnv(t)
-	pool := rapPool(t, e, pages, shards)
+	var store storage.PageStore = e.Store
+	if readLatency > 0 {
+		slow := storage.NewFaultRule(storage.FaultLatency)
+		slow.Spike = readLatency
+		var err error
+		if store, err = storage.NewFaultStore(e.Store, 0, []storage.FaultRule{slow}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool, err := buffer.NewShardedSharedPool(pages, shards, store, e.Idx,
+		func(int) buffer.Policy { return buffer.NewRAP() })
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Workers = workers
 	cfg.Algo = eval.BAF
 	cfg.Params = e.Params()
@@ -69,9 +85,7 @@ func assertNoEngineLeaks(t *testing.T, pool *buffer.SharedPool) {
 // pinned frames and zero registry entries.
 func TestCancelMidEvaluationNoLeaks(t *testing.T) {
 	e := testEnv(t)
-	eng, pool := newTestEngine(t, 48, 4, 4, engine.Config{})
-	e.Store.SetReadLatency(100 * time.Microsecond)
-	defer e.Store.SetReadLatency(0)
+	eng, pool := newTestEngine(t, 48, 4, 4, 100*time.Microsecond, engine.Config{})
 
 	const users, rounds = 6, 4
 	var wg sync.WaitGroup
@@ -131,9 +145,7 @@ func TestCancelMidEvaluationNoLeaks(t *testing.T) {
 // order).
 func TestQueueFullShed(t *testing.T) {
 	e := testEnv(t)
-	eng, pool := newTestEngine(t, 32, 1, 1, engine.Config{MaxQueue: 2})
-	e.Store.SetReadLatency(200 * time.Microsecond)
-	defer e.Store.SetReadLatency(0)
+	eng, pool := newTestEngine(t, 32, 1, 1, 200*time.Microsecond, engine.Config{MaxQueue: 2})
 
 	var jobs []*engine.Job
 	shed := 0
@@ -173,12 +185,10 @@ func TestQueueFullShed(t *testing.T) {
 // counters agree.
 func TestDeadlinePartial(t *testing.T) {
 	e := testEnv(t)
-	eng, pool := newTestEngine(t, 64, 1, 1, engine.Config{
+	eng, pool := newTestEngine(t, 64, 1, 1, 150*time.Microsecond, engine.Config{
 		QueryTimeout: 300 * time.Microsecond,
 		OnDeadline:   engine.PartialOnDeadline,
 	})
-	e.Store.SetReadLatency(150 * time.Microsecond)
-	defer e.Store.SetReadLatency(0)
 
 	sawPartial := false
 	for i := 0; i < 8 && !sawPartial; i++ {
@@ -218,11 +228,9 @@ func TestDeadlinePartial(t *testing.T) {
 // context.DeadlineExceeded with no result.
 func TestDeadlineAbort(t *testing.T) {
 	e := testEnv(t)
-	eng, pool := newTestEngine(t, 64, 1, 1, engine.Config{
+	eng, pool := newTestEngine(t, 64, 1, 1, 200*time.Microsecond, engine.Config{
 		QueryTimeout: 200 * time.Microsecond,
 	})
-	e.Store.SetReadLatency(200 * time.Microsecond)
-	defer e.Store.SetReadLatency(0)
 
 	res, err := eng.SearchContext(context.Background(), 0, e.Queries[0])
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -250,9 +258,7 @@ func TestDeadlineAbort(t *testing.T) {
 // evaluating (no pages read for it).
 func TestCanceledWhileQueued(t *testing.T) {
 	e := testEnv(t)
-	eng, pool := newTestEngine(t, 64, 1, 1, engine.Config{})
-	e.Store.SetReadLatency(200 * time.Microsecond)
-	defer e.Store.SetReadLatency(0)
+	eng, pool := newTestEngine(t, 64, 1, 1, 200*time.Microsecond, engine.Config{})
 
 	// Occupy the lone worker, then queue a request and cancel it.
 	first, err := eng.SubmitContext(context.Background(), 0, e.Queries[0])
@@ -286,13 +292,11 @@ func TestCanceledWhileQueued(t *testing.T) {
 // request's disk reads are charged (PagesRead == pool misses).
 func TestOutcomeInvariant(t *testing.T) {
 	e := testEnv(t)
-	eng, pool := newTestEngine(t, 48, 4, 4, engine.Config{
+	eng, pool := newTestEngine(t, 48, 4, 4, 80*time.Microsecond, engine.Config{
 		MaxQueue:     8,
 		QueryTimeout: 2 * time.Millisecond,
 		OnDeadline:   engine.PartialOnDeadline,
 	})
-	e.Store.SetReadLatency(80 * time.Microsecond)
-	defer e.Store.SetReadLatency(0)
 
 	// Pre-generate the cancellation plan: rand.Rand is not
 	// goroutine-safe, and a fixed seed keeps failures replayable.
@@ -379,7 +383,7 @@ func TestOutcomeInvariant(t *testing.T) {
 // ErrEngineClosed sentinel.
 func TestSubmitAfterCloseSentinel(t *testing.T) {
 	e := testEnv(t)
-	eng, pool := newTestEngine(t, 16, 1, 1, engine.Config{})
+	eng, pool := newTestEngine(t, 16, 1, 1, 0, engine.Config{})
 	eng.Close()
 	if _, err := eng.SubmitContext(context.Background(), 0, e.Queries[0]); !errors.Is(err, engine.ErrEngineClosed) {
 		t.Errorf("err = %v, want ErrEngineClosed", err)
@@ -393,9 +397,7 @@ func TestSubmitAfterCloseSentinel(t *testing.T) {
 // leaves the pool with no pinned frames or registry entries.
 func TestShutdownDeadline(t *testing.T) {
 	e := testEnv(t)
-	eng, pool := newTestEngine(t, 32, 2, 2, engine.Config{})
-	e.Store.SetReadLatency(500 * time.Microsecond)
-	defer e.Store.SetReadLatency(0)
+	eng, pool := newTestEngine(t, 32, 2, 2, 500*time.Microsecond, engine.Config{})
 
 	var jobs []*engine.Job
 	for i := 0; i < 12; i++ {
@@ -436,7 +438,7 @@ func TestNoTimeoutStillBitForBit(t *testing.T) {
 	e := testEnv(t)
 	seqs := e12Seqs(t, e)
 	want, wantMisses := serialRun(t, e, seqs, 60, eval.BAF)
-	eng, pool := newTestEngine(t, 60, 1, 1, engine.Config{})
+	eng, pool := newTestEngine(t, 60, 1, 1, 0, engine.Config{})
 	ctx := context.Background()
 	var jobs []*engine.Job
 	maxRef := 0

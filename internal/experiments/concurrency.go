@@ -85,7 +85,9 @@ func (e *Env) RunConcurrency(users, shards int, workerSet []int, readLatency tim
 	if err != nil {
 		return nil, err
 	}
-	ix.SetSimulatedReadLatency(readLatency)
+	if err := slowReads(ix, readLatency); err != nil {
+		return nil, err
+	}
 	for _, pool := range []string{"serial", "sharded"} {
 		nshards := 1
 		if pool == "sharded" {

@@ -101,7 +101,9 @@ func (e *Env) RunLifecycle(users, workers, shards int, readLatency time.Duration
 	if err != nil {
 		return nil, err
 	}
-	ix.SetSimulatedReadLatency(readLatency)
+	if err := slowReads(ix, readLatency); err != nil {
+		return nil, err
+	}
 
 	// --- Untimed pass: reference answers + service-time distribution. ---
 	ref := make(map[[2]int][]rank.ScoredDoc)

@@ -79,7 +79,9 @@ func (e *Env) RunObs(addr string, users, workers, shards int, readLatency time.D
 	if err != nil {
 		return nil, err
 	}
-	ix.SetSimulatedReadLatency(readLatency)
+	if err := slowReads(ix, readLatency); err != nil {
+		return nil, err
+	}
 	eng, err := ix.NewEngine(bufir.EngineConfig{
 		EvalOptions: e.evalOptions(bufir.BAF),
 		Workers:     workers,

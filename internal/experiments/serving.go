@@ -107,6 +107,16 @@ func serveRounds(eng *bufir.Engine, seqs []*refine.Sequence, report func(u, j in
 	return offered, err
 }
 
+// slowReads gives every page read of ix the simulated disk time d (a
+// latency rule that fires on every read); d <= 0 leaves reads free.
+// Call it before building an engine over ix.
+func slowReads(ix *bufir.Index, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	return ix.InjectFaults("latency:spike="+d.String(), 0)
+}
+
 // failOnError is the report of a run in which every request must
 // succeed.
 func failOnError(_, _ int, _ *bufir.Result, err error, _ time.Duration) error { return err }

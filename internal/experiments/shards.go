@@ -151,7 +151,9 @@ func (e *Env) runShardsOnce(seqs [][]bufir.Query, terms map[bufir.TermID]bool, w
 	backends := make([]bufir.Searcher, n)
 	bufferPages := 0
 	for i, p := range parts {
-		p.SetSimulatedReadLatency(lat)
+		if err := slowReads(p, lat); err != nil {
+			return nil, nil, err
+		}
 		// E21 sizing against the shard's own working set: a quarter of
 		// the local pages of the workload's term union.
 		ws := 0

@@ -321,8 +321,7 @@ func TestAddDocValidation(t *testing.T) {
 
 // TestOverlayAccounting holds the Overlay to the PageStore contract:
 // Reads counts delivered combined pages only, ReadQuiet is silent,
-// out-of-range and dead-context reads fail without counting, and
-// MainReads tracks physical fetches.
+// and out-of-range and dead-context reads fail without counting.
 func TestOverlayAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	main := randomCorpus(rng, 12, 20, 10, "")
@@ -361,12 +360,9 @@ func TestOverlayAccounting(t *testing.T) {
 	if got := ov.Reads(); got != int64(ov.NumPages()) {
 		t.Fatalf("Reads=%d after delivering %d pages", got, ov.NumPages())
 	}
-	if ov.MainReads() == 0 {
-		t.Fatal("no physical main reads recorded")
-	}
 	ov.ResetReads()
-	if ov.Reads() != 0 || ov.MainReads() != 0 {
-		t.Fatal("ResetReads left counters nonzero")
+	if ov.Reads() != 0 {
+		t.Fatal("ResetReads left the counter nonzero")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"bufir/internal/postings"
 	"bufir/internal/storage"
@@ -24,28 +23,20 @@ import (
 //
 // Accounting follows the PageStore contract at the virtual level:
 // Reads() counts delivered combined pages — the paper's cost metric
-// over the combined layout — while MainReads() separately gauges the
-// physical main generation pages the synthesis touched (a merged page
-// whose run straddles k main pages costs k of them).
+// over the combined layout. An Overlay takes no wall time of its own;
+// a storage.FaultStore over it slows or fails its reads.
 //
 // An Overlay is immutable after construction and safe for any degree
 // of concurrency; later AddDoc/Commit calls on the State publish new
 // Overlays rather than mutating this one.
 type Overlay struct {
-	inner  storage.PageStore
-	mainIx *postings.Index
-	desc   []PageDesc
-	delta  [][]postings.Entry
-	// mainListFirst[t] caches Terms[t].FirstPage of the main
-	// generation for merged-page synthesis.
+	inner    storage.PageStore
+	mainIx   *postings.Index
+	desc     []PageDesc
+	delta    [][]postings.Entry
 	pageSize int
 
-	reads     atomic.Int64
-	mainReads atomic.Int64
-	// latencyNanos, when positive, makes every counted read sleep that
-	// long — the same wall-clock knob storage.Store offers, so live
-	// indexes participate in I/O-bound experiments identically.
-	latencyNanos atomic.Int64
+	reads atomic.Int64
 }
 
 var _ storage.PageStore = (*Overlay)(nil)
@@ -68,50 +59,17 @@ func (o *Overlay) NumPages() int { return len(o.desc) }
 // Reads returns how many combined pages were delivered.
 func (o *Overlay) Reads() int64 { return o.reads.Load() }
 
-// ResetReads zeroes the delivered-page counter (MainReads included).
-func (o *Overlay) ResetReads() {
-	o.reads.Store(0)
-	o.mainReads.Store(0)
-}
-
-// MainReads returns how many physical main generation pages the
-// overlay has fetched to serve its deliveries.
-func (o *Overlay) MainReads() int64 { return o.mainReads.Load() }
-
-// Inner returns the main generation's physical store the overlay
-// synthesizes from.
-func (o *Overlay) Inner() storage.PageStore { return o.inner }
-
-// SetReadLatency makes every counted read of the overlay take d of
-// wall time (0 turns it off), mirroring storage.Store's simulated
-// disk-latency knob.
-func (o *Overlay) SetReadLatency(d time.Duration) { o.latencyNanos.Store(int64(d)) }
+// ResetReads zeroes the delivered-page counter.
+func (o *Overlay) ResetReads() { o.reads.Store(0) }
 
 // ReadContext fetches a combined page, counting the delivery: an
-// already-dead context fails before any synthesis work, and the
-// simulated latency sleep aborts on cancellation. Only delivered pages
-// move the counter.
+// already-dead context fails before any synthesis work. Only delivered
+// pages move the counter.
 func (o *Overlay) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
-	if int(id) < 0 || int(id) >= len(o.desc) {
-		return nil, fmt.Errorf("livedex: page %d out of range [0,%d)", id, len(o.desc))
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if d := o.latencyNanos.Load(); d > 0 {
-		if done := ctx.Done(); done != nil {
-			timer := time.NewTimer(time.Duration(d))
-			select {
-			case <-timer.C:
-			case <-done:
-				timer.Stop()
-				return nil, ctx.Err()
-			}
-		} else {
-			time.Sleep(time.Duration(d))
-		}
-	}
-	page, err := o.synthesize(id)
+	page, err := o.ReadQuiet(id)
 	if err != nil {
 		return nil, err
 	}
@@ -119,9 +77,9 @@ func (o *Overlay) ReadContext(ctx context.Context, id postings.PageID) ([]postin
 	return page, nil
 }
 
-// ReadQuiet synthesizes a combined page without counters or simulated
-// latency (the offline paths: workload construction, merge
-// materialization, persistence).
+// ReadQuiet synthesizes a combined page without counting it (the
+// offline paths: workload construction, merge materialization,
+// persistence).
 func (o *Overlay) ReadQuiet(id postings.PageID) ([]postings.Entry, error) {
 	if int(id) < 0 || int(id) >= len(o.desc) {
 		return nil, fmt.Errorf("livedex: page %d out of range [0,%d)", id, len(o.desc))
@@ -130,26 +88,12 @@ func (o *Overlay) ReadQuiet(id postings.PageID) ([]postings.Entry, error) {
 	if !d.Merged {
 		return o.inner.ReadQuiet(d.Main)
 	}
-	return o.merge(d, func() {})
-}
-
-// synthesize produces the combined page, charging main reads.
-func (o *Overlay) synthesize(id postings.PageID) ([]postings.Entry, error) {
-	d := o.desc[id]
-	if !d.Merged {
-		page, err := o.inner.ReadQuiet(d.Main)
-		if err != nil {
-			return nil, err
-		}
-		o.mainReads.Add(1)
-		return page, nil
-	}
-	return o.merge(d, func() { o.mainReads.Add(1) })
+	return o.merge(d)
 }
 
 // merge assembles a merged page from its main-entry and delta-entry
-// runs; onMainPage observes each physical main page fetched.
-func (o *Overlay) merge(d PageDesc, onMainPage func()) ([]postings.Entry, error) {
+// runs.
+func (o *Overlay) merge(d PageDesc) ([]postings.Entry, error) {
 	main := make([]postings.Entry, 0, d.MainHi-d.MainLo)
 	if d.MainHi > d.MainLo {
 		// A term new since the main generation has an empty main run and
@@ -162,7 +106,6 @@ func (o *Overlay) merge(d PageDesc, onMainPage func()) ([]postings.Entry, error)
 			if err != nil {
 				return nil, err
 			}
-			onMainPage()
 			lo := int(d.MainLo) - p*o.pageSize
 			if lo < 0 {
 				lo = 0

@@ -10,10 +10,10 @@ import (
 	"bufir/internal/storage/storetest"
 )
 
-// backends enumerates every PageStore implementation under the
-// conformance suite: the paper's in-memory simulator and the
+// backends enumerates this package's PageStore implementations under
+// the conformance suite: the paper's in-memory simulator and the
 // file-backed store over both of its access paths (memory-mapped and
-// pread). One contract, three physiques.
+// pread). internal/livedex runs the same suite over its Overlay.
 var backends = []struct {
 	name string
 	make storetest.Factory

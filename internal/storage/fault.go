@@ -7,7 +7,9 @@ package storage
 // PageStore and injects transient read errors, permanent page errors,
 // and latency spikes according to a deterministic, seeded schedule, so
 // a chaos run is exactly reproducible from (seed, schedule) no matter
-// how goroutines interleave.
+// how goroutines interleave. It is also the simulated disk's clock: a
+// latency rule with no selector (`latency:spike=d`) makes every read
+// take d, the wall-clock form of the paper's per-read cost.
 //
 // Determinism comes from deciding every fault as a pure function of
 // (seed, rule, page, per-page read ordinal): the n-th read of a page
@@ -44,7 +46,8 @@ const (
 	FaultPermanent
 	// FaultLatency is not an error at all: the read succeeds after an
 	// extra Spike of simulated latency. Models a slow path — a
-	// congested queue, a read served from a degraded replica.
+	// congested queue, a read served from a degraded replica — or,
+	// firing on every read, the simulated disk's own read time.
 	FaultLatency
 )
 
@@ -250,18 +253,17 @@ func NewFaultStore(inner PageStore, seed uint64, rules []FaultRule) (*FaultStore
 // NumPages returns the inner store's page count.
 func (s *FaultStore) NumPages() int { return s.inner.NumPages() }
 
-// Inner returns the wrapped store, so callers can reach
-// backend-specific capabilities (compression statistics, Close)
-// through any stack of fault layers.
-func (s *FaultStore) Inner() PageStore { return s.inner }
-
-// ReadContext consults the schedule, then delegates. Latency rules
-// sleep (context-aware) before the inner read; error rules fail
-// without touching the inner store, so its read counter still means
-// "pages delivered".
+// ReadContext consults the schedule, then delegates. An already-dead
+// context fails first, consuming no ordinal. Latency rules sleep
+// (context-aware) before the inner read; error rules fail without
+// touching the inner store, so its read counter still means "pages
+// delivered".
 func (s *FaultStore) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
 	if int(id) < 0 || int(id) >= len(s.ord) {
 		return nil, fmt.Errorf("storage: page %d out of range [0,%d)", id, len(s.ord))
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	n := s.ord[id].Add(1)
 	var spike time.Duration
@@ -320,9 +322,6 @@ func (s *FaultStore) FaultStats() FaultStats {
 		Latency:   s.latency.Load(),
 	}
 }
-
-// Schedule returns a copy of the store's rules.
-func (s *FaultStore) Schedule() []FaultRule { return append([]FaultRule(nil), s.rules...) }
 
 // ---------------------------------------------------------------------------
 // Schedule syntax

@@ -139,6 +139,28 @@ func TestLatencySpikeHonorsContext(t *testing.T) {
 	}
 }
 
+// TestDeadContextSpendsNoFault: a read under an already-dead context
+// fails with ctx.Err() before the schedule is consulted, so it neither
+// injects nor uses up a fault — the first live read still gets it.
+func TestDeadContextSpendsNoFault(t *testing.T) {
+	fs := newFaultStore(t, 1, "transient:pages=0,first=1")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := fs.ReadContext(ctx, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dead-context read: err = %v, want context.Canceled", err)
+	}
+	if st := fs.FaultStats(); st != (FaultStats{}) {
+		t.Fatalf("dead-context read injected a fault: %+v", st)
+	}
+	var fe *FaultError
+	if _, err := read(fs, 0); !errors.As(err, &fe) || fe.Ordinal != 1 {
+		t.Fatalf("first live read: err = %v, want the transient fault at read #1", err)
+	}
+	if _, err := read(fs, 0); err != nil {
+		t.Fatalf("second live read: %v", err)
+	}
+}
+
 func TestReadQuietBypassesSchedule(t *testing.T) {
 	fs := newFaultStore(t, 1, "permanent")
 	if _, err := fs.ReadQuiet(0); err != nil {

@@ -4,23 +4,28 @@
 // store holds the inverted-list pages in memory and counts every read
 // issued against it. All query-time access goes through the buffer
 // manager, so the read counter is exactly the paper's "disk reads".
+//
+// A read of the simulated disk takes no wall time of its own. The one
+// layer that slows or fails a read is FaultStore: a latency rule with
+// no selector (`latency:spike=d`) gives every read the cost d.
 package storage
 
 import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"bufir/internal/postings"
 )
 
 // PageStore is the pluggable backend contract of the paged disk:
 // counted reads for query execution, quiet reads for offline workload
-// construction, and read accounting. Three implementations exist — the
+// construction, and read accounting. Four implementations exist — the
 // in-memory simulator (Store), the real file-backed FileStore serving
-// compressed pages, and the fault-injection wrapper (FaultStore),
-// which composes over either of the others.
+// compressed pages, livedex.Overlay synthesizing a live index's
+// combined pages, and the fault-injection wrapper (FaultStore), which
+// composes over any of the others and is the only layer that slows or
+// fails a read.
 //
 // The contract every implementation (and the storetest conformance
 // suite) holds to:
@@ -36,8 +41,8 @@ import (
 //   - An already-dead context fails with ctx.Err() before any disk or
 //     decode work (and before fault injection: a canceled request must
 //     not consume fault-schedule ordinals).
-//   - ReadQuiet bypasses counters, simulated latency and fault
-//     injection entirely (the paper's offline paths).
+//   - ReadQuiet bypasses counters and fault injection (latency rules
+//     included) entirely (the paper's offline paths).
 //   - All methods are safe for any degree of concurrency.
 type PageStore interface {
 	ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error)
@@ -54,14 +59,6 @@ type PageStore interface {
 type Store struct {
 	pages [][]postings.Entry
 	reads atomic.Int64
-
-	// latencyNanos, when positive, makes every counted read sleep that
-	// long — the wall-clock realization of the paper's disk cost model
-	// (§4.1; metrics.CostModel charges time per page read). Concurrency
-	// experiments use it so worker pools have real I/O waits to
-	// overlap; it is zero (off) everywhere else, leaving read counts
-	// and test runtimes untouched.
-	latencyNanos atomic.Int64
 }
 
 // ErrInjectedFault is what every fault injected by a FaultStore
@@ -80,12 +77,10 @@ func NewStore(pages [][]postings.Entry) *Store {
 func (s *Store) NumPages() int { return len(s.pages) }
 
 // ReadContext fetches a page, incrementing the disk-read counter; the
-// returned slice must be treated as immutable. A read that would sleep
-// on the simulated disk latency returns ctx.Err() as soon as the
-// context is canceled or expires, and an already-dead context fails
-// before touching the disk at all. Reads abandoned this way are not counted,
-// so read totals keep meaning "pages actually delivered" — the paper's
-// cost metric — under any amount of cancellation.
+// returned slice must be treated as immutable. An already-dead context
+// fails before touching the disk at all, uncounted, so read totals keep
+// meaning "pages actually delivered" — the paper's cost metric — under
+// any amount of cancellation.
 func (s *Store) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
 	if int(id) < 0 || int(id) >= len(s.pages) {
 		return nil, fmt.Errorf("storage: page %d out of range [0,%d)", id, len(s.pages))
@@ -93,25 +88,11 @@ func (s *Store) ReadContext(ctx context.Context, id postings.PageID) ([]postings
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if d := s.latencyNanos.Load(); d > 0 {
-		if done := ctx.Done(); done != nil {
-			timer := time.NewTimer(time.Duration(d))
-			select {
-			case <-timer.C:
-			case <-done:
-				timer.Stop()
-				return nil, ctx.Err()
-			}
-		} else {
-			time.Sleep(time.Duration(d))
-		}
-	}
 	s.reads.Add(1)
 	return s.pages[id], nil
 }
 
-// ReadQuiet fetches a page without touching the disk-read counter or
-// the simulated latency. It exists for workload construction
+// ReadQuiet fetches a page without touching the disk-read counter. It exists for workload construction
 // (term-contribution ranking) and index maintenance, which the paper
 // performs offline and does not charge to query execution.
 func (s *Store) ReadQuiet(id postings.PageID) ([]postings.Entry, error) {
@@ -126,10 +107,3 @@ func (s *Store) Reads() int64 { return s.reads.Load() }
 
 // ResetReads zeroes the read counter (used between experiment runs).
 func (s *Store) ResetReads() { s.reads.Store(0) }
-
-// SetReadLatency makes every counted read block for d of wall-clock
-// time, simulating the disk the paper's cost model charges for;
-// d <= 0 disables the simulation. Read counts are unaffected.
-func (s *Store) SetReadLatency(d time.Duration) {
-	s.latencyNanos.Store(int64(d))
-}

@@ -35,13 +35,6 @@ import (
 // files, remove temp dirs).
 type Factory func(tb testing.TB, ix *postings.Index, pages [][]postings.Entry) storage.PageStore
 
-// latencySetter is the optional capability of simulating per-read
-// latency; backends that have it additionally get the mid-read
-// cancellation test.
-type latencySetter interface {
-	SetReadLatency(d time.Duration)
-}
-
 // Sample builds the deterministic reference index the suite reads
 // against: a tiny synthetic collection, frequency-sorted and paged by
 // postings.Build.
@@ -170,8 +163,8 @@ func testReadAccounting(t *testing.T, newStore Factory) {
 }
 
 // testContextCancellation: an already-dead context fails with its own
-// error before any I/O; a context dying mid-read (simulated-latency
-// backends only) abandons the read uncounted.
+// error before any I/O; a context dying mid-read — while a latency
+// rule over the backend holds the read — abandons it uncounted.
 func testContextCancellation(t *testing.T, newStore Factory) {
 	ix, pages := Sample(t)
 	st := newStore(t, ix, pages)
@@ -188,19 +181,22 @@ func testContextCancellation(t *testing.T, newStore Factory) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 
-	if ls, ok := st.(latencySetter); ok {
-		ls.SetReadLatency(time.Hour)
-		t.Cleanup(func() { ls.SetReadLatency(0) })
-		mctx, mcancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-		defer mcancel()
-		start := time.Now()
-		if _, err := st.ReadContext(mctx, 0); !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("mid-read cancel: err = %v, want context.DeadlineExceeded", err)
-		}
-		if elapsed := time.Since(start); elapsed > 10*time.Second {
-			t.Fatalf("mid-read cancel took %v: read was not abandoned", elapsed)
-		}
-		ls.SetReadLatency(0)
+	rules, err := storage.ParseFaultSchedule("latency:spike=1h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := storage.NewFaultStore(st, 1, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mctx, mcancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer mcancel()
+	start := time.Now()
+	if _, err := slow.ReadContext(mctx, 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("mid-read cancel: err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("mid-read cancel took %v: read was not abandoned", elapsed)
 	}
 
 	if got := st.Reads(); got != 0 {

@@ -152,15 +152,15 @@ func TestEngineRequestLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fail-fast admission: a stalled 1-worker engine with MaxQueue=1
-	// must shed a burst.
+	// Fail-fast admission: a 1-worker engine with MaxQueue=1, stalled
+	// on slow reads, must shed a burst.
+	if err := ix.InjectFaults("latency:spike=500us", 0); err != nil {
+		t.Fatal(err)
+	}
 	eng, err := ix.NewEngine(EngineConfig{Workers: 1, MaxQueue: 1, BufferPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := ix.pageStore().(interface{ SetReadLatency(time.Duration) })
-	slow.SetReadLatency(500 * time.Microsecond)
-	defer slow.SetReadLatency(0)
 	var tickets []*Ticket
 	shed := 0
 	for i := 0; i < 16; i++ {
@@ -278,7 +278,9 @@ func TestSearchTextContextCanceledReturnsPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every read takes 2 ms, so the cancel at 1 ms lands mid-read.
-	ix.SetSimulatedReadLatency(2 * time.Millisecond)
+	if err := ix.InjectFaults("latency:spike=2ms", 0); err != nil {
+		t.Fatal(err)
+	}
 	s, err := ix.NewSession(SessionConfig{EvalOptions: EvalOptions{Unfiltered: true}})
 	if err != nil {
 		t.Fatal(err)

@@ -67,11 +67,7 @@ func (ix *Index) EnableLiveUpdates(opts LiveOptions) error {
 	// The live State reads main pages beneath any fault-injection
 	// layer: faults model the serving path, and for live views that
 	// path is the published overlay, which gets its own layer.
-	base := v.store
-	if fs, ok := base.(*storage.FaultStore); ok {
-		base = fs.Inner()
-	}
-	st, err := livedex.NewState(v.ix, base, pages)
+	st, err := livedex.NewState(v.ix, v.base, pages)
 	if err != nil {
 		return err
 	}
@@ -163,22 +159,23 @@ func (ix *Index) commitLocked() error {
 }
 
 // publishLocked wraps a fresh generation's store in the remembered
-// fault and latency layers and installs it as the next epoch (called
-// with liveMu held).
-func (ix *Index) publishLocked(meta *postings.Index, store storage.PageStore, pages [][]postings.Entry, docNames []string) error {
+// fault layer and installs it as the next epoch (called with liveMu
+// held).
+func (ix *Index) publishLocked(meta *postings.Index, base storage.PageStore, pages [][]postings.Entry, docNames []string) error {
+	store := base
 	if ix.faultRules != nil {
-		fs, err := storage.NewFaultStore(store, ix.faultSeed, ix.faultRules)
+		fs, err := storage.NewFaultStore(base, ix.faultSeed, ix.faultRules)
 		if err != nil {
 			return err
 		}
 		store = fs
 	}
-	setSimLatency(store, ix.simLatency)
 	v := ix.view()
 	ix.publish(&idxView{
 		epoch:    v.epoch + 1,
 		ix:       meta,
 		store:    store,
+		base:     base,
 		conv:     postings.NewConversionTable(meta, postings.DefaultMaxKey),
 		pages:    pages,
 		docNames: docNames,
@@ -224,17 +221,13 @@ func (ix *Index) mergeLocked() error {
 		if err != nil {
 			return err
 		}
+		// Queries bound to older views may still be mid-read on the
+		// superseded generation, so no file closes before Index.Close.
+		ix.files = append(ix.files, fs)
 		newStore = fs
 	} else {
 		newStore = storage.NewStore(pages)
 		viewPages = pages
-	}
-
-	// Queries bound to older views may still be mid-read on the
-	// superseded generation; its file handle (if any) is retired and
-	// closed at Index.Close, not here.
-	if old, ok := ix.live.MainStore().(*storage.FileStore); ok {
-		ix.retired = append(ix.retired, old)
 	}
 	if err := ix.live.ApplyMerge(c, newStore); err != nil {
 		return err

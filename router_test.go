@@ -348,7 +348,9 @@ func TestRouterShardTimeoutChaos(t *testing.T) {
 	}
 	// Shard 0 pays 2ms per page read against a 1ms budget: it cannot
 	// answer in time, so every query should degrade (or worse).
-	parts[0].SetSimulatedReadLatency(2 * time.Millisecond)
+	if err := parts[0].InjectFaults("latency:spike=2ms", 0); err != nil {
+		t.Fatal(err)
+	}
 	backends := make([]Searcher, len(parts))
 	for i, p := range parts {
 		eng, err := p.NewEngine(EngineConfig{BufferPages: 8, Workers: 2})
@@ -469,7 +471,9 @@ func TestRouterBucketsPartialAsEngine(t *testing.T) {
 	// A read takes twice the deadline, so a query that misses is cut
 	// mid-scan and returns a partial answer. (A 1 ns deadline would
 	// expire before evaluation starts and leave no answer at all.)
-	ix.SetSimulatedReadLatency(2 * time.Millisecond)
+	if err := ix.InjectFaults("latency:spike=2ms", 0); err != nil {
+		t.Fatal(err)
+	}
 	eng, err := ix.NewEngine(EngineConfig{
 		Workers: 1, BufferPages: 64,
 		QueryTimeout: time.Millisecond,

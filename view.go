@@ -1,7 +1,6 @@
 package bufir
 
 import (
-	"bufir/internal/livedex"
 	"bufir/internal/postings"
 	"bufir/internal/storage"
 )
@@ -26,10 +25,12 @@ type idxView struct {
 	// ix is the generation's metadata; for live commits it is the
 	// combined (main + delta) metadata livedex derives.
 	ix *postings.Index
-	// store serves the generation's pages: the physical store for
-	// static generations, a livedex.Overlay for live commits, either
-	// possibly wrapped in a fault-injection layer.
+	// store serves the generation's pages: base, wrapped in the
+	// InjectFaults layer when there is one.
 	store storage.PageStore
+	// base is the generation's undecorated store: the physical store
+	// for static generations, a livedex.Overlay for live commits.
+	base storage.PageStore
 	// conv is the RAP conversion table over this generation's
 	// statistics.
 	conv *postings.ConversionTable
@@ -70,6 +71,7 @@ func staticView(pix *postings.Index, store storage.PageStore, pages [][]postings
 	return &idxView{
 		ix:       pix,
 		store:    store,
+		base:     store,
 		conv:     postings.NewConversionTable(pix, postings.DefaultMaxKey),
 		pages:    pages,
 		docNames: docNames,
@@ -82,28 +84,4 @@ func newStaticIndex(pix *postings.Index, store storage.PageStore, pages [][]post
 	out := &Index{}
 	out.publish(staticView(pix, store, pages, docNames))
 	return out
-}
-
-// unwrapStore walks the store decoration chain one layer down:
-// fault-injection layers and delta overlays both wrap an inner store.
-// Returns nil when st is a base store.
-func unwrapStore(st storage.PageStore) storage.PageStore {
-	switch s := st.(type) {
-	case *storage.FaultStore:
-		return s.Inner()
-	case *livedex.Overlay:
-		return s.Inner()
-	}
-	return nil
-}
-
-// fileStore returns the file-backed store at the base of the current
-// view's decoration chain, or nil for an in-memory index.
-func (ix *Index) fileStore() *storage.FileStore {
-	for st := ix.pageStore(); st != nil; st = unwrapStore(st) {
-		if fs, ok := st.(*storage.FileStore); ok {
-			return fs
-		}
-	}
-	return nil
 }

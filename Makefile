@@ -1,5 +1,6 @@
 # Tier-1 gate and development targets. `make ci` is the full gate run
-# before every merge: lint (a pinned staticcheck, installed on demand;
+# before every merge: gates-check (every -run pattern below selects a
+# test that exists), lint (a pinned staticcheck, installed on demand;
 # loud vet fallback when the install cannot reach the module proxy,
 # plus a gofmt check), the dependency-graph check (the optional HTTP
 # observability endpoint must stay out of the core library's build
@@ -24,14 +25,21 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
-.PHONY: ci lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store policy-conformance bench-policy bench-policyops ranksafe-exactness bench-eval bench-ranksafe indextest ingest-exactness deep
+.PHONY: ci gates-check lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store policy-conformance bench-policy bench-policyops ranksafe-exactness bench-eval bench-ranksafe indextest ingest-exactness
 
-ci: lint depgraph api-check build benchmark-test fuzz-seeds bench-policyops bench-eval bench-policy bench-ranksafe
+ci: gates-check lint depgraph api-check build benchmark-test fuzz-seeds bench-policyops bench-eval bench-policy bench-ranksafe
 	GOOS=windows $(GO) vet ./internal/indexfile ./internal/storage
 	git diff --exit-code -- BENCH_policy.json BENCH_ranksafe.json
 	$(GO) test -race -count=1 -covermode=atomic -coverprofile=$(COVER_PROFILE) ./...
 	$(cover-floor)
 	$(GO) test -race -count=10 -run TestChaos ./internal/engine
+
+# Gate hygiene: each alternative of every -run pattern in this file
+# must select a test, fuzz target, benchmark or example that some
+# package defines, so that deleting or renaming a test cannot silently
+# drop it out of a gate (tools/gates-check.sh; '^$$' is exempt).
+gates-check:
+	@sh tools/gates-check.sh
 
 lint:
 	@if [ -x "$(STATICCHECK)" ] || $(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) 2>/dev/null; then \
@@ -105,13 +113,6 @@ benchmark-test:
 race:
 	$(GO) test -race ./...
 
-# The full sweeps behind the ci pass's seeded samples: with
-# BUFIR_DEEP=1, TestRetirementSoundAtEveryPageBoundary checks every
-# skew query at every k, not one k of the short ones. Same tests, same
-# -race; a developer and nightly target, not part of ci.
-deep:
-	BUFIR_DEEP=1 $(GO) test -race -count=1 ./internal/eval
-
 # Leak gate: cancellation/shutdown under -race must leave zero pinned
 # frames, zero registry entries and no worker goroutines behind.
 leaks:
@@ -170,7 +171,7 @@ faults-smoke:
 	$(GO) test -race -count=10 -run TestChaos ./internal/engine
 
 bench:
-	$(GO) test -run=xxx -bench=. -benchtime=1x .
+	$(GO) test -run '^$$' -bench=. -benchtime=1x .
 
 # Compare two sets of repo-benchmark result lines (each written with
 # `bash benchmark/run.sh ... --out FILE`): one row per workload and
@@ -208,7 +209,7 @@ storetest:
 # numbers.
 BENCHTIME ?= 100x
 bench-store:
-	$(GO) test -run=xxx -bench=BenchmarkPageStore -benchtime=$(BENCHTIME) ./internal/storage
+	$(GO) test -run '^$$' -bench=BenchmarkPageStore -benchtime=$(BENCHTIME) ./internal/storage
 
 # Replacement-policy family gate under -race: the cross-policy
 # conformance suite (every registered policy held to the same
@@ -245,26 +246,23 @@ bench-policy:
 	@$(GO) run ./cmd/irbench -exp drift -benchjson BENCH_policy.json
 	@echo "wrote BENCH_policy.json"
 
-# Rank-safe exactness gate under -race: the rank-safe unit suite of
-# internal/eval (with the goldens recorded from the pre-rewrite
-# evaluator — counters,
-# verdicts, answer bits and fetch order compared literally — and the
-# retirement/heap property test at every page boundary), the
-# metamorphic exactness/fault/cancellation suites (safe answers
-# bit-identical to exhaustive DF across corpus scales, buffer sizes,
-# all six policies, fault schedules and cancellation), the root-level
-# end-to-end method tests (Session/Engine/Router,
-# cross-shard tie-break, IDF edge cases), and the E27 smoke run.
+# Exactness gate under -race: exact evaluation (MAXSCORE, which is
+# FULL: unfiltered DF) held to the brute-force oracle (bruteForce, a
+# plain cosine over the raw lists) and to exhaustive DF — the metamorphic
+# suites across corpus scales, buffer sizes, all six policies, fault
+# schedules and cancellation, and the bruteForce unit tests — then the
+# root-level session, engine and router tests (cross-shard tie-break and
+# IDF edge cases included) and the E27 smoke run.
 ranksafe-exactness:
 	$(GO) test -race -count=1 \
-		-run 'TestGolden|TestProofCadence|TestRetirementSound|TestSeenMaskWidths|TestTablesGrow|TestDuplicateEntries|TestAllSchedules|TestEarlyTermination|TestMaxscoreSkips|TestNeverMorePages|TestCancellationReturnsPartial|TestSelectionInquiries|TestExhaustionEquals|TestFaultOnFirstPage|TestQueryValidation|TestValidation|TestScheduleString' \
+		-run 'TestMetamorphicSafe|TestFullEvaluationMatchesBruteForce|TestAllSchedulesBitIdentical|TestNeverMorePages|TestDuplicateEntries|TestExhaustionEquals' \
 		./internal/eval
 	$(GO) test -race -count=1 \
-		-run 'TestMetamorphicSafe|TestSafe|TestRankSafe|TestSessionSafeMethods|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestOverlapAtK|TestParseAlgorithm' \
-		./internal/eval ./internal/rank ./internal/experiments .
+		-run 'TestRankSafe|TestSessionSafeMethods|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestParseAlgorithm' \
+		./internal/experiments .
 
 # Smoke for BenchmarkEvaluate (the evaluator's bookkeeping in ns/entry
-# and allocs over candidates × lists × method: TA, NRA and MAXSCORE,
+# and allocs over candidates × lists × method: exact MAXSCORE (= FULL),
 # plus DF and BAF under TunedParams on the 40 000-document collection —
 # the layer the repository benchmark's outside-in trace reports as one
 # number): one iteration per case, so the benchmark cannot rot. Not a
@@ -272,12 +270,11 @@ ranksafe-exactness:
 bench-eval:
 	$(GO) test -run '^$$' -bench Evaluate -benchtime 1x ./internal/eval
 
-# The rank-safe frontier sweep (E27): TA/NRA/MAXSCORE vs exhaustive
-# evaluation and the DF/BAF filters across buffer sizes and policies,
-# persisting pages read, overlap@20, per-cell exactness and the
-# acceptance verdict (safe methods exact everywhere; at least one
-# anchor cell where a safe method reads fewer pages than FULL) as
-# BENCH_ranksafe.json. Deterministic too, and gated by ci the same way.
+# The rank-safe frontier sweep (E27): exact evaluation (FULL) vs the
+# DF/BAF filters across buffer sizes and policies, persisting pages
+# read, overlap@20, per-cell exactness and the acceptance verdict (FULL
+# exact in every cell) as BENCH_ranksafe.json. Deterministic too, and
+# gated by ci the same way.
 bench-ranksafe:
 	@$(GO) run ./cmd/irbench -exp ranksafe -points 4 -benchjson BENCH_ranksafe.json
 	@echo "wrote BENCH_ranksafe.json"
@@ -292,8 +289,8 @@ indextest:
 	$(GO) test -race -count=1 ./internal/livedex
 
 # Live-ingestion exactness gate under -race: the metamorphic harness —
-# random Add/Search/Refine/merge interleavings across all six
-# evaluation methods, a policy rotation, a transient fault schedule and
+# random Add/Search/Refine/merge interleavings across every
+# evaluation method, a policy rotation, a transient fault schedule and
 # cancellation, every answer compared bit-for-bit against a
 # from-scratch rebuild of the current corpus — plus the epoch
 # staleness regressions (refinement snapshots and engine result-cache

@@ -36,8 +36,7 @@ type (
 	QueryTerm = eval.QueryTerm
 	// Query is a bag of query terms (natural-language query model).
 	Query = eval.Query
-	// Algorithm selects the evaluation strategy (DF, BAF, TA, NRA or
-	// Maxscore).
+	// Algorithm selects the evaluation strategy (DF, BAF or Maxscore).
 	Algorithm = eval.Algorithm
 	// Result carries the ranked answer and execution statistics of one
 	// query evaluation.
@@ -64,42 +63,32 @@ type (
 )
 
 // Evaluation algorithms. DF and BAF are the paper's unsafe filtering
-// methods; TA, NRA and Maxscore are the rank-safe family (bit-identical
-// to exhaustive evaluation, early-terminating, buffer-aware).
+// methods; Maxscore is exact evaluation (bit-identical to exhaustive
+// evaluation).
 const (
 	// DF is Persin's Document Filtering (decreasing-idf term order).
 	DF = eval.DF
 	// BAF is the paper's Buffer-Aware Filtering (fewest estimated
 	// disk reads first).
 	BAF = eval.BAF
-	// TA is rank-safe residency-ordered lockstep evaluation (Fagin's
-	// threshold-algorithm cadence with buffer-resident lists first).
-	TA = eval.TA
-	// NRA is rank-safe adaptive evaluation: each access prefers
-	// buffer residency, then the largest outstanding upper bound.
-	NRA = eval.NRA
-	// Maxscore is rank-safe term-at-a-time evaluation in BAF's
-	// fewest-reads list order; low-impact lists are often never read.
+	// Maxscore is exact evaluation: DF with the filtering constants
+	// zeroed (the FULL baseline), whatever CAdd and CIns say.
 	Maxscore = eval.MAXSCORE
 )
 
 // ParseAlgorithm resolves an evaluation method by its conventional
-// name (case-insensitive): DF, BAF, TA, NRA, MAXSCORE — the vocabulary
-// of irserve's -algo flag and E27's method axis.
+// name (case-insensitive): DF, BAF, MAXSCORE — the vocabulary of
+// irserve's -algo flag.
 func ParseAlgorithm(name string) (Algorithm, error) {
 	switch strings.ToUpper(strings.TrimSpace(name)) {
 	case "DF":
 		return DF, nil
 	case "BAF":
 		return BAF, nil
-	case "TA":
-		return TA, nil
-	case "NRA":
-		return NRA, nil
 	case "MAXSCORE":
 		return Maxscore, nil
 	default:
-		return DF, fmt.Errorf("bufir: unknown algorithm %q (want DF, BAF, TA, NRA or MAXSCORE)", name)
+		return DF, fmt.Errorf("bufir: unknown algorithm %q (want DF, BAF or MAXSCORE)", name)
 	}
 }
 

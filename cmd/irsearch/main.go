@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	irsearch [-dir PATH | -index FILE] [-algo DF|BAF|TA|NRA|MAXSCORE]
+//	irsearch [-dir PATH | -index FILE] [-algo DF|BAF|MAXSCORE]
 //	         [-policy LRU|MRU|RAP|LRU-2|2Q|ADAPTIVE] [-buffers N]
 //	         [-topn N] [-seed N] [-trace]
 //
@@ -40,7 +40,7 @@ func main() {
 	var (
 		dir     = flag.String("dir", "", "index *.txt files from this directory (default: synthetic collection)")
 		indexAt = flag.String("index", "", "open a persisted index file (see irindex -out)")
-		algo    = flag.String("algo", "BAF", "evaluation algorithm: DF, BAF, TA, NRA or MAXSCORE")
+		algo    = flag.String("algo", "BAF", "evaluation algorithm: DF, BAF or MAXSCORE (MAXSCORE is exact: the unfiltered top-k)")
 		policy  = flag.String("policy", "RAP", "replacement policy: "+strings.Join(buffer.PolicyNames, ", "))
 		buffers = flag.Int("buffers", 256, "buffer pool size in pages")
 		topn    = flag.Int("topn", 10, "answer size")

@@ -8,7 +8,7 @@
 //
 //	irserve [-index PATH] [-addr :8080] [-shards N]
 //	        [-workers N] [-buffers N] [-policy LRU|MRU|RAP]
-//	        [-algo DF|BAF|TA|NRA|MAXSCORE] [-topn N] [-maxqueue N]
+//	        [-algo DF|BAF|MAXSCORE] [-topn N] [-maxqueue N]
 //	        [-timeout DUR] [-shardtimeout DUR] [-obs ADDR]
 //	        [-live] [-automerge N]
 //
@@ -66,7 +66,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "worker goroutines per shard engine (0 = default)")
 		buffers      = flag.Int("buffers", 256, "buffer pages per shard engine")
 		policy       = flag.String("policy", "RAP", "replacement policy: "+strings.Join(buffer.PolicyNames, ", "))
-		algo         = flag.String("algo", "BAF", "evaluation algorithm: DF, BAF, TA, NRA or MAXSCORE (TA/NRA/MAXSCORE are rank-safe: exact top-k, early termination)")
+		algo         = flag.String("algo", "BAF", "evaluation algorithm: DF, BAF or MAXSCORE (MAXSCORE is exact: the unfiltered top-k)")
 		topn         = flag.Int("topn", 10, "answer size")
 		maxQueue     = flag.Int("maxqueue", 0, "per-shard admission queue bound (0 = unbounded)")
 		timeout      = flag.Duration("timeout", 0, "per-request deadline, 0 = none (expired requests return their anytime answer)")

@@ -14,31 +14,28 @@ import (
 )
 
 // TestAccTableReset: a reset table is empty — no presence bit, no
-// index entry, no slot or contribution node — whatever it held,
-// including after its index grew; and a table keeping more than
-// maxPooledBytes, in any of its arrays, is not pooled.
+// candidate — whatever it held, and while it held it every candidate
+// read back its own accumulator.
 func TestAccTableReset(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	tab := getAccTable(5000, 0, 0)
-	for _, n := range []int{0, 1, 31, 32, 33, 700, 4000} {
+	tab := getAccTable(5000)
+	for _, n := range []int{0, 1, 31, 32, 33, 700, 4000, 5000} {
 		want := make(map[postings.DocID]float64)
 		for len(want) < n {
 			doc := postings.DocID(r.Intn(5000))
 			v := float64(r.Intn(100))
-			tab.vals[tab.slot(doc)] += v
 			want[doc] += v
-			tab.slots = push(tab.slots, slot{})
-			tab.arena = push(tab.arena, node{})
-		}
-		got := make(map[postings.DocID]float64)
-		for i, doc := range tab.docs {
-			if !tab.has(doc) || tab.pos(doc) != int32(i) {
-				t.Fatalf("n=%d: doc %d at %d not found there", n, doc, i)
+			if got := tab.add(doc, v); got != want[doc] {
+				t.Fatalf("n=%d: doc %d accumulates to %v, want %v", n, doc, got, want[doc])
 			}
-			got[doc] = tab.vals[i]
 		}
-		if len(want) > 0 && !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d: table holds %v, want %v", n, got, want)
+		if tab.n != len(want) {
+			t.Fatalf("n=%d: table counts %d candidates, holds %d", n, tab.n, len(want))
+		}
+		for doc := postings.DocID(0); doc < 5000; doc++ {
+			if v, ok := want[doc]; tab.has(doc) != ok || ok && tab.vals[doc] != v {
+				t.Fatalf("n=%d: doc %d present=%v value %v, want present=%v value %v", n, doc, tab.has(doc), tab.vals[doc], ok, v)
+			}
 		}
 		tab.reset()
 		for w, bits := range tab.present {
@@ -46,45 +43,14 @@ func TestAccTableReset(t *testing.T) {
 				t.Fatalf("n=%d: presence word %d = %x after reset", n, w, bits)
 			}
 		}
-		for i, e := range tab.index {
-			if e != (tableEntry{}) {
-				t.Fatalf("n=%d: index entry %d = %+v after reset", n, i, e)
-			}
-		}
-		if len(tab.docs)+len(tab.vals)+len(tab.slots)+len(tab.arena) != 0 {
-			t.Fatalf("n=%d: %d docs, %d values, %d slots, %d nodes after reset",
-				n, len(tab.docs), len(tab.vals), len(tab.slots), len(tab.arena))
-		}
-	}
-
-	// The cap counts every array: a DF table of 8 192 accumulators (an
-	// index of 2^14 entries) is pooled, one more doubles its index past
-	// the cap, and so does a rank-safe reservation of many contributions
-	// over few candidates.
-	for _, c := range []struct {
-		name                 string
-		docs, entries, slots int
-		pooled               bool
-	}{
-		{"8192 accumulators", 0, 0, 8192, true},
-		{"8193 accumulators", 0, 0, 8193, false},
-		{"100 candidates, 20 000 contributions", 100, 20000, 100, false},
-		{"100 candidates, 1 000 contributions", 100, 1000, 100, true},
-	} {
-		freshAccTables()
-		tab := getAccTable(40000, c.docs, c.entries)
-		for d := 0; d < c.slots; d++ {
-			tab.slot(postings.DocID(d))
-		}
-		putAccTable(tab)
-		if pooled := len(tab.docs) == 0; pooled != c.pooled || !pooled && accTables.Get() == tab {
-			t.Errorf("%s: %d bytes, pooled = %v, want %v", c.name, tab.bytes(), pooled, c.pooled)
+		if tab.n != 0 {
+			t.Fatalf("n=%d: %d candidates after reset", n, tab.n)
 		}
 	}
 }
 
-// wideFixture has more documents than a pooled table may index, so an
-// exhaustive run over its query outgrows the pool cap.
+// wideFixture is a 12 000-document collection whose exhaustive runs
+// hold thousands of accumulators.
 func wideFixture(t testing.TB) *fixture {
 	const numDocs = 12000
 	r := rand.New(rand.NewSource(38))
@@ -103,7 +69,7 @@ func wideFixture(t testing.TB) *fixture {
 
 // freshAccTables empties the table pool, so the next evaluation builds
 // its table from nothing.
-func freshAccTables() { accTables = sync.Pool{New: accTables.New} }
+func freshAccTables() { accTables = sync.Pool{New: func() any { return new(accTable) }} }
 
 // step is one evaluation of a reuse sequence.
 type step struct {
@@ -115,7 +81,7 @@ type step struct {
 }
 
 // runStep evaluates s on ev's pool behind a fetch-order hash.
-func runStep(t *testing.T, f *fixture, ev *Evaluator, s step) filterRecord {
+func runStep(t *testing.T, f *fixture, ev *Evaluator, s step) goldenRecord {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -129,15 +95,15 @@ func runStep(t *testing.T, f *fixture, ev *Evaluator, s step) filterRecord {
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("%v: %v", s.algo, err)
 	}
-	return recordFilter(s.algo.String(), res, sp)
+	return record(s.algo.String(), res, sp)
 }
 
 // TestAccTableReuseSequences: the second evaluation of each sequence
-// — after a run that outgrew the pool cap, one canceled mid-list and
-// one degraded by faults, each also with the table passing between a
-// filtering and a rank-safe method — equals, counters, trace rows,
-// fetch order and answer bits, the same evaluation on an identical
-// pool with a table built from nothing.
+// — after an unfiltered run over a wide collection, one canceled
+// mid-list and one degraded by faults, each also with the table passing
+// between a filtering and the exact method — equals, counters, trace
+// rows, fetch order and answer bits, the same evaluation on an
+// identical pool with a table built from nothing.
 func TestAccTableReuseSequences(t *testing.T) {
 	wide := wideFixture(t)
 	tiny := loadGoldenEnv(t, "corpus")
@@ -149,7 +115,7 @@ func TestAccTableReuseSequences(t *testing.T) {
 		f     *fixture
 		steps [2]step
 	}{
-		{"past the cap, then filtered BAF", wide, [2]step{
+		{"unfiltered over 12 000 documents, then filtered BAF", wide, [2]step{
 			{algo: DF, q: Query{{0, 1}, {1, 1}, {2, 2}, {3, 1}}, p: fullParams()},
 			{algo: BAF, q: Query{{1, 1}, {2, 1}, {4, 1}, {5, 3}}, p: filtered},
 		}},
@@ -165,17 +131,17 @@ func TestAccTableReuseSequences(t *testing.T) {
 			{algo: BAF, q: tiny.query(9), p: filtered},
 			{algo: MAXSCORE, q: tiny.query(8), p: filtered},
 		}},
-		{"NRA canceled mid-list, then DF", tiny.fixture, [2]step{
-			{algo: NRA, q: tiny.query(8), p: filtered, cancel: 12},
+		{"MAXSCORE canceled mid-list, then DF", tiny.fixture, [2]step{
+			{algo: MAXSCORE, q: tiny.query(8), p: filtered, cancel: 12},
 			{algo: DF, q: tiny.query(9), p: filtered},
 		}},
-		{"MAXSCORE degraded, then TA", tiny.fixture, [2]step{
+		{"MAXSCORE degraded, then BAF", tiny.fixture, [2]step{
 			{algo: MAXSCORE, q: tiny.query(11), p: degradable, faults: true},
-			{algo: TA, q: tiny.query(10), p: filtered},
+			{algo: BAF, q: tiny.query(10), p: filtered},
 		}},
 	} {
 		t.Run(seq.name, func(t *testing.T) {
-			var got [2]filterRecord
+			var got [2]goldenRecord
 			for pass := range got {
 				ev := seq.f.evaluator(t, 256, buffer.NewLRU(), filtered)
 				first := runStep(t, seq.f, ev, seq.steps[0])
@@ -192,14 +158,66 @@ func TestAccTableReuseSequences(t *testing.T) {
 			}
 		})
 	}
-	// Past 8 192 accumulators the index has 2^15 entries: 256 KiB alone.
-	if got := runStep(t, wide, wide.evaluator(t, 256, buffer.NewLRU(), filtered), step{algo: DF, q: Query{{0, 1}, {1, 1}}, p: fullParams()}); got.Accumulators <= 1<<13 {
-		t.Fatalf("the wide query has %d accumulators, not enough to pass the pool cap", got.Accumulators)
+}
+
+// growingFixture is a collection of numDocs documents whose first
+// documents' postings do not depend on numDocs: a larger one is a
+// smaller one after ingest has added documents, which take the next
+// DocIDs.
+func growingFixture(t testing.TB, numDocs int) *fixture {
+	var lists []postings.TermPostings
+	for tm, share := range []float64{0.6, 0.3, 0.1, 0.03} {
+		r := rand.New(rand.NewSource(int64(41 + tm)))
+		tp := postings.TermPostings{Name: fmt.Sprintf("g%d", tm)}
+		for d := 0; d < numDocs; d++ {
+			if r.Float64() < share {
+				tp.Entries = append(tp.Entries, postings.Entry{Doc: postings.DocID(d), Freq: int32(1 + r.Intn(9))})
+			}
+		}
+		lists = append(lists, tp)
+	}
+	return newFixture(t, lists, numDocs, 32)
+}
+
+// TestTablesGrowAcrossResize: one pooled table serves an index that
+// ingest has grown, and then a smaller index after a larger one. Every
+// evaluation gets the same table from the pool, so a table that is not
+// regrown to the larger index's NumDocs fails here. Each answer equals
+// a run with a table built from nothing, in counters, trace rows, fetch
+// order and answer bits.
+func TestTablesGrowAcrossResize(t *testing.T) {
+	small, grown := growingFixture(t, 3000), growingFixture(t, 3700)
+	q := Query{{0, 1}, {1, 2}, {2, 1}, {3, 1}}
+	defer freshAccTables()
+	for _, seq := range []struct {
+		name          string
+		first, second *fixture
+	}{
+		{"grown by ingest", small, grown},
+		{"smaller after larger", grown, small},
+	} {
+		t.Run(seq.name, func(t *testing.T) {
+			for _, s := range []step{{algo: MAXSCORE, q: q, p: fullParams()}, {algo: BAF, q: q, p: TunedParams()}} {
+				freshAccTables()
+				want := runStep(t, seq.second, seq.second.evaluator(t, 64, buffer.NewLRU(), s.p), s)
+
+				shared := new(accTable)
+				accTables = sync.Pool{New: func() any { return shared }}
+				runStep(t, seq.first, seq.first.evaluator(t, 64, buffer.NewLRU(), s.p), s)
+				got := runStep(t, seq.second, seq.second.evaluator(t, 64, buffer.NewLRU(), s.p), s)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v after %d documents:\n %+v\nfrom a fresh table:\n %+v", s.algo, seq.first.ix.NumDocs, got, want)
+				}
+				if len(shared.vals) < grown.ix.NumDocs {
+					t.Fatalf("%v: the shared table covers %d documents, the grown index %d", s.algo, len(shared.vals), grown.ix.NumDocs)
+				}
+			}
+		})
 	}
 }
 
 // TestConcurrentFilteredEvaluations: under -race, eight goroutines
-// evaluating all six methods on one Evaluator, each taking its table
+// evaluating DF, BAF, WEB and MAXSCORE on one Evaluator, each taking its table
 // from the one pool, get the answers a serial run gets. Every page is resident before the first query, so the
 // schedules see the same residency whatever the interleaving.
 func TestConcurrentFilteredEvaluations(t *testing.T) {

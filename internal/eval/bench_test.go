@@ -23,11 +23,11 @@ type benchCase struct {
 // the repository benchmark's outside-in trace reports as one number
 // (eval.ns_per_entry, evalsafe.ns_per_entry) and cannot split — over
 // candidates (the tiny 4 000-document corpus and the 40 000-document
-// one the repository benchmark serves) × lists × method: the rank-safe
-// methods unfiltered, and on the 40 000-document collection DF and BAF
+// one the repository benchmark serves) × lists × method: exact
+// MAXSCORE (= FULL), and on the 40 000-document collection DF and BAF
 // under TunedParams too. The pool holds every page and is warmed
-// first, so fetches are hits and the time is admission, table, heap
-// and proof upkeep. `make ci` runs it once per case as a smoke.
+// first, so fetches are hits and the time is admission, accumulator
+// and ranking upkeep. `make ci` runs it once per case as a smoke.
 func BenchmarkEvaluate(b *testing.B) {
 	for _, cfg := range []corpus.Config{corpus.TinyConfig(1998), corpus.DefaultConfig(1998)} {
 		coll, err := corpus.Generate(cfg)
@@ -65,7 +65,7 @@ func BenchmarkEvaluate(b *testing.B) {
 		}
 		for _, lists := range []int{8, 32, 70} {
 			q := terms[:lists]
-			cases := []benchCase{{ev, TA}, {ev, NRA}, {ev, MAXSCORE}}
+			cases := []benchCase{{ev, MAXSCORE}}
 			if cfg.NumDocs == corpus.DefaultConfig(1998).NumDocs {
 				cases = append(cases, benchCase{filtered, DF}, benchCase{filtered, BAF})
 			}

@@ -12,12 +12,16 @@
 //
 // Setting CAdd = CIns = 0 turns the unsafe optimization off, yielding
 // the exhaustive ("FULL") evaluation the paper uses as a safety
-// baseline. TA, NRA and MAXSCORE (safe.go) return that exhaustive
-// answer exactly while reading only what a bound proof needs.
+// baseline. MAXSCORE, the exact method, is that evaluation: on this
+// frequency-sorted layout, with no per-document random access, a
+// termination proof cannot show a document absent from a list before
+// the list is read, so a rank-safe schedule reads and processes
+// practically every page FULL does (DESIGN §14) and its bookkeeping only
+// adds cost.
 //
 // Every method is a schedule, an admission and a stop rule over one
-// page loop (run.scan): check the context, try the stop proof, let the
-// schedule pick a list, readPage, admit the page's entries, unpin.
+// page loop (run.scan): check the context, let the schedule pick a
+// list, readPage, admit the page's entries (run.filter), unpin.
 // checkQuery puts the query in the canonical order the run's lists
 // keep, newRow is the one trace-row constructor, run.evaluate the one
 // answer writer, and finish totals the Result.
@@ -26,11 +30,9 @@
 //	DF        next canonical list                  threshold switch  per list: f <= f_add
 //	WEB       DF's, over lists resident at start   threshold switch  per list: f <= f_add
 //	BAF       fewest d_t, higher idf on ties       threshold switch  per list: f <= f_add
-//	MAXSCORE  fewest unread unbuffered, then σ_t   absorb            bound proof
-//	TA        residency-ordered lockstep rounds    absorb            bound proof
-//	NRA       buffered next page, then bound       absorb            bound proof
+//	MAXSCORE  DF's, with CAdd = CIns = 0           every entry       end of list
 //
-// DF, BAF, WEB and MAXSCORE scan a list term-at-a-time once picked.
+// Every method scans a list term-at-a-time once picked.
 package eval
 
 import (
@@ -69,27 +71,17 @@ const (
 	// quantitatively. A fully cold query falls back to DF (there is
 	// nothing buffered to prefer).
 	WebLegend
-	// TA, NRA and MAXSCORE are the rank-safe methods of safe.go:
-	// guaranteed bit-identical to exhaustive
-	// (unfiltered) DF, terminating as soon as the provisional top-k is
-	// provably final, with buffer-residency-driven access order. They
-	// ignore the CAdd/CIns filtering constants — exactness is the
-	// contract — and record no refinement snapshots. TA advances every
-	// live list in residency-ordered lockstep rounds.
-	TA
-	// NRA adaptively reads the list with a buffer-resident next page,
-	// then the largest score bound.
-	NRA
-	// MAXSCORE scans term-at-a-time in BAF's fewest-estimated-reads
-	// order with a max-contribution tie-break, leaving trailing lists
-	// unopened once the answer is proven.
+	// MAXSCORE is exact evaluation: Figure 1 with CAdd = CIns = 0
+	// whatever the Params say, so its answer is the exhaustive ("FULL")
+	// one by construction. It records and resumes refinement snapshots
+	// like DF; Results and metric labels carry its own name.
 	MAXSCORE
 )
 
 // Safe reports whether the algorithm is rank-safe: guaranteed to
 // return exhaustive DF's exact top-k on a fault-free, uncanceled run.
 func (a Algorithm) Safe() bool {
-	return a == TA || a == NRA || a == MAXSCORE
+	return a == MAXSCORE
 }
 
 // String returns the algorithm's conventional name.
@@ -101,10 +93,6 @@ func (a Algorithm) String() string {
 		return "BAF"
 	case WebLegend:
 		return "WEB"
-	case TA:
-		return "TA"
-	case NRA:
-		return "NRA"
 	case MAXSCORE:
 		return "MAXSCORE"
 	default:
@@ -211,10 +199,9 @@ type TermTrace struct {
 	PagesRead        int // buffer misses while scanning this term
 	PagesHit         int // buffer hits while scanning this term
 	EntriesProcessed int
-	// Elapsed is the wall time of a DF, BAF or WEB round, from its
-	// opening (thresholds, stop test) through its last page; a round
-	// closed unread is stamped too. Zero for replayed rounds and under
-	// TA, NRA and MAXSCORE, whose lists have no rounds.
+	// Elapsed is the wall time of a round, from its opening
+	// (thresholds, stop test) through its last page; a round closed
+	// unread is stamped too. Zero for replayed rounds.
 	Elapsed time.Duration
 	Skipped bool // true if f_max <= f_add skipped the whole list
 	// Truncated is true when the request's context was canceled or
@@ -253,8 +240,8 @@ type Result struct {
 	PagesRead int
 	// SelectionInquiries counts the residency (b_t) inquiries a
 	// buffer-aware schedule made to the buffer manager: BAF's, T(T+1)/2
-	// in the worst case; WEB's, one per query term; and the safe
-	// methods' schedule probes. DF makes none.
+	// in the worst case; WEB's, one per query term. DF and MAXSCORE make
+	// none.
 	SelectionInquiries int
 	// Smax is the final maximum unnormalized accumulator value.
 	Smax float64
@@ -308,12 +295,12 @@ type Result struct {
 // Pool implementations in internal/buffer are). Per-user sessions
 // still serialize their own refinement steps for ordering, not safety.
 //
-// Every method takes its candidate table from one package-level
-// sync.Pool and hands it back reset when the call returns, so a steady
-// stream of evaluations allocates no candidate storage. A table is
-// owned by one call at a time; one keeping more than 256 KiB — a DF
-// table of more than 8 192 accumulators, a rank-safe one sized for
-// thousands of candidates — is dropped instead of pooled.
+// Every method takes its accumulator array — one float64 per document
+// of the index behind a presence bitmap (acc.go) — from one
+// package-level sync.Pool and hands it back reset when the call
+// returns, so a steady stream of evaluations allocates no candidate
+// storage. A table is owned by one call at a time and is always pooled,
+// whatever its size; there is no cap.
 type Evaluator struct {
 	Idx    *postings.Index
 	Buf    buffer.Pool
@@ -377,6 +364,12 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 	if algo < DF || algo > MAXSCORE {
 		return nil, nil, fmt.Errorf("eval: unknown algorithm %d", int(algo))
 	}
+	p := e.Params
+	if algo.Safe() {
+		// Exact evaluation is Figure 1 unfiltered, the FULL baseline;
+		// its snapshots are those of DF under the same constants.
+		algo, p.CAdd, p.CIns = DF, 0, 0
+	}
 	q, err := e.checkQuery(q)
 	if err != nil {
 		return nil, nil, err
@@ -395,9 +388,9 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 	e.Buf.SetQuery(weights)
 
 	start := time.Now()
-	r := e.newRun(algo, q, record)
+	r := e.newRun(algo, p, q, record)
 	if algo == DF { // the one resumable method; see Snapshot
-		r.replay(prev, e.resumePrefix(q, prev))
+		r.replay(prev, r.resumePrefix(prev))
 	}
 	err = r.evaluate(ctx)
 	putAccTable(r.acc)
@@ -407,7 +400,7 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 	// is not a legal resume point, and the caller keeps its previous one.
 	var snap *Snapshot
 	if err == nil && r.recording {
-		snap = &Snapshot{algo: algo, params: e.Params, rounds: r.rec}
+		snap = &Snapshot{algo: algo, params: p, rounds: r.rec}
 	}
 	return r.res, snap, err
 }
@@ -416,11 +409,10 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 // frequencies >= 1, no duplicate terms — and returns a copy in the one
 // canonical order every method starts from: decreasing idf_t (shortest
 // lists first), ties broken by TermID. This is Figure 1's DF processing
-// order, the order snapshots record and the safe methods' canonical
-// list positions. It is a pure function of the query and the index —
-// never of buffer state — which is what makes a DF trajectory
-// resumable: any query sharing a prefix of this order shares the state
-// trajectory through that prefix.
+// order and the order snapshots record. It is a pure function of the
+// query and the index — never of buffer state — which is what makes a
+// DF trajectory resumable: any query sharing a prefix of this order
+// shares the state trajectory through that prefix.
 func (e *Evaluator) checkQuery(q Query) (Query, error) {
 	if len(q) == 0 {
 		return nil, ErrEmptyQuery
@@ -514,22 +506,14 @@ func (e *Evaluator) readPage(ctx context.Context, tr *TermTrace, i int, res *Res
 }
 
 // listState is one query list of a run, held in canonical order (the
-// order checkQuery returns); a candidate's contribution node carries
-// its list's canonical position.
+// order checkQuery returns).
 type listState struct {
 	qt  QueryTerm
 	tm  *postings.TermMeta
 	idf float64
 	wqt float64
-	// sigma is the static maximum contribution DocWeight(FMax)·w_qt —
-	// MAXSCORE's tie-break.
-	sigma float64
-	// bound is the list's boundary contribution: an upper bound on what
-	// any still-unread entry can add to a document's accumulator,
-	// DocWeight(PageMaxFreq[next])·w_qt. Zero once the list is finished.
-	bound float64
-	// fins and fadd are a DF, BAF or WEB round's thresholds, fixed when
-	// the round opens; pt is BAF's cached p_t.
+	// fins and fadd are the round's thresholds, fixed when the round
+	// opens; pt is BAF's cached p_t.
 	fins, fadd float64
 	pt         int
 	// next is the next unread page; done marks a finished list.
@@ -537,148 +521,82 @@ type listState struct {
 	done bool
 	// cold marks a WEB list with no resident page at query start.
 	cold bool
-	// solo is the class of candidates seen in this list only (-1 until
-	// the first one appears).
-	solo int32
 	// tr is the list's trace row, nil until the list is opened.
 	tr *TermTrace
 }
 
 // run is the state of one evaluation: the query's lists and their
-// trace rows, the schedule's state and the admission's state. All of it
-// is confined to one Evaluate call — nothing is read from shared pool
+// trace rows, the schedule's state and the accumulators. All of it is
+// confined to one Evaluate call — nothing is read from shared pool
 // counters — which is what makes evaluations re-entrant and their
 // statistics exact when many queries run in parallel on one pool.
 type run struct {
 	e     *Evaluator
 	algo  Algorithm
+	p     Params // the Evaluator's, with MAXSCORE's constants zeroed
 	res   *Result
 	lists []listState
 	live  int
 	smax  float64
-	// sticky is the list a term-at-a-time schedule (all but TA and NRA)
-	// scans until it finishes; -1 between lists.
+	// sticky is the list the open round scans until it finishes; -1
+	// between rounds.
 	sticky int
 
-	// The candidate table of every method (pooled; see Evaluator).
+	// The accumulator array (pooled; see Evaluator).
 	acc *accTable
 
-	// DF, BAF and WEB's admission: the open round's start and S_max at
-	// BAF's last p_t refresh. When recording a snapshot
-	// (EvaluateResumeContext), every accumulator assignment of the open
-	// round is appended to curWrites in chronological order, and
-	// endRound finalizes each round into rec. Replaying those
-	// assignments in order reproduces the exact floating-point
-	// accumulator state — the foundation of the bit-identical resume
-	// guarantee.
+	// The open round's start and S_max at BAF's last p_t refresh. When
+	// recording a snapshot (EvaluateResumeContext), every accumulator
+	// assignment of the open round is appended to curWrites in
+	// chronological order, and endRound finalizes each round into rec.
+	// Replaying those assignments in order reproduces the exact
+	// floating-point accumulator state — the foundation of the
+	// bit-identical resume guarantee.
 	roundStart time.Time
 	ptSmax     float64
 	recording  bool
 	rec        []roundRec
 	curWrites  []accWrite
-
-	// The rank-safe admission and proof (safe.go). liveMask has bit i
-	// set while canonical list i is unfinished.
-	liveMask []uint64
-	classes  classTable
-	// top holds the k best complete candidates. The active candidates
-	// — incomplete, not yet retired by a proof — queue in arrival
-	// order, which is slot order: every slot before firstActive is
-	// settled or retired, and the proof advances it.
-	top         rank.TopK
-	firstActive int
-	// complete counts candidates whose class is complete.
-	complete int
-	// terminated is set when the bound proof stopped the evaluation
-	// before every list was finished — the pages the proof saved are the
-	// unread tails at that moment.
-	terminated bool
-	// docsByLen cursor: the first index whose document is not yet a
-	// candidate (documents only ever become candidates, so it only
-	// moves forward).
-	dblCursor int
-	// skipProof is set by a failed proof and consumed by the next page
-	// boundary; proofs counts full proofs attempted, gen stamps the
-	// per-class bound memo of the proof in progress.
-	skipProof bool
-	proofs    int
-	gen       int32
-	// TA's current round, a buffer reused across rounds.
-	round     []roundEntry
-	roundHead int
 }
 
 // newRun builds the run for a query already in canonical order
-// (checkQuery's output). The rank-safe methods open every list at the
-// start: each gets its trace row, marked Skipped until its first page
-// is fetched, and a zero-page list (a shard term whose postings live in
-// other partitions, or a df-carrying term with no local pages) starts
-// finished — nothing local to read, nothing to contribute, and absence
-// from it is proven vacuously. DF, BAF and WEB open a list when their
-// schedule first picks it.
-func (e *Evaluator) newRun(algo Algorithm, q Query, record bool) *run {
+// (checkQuery's output). A list opens when the schedule first picks it.
+func (e *Evaluator) newRun(algo Algorithm, p Params, q Query, record bool) *run {
 	r := &run{
-		e:      e,
-		algo:   algo,
-		res:    &Result{Trace: make([]TermTrace, 0, len(q))},
-		lists:  make([]listState, len(q)),
-		live:   len(q),
-		sticky: -1,
-		ptSmax: math.Inf(-1),
+		e:         e,
+		algo:      algo,
+		p:         p,
+		res:       &Result{Trace: make([]TermTrace, 0, len(q))},
+		lists:     make([]listState, len(q)),
+		live:      len(q),
+		sticky:    -1,
+		ptSmax:    math.Inf(-1),
+		acc:       getAccTable(e.Idx.NumDocs),
+		recording: record && algo == DF,
 	}
 	for i, qt := range q {
 		tm := &e.Idx.Terms[qt.Term]
-		wqt := rank.QueryWeight(qt.Fqt, tm.IDF)
-		r.lists[i] = listState{
-			qt: qt, tm: tm, idf: tm.IDF, wqt: wqt,
-			sigma: rank.DocWeight(tm.FMax, tm.IDF) * wqt, solo: -1,
+		r.lists[i] = listState{qt: qt, tm: tm, idf: tm.IDF, wqt: rank.QueryWeight(qt.Fqt, tm.IDF)}
+	}
+	if algo == WebLegend {
+		// WEB reads only the lists with a page resident at query start;
+		// a fully cold query falls back to DF.
+		warm := false
+		for i := range r.lists {
+			r.lists[i].cold = r.unreadResident(&r.lists[i]) == 0
+			warm = warm || !r.lists[i].cold
+		}
+		for i := range r.lists {
+			r.lists[i].cold = r.lists[i].cold && warm
 		}
 	}
-	if !algo.Safe() {
-		r.acc = getAccTable(e.Idx.NumDocs, 0, 0)
-		r.recording = record && algo == DF
-		if algo == WebLegend {
-			// WEB reads only the lists with a page resident at query
-			// start; a fully cold query falls back to DF.
-			warm := false
-			for i := range r.lists {
-				r.lists[i].cold = r.unreadResident(&r.lists[i]) == 0
-				warm = warm || !r.lists[i].cold
-			}
-			for i := range r.lists {
-				r.lists[i].cold = r.lists[i].cold && warm
-			}
-		}
-		return r
-	}
-	r.liveMask = make([]uint64, (len(q)+63)/64)
-	postingsBound := 0
-	for i := range r.lists {
-		li := &r.lists[i]
-		r.newRow(i).Skipped = li.tm.NumPages > 0
-		// A list holds DF entries, and no more than its pages can (a
-		// shard's DF may be the global one).
-		postingsBound += min(li.tm.DF, li.tm.NumPages*e.Idx.PageSize)
-		if li.tm.NumPages == 0 {
-			li.done = true
-			r.live--
-			continue
-		}
-		li.bound = rank.DocWeight(li.tm.PageMaxFreq[0], li.idf) * li.wqt
-		r.liveMask[i/64] |= 1 << (i % 64)
-	}
-	docsBound := min(postingsBound, e.Idx.NumDocs)
-	r.acc = getAccTable(e.Idx.NumDocs, docsBound, postingsBound)
-	r.top = rank.NewTopK(e.Params.TopN, docsBound)
-	r.classes.init(r.liveMask)
 	return r
 }
 
 // newRow appends list pos's trace row to the Result, the one row
-// constructor. Rows sit in the order lists open: canonical order for
-// the rank-safe methods, processing order for DF, BAF and WEB. The
-// Trace has room for a row per list from the start, so row pointers
-// stay valid.
+// constructor. Rows sit in the order lists open, which is processing
+// order. The Trace has room for a row per list from the start, so row
+// pointers stay valid.
 func (r *run) newRow(pos int) *TermTrace {
 	li := &r.lists[pos]
 	r.res.Trace = append(r.res.Trace, TermTrace{
@@ -694,75 +612,43 @@ func (r *run) newRow(pos int) *TermTrace {
 }
 
 // evaluate runs the page loop and writes the answer, the one answer
-// writer: the method's answer after a clean finish, the anytime ranking
-// of everything accumulated after a context error, nothing after any
-// other error.
+// writer: Figure 1 steps 5-6 over the accumulators after a clean
+// finish, and the same anytime ranking of everything accumulated after
+// a context error; nothing after any other error.
 func (r *run) evaluate(ctx context.Context) error {
 	err := r.scan(ctx)
-	if err != nil && !r.algo.Safe() && r.sticky >= 0 {
+	if err != nil && r.sticky >= 0 {
 		r.finishList(r.sticky) // the open round, truncated or faulted
 	}
 	if !answered(err) {
 		return err
 	}
-	switch {
-	case r.algo.Safe() && err == nil:
-		// The heap holds the k best complete candidates under
-		// rank.TopN's order. After exhaustion every candidate is complete
-		// and this IS the exhaustive evaluation; after an early
-		// termination the excluded incomplete candidates are exactly
-		// those the proof showed cannot reach the top-k.
-		if r.complete > 0 {
-			r.res.Top = r.top.Ranked()
-		}
-	case len(r.acc.docs) > 0:
-		// Figure 1 steps 5-6, and a safe method's anytime answer:
-		// normalize every accumulator by W_d and pick the n best.
-		all := rank.NewTopK(r.e.Params.TopN, len(r.acc.docs))
-		for i := range r.acc.docs {
-			if sd, ok := r.scored(int32(i)); ok {
-				all.Offer(sd)
-			}
-		}
-		r.res.Top = all.Ranked()
+	if r.acc.n > 0 {
+		r.res.Top = r.acc.top(r.e.Idx.DocLen, r.p.TopN)
 	}
-	r.res.Accumulators = len(r.acc.docs)
+	r.res.Accumulators = r.acc.n
 	r.res.Smax = r.smax
 	return err
 }
 
-// scored returns candidate si's document and score, normalized by W_d;
-// ok is false for a document of zero length, which never ranks.
-func (r *run) scored(si int32) (sd rank.ScoredDoc, ok bool) {
-	doc := r.acc.docs[si]
-	w := r.e.Idx.DocLen[doc]
-	return rank.ScoredDoc{Doc: doc, Score: r.acc.vals[si] / w}, w > 0
-}
-
-// scan is the one page loop every method runs: check the context, try
-// the stop proof, let the schedule pick a list, read its next page,
-// admit the page's entries and unpin, until the proof fires or every
-// list is finished. Inside a DF, BAF or WEB round the fetch checks the
-// context (readPage); the loop checks it before every other pick, so a
-// round-structured method stops between rounds or mid-list, each a
-// legal (anytime) termination.
+// scan is the one page loop every method runs: check the context, let
+// the schedule pick a list, read its next page, admit the page's
+// entries and unpin, until every list is finished. Inside a round the
+// fetch checks the context (readPage); the loop checks it before every
+// pick, so a method stops between rounds or mid-list, each a legal
+// (anytime) termination.
 func (r *run) scan(ctx context.Context) error {
 	for r.live > 0 {
-		if r.algo.Safe() || r.sticky < 0 {
+		if r.sticky < 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-		}
-		if r.algo.Safe() && r.proven() {
-			r.terminated = true
-			return nil
 		}
 		pos := r.pick()
 		if pos < 0 {
 			continue
 		}
 		li := &r.lists[pos]
-		li.tr.Skipped = false
 		frame, err := r.e.readPage(ctx, li.tr, li.next, r.res)
 		if frame == nil {
 			if err != nil {
@@ -771,21 +657,11 @@ func (r *run) scan(ctx context.Context) error {
 			r.finishList(pos)
 			continue
 		}
-		stop := false
-		if data := frame.Data(); r.algo.Safe() {
-			r.acc.warm(data)
-			for _, entry := range data {
-				r.absorb(pos, rank.DocWeight(entry.Freq, li.idf)*li.wqt, entry.Doc)
-			}
-		} else {
-			stop = r.filter(li, data)
-		}
+		stop := r.filter(li, frame.Data())
 		r.e.Buf.Unpin(frame)
 		li.next++
 		if stop || li.next == li.tm.NumPages {
 			r.finishList(pos)
-		} else {
-			li.bound = rank.DocWeight(li.tm.PageMaxFreq[li.next], li.idf) * li.wqt
 		}
 	}
 	return nil
@@ -802,24 +678,15 @@ func (r *run) unreadResident(li *listState) int {
 }
 
 // pick is the schedule: the canonical position of the list whose next
-// page the loop reads. A term-at-a-time schedule stays on its sticky
-// list until the list finishes; then DF and WEB take the next canonical
-// list, BAF and MAXSCORE the fewest estimated reads. TA and NRA choose
-// at every page (safe.go). DF, BAF and WEB open the list they pick and
-// return -1 when the stop rule closes it unread.
+// page the loop reads. A round stays on its sticky list until the list
+// finishes; then DF and WEB take the next canonical list, BAF the
+// fewest estimated reads. pick opens the list it chooses and returns -1
+// when the stop rule closes it unread.
 func (r *run) pick() int {
 	if r.sticky >= 0 {
 		return r.sticky
 	}
-	switch r.algo {
-	case TA:
-		return r.pickTA()
-	case NRA:
-		return r.pickNRA()
-	case MAXSCORE:
-		r.sticky, _ = r.fewestReads()
-		return r.sticky
-	case BAF:
+	if r.algo == BAF {
 		return r.open(r.fewestReads())
 	}
 	pos := 0
@@ -829,23 +696,20 @@ func (r *run) pick() int {
 	return r.open(pos, -1)
 }
 
-// fewestReads picks the unfinished list with the fewest estimated disk
-// reads d = max(p − b, 0), b being its unread resident pages. For BAF
-// (Figure 2 step 3a) p is p_t from the conversion table at the list's
-// f_add, cached and recomputed only when S_max has changed; b_t is
-// asked of the buffer manager every round, as the paper prescribes.
-// Ties go to the higher idf — canonical order — or, under
-// NoIDFTieBreak, the lower TermID. For MAXSCORE p is the unread pages
-// and ties go to the larger σ_t, then canonical order, so low-σ lists
-// tend never to be opened.
+// fewestReads is Figure 2 step 3a: the unfinished list with the fewest
+// estimated disk reads d_t = max(p_t − b_t, 0), p_t from the conversion
+// table at the list's f_add — cached, and recomputed only when S_max has
+// changed — and b_t its unread resident pages, asked of the buffer
+// manager every round, as the paper prescribes. Ties go to the higher
+// idf — canonical order — or, under NoIDFTieBreak, the lower TermID.
 func (r *run) fewestReads() (best, bestReads int) {
-	if r.algo == BAF && r.smax != r.ptSmax {
+	if r.smax != r.ptSmax {
 		for i := range r.lists {
 			li := &r.lists[i]
 			if li.done {
 				continue
 			}
-			_, fadd := r.e.thresholds(li.qt.Term, li.qt.Fqt, r.smax)
+			_, fadd := r.thresholds(li)
 			li.pt = 0 // the whole list would be skipped
 			if float64(li.tm.FMax) > fadd {
 				li.pt = r.e.Conv.Pages(li.qt.Term, fadd)
@@ -859,29 +723,16 @@ func (r *run) fewestReads() (best, bestReads int) {
 		if li.done {
 			continue
 		}
-		p := li.pt
-		if r.algo == MAXSCORE {
-			p = li.tm.NumPages - li.next
-		}
-		reads := max(p-r.unreadResident(li), 0)
-		if best == -1 || reads < bestReads || reads == bestReads && r.winsTie(li, &r.lists[best]) {
+		reads := max(li.pt-r.unreadResident(li), 0)
+		if best == -1 || reads < bestReads || reads == bestReads && r.p.NoIDFTieBreak && li.qt.Term < r.lists[best].qt.Term {
 			best, bestReads = i, reads
 		}
 	}
 	return best, bestReads
 }
 
-// winsTie reports whether li, later in canonical order, beats best at
-// equal estimated reads.
-func (r *run) winsTie(li, best *listState) bool {
-	if r.algo == MAXSCORE {
-		return li.sigma > best.sigma
-	}
-	return r.e.Params.NoIDFTieBreak && li.qt.Term < best.qt.Term
-}
-
-// open starts a DF, BAF or WEB round on list pos — Figure 1 step 4,
-// Figure 2 steps 3(b)-(d) — with its trace row and the thresholds
+// open starts a round on list pos — Figure 1 step 4, Figure 2 steps
+// 3(b)-(d) — with its trace row and the thresholds
 // derived from the current S_max. The per-list stop rule may close the
 // round unread, and open then returns -1: under WEB when the list was
 // cold at query start, and in step 4b when no document can pass the
@@ -896,9 +747,9 @@ func (r *run) open(pos, estReads int) int {
 		r.finishList(pos)
 		return -1
 	}
-	li.fins, li.fadd = r.e.thresholds(li.qt.Term, li.qt.Fqt, r.smax)
+	li.fins, li.fadd = r.thresholds(li)
 	tr.SmaxBefore, tr.FIns, tr.FAdd, tr.EstimatedReads = r.smax, li.fins, li.fadd, estReads
-	tr.Skipped = float64(li.tm.FMax) <= li.fadd && !r.e.Params.ForceFirstPage
+	tr.Skipped = float64(li.tm.FMax) <= li.fadd && !r.p.ForceFirstPage
 	if tr.Skipped || li.tm.NumPages == 0 {
 		r.finishList(pos)
 		return -1
@@ -906,10 +757,10 @@ func (r *run) open(pos, estReads int) int {
 	return pos
 }
 
-// filter is Figure 1 step 4(c) over one page of a DF, BAF or WEB
-// round. It reports whether the list's scan stops on this page. A page
-// is runs of equal f_dt, so the threshold tests and the contribution
-// w_{d,t}·w_{q,t} are worked out once per run.
+// filter is Figure 1 step 4(c) over one page of a round. It reports
+// whether the list's scan stops on this page. A page is runs of equal
+// f_dt, so the threshold tests and the contribution w_{d,t}·w_{q,t} are
+// worked out once per run.
 func (r *run) filter(li *listState, entries []postings.Entry) bool {
 	acc := r.acc
 	for j := 0; j < len(entries); {
@@ -924,14 +775,14 @@ func (r *run) filter(li *listState, entries []postings.Entry) bool {
 			// Steps 4(c)i-ii: add to, or insert into, the
 			// candidate set.
 			for _, e := range entries[j:end] {
-				r.add(acc.slot(e.Doc), w)
+				r.add(e.Doc, w)
 			}
 		case float64(f) > li.fadd:
 			// Step 4(c)iii: only documents already in the
 			// candidate set receive the partial similarity.
 			for _, e := range entries[j:end] {
 				if acc.has(e.Doc) {
-					r.add(acc.pos(e.Doc), w)
+					r.add(e.Doc, w)
 				}
 			}
 		default:
@@ -945,12 +796,11 @@ func (r *run) filter(li *listState, entries []postings.Entry) bool {
 	return false
 }
 
-// add adds w to the accumulator at position i, recording the write
-// and raising S_max.
-func (r *run) add(i int32, w float64) {
-	ad := r.acc.vals[i] + w
-	r.acc.vals[i] = ad
-	r.noteWrite(r.acc.docs[i], ad)
+// add adds w to the document's accumulator, recording the write and
+// raising S_max.
+func (r *run) add(doc postings.DocID, w float64) {
+	ad := r.acc.add(doc, w)
+	r.noteWrite(doc, ad)
 	if ad > r.smax {
 		r.smax = ad
 	}
@@ -983,38 +833,23 @@ func (r *run) endRound(li *listState, clean bool) {
 	r.curWrites = nil
 }
 
-// finishList marks list pos finished. Under DF, BAF and WEB that closes
-// its round: the row's wall time and the round's record, which a
-// truncated or faulted scan leaves not-clean — its writes are real,
-// but the prefix matcher must stop in front of it. Under the rank-safe
-// methods it settles completeness: every class whose mask now covers
-// the live lists is complete — its members' absence from the finished
-// list is proven (exhausted) or conceded (faulted).
+// finishList marks list pos finished and closes its round: the row's
+// wall time and the round's record, which a truncated or faulted scan
+// leaves not-clean — its writes are real, but the prefix matcher must
+// stop in front of it.
 func (r *run) finishList(pos int) {
 	li := &r.lists[pos]
-	li.done, li.bound = true, 0
+	li.done = true
 	r.live--
 	if r.sticky == pos {
 		r.sticky = -1
 	}
-	if !r.algo.Safe() {
-		li.tr.Elapsed = time.Since(r.roundStart)
-		r.endRound(li, !li.tr.Truncated && !li.tr.Faulted)
-		return
-	}
-	r.liveMask[pos/64] &^= 1 << (pos % 64)
-	if n := r.classes.completeCovered(); n > 0 {
-		r.complete += n
-		// The newly complete candidates are somewhere in the queue.
-		for i := r.firstActive; i < len(r.acc.slots); i++ {
-			if c := &r.acc.slots[i]; c.state == active && r.classes.at(c.class).complete {
-				r.settle(int32(i))
-			}
-		}
-	}
+	li.tr.Elapsed = time.Since(r.roundStart)
+	r.endRound(li, !li.tr.Truncated && !li.tr.Faulted)
 }
 
-// thresholds computes (f_ins, f_add) for term t per Equation 5:
+// thresholds computes (f_ins, f_add) for list li at the current S_max
+// per Equation 5:
 //
 //	f_ins = c_ins·S_max / (f_{q,t}·idf_t²)
 //	f_add = c_add·S_max / (f_{q,t}·idf_t²)
@@ -1023,11 +858,10 @@ func (r *run) finishList(pos int) {
 // and every entry passes. Otherwise a non-positive idf (a term
 // appearing in every document) yields a +Inf threshold, correctly
 // making the term contribute nothing once filtering has engaged.
-func (e *Evaluator) thresholds(t postings.TermID, fqt int, smax float64) (fins, fadd float64) {
-	idf := e.Idx.IDF(t)
-	denom := float64(fqt) * idf * idf
+func (r *run) thresholds(li *listState) (fins, fadd float64) {
+	denom := float64(li.qt.Fqt) * li.idf * li.idf
 	div := func(c float64) float64 {
-		num := c * smax
+		num := c * r.smax
 		if num == 0 {
 			return 0
 		}
@@ -1036,5 +870,5 @@ func (e *Evaluator) thresholds(t postings.TermID, fqt int, smax float64) (fins, 
 		}
 		return num / denom
 	}
-	return div(e.Params.CIns), div(e.Params.CAdd)
+	return div(r.p.CIns), div(r.p.CAdd)
 }

@@ -382,7 +382,7 @@ func TestQueryValidation(t *testing.T) {
 		// Canonical order puts the twins side by side.
 		{"duplicate term apart", Query{{Term: 0, Fqt: 1}, {Term: 2, Fqt: 1}, {Term: 0, Fqt: 2}}},
 	}
-	for _, algo := range []Algorithm{DF, BAF, WebLegend, TA, NRA, MAXSCORE} {
+	for _, algo := range []Algorithm{DF, BAF, WebLegend, MAXSCORE} {
 		for _, tc := range cases {
 			if res, err := ev.Evaluate(algo, tc.q); err == nil || res != nil {
 				t.Errorf("%v %s: res=%v err=%v, want a validation error", algo, tc.name, res, err)

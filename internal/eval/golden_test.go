@@ -14,29 +14,28 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"bufir/internal/buffer"
 	"bufir/internal/corpus"
 	"bufir/internal/postings"
-	"bufir/internal/rank"
 	"bufir/internal/storage"
 )
 
 // The goldens pin everything a bookkeeping rewrite must not move: the
-// cost counters, the termination verdict, the answer bits, and — as an
-// FNV-64a hash of the fetched PageIDs in order — the schedule itself.
-// They were recorded from PR 9's evaluator (one heap object per
-// candidate behind a Go map, whole-map walks per proof and per finished
-// list) and are compared literally; regenerate with
+// cost counters, the answer bits, and — as an FNV-64a hash of the
+// fetched PageIDs in order — the schedule itself. The answers of the
+// exact cells were recorded from the rank-safe TA/NRA/MAXSCORE
+// evaluator and reproduced bit for bit by exact evaluation over the
+// accumulator array; the counters are those of the one page loop.
+// They are compared literally; regenerate with
 //
 //	go test ./internal/eval -run TestGolden -update
 //
-// only when a schedule or the proof is changed on purpose.
+// only when a schedule or an admission is changed on purpose.
 var update = flag.Bool("update", false, "rewrite testdata/*.json from the current evaluator")
 
-// goldenLists are the query lengths: the single-list edge, the
-// seen-mask word boundary (64 / 65), and the paper's 30–100-term range.
+// goldenLists are the query lengths: the single-list edge, 64 and 65
+// lists, and the paper's 30–100-term range.
 // Even positions draw from one term pool, odd positions from the other.
 var goldenLists = []int{1, 2, 3, 5, 8, 13, 21, 34, 55, 64, 65, 70}
 
@@ -55,23 +54,6 @@ type goldenDoc struct {
 	Bits string `json:"bits"` // math.Float64bits(Score), hex
 }
 
-type goldenRecord struct {
-	Name               string      `json:"name"`
-	PagesProcessed     int         `json:"pages_processed"`
-	PagesRead          int         `json:"pages_read"`
-	EntriesProcessed   int         `json:"entries_processed"`
-	SelectionInquiries int         `json:"selection_inquiries"`
-	Candidates         int         `json:"candidates"`
-	Complete           int         `json:"complete"`
-	Terminated         bool        `json:"terminated"`
-	Partial            bool        `json:"partial,omitempty"`
-	Degraded           bool        `json:"degraded,omitempty"`
-	Faults             int         `json:"faults,omitempty"`
-	Smax               string      `json:"smax"`     // math.Float64bits, hex
-	PageSeq            string      `json:"page_seq"` // FNV-64a of the fetch order, hex
-	Top                []goldenDoc `json:"top"`
-}
-
 // goldenEnv is one seeded collection the golden runs read, with two
 // 70-term pools to draw queries from.
 type goldenEnv struct {
@@ -87,9 +69,7 @@ var (
 
 // loadGoldenEnv returns the named collection: "corpus" is the tiny
 // synthetic corpus (4 000 documents, 50-entry pages, lists of 1–40
-// pages, term pools merged from its topics), where the proof rarely
-// fires and runs end by exhaustion; "skew" is skewEnv, where it fires
-// after a few pages per list.
+// pages, term pools merged from its topics); "skew" is skewEnv.
 func loadGoldenEnv(t testing.TB, name string) *goldenEnv {
 	t.Helper()
 	goldenOnce.Do(func() {
@@ -139,12 +119,11 @@ func corpusEnv(t testing.TB) (*goldenEnv, error) {
 	return env, nil
 }
 
-// skewEnv is the shape early termination needs, at 3 000 documents and
-// 16-entry pages: 140 query terms (df 80–500) in which 24 "hot"
+// skewEnv is a skewed collection at 3 000 documents and 16-entry pages: 140 query terms (df 80–500) in which 24 "hot"
 // documents appear often and with frequencies of 20–60 while everyone
 // else has 1–4, plus 30 never-queried ballast terms that give every
-// other document a long vector — so once the head pages are read the
-// hot documents are complete and every bound on the rest is small.
+// other document a long vector — so a few head pages hold the
+// answer and the filters' thresholds rise fast.
 func skewEnv(t testing.TB) (*goldenEnv, error) {
 	const (
 		numDocs  = 3000
@@ -200,16 +179,6 @@ func (e *goldenEnv) query(i int) Query {
 	return q
 }
 
-// announce tells the pool about the query the way EvaluateContext does
-// before it starts a safe run (RAP re-keys on it; LRU ignores it).
-func (e *goldenEnv) announce(pool buffer.Pool, q Query) {
-	w := make(buffer.QueryWeights, len(q))
-	for _, qt := range q {
-		w[qt.Term] = rank.QueryWeight(qt.Fqt, e.ix.IDF(qt.Term))
-	}
-	pool.SetQuery(w)
-}
-
 // seqPool hashes the fetch order and, when cancelAt > 0, cancels the
 // context as the cancelAt-th fetch is issued — or, with cancelLate, as
 // it returns, so that the evaluator meets the dead context between
@@ -241,45 +210,9 @@ func (p *seqPool) FetchContext(ctx context.Context, id postings.PageID) (*buffer
 	return f, missed, err
 }
 
-// runGolden evaluates q on the announced pool as EvaluateContext does
-// after its announcement — a safe run, then the one Result writer — and
-// returns the run, whose candidate, completeness and termination state
-// the records read.
-func runGolden(ctx context.Context, t testing.TB, ix *postings.Index, sp *seqPool, q Query, algo Algorithm, p Params) (*run, error) {
-	r := newTestRun(t, ix, sp, q, algo, p)
-	err := r.evaluate(ctx)
-	finish(r.res, err, time.Now())
-	return r, err
-}
-
-func record(name string, r *run, sp *seqPool) goldenRecord {
-	out := r.res
-	rec := goldenRecord{
-		Name:               name,
-		PagesProcessed:     out.PagesProcessed,
-		PagesRead:          out.PagesRead,
-		EntriesProcessed:   out.EntriesProcessed,
-		SelectionInquiries: out.SelectionInquiries,
-		Candidates:         len(r.acc.docs),
-		Complete:           r.complete,
-		Terminated:         r.terminated,
-		Partial:            out.Partial,
-		Degraded:           out.Degraded,
-		Faults:             out.Faults,
-		Smax:               strconv.FormatUint(math.Float64bits(r.smax), 16),
-		PageSeq:            strconv.FormatUint(sp.hash, 16),
-		Top:                make([]goldenDoc, len(out.Top)),
-	}
-	for i, sd := range out.Top {
-		rec.Top[i] = goldenDoc{Doc: int32(sd.Doc), Bits: strconv.FormatUint(math.Float64bits(sd.Score), 16)}
-	}
-	return rec
-}
-
-// runGoldenGrid evaluates schedules × policies × pool sizes × the
-// twelve golden queries. Each (schedule, policy, size) cell keeps ONE
-// pool across its queries, so residency left by a query steers the
-// schedule of the next — the coupling the paper is about.
+// runGoldenGrid evaluates the exact method × policies × pool sizes ×
+// the twelve golden queries. Each (policy, size) cell keeps ONE pool
+// across its queries, as the filter grid's cells do.
 func runGoldenGrid(t testing.TB, envName string, k int) []goldenRecord {
 	env := loadGoldenEnv(t, envName)
 	var recs []goldenRecord
@@ -289,14 +222,13 @@ func runGoldenGrid(t testing.TB, envName string, k int) []goldenRecord {
 				mgr := env.newPool(t, size, pol.make(size))
 				for i := range goldenLists {
 					q := env.query(i)
-					env.announce(mgr, q)
 					sp := &seqPool{Pool: mgr}
-					r, err := runGolden(context.Background(), t, env.ix, sp, q, algo, Params{TopN: k})
+					res, err := runFilter(context.Background(), env, sp, q, algo, Params{TopN: k})
 					if err != nil {
 						t.Fatalf("%v/%s/%d query %d: %v", algo, pol.name, size, i, err)
 					}
 					name := fmt.Sprintf("%s/%v/%s/pool=%d/lists=%d", envName, algo, pol.name, size, len(q))
-					recs = append(recs, record(name, r, sp))
+					recs = append(recs, record(name, res, sp))
 				}
 			}
 		}
@@ -316,13 +248,12 @@ func runGoldenOutcomes(t testing.TB, envName string, k int) []goldenRecord {
 
 			ctx, cancel := context.WithCancel(context.Background())
 			sp := &seqPool{Pool: env.newPool(t, 128, buffer.NewLRU()), cancelAt: len(q)/2 + 2, cancel: cancel}
-			env.announce(sp, q)
-			r, err := runGolden(ctx, t, env.ix, sp, q, algo, Params{TopN: k})
+			res, err := runFilter(ctx, env, sp, q, algo, Params{TopN: k})
 			cancel()
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%v cancel lists=%d: err=%v", algo, len(q), err)
 			}
-			recs = append(recs, record(fmt.Sprintf("%s/%v/cancel/lists=%d", envName, algo, len(q)), r, sp))
+			recs = append(recs, record(fmt.Sprintf("%s/%v/cancel/lists=%d", envName, algo, len(q)), res, sp))
 
 			rule := storage.NewFaultRule(storage.FaultTransient)
 			rule.Prob = 0.08
@@ -331,12 +262,11 @@ func runGoldenOutcomes(t testing.TB, envName string, k int) []goldenRecord {
 				t.Fatal(err)
 			}
 			sp = &seqPool{Pool: env.poolOver(t, 128, fs, buffer.NewLRU())}
-			env.announce(sp, q)
-			r, err = runGolden(context.Background(), t, env.ix, sp, q, algo, Params{TopN: k, FaultBudget: len(q)})
+			res, err = runFilter(context.Background(), env, sp, q, algo, Params{TopN: k, FaultBudget: len(q)})
 			if err != nil {
 				t.Fatalf("%v faults lists=%d: %v", algo, len(q), err)
 			}
-			recs = append(recs, record(fmt.Sprintf("%s/%v/faults/lists=%d", envName, algo, len(q)), r, sp))
+			recs = append(recs, record(fmt.Sprintf("%s/%v/faults/lists=%d", envName, algo, len(q)), res, sp))
 		}
 	}
 	return recs
@@ -396,30 +326,28 @@ func compareGolden[R any](t *testing.T, file string, got []R) {
 
 // goldenTopN is the answer size per collection: 10 on the corpus (the
 // benchmark serves 20; 10 keeps the file reviewable), 3 on the skewed
-// collection, where two queries in three then stop early at depths
-// from one page to all but a few.
+// collection.
 var goldenTopN = map[string]int{"corpus": 10, "skew": 3}
 
-// TestGoldenGrid: counters, verdicts, answer bits and fetch order over
-// {TA, NRA, MAXSCORE} × {LRU, RAP} × three pool sizes × queries of
-// 1…70 lists equal the recorded evaluator's, literally.
+// TestGoldenGrid: counters, answer bits and fetch order of MAXSCORE ×
+// {LRU, RAP} × three pool sizes × queries of 1…70 lists equal the
+// recorded evaluator's, literally.
 func TestGoldenGrid(t *testing.T) {
 	for name, k := range goldenTopN {
 		compareGolden(t, "golden_"+name+".json", runGoldenGrid(t, name, k))
 	}
 }
 
-// The filter goldens pin DF, BAF and WEB the same way, plus what the
-// rank-safe records leave out because those methods have no rounds:
-// the residency inquiries, the accumulator count and every trace row —
-// term, BAF's d_t, pages and entries scanned, and the Skipped,
-// Truncated and Faulted flags — in row order, which is processing
-// order. They were recorded from the evaluator whose DF, BAF and WEB
-// ran their own round loops beside the rank-safe page loop, and are
-// regenerated by the same -update flag.
+// The filter goldens pin DF, BAF and WEB the same way. Every record,
+// exact or filtered, also holds every trace row — term, BAF's d_t,
+// pages and entries scanned, and the Skipped, Truncated and Faulted
+// flags — in row order, which is processing order. The filter goldens
+// were recorded from the evaluator whose DF, BAF and WEB ran their own
+// round loops beside the rank-safe page loop, and are regenerated by
+// the same -update flag.
 var filterAlgos = []Algorithm{DF, BAF, WebLegend}
 
-type filterRecord struct {
+type goldenRecord struct {
 	Name               string      `json:"name"`
 	PagesProcessed     int         `json:"pages_processed"`
 	PagesRead          int         `json:"pages_read"`
@@ -456,8 +384,8 @@ func runFilter(ctx context.Context, env *goldenEnv, sp *seqPool, q Query, algo A
 	return ev.EvaluateContext(ctx, algo, q)
 }
 
-func recordFilter(name string, out *Result, sp *seqPool) filterRecord {
-	rec := filterRecord{
+func record(name string, out *Result, sp *seqPool) goldenRecord {
+	rec := goldenRecord{
 		Name:               name,
 		PagesProcessed:     out.PagesProcessed,
 		PagesRead:          out.PagesRead,
@@ -493,9 +421,9 @@ func recordFilter(name string, out *Result, sp *seqPool) filterRecord {
 // runFilterGrid is runGoldenGrid for DF, BAF and WEB: one pool per
 // (method, policy, size) cell across the twelve queries, so WEB meets
 // queries whose lists are partly resident.
-func runFilterGrid(t testing.TB, envName string, k int) []filterRecord {
+func runFilterGrid(t testing.TB, envName string, k int) []goldenRecord {
 	env := loadGoldenEnv(t, envName)
-	var recs []filterRecord
+	var recs []goldenRecord
 	for _, algo := range filterAlgos {
 		for _, pol := range goldenPolicies {
 			for _, size := range goldenPools {
@@ -508,7 +436,7 @@ func runFilterGrid(t testing.TB, envName string, k int) []filterRecord {
 						t.Fatalf("%v/%s/%d query %d: %v", algo, pol.name, size, i, err)
 					}
 					name := fmt.Sprintf("%s/%v/%s/pool=%d/lists=%d", envName, algo, pol.name, size, len(q))
-					recs = append(recs, recordFilter(name, res, sp))
+					recs = append(recs, record(name, res, sp))
 				}
 			}
 		}
@@ -522,9 +450,9 @@ func runFilterGrid(t testing.TB, envName string, k int) []filterRecord {
 // once just after it, where the evaluator meets it between pages. Each
 // run starts on a pool warmed by a DF run of the query's first half,
 // so that WEB meets some lists resident and some not.
-func runFilterOutcomes(t testing.TB, envName string, k int) []filterRecord {
+func runFilterOutcomes(t testing.TB, envName string, k int) []goldenRecord {
 	env := loadGoldenEnv(t, envName)
-	var recs []filterRecord
+	var recs []goldenRecord
 	fresh := func(q Query, p Params) *buffer.Manager {
 		mgr := env.newPool(t, 128, buffer.NewLRU())
 		if _, err := runFilter(context.Background(), env, &seqPool{Pool: mgr}, q[:len(q)/2], DF, p); err != nil {
@@ -547,7 +475,7 @@ func runFilterOutcomes(t testing.TB, envName string, k int) []filterRecord {
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("%v cancel lists=%d late=%v: err=%v", algo, len(q), late, err)
 				}
-				recs = append(recs, recordFilter(fmt.Sprintf("%s/%v/cancel/late=%v/lists=%d", envName, algo, late, len(q)), res, sp))
+				recs = append(recs, record(fmt.Sprintf("%s/%v/cancel/late=%v/lists=%d", envName, algo, late, len(q)), res, sp))
 			}
 
 			rule := storage.NewFaultRule(storage.FaultTransient)
@@ -561,7 +489,7 @@ func runFilterOutcomes(t testing.TB, envName string, k int) []filterRecord {
 			if err != nil {
 				t.Fatalf("%v faults lists=%d: %v", algo, len(q), err)
 			}
-			recs = append(recs, recordFilter(fmt.Sprintf("%s/%v/faults/lists=%d", envName, algo, len(q)), res, sp))
+			recs = append(recs, record(fmt.Sprintf("%s/%v/faults/lists=%d", envName, algo, len(q)), res, sp))
 		}
 	}
 	return recs

@@ -1,15 +1,14 @@
-// Tests of the rank-safe evaluator family. The metamorphic exactness
-// suite: over random corpora at several scales, buffer sizes spanning
-// under- to over-provisioned pools, all six replacement policies,
-// fault schedules and cancellation interleavings, TA/NRA/MAXSCORE must
-// return the bit-identical top-k of an exhaustive (unfiltered) DF
-// evaluation — same documents, same float64 scores, same tie order.
-// Faulted and canceled runs cannot promise exactness (neither can
+// Tests of exact evaluation. The metamorphic exactness suite: over
+// random corpora at several scales, buffer sizes spanning under- to
+// over-provisioned pools, all six replacement policies, fault schedules
+// and cancellation interleavings, MAXSCORE must return the
+// bit-identical top-k of an exhaustive (unfiltered) DF evaluation —
+// same documents, same float64 scores, same tie order — at exactly its
+// cost. Faulted and canceled runs cannot promise exactness (neither can
 // DF's); there the contract is a legal degraded/partial ranking, and
 // exactness must return the moment the store heals. The unit tests
-// below it pin early termination, the schedules' savings and the
-// shared fault/cancellation behaviour. Runs under -race in the ci
-// ranksafe gate.
+// below it pin the shared fault/cancellation behaviour. Runs under
+// -race in the ranksafe-exactness gate.
 package eval
 
 import (
@@ -27,7 +26,9 @@ import (
 	"bufir/internal/storage"
 )
 
-var safeAlgos = []Algorithm{TA, NRA, MAXSCORE}
+// safeAlgos is the exact method, held to exhaustive evaluation by every
+// exactness test.
+var safeAlgos = []Algorithm{MAXSCORE}
 
 // safePolicies is the full replacement-policy family — the exactness
 // guarantee must be independent of what the pool happens to evict.
@@ -43,9 +44,7 @@ var safePolicies = []struct {
 	{"ADAPTIVE", func(c int) buffer.Policy { return buffer.NewAdaptive(c) }},
 }
 
-// assertTopIdentical compares only the ranked answer — the safe
-// methods legitimately touch fewer candidates than an exhaustive scan,
-// so Accumulators and Smax are not part of their contract.
+// assertTopIdentical compares only the ranked answer.
 func assertTopIdentical(t *testing.T, label string, got, want []rank.ScoredDoc) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -59,7 +58,7 @@ func assertTopIdentical(t *testing.T, label string, got, want []rank.ScoredDoc) 
 }
 
 // exhaustiveRef evaluates q exhaustively (CAdd=CIns=0 DF) on a fresh
-// ample pool — the reference every safe evaluation must match.
+// ample pool — the reference every exact evaluation must match.
 func exhaustiveRef(t *testing.T, f *fixture, topN int, q Query) *Result {
 	t.Helper()
 	ev := f.evaluator(t, f.ix.NumPagesTotal+2, buffer.NewLRU(), Params{TopN: topN})
@@ -101,15 +100,15 @@ func randSafeQuery(r *rand.Rand, numTerms int) Query {
 
 // TestMetamorphicSafeExactness is the headline sweep: for every
 // policy, random corpora at two scales × random buffer sizes × random
-// queries × every safe method, the answer is bit-identical to the
-// exhaustive reference and never costs more page processing.
+// queries, the exact method's answer, accumulator count and S_max are
+// bit-identical to the exhaustive reference, at the same page and entry
+// cost, whatever the pool holds.
 func TestMetamorphicSafeExactness(t *testing.T) {
 	const perPolicy = 40
 	for _, pol := range safePolicies {
 		pol := pol
 		t.Run(pol.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(2009 + int64(len(pol.name))))
-			terminated := 0
 			for i := 0; i < perPolicy; i++ {
 				var f *fixture
 				if i%4 == 3 {
@@ -128,9 +127,11 @@ func TestMetamorphicSafeExactness(t *testing.T) {
 						t.Fatalf("iter %d %v: %v", i, algo, err)
 					}
 					assertTopIdentical(t, algo.String(), res.Top, want.Top)
-					if res.PagesProcessed > want.PagesProcessed {
-						t.Fatalf("iter %d %v: processed %d pages, exhaustive %d",
-							i, algo, res.PagesProcessed, want.PagesProcessed)
+					if res.PagesProcessed != want.PagesProcessed || res.EntriesProcessed != want.EntriesProcessed ||
+						res.Accumulators != want.Accumulators || res.Smax != want.Smax {
+						t.Fatalf("iter %d %v: %d pages, %d entries, %d accumulators, S_max %v; exhaustive %d, %d, %d, %v",
+							i, algo, res.PagesProcessed, res.EntriesProcessed, res.Accumulators, res.Smax,
+							want.PagesProcessed, want.EntriesProcessed, want.Accumulators, want.Smax)
 					}
 					if res.Partial || res.Degraded {
 						t.Fatalf("iter %d %v: clean run flagged Partial=%v Degraded=%v",
@@ -142,26 +143,13 @@ func TestMetamorphicSafeExactness(t *testing.T) {
 						}
 					}
 				}
-				// Count early terminations via a tight-k probe so the sweep
-				// provably exercises the proof, not just exhaustion.
-				ev := f.evaluator(t, bufPages, pol.mk(bufPages), Params{TopN: 1})
-				res, err := ev.Evaluate(MAXSCORE, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.PagesProcessed < want.PagesProcessed {
-					terminated++
-				}
-			}
-			if terminated == 0 {
-				t.Error("no run ever terminated early — the proof never engaged")
 			}
 		})
 	}
 }
 
 // TestMetamorphicSafeFaultInterleavings: under an injected fault
-// schedule absorbed by the budget, a safe evaluation must complete
+// schedule absorbed by the budget, an exact evaluation must complete
 // with a legal degraded ranking; once the store heals the very next
 // evaluation is exact again.
 func TestMetamorphicSafeFaultInterleavings(t *testing.T) {
@@ -215,7 +203,7 @@ func TestMetamorphicSafeFaultInterleavings(t *testing.T) {
 	}
 }
 
-// TestMetamorphicSafeCancellation: a safe evaluation canceled mid-scan
+// TestMetamorphicSafeCancellation: an exact evaluation canceled mid-scan
 // returns the anytime partial ranking alongside context.Canceled, with
 // no frames left pinned, and the retry on a live context is exact.
 func TestMetamorphicSafeCancellation(t *testing.T) {
@@ -290,44 +278,18 @@ func assertLegalRanking(t *testing.T, top []rank.ScoredDoc, k int) {
 	}
 }
 
-// TestSafeResumePathIgnoresSnapshots: the refinement entry point must
-// accept a safe algorithm, return no snapshot (nothing to resume), and
-// stay exact when handed a stale DF snapshot.
-func TestSafeResumePathIgnoresSnapshots(t *testing.T) {
-	f := smallFixture(t)
-	q1 := Query{{Term: 0, Fqt: 1}}
-	q2 := Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 2}}
-	ev := f.evaluator(t, 64, buffer.NewLRU(), Params{TopN: 5})
-
-	// Record a DF snapshot first, then hand it to a safe evaluation.
-	_, snap, err := ev.EvaluateResumeContext(context.Background(), DF, q1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range safeAlgos {
-		res, next, err := ev.EvaluateResumeContext(context.Background(), algo, q2, snap)
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if next != nil {
-			t.Errorf("%v: safe evaluation recorded a snapshot", algo)
-		}
-		assertTopIdentical(t, algo.String(), res.Top, exhaustiveRef(t, f, 5, q2).Top)
-	}
-}
-
-// TestScheduleString pins the names of the three safe schedules and
-// the fallback name of an unknown value.
+// TestScheduleString pins the name of the exact method and the
+// fallback name of an unknown value.
 func TestScheduleString(t *testing.T) {
-	for a, want := range map[Algorithm]string{TA: "TA", NRA: "NRA", MAXSCORE: "MAXSCORE", Algorithm(9): "Algorithm(9)"} {
+	for a, want := range map[Algorithm]string{MAXSCORE: "MAXSCORE", Algorithm(4): "Algorithm(4)", Algorithm(9): "Algorithm(9)"} {
 		if got := a.String(); got != want {
 			t.Errorf("Algorithm(%d).String() = %q, want %q", int(a), got, want)
 		}
 	}
 }
 
-// TestValidation: a safe evaluation is refused for a bad query or bad
-// parameters.
+// TestValidation: an exact evaluation is refused for a bad query or
+// bad parameters.
 func TestValidation(t *testing.T) {
 	f := skewed(t)
 	cases := []struct {
@@ -344,7 +306,7 @@ func TestValidation(t *testing.T) {
 	for _, tc := range cases {
 		ev, err := NewEvaluator(f.ix, f.newPool(t, 8, buffer.NewLRU()), f.conv, tc.p)
 		if err == nil {
-			_, err = ev.Evaluate(TA, tc.q)
+			_, err = ev.Evaluate(MAXSCORE, tc.q)
 		}
 		if err == nil {
 			t.Errorf("%s: no error", tc.name)
@@ -352,10 +314,10 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestSafeAlgorithmStrings pins the String names the Method knob and
-// E27 rows use.
+// TestSafeAlgorithmStrings pins the String name metric labels use, and
+// that MAXSCORE alone is rank-safe.
 func TestSafeAlgorithmStrings(t *testing.T) {
-	want := map[Algorithm]string{TA: "TA", NRA: "NRA", MAXSCORE: "MAXSCORE"}
+	want := map[Algorithm]string{MAXSCORE: "MAXSCORE"}
 	for algo, name := range want {
 		if algo.String() != name {
 			t.Errorf("%d.String() = %q, want %q", int(algo), algo.String(), name)
@@ -373,8 +335,7 @@ func TestSafeAlgorithmStrings(t *testing.T) {
 
 // skewed builds a fixture with one dominant document in the queried
 // term and a long low-frequency tail whose documents carry large
-// vector lengths from a second (unqueried) term — the shape where the
-// unseen-document bound collapses quickly.
+// vector lengths from a second term.
 func skewed(t testing.TB) *fixture {
 	a := postings.TermPostings{Name: "rare"}
 	b := postings.TermPostings{Name: "ballast"}
@@ -416,75 +377,8 @@ func TestAllSchedulesBitIdenticalToExhaustive(t *testing.T) {
 	}
 }
 
-// TestEarlyTermination: on the skewed fixture with k=1, the dominant
-// document is provably final after a page or two — far before the
-// 10-page list is exhausted — and the answer is still exact.
-func TestEarlyTermination(t *testing.T) {
-	f := skewed(t)
-	q := Query{{Term: 0, Fqt: 1}}
-	want := f.bruteForce(q, 1)
-	total := f.ix.Terms[0].NumPages
-	for _, algo := range safeAlgos {
-		r := newTestRun(t, f.ix, f.newPool(t, 4, buffer.NewLRU()), q, algo, Params{TopN: 1})
-		if err := r.evaluate(context.Background()); err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if !r.terminated {
-			t.Errorf("%v: did not terminate early", algo)
-		}
-		if pages := r.res.Trace[0].PagesProcessed; pages >= total {
-			t.Errorf("%v: processed %d pages of a %d-page list", algo, pages, total)
-		}
-		assertTopIdentical(t, algo.String(), r.res.Top, want)
-	}
-}
-
-// TestMaxscoreSkipsLowSigmaTail: with a huge-idf list that settles
-// the answer, maxscore needs the low-sigma list only long enough to
-// complete the winner's score — its long tail goes unread.
-func TestMaxscoreSkipsLowSigmaTail(t *testing.T) {
-	rare := postings.TermPostings{Name: "rare", Entries: []postings.Entry{{Doc: 0, Freq: 90}}}
-	common := postings.TermPostings{Name: "common"}
-	ballast := postings.TermPostings{Name: "ballast"}
-	for d := postings.DocID(1); d < 30; d++ {
-		common.Entries = append(common.Entries, postings.Entry{Doc: d, Freq: 1})
-		ballast.Entries = append(ballast.Entries, postings.Entry{Doc: d, Freq: 40})
-	}
-	// Doc 0 also appears once in common so it is complete the moment
-	// common's head page is read — and it never needs to be, because
-	// rare finishing makes it complete too.
-	common.Entries = append([]postings.Entry{{Doc: 0, Freq: 2}}, common.Entries...)
-	f := newFixture(t, []postings.TermPostings{rare, common, ballast}, 64, 2)
-
-	q := Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}}
-	want := f.bruteForce(q, 1)
-	r := newTestRun(t, f.ix, f.newPool(t, 4, buffer.NewLRU()), q, MAXSCORE, Params{TopN: 1})
-	if err := r.evaluate(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	assertTopIdentical(t, "MAXSCORE", r.res.Top, want)
-	var commonRow *TermTrace
-	for i := range r.res.Trace {
-		if r.res.Trace[i].Term == 1 {
-			commonRow = &r.res.Trace[i]
-		}
-	}
-	if commonRow == nil {
-		t.Fatal("no trace row for the common term")
-	}
-	// One page completes doc 0 (it sits in the frequency-sorted head);
-	// everything past that is the saving.
-	if commonRow.PagesProcessed > 2 || commonRow.PagesProcessed == commonRow.ListPages {
-		t.Errorf("maxscore read %d of the low-sigma list's %d pages",
-			commonRow.PagesProcessed, commonRow.ListPages)
-	}
-	if !r.terminated {
-		t.Error("expected early termination")
-	}
-}
-
 // TestNeverMorePagesThanExhaustive: across random fixtures, queries
-// and schedules, a safe method processes at most the pages an
+// and pool sizes, the exact method processes at most the pages an
 // exhaustive scan of the query lists would.
 func TestNeverMorePagesThanExhaustive(t *testing.T) {
 	r := rand.New(rand.NewSource(271828))
@@ -524,7 +418,7 @@ func TestFaultOnFirstPageEveryMethod(t *testing.T) {
 	}})
 	q := Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}, {Term: 2, Fqt: 1}}
 	const wantErr = `eval: term "beta" page 0: `
-	for _, algo := range []Algorithm{DF, BAF, TA, NRA, MAXSCORE} {
+	for _, algo := range []Algorithm{DF, BAF, MAXSCORE} {
 		p := fullParams()
 		p.FaultBudget = 1
 		res, err := faultEvaluator(t, f, spec, p).Evaluate(algo, q)
@@ -576,25 +470,24 @@ func TestCancellationReturnsPartial(t *testing.T) {
 	}
 }
 
-// TestSelectionInquiriesCounted: buffer-aware scheduling must account
-// its residency probes, like BAF.
+// TestSelectionInquiriesCounted: the buffer-aware schedules account
+// their residency probes; DF and the exact method make none.
 func TestSelectionInquiriesCounted(t *testing.T) {
 	f := skewed(t)
 	q := Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}}
-	for _, algo := range safeAlgos {
+	for _, algo := range []Algorithm{DF, BAF, WebLegend, MAXSCORE} {
 		res, err := f.evaluator(t, 4, buffer.NewLRU(), Params{TopN: 5}).Evaluate(algo, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.SelectionInquiries == 0 {
-			t.Errorf("%v: no selection inquiries recorded", algo)
+		if probes := algo == BAF || algo == WebLegend; (res.SelectionInquiries > 0) != probes {
+			t.Errorf("%v: %d selection inquiries recorded", algo, res.SelectionInquiries)
 		}
 	}
 }
 
 // TestExhaustionEqualsExhaustive: with k larger than the candidate
-// set, no early stop is possible; the run must exhaust every list and
-// report DF's exact Smax.
+// set, the run exhausts every list and reports DF's exact Smax.
 func TestExhaustionEqualsExhaustive(t *testing.T) {
 	f := skewed(t)
 	q := Query{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 1}}
@@ -611,5 +504,35 @@ func TestExhaustionEqualsExhaustive(t *testing.T) {
 			t.Errorf("%v: Smax %v, want DF's %v", algo, res.Smax, want.Smax)
 		}
 		assertTopIdentical(t, algo.String(), res.Top, want.Top)
+	}
+}
+
+// TestDuplicateEntriesAccumulate: a malformed list with two entries
+// for one document accumulates like DF's sequential scan, also when the
+// second entry is pages after the first.
+func TestDuplicateEntriesAccumulate(t *testing.T) {
+	// Doc 0 appears twice in each list; with 2-entry pages the second
+	// appearance is pages after the first.
+	a := postings.TermPostings{Name: "a", Entries: []postings.Entry{
+		{Doc: 0, Freq: 9}, {Doc: 1, Freq: 8}, {Doc: 2, Freq: 7}, {Doc: 3, Freq: 6},
+		{Doc: 4, Freq: 5}, {Doc: 0, Freq: 4}, {Doc: 5, Freq: 3}, {Doc: 6, Freq: 2},
+	}}
+	b := postings.TermPostings{Name: "b", Entries: []postings.Entry{
+		{Doc: 3, Freq: 9}, {Doc: 0, Freq: 8}, {Doc: 6, Freq: 7}, {Doc: 0, Freq: 6},
+		{Doc: 2, Freq: 5}, {Doc: 7, Freq: 4},
+	}}
+	f := newFixture(t, []postings.TermPostings{a, b}, 12, 2)
+	for _, q := range []Query{
+		{{Term: 0, Fqt: 1}},
+		{{Term: 0, Fqt: 1}, {Term: 1, Fqt: 2}},
+	} {
+		want := f.bruteForce(q, 12)
+		for _, algo := range safeAlgos {
+			res, err := f.evaluator(t, 4, buffer.NewLRU(), Params{TopN: 12}).Evaluate(algo, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertTopIdentical(t, fmt.Sprintf("%d lists %v", len(q), algo), res.Top, want)
+		}
 	}
 }

@@ -16,11 +16,12 @@
 // compute, which is what makes the resumed result bit-identical, not
 // merely approximately equal.
 //
-// Only DF is resumable. BAF's round order depends on buffer residency
-// (b_t), which has changed by the next step, and WebLegend's term
-// selection depends on residency outright — for those algorithms
-// EvaluateResumeContext silently degenerates to a cold evaluation and
-// returns a nil snapshot.
+// Only DF is resumable, and with it MAXSCORE, which is DF with the
+// filtering constants zeroed: its snapshot is a DF snapshot under those
+// constants. BAF's round order depends on buffer residency (b_t), which
+// has changed by the next step, and WebLegend's term selection depends
+// on residency outright — for those algorithms EvaluateResumeContext
+// silently degenerates to a cold evaluation and returns a nil snapshot.
 package eval
 
 import (
@@ -68,7 +69,8 @@ type Snapshot struct {
 	rounds []roundRec
 }
 
-// Algo returns the algorithm that produced the snapshot.
+// Algo returns the algorithm whose trajectory the snapshot records: DF,
+// also for a MAXSCORE evaluation.
 func (s *Snapshot) Algo() Algorithm { return s.algo }
 
 // Rounds returns how many term rounds the snapshot records.
@@ -95,22 +97,22 @@ func (s *Snapshot) Query() Query {
 	return q
 }
 
-// resumePrefix returns how many leading rounds of ord can be replayed
-// from prev: the longest p such that rounds 0..p-1 of prev are clean
-// and match ord term-for-term with identical f_qt. Identical f_qt is
-// required because the thresholds (Equation 5) divide by f_{q,t}: a
-// raised frequency changes the round's own filtering even when S_max
-// going in is the same. Params must match exactly — CIns/CAdd shape
-// the thresholds, ForceFirstPage and FaultBudget shape the scan — and
-// both trajectories must be DF.
-func (e *Evaluator) resumePrefix(ord Query, prev *Snapshot) int {
-	if prev == nil || prev.algo != DF || prev.params != e.Params {
+// resumePrefix returns how many leading rounds of the run's canonical
+// lists can be replayed from prev: the longest p such that rounds
+// 0..p-1 of prev are clean and match the lists term-for-term with
+// identical f_qt. Identical f_qt is required because the thresholds
+// (Equation 5) divide by f_{q,t}: a raised frequency changes the
+// round's own filtering even when S_max going in is the same. Params
+// must match exactly — CIns/CAdd shape the thresholds, ForceFirstPage
+// and FaultBudget shape the scan — and both trajectories must be DF.
+func (r *run) resumePrefix(prev *Snapshot) int {
+	if prev == nil || prev.algo != DF || prev.params != r.p {
 		return 0
 	}
 	p := 0
-	for p < len(prev.rounds) && p < len(ord) {
-		r := prev.rounds[p]
-		if !r.Clean || r.Term != ord[p].Term || r.Fqt != ord[p].Fqt {
+	for p < len(prev.rounds) && p < len(r.lists) {
+		rr, qt := prev.rounds[p], r.lists[p].qt
+		if !rr.Clean || rr.Term != qt.Term || rr.Fqt != qt.Fqt {
 			break
 		}
 		p++
@@ -130,7 +132,7 @@ func (r *run) replay(prev *Snapshot, p int) {
 	for i := 0; i < p; i++ {
 		rr := prev.rounds[i]
 		for _, w := range rr.Writes {
-			r.acc.vals[r.acc.slot(w.Doc)] = w.Val
+			r.acc.set(w.Doc, w.Val)
 		}
 		r.smax = rr.SmaxAfter
 		tr := rr.Trace
@@ -157,7 +159,7 @@ func (r *run) replay(prev *Snapshot, p int) {
 // trajectory for the next step.
 //
 // Resume legality: prev was produced by this evaluator's parameters
-// under DF, and a leading run of q's canonical DF order matches
+// under DF (or MAXSCORE, with its constants zeroed on both sides), and a leading run of q's canonical DF order matches
 // prev's recorded rounds term-for-term with unchanged f_qt (all
 // clean). The matched prefix is replayed from the record — zero pages
 // touched — and only the remaining rounds scan their lists, with
@@ -166,11 +168,11 @@ func (r *run) replay(prev *Snapshot, p int) {
 // scores), same Accumulators, same Smax. Result.ReusedRounds and the
 // Reused trace rows show what was skipped.
 //
-// A nil prev, a non-DF algo, or a prev that doesn't prefix-match
+// A nil prev, an algo other than DF and MAXSCORE, or a prev that doesn't prefix-match
 // (e.g. after a DROP, or when an added term sorts into the middle of
 // the old order) simply resumes nothing: the evaluation is cold.
 //
-// The returned snapshot is nil when algo is not DF and on every
+// The returned snapshot is nil when algo is BAF or WEB and on every
 // error, including context expiry — a truncated trajectory is not a
 // legal resume point, and the caller should keep its previous
 // snapshot. A completed-but-degraded evaluation (fault budget) does

@@ -219,6 +219,63 @@ func TestResumeBAFNeverSnapshots(t *testing.T) {
 	}
 }
 
+// TestResumeExactSnapshots: MAXSCORE records the unfiltered DF
+// trajectory whatever the evaluator's constants, resumes an ADD-ONLY
+// step from it bit-identical to a cold exhaustive run, and shares the
+// snapshot with DF under CAdd = CIns = 0 — but never with a filtered DF
+// trajectory.
+func TestResumeExactSnapshots(t *testing.T) {
+	f := smallFixture(t)
+	filtered := TunedParams()
+	filtered.TopN = 10
+	full := fullParams()
+	q1 := Query{{Term: 1, Fqt: 2}, {Term: 2, Fqt: 1}}
+	q2 := append(append(Query{}, q1...), QueryTerm{Term: 0, Fqt: 1})
+	want := coldEval(t, f, full, q2)
+
+	ev := f.evaluator(t, 64, buffer.NewLRU(), filtered)
+	_, snap, err := ev.EvaluateResumeContext(context.Background(), MAXSCORE, q1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil || snap.Algo() != DF || snap.CleanRounds() != 2 {
+		t.Fatalf("MAXSCORE snapshot = %+v, want two clean DF rounds", snap)
+	}
+	res, next, err := ev.EvaluateResumeContext(context.Background(), MAXSCORE, q2, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReusedRounds != 2 || next == nil || next.Rounds() != 3 {
+		t.Fatalf("MAXSCORE resume reused %d rounds, snapshot %+v", res.ReusedRounds, next)
+	}
+	assertBitIdentical(t, "MAXSCORE resumed", res, want)
+
+	// The same trajectory under DF with the constants zeroed.
+	evFull := f.evaluator(t, 64, buffer.NewLRU(), full)
+	res, _, err = evFull.EvaluateResumeContext(context.Background(), DF, q2, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReusedRounds != 2 {
+		t.Fatalf("unfiltered DF reused %d rounds of the MAXSCORE snapshot, want 2", res.ReusedRounds)
+	}
+	assertBitIdentical(t, "DF from MAXSCORE", res, want)
+
+	// A filtered DF snapshot is another trajectory: MAXSCORE runs cold.
+	_, dfSnap, err := ev.EvaluateResumeContext(context.Background(), DF, q1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err = ev.EvaluateResumeContext(context.Background(), MAXSCORE, q2, dfSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReusedRounds != 0 {
+		t.Fatalf("MAXSCORE reused %d rounds of a filtered DF snapshot", res.ReusedRounds)
+	}
+	assertBitIdentical(t, "MAXSCORE over a filtered snapshot", res, want)
+}
+
 // TestResumeCtxErrorKeepsNoSnapshot: a canceled resume returns the
 // anytime partial alongside the error and NO snapshot — the caller
 // keeps its previous one, which must still replay correctly.

@@ -11,17 +11,17 @@ import (
 
 // ---------------------------------------------------------------------------
 // E27 (extension) — the rank-safe frontier: pages read × overlap@20 ×
-// exactness for the safe evaluator family (TA / NRA / MAXSCORE)
-// against FULL (exhaustive DF) and the paper's unsafe filters (DF /
-// BAF with the tuned constants), across buffer sizes and replacement
-// policies. The workload is each topic's query plus its 1-term and
-// 2-term prefixes — the prefixes are the anchor cells: short, skewed
-// queries where the termination proof fires earliest, so a safe
-// method should beat FULL's page count outright while the filters pay
-// for their savings in overlap. The acceptance booleans pin the two
-// headline claims: every safe cell is exact (overlap 1.0, bit-identical
-// answers), and at least one anchor cell reads fewer pages than FULL
-// at equal k.
+// exactness for exact evaluation, FULL (exhaustive DF, which is what
+// MAXSCORE runs), against the paper's unsafe filters (DF / BAF with the
+// tuned constants), across buffer sizes and replacement policies. The
+// workload is each topic's query plus its 1-term and 2-term prefixes
+// (the anchor cells: short, skewed queries). The filters pay for their
+// page savings in overlap; FULL pays for exactness in pages. The
+// acceptance boolean pins that FULL is exact in every cell — on a warm
+// pool of every size and policy, its answers are bit-identical to the
+// cold reference. No rank-safe method with a termination proof runs
+// here: on these frequency-sorted lists it reads nearly every page FULL
+// does, at a multiple of FULL's CPU (DESIGN.md §14).
 // ---------------------------------------------------------------------------
 
 // RankSafePolicies is the replacement-policy axis of E27: the
@@ -58,13 +58,8 @@ type RankSafeResult struct {
 	Methods    []string
 	Rows       []RankSafeRow
 
-	// SafeExactEverywhere: every TA/NRA/MAXSCORE cell was exact.
+	// SafeExactEverywhere: every FULL cell was exact.
 	SafeExactEverywhere bool
-	// SafeBeatsFullCell names one cell ("METHOD policy/pages") where a
-	// safe method read fewer pages than FULL at the same policy and
-	// buffer size — the proof the termination bound pays for itself.
-	// Empty when no such cell exists.
-	SafeBeatsFullCell string
 }
 
 // rankSafeMethod pairs a method name with its algorithm and tuning.
@@ -74,8 +69,8 @@ type rankSafeMethod struct {
 	p    eval.Params
 }
 
-// rankSafeMethods builds the method axis: FULL and the safe family run
-// exhaustive parameters; DF and BAF run the collection-tuned filters.
+// rankSafeMethods builds the method axis: FULL runs exhaustive
+// parameters; DF and BAF run the collection-tuned filters.
 func (e *Env) rankSafeMethods() []rankSafeMethod {
 	exact := eval.Params{TopN: rankSafeK}
 	tuned := e.Params()
@@ -84,9 +79,6 @@ func (e *Env) rankSafeMethods() []rankSafeMethod {
 		{"FULL", eval.DF, exact},
 		{"DF", eval.DF, tuned},
 		{"BAF", eval.BAF, tuned},
-		{"TA", eval.TA, exact},
-		{"NRA", eval.NRA, exact},
-		{"MAXSCORE", eval.MAXSCORE, exact},
 	}
 }
 
@@ -159,8 +151,7 @@ func (e *Env) RunRankSafe(points int) (*RankSafeResult, error) {
 		out.Methods = append(out.Methods, m.name)
 	}
 
-	fullReads := make(map[string]int, len(out.Policies)*len(sizes))
-	cellKey := func(policy string, size int) string { return fmt.Sprintf("%s/%d", policy, size) }
+	out.SafeExactEverywhere = true
 	for _, policy := range out.Policies {
 		for _, size := range sizes {
 			for _, m := range methods {
@@ -168,25 +159,11 @@ func (e *Env) RunRankSafe(points int) (*RankSafeResult, error) {
 				if err != nil {
 					return nil, fmt.Errorf("ranksafe %s %s/%d buffers: %w", m.name, policy, size, err)
 				}
-				if m.name == "FULL" {
-					fullReads[cellKey(policy, size)] = row.PagesRead
+				if m.name == "FULL" && !row.Exact {
+					out.SafeExactEverywhere = false
 				}
 				out.Rows = append(out.Rows, *row)
 			}
-		}
-	}
-
-	out.SafeExactEverywhere = true
-	for _, row := range out.Rows {
-		safe := row.Method == "TA" || row.Method == "NRA" || row.Method == "MAXSCORE"
-		if !safe {
-			continue
-		}
-		if !row.Exact {
-			out.SafeExactEverywhere = false
-		}
-		if out.SafeBeatsFullCell == "" && row.PagesRead < fullReads[cellKey(row.Policy, row.BufPages)] {
-			out.SafeBeatsFullCell = fmt.Sprintf("%s %s/%d", row.Method, row.Policy, row.BufPages)
 		}
 	}
 	return out, nil
@@ -237,7 +214,7 @@ func (r *RankSafeResult) Format(w io.Writer) {
 	fmt.Fprintf(w, "E27: the rank-safe frontier — pages read x overlap@%d x exactness\n\n", r.TopN)
 	fmt.Fprintf(w, "%d queries (%d anchor prefixes), %d-page working set, one warm pool per cell\n",
 		r.Queries, r.Anchors, r.WorkingSet)
-	fmt.Fprintf(w, "FULL/TA/NRA/MAXSCORE run exhaustive parameters; DF/BAF run the tuned filters\n")
+	fmt.Fprintf(w, "FULL (= MAXSCORE) runs exhaustive parameters; DF/BAF run the tuned filters\n")
 	for _, policy := range r.Policies {
 		fmt.Fprintf(w, "\n%s pages read (overlap@%d; * = exact):\n%8s", policy, r.TopN, "buffers")
 		for _, m := range r.Methods {
@@ -261,15 +238,8 @@ func (r *RankSafeResult) Format(w io.Writer) {
 			fmt.Fprintln(w)
 		}
 	}
-	fmt.Fprintf(w, "\nsafe methods exact in every cell: %v\n", r.SafeExactEverywhere)
-	if r.SafeBeatsFullCell != "" {
-		fmt.Fprintf(w, "first cell where a safe method reads fewer pages than FULL: %s\n", r.SafeBeatsFullCell)
-	} else {
-		fmt.Fprintf(w, "no cell had a safe method reading fewer pages than FULL\n")
-	}
-	fmt.Fprintln(w, "(the filters buy their page savings with overlap; the safe family buys")
-	fmt.Fprintln(w, " exactness with the termination proof's bookkeeping, and wins outright when")
-	fmt.Fprintln(w, " skew lets the proof fire early — the anchor prefixes)")
+	fmt.Fprintf(w, "\nFULL exact in every cell: %v\n", r.SafeExactEverywhere)
+	fmt.Fprintln(w, "(the filters buy their page savings with overlap; exactness costs FULL's pages)")
 }
 
 // row finds the cell for (method, policy, size).

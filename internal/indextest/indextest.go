@@ -4,7 +4,7 @@
 // access modes, and the live delta-overlay — must satisfy. A backend
 // is admissible when, over the same corpus, it returns the same ranked
 // answers (documents, float64 scores, tie order) as every other
-// backend under all six evaluation methods, charges delivered pages
+// backend under every evaluation method, charges delivered pages
 // honestly, and (for live backends) publishes strictly monotone
 // generations that queries never straddle.
 //
@@ -86,9 +86,8 @@ var queries = []string{
 	word(1) + " " + word(5) + " " + word(25) + " " + word(60) + " " + word(99),
 }
 
-// methods is the six-method evaluation axis: FULL (exhaustive
-// unfiltered), the paper's unsafe filtering pair, and the rank-safe
-// family.
+// methods is the evaluation axis: FULL (exhaustive unfiltered), the
+// paper's unsafe filtering pair, and exact MAXSCORE.
 var methods = []struct {
 	Name string
 	Opts bufir.EvalOptions
@@ -96,8 +95,6 @@ var methods = []struct {
 	{"FULL", bufir.EvalOptions{Algorithm: bufir.DF, Unfiltered: true}},
 	{"DF", bufir.EvalOptions{Algorithm: bufir.DF}},
 	{"BAF", bufir.EvalOptions{Algorithm: bufir.BAF}},
-	{"TA", bufir.EvalOptions{Algorithm: bufir.TA}},
-	{"NRA", bufir.EvalOptions{Algorithm: bufir.NRA}},
 	{"MAXSCORE", bufir.EvalOptions{Algorithm: bufir.Maxscore}},
 }
 
@@ -161,7 +158,7 @@ func Run(t *testing.T, backends []Backend) {
 
 // readEquivalence: every backend returns bit-identical ranked answers
 // (documents, float64 scores, tie order) to the reference backend for
-// the full query set under all six methods.
+// the full query set under every evaluation method.
 func readEquivalence(t *testing.T, backends []Backend, docs []bufir.Document) {
 	ref := backends[0].Open(t, docs)
 	want := make(map[string][]hit)

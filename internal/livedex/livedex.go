@@ -11,7 +11,7 @@
 // same per-term entry order, the same idf_t = log2(N/f_t) from
 // postings.IDFValue, the same per-document sum-of-squares accumulation
 // sequence for W_d — over the merged lists, so every evaluation
-// method (exhaustive, DF, BAF, TA, NRA, MAXSCORE) answers over the
+// method (exhaustive, DF, BAF, MAXSCORE) answers over the
 // live index exactly as it would over a rebuilt one. Bit-identity is
 // structural, not asserted after the fact; the metamorphic harness at
 // the root of the repository then verifies the structure.
@@ -277,6 +277,18 @@ func (s *State) Commit() (*Combined, error) {
 		DocNames:    append([]string(nil), s.docNames...),
 	}
 	sumSq := meta.DocLen // accumulate sum of squares, sqrt at the end
+
+	// One page descriptor per combined page, counted up front: grown by
+	// append, the array would be copied over and over at every commit.
+	pages := 0
+	for t := 0; t < nTerms; t++ {
+		df := len(s.delta[postings.TermID(t)])
+		if t < len(s.mainLists) {
+			df += len(s.mainLists[t])
+		}
+		pages += (df + s.pageSize - 1) / s.pageSize
+	}
+	c.Desc = make([]PageDesc, 0, pages)
 
 	for t := 0; t < nTerms; t++ {
 		var main []postings.Entry

@@ -104,31 +104,10 @@ type Index struct {
 	pageOffset []int32
 	// pageWStar[p] is w*_{d,t} = PageMaxFreq * idf_t for page p.
 	pageWStar []float64
-	// docsByLen holds the DocIDs with positive vector length, ordered
-	// by W_d ascending (ties DocID ascending). Rank-safe evaluators
-	// walk it to bound the best normalized score any still-unseen
-	// document could reach.
-	docsByLen []DocID
 	// docSorted marks an index from BuildDocSorted: its lists are in
 	// document order, so RebuildPageMaps cannot ask the per-page maximum
 	// frequencies to fall along a list.
 	docSorted bool
-}
-
-// DocsByLen returns the documents with positive vector length in
-// ascending W_d order (ties by DocID). The slice is rebuilt by
-// RebuildPageMaps and must be treated as read-only.
-func (ix *Index) DocsByLen() []DocID { return ix.docsByLen }
-
-// MinDocLen returns the smallest positive document vector length, or 0
-// when no document has one. 1/MinDocLen is the largest normalization
-// factor any score can receive — the denominator of the unseen-document
-// bound in rank-safe termination proofs.
-func (ix *Index) MinDocLen() float64 {
-	if len(ix.docsByLen) == 0 {
-		return 0
-	}
-	return ix.DocLen[ix.docsByLen[0]]
 }
 
 // TermOfPage returns the term whose inverted list contains page p.
@@ -209,11 +188,9 @@ func ListPostings(pages [][]Entry, ix *Index, t TermID) []Entry {
 }
 
 // RebuildPageMaps recomputes the derived page-level arrays (page →
-// term, page → offset, page → w*), NumPagesTotal, and the
-// length-ordered document list behind DocsByLen/MinDocLen from the
-// term metadata and DocLen. Build calls it implicitly; it is exported
-// for index loaders that reconstruct an Index from persisted metadata
-// (which must populate DocLen before calling).
+// term, page → offset, page → w*) and NumPagesTotal from the term
+// metadata. Build calls it implicitly; it is exported for index
+// loaders that reconstruct an Index from persisted metadata.
 //
 // It rejects metadata in which a page's maximum frequency exceeds that
 // of the page before it in the same list. Frequency-sorted lists cannot
@@ -253,19 +230,6 @@ func (ix *Index) RebuildPageMaps() error {
 			ix.pageWStar[p] = float64(tm.PageMaxFreq[i]) * tm.IDF
 		}
 	}
-	ix.docsByLen = ix.docsByLen[:0]
-	for d, w := range ix.DocLen {
-		if w > 0 {
-			ix.docsByLen = append(ix.docsByLen, DocID(d))
-		}
-	}
-	sort.Slice(ix.docsByLen, func(i, j int) bool {
-		a, b := ix.docsByLen[i], ix.docsByLen[j]
-		if ix.DocLen[a] != ix.DocLen[b] {
-			return ix.DocLen[a] < ix.DocLen[b]
-		}
-		return a < b
-	})
 	return nil
 }
 

@@ -67,10 +67,10 @@ func TopN(acc map[postings.DocID]float64, docLen []float64, n int) []ScoredDoc {
 
 // Before reports whether a ranks strictly ahead of b in result order:
 // higher score first, lower DocID first among equal scores. Every
-// ranking produced in the system — TopK selection, the router's
-// cross-shard merge, rank-safe termination comparisons — total-orders
-// ties with it. Two rankings of the same documents can differ only if
-// they use different predicates; this is the only one.
+// ranking produced in the system — TopK selection and the router's
+// cross-shard merge — total-orders ties with it. Two rankings of the
+// same documents can differ only if they use different predicates; this
+// is the only one.
 func Before(a, b ScoredDoc) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -121,9 +121,8 @@ func OverlapAtK(got, want []ScoredDoc, k int) float64 {
 }
 
 // TopK is a min-heap of at most k scored documents under Before: the
-// root is the weakest kept, so the root of a full heap is the k-th best
-// ever offered. It is the one bounded selection of the system — TopN's,
-// and the evaluator's over its candidates.
+// root is the weakest kept. It is the one bounded selection of the
+// system — TopN's, and the evaluator's over its accumulators.
 type TopK struct {
 	k int
 	h []ScoredDoc
@@ -144,28 +143,6 @@ func (t *TopK) Offer(sd ScoredDoc) {
 		t.h[0] = sd
 		t.down(0)
 	}
-}
-
-// Rescore re-keys the member with sd's document to sd's (higher)
-// score, or offers sd when the document is not a member.
-func (t *TopK) Rescore(sd ScoredDoc) {
-	for i := range t.h {
-		if t.h[i].Doc == sd.Doc {
-			t.h[i] = sd
-			t.down(i)
-			return
-		}
-	}
-	t.Offer(sd)
-}
-
-// Kth returns the k-th best document offered so far; full is false
-// while fewer than k are kept.
-func (t *TopK) Kth() (kth ScoredDoc, full bool) {
-	if len(t.h) < t.k {
-		return ScoredDoc{}, false
-	}
-	return t.h[0], true
 }
 
 // Ranked returns the kept documents in result order, leaving the heap

@@ -95,13 +95,13 @@ func TestTopNEdgeCases(t *testing.T) {
 	if got := TopN(acc, []float64{1, 1}, math.MaxInt); len(got) != 2 || got[0].Doc != 1 {
 		t.Errorf("n = math.MaxInt: %v", got)
 	}
-	// TopN's heap itself: k = math.MaxInt is never full.
+	// TopN's heap itself: k = math.MaxInt keeps every offer.
 	top := NewTopK(math.MaxInt, len(acc))
 	for d, a := range acc {
 		top.Offer(ScoredDoc{Doc: d, Score: a})
 	}
-	if _, full := top.Kth(); full || len(top.Ranked()) != 2 {
-		t.Errorf("k = math.MaxInt: full = %v, ranked %v", full, top.Ranked())
+	if got := top.Ranked(); len(got) != 2 {
+		t.Errorf("k = math.MaxInt: ranked %v", got)
 	}
 }
 

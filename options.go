@@ -14,12 +14,11 @@ import (
 //
 //	bufir.SessionConfig{EvalOptions: bufir.EvalOptions{Algorithm: bufir.BAF}}
 type EvalOptions struct {
-	// Algorithm is the evaluation method: DF, BAF, TA, NRA or Maxscore
-	// (default DF). DF and BAF are the paper's unsafe filtering
-	// methods, tuned by CAdd/CIns; TA, NRA and Maxscore are the
-	// rank-safe family — guaranteed bit-identical to an exhaustive DF
-	// evaluation, terminating as soon as the top-n is provably final —
-	// and ignore the filtering constants entirely.
+	// Algorithm is the evaluation method: DF, BAF or Maxscore (default
+	// DF). DF and BAF are the paper's unsafe filtering methods, tuned by
+	// CAdd/CIns; Maxscore is exact evaluation — bit-identical to an
+	// exhaustive DF evaluation because it is one — and ignores the
+	// filtering constants entirely.
 	Algorithm Algorithm
 	// CAdd and CIns are the filtering constants. Both zero selects the
 	// config's default tuning — the paper's WSJ calibration

@@ -12,7 +12,7 @@ import (
 var safeMethods = []struct {
 	name string
 	algo Algorithm
-}{{"TA", TA}, {"NRA", NRA}, {"MAXSCORE", Maxscore}}
+}{{"MAXSCORE", Maxscore}}
 
 // customIndex builds an index over hand-written postings lists (the
 // synthetic-collection plumbing without its randomness).
@@ -53,7 +53,7 @@ func assertSameRanking(t *testing.T, label string, got, want []ScoredDoc) {
 }
 
 // TestSessionSafeMethodsBitIdentical: through the public Session API —
-// including the Algorithm knob — every safe method answers every topic
+// including the Algorithm knob — the exact method answers every topic
 // exactly like an exhaustive DF session.
 func TestSessionSafeMethodsBitIdentical(t *testing.T) {
 	col, ix := testIndex(t)
@@ -70,9 +70,9 @@ func TestSessionSafeMethodsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineSafeMethod: the concurrent engine with a safe method —
-// including its refinement path, which has no snapshots to resume —
-// stays exact.
+// TestEngineSafeMethod: the concurrent engine with the exact method —
+// including its refinement path, which resumes snapshots of the
+// unfiltered trajectory — stays exact.
 func TestEngineSafeMethod(t *testing.T) {
 	col, ix := testIndex(t)
 	eng, err := ix.NewEngine(EngineConfig{
@@ -98,9 +98,9 @@ func TestEngineSafeMethod(t *testing.T) {
 	}
 }
 
-// TestRouterSafeMethodsMatchSingleIndex: safe merges are pure top-n —
+// TestRouterSafeMethodsMatchSingleIndex: exact merges are pure top-n —
 // per-doc scores are bit-identical across shards because partitions
-// carry the global statistics — so a sharded safe deployment equals a
+// carry the global statistics — so a sharded exact deployment equals a
 // single-index exhaustive answer document for document, bit for bit.
 func TestRouterSafeMethodsMatchSingleIndex(t *testing.T) {
 	col, ix := testIndex(t)
@@ -232,7 +232,7 @@ func TestSearchIDFEdgeUbiquitousTerm(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		algo Algorithm
-	}{{"DF", DF}, {"BAF", BAF}, {"TA", TA}, {"NRA", NRA}, {"MAXSCORE", Maxscore}} {
+	}{{"DF", DF}, {"BAF", BAF}, {"MAXSCORE", Maxscore}} {
 		got := searchTop(t, ix, tc.algo, 10, withUbiq)
 		assertSameRanking(t, tc.name, got, want)
 		for _, sd := range got {
@@ -282,7 +282,7 @@ func TestSearchIDFEdgeZeroDF(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		algo Algorithm
-	}{{"DF", DF}, {"BAF", BAF}, {"TA", TA}, {"NRA", NRA}, {"MAXSCORE", Maxscore}} {
+	}{{"DF", DF}, {"BAF", BAF}, {"MAXSCORE", Maxscore}} {
 		got := searchTop(t, ix, tc.algo, 5, withGhost)
 		for _, sd := range got {
 			if math.IsNaN(sd.Score) || math.IsInf(sd.Score, 0) {
@@ -293,18 +293,21 @@ func TestSearchIDFEdgeZeroDF(t *testing.T) {
 	}
 }
 
-// TestParseAlgorithm pins the flag vocabulary.
+// TestParseAlgorithm pins the flag vocabulary: DF, BAF and MAXSCORE
+// parse; TA and NRA are unknown names.
 func TestParseAlgorithm(t *testing.T) {
 	for name, want := range map[string]Algorithm{
-		"DF": DF, "baf": BAF, " ta ": TA, "Nra": NRA, "MAXSCORE": Maxscore,
+		"DF": DF, "baf": BAF, " maxscore ": Maxscore, "MAXSCORE": Maxscore,
 	} {
 		got, err := ParseAlgorithm(name)
 		if err != nil || got != want {
 			t.Errorf("ParseAlgorithm(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := ParseAlgorithm("weblegend-x"); err == nil {
-		t.Error("unknown name accepted")
+	for _, name := range []string{"weblegend-x", "TA", " ta ", "NRA", "Nra"} {
+		if _, err := ParseAlgorithm(name); err == nil {
+			t.Errorf("ParseAlgorithm(%q) accepted an unknown name", name)
+		}
 	}
 }
 

@@ -25,9 +25,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
-.PHONY: ci gates-check lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store policy-conformance bench-policy bench-policyops ranksafe-exactness bench-eval bench-ranksafe indextest ingest-exactness
+.PHONY: ci gates-check lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store policy-conformance bench-policy bench-policyops bench-fetch ranksafe-exactness bench-eval bench-ranksafe indextest ingest-exactness
 
-ci: gates-check lint depgraph api-check build benchmark-test fuzz-seeds bench-policyops bench-eval bench-policy bench-ranksafe
+ci: gates-check lint depgraph api-check build benchmark-test fuzz-seeds bench-policyops bench-fetch bench-eval bench-policy bench-ranksafe
 	GOOS=windows $(GO) vet ./internal/indexfile ./internal/storage
 	git diff --exit-code -- BENCH_policy.json BENCH_ranksafe.json
 	$(GO) test -race -count=1 -covermode=atomic -coverprofile=$(COVER_PROFILE) ./...
@@ -235,6 +235,15 @@ policy-conformance:
 POLICYOPS_BENCHTIME ?= 1x
 bench-policyops:
 	$(GO) test -run '^$$' -bench PolicyOps -benchtime $(POLICYOPS_BENCHTIME) ./internal/buffer
+
+# What one page fetch costs (BenchmarkFetch: FetchContext+Unpin on a
+# 2-shard pool, warm hits and a miss-and-evict cycle, per {LRU, RAP} ×
+# {1, 4, 16} goroutines), in ns/op and allocs/op. The default runs
+# every case once — the ci smoke, not a gate on the numbers;
+# FETCH_BENCHTIME=1s gives numbers worth recording.
+FETCH_BENCHTIME ?= 1x
+bench-fetch:
+	$(GO) test -run '^$$' -bench Fetch -benchtime $(FETCH_BENCHTIME) ./internal/buffer
 
 # The workload-drift sweep (E26): every replacement policy through one
 # continuous refine -> churn -> fault-storm stream per buffer size,

@@ -3,6 +3,7 @@ package buffer
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bufir/internal/postings"
@@ -162,4 +163,77 @@ func newPolicyBenchEnv(b *testing.B, ix *postings.Index, store PageReader, mk fu
 	}
 	e.spare = &Frame{Page: last, Term: ix.TermOfPage(last), Offset: ix.PageOffset(last), WStar: ix.PageWStar(last)}
 	return e
+}
+
+// BenchmarkFetch prices one FetchContext+Unpin pair on a 2-shard pool,
+// per policy × access pattern × concurrent goroutines:
+//
+//   - hit: every page of a 64-page pool is resident, and each goroutine
+//     cycles through them from its own starting point — the warm path
+//     of a list scan whose pages the pool holds;
+//   - miss: the goroutines share one cursor over the 40 000-odd pages of
+//     the collection through a 64-page pool, so nearly every fetch
+//     misses, evicts a victim and reads the page from the in-memory
+//     simulator.
+//
+// The b.N operations are split evenly across the goroutines, so ns/op
+// is wall time per fetch of the whole group: it falls with goroutines
+// when fetches overlap and rises when they serialize on a latch.
+// make bench-fetch runs it.
+func BenchmarkFetch(b *testing.B) {
+	ix, pages := benchIndex()
+	store := storage.NewStore(pages)
+	const capacity = 64
+	for _, name := range []string{"LRU", "RAP"} {
+		mk, err := PolicyFactory(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, pattern := range []string{"hit", "miss"} {
+			for _, goroutines := range []int{1, 4, 16} {
+				b.Run(fmt.Sprintf("%s/%s/g%d", name, pattern, goroutines), func(b *testing.B) {
+					mgr, err := NewManager(capacity, 2, store, ix, mk)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for p := 0; p < capacity; p++ {
+						f, _, err := fetch(mgr, postings.PageID(p))
+						if err != nil {
+							b.Fatal(err)
+						}
+						mgr.Unpin(f)
+					}
+					var cursor atomic.Int64
+					page := func(g, i int) postings.PageID {
+						if pattern == "hit" {
+							return postings.PageID((g*capacity/goroutines + i) % capacity)
+						}
+						return postings.PageID((capacity + int(cursor.Add(1))) % ix.NumPagesTotal)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					var wg sync.WaitGroup
+					for g := 0; g < goroutines; g++ {
+						n := b.N / goroutines
+						if g < b.N%goroutines {
+							n++
+						}
+						wg.Add(1)
+						go func(g, n int) {
+							defer wg.Done()
+							for i := 0; i < n; i++ {
+								f, _, err := fetch(mgr, page(g, i))
+								if err != nil {
+									b.Error(err)
+									return
+								}
+								mgr.Unpin(f)
+							}
+						}(g, n)
+					}
+					wg.Wait()
+				})
+			}
+		}
+	}
 }

@@ -11,9 +11,10 @@
 # which no Linux build compiles), then ONE pass of the whole test suite under
 # -race with a coverage profile — every unit, conformance, exactness
 # and leak test runs exactly once, and the coverage floor is
-# read off that profile — and finally the engine chaos tests ten more
-# times, which buys new interleavings rather than repeating a
-# deterministic test. The named gates below (test, race, leaks,
+# read off that profile — and finally the engine chaos tests and the
+# buffer's fetch stress test ten more times, which buys new
+# interleavings rather than repeating a deterministic test. The named
+# gates below (test, race, leaks,
 # storetest, policy-conformance, ranksafe-exactness, indextest,
 # ingest-exactness, faults-smoke, cover) stay as developer
 # entry points into a slice of that pass.
@@ -32,7 +33,7 @@ ci: gates-check lint depgraph api-check build benchmark-test fuzz-seeds bench-po
 	git diff --exit-code -- BENCH_policy.json BENCH_ranksafe.json
 	$(GO) test -race -count=1 -covermode=atomic -coverprofile=$(COVER_PROFILE) ./...
 	$(cover-floor)
-	$(GO) test -race -count=10 -run TestChaos ./internal/engine
+	$(GO) test -race -count=10 -run 'TestChaos|TestFetchStress' ./internal/engine ./internal/buffer
 
 # Gate hygiene: each alternative of every -run pattern in this file
 # must select a test, fuzz target, benchmark or example that some
@@ -218,12 +219,15 @@ bench-store:
 # goldens of RAP, RAP-headfirst and ADAPTIVE (recorded from the
 # frame-heap RAP, compared literally), RAP against its brute-force
 # oracle and its structure invariants, the lost-update race of the
-# weight-delta path, the E26 drift smoke/determinism tests, and the
+# weight-delta path, the latch-free hit path (every policy with Touched
+# sees every hit, RAP hits take no latch, and the fetch/unpin/cancel/
+# fault stress on tiny 2-shard pools), the E26 drift smoke/determinism
+# tests, and the
 # root-level end-to-end family tests (all six policies through
 # Session/Engine/Router with bit-identical 1-worker replay).
 policy-conformance:
 	$(GO) test -race -count=1 \
-		-run 'TestPolicyConformance|TestTwoQ|TestAdaptive|TestGhostList|TestPolicyStats|TestGoldenVictims|TestRAP|TestAnnouncementsNotLost|TestDrift|TestPolicyFamily' \
+		-run 'TestPolicyConformance|TestTwoQ|TestAdaptive|TestGhostList|TestPolicyStats|TestGoldenVictims|TestRAP|TestAnnouncementsNotLost|TestHitsReachTouchers|TestFetchStress|TestDrift|TestPolicyFamily' \
 		./internal/buffer ./internal/experiments .
 
 # What the buffer manager pays per policy call (BenchmarkPolicyOps:

@@ -150,13 +150,12 @@ func (p *Adaptive) Admitted(f *Frame) {
 	p.rap.Admitted(f)
 }
 
-// Touched implements Policy: both experts and both shadows observe
-// every hit.
+// Touched implements toucher: both shadows and the LRU expert observe
+// every hit (RAP values do not depend on recency).
 func (p *Adaptive) Touched(f *Frame) {
 	p.shadowLRU.access(f)
 	p.shadowRAP.access(f)
 	p.lru.Touched(f)
-	p.rap.Touched(f)
 }
 
 // Removed implements Policy: the frame leaves both experts; only a
@@ -190,9 +189,9 @@ func (p *Adaptive) Victim() *Frame {
 			f, expert = p.lru.Victim(), expertLRU
 		}
 	}
-	if f != nil {
-		p.pending, p.pendingExpert = f, expert
-	}
+	// A nil victim clears pending too: the manager may not remove the
+	// frame a previous call returned (a hit pinned it first).
+	p.pending, p.pendingExpert = f, expert
 	return f
 }
 
@@ -291,7 +290,9 @@ func (s *shadowCache) contains(id postings.PageID) bool {
 // non-empty.
 func (s *shadowCache) access(f *Frame) {
 	if sf, ok := s.frames[f.Page]; ok {
-		s.pol.Touched(sf)
+		if t, ok := s.pol.(toucher); ok {
+			t.Touched(sf)
+		}
 		return
 	}
 	sf := &Frame{Page: f.Page, Term: f.Term, Offset: f.Offset, WStar: f.WStar}

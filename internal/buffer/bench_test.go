@@ -84,15 +84,15 @@ func BenchmarkPolicyOps(b *testing.B) {
 				b.Run(prefix+"Victim/pinned2", func(b *testing.B) {
 					e := setup(b)
 					first := e.pol.Victim()
-					first.pin++
+					first.pin.Add(1)
 					second := e.pol.Victim()
-					second.pin++
+					second.pin.Add(1)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						benchFrame = e.pol.Victim()
 					}
-					first.pin--
-					second.pin--
+					first.pin.Add(-1)
+					second.pin.Add(-1)
 				})
 				b.Run(prefix+"AdmittedRemoved", func(b *testing.B) {
 					e := setup(b)

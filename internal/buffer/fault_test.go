@@ -206,16 +206,16 @@ func TestWaiterReattemptsFailedLoad(t *testing.T) {
 }
 
 // waitPin polls until page id's frame has the wanted pin count.
-func waitPin(t *testing.T, m *Manager, id postings.PageID, want int) {
+func waitPin(t *testing.T, m *Manager, id postings.PageID, want int32) {
 	t.Helper()
 	sh := m.shardOf(id)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		sh.mu.Lock()
-		f := sh.frames[id]
-		pin := 0
+		f := sh.frames.get(id)
+		pin := int32(0)
 		if f != nil {
-			pin = f.pin
+			pin = f.pin.Load()
 		}
 		sh.mu.Unlock()
 		if pin == want {
@@ -245,17 +245,16 @@ func TestFailedLoadDropsResidency(t *testing.T) {
 	}()
 	<-gs.started
 
-	// Simulate a parked waiter deterministically: an extra pin taken
-	// under the latch, exactly what fetchOnce's waiter path holds while
-	// parked on f.loading.
+	// Simulate a parked waiter deterministically: an extra pin, exactly
+	// what a fetch holds while parked on the loading page.
 	sh := m.shardOf(0)
 	sh.mu.Lock()
-	f := sh.frames[0]
+	f := sh.frames.get(0)
 	if f == nil {
 		sh.mu.Unlock()
 		t.Fatal("no frame reserved for the in-flight load")
 	}
-	f.pin++
+	f.pin.Add(1)
 	sh.mu.Unlock()
 
 	gs.release <- errFlaky

@@ -135,6 +135,12 @@ type victimLog struct {
 	skips   *int
 }
 
+// touchingVictimLog is victimLog over a policy that hits inform.
+type touchingVictimLog struct {
+	victimLog
+	toucher
+}
+
 func (v victimLog) Victim() *Frame {
 	if v.anyPins() {
 		*v.skips++
@@ -173,7 +179,12 @@ func runGoldenTrace(t testing.TB, ix *postings.Index, pages [][]postings.Entry, 
 	var held []*Frame
 	store := &nthReadFails{inner: storage.NewStore(pages), period: 61}
 	sp, err := NewShardedSharedPool(capacity, nshards, store, ix, func(c int) Policy {
-		return victimLog{Policy: mk(c), out: &victims, anyPins: func() bool { return len(held) > 0 }, skips: &rec.PinnedSkips}
+		pol := mk(c)
+		v := victimLog{Policy: pol, out: &victims, anyPins: func() bool { return len(held) > 0 }, skips: &rec.PinnedSkips}
+		if t, ok := pol.(toucher); ok {
+			return touchingVictimLog{v, t}
+		}
+		return v
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,12 +355,14 @@ func (h *fnv64a) mix(v uint64) {
 func (h *fnv64a) hex() string { return fmt.Sprintf("%016x", uint64(*h)) }
 
 // TestGoldenVictims replays every (policy × pool × latch shards ×
-// users) trace and compares its record with testdata literally.
+// users) trace and compares its record with testdata literally. The
+// policies' sweeps share nothing but the read-only index, so they run
+// in parallel.
 func TestGoldenVictims(t *testing.T) {
 	ix, pages := goldenIndex(t)
 	for _, pol := range goldenPolicies {
-		pol := pol
 		t.Run(pol.name, func(t *testing.T) {
+			t.Parallel()
 			var got []goldenRecord
 			for _, capacity := range goldenPools {
 				for _, nshards := range goldenShards {

@@ -58,7 +58,7 @@ func (p *LRUK) Admitted(f *Frame) {
 	heap.Push(&p.pq, lrukEntry{f, p})
 }
 
-// Touched implements Policy.
+// Touched implements toucher.
 func (p *LRUK) Touched(f *Frame) { p.touch(f) }
 
 // Removed implements Policy.

@@ -63,7 +63,7 @@ func (p *LRU) Name() string { return "LRU" }
 // Admitted implements Policy: a loaded page is most recently used.
 func (p *LRU) Admitted(f *Frame) { p.list.pushFront(f) }
 
-// Touched implements Policy.
+// Touched implements toucher.
 func (p *LRU) Touched(f *Frame) { p.list.moveToFront(f) }
 
 // Removed implements Policy.
@@ -100,7 +100,7 @@ func (p *MRU) Name() string { return "MRU" }
 // Admitted implements Policy.
 func (p *MRU) Admitted(f *Frame) { p.list.pushFront(f) }
 
-// Touched implements Policy.
+// Touched implements toucher.
 func (p *MRU) Touched(f *Frame) { p.list.moveToFront(f) }
 
 // Removed implements Policy.

@@ -29,7 +29,9 @@ type PageReader interface {
 
 // Frame is a buffer slot holding one inverted-list page. Policy
 // bookkeeping (list links, heap position, RAP group) is embedded so policies are
-// allocation-free on the hot path.
+// allocation-free on the hot path. The four exported fields never change
+// once the frame is in the pool's frame table, so a lookup without the
+// latch may read them.
 type Frame struct {
 	Page   postings.PageID
 	Term   postings.TermID
@@ -37,18 +39,22 @@ type Frame struct {
 	WStar  float64 // w*_{d,t}: max document weight on the page
 
 	data []postings.Entry
-	pin  int
-
-	// loading is non-nil while the page is being read from storage
-	// outside the shard latch and is closed when the read completes;
-	// loadErr is set before the close on failure. Both are written
-	// under the owning shard's mutex; waiters read loadErr only after
-	// the channel closes (the close is the memory barrier).
-	loading chan struct{}
+	// pin counts the frame's holders. Hits pin by CAS and Unpin drops
+	// pins without the latch; an eviction claims a frame under the latch
+	// by swapping 0 for -1, the count of every frame that has left the
+	// pool, so a pointer kept past an eviction can never be pinned again.
+	// Frames are not recycled.
+	pin atomic.Int32
+	// state is frameLoading while the page is read outside the latch,
+	// then frameReady or frameFailed. The loader writes data, or loadErr,
+	// before it stores the state, so a fetch that loads the state may read
+	// them.
+	state   atomic.Int32
 	loadErr error
 	// nonResident marks a frame whose load failed: its term's residency
 	// count was surrendered at failure time (BAF's b_t must not count
-	// data-less pages), so removal must not decrement it again.
+	// data-less pages), so removal must not decrement it again. Guarded
+	// by the shard latch.
 	nonResident bool
 
 	// intrusive doubly-linked list (LRU/MRU recency chain)
@@ -64,7 +70,27 @@ type Frame struct {
 func (f *Frame) Data() []postings.Entry { return f.data }
 
 // Pinned reports whether the frame is currently pinned.
-func (f *Frame) Pinned() bool { return f.pin > 0 }
+func (f *Frame) Pinned() bool { return f.pin.Load() > 0 }
+
+// Frame load states.
+const (
+	frameLoading int32 = iota
+	frameReady
+	frameFailed
+)
+
+// tryPin adds a pin unless the frame has left the pool.
+func (f *Frame) tryPin() bool {
+	for {
+		n := f.pin.Load()
+		if n < 0 {
+			return false
+		}
+		if f.pin.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
 
 // QueryWeights holds w_{q,t} for the terms of one query; a term that
 // is absent weighs 0, and so does one whose entry is not positive. RAP
@@ -85,7 +111,8 @@ type TermWeight struct {
 
 // Policy is a buffer replacement policy. The Manager serializes all
 // calls to one instance (each shard owns its own), so implementations
-// need no internal locking.
+// need no internal locking. A policy that orders frames by recency
+// also implements toucher.
 type Policy interface {
 	// Name identifies the policy ("LRU", "MRU", "RAP", ...).
 	Name() string
@@ -93,14 +120,13 @@ type Policy interface {
 	// the page is read. A load that fails is followed by Removed(f)
 	// without any Touched in between.
 	Admitted(f *Frame)
-	// Touched is called on every buffer hit for f.
-	Touched(f *Frame)
 	// Removed is called when f leaves the pool (eviction, flush, or a
 	// failed load).
 	Removed(f *Frame)
 	// Victim returns the frame the policy wants evicted, skipping
 	// pinned frames; nil if every frame is pinned. The Manager calls
-	// Removed on the returned frame.
+	// Removed on the returned frame, unless a hit pinned it after the
+	// policy looked; then it asks again.
 	Victim() *Frame
 	// SetQuery informs the policy that the registered queries changed:
 	// each listed term's combined weight is now the one given, every
@@ -110,6 +136,13 @@ type Policy interface {
 	// the call. Only RAP reacts: page replacement values depend on
 	// w_{q,t}.
 	SetQuery(changed []TermWeight)
+}
+
+// toucher is implemented by the policies a hit informs (LRU, MRU, LRU-2,
+// 2Q, ADAPTIVE). The Manager calls Touched on every hit, under the
+// shard latch; a hit on a policy without it (RAP) takes no latch.
+type toucher interface {
+	Touched(f *Frame)
 }
 
 // ErrNoVictim is returned by FetchContext when the page's shard is
@@ -129,7 +162,11 @@ type Stats struct {
 // mutex. Each shard owns a fixed slice of the capacity and runs its
 // own instance of the replacement policy over its own frames (policy
 // callbacks stay single-threaded per shard, so policies need no
-// internal locking).
+// internal locking). The latch guards the policy, the frame table's
+// writes and the residency counts; only a miss's reservation needs it.
+// A hit finds its frame in the table without the latch and pins it by
+// CAS (it takes the latch only to call Touched, for a policy that has
+// it), and Unpin is one atomic decrement.
 //
 // Two properties matter for the paper's experiments:
 //
@@ -141,8 +178,9 @@ type Stats struct {
 //     are; the load protocol below is the same at every value.
 //   - I/O outside the latch: on a miss the shard reserves the frame
 //     (pinned, marked loading), releases its latch, and only then
-//     reads the page from storage. Concurrent requests for the same
-//     page wait on the frame's loading channel and count as hits
+//     reads the page from storage; the loader publishes the page by an
+//     atomic store. Concurrent requests for the same page park on the
+//     shard's broadcast channel until the load ends, and count as hits
 //     (single-flight); requests for other pages of the same shard
 //     proceed. This is what lets worker pools overlap simulated disk
 //     latency, the dominant cost in the paper's model (§4.1).
@@ -171,36 +209,67 @@ type Manager struct {
 }
 
 // shard is one latch domain: a capacity slice, its frames, and a
-// private policy instance. All fields are guarded by mu.
+// private policy instance. mu guards the policy, the table's writes and
+// space; the table is read without it.
 type shard struct {
 	mu       sync.Mutex
 	capacity int
-	frames   map[postings.PageID]*Frame
+	frames   frameTable
 	policy   Policy
+	toucher  toucher // policy, when hits inform it
 
 	// space, when non-nil, is closed (and replaced by nil) the next
-	// time a frame of this shard becomes evictable — the broadcast that
-	// wakes fetches parked in bounded-wait backpressure (VictimWait).
-	// Lazily created: nil whenever nobody waits, so the signal costs a
-	// nil check on the unpin path when backpressure is off.
-	space chan struct{}
+	// time a frame of this shard becomes evictable or a load ends — the
+	// one broadcast that wakes fetches parked in bounded-wait
+	// backpressure (VictimWait) and fetches parked on a loading page.
+	// Lazily created: nil whenever nobody waits. waiting mirrors
+	// space != nil, so Unpin and the loader, which run without the
+	// latch, take it only when someone waits. A waiter registers under
+	// the latch and then re-checks its condition, so a wake-up that
+	// found waiting false is not lost.
+	space   chan struct{}
+	waiting atomic.Bool
 }
 
-// spaceLocked returns the channel a backpressured fetch should wait
-// on. Caller holds sh.mu.
+// spaceLocked registers the caller as a waiter and returns the channel
+// to park on. Caller holds sh.mu.
 func (sh *shard) spaceLocked() chan struct{} {
 	if sh.space == nil {
 		sh.space = make(chan struct{})
+		sh.waiting.Store(true)
 	}
 	return sh.space
 }
 
-// signalSpaceLocked wakes every fetch waiting for an evictable frame.
-// Caller holds sh.mu.
+// signalSpaceLocked wakes every parked fetch. Caller holds sh.mu.
 func (sh *shard) signalSpaceLocked() {
 	if sh.space != nil {
 		close(sh.space)
 		sh.space = nil
+		sh.waiting.Store(false)
+	}
+}
+
+// wake is signalSpaceLocked for a caller without the latch: it takes the
+// latch only when a fetch is parked.
+func (sh *shard) wake() {
+	if sh.waiting.Load() {
+		sh.mu.Lock()
+		sh.signalSpaceLocked()
+		sh.mu.Unlock()
+	}
+}
+
+// victimLocked asks the policy for a victim and claims it by swapping
+// its pin count from 0 to -1. A hit may pin the frame after the policy
+// looked; then the claim fails and the policy, which now sees the pin,
+// is asked again. Caller holds sh.mu.
+func (sh *shard) victimLocked() *Frame {
+	for {
+		v := sh.policy.Victim()
+		if v == nil || v.pin.CompareAndSwap(0, -1) {
+			return v
+		}
 	}
 }
 
@@ -252,11 +321,11 @@ func NewManager(capacity, nshards int, store PageReader, ix *postings.Index, new
 		if i == 0 {
 			m.polName = pol.Name()
 		}
-		m.shards[i] = shard{
-			capacity: cap,
-			frames:   make(map[postings.PageID]*Frame, cap),
-			policy:   pol,
-		}
+		sh := &m.shards[i]
+		sh.capacity = cap
+		sh.frames = newFrameTable(cap)
+		sh.policy = pol
+		sh.toucher, _ = pol.(toucher)
 	}
 	return m, nil
 }
@@ -340,6 +409,20 @@ func (m *Manager) FetchContext(ctx context.Context, id postings.PageID) (*Frame,
 // when the loader's read failed; FetchContext turns both into a retry.
 func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bool, error) {
 	sh := m.shardOf(id)
+	// The hit: a lookup and a pin without the latch. Ready is a final
+	// state, so a ready frame that takes the pin holds its page. A lookup
+	// that raced a table write may miss, a frame that left the pool
+	// refuses the pin, and a page still loading must be waited for; all
+	// three look again under the latch below.
+	if hit := sh.frames.get(id); hit != nil && hit.state.Load() == frameReady && hit.tryPin() {
+		if sh.toucher != nil {
+			sh.mu.Lock()
+			sh.toucher.Touched(hit)
+			sh.mu.Unlock()
+		}
+		m.hits.Add(1)
+		return hit, false, nil
+	}
 	var f *Frame
 	// The reservation loop: normally one pass; with bounded-wait
 	// backpressure (VictimWait > 0) a fully-pinned shard parks here
@@ -348,78 +431,67 @@ func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bo
 	var noVictim *time.Timer
 	for f == nil {
 		sh.mu.Lock()
-		if hit, ok := sh.frames[id]; ok {
-			hit.pin++
-			sh.policy.Touched(hit)
-			ch := hit.loading
-			sh.mu.Unlock()
-			if noVictim != nil {
-				noVictim.Stop()
-			}
-			if ch != nil {
-				select {
-				case <-ch:
-				case <-ctx.Done():
-					// Our request died while the load is still in
-					// flight. Drop our pin; the loader keeps its own
-					// until done.
-					m.releaseWaiter(sh, hit)
-					return nil, false, ctx.Err()
+		if hit := sh.frames.get(id); hit != nil {
+			if hit.state.Load() != frameFailed {
+				// A frame in the table has not been claimed, so its pin
+				// is not -1.
+				hit.pin.Add(1)
+				if sh.toucher != nil {
+					sh.toucher.Touched(hit)
 				}
-				if hit.loadErr != nil {
-					err := hit.loadErr
-					m.releaseWaiter(sh, hit)
-					if !errIsContextual(err) {
-						// Another session's read failed; wrap so
-						// FetchContext re-attempts under our own
-						// context instead of inheriting the failure.
-						err = &waiterLoadError{err: err}
-					}
-					return nil, false, err
+				sh.mu.Unlock()
+				if noVictim != nil {
+					noVictim.Stop()
 				}
+				return m.awaitLoad(ctx, sh, hit)
 			}
-			m.hits.Add(1)
-			return hit, false, nil
+			// A failed load that parked fetches still pin. Nobody pins
+			// a failed frame, so its pins only drain; withdraw it now
+			// and load the page afresh.
+			m.removeLocked(sh, hit)
 		}
 
 		// Miss: reserve the frame under the latch, read outside it.
-		if len(sh.frames) >= sh.capacity {
-			victim := sh.policy.Victim()
-			if victim == nil {
-				if m.retry.VictimWait <= 0 {
-					sh.mu.Unlock()
-					return nil, false, ErrNoVictim
-				}
+		if sh.frames.n >= sh.capacity {
+			victim := sh.victimLocked()
+			if victim == nil && m.retry.VictimWait > 0 {
 				// Every frame is pinned: momentary backpressure, not an
-				// error. Wait (off-latch) for a pin to drop, bounded by
-				// one VictimWait across all passes of this fetch.
+				// error. Register, look once more (a pin that dropped
+				// before the registration woke nobody), and wait
+				// off-latch for a pin to drop, bounded by one VictimWait
+				// across all passes of this fetch.
 				space := sh.spaceLocked()
+				if victim = sh.victimLocked(); victim == nil {
+					sh.mu.Unlock()
+					if noVictim == nil {
+						noVictim = time.NewTimer(m.retry.VictimWait)
+					}
+					select {
+					case <-space:
+						continue
+					case <-noVictim.C:
+						return nil, false, ErrNoVictim
+					case <-ctx.Done():
+						noVictim.Stop()
+						return nil, false, ctx.Err()
+					}
+				}
+			}
+			if victim == nil {
 				sh.mu.Unlock()
-				if noVictim == nil {
-					noVictim = time.NewTimer(m.retry.VictimWait)
-				}
-				select {
-				case <-space:
-					continue
-				case <-noVictim.C:
-					return nil, false, ErrNoVictim
-				case <-ctx.Done():
-					noVictim.Stop()
-					return nil, false, ctx.Err()
-				}
+				return nil, false, ErrNoVictim
 			}
 			m.removeLocked(sh, victim)
 			m.evicts.Add(1)
 		}
 		f = &Frame{
-			Page:    id,
-			Term:    m.ix.TermOfPage(id),
-			Offset:  m.ix.PageOffset(id),
-			WStar:   m.ix.PageWStar(id),
-			pin:     1,
-			loading: make(chan struct{}),
+			Page:   id,
+			Term:   m.ix.TermOfPage(id),
+			Offset: m.ix.PageOffset(id),
+			WStar:  m.ix.PageWStar(id),
 		}
-		sh.frames[id] = f
+		f.pin.Store(1)
+		sh.frames.put(f)
 		m.resident[f.Term].Add(1)
 		sh.policy.Admitted(f)
 		m.misses.Add(1)
@@ -430,37 +502,71 @@ func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bo
 	}
 
 	data, err := loadWithRetry(ctx, m.store, m.retry, id)
-
-	sh.mu.Lock()
-	if err != nil {
-		// Counters must reflect successful loads only: undo the
-		// provisional miss, poison the frame for any waiters, and
-		// withdraw it once the last pin drops. The policy saw Admitted
-		// at reservation and sees Removed at withdrawal — a failed load
-		// is an admission that left again without ever being hit.
-		// Residency drops NOW — a poisoned frame kept alive by waiter
-		// pins holds no data, and BAF's b_t inquiry must not see
-		// data-less pages as buffer-resident (it would underestimate
-		// d_t).
-		m.misses.Add(-1)
-		m.resident[f.Term].Add(-1)
-		f.nonResident = true
-		f.loadErr = fmt.Errorf("buffer: load page %d: %w", id, err)
-		close(f.loading)
-		loadErr := f.loadErr
-		f.pin--
-		if f.pin == 0 {
-			m.removeLocked(sh, f)
-			sh.signalSpaceLocked()
-		}
-		sh.mu.Unlock()
-		return nil, false, loadErr
+	if err == nil {
+		f.data = data
+		f.state.Store(frameReady)
+		sh.wake()
+		return f, true, nil
 	}
-	f.data = data
-	close(f.loading)
-	f.loading = nil
-	sh.mu.Unlock()
-	return f, true, nil
+	// Counters must reflect successful loads only: undo the provisional
+	// miss, poison the frame for any waiters, and withdraw it once the
+	// last pin drops. The policy saw Admitted at reservation and sees
+	// Removed at withdrawal — a failed load is an admission that left
+	// again without ever being hit. Residency drops NOW — a poisoned
+	// frame kept alive by waiter pins holds no data, and BAF's b_t
+	// inquiry must not see data-less pages as buffer-resident (it would
+	// underestimate d_t).
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	m.misses.Add(-1)
+	m.resident[f.Term].Add(-1)
+	f.nonResident = true
+	f.loadErr = fmt.Errorf("buffer: load page %d: %w", id, err)
+	f.state.Store(frameFailed)
+	m.releaseLocked(sh, f)
+	sh.signalSpaceLocked()
+	return nil, false, f.loadErr
+}
+
+// awaitLoad completes a fetch that pinned a frame it found in the pool
+// under the latch: a ready frame is a hit, a failed load is released and
+// reported, and a load in flight parks the fetch on the shard's broadcast
+// until the load ends or ctx dies. A fetch that parks registers first and
+// then loads the state again, so a load that ended in between is not
+// missed.
+func (m *Manager) awaitLoad(ctx context.Context, sh *shard, f *Frame) (*Frame, bool, error) {
+	for {
+		switch f.state.Load() {
+		case frameReady:
+			m.hits.Add(1)
+			return f, false, nil
+		case frameFailed:
+			err := f.loadErr
+			m.releaseWaiter(sh, f)
+			if !errIsContextual(err) {
+				// Another session's read failed; wrap so FetchContext
+				// re-attempts under our own context instead of
+				// inheriting the failure.
+				err = &waiterLoadError{err: err}
+			}
+			return nil, false, err
+		}
+		sh.mu.Lock()
+		space := sh.spaceLocked()
+		loading := f.state.Load() == frameLoading
+		sh.mu.Unlock()
+		if !loading {
+			continue
+		}
+		select {
+		case <-space:
+		case <-ctx.Done():
+			// Our request died while the load is still in flight. Drop
+			// our pin; the loader keeps its own until done.
+			m.releaseWaiter(sh, f)
+			return nil, false, ctx.Err()
+		}
+	}
 }
 
 // errIsContextual reports whether err stems from a context ending.
@@ -476,27 +582,29 @@ func errIsContextual(err error) bool {
 func (m *Manager) releaseWaiter(sh *shard, f *Frame) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	f.pin--
-	if f.pin == 0 {
-		if f.loadErr != nil {
-			m.removeLocked(sh, f)
-		}
-		sh.signalSpaceLocked()
+	m.releaseLocked(sh, f)
+	sh.signalSpaceLocked()
+}
+
+// releaseLocked drops one pin of a loading or poisoned frame and
+// withdraws a poisoned frame with its last pin, unless a fetch for its
+// page withdrew it already. Caller holds sh.mu.
+func (m *Manager) releaseLocked(sh *shard, f *Frame) {
+	if f.pin.Add(-1) == 0 && f.state.Load() == frameFailed && sh.frames.get(f.Page) == f {
+		m.removeLocked(sh, f)
 	}
 }
 
-// Unpin releases one pin on the frame. Unpinning an unpinned frame is
-// a programming error and panics.
+// Unpin releases one pin on the frame, without the latch unless a fetch
+// is parked on the shard. Unpinning an unpinned frame is a programming
+// error and panics.
 func (m *Manager) Unpin(f *Frame) {
-	sh := m.shardOf(f.Page)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if f.pin <= 0 {
+	switch n := f.pin.Add(-1); {
+	case n < 0:
+		f.pin.Add(1)
 		panic(fmt.Sprintf("buffer: unpin of unpinned page %d", f.Page))
-	}
-	f.pin--
-	if f.pin == 0 {
-		sh.signalSpaceLocked()
+	case n == 0:
+		m.shardOf(f.Page).wake()
 	}
 }
 
@@ -507,8 +615,7 @@ func (m *Manager) Contains(id postings.PageID) bool {
 	sh := m.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, ok := sh.frames[id]
-	return ok
+	return sh.frames.get(id) != nil
 }
 
 // ResidentPages returns b_t: how many pages of term t's inverted list
@@ -524,7 +631,7 @@ func (m *Manager) InUse() int {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		total += len(sh.frames)
+		total += sh.frames.n
 		sh.mu.Unlock()
 	}
 	return total
@@ -537,8 +644,8 @@ func (m *Manager) PinnedFrames() int {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.pin > 0 {
+		for j := range sh.frames.slots {
+			if f := sh.frames.slots[j].Load(); f != nil && f.Pinned() {
 				total++
 			}
 		}
@@ -556,7 +663,7 @@ func (m *Manager) ShardOccupancy() []int {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		occ[i] = len(sh.frames)
+		occ[i] = sh.frames.n
 		sh.mu.Unlock()
 	}
 	return occ
@@ -577,15 +684,22 @@ func (m *Manager) Flush() {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.pin > 0 {
+		slots := sh.frames.slots
+		for j := range slots {
+			if f := slots[j].Load(); f != nil && f.Pinned() {
 				sh.mu.Unlock()
 				panic(fmt.Sprintf("buffer: flush with pinned page %d", f.Page))
 			}
 		}
-		for _, f := range sh.frames {
-			m.removeLocked(sh, f)
+		for j := range slots {
+			if f := slots[j].Load(); f != nil {
+				f.pin.Store(-1)
+				sh.policy.Removed(f)
+				m.dropResidency(f)
+				slots[j].Store(nil)
+			}
 		}
+		sh.frames.n = 0
 		sh.signalSpaceLocked()
 		sh.mu.Unlock()
 	}
@@ -639,12 +753,18 @@ func (m *Manager) PolicyStats() (PolicyStats, bool) {
 	return agg, true
 }
 
-// removeLocked detaches f from its shard. Caller holds sh.mu. A frame
-// whose load failed already surrendered its residency count at failure
-// time (nonResident), so it must not be decremented again here.
+// removeLocked detaches a frame from its shard: a claimed one (pin -1),
+// or a failed load, which nobody pins again. Caller holds sh.mu.
 func (m *Manager) removeLocked(sh *shard, f *Frame) {
 	sh.policy.Removed(f)
-	delete(sh.frames, f.Page)
+	sh.frames.remove(f.Page)
+	m.dropResidency(f)
+}
+
+// dropResidency takes a leaving frame out of its term's b_t. A frame
+// whose load failed already surrendered its count at failure time
+// (nonResident), so it must not be decremented again here.
+func (m *Manager) dropResidency(f *Frame) {
 	if !f.nonResident {
 		m.resident[f.Term].Add(-1)
 	}
@@ -656,3 +776,75 @@ func (m *Manager) removeLocked(sh *shard, f *Frame) {
 // both. Call at setup time, before the pool is shared between
 // goroutines; it is not synchronized with concurrent fetches.
 func (m *Manager) SetRetryPolicy(rp RetryPolicy) { m.retry = rp }
+
+// frameTable maps a shard's resident pages to their frames: open
+// addressing with linear probing over at least twice the shard's
+// capacity, so a probe always ends at an empty slot. It is written under
+// the shard latch and read without it. A deletion shifts the rest of its
+// probe chain back instead of leaving a tombstone, so a reader racing it
+// may miss a frame that is present; it then looks again under the latch.
+type frameTable struct {
+	slots []atomic.Pointer[Frame]
+	shift uint // 64 - log2(len(slots))
+	n     int  // occupied slots; guarded by the latch
+}
+
+func newFrameTable(capacity int) frameTable {
+	bits := uint(1)
+	for 1<<bits < 2*capacity {
+		bits++
+	}
+	return frameTable{slots: make([]atomic.Pointer[Frame], 1<<bits), shift: 64 - bits}
+}
+
+// home is id's first probe slot (Fibonacci hashing: page ids of one shard
+// are an arithmetic progression, which a plain modulo would cluster).
+func (t *frameTable) home(id postings.PageID) int {
+	return int(uint64(id) * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// get returns id's frame, or nil. Bounded by the table size, so a reader
+// racing writes cannot probe forever.
+func (t *frameTable) get(id postings.PageID) *Frame {
+	mask := len(t.slots) - 1
+	for i, n := t.home(id), 0; n < len(t.slots); i, n = (i+1)&mask, n+1 {
+		if f := t.slots[i].Load(); f == nil || f.Page == id {
+			return f
+		}
+	}
+	return nil
+}
+
+// put adds a frame whose page is absent. Caller holds the latch.
+func (t *frameTable) put(f *Frame) {
+	mask := len(t.slots) - 1
+	i := t.home(f.Page)
+	for t.slots[i].Load() != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i].Store(f)
+	t.n++
+}
+
+// remove deletes the frame of a present page. Caller holds the latch.
+func (t *frameTable) remove(id postings.PageID) {
+	mask := len(t.slots) - 1
+	i := t.home(id)
+	for t.slots[i].Load().Page != id {
+		i = (i + 1) & mask
+	}
+	// Backward shift: each later frame of the chain whose home is not
+	// cyclically in (i, j] moves into the hole at i, leaving its own.
+	for j := (i + 1) & mask; ; j = (j + 1) & mask {
+		f := t.slots[j].Load()
+		if f == nil {
+			break
+		}
+		if (j-t.home(f.Page))&mask >= (j-i)&mask {
+			t.slots[i].Store(f)
+			i = j
+		}
+	}
+	t.slots[i].Store(nil)
+	t.n--
+}

@@ -51,6 +51,31 @@ func pin(p Pool, id postings.PageID) (*Frame, error) {
 	return f, err
 }
 
+// residentFrames snapshots every shard's frame table, one latch at a
+// time.
+func residentFrames(m *Manager) map[postings.PageID]*Frame {
+	out := make(map[postings.PageID]*Frame)
+	for i := range m.shards {
+		for p, f := range shardFrames(&m.shards[i]) {
+			out[p] = f
+		}
+	}
+	return out
+}
+
+// shardFrames snapshots one shard's frame table under its latch.
+func shardFrames(sh *shard) map[postings.PageID]*Frame {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	out := make(map[postings.PageID]*Frame, sh.frames.n)
+	for j := range sh.frames.slots {
+		if f := sh.frames.slots[j].Load(); f != nil {
+			out[f.Page] = f
+		}
+	}
+	return out
+}
+
 func get(t *testing.T, m *Manager, p postings.PageID) *Frame {
 	t.Helper()
 	f, err := pin(m, p)

@@ -132,8 +132,9 @@ func TestRAPAgainstLinearScan(t *testing.T) {
 		}
 		bruteVictim := func() postings.PageID {
 			best, bestValue := postings.PageID(-1), 0.0
+			resident := residentFrames(mgr)
 			for p := postings.PageID(0); int(p) < ix.NumPagesTotal; p++ {
-				if !mgr.Contains(p) {
+				if resident[p] == nil {
 					continue
 				}
 				pinned := false
@@ -412,7 +413,7 @@ func TestRAPHeapIndicesConsistent(t *testing.T) {
 					mgr.Unpin(f)
 				}
 			}
-			checkRAPInvariants(t, op, pol, mgr.shards[0].frames)
+			checkRAPInvariants(t, op, pol, residentFrames(mgr))
 		}
 		for _, f := range held {
 			mgr.Unpin(f)

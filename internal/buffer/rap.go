@@ -120,10 +120,6 @@ func (p *RAP) Admitted(f *Frame) {
 	p.rekey(g)
 }
 
-// Touched implements Policy: RAP values do not depend on recency, so a
-// hit changes nothing.
-func (p *RAP) Touched(*Frame) {}
-
 // Removed implements Policy. Victims leave from the tail of their
 // group, so the search for the frame starts there.
 func (p *RAP) Removed(f *Frame) {

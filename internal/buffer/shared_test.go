@@ -187,7 +187,7 @@ func TestAnnouncementsNotLost(t *testing.T) {
 			if !reflect.DeepEqual(pol.weight, want) {
 				t.Errorf("%s: shard %d holds %v, want %v", when, i, pol.weight, want)
 			}
-			checkRAPInvariants(t, i, pol, mgr.shards[i].frames)
+			checkRAPInvariants(t, i, pol, shardFrames(&mgr.shards[i]))
 		}
 	}
 	want := make(map[postings.TermID]float64)

@@ -67,7 +67,7 @@ func (p *TwoQ) Admitted(f *Frame) {
 	p.inA1in[f] = true
 }
 
-// Touched implements Policy: probation hits do not promote; main-queue
+// Touched implements toucher: probation hits do not promote; main-queue
 // hits refresh recency.
 func (p *TwoQ) Touched(f *Frame) {
 	if p.inA1in[f] {

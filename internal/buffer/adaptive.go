@@ -189,8 +189,7 @@ func (p *Adaptive) Victim() *Frame {
 			f, expert = p.lru.Victim(), expertLRU
 		}
 	}
-	// A nil victim clears pending too: the manager may not remove the
-	// frame a previous call returned (a hit pinned it first).
+	// nil clears it: a frame a hit pinned first is not removed.
 	p.pending, p.pendingExpert = f, expert
 	return f
 }

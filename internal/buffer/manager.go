@@ -29,9 +29,8 @@ type PageReader interface {
 
 // Frame is a buffer slot holding one inverted-list page. Policy
 // bookkeeping (list links, heap position, RAP group) is embedded so policies are
-// allocation-free on the hot path. The four exported fields never change
-// once the frame is in the pool's frame table, so a lookup without the
-// latch may read them.
+// allocation-free on the hot path. The exported fields never change, so
+// a lookup without the latch may read them.
 type Frame struct {
 	Page   postings.PageID
 	Term   postings.TermID
@@ -39,22 +38,17 @@ type Frame struct {
 	WStar  float64 // w*_{d,t}: max document weight on the page
 
 	data []postings.Entry
-	// pin counts the frame's holders. Hits pin by CAS and Unpin drops
-	// pins without the latch; an eviction claims a frame under the latch
-	// by swapping 0 for -1, the count of every frame that has left the
-	// pool, so a pointer kept past an eviction can never be pinned again.
-	// Frames are not recycled.
+	// pin counts holders; hits and Unpin change it without the latch. An
+	// eviction claims a frame by swapping 0 for -1, so a pointer kept
+	// past the eviction can never pin it again. Frames are not recycled.
 	pin atomic.Int32
-	// state is frameLoading while the page is read outside the latch,
-	// then frameReady or frameFailed. The loader writes data, or loadErr,
-	// before it stores the state, so a fetch that loads the state may read
-	// them.
+	// state is frameLoading, then frameReady or frameFailed; the loader
+	// writes data or loadErr before it stores the state.
 	state   atomic.Int32
 	loadErr error
 	// nonResident marks a frame whose load failed: its term's residency
 	// count was surrendered at failure time (BAF's b_t must not count
-	// data-less pages), so removal must not decrement it again. Guarded
-	// by the shard latch.
+	// data-less pages), so removal must not decrement it again.
 	nonResident bool
 
 	// intrusive doubly-linked list (LRU/MRU recency chain)
@@ -81,15 +75,11 @@ const (
 
 // tryPin adds a pin unless the frame has left the pool.
 func (f *Frame) tryPin() bool {
-	for {
-		n := f.pin.Load()
-		if n < 0 {
-			return false
-		}
-		if f.pin.CompareAndSwap(n, n+1) {
-			return true
-		}
+	n := f.pin.Load()
+	for n >= 0 && !f.pin.CompareAndSwap(n, n+1) {
+		n = f.pin.Load()
 	}
+	return n >= 0
 }
 
 // QueryWeights holds w_{q,t} for the terms of one query; a term that
@@ -111,8 +101,7 @@ type TermWeight struct {
 
 // Policy is a buffer replacement policy. The Manager serializes all
 // calls to one instance (each shard owns its own), so implementations
-// need no internal locking. A policy that orders frames by recency
-// also implements toucher.
+// need no internal locking. Recency policies also implement toucher.
 type Policy interface {
 	// Name identifies the policy ("LRU", "MRU", "RAP", ...).
 	Name() string
@@ -138,9 +127,8 @@ type Policy interface {
 	SetQuery(changed []TermWeight)
 }
 
-// toucher is implemented by the policies a hit informs (LRU, MRU, LRU-2,
-// 2Q, ADAPTIVE). The Manager calls Touched on every hit, under the
-// shard latch; a hit on a policy without it (RAP) takes no latch.
+// toucher is implemented by the policies a hit informs (all but RAP). The
+// Manager calls Touched on every hit, under the shard latch.
 type toucher interface {
 	Touched(f *Frame)
 }
@@ -162,11 +150,9 @@ type Stats struct {
 // mutex. Each shard owns a fixed slice of the capacity and runs its
 // own instance of the replacement policy over its own frames (policy
 // callbacks stay single-threaded per shard, so policies need no
-// internal locking). The latch guards the policy, the frame table's
-// writes and the residency counts; only a miss's reservation needs it.
-// A hit finds its frame in the table without the latch and pins it by
-// CAS (it takes the latch only to call Touched, for a policy that has
-// it), and Unpin is one atomic decrement.
+// internal locking). Only a miss's reservation needs the latch: a hit
+// finds and pins its frame by CAS (latching only to call Touched), and
+// Unpin is one atomic decrement.
 //
 // Two properties matter for the paper's experiments:
 //
@@ -221,12 +207,10 @@ type shard struct {
 	// space, when non-nil, is closed (and replaced by nil) the next
 	// time a frame of this shard becomes evictable or a load ends — the
 	// one broadcast that wakes fetches parked in bounded-wait
-	// backpressure (VictimWait) and fetches parked on a loading page.
-	// Lazily created: nil whenever nobody waits. waiting mirrors
-	// space != nil, so Unpin and the loader, which run without the
-	// latch, take it only when someone waits. A waiter registers under
-	// the latch and then re-checks its condition, so a wake-up that
-	// found waiting false is not lost.
+	// backpressure (VictimWait) or on a loading page. Lazily created:
+	// nil whenever nobody waits. waiting mirrors space != nil, so Unpin
+	// and the loader take the latch only when someone waits; a waiter
+	// registers, then re-checks its condition, so no wake-up is lost.
 	space   chan struct{}
 	waiting atomic.Bool
 }
@@ -250,8 +234,7 @@ func (sh *shard) signalSpaceLocked() {
 	}
 }
 
-// wake is signalSpaceLocked for a caller without the latch: it takes the
-// latch only when a fetch is parked.
+// wake signals from outside the latch, taking it only if a fetch waits.
 func (sh *shard) wake() {
 	if sh.waiting.Load() {
 		sh.mu.Lock()
@@ -260,10 +243,9 @@ func (sh *shard) wake() {
 	}
 }
 
-// victimLocked asks the policy for a victim and claims it by swapping
-// its pin count from 0 to -1. A hit may pin the frame after the policy
-// looked; then the claim fails and the policy, which now sees the pin,
-// is asked again. Caller holds sh.mu.
+// victimLocked claims the policy's victim by swapping its pin count from
+// 0 to -1; if a hit pinned it after the policy looked, it asks again.
+// Caller holds sh.mu.
 func (sh *shard) victimLocked() *Frame {
 	for {
 		v := sh.policy.Victim()
@@ -409,11 +391,9 @@ func (m *Manager) FetchContext(ctx context.Context, id postings.PageID) (*Frame,
 // when the loader's read failed; FetchContext turns both into a retry.
 func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bool, error) {
 	sh := m.shardOf(id)
-	// The hit: a lookup and a pin without the latch. Ready is a final
-	// state, so a ready frame that takes the pin holds its page. A lookup
-	// that raced a table write may miss, a frame that left the pool
-	// refuses the pin, and a page still loading must be waited for; all
-	// three look again under the latch below.
+	// The hit: a lookup and a pin without the latch (ready is final). A
+	// lookup racing a table write may miss, an evicted frame refuses the
+	// pin, and a load must be waited for: all look again under the latch.
 	if hit := sh.frames.get(id); hit != nil && hit.state.Load() == frameReady && hit.tryPin() {
 		if sh.toucher != nil {
 			sh.mu.Lock()
@@ -433,9 +413,7 @@ func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bo
 		sh.mu.Lock()
 		if hit := sh.frames.get(id); hit != nil {
 			if hit.state.Load() != frameFailed {
-				// A frame in the table has not been claimed, so its pin
-				// is not -1.
-				hit.pin.Add(1)
+				hit.pin.Add(1) // unclaimed while in the table: not -1
 				if sh.toucher != nil {
 					sh.toucher.Touched(hit)
 				}
@@ -445,9 +423,8 @@ func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bo
 				}
 				return m.awaitLoad(ctx, sh, hit)
 			}
-			// A failed load that parked fetches still pin. Nobody pins
-			// a failed frame, so its pins only drain; withdraw it now
-			// and load the page afresh.
+			// A failed load, pinned by fetches parked on it: nobody pins
+			// it again, so withdraw it now and load the page afresh.
 			m.removeLocked(sh, hit)
 		}
 
@@ -456,10 +433,9 @@ func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bo
 			victim := sh.victimLocked()
 			if victim == nil && m.retry.VictimWait > 0 {
 				// Every frame is pinned: momentary backpressure, not an
-				// error. Register, look once more (a pin that dropped
-				// before the registration woke nobody), and wait
-				// off-latch for a pin to drop, bounded by one VictimWait
-				// across all passes of this fetch.
+				// error. Register, look once more, and wait off-latch
+				// for a pin to drop, bounded by one VictimWait across all
+				// passes of this fetch.
 				space := sh.spaceLocked()
 				if victim = sh.victimLocked(); victim == nil {
 					sh.mu.Unlock()
@@ -528,12 +504,9 @@ func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bo
 	return nil, false, f.loadErr
 }
 
-// awaitLoad completes a fetch that pinned a frame it found in the pool
-// under the latch: a ready frame is a hit, a failed load is released and
-// reported, and a load in flight parks the fetch on the shard's broadcast
-// until the load ends or ctx dies. A fetch that parks registers first and
-// then loads the state again, so a load that ended in between is not
-// missed.
+// awaitLoad completes a fetch that pinned a frame under the latch: a
+// ready frame is a hit, a failed load is released and reported, and a
+// fetch of a page in flight parks until the load ends or ctx dies.
 func (m *Manager) awaitLoad(ctx context.Context, sh *shard, f *Frame) (*Frame, bool, error) {
 	for {
 		switch f.state.Load() {
@@ -586,9 +559,8 @@ func (m *Manager) releaseWaiter(sh *shard, f *Frame) {
 	sh.signalSpaceLocked()
 }
 
-// releaseLocked drops one pin of a loading or poisoned frame and
-// withdraws a poisoned frame with its last pin, unless a fetch for its
-// page withdrew it already. Caller holds sh.mu.
+// releaseLocked drops a pin of a loading or poisoned frame; the last pin
+// of a poisoned frame still in the table withdraws it. Caller holds sh.mu.
 func (m *Manager) releaseLocked(sh *shard, f *Frame) {
 	if f.pin.Add(-1) == 0 && f.state.Load() == frameFailed && sh.frames.get(f.Page) == f {
 		m.removeLocked(sh, f)
@@ -596,8 +568,7 @@ func (m *Manager) releaseLocked(sh *shard, f *Frame) {
 }
 
 // Unpin releases one pin on the frame, without the latch unless a fetch
-// is parked on the shard. Unpinning an unpinned frame is a programming
-// error and panics.
+// waits. Unpinning an unpinned frame is a programming error and panics.
 func (m *Manager) Unpin(f *Frame) {
 	switch n := f.pin.Add(-1); {
 	case n < 0:
@@ -684,22 +655,20 @@ func (m *Manager) Flush() {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		slots := sh.frames.slots
-		for j := range slots {
-			if f := slots[j].Load(); f != nil && f.Pinned() {
-				sh.mu.Unlock()
-				panic(fmt.Sprintf("buffer: flush with pinned page %d", f.Page))
+		var all []*Frame
+		for j := range sh.frames.slots {
+			if f := sh.frames.slots[j].Load(); f != nil {
+				if f.Pinned() {
+					sh.mu.Unlock()
+					panic(fmt.Sprintf("buffer: flush with pinned page %d", f.Page))
+				}
+				all = append(all, f)
 			}
 		}
-		for j := range slots {
-			if f := slots[j].Load(); f != nil {
-				f.pin.Store(-1)
-				sh.policy.Removed(f)
-				m.dropResidency(f)
-				slots[j].Store(nil)
-			}
+		for _, f := range all {
+			f.pin.Store(-1)
+			m.removeLocked(sh, f)
 		}
-		sh.frames.n = 0
 		sh.signalSpaceLocked()
 		sh.mu.Unlock()
 	}
@@ -753,18 +722,13 @@ func (m *Manager) PolicyStats() (PolicyStats, bool) {
 	return agg, true
 }
 
-// removeLocked detaches a frame from its shard: a claimed one (pin -1),
-// or a failed load, which nobody pins again. Caller holds sh.mu.
+// removeLocked detaches a claimed frame (pin -1) or a failed load from
+// its shard. Caller holds sh.mu. A frame whose load failed already
+// surrendered its residency count at failure time (nonResident), so it
+// must not be decremented again here.
 func (m *Manager) removeLocked(sh *shard, f *Frame) {
 	sh.policy.Removed(f)
 	sh.frames.remove(f.Page)
-	m.dropResidency(f)
-}
-
-// dropResidency takes a leaving frame out of its term's b_t. A frame
-// whose load failed already surrendered its count at failure time
-// (nonResident), so it must not be decremented again here.
-func (m *Manager) dropResidency(f *Frame) {
 	if !f.nonResident {
 		m.resident[f.Term].Add(-1)
 	}
@@ -777,12 +741,11 @@ func (m *Manager) dropResidency(f *Frame) {
 // goroutines; it is not synchronized with concurrent fetches.
 func (m *Manager) SetRetryPolicy(rp RetryPolicy) { m.retry = rp }
 
-// frameTable maps a shard's resident pages to their frames: open
-// addressing with linear probing over at least twice the shard's
-// capacity, so a probe always ends at an empty slot. It is written under
-// the shard latch and read without it. A deletion shifts the rest of its
-// probe chain back instead of leaving a tombstone, so a reader racing it
-// may miss a frame that is present; it then looks again under the latch.
+// frameTable maps a shard's pages to their frames: linear probing over at
+// least twice the shard's capacity, written under the latch and read
+// without it. A deletion shifts the rest of its probe chain back (no
+// tombstones), so a reader racing it may miss a present frame; it then
+// looks again under the latch.
 type frameTable struct {
 	slots []atomic.Pointer[Frame]
 	shift uint // 64 - log2(len(slots))
@@ -797,14 +760,13 @@ func newFrameTable(capacity int) frameTable {
 	return frameTable{slots: make([]atomic.Pointer[Frame], 1<<bits), shift: 64 - bits}
 }
 
-// home is id's first probe slot (Fibonacci hashing: page ids of one shard
-// are an arithmetic progression, which a plain modulo would cluster).
+// home is id's first probe slot, by Fibonacci hashing.
 func (t *frameTable) home(id postings.PageID) int {
 	return int(uint64(id) * 0x9E3779B97F4A7C15 >> t.shift)
 }
 
-// get returns id's frame, or nil. Bounded by the table size, so a reader
-// racing writes cannot probe forever.
+// get returns id's frame, or nil; a reader racing writes stops after one
+// lap.
 func (t *frameTable) get(id postings.PageID) *Frame {
 	mask := len(t.slots) - 1
 	for i, n := t.home(id), 0; n < len(t.slots); i, n = (i+1)&mask, n+1 {

@@ -7,7 +7,7 @@ package buffer
 //
 //   - Transient load errors are retried with bounded exponential
 //     backoff INSIDE the single-flight loader: one retrier per page,
-//     waiters stay parked on the frame's loading channel, and the page
+//     waiters stay parked on the shard's broadcast channel, and the page
 //     still costs one successful read no matter how many attempts or
 //     sessions it took.
 //   - A pool whose every frame is pinned waits a bounded time for a

@@ -485,8 +485,8 @@ func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bo
 		return f, true, nil
 	}
 	// Counters must reflect successful loads only: undo the provisional
-	// miss, poison the frame for any waiters, and withdraw it once the
-	// last pin drops. The policy saw Admitted at reservation and sees
+	// miss, poison the frame for any waiters, and withdraw it with its
+	// last pin or the page's next fetch. The policy saw Admitted and sees
 	// Removed at withdrawal — a failed load is an admission that left
 	// again without ever being hit. Residency drops NOW — a poisoned
 	// frame kept alive by waiter pins holds no data, and BAF's b_t

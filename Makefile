@@ -1,6 +1,6 @@
 # Tier-1 gate and development targets. `make ci` is the full gate run
-# before every merge: gates-check (every -run pattern below selects a
-# test that exists), lint (a pinned staticcheck, installed on demand;
+# before every merge: gates-check (every -run, -bench and -fuzz pattern
+# below selects a test, benchmark or fuzz target that exists), lint (a pinned staticcheck, installed on demand;
 # loud vet fallback when the install cannot reach the module proxy,
 # plus a gofmt check), the dependency-graph check (the optional HTTP
 # observability endpoint must stay out of the core library's build
@@ -37,8 +37,10 @@ ci: gates-check lint depgraph api-check build benchmark-test fuzz-seeds bench-po
 
 # Gate hygiene: each alternative of every -run pattern in this file
 # must select a test, fuzz target, benchmark or example that some
-# package defines, so that deleting or renaming a test cannot silently
-# drop it out of a gate (tools/gates-check.sh; '^$$' is exempt).
+# package defines, each -bench alternative a benchmark and each -fuzz
+# alternative a fuzz target, so that deleting or renaming one cannot
+# silently empty a gate or a smoke (tools/gates-check.sh; '^$$' is
+# exempt).
 gates-check:
 	@sh tools/gates-check.sh
 

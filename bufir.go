@@ -256,22 +256,22 @@ func IndexDocuments(docs []Document, opts IndexOptions) (*Index, error) {
 	return out, nil
 }
 
-// WriteFile persists the index as a paged index file (the BUFIR2
-// format): block-compressed pages behind a fixed-size page directory,
-// each page individually checksummed and aligned to blockSize bytes
-// (0 = the 4 KiB default). OpenIndexFile serves the file
-// page-at-a-time straight from disk. Document names and the stop-word
-// list of document-built indexes are included, so the reopened index
-// keeps text-query support.
+// WriteFile persists the index as a paged index file (the BUFIR3
+// format): block-compressed pages packed back to back behind a
+// fixed-size page directory, each page individually checksummed.
+// OpenIndexFile serves the file page-at-a-time straight from disk.
+// Document names and the stop-word list of document-built indexes are
+// included, so the reopened index keeps text-query support. The second
+// parameter is a retired block alignment: it must be 0.
 func (ix *Index) WriteFile(path string, blockSize int) error {
-	if blockSize == 0 {
-		blockSize = indexfile.DefaultBlockSize
+	if blockSize != 0 {
+		return fmt.Errorf("bufir: WriteFile: block size %d: index files are packed, pass 0", blockSize)
 	}
 	pages, err := ix.pagePayloads()
 	if err != nil {
 		return err
 	}
-	return indexfile.WritePageFile(path, ix.meta(), pages, ix.aux(), blockSize)
+	return indexfile.WritePageFile(path, ix.meta(), pages, ix.aux())
 }
 
 // OpenIndexFile opens an index written by WriteFile without loading

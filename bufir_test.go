@@ -3,6 +3,7 @@ package bufir
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -396,6 +397,10 @@ func TestIndexSaveOpen(t *testing.T) {
 	}
 	if _, ok := ix.view().base.(*storage.FileStore); ok {
 		t.Error("in-memory index should have no file store")
+	}
+	// The block size is retired: anything but 0 is refused.
+	if err := ix.WriteFile(filepath.Join(t.TempDir(), "ix.bufir"), 4096); err == nil {
+		t.Error("WriteFile with a block size of 4096 succeeded")
 	}
 	q, err := ix.TopicQuery(col.Topics[0])
 	if err != nil {

@@ -106,7 +106,7 @@ func main() {
 
 	switch {
 	case *out != "" && *shards > 1:
-		if err := ix.WriteShardFiles(*out, *shards, 0); err != nil {
+		if err := ix.WriteShardFiles(*out, *shards); err != nil {
 			log.Fatal(err)
 		}
 		var size int64

@@ -17,7 +17,7 @@ import (
 // opens it file-backed.
 func openFileBacked(t *testing.T, ix *Index) *Index {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "ix.bufir2")
+	path := filepath.Join(t.TempDir(), "ix.bufir")
 	if err := ix.WriteFile(path, 0); err != nil {
 		t.Fatal(err)
 	}

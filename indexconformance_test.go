@@ -40,7 +40,7 @@ func fileBackend(name string, open func(path string) (*bufir.Index, error)) inde
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(t.TempDir(), "conformance.bufir2")
+			path := filepath.Join(t.TempDir(), "conformance.bufir")
 			if err := built.WriteFile(path, 0); err != nil {
 				t.Fatal(err)
 			}

@@ -45,7 +45,7 @@ func (e *Env) RunCompression() (*CompressionResult, error) {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "index.bufir")
-	if err := indexfile.WritePageFile(path, e.Idx, e.Pages, nil, 0); err != nil {
+	if err := indexfile.WritePageFile(path, e.Idx, e.Pages, nil); err != nil {
 		return nil, err
 	}
 	cs, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})

@@ -40,7 +40,7 @@ func buildSample(t testing.TB, seed int64) (*corpus.Collection, *postings.Index,
 func writeFile(t *testing.T, ix *postings.Index, pages [][]postings.Entry, aux *indexfile.Aux) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "corpus.bufir")
-	if err := indexfile.WritePageFile(path, ix, pages, aux, indexfile.DefaultBlockSize); err != nil {
+	if err := indexfile.WritePageFile(path, ix, pages, aux); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {

@@ -1,5 +1,5 @@
 // Package indexfile persists the inverted index in the paged on-disk
-// format (BUFIR2), built for demand paging: the memory-resident
+// format (BUFIR3), built for demand paging: the memory-resident
 // metadata (term dictionary, idf inputs, page minima and maxima,
 // document vector lengths) is read once at open, while the
 // block-compressed [PZSD96] pages stay on disk and are located through
@@ -9,9 +9,8 @@
 //
 // Layout (all fixed-width integers little-endian):
 //
-//	magic     "BUFIR2\n"                  (7 bytes)
+//	magic     "BUFIR3\n"                  (7 bytes)
 //	flags     reserved, 0                 (1 byte)
-//	blockSize u32; page blobs start at multiples of it (0 = packed)
 //	metaLen   u64
 //	meta      metaLen bytes — the memory-resident index metadata as one
 //	          varint stream: numDocs pageSize numTerms, per term
@@ -19,18 +18,19 @@
 //	          docLen[numDocs] (float64 bits), auxFlag [aux]
 //	metaCRC   u32 (IEEE, over everything above)
 //	numPages  u64
-//	directory numPages × { offset u64, length u32, crc u32 } — offset
-//	          is relative to dataStart; crc is IEEE over the page blob
+//	directory numPages × { length u32, crc u32 } — crc is IEEE over
+//	          the page blob
 //	dirCRC    u32 (IEEE, over numPages and the directory)
-//	data      page blobs in the compressed [PZSD96] codec format,
-//	          each aligned to blockSize when blockSize > 0
+//	data      page blobs in the compressed [PZSD96] codec format, back
+//	          to back in page order from the end of the header
 //
-// dataStart is the end of the header rounded up to blockSize. The
-// header (meta + directory) is read and checksum-verified once at
-// open; each page blob is checksum-verified on every read against its
-// directory entry, so a corrupt page surfaces as a read error on
-// exactly that page — isolated, and classified permanent for the
-// buffer manager's retry path — instead of poisoning the whole index.
+// Nothing is padded: a page's offset is the header length plus the
+// lengths of the pages before it, summed once at open. The header
+// (meta + directory) is read and checksum-verified once at open; each
+// page blob is checksum-verified on every read against its directory
+// entry, so a corrupt page surfaces as a read error on exactly that
+// page — isolated, and classified permanent for the buffer manager's
+// retry path — instead of poisoning the whole index.
 package indexfile
 
 import (
@@ -48,10 +48,11 @@ import (
 	"bufir/internal/postings"
 )
 
-const magic2 = "BUFIR2\n"
+const magic = "BUFIR3\n"
 
 // ErrNotIndexFile is what opening a file that does not begin with the
-// BUFIR2 magic matches under errors.Is.
+// BUFIR3 magic matches under errors.Is (a file of an earlier format
+// version included).
 var ErrNotIndexFile = errors.New("not a bufir index file")
 
 // Aux carries the optional text-pipeline state of a document-built
@@ -62,24 +63,15 @@ type Aux struct {
 	StopWords []string
 }
 
-// DefaultBlockSize is the disk-block alignment WritePageFile uses when
-// the caller passes blockSize 0 at the bufir API level: 4 KiB, the
-// page size the paper's physical design reasons about (§4.2).
-const DefaultBlockSize = 4096
-
-// maxBlockSize bounds the alignment a file may declare; anything
-// larger is treated as corruption rather than honored with gigabytes
-// of padding.
-const maxBlockSize = 1 << 20
-
-// pageDirEntry locates one page blob in the data region.
+// pageDirEntry locates one page blob in the file. Only len and crc
+// are stored; off is the prefix sum the reader computes at open.
 type pageDirEntry struct {
-	off uint64 // relative to dataStart
+	off uint64 // from the start of the file
 	len uint32
 	crc uint32
 }
 
-const pageDirEntrySize = 16
+const pageDirEntrySize = 8
 
 // CorruptPageError reports a page blob whose checksum did not match
 // its directory entry or, with Reason set, one whose checksum matched
@@ -104,19 +96,16 @@ func (e *CorruptPageError) Error() string {
 // interface buffer.RetryPolicy consults).
 func (e *CorruptPageError) PermanentFault() bool { return true }
 
-// WritePageFile persists the index in the paged BUFIR2 format,
-// atomically (temp file plus rename). blockSize aligns every page blob
-// to a disk block boundary; 0 packs the blobs back to back. Typical
-// choices are 1–8 KiB; the alignment costs padding but lets a page
-// read touch the minimum number of device blocks.
-func WritePageFile(path string, ix *postings.Index, pages [][]postings.Entry, aux *Aux, blockSize int) error {
+// WritePageFile persists the index in the paged BUFIR3 format,
+// atomically (temp file plus rename).
+func WritePageFile(path string, ix *postings.Index, pages [][]postings.Entry, aux *Aux) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(f)
-	err = writePageFile(bw, ix, pages, aux, blockSize)
+	err = writePageFile(bw, ix, pages, aux)
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -132,11 +121,8 @@ func WritePageFile(path string, ix *postings.Index, pages [][]postings.Entry, au
 	return os.Rename(tmp, path)
 }
 
-// writePageFile writes the full BUFIR2 stream to w.
-func writePageFile(w io.Writer, ix *postings.Index, pages [][]postings.Entry, aux *Aux, blockSize int) error {
-	if blockSize < 0 || blockSize > maxBlockSize {
-		return fmt.Errorf("indexfile: block size %d outside [0,%d]", blockSize, maxBlockSize)
-	}
+// writePageFile writes the full BUFIR3 stream to w.
+func writePageFile(w io.Writer, ix *postings.Index, pages [][]postings.Entry, aux *Aux) error {
 	if len(pages) != ix.NumPagesTotal {
 		return fmt.Errorf("indexfile: %d pages for an index of %d", len(pages), ix.NumPagesTotal)
 	}
@@ -155,25 +141,12 @@ func writePageFile(w io.Writer, ix *postings.Index, pages [][]postings.Entry, au
 		blobs[i] = enc
 	}
 
-	// Lay out the data region and build the directory.
-	dir := make([]pageDirEntry, len(blobs))
-	off := uint64(0)
-	for i, blob := range blobs {
-		if blockSize > 0 {
-			off = alignUp(off, uint64(blockSize))
-		}
-		dir[i] = pageDirEntry{off: off, len: uint32(len(blob)), crc: crc32.ChecksumIEEE(blob)}
-		off += uint64(len(blob))
-	}
-
-	// Header: magic, flags, blockSize, metaLen, meta, metaCRC.
+	// Header: magic, flags, metaLen, meta, metaCRC.
 	var head bytes.Buffer
-	head.WriteString(magic2)
+	head.WriteString(magic)
 	head.WriteByte(0) // flags
 	var u32 [4]byte
 	var u64 [8]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(blockSize))
-	head.Write(u32[:])
 	binary.LittleEndian.PutUint64(u64[:], uint64(len(meta)))
 	head.Write(u64[:])
 	head.Write(meta)
@@ -182,14 +155,12 @@ func writePageFile(w io.Writer, ix *postings.Index, pages [][]postings.Entry, au
 
 	// Directory: numPages, entries, dirCRC (over numPages + entries).
 	dirStart := head.Len()
-	binary.LittleEndian.PutUint64(u64[:], uint64(len(dir)))
+	binary.LittleEndian.PutUint64(u64[:], uint64(len(blobs)))
 	head.Write(u64[:])
-	for _, e := range dir {
-		binary.LittleEndian.PutUint64(u64[:], e.off)
-		head.Write(u64[:])
-		binary.LittleEndian.PutUint32(u32[:], e.len)
+	for _, blob := range blobs {
+		binary.LittleEndian.PutUint32(u32[:], uint32(len(blob)))
 		head.Write(u32[:])
-		binary.LittleEndian.PutUint32(u32[:], e.crc)
+		binary.LittleEndian.PutUint32(u32[:], crc32.ChecksumIEEE(blob))
 		head.Write(u32[:])
 	}
 	binary.LittleEndian.PutUint32(u32[:], crc32.ChecksumIEEE(head.Bytes()[dirStart:]))
@@ -198,51 +169,10 @@ func writePageFile(w io.Writer, ix *postings.Index, pages [][]postings.Entry, au
 	if _, err := w.Write(head.Bytes()); err != nil {
 		return err
 	}
-
-	// Data region: pad the header end (and inter-blob gaps) to the
-	// block alignment the directory assumed.
-	pos := uint64(0) // relative to dataStart
-	dataStart := uint64(head.Len())
-	if blockSize > 0 {
-		pad := alignUp(dataStart, uint64(blockSize)) - dataStart
-		if err := writeZeros(w, pad); err != nil {
-			return err
-		}
-	}
-	for i, blob := range blobs {
-		if gap := dir[i].off - pos; gap > 0 {
-			if err := writeZeros(w, gap); err != nil {
-				return err
-			}
-			pos += gap
-		}
+	for _, blob := range blobs {
 		if _, err := w.Write(blob); err != nil {
 			return err
 		}
-		pos += uint64(len(blob))
-	}
-	return nil
-}
-
-func alignUp(v, a uint64) uint64 {
-	if r := v % a; r != 0 {
-		return v + a - r
-	}
-	return v
-}
-
-var zeros [512]byte
-
-func writeZeros(w io.Writer, n uint64) error {
-	for n > 0 {
-		chunk := n
-		if chunk > uint64(len(zeros)) {
-			chunk = uint64(len(zeros))
-		}
-		if _, err := w.Write(zeros[:chunk]); err != nil {
-			return err
-		}
-		n -= chunk
 	}
 	return nil
 }
@@ -466,27 +396,25 @@ func decodeMeta(data []byte) (*postings.Index, *Aux, error) {
 	return ix, aux, nil
 }
 
-// pageFileHeader is the parsed, verified header of a BUFIR2 file.
+// pageFileHeader is the parsed, verified header of a BUFIR3 file.
 type pageFileHeader struct {
 	ix        *postings.Index
 	aux       *Aux
-	blockSize int
 	dir       []pageDirEntry
-	headerLen int64 // bytes consumed by the header
-	dataStart int64 // headerLen aligned up to blockSize
-	dataLen   int64 // exact data-region length the directory implies
+	headerLen int64 // bytes consumed by the header; the data starts here
+	dataLen   int64 // the data region's length: the sum of the page lengths
 }
 
-// readHeader parses and checksum-verifies the BUFIR2 header (meta +
-// directory) from r, leaving r positioned at the start of the padding
-// before the data region. It performs every structural validation that
-// does not need the file size; the caller bounds the directory against
-// the actual data region.
+// readHeader parses and checksum-verifies the BUFIR3 header (meta +
+// directory) from r, leaving r positioned at the start of the data
+// region. It performs every structural validation that does not need
+// the file size; the caller bounds the directory against the actual
+// data region.
 func readHeader(r io.Reader) (*pageFileHeader, error) {
-	var fixed [20]byte
+	var fixed [16]byte
 	n, err := io.ReadFull(r, fixed[:])
-	if n < len(magic2) || string(fixed[:len(magic2)]) != magic2 {
-		return nil, fmt.Errorf("indexfile: bad magic %q: %w", fixed[:min(n, len(magic2))], ErrNotIndexFile)
+	if n < len(magic) || string(fixed[:len(magic)]) != magic {
+		return nil, fmt.Errorf("indexfile: bad magic %q: %w", fixed[:min(n, len(magic))], ErrNotIndexFile)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("indexfile: reading header: %w", err)
@@ -494,11 +422,7 @@ func readHeader(r io.Reader) (*pageFileHeader, error) {
 	if fixed[7] != 0 {
 		return nil, fmt.Errorf("indexfile: unknown flags %#x", fixed[7])
 	}
-	blockSize := binary.LittleEndian.Uint32(fixed[8:12])
-	if blockSize > maxBlockSize {
-		return nil, fmt.Errorf("indexfile: block size %d > %d", blockSize, maxBlockSize)
-	}
-	metaLen := binary.LittleEndian.Uint64(fixed[12:20])
+	metaLen := binary.LittleEndian.Uint64(fixed[8:16])
 	const metaSanity = 1 << 32
 	if metaLen == 0 || metaLen > metaSanity {
 		return nil, fmt.Errorf("indexfile: implausible metadata length %d", metaLen)
@@ -548,47 +472,34 @@ func readHeader(r io.Reader) (*pageFileHeader, error) {
 		return nil, fmt.Errorf("indexfile: directory checksum mismatch (file %08x, computed %08x)", got, crc.Sum32())
 	}
 
-	// Decode and validate the directory: offsets non-overlapping and
-	// monotone, lengths positive and plausible for the page size, and
-	// aligned when the file declares a block size.
+	// Decode the directory, check every length is positive and
+	// plausible for the page size, and lay the pages out back to back
+	// from the end of the header. The bound is computed in 64 bits: an
+	// index may declare any page size up to the metadata's sanity
+	// bound, and a 32-bit product would wrap.
 	dir := make([]pageDirEntry, numPages)
-	maxBlob := uint32(ix.PageSize)*12 + 64
-	var next uint64
-	var dataLen uint64
+	maxBlob := min(uint64(ix.PageSize)*12+64, math.MaxUint32)
+	headerLen := uint64(len(fixed)) + metaLen + 4 + 8 + uint64(len(dirBytes)) + 4
+	off := headerLen
 	for i := range dir {
 		b := dirBytes[i*pageDirEntrySize:]
 		e := pageDirEntry{
-			off: binary.LittleEndian.Uint64(b),
-			len: binary.LittleEndian.Uint32(b[8:]),
-			crc: binary.LittleEndian.Uint32(b[12:]),
+			off: off,
+			len: binary.LittleEndian.Uint32(b),
+			crc: binary.LittleEndian.Uint32(b[4:]),
 		}
-		if e.len == 0 || e.len > maxBlob {
+		if e.len == 0 || uint64(e.len) > maxBlob {
 			return nil, fmt.Errorf("indexfile: page %d implausible size %d", i, e.len)
 		}
-		if e.off < next {
-			return nil, fmt.Errorf("indexfile: page %d overlaps its predecessor (offset %d < %d)", i, e.off, next)
-		}
-		if blockSize > 0 && e.off%uint64(blockSize) != 0 {
-			return nil, fmt.Errorf("indexfile: page %d offset %d not aligned to block size %d", i, e.off, blockSize)
-		}
-		next = e.off + uint64(e.len)
-		dataLen = next
+		off += uint64(e.len)
 		dir[i] = e
-	}
-
-	headerLen := int64(len(fixed)) + int64(metaLen) + 4 + 8 + int64(len(dirBytes)) + 4
-	dataStart := headerLen
-	if blockSize > 0 {
-		dataStart = int64(alignUp(uint64(headerLen), uint64(blockSize)))
 	}
 	return &pageFileHeader{
 		ix:        ix,
 		aux:       aux,
-		blockSize: int(blockSize),
 		dir:       dir,
-		headerLen: headerLen,
-		dataStart: dataStart,
-		dataLen:   int64(dataLen),
+		headerLen: int64(headerLen),
+		dataLen:   int64(off - headerLen),
 	}, nil
 }
 
@@ -612,11 +523,9 @@ type PageFile struct {
 	// Aux carries the optional text-pipeline state (nil when absent).
 	Aux *Aux
 
-	blockSize int
-	dir       []pageDirEntry
-	dataStart int64
-	f         *os.File
-	mm        []byte // whole-file mapping; nil on the ReadAt path
+	dir []pageDirEntry
+	f   *os.File
+	mm  []byte // whole-file mapping; nil on the ReadAt path
 }
 
 // OpenPageFile opens a file written by WritePageFile, verifying the
@@ -644,18 +553,11 @@ func newPageFile(f *os.File, opts PageFileOptions) (*PageFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.Size() < h.dataStart+h.dataLen {
+	if st.Size() < h.headerLen+h.dataLen {
 		return nil, fmt.Errorf("indexfile: file is %d bytes, directory needs %d (truncated?)",
-			st.Size(), h.dataStart+h.dataLen)
+			st.Size(), h.headerLen+h.dataLen)
 	}
-	pf := &PageFile{
-		Index:     h.ix,
-		Aux:       h.aux,
-		blockSize: h.blockSize,
-		dir:       h.dir,
-		dataStart: h.dataStart,
-		f:         f,
-	}
+	pf := &PageFile{Index: h.ix, Aux: h.aux, dir: h.dir, f: f}
 	if !opts.DisableMmap && mmapSupported {
 		if mm, err := mmapFile(f, st.Size()); err == nil {
 			pf.mm = mm
@@ -668,17 +570,13 @@ func newPageFile(f *os.File, opts PageFileOptions) (*PageFile, error) {
 // NumPages returns the number of pages in the file.
 func (p *PageFile) NumPages() int { return len(p.dir) }
 
-// BlockSize returns the alignment the file was written with (0 =
-// packed).
-func (p *PageFile) BlockSize() int { return p.blockSize }
-
 // Mapped reports whether pages are served from a memory mapping
 // (false: the ReadAt fallback path).
 func (p *PageFile) Mapped() bool { return p.mm != nil }
 
-// EncodedBytes returns the total size of all page blobs (excluding
-// alignment padding) — the compressed footprint the directory
-// describes.
+// EncodedBytes returns the total size of all page blobs — the
+// compressed footprint the directory describes, and the file's size
+// less its header.
 func (p *PageFile) EncodedBytes() int64 {
 	var n int64
 	for _, e := range p.dir {
@@ -699,14 +597,14 @@ func (p *PageFile) PageBlob(id int, buf []byte) ([]byte, error) {
 	e := p.dir[id]
 	var blob []byte
 	if p.mm != nil {
-		start := p.dataStart + int64(e.off)
-		blob = p.mm[start : start+int64(e.len) : start+int64(e.len)]
+		end := e.off + uint64(e.len)
+		blob = p.mm[e.off:end:end]
 	} else {
 		if cap(buf) < int(e.len) {
 			buf = make([]byte, e.len)
 		}
 		blob = buf[:e.len]
-		if _, err := p.f.ReadAt(blob, p.dataStart+int64(e.off)); err != nil {
+		if _, err := p.f.ReadAt(blob, int64(e.off)); err != nil {
 			return nil, fmt.Errorf("indexfile: page %d: %w", id, err)
 		}
 	}

@@ -2,34 +2,42 @@ package indexfile
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// FuzzPageFileHeader throws arbitrary bytes at the V2 header parser
+// FuzzPageFileHeader throws arbitrary bytes at the BUFIR3 header parser
 // (magic, flags, metadata blob, page directory — everything before
 // the data region). The parser must never panic or over-allocate, and
 // whatever it does accept must satisfy the invariants every later
-// page read rests on: a directory sized to the term layout, monotone
-// non-overlapping entries, and a data region that ends where the last
-// entry says.
+// page read rests on: a directory sized to the term layout, pages laid
+// back to back from the end of the header, and a data region that ends
+// where the last entry ends.
 func FuzzPageFileHeader(f *testing.F) {
-	// Seeds: pristine headers across the framing variants (packed and
-	// block-aligned, bare and with aux data), plus a near-miss.
+	// Seeds: pristine headers, bare and with aux data; a file of the
+	// retired BUFIR2 format, which must be rejected; and near-misses.
 	ix, pages := buildPages(f)
-	for _, blockSize := range []int{0, 1 << 10, DefaultBlockSize} {
-		var buf bytes.Buffer
-		if err := writePageFile(&buf, ix, pages, nil, blockSize); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	var buf bytes.Buffer
-	if err := writePageFile(&buf, ix, pages, &Aux{DocNames: []string{"a.txt"}, StopWords: []string{"the"}}, 512); err != nil {
+	var bare, withAux bytes.Buffer
+	if err := writePageFile(&bare, ix, pages, nil); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(magic2))
-	f.Add([]byte(magic2 + "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	if err := writePageFile(&withAux, ix, pages, &Aux{DocNames: []string{"a.txt"}, StopWords: []string{"the"}}); err != nil {
+		f.Fatal(err)
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "v2.bufir"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := readHeader(bytes.NewReader(v2)); err == nil {
+		f.Fatal("a BUFIR2 header was accepted")
+	}
+	f.Add(bare.Bytes())
+	f.Add(withAux.Bytes())
+	f.Add(v2)
+	f.Add([]byte(magic))
+	f.Add([]byte(magic + "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add(bare.Bytes()[:bare.Len()/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := readHeader(bytes.NewReader(data))
@@ -42,24 +50,18 @@ func FuzzPageFileHeader(f *testing.F) {
 		if len(h.dir) != h.ix.NumPagesTotal {
 			t.Fatalf("directory has %d entries for a %d-page term layout", len(h.dir), h.ix.NumPagesTotal)
 		}
-		if h.dataStart < h.headerLen {
-			t.Fatalf("data region (%d) starts inside the header (%d bytes)", h.dataStart, h.headerLen)
-		}
-		if h.blockSize > 0 && h.dataStart%int64(h.blockSize) != 0 {
-			t.Fatalf("data start %d not aligned to declared block size %d", h.dataStart, h.blockSize)
-		}
-		var next uint64
+		next := uint64(h.headerLen)
 		for i, e := range h.dir {
 			if e.len == 0 {
 				t.Fatalf("accepted empty page %d", i)
 			}
-			if e.off < next {
-				t.Fatalf("page %d (offset %d) overlaps its predecessor (ends at %d)", i, e.off, next)
+			if e.off != next {
+				t.Fatalf("page %d at offset %d, want %d (back to back from the header)", i, e.off, next)
 			}
 			next = e.off + uint64(e.len)
 		}
-		if int64(next) != h.dataLen {
-			t.Fatalf("directory ends at %d but header claims a %d-byte data region", next, h.dataLen)
+		if int64(next) != h.headerLen+h.dataLen {
+			t.Fatalf("directory ends at %d but header claims a %d-byte data region after %d header bytes", next, h.dataLen, h.headerLen)
 		}
 	})
 }

@@ -1,15 +1,14 @@
 package indexfile
 
-// Tests of the paged BUFIR2 container from inside the package: the
-// round-trip property across block sizes, header validation against
-// hand-corrupted streams, and page access through both the mapping
-// and the pread fallback. The black-box behavior of the format (as a
+// Tests of the paged BUFIR3 container from inside the package: the
+// round-trip property and the packed layout, header validation against
+// hand-corrupted streams and older formats, and page access through
+// both the mapping and the pread fallback. The black-box behavior of the format (as a
 // PageStore backend) is covered by the storetest conformance suite.
 
 import (
 	"bytes"
-	"fmt"
-	"math"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -36,63 +35,71 @@ func buildPages(tb testing.TB) (*postings.Index, [][]postings.Entry) {
 	return ix, pages
 }
 
-// TestPageFileRoundTrip is the satellite property test: build →
-// write → open → every page byte-identical to the in-memory index,
-// across the block sizes the issue calls out (plus 0 = packed), on
-// both access paths.
+// TestPageFileRoundTrip: build → write → open → every page
+// byte-identical to the in-memory index, on both access paths, and the
+// file is exactly its header plus the page blobs — nothing is padded.
 func TestPageFileRoundTrip(t *testing.T) {
 	ix, pages := buildPages(t)
-	for _, blockSize := range []int{0, 1 << 10, 2 << 10, 4 << 10, 8 << 10} {
-		for _, opts := range []struct {
-			name string
-			o    PageFileOptions
-		}{
-			{"mmap", PageFileOptions{}},
-			{"readat", PageFileOptions{DisableMmap: true}},
-		} {
-			t.Run(fmt.Sprintf("bs=%d/%s", blockSize, opts.name), func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "ix.bufir2")
-				if err := WritePageFile(path, ix, pages, nil, blockSize); err != nil {
-					t.Fatal(err)
-				}
-				pf, err := OpenPageFile(path, opts.o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer pf.Close()
+	meta, err := encodeMeta(ix, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic+flags+metaLen, meta, metaCRC, numPages, directory, dirCRC.
+	headerLen := int64(16 + len(meta) + 4 + 8 + pageDirEntrySize*len(pages) + 4)
+	for _, opts := range []struct {
+		name string
+		o    PageFileOptions
+	}{
+		{"mmap", PageFileOptions{}},
+		{"readat", PageFileOptions{DisableMmap: true}},
+	} {
+		t.Run(opts.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ix.bufir")
+			if err := WritePageFile(path, ix, pages, nil); err != nil {
+				t.Fatal(err)
+			}
+			pf, err := OpenPageFile(path, opts.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pf.Close()
 
-				if pf.NumPages() != len(pages) {
-					t.Fatalf("NumPages = %d, want %d", pf.NumPages(), len(pages))
+			if pf.NumPages() != len(pages) {
+				t.Fatalf("NumPages = %d, want %d", pf.NumPages(), len(pages))
+			}
+			// The page blobs follow the header with no gap between or
+			// around them.
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() != headerLen+pf.EncodedBytes() {
+				t.Fatalf("file is %d bytes, want header %d + pages %d", st.Size(), headerLen, pf.EncodedBytes())
+			}
+			// Index metadata survives the trip.
+			if pf.Index.NumDocs != ix.NumDocs || pf.Index.PageSize != ix.PageSize ||
+				pf.Index.NumPagesTotal != ix.NumPagesTotal || len(pf.Index.Terms) != len(ix.Terms) {
+				t.Fatalf("index header mismatch: %+v", pf.Index)
+			}
+			// Every page blob decodes to the exact in-memory payload.
+			var buf []byte
+			for id := range pages {
+				blob, err := pf.PageBlob(id, buf)
+				if err != nil {
+					t.Fatalf("page %d: %v", id, err)
 				}
-				if pf.BlockSize() != blockSize {
-					t.Fatalf("BlockSize = %d, want %d", pf.BlockSize(), blockSize)
+				if !pf.Mapped() {
+					buf = blob
 				}
-				// Index metadata survives the trip.
-				if pf.Index.NumDocs != ix.NumDocs || pf.Index.PageSize != ix.PageSize ||
-					pf.Index.NumPagesTotal != ix.NumPagesTotal || len(pf.Index.Terms) != len(ix.Terms) {
-					t.Fatalf("index header mismatch: %+v", pf.Index)
+				got, err := codec.DecodePage(blob, nil)
+				if err != nil {
+					t.Fatalf("page %d: %v", id, err)
 				}
-				// Every page blob decodes to the exact in-memory payload
-				// (byte equality of the entries, per the satellite).
-				var buf []byte
-				for id := range pages {
-					blob, err := pf.PageBlob(id, buf)
-					if err != nil {
-						t.Fatalf("page %d: %v", id, err)
-					}
-					if !pf.Mapped() {
-						buf = blob
-					}
-					got, err := codec.DecodePage(blob, nil)
-					if err != nil {
-						t.Fatalf("page %d: %v", id, err)
-					}
-					if !reflect.DeepEqual(got, pages[id]) {
-						t.Fatalf("page %d differs from in-memory index", id)
-					}
+				if !reflect.DeepEqual(got, pages[id]) {
+					t.Fatalf("page %d differs from in-memory index", id)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -104,8 +111,8 @@ func TestPageFileAuxRoundTrip(t *testing.T) {
 		DocNames:  []string{"a.txt", "b.txt", "c.txt"},
 		StopWords: []string{"the", "of"},
 	}
-	path := filepath.Join(t.TempDir(), "ix.bufir2")
-	if err := WritePageFile(path, ix, pages, aux, DefaultBlockSize); err != nil {
+	path := filepath.Join(t.TempDir(), "ix.bufir")
+	if err := WritePageFile(path, ix, pages, aux); err != nil {
 		t.Fatal(err)
 	}
 	pf, err := OpenPageFile(path, PageFileOptions{})
@@ -124,17 +131,17 @@ func TestPageFileAuxRoundTrip(t *testing.T) {
 func TestPageFileRejectsCorruption(t *testing.T) {
 	ix, pages := buildPages(t)
 	var orig bytes.Buffer
-	if err := writePageFile(&orig, ix, pages, nil, 1<<10); err != nil {
+	if err := writePageFile(&orig, ix, pages, nil); err != nil {
 		t.Fatal(err)
 	}
 	valid := orig.Bytes()
 
 	// Region offsets: magic at 0; meta blob begins after
-	// magic+flags+u32+u64 = 7+1+4+8 = 20 bytes (varint meta len first,
-	// so +1 lands inside the meta); the directory sits before the data
-	// region; the last byte is inside the final page blob.
+	// magic+flags+u64 = 7+1+8 = 16 bytes, so byte 24 lands inside it;
+	// the directory sits before the data region; the last byte is
+	// inside the final page blob.
 	openAt := func(t *testing.T, data []byte) error {
-		path := filepath.Join(t.TempDir(), "ix.bufir2")
+		path := filepath.Join(t.TempDir(), "ix.bufir")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -189,17 +196,11 @@ func TestPageFileRejectsCorruption(t *testing.T) {
 // instead of producing files the reader would reject.
 func TestWritePageFileValidation(t *testing.T) {
 	ix, pages := buildPages(t)
-	path := filepath.Join(t.TempDir(), "ix.bufir2")
-	if err := WritePageFile(path, ix, pages, nil, -1); err == nil {
-		t.Fatal("negative block size accepted")
-	}
-	if err := WritePageFile(path, ix, pages, nil, maxBlockSize+1); err == nil {
-		t.Fatal("oversized block size accepted")
-	}
-	if err := WritePageFile(path, ix, pages[:len(pages)-1], nil, 0); err == nil {
+	path := filepath.Join(t.TempDir(), "ix.bufir")
+	if err := WritePageFile(path, ix, pages[:len(pages)-1], nil); err == nil {
 		t.Fatal("page-count mismatch accepted")
 	}
-	if err := WritePageFile(filepath.Join(t.TempDir(), "missing", "ix.bufir2"), ix, pages, nil, 0); err == nil {
+	if err := WritePageFile(filepath.Join(t.TempDir(), "missing", "ix.bufir"), ix, pages, nil); err == nil {
 		t.Fatal("write into a missing directory succeeded")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -219,8 +220,8 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestSaveWriterErrors: a writer failing at any offset — header, block
-// padding or page blobs — fails the write. A minimal index keeps each
+// TestSaveWriterErrors: a writer failing at any offset — header,
+// directory or page blobs — fails the write. A minimal index keeps each
 // write cheap enough to sweep every offset.
 func TestSaveWriterErrors(t *testing.T) {
 	lists := []postings.TermPostings{
@@ -232,13 +233,12 @@ func TestSaveWriterErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	aux := &Aux{DocNames: []string{"x", "y", "z"}, StopWords: []string{"the"}}
-	const blockSize = 16 // pads between blobs
 	var buf bytes.Buffer
-	if err := writePageFile(&buf, ix, pages, aux, blockSize); err != nil {
+	if err := writePageFile(&buf, ix, pages, aux); err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < buf.Len(); cut++ {
-		if err := writePageFile(&failingWriter{remaining: cut}, ix, pages, aux, blockSize); err == nil {
+		if err := writePageFile(&failingWriter{remaining: cut}, ix, pages, aux); err == nil {
 			t.Errorf("write with writer failing at %d/%d bytes succeeded", cut, buf.Len())
 		}
 	}
@@ -249,8 +249,8 @@ func TestSaveWriterErrors(t *testing.T) {
 func TestPageBlobBounds(t *testing.T) {
 	ix, pages := buildPages(t)
 	for _, opts := range []PageFileOptions{{}, {DisableMmap: true}} {
-		path := filepath.Join(t.TempDir(), "ix.bufir2")
-		if err := WritePageFile(path, ix, pages, nil, 0); err != nil {
+		path := filepath.Join(t.TempDir(), "ix.bufir")
+		if err := WritePageFile(path, ix, pages, nil); err != nil {
 			t.Fatal(err)
 		}
 		pf, err := OpenPageFile(path, opts)
@@ -267,19 +267,51 @@ func TestPageBlobBounds(t *testing.T) {
 	}
 }
 
-// TestAlignUp pins the alignment helper at its edges — the math
-// every directory offset rests on.
-func TestAlignUp(t *testing.T) {
-	for _, tc := range []struct{ v, a, want uint64 }{
-		{0, 4096, 0},
-		{1, 4096, 4096},
-		{4096, 4096, 4096},
-		{4097, 4096, 8192},
-		{math.MaxUint64 - 4095, 4096, math.MaxUint64 - 4095},
-	} {
-		if got := alignUp(tc.v, tc.a); got != tc.want {
-			t.Fatalf("alignUp(%d, %d) = %d, want %d", tc.v, tc.a, got, tc.want)
-		}
+// TestOpenRejectsOlderFormat: a file of the retired block-aligned
+// BUFIR2 format (testdata/v2.bufir, written by that format's writer
+// from the two-term index of TestSaveWriterErrors) is refused at open
+// as not an index file.
+func TestOpenRejectsOlderFormat(t *testing.T) {
+	_, err := OpenPageFile(filepath.Join("testdata", "v2.bufir"), PageFileOptions{})
+	if !errors.Is(err, ErrNotIndexFile) {
+		t.Fatalf("OpenPageFile(BUFIR2 file) = %v, want ErrNotIndexFile", err)
+	}
+}
+
+// TestHugePageSizeReopens: the directory's blob-size bound must not
+// wrap for a page size whose 32-bit product would (any page size
+// postings.Build accepts is legal). With pages of 2^30 entries a
+// wrapped bound is 64 bytes, so a one-term index of 64 postings —
+// one page of well over 64 bytes — must reopen and read back.
+func TestHugePageSizeReopens(t *testing.T) {
+	const numDocs = 64
+	list := postings.TermPostings{Name: "aa"}
+	for d := 0; d < numDocs; d++ {
+		list.Entries = append(list.Entries, postings.Entry{Doc: postings.DocID(d), Freq: int32(numDocs - d)})
+	}
+	ix, pages, err := postings.Build([]postings.TermPostings{list}, numDocs, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "huge.bufir")
+	if err := WritePageFile(path, ix, pages, nil); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := OpenPageFile(path, PageFileOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer pf.Close()
+	blob, err := pf.PageBlob(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := codec.DecodePage(blob, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, pages[0]) {
+		t.Fatalf("page 0 = %v, want %v", got, pages[0])
 	}
 }
 
@@ -308,8 +340,8 @@ func TestLoadersRejectRisingPageMaxima(t *testing.T) {
 	victim.PageMaxFreq = tampered
 	defer func() { victim.PageMaxFreq = good }()
 
-	path := filepath.Join(t.TempDir(), "tampered.bufir2")
-	if err := WritePageFile(path, ix, pages, nil, 4<<10); err != nil {
+	path := filepath.Join(t.TempDir(), "tampered.bufir")
+	if err := WritePageFile(path, ix, pages, nil); err != nil {
 		t.Fatal(err)
 	}
 	if pf, err := OpenPageFile(path, PageFileOptions{}); err == nil {

@@ -128,10 +128,6 @@ func (s *State) DeltaDocs() int { return len(s.docNames) }
 // DeltaEntries returns how many postings the delta holds.
 func (s *State) DeltaEntries() int { return s.deltaEntries }
 
-// DeltaDocNames returns the delta documents' names in DocID order
-// (read-only).
-func (s *State) DeltaDocNames() []string { return s.docNames }
-
 // AddDoc appends one document to the delta: the next DocID is
 // assigned, and each (term, frequency) pair becomes a pending posting.
 // New terms join the vocabulary in lexicographic order within the
@@ -388,7 +384,7 @@ func (s *State) Commit() (*Combined, error) {
 // combined lists become the main lists, newStore becomes the physical
 // store, and the delta empties. newStore must hold exactly the pages
 // Pages(c) returns — the caller materializes them (in memory or into a
-// BUFIR2 generation file) and wraps them however it serves reads.
+// BUFIR3 generation file) and wraps them however it serves reads.
 func (s *State) ApplyMerge(c *Combined, newStore storage.PageStore) error {
 	if newStore.NumPages() != c.Meta.NumPagesTotal {
 		return fmt.Errorf("livedex: merge store has %d pages, combined index %d", newStore.NumPages(), c.Meta.NumPagesTotal)

@@ -29,8 +29,8 @@ var backends = []struct {
 // and serves the store from it.
 func fileFactory(opts indexfile.PageFileOptions) storetest.Factory {
 	return func(tb testing.TB, ix *postings.Index, pages [][]postings.Entry) storage.PageStore {
-		path := filepath.Join(tb.TempDir(), "pages.bufir2")
-		if err := indexfile.WritePageFile(path, ix, pages, nil, 0); err != nil {
+		path := filepath.Join(tb.TempDir(), "pages.bufir")
+		if err := indexfile.WritePageFile(path, ix, pages, nil); err != nil {
 			tb.Fatal(err)
 		}
 		fs, err := storage.OpenFileStore(path, opts)

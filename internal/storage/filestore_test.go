@@ -23,8 +23,8 @@ import (
 func writeSampleFile(t *testing.T) (string, *postings.Index, [][]postings.Entry) {
 	t.Helper()
 	ix, pages := storetest.Sample(t)
-	path := filepath.Join(t.TempDir(), "pages.bufir2")
-	if err := indexfile.WritePageFile(path, ix, pages, nil, indexfile.DefaultBlockSize); err != nil {
+	path := filepath.Join(t.TempDir(), "pages.bufir")
+	if err := indexfile.WritePageFile(path, ix, pages, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path, ix, pages
@@ -141,8 +141,8 @@ func TestFileStoreRejectsPagesTheIndexCannotHold(t *testing.T) {
 			}
 			bad := ix.PageOf(term, 0)
 			pages[bad] = tc.mutate(pages[bad], ix.NumDocs)
-			path := filepath.Join(t.TempDir(), "pages.bufir2")
-			if err := indexfile.WritePageFile(path, ix, pages, nil, 0); err != nil {
+			path := filepath.Join(t.TempDir(), "pages.bufir")
+			if err := indexfile.WritePageFile(path, ix, pages, nil); err != nil {
 				t.Fatal(err)
 			}
 			fs, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})
@@ -250,9 +250,6 @@ func TestFileStoreStats(t *testing.T) {
 
 	if fs.File() == nil || fs.File().Index == nil {
 		t.Fatal("File() must expose the open page file")
-	}
-	if bs := fs.File().BlockSize(); bs != indexfile.DefaultBlockSize {
-		t.Fatalf("BlockSize() = %d, want default %d", bs, indexfile.DefaultBlockSize)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // LiveOptions configures live index updates (EnableLiveUpdates).
 type LiveOptions struct {
 	// Dir, when non-empty, makes merges durable: each compacted
-	// generation is written as a BUFIR2 page file gen-<epoch>.bufir2
-	// (pages aligned to 4 KiB blocks) under Dir and served from disk.
+	// generation is written as a packed BUFIR3 page file
+	// gen-<epoch>.bufir under Dir and served from disk.
 	// Empty keeps generations in memory (the simulator default).
 	Dir string
 	// AutoMergeDocs, when positive, starts a background merge whenever
@@ -185,7 +185,7 @@ func (ix *Index) publishLocked(meta *postings.Index, base storage.PageStore, pag
 
 // Merge compacts the pending delta into a new frequency-sorted main
 // generation and atomically swaps it in as the next epoch. The merged
-// generation is in-memory, or a BUFIR2 page file when LiveOptions.Dir
+// generation is in-memory, or a BUFIR3 page file when LiveOptions.Dir
 // is set. A no-op when the delta is empty. Merge holds the ingestion
 // lock for its duration — concurrent Adds wait, queries do not (they
 // keep reading the views they are bound to).
@@ -212,9 +212,9 @@ func (ix *Index) mergeLocked() error {
 	var newStore storage.PageStore
 	var viewPages [][]postings.Entry
 	if ix.liveOpts.Dir != "" {
-		path := filepath.Join(ix.liveOpts.Dir, fmt.Sprintf("gen-%06d.bufir2", ix.view().epoch+1))
+		path := filepath.Join(ix.liveOpts.Dir, fmt.Sprintf("gen-%06d.bufir", ix.view().epoch+1))
 		aux := &indexfile.Aux{DocNames: names, StopWords: ix.stopWords}
-		if err := indexfile.WritePageFile(path, c.Meta, pages, aux, indexfile.DefaultBlockSize); err != nil {
+		if err := indexfile.WritePageFile(path, c.Meta, pages, aux); err != nil {
 			return err
 		}
 		fs, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})

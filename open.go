@@ -61,7 +61,7 @@ func WithRouter(cfg RouterConfig) Option {
 //   - "synth:SCALE[:SEED]" — a generated synthetic collection; SCALE
 //     is tiny, default or paper, SEED an optional integer (default
 //     1998). No files are touched.
-//   - a paged index file written by Index.WriteFile (BUFIR2), served
+//   - a paged index file written by Index.WriteFile (BUFIR3), served
 //     page-at-a-time from disk.
 //   - a directory of shard files written by Index.WriteShardFiles —
 //     an on-disk document-partitioned index, one engine per shard.
@@ -220,15 +220,11 @@ func (ix *Index) Shard(n int) ([]*Index, error) {
 }
 
 // WriteShardFiles persists the index as an n-way document-partitioned
-// on-disk index: directory dir gets n paged (BUFIR2) shard files named
+// on-disk index: directory dir gets n paged (BUFIR3) shard files named
 // by indexfile.ShardFileName, each a self-contained index over one
 // partition's postings with the global collection statistics.
-// Open(dir) serves them behind a scatter-gather router. blockSize is
-// the per-file disk-block alignment (0 = the 4 KiB default).
-func (ix *Index) WriteShardFiles(dir string, n, blockSize int) error {
-	if blockSize == 0 {
-		blockSize = indexfile.DefaultBlockSize
-	}
+// Open(dir) serves them behind a scatter-gather router.
+func (ix *Index) WriteShardFiles(dir string, n int) error {
 	pages, err := ix.pagePayloads()
 	if err != nil {
 		return err
@@ -243,7 +239,7 @@ func (ix *Index) WriteShardFiles(dir string, n, blockSize int) error {
 	aux := ix.aux()
 	for i, p := range parts {
 		name := indexfile.ShardFileName(i, n)
-		if err := indexfile.WritePageFile(dir+string(os.PathSeparator)+name, p.Index, p.Pages, aux, blockSize); err != nil {
+		if err := indexfile.WritePageFile(dir+string(os.PathSeparator)+name, p.Index, p.Pages, aux); err != nil {
 			return fmt.Errorf("bufir: writing shard %d: %w", i, err)
 		}
 	}

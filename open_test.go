@@ -120,7 +120,7 @@ func TestOpenFilesAndShardDir(t *testing.T) {
 	if err := ix.WriteFile(paged, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.WriteShardFiles(shardDir, 3, 0); err != nil {
+	if err := ix.WriteShardFiles(shardDir, 3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -175,7 +175,7 @@ func TestOpenErrors(t *testing.T) {
 	}
 
 	// Files that exist but are no bufir index: junk, and the retired
-	// single-blob format, whose magic BUFIR2 readers do not accept.
+	// single-blob format, whose magic BUFIR3 readers do not accept.
 	for name, body := range map[string]string{
 		"junk":   "not an index at all",
 		"bufir1": "BUFIR1\n" + strings.Repeat("\x00", 64),
@@ -198,7 +198,7 @@ func TestOpenErrors(t *testing.T) {
 	// n ≥ 1 must equal its partition count (0 accepts what it holds).
 	_, ix := testIndex(t)
 	shardDir := filepath.Join(t.TempDir(), "shards")
-	if err := ix.WriteShardFiles(shardDir, 2, 0); err != nil {
+	if err := ix.WriteShardFiles(shardDir, 2); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {

@@ -270,7 +270,7 @@ bench-policy:
 # IDF edge cases included) and the E27 smoke run.
 ranksafe-exactness:
 	$(GO) test -race -count=1 \
-		-run 'TestMetamorphicSafe|TestFullEvaluationMatchesBruteForce|TestAllSchedulesBitIdentical|TestNeverMorePages|TestDuplicateEntries|TestExhaustionEquals' \
+		-run 'TestMetamorphicSafe|TestFullEvaluationMatchesBruteForce|TestAllSchedulesBitIdentical|TestNeverMorePages|TestDuplicateEntries|TestExhaustionEquals|TestFilterMatchesModel' \
 		./internal/eval
 	$(GO) test -race -count=1 \
 		-run 'TestRankSafe|TestSessionSafeMethods|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestParseAlgorithm' \

@@ -75,17 +75,6 @@ func (t *accTable) set(doc postings.DocID, v float64) {
 	t.vals[doc] = v
 }
 
-// add adds w to the document's accumulator, inserting it at zero when
-// it is not yet a candidate, and returns the new value.
-func (t *accTable) add(doc postings.DocID, w float64) float64 {
-	ad := w
-	if t.has(doc) {
-		ad += t.vals[doc]
-	}
-	t.set(doc, ad)
-	return ad
-}
-
 // top is Figure 1 steps 5-6: normalize every accumulator by W_d and
 // pick the k best under rank.Before. Documents of zero length never
 // rank.

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"bufir/internal/buffer"
 	"bufir/internal/postings"
+	"bufir/internal/rank"
 )
 
 // TestAccTableReset: a reset table is empty — no presence bit, no
@@ -25,9 +28,7 @@ func TestAccTableReset(t *testing.T) {
 			doc := postings.DocID(r.Intn(5000))
 			v := float64(r.Intn(100))
 			want[doc] += v
-			if got := tab.add(doc, v); got != want[doc] {
-				t.Fatalf("n=%d: doc %d accumulates to %v, want %v", n, doc, got, want[doc])
-			}
+			tab.set(doc, want[doc])
 		}
 		if tab.n != len(want) {
 			t.Fatalf("n=%d: table counts %d candidates, holds %d", n, tab.n, len(want))
@@ -46,6 +47,149 @@ func TestAccTableReset(t *testing.T) {
 		if tab.n != 0 {
 			t.Fatalf("n=%d: %d candidates after reset", n, tab.n)
 		}
+	}
+}
+
+// modelFilter is step 4(c) transcribed entry by entry over a map: each
+// entry computes its own w_{d,t}·w_{q,t}, adds it to a candidate,
+// inserts it above f_ins, and stops the list at the first f_dt ≤ f_add,
+// giving back the page's entries behind it. vals mirrors the table's
+// value slice, so a write to a document that is not admitted shows.
+type modelFilter struct {
+	cands   map[postings.DocID]float64
+	vals    []float64
+	smax    float64
+	entries int
+	writes  []accWrite
+}
+
+func (m *modelFilter) page(li *listState, page []postings.Entry, recording bool) (stop bool) {
+	m.entries += len(page)
+	for i, e := range page {
+		f := float64(e.Freq)
+		if f <= li.fadd {
+			m.entries -= len(page) - i - 1
+			return true
+		}
+		w := rank.DocWeight(e.Freq, li.idf) * li.wqt
+		old, ok := m.cands[e.Doc]
+		switch {
+		case ok:
+			w += old
+		case f <= li.fins:
+			continue
+		}
+		m.cands[e.Doc] = w
+		m.vals[e.Doc] = w
+		m.smax = max(m.smax, w)
+		if recording {
+			m.writes = append(m.writes, accWrite{Doc: e.Doc, Val: w})
+		}
+	}
+	return false
+}
+
+// TestFilterMatchesModel: run.filter, the one-pass admission kernel,
+// leaves the table, S_max, the entry count and the recorded writes
+// exactly where the entry-by-entry model does. Each case is one list —
+// runs of equal f_dt over distinct documents, among them 0, 63, 64 and
+// NumDocs−1, cut into pages of random size — admitted into a table that
+// earlier rounds left holding candidates, under f_ins ≥ f_add drawn
+// with 0, +Inf and whole f_dt values among them, some with f_add at or
+// above the list's largest f_dt (the first run stops, as under
+// ForceFirstPage), with recording on and off.
+func TestFilterMatchesModel(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	thresholds := func(maxF int) (fins, fadd float64) {
+		switch r.Intn(7) {
+		case 0:
+			return 0, 0
+		case 1:
+			return math.Inf(1), 0
+		case 2:
+			return math.Inf(1), math.Inf(1)
+		case 3: // the first run stops
+			fadd = float64(maxF) + r.Float64()*float64(r.Intn(2))
+			return fadd + r.Float64()*4, fadd
+		case 4: // thresholds equal to some runs' f_dt
+			fadd = float64(r.Intn(maxF))
+			return fadd + float64(r.Intn(maxF)), fadd
+		}
+		fadd = r.Float64() * float64(maxF)
+		return fadd + r.Float64()*float64(maxF), fadd
+	}
+	for c := 0; c < 400; c++ {
+		numDocs := 65 + r.Intn(3000)
+		recording := c%2 == 1
+		tab := getAccTable(numDocs)
+		m := &modelFilter{cands: make(map[postings.DocID]float64), vals: slices.Clone(tab.vals)}
+		for i := r.Intn(numDocs / 2); i > 0; i-- {
+			doc, v := postings.DocID(r.Intn(numDocs)), r.Float64()*50
+			tab.set(doc, v)
+			m.cands[doc], m.vals[doc] = v, v
+			m.smax = max(m.smax, v)
+		}
+
+		docs := map[postings.DocID]bool{0: true, 63: true, 64: true, postings.DocID(numDocs - 1): true}
+		for i := r.Intn(numDocs); i > 0; i-- {
+			docs[postings.DocID(r.Intn(numDocs))] = true
+		}
+		maxF := 1 + r.Intn(12)
+		var list []postings.Entry
+		for doc := range docs {
+			list = append(list, postings.Entry{Doc: doc, Freq: int32(1 + r.Intn(maxF))})
+		}
+		slices.SortFunc(list, func(a, b postings.Entry) int {
+			if a.Freq != b.Freq {
+				return int(b.Freq - a.Freq)
+			}
+			return int(a.Doc - b.Doc)
+		})
+
+		idf := r.Float64() * 5
+		li := &listState{idf: idf, wqt: rank.QueryWeight(1+r.Intn(3), idf), tr: &TermTrace{}}
+		li.fins, li.fadd = thresholds(int(list[0].Freq))
+		ru := &run{acc: tab, smax: m.smax, recording: recording}
+		for len(list) > 0 {
+			page := list[:min(len(list), 1+r.Intn(40))]
+			list = list[len(page):]
+			li.tr.EntriesProcessed += len(page)
+			stop := ru.filter(li, page)
+			if stop != m.page(li, page, recording) {
+				t.Fatalf("case %d: kernel stop=%v, model %v", c, stop, !stop)
+			}
+			if stop {
+				break
+			}
+		}
+
+		name := fmt.Sprintf("case %d (numDocs %d, f_ins %v, f_add %v, recording %v)", c, numDocs, li.fins, li.fadd, recording)
+		if tab.n != len(m.cands) {
+			t.Fatalf("%s: |A| = %d, model %d", name, tab.n, len(m.cands))
+		}
+		for doc := postings.DocID(0); int(doc) < numDocs; doc++ {
+			if _, ok := m.cands[doc]; tab.has(doc) != ok {
+				t.Fatalf("%s: doc %d present=%v, model %v", name, doc, tab.has(doc), ok)
+			}
+			if got, want := math.Float64bits(tab.vals[doc]), math.Float64bits(m.vals[doc]); got != want {
+				t.Fatalf("%s: doc %d value bits %x, model %x", name, doc, got, want)
+			}
+		}
+		if math.Float64bits(ru.smax) != math.Float64bits(m.smax) {
+			t.Fatalf("%s: S_max %v, model %v", name, ru.smax, m.smax)
+		}
+		if li.tr.EntriesProcessed != m.entries {
+			t.Fatalf("%s: %d entries processed, model %d", name, li.tr.EntriesProcessed, m.entries)
+		}
+		if len(ru.curWrites) != len(m.writes) {
+			t.Fatalf("%s: %d recorded writes, model %d", name, len(ru.curWrites), len(m.writes))
+		}
+		for i, w := range ru.curWrites {
+			if w.Doc != m.writes[i].Doc || math.Float64bits(w.Val) != math.Float64bits(m.writes[i].Val) {
+				t.Fatalf("%s: write %d = %+v, model %+v", name, i, w, m.writes[i])
+			}
+		}
+		putAccTable(tab)
 	}
 }
 

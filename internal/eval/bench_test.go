@@ -13,10 +13,13 @@ import (
 
 var benchSink *Result
 
-// benchCase is one evaluator and method BenchmarkEvaluate prices.
+// benchCase is one evaluator and method BenchmarkEvaluate prices;
+// record runs it through EvaluateResumeContext with no snapshot to
+// resume, so the case also records one.
 type benchCase struct {
-	ev   *Evaluator
-	algo Algorithm
+	ev     *Evaluator
+	algo   Algorithm
+	record bool
 }
 
 // BenchmarkEvaluate prices the evaluator's own bookkeeping — the layer
@@ -25,9 +28,11 @@ type benchCase struct {
 // candidates (the tiny 4 000-document corpus and the 40 000-document
 // one the repository benchmark serves) × lists × method: exact
 // MAXSCORE (= FULL), and on the 40 000-document collection DF and BAF
-// under TunedParams too. The pool holds every page and is warmed
-// first, so fetches are hits and the time is admission, accumulator
-// and ranking upkeep. `make ci` runs it once per case as a smoke.
+// under TunedParams too, and MAXSCORE and DF at 32 and 70 lists once
+// more recording a snapshot (the "/record" cases), which prices the
+// recording pass. The pool holds every page and is warmed first, so
+// fetches are hits and the time is admission, accumulator and ranking
+// upkeep. `make ci` runs it once per case as a smoke.
 func BenchmarkEvaluate(b *testing.B) {
 	for _, cfg := range []corpus.Config{corpus.TinyConfig(1998), corpus.DefaultConfig(1998)} {
 		coll, err := corpus.Generate(cfg)
@@ -65,21 +70,34 @@ func BenchmarkEvaluate(b *testing.B) {
 		}
 		for _, lists := range []int{8, 32, 70} {
 			q := terms[:lists]
-			cases := []benchCase{{ev, MAXSCORE}}
+			cases := []benchCase{{ev: ev, algo: MAXSCORE}}
 			if cfg.NumDocs == corpus.DefaultConfig(1998).NumDocs {
-				cases = append(cases, benchCase{filtered, DF}, benchCase{filtered, BAF})
+				cases = append(cases, benchCase{ev: filtered, algo: DF}, benchCase{ev: filtered, algo: BAF})
+				if lists > 8 {
+					cases = append(cases, benchCase{ev: ev, algo: MAXSCORE, record: true}, benchCase{ev: filtered, algo: DF, record: true})
+				}
 			}
 			for _, c := range cases {
-				ev, algo := c.ev, c.algo
-				b.Run(fmt.Sprintf("docs=%d/lists=%d/%v", cfg.NumDocs, lists, algo), func(b *testing.B) {
-					res, err := ev.EvaluateContext(context.Background(), algo, q)
+				name := fmt.Sprintf("docs=%d/lists=%d/%v", cfg.NumDocs, lists, c.algo)
+				evaluate := func() (res *Result, err error) {
+					return c.ev.EvaluateContext(context.Background(), c.algo, q)
+				}
+				if c.record {
+					name += "/record"
+					evaluate = func() (res *Result, err error) {
+						res, _, err = c.ev.EvaluateResumeContext(context.Background(), c.algo, q, nil)
+						return res, err
+					}
+				}
+				b.Run(name, func(b *testing.B) {
+					res, err := evaluate()
 					if err != nil {
 						b.Fatal(err)
 					}
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if benchSink, err = ev.EvaluateContext(context.Background(), algo, q); err != nil {
+						if benchSink, err = evaluate(); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -295,12 +295,12 @@ type Result struct {
 // Pool implementations in internal/buffer are). Per-user sessions
 // still serialize their own refinement steps for ordering, not safety.
 //
-// Every method takes its accumulator array — one float64 per document
-// of the index behind a presence bitmap (acc.go) — from one
-// package-level sync.Pool and hands it back reset when the call
-// returns, so a steady stream of evaluations allocates no candidate
-// storage. A table is owned by one call at a time and is always pooled,
-// whatever its size; there is no cap.
+// Every method admits, one pass per page and no call per entry, into an
+// accumulator array — one float64 per document behind a presence
+// bitmap (acc.go) — taken from one package-level sync.Pool and handed
+// back reset when the call returns, so a steady stream of evaluations
+// allocates no candidate storage. A table is owned by one call at a
+// time and is always pooled, whatever its size; there is no cap.
 type Evaluator struct {
 	Idx    *postings.Index
 	Buf    buffer.Pool
@@ -546,9 +546,9 @@ type run struct {
 	acc *accTable
 
 	// The open round's start and S_max at BAF's last p_t refresh. When
-	// recording a snapshot (EvaluateResumeContext), every accumulator
-	// assignment of the open round is appended to curWrites in
-	// chronological order, and endRound finalizes each round into rec.
+	// recording a snapshot (EvaluateResumeContext), filter appends each
+	// page's accumulator assignments to curWrites in chronological
+	// order, and endRound finalizes each round into rec.
 	// Replaying those assignments in order reproduces the exact
 	// floating-point accumulator state — the foundation of the
 	// bit-identical resume guarantee.
@@ -757,61 +757,61 @@ func (r *run) open(pos, estReads int) int {
 	return pos
 }
 
-// filter is Figure 1 step 4(c) over one page of a round. It reports
+// filter is Figure 1 step 4(c) over one page, in one pass; it reports
 // whether the list's scan stops on this page. A page is runs of equal
-// f_dt, so the threshold tests and the contribution w_{d,t}·w_{q,t} are
-// worked out once per run.
+// f_dt, so the stop and insertion tests and w_{d,t}·w_{q,t} are worked
+// out when a run starts; then each entry takes one bitmap load and is
+// added to, inserted (f_dt > f_ins) or skipped, with the table and S_max
+// in locals. A list holds a document at most once, so a recording run's
+// writes on the page are, in order, its admitted documents whose bit is
+// set, with their values: they are appended after the page.
 func (r *run) filter(li *listState, entries []postings.Entry) bool {
-	acc := r.acc
-	for j := 0; j < len(entries); {
-		f := entries[j].Freq
-		end := j + 1
-		for end < len(entries) && entries[end].Freq == f {
-			end++
-		}
-		w := rank.DocWeight(f, li.idf) * li.wqt
-		switch {
-		case float64(f) > li.fins:
-			// Steps 4(c)i-ii: add to, or insert into, the
-			// candidate set.
-			for _, e := range entries[j:end] {
-				r.add(e.Doc, w)
+	present, vals := r.acc.present, r.acc.vals
+	n, smax := r.acc.n, r.smax
+	fadd, fins, idf, wqt := li.fadd, li.fins, li.idf, li.wqt
+	f, w, insert := int32(-1), 0.0, false
+	stop := len(entries)
+	for i, e := range entries {
+		if e.Freq != f {
+			f = e.Freq
+			if float64(f) <= fadd {
+				// Step 4(c)iv: frequency ordering guarantees no
+				// later entry can pass; stop scanning this list.
+				stop = i
+				break
 			}
-		case float64(f) > li.fadd:
-			// Step 4(c)iii: only documents already in the
-			// candidate set receive the partial similarity.
-			for _, e := range entries[j:end] {
-				if acc.has(e.Doc) {
-					r.add(e.Doc, w)
-				}
-			}
-		default:
-			// Step 4(c)iv: frequency ordering guarantees no later
-			// entry can pass; stop scanning this list.
-			li.tr.EntriesProcessed -= len(entries) - j - 1
-			return true
+			insert = float64(f) > fins
+			w = rank.DocWeight(f, idf) * wqt
 		}
-		j = end
+		d := uint32(e.Doc)
+		word, bit := d/64, uint64(1)<<(d%64)
+		ad := w
+		if present[word]&bit != 0 {
+			ad += vals[d]
+		} else if insert {
+			present[word] |= bit
+			n++
+		} else {
+			continue
+		}
+		vals[d] = ad
+		if ad > smax {
+			smax = ad
+		}
 	}
-	return false
-}
-
-// add adds w to the document's accumulator, recording the write and
-// raising S_max.
-func (r *run) add(doc postings.DocID, w float64) {
-	ad := r.acc.add(doc, w)
-	r.noteWrite(doc, ad)
-	if ad > r.smax {
-		r.smax = ad
-	}
-}
-
-// noteWrite records one accumulator assignment for the round being
-// processed (no-op unless recording).
-func (r *run) noteWrite(doc postings.DocID, val float64) {
+	r.acc.n, r.smax = n, smax
 	if r.recording {
-		r.curWrites = append(r.curWrites, accWrite{Doc: doc, Val: val})
+		for _, e := range entries[:stop] {
+			if r.acc.has(e.Doc) {
+				r.curWrites = append(r.curWrites, accWrite{Doc: e.Doc, Val: vals[e.Doc]})
+			}
+		}
 	}
+	if stop == len(entries) {
+		return false
+	}
+	li.tr.EntriesProcessed -= len(entries) - stop - 1
+	return true
 }
 
 // endRound finalizes the closing round's record. clean marks a round

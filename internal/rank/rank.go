@@ -5,7 +5,7 @@
 package rank
 
 import (
-	"sort"
+	"slices"
 
 	"bufir/internal/postings"
 )
@@ -83,7 +83,15 @@ func Before(a, b ScoredDoc) bool {
 // with SortDesc and truncating is bit-identical to a single-index
 // TopN over the union whenever per-doc scores agree.
 func SortDesc(docs []ScoredDoc) {
-	sort.Slice(docs, func(i, j int) bool { return Before(docs[i], docs[j]) })
+	slices.SortFunc(docs, func(a, b ScoredDoc) int {
+		if Before(a, b) {
+			return -1
+		}
+		if Before(b, a) {
+			return 1
+		}
+		return 0
+	})
 }
 
 // OverlapAtK is the judgment-free overlap metric of Clarke, Culpepper

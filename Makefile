@@ -215,9 +215,10 @@ bench-store:
 	$(GO) test -run '^$$' -bench=BenchmarkPageStore -benchtime=$(BENCHTIME) ./internal/storage
 
 # Replacement-policy family gate under -race: the cross-policy
-# conformance suite (every registered policy held to the same
-# Victim/Removed/pin/Flush contract), the 2Q ghost-hygiene and
-# bounded-memory regressions, the ADAPTIVE unit tests, the victim
+# conformance suite (all six implemented policies — the product's LRU,
+# MRU and RAP and the extension policies LRU-2, 2Q and ADAPTIVE — held
+# to the same Victim/Removed/pin/Flush contract), the 2Q ghost-hygiene
+# and bounded-memory regressions, the ADAPTIVE unit tests, the victim
 # goldens of RAP, RAP-headfirst and ADAPTIVE (recorded from the
 # frame-heap RAP, compared literally), RAP against its brute-force
 # oracle and its structure invariants, the lost-update race of the
@@ -225,11 +226,12 @@ bench-store:
 # sees every hit, RAP hits take no latch, and the fetch/unpin/cancel/
 # fault stress on tiny 2-shard pools), the E26 drift smoke/determinism
 # tests, and the
-# root-level end-to-end family tests (all six policies through
-# Session/Engine/Router with bit-identical 1-worker replay).
+# root-level end-to-end family tests (the three public policies through
+# Session/Engine/Router with bit-identical 1-worker replay, and the
+# extension names refused with ErrUnknownPolicy).
 policy-conformance:
 	$(GO) test -race -count=1 \
-		-run 'TestPolicyConformance|TestTwoQ|TestAdaptive|TestGhostList|TestPolicyStats|TestGoldenVictims|TestRAP|TestAnnouncementsNotLost|TestHitsReachTouchers|TestFetchStress|TestDrift|TestPolicyFamily' \
+		-run 'TestPolicyConformance|TestTwoQ|TestAdaptive|TestGhostList|TestGoldenVictims|TestRAP|TestAnnouncementsNotLost|TestHitsReachTouchers|TestFetchStress|TestDrift|TestPolicyFamily' \
 		./internal/buffer ./internal/experiments .
 
 # What the buffer manager pays per policy call (BenchmarkPolicyOps:

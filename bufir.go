@@ -104,19 +104,6 @@ const (
 	MRU Policy = "MRU"
 	// RAP is the paper's Ranking-Aware Policy.
 	RAP Policy = "RAP"
-	// LRU2 is the LRU-K policy of O'Neil, O'Neil & Weikum with K = 2:
-	// the victim has the oldest second-most-recent reference.
-	LRU2 Policy = "LRU-2"
-	// TwoQ is the 2Q policy of Johnson & Shasha: a FIFO probation
-	// queue, a ghost list of evicted probationers, and a main LRU
-	// queue for pages re-referenced within ghost memory.
-	TwoQ Policy = "2Q"
-	// Adaptive is a LeCaR-style regret-minimizing policy running LRU
-	// and RAP as experts over one frame set, reweighting them online
-	// from ghost-list evidence. Deterministic (fixed seed): 1-worker
-	// runs stay bit-identical. See DESIGN.md "Replacement policy
-	// family".
-	Adaptive Policy = "ADAPTIVE"
 )
 
 // Refinement workload kinds.

@@ -111,11 +111,10 @@ func TestSessionSearch(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	mgr := s.user.Pool().Manager()
-	mgr.ResetStats()
-	if s.BufferStats() != (BufferStats{}) {
-		t.Error("ResetStats failed")
-	}
 	s.FlushBuffers()
+	if got := s.BufferStats(); got != st {
+		t.Errorf("stats after flush = %+v, before %+v (Flush must not count)", got, st)
+	}
 	if got := mgr.ResidentPages(q[0].Term); got != 0 {
 		t.Errorf("resident pages after flush = %d", got)
 	}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	irsearch [-dir PATH | -index FILE] [-algo DF|BAF|MAXSCORE]
-//	         [-policy LRU|MRU|RAP|LRU-2|2Q|ADAPTIVE] [-buffers N]
+//	         [-policy LRU|MRU|RAP] [-buffers N]
 //	         [-topn N] [-seed N] [-trace]
 //
 // Commands inside the shell:

@@ -10,6 +10,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -300,5 +301,18 @@ func TestShardedIngestConflicts(t *testing.T) {
 		if status, body := post(t, srv, path, `{"name": "x", "text": "t00010"}`); status != http.StatusConflict {
 			t.Errorf("%s on a sharded deployment: status %d, want 409: %s", path, status, body)
 		}
+	}
+}
+
+// TestStartupRejectsExtensionPolicy: the serving tier runs the paper's
+// three policies only, so irserve -policy ADAPTIVE exits at startup
+// through Open's ErrUnknownPolicy.
+func TestStartupRejectsExtensionPolicy(t *testing.T) {
+	svc, err := openService(serveConfig{index: "synth:tiny:1998", buffers: 32, policy: "ADAPTIVE", algo: bufir.DF, topN: 5})
+	if !errors.Is(err, bufir.ErrUnknownPolicy) {
+		if err == nil {
+			svc.Close()
+		}
+		t.Fatalf("openService(-policy ADAPTIVE): got %v, want ErrUnknownPolicy", err)
 	}
 }

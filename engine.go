@@ -270,9 +270,9 @@ func (ix *Index) NewEngine(cfg EngineConfig) (*Engine, error) {
 // policyFactory maps a Policy name to a constructor of fresh policy
 // instances (sharded pools need one instance per shard, each built
 // with its shard's capacity slice). It delegates to the canonical
-// buffer.PolicyFactory, so every name the buffer layer implements —
-// including LRU-2, 2Q, and ADAPTIVE — is reachable from every public
-// construction surface.
+// buffer.PolicyFactory, so the paper's three policies are reachable
+// from every public construction surface and every other name is
+// refused with ErrUnknownPolicy.
 func policyFactory(p Policy) (func(capacity int) buffer.Policy, error) {
 	f, err := buffer.PolicyFactory(string(p))
 	if err != nil {

@@ -26,8 +26,8 @@ var (
 	// ErrNoPositional is returned by phrase queries on an index built
 	// without IndexOptions.Positional.
 	ErrNoPositional = errors.New("bufir: index was built without positional data")
-	// ErrUnknownPolicy is returned for a Policy name outside the
-	// implemented family: LRU, MRU, RAP, LRU-2, 2Q, ADAPTIVE.
+	// ErrUnknownPolicy is returned for a Policy name other than LRU,
+	// MRU and RAP.
 	ErrUnknownPolicy = errors.New("bufir: unknown policy")
 	// ErrObsUnavailable is returned by NewEngine and Open when
 	// ObsOptions.Addr is set but no HTTP endpoint implementation is

@@ -28,28 +28,6 @@ const adaptiveWeightFloor = 0.05
 // so single-threaded runs are bit-for-bit reproducible.
 const adaptiveSeed uint64 = 0x9E3779B97F4A7C15
 
-// PolicyStats are the ADAPTIVE policy's observable gauges, surfaced
-// through Manager.PolicyStats and the bufir_policy_* metrics.
-type PolicyStats struct {
-	// GhostHitsLRU / GhostHitsRAP count re-references to pages whose
-	// eviction was charged to the respective expert — the regret signal
-	// driving the weight updates.
-	GhostHitsLRU int64
-	GhostHitsRAP int64
-	// WeightLRU is the LRU expert's current weight in [floor, 1-floor];
-	// the RAP expert holds the complement.
-	WeightLRU float64
-	// Switches counts changes of the favored (argmax-weight) expert.
-	Switches int64
-}
-
-// StatsReporter is implemented by policies that expose PolicyStats
-// (currently only Adaptive). The Manager probes for it dynamically so
-// static policies pay nothing.
-type StatsReporter interface {
-	PolicyStats() PolicyStats
-}
-
 // Adaptive is a LeCaR-style regret-minimizing replacement policy
 // (Vietri et al., HotStorage 2018, adapted to the paper's setting): it
 // runs LRU and RAP as experts over the one frame set — they coexist
@@ -99,9 +77,11 @@ type Adaptive struct {
 	pending       *Frame
 	pendingExpert uint8
 
-	favored uint8 // argmax-weight expert, for switch counting
-	rng     uint64
-	stats   PolicyStats
+	rng uint64
+
+	// ghostHitsLRU / ghostHitsRAP count the qualified mistakes charged
+	// to each expert — the regret signal driving the weight updates.
+	ghostHitsLRU, ghostHitsRAP int64
 }
 
 // NewAdaptive returns an ADAPTIVE policy for a pool (or shard) of the
@@ -201,13 +181,6 @@ func (p *Adaptive) SetQuery(changed []TermWeight) {
 	p.shadowRAP.pol.SetQuery(changed)
 }
 
-// PolicyStats implements StatsReporter.
-func (p *Adaptive) PolicyStats() PolicyStats {
-	s := p.stats
-	s.WeightLRU = p.wLRU
-	return s
-}
-
 // chooseExpert returns the argmax-weight expert, breaking exact ties
 // with the seeded deterministic stream.
 func (p *Adaptive) chooseExpert() uint8 {
@@ -229,10 +202,10 @@ func (p *Adaptive) chooseExpert() uint8 {
 func (p *Adaptive) penalize(tag uint8) {
 	wL, wR := p.wLRU, 1-p.wLRU
 	if tag == expertLRU {
-		p.stats.GhostHitsLRU++
+		p.ghostHitsLRU++
 		wL *= math.Exp(-adaptiveLearningRate)
 	} else {
-		p.stats.GhostHitsRAP++
+		p.ghostHitsRAP++
 		wR *= math.Exp(-adaptiveLearningRate)
 	}
 	w := wL / (wL + wR)
@@ -243,23 +216,6 @@ func (p *Adaptive) penalize(tag uint8) {
 		w = 1 - adaptiveWeightFloor
 	}
 	p.wLRU = w
-	if fav := p.argmax(); fav != p.favored {
-		p.favored = fav
-		p.stats.Switches++
-	}
-}
-
-// argmax is chooseExpert without consuming randomness (ties keep the
-// current favorite, so a tie does not count as a switch).
-func (p *Adaptive) argmax() uint8 {
-	switch {
-	case p.wLRU > 0.5:
-		return expertLRU
-	case p.wLRU < 0.5:
-		return expertRAP
-	default:
-		return p.favored
-	}
 }
 
 // shadowCache simulates the cache one expert would keep if it ran the

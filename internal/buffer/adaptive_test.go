@@ -219,7 +219,7 @@ func adaptiveChurn(p *Adaptive, resident map[postings.PageID]*Frame) {
 
 // TestAdaptiveGhostHitReweights: a re-reference to an evicted page is a
 // mistake charged to the evicting expert — its weight drops off 0.5
-// and the stats counters record the hit.
+// and the ghost-hit counters record it.
 func TestAdaptiveGhostHitReweights(t *testing.T) {
 	p := NewAdaptive(4)
 	resident := make(map[postings.PageID]*Frame)
@@ -229,18 +229,17 @@ func TestAdaptiveGhostHitReweights(t *testing.T) {
 		resident[f.Page] = f
 	}
 	adaptiveChurn(p, resident)
-	s := p.PolicyStats()
-	if s.GhostHitsLRU+s.GhostHitsRAP != 1 {
-		t.Fatalf("ghost hits = %d LRU + %d RAP, want exactly 1 total", s.GhostHitsLRU, s.GhostHitsRAP)
+	if p.ghostHitsLRU+p.ghostHitsRAP != 1 {
+		t.Fatalf("ghost hits = %d LRU + %d RAP, want exactly 1 total", p.ghostHitsLRU, p.ghostHitsRAP)
 	}
-	if s.WeightLRU == 0.5 {
-		t.Fatal("WeightLRU still 0.5 after a ghost hit")
+	if p.wLRU == 0.5 {
+		t.Fatal("wLRU still 0.5 after a ghost hit")
 	}
-	if s.GhostHitsLRU == 1 && s.WeightLRU >= 0.5 {
-		t.Fatalf("LRU blamed but WeightLRU = %g did not drop", s.WeightLRU)
+	if p.ghostHitsLRU == 1 && p.wLRU >= 0.5 {
+		t.Fatalf("LRU blamed but wLRU = %g did not drop", p.wLRU)
 	}
-	if s.GhostHitsRAP == 1 && s.WeightLRU <= 0.5 {
-		t.Fatalf("RAP blamed but WeightLRU = %g did not rise", s.WeightLRU)
+	if p.ghostHitsRAP == 1 && p.wLRU <= 0.5 {
+		t.Fatalf("RAP blamed but wLRU = %g did not rise", p.wLRU)
 	}
 
 	// Sustained mistakes drive the weight toward — but never past — the
@@ -248,12 +247,11 @@ func TestAdaptiveGhostHitReweights(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		adaptiveChurn(p, resident)
 	}
-	s = p.PolicyStats()
-	if s.WeightLRU < adaptiveWeightFloor || s.WeightLRU > 1-adaptiveWeightFloor {
-		t.Fatalf("WeightLRU = %g escaped [%g, %g]", s.WeightLRU, adaptiveWeightFloor, 1-adaptiveWeightFloor)
+	if p.wLRU < adaptiveWeightFloor || p.wLRU > 1-adaptiveWeightFloor {
+		t.Fatalf("wLRU = %g escaped [%g, %g]", p.wLRU, adaptiveWeightFloor, 1-adaptiveWeightFloor)
 	}
-	if s.GhostHitsLRU+s.GhostHitsRAP != 41 {
-		t.Fatalf("ghost hits = %d, want 41", s.GhostHitsLRU+s.GhostHitsRAP)
+	if p.ghostHitsLRU+p.ghostHitsRAP != 41 {
+		t.Fatalf("ghost hits = %d, want 41", p.ghostHitsLRU+p.ghostHitsRAP)
 	}
 }
 
@@ -310,68 +308,7 @@ func TestAdaptiveFlushLeavesNoGhosts(t *testing.T) {
 	for p := postings.PageID(0); p < 7; p++ {
 		touch(t, m, p)
 	}
-	s := pol.PolicyStats()
-	if s.GhostHitsLRU+s.GhostHitsRAP != 0 {
-		t.Fatalf("refetch after Flush charged %d ghost hits, want 0", s.GhostHitsLRU+s.GhostHitsRAP)
-	}
-}
-
-// TestPolicyStatsPlumbing: PolicyStats reaches through both managers —
-// reporting for ADAPTIVE, absent for static policies — and the sharded
-// pool aggregates across shards.
-func TestPolicyStatsPlumbing(t *testing.T) {
-	ix, st := testEnv(t)
-
-	lruM, err := newSerial(3, st, ix, NewLRU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := lruM.PolicyStats(); ok {
-		t.Fatal("LRU manager reports PolicyStats, want none")
-	}
-
-	adM, err := newSerial(3, st, ix, NewAdaptive(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, ok := adM.PolicyStats()
-	if !ok {
-		t.Fatal("ADAPTIVE manager reports no PolicyStats")
-	}
-	if ps.WeightLRU != 0.5 {
-		t.Fatalf("fresh WeightLRU = %g, want 0.5", ps.WeightLRU)
-	}
-
-	sh, err := NewManager(4, 2, st, ix, func(c int) Policy { return NewAdaptive(c) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Churn past capacity so ghost hits accumulate somewhere.
-	for round := 0; round < 20; round++ {
-		for p := postings.PageID(0); p < 7; p++ {
-			f, _, err := fetch(sh, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh.Unpin(f)
-		}
-	}
-	ps, ok = sh.PolicyStats()
-	if !ok {
-		t.Fatal("sharded ADAPTIVE pool reports no PolicyStats")
-	}
-	if ps.GhostHitsLRU+ps.GhostHitsRAP == 0 {
-		t.Fatal("no ghost hits recorded under churn past capacity")
-	}
-	if ps.WeightLRU < adaptiveWeightFloor || ps.WeightLRU > 1-adaptiveWeightFloor {
-		t.Fatalf("aggregated WeightLRU = %g out of range", ps.WeightLRU)
-	}
-
-	shLRU, err := NewManager(4, 2, st, ix, func(int) Policy { return NewLRU() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := shLRU.PolicyStats(); ok {
-		t.Fatal("sharded LRU pool reports PolicyStats, want none")
+	if n := pol.ghostHitsLRU + pol.ghostHitsRAP; n != 0 {
+		t.Fatalf("refetch after Flush charged %d ghost hits, want 0", n)
 	}
 }

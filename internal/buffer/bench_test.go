@@ -52,11 +52,8 @@ var benchIndex = sync.OnceValues(func() (*postings.Index, [][]postings.Entry) {
 func BenchmarkPolicyOps(b *testing.B) {
 	ix, pages := benchIndex()
 	store := storage.NewStore(pages)
-	for _, name := range PolicyNames {
-		mk, err := PolicyFactory(name)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, p := range allPolicies {
+		name, mk := p.name, p.mk
 		for _, capacity := range []int{512, 4096, 32768} {
 			for _, nusers := range []int{1, 16} {
 				prefix := fmt.Sprintf("%s/pool%d/users%d/", name, capacity, nusers)

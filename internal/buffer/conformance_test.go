@@ -4,28 +4,39 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bufir/internal/postings"
 )
 
 // ---------------------------------------------------------------------------
-// Cross-policy conformance suite: every member of PolicyNames — LRU,
-// MRU, RAP, LRU-2, 2Q, ADAPTIVE — is held to the same Policy contract.
-// make ci runs these (plain and under -race) via the policy-conformance
-// gate, so a policy that regresses out of the factory or breaks an
-// invariant fails the build.
+// Cross-policy conformance suite: every policy the package implements —
+// the product's LRU, MRU and RAP (PolicyNames) and the extension
+// policies LRU-2, 2Q and ADAPTIVE the experiments build through
+// NewManager — is held to the same Policy contract. make ci runs these
+// (plain and under -race) via the policy-conformance gate, so a policy
+// that breaks an invariant fails the build.
 // ---------------------------------------------------------------------------
 
-// forEachPolicy runs f once per built-in policy with a fresh factory.
+// allPolicies is the whole family in presentation order.
+var allPolicies = []struct {
+	name string
+	mk   func(capacity int) Policy
+}{
+	{"LRU", func(int) Policy { return NewLRU() }},
+	{"MRU", func(int) Policy { return NewMRU() }},
+	{"RAP", func(int) Policy { return NewRAP() }},
+	{"LRU-2", func(int) Policy { return NewLRUK(2) }},
+	{"2Q", func(capacity int) Policy { return NewTwoQ(capacity) }},
+	{"ADAPTIVE", func(capacity int) Policy { return NewAdaptive(capacity) }},
+}
+
+// forEachPolicy runs f once per policy of allPolicies.
 func forEachPolicy(t *testing.T, f func(t *testing.T, name string, mk func(int) Policy)) {
 	t.Helper()
-	for _, name := range PolicyNames {
-		mk, err := PolicyFactory(name)
-		if err != nil {
-			t.Fatalf("PolicyFactory(%s): %v", name, err)
-		}
-		t.Run(name, func(t *testing.T) { f(t, name, mk) })
+	for _, p := range allPolicies {
+		t.Run(p.name, func(t *testing.T) { f(t, p.name, p.mk) })
 	}
 }
 
@@ -321,15 +332,16 @@ func TestPolicyConformanceSharded(t *testing.T) {
 }
 
 // TestPolicyFactoryRejectsUnknown: the canonical factory is the single
-// gate for names; a typo must fail loudly everywhere.
+// gate for names; it registers exactly the paper's three policies, and
+// a typo or an extension policy's name must fail loudly everywhere.
 func TestPolicyFactoryRejectsUnknown(t *testing.T) {
-	for _, bad := range []string{"", "lru", "CLOCK", "ARC"} {
+	for _, bad := range []string{"", "lru", "CLOCK", "ARC", "LRU-2", "2Q", "ADAPTIVE"} {
 		if _, err := PolicyFactory(bad); err == nil {
 			t.Errorf("PolicyFactory(%q) succeeded, want error", bad)
 		}
 	}
-	if len(PolicyNames) != 6 {
-		t.Fatalf("PolicyNames = %v, want 6 entries", PolicyNames)
+	if want := []string{"LRU", "MRU", "RAP"}; !reflect.DeepEqual(PolicyNames, want) {
+		t.Fatalf("PolicyNames = %v, want %v", PolicyNames, want)
 	}
 	for _, name := range PolicyNames {
 		mk, err := PolicyFactory(name)
@@ -338,6 +350,11 @@ func TestPolicyFactoryRejectsUnknown(t *testing.T) {
 		}
 		if got := mk(8).Name(); got != name {
 			t.Errorf("policy %q reports Name() = %q", name, got)
+		}
+	}
+	for _, p := range allPolicies {
+		if got := p.mk(8).Name(); got != p.name {
+			t.Errorf("policy %q reports Name() = %q", p.name, got)
 		}
 	}
 }

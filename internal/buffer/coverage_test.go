@@ -33,14 +33,14 @@ func TestManagerAccessors(t *testing.T) {
 	if m.Policy() != "LRU" {
 		t.Errorf("Policy = %q", m.Policy())
 	}
+	base := m.Stats()
 	f := get(t, m, 0)
 	if len(f.Data()) == 0 {
 		t.Error("Data empty while pinned")
 	}
 	m.Unpin(f)
-	m.ResetStats()
-	if m.Stats() != (Stats{}) {
-		t.Error("ResetStats failed")
+	if got := m.Stats(); got.Misses != base.Misses+1 || got.Hits != base.Hits {
+		t.Errorf("Stats after one cold fetch = %+v, before %+v", got, base)
 	}
 }
 

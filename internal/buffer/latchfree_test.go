@@ -329,12 +329,8 @@ func (p countTouches) Touched(f *Frame) {
 func TestHitsReachTouchers(t *testing.T) {
 	ix, st := testEnv(t)
 	factories := map[string]func(int) Policy{"RAP-headfirst": func(int) Policy { return NewRAPHeadFirst() }}
-	for _, name := range PolicyNames {
-		mk, err := PolicyFactory(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		factories[name] = mk
+	for _, p := range allPolicies {
+		factories[p.name] = p.mk
 	}
 	for name, mk := range factories {
 		var touches atomic.Int64
@@ -355,7 +351,7 @@ func TestHitsReachTouchers(t *testing.T) {
 		for p := 0; p < ix.NumPagesTotal; p++ {
 			touch(t, m, postings.PageID(p))
 		}
-		m.ResetStats()
+		base := m.Stats()
 		if !isToucher {
 			for i := range m.shards {
 				m.shards[i].mu.Lock()
@@ -394,8 +390,9 @@ func TestHitsReachTouchers(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		if s := m.Stats(); s.Hits != 800 || s.Misses != 0 || touches.Load() != s.Hits {
-			t.Errorf("%s: %d hits, %d misses, %d Touched calls", name, s.Hits, s.Misses, touches.Load())
+		s := m.Stats()
+		if hits, misses := s.Hits-base.Hits, s.Misses-base.Misses; hits != 800 || misses != 0 || touches.Load() != hits {
+			t.Errorf("%s: %d hits, %d misses, %d Touched calls", name, hits, misses, touches.Load())
 		}
 	}
 }

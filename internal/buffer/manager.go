@@ -683,45 +683,6 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the counters (pool contents are untouched).
-func (m *Manager) ResetStats() {
-	m.hits.Store(0)
-	m.misses.Store(0)
-	m.evicts.Store(0)
-}
-
-// PolicyStats returns the replacement policy's per-shard adaptive
-// gauges summed across shards (ghost hits, expert switches) with the expert
-// weight averaged, or ok == false when the policy does not report
-// stats (every static policy).
-func (m *Manager) PolicyStats() (PolicyStats, bool) {
-	var agg PolicyStats
-	reporting := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		sr, ok := sh.policy.(StatsReporter)
-		var s PolicyStats
-		if ok {
-			s = sr.PolicyStats()
-		}
-		sh.mu.Unlock()
-		if !ok {
-			continue
-		}
-		reporting++
-		agg.GhostHitsLRU += s.GhostHitsLRU
-		agg.GhostHitsRAP += s.GhostHitsRAP
-		agg.Switches += s.Switches
-		agg.WeightLRU += s.WeightLRU
-	}
-	if reporting == 0 {
-		return PolicyStats{}, false
-	}
-	agg.WeightLRU /= float64(reporting)
-	return agg, true
-}
-
 // removeLocked detaches a claimed frame (pin -1) or a failed load from
 // its shard. Caller holds sh.mu. A frame whose load failed already
 // surrendered its residency count at failure time (nonResident), so it

@@ -207,18 +207,10 @@ func TestRAPAgainstLinearScan(t *testing.T) {
 func TestShardedManagerProperties(t *testing.T) {
 	ix, st := testEnv(t)
 	r := rand.New(rand.NewSource(777))
-	factories := make([]func(int) Policy, 0, len(PolicyNames))
-	for _, name := range PolicyNames {
-		mk, err := PolicyFactory(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		factories = append(factories, mk)
-	}
 	for trial := 0; trial < 30; trial++ {
 		nshards := 1 + r.Intn(4)
 		capacity := nshards + r.Intn(7-nshards+1)
-		mgr, err := NewManager(capacity, nshards, st, ix, factories[trial%len(factories)])
+		mgr, err := NewManager(capacity, nshards, st, ix, allPolicies[trial%len(allPolicies)].mk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +306,8 @@ func TestSingleShardReplaysSerialManager(t *testing.T) {
 	}
 	ix, st := testEnv(t)
 	r := rand.New(rand.NewSource(4242))
-	for i, name := range PolicyNames {
-		mk, err := PolicyFactory(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, p := range allPolicies {
+		name, mk := p.name, p.mk
 		var total Stats
 		sig := uint64(14695981039346656037)
 		mix := func(v uint64) { sig = (sig ^ v) * 1099511628211 }
@@ -359,7 +348,7 @@ func TestSingleShardReplaysSerialManager(t *testing.T) {
 			total.Evictions += s.Evictions
 		}
 		if want[i].policy != name {
-			t.Fatalf("table row %d is %s, PolicyNames says %s", i, want[i].policy, name)
+			t.Fatalf("table row %d is %s, allPolicies says %s", i, want[i].policy, name)
 		}
 		if total != want[i].stats || sig != want[i].sig {
 			t.Errorf("%s: stats %+v sig %#x, want %+v sig %#x", name, total, sig, want[i].stats, want[i].sig)

@@ -488,25 +488,7 @@ func (e *Engine) ObsSnapshot() metrics.Snapshot {
 			Misses:         st.Misses,
 			Evictions:      st.Evictions,
 			ShardOccupancy: mgr.ShardOccupancy(),
-			Adaptive:       adaptiveGauges(mgr),
 		},
-	}
-}
-
-// adaptiveGauges converts the pool's PolicyStats — present only when
-// the replacement policy reports them (ADAPTIVE) — into the snapshot's
-// optional gauge block.
-func adaptiveGauges(mgr *buffer.Manager) *metrics.AdaptivePolicyGauges {
-	ps, ok := mgr.PolicyStats()
-	if !ok {
-		return nil
-	}
-	return &metrics.AdaptivePolicyGauges{
-		GhostHitsLRU: ps.GhostHitsLRU,
-		GhostHitsRAP: ps.GhostHitsRAP,
-		WeightLRU:    ps.WeightLRU,
-		WeightRAP:    1 - ps.WeightLRU,
-		Switches:     ps.Switches,
 	}
 }
 

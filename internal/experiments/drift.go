@@ -30,6 +30,10 @@ import (
 // booleans pin that down at the anchor buffer size.
 // ---------------------------------------------------------------------------
 
+// DriftPolicies are the policies E26 drives, in presentation order:
+// the product's three and the extension policies NewPolicy builds.
+var DriftPolicies = []string{"LRU", "MRU", "RAP", "LRU-2", "2Q", "ADAPTIVE"}
+
 // DriftPhases names the phases in execution order.
 var DriftPhases = []string{"refine", "churn", "storm"}
 
@@ -121,7 +125,7 @@ func (e *Env) RunDrift(points int, seed uint64) (*DriftResult, error) {
 
 	out := &DriftResult{
 		TopicID:    seq.TopicID,
-		Policies:   buffer.PolicyNames,
+		Policies:   DriftPolicies,
 		Phases:     DriftPhases,
 		Seed:       seed,
 		WorkingSet: ws,
@@ -133,7 +137,7 @@ func (e *Env) RunDrift(points int, seed uint64) (*DriftResult, error) {
 		StormSteps: wl.stormSteps,
 		Sizes:      sizes,
 		Anchor:     anchor,
-		Series:     make(map[string][][]int, len(buffer.PolicyNames)),
+		Series:     make(map[string][][]int, len(DriftPolicies)),
 	}
 
 	for _, policy := range out.Policies {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-
-	"bufir/internal/buffer"
 )
 
 // TestDriftSmoke runs the E26 three-phase sweep at tiny scale: the
@@ -19,8 +17,8 @@ func TestDriftSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunDrift: %v", err)
 	}
-	if !reflect.DeepEqual(res.Policies, buffer.PolicyNames) {
-		t.Errorf("policies = %v, want the full family %v", res.Policies, buffer.PolicyNames)
+	if !reflect.DeepEqual(res.Policies, DriftPolicies) {
+		t.Errorf("policies = %v, want the full family %v", res.Policies, DriftPolicies)
 	}
 	if len(res.Phases) != 3 {
 		t.Fatalf("phases = %v, want 3", res.Phases)

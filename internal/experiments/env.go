@@ -94,13 +94,22 @@ func NewEnv(cfg corpus.Config) (*Env, error) {
 	return env, nil
 }
 
-// NewPolicy constructs a replacement policy by name — any member of
-// buffer.PolicyNames — sized for a pool of the given page capacity
-// (2Q and ADAPTIVE scale their probation/ghost structures from it).
-// It delegates to the canonical buffer.PolicyFactory, the same mapping
-// the public API resolves through, so the experiment and serving paths
-// cannot drift.
+// NewPolicy constructs a replacement policy by name, sized for a pool
+// of the given page capacity. The extension policies E14 and E26
+// measure — LRU-2, 2Q and ADAPTIVE — are experiment apparatus built
+// here (2Q and ADAPTIVE scale their probation/ghost structures from
+// the capacity); every other name goes through buffer.PolicyFactory,
+// the mapping the public API resolves through, so the experiment and
+// serving paths cannot drift.
 func NewPolicy(name string, capacity int) (buffer.Policy, error) {
+	switch name {
+	case "LRU-2":
+		return buffer.NewLRUK(2), nil
+	case "2Q":
+		return buffer.NewTwoQ(capacity), nil
+	case "ADAPTIVE":
+		return buffer.NewAdaptive(capacity), nil
+	}
 	mk, err := buffer.PolicyFactory(name)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"bufir/internal/buffer"
 	"bufir/internal/corpus"
 	"bufir/internal/eval"
 	"bufir/internal/metrics"
@@ -32,8 +31,11 @@ func TestSweepSizes(t *testing.T) {
 	}
 }
 
+// TestNewPolicy: the experiments build all six policies by name — the
+// product's three through buffer.PolicyFactory and the extension
+// policies directly.
 func TestNewPolicy(t *testing.T) {
-	for _, name := range buffer.PolicyNames {
+	for _, name := range DriftPolicies {
 		pol, err := NewPolicy(name, 16)
 		if err != nil || pol.Name() != name {
 			t.Errorf("NewPolicy(%s) = %v, %v", name, pol, err)

@@ -90,27 +90,6 @@ type BufferSnapshot struct {
 	// a one-shard pool. Skew across shards is the first thing to
 	// look at when a sharded pool underperforms its capacity.
 	ShardOccupancy []int
-	// Adaptive carries the ADAPTIVE policy's expert gauges (ghost hits
-	// per expert, current weights, switch count); nil for every static
-	// policy. Sharded pools aggregate across shards (hits and switches
-	// summed, weights averaged).
-	Adaptive *AdaptivePolicyGauges `json:",omitempty"`
-}
-
-// AdaptivePolicyGauges are the regret-minimizing policy's observable
-// state, rendered by /metrics as the bufir_policy_* series.
-type AdaptivePolicyGauges struct {
-	// GhostHitsLRU / GhostHitsRAP count re-references to pages whose
-	// eviction was charged to the respective expert — the mistake
-	// evidence the multiplicative-weights update consumes.
-	GhostHitsLRU int64
-	GhostHitsRAP int64
-	// WeightLRU and WeightRAP are the experts' current weights; they
-	// sum to 1 (up to shard averaging).
-	WeightLRU float64
-	WeightRAP float64
-	// Switches counts changes of the favored (argmax-weight) expert.
-	Switches int64
 }
 
 // Source provides observability snapshots; *engine.Engine implements

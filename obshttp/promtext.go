@@ -77,20 +77,6 @@ func writeMetrics(w io.Writer, s metrics.Snapshot) {
 		}
 	}
 
-	// ADAPTIVE replacement-policy gauges: present only when the pool
-	// runs the regret-minimizing policy.
-	if a := b.Adaptive; a != nil {
-		fmt.Fprintf(w, "# HELP bufir_policy_ghost_hits_total Ghost-list hits charged to each expert (eviction mistakes).\n")
-		fmt.Fprintf(w, "# TYPE bufir_policy_ghost_hits_total counter\n")
-		fmt.Fprintf(w, "bufir_policy_ghost_hits_total{expert=\"LRU\"} %d\n", a.GhostHitsLRU)
-		fmt.Fprintf(w, "bufir_policy_ghost_hits_total{expert=\"RAP\"} %d\n", a.GhostHitsRAP)
-		fmt.Fprintf(w, "# HELP bufir_policy_expert_weight Current multiplicative weight of each expert (sums to 1).\n")
-		fmt.Fprintf(w, "# TYPE bufir_policy_expert_weight gauge\n")
-		fmt.Fprintf(w, "bufir_policy_expert_weight{expert=\"LRU\"} %g\n", a.WeightLRU)
-		fmt.Fprintf(w, "bufir_policy_expert_weight{expert=\"RAP\"} %g\n", a.WeightRAP)
-		counter("bufir_policy_expert_switches_total", "Changes of the favored (argmax-weight) expert.", a.Switches)
-	}
-
 	// Per-shard serving gauges (scatter-gather router only). These sum
 	// higher than the router's own counters: every routed request fans
 	// out to all shards.

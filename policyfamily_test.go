@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// policyFamily is every public replacement policy, in the order the
-// buffer layer registers them.
-var policyFamily = []Policy{LRU, MRU, RAP, LRU2, TwoQ, Adaptive}
+// policyFamily is every public replacement policy — the paper's three —
+// in the order the buffer layer registers them.
+var policyFamily = []Policy{LRU, MRU, RAP}
 
 // familyEvalOptions pins the filtering constants explicitly so private
 // Sessions (paper-calibrated defaults) and Engines (collection-tuned
@@ -97,8 +97,7 @@ func TestPolicyFamilyEndToEnd(t *testing.T) {
 }
 
 // TestPolicyFamilyDeterministicReplay: two identical 1-worker engine
-// runs must agree on every counter for every policy — in particular
-// ADAPTIVE, whose tie-breaking randomness is a fixed seeded stream.
+// runs must agree on every counter for every policy.
 func TestPolicyFamilyDeterministicReplay(t *testing.T) {
 	col, _ := testIndex(t)
 	for _, pol := range policyFamily {
@@ -132,16 +131,23 @@ func TestPolicyFamilyDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestPolicyFamilyUnknownRejected: every constructor still rejects an
-// unknown policy name with ErrUnknownPolicy.
+// TestPolicyFamilyUnknownRejected: every constructor rejects an unknown
+// policy name with ErrUnknownPolicy — among them the extension
+// policies, which only the experiments build.
 func TestPolicyFamilyUnknownRejected(t *testing.T) {
 	_, ix := testIndex(t)
-	for _, pol := range []Policy{"CLOCK", "BOGUS"} {
+	for _, pol := range []Policy{"CLOCK", "BOGUS", "LRU-2", "2Q", "ADAPTIVE"} {
 		if _, err := ix.NewSession(SessionConfig{Policy: pol}); !errors.Is(err, ErrUnknownPolicy) {
 			t.Errorf("NewSession(%s): got %v, want ErrUnknownPolicy", pol, err)
 		}
 		if _, err := ix.NewEngine(EngineConfig{Policy: pol, BufferPages: 8}); !errors.Is(err, ErrUnknownPolicy) {
 			t.Errorf("NewEngine(%s): got %v, want ErrUnknownPolicy", pol, err)
+		}
+		if svc, err := Open("synth:tiny:21", WithEngine(EngineConfig{Policy: pol, BufferPages: 8})); !errors.Is(err, ErrUnknownPolicy) {
+			if err == nil {
+				svc.Close()
+			}
+			t.Errorf("Open(WithEngine(%s)): got %v, want ErrUnknownPolicy", pol, err)
 		}
 	}
 }

@@ -210,7 +210,6 @@ func (r *Router) Stats() EngineStats { return r.counters.Snapshot() }
 // the whole deployment's story.
 func (r *Router) ObsSnapshot() metrics.Snapshot {
 	snap := metrics.Snapshot{Serving: r.counters.Snapshot()}
-	adaptiveShards := 0
 	for i, s := range r.shards {
 		st := s.Stats()
 		sg := metrics.ShardGauge{
@@ -237,30 +236,11 @@ func (r *Router) ObsSnapshot() metrics.Snapshot {
 			snap.Buffer.Misses += sub.Buffer.Misses
 			snap.Buffer.Evictions += sub.Buffer.Evictions
 			snap.Buffer.Policy = sub.Buffer.Policy
-			// ADAPTIVE gauges: ghost hits and switches sum across the
-			// shard engines, expert weights average (every backend runs
-			// the same policy, so in practice all or none report).
-			if a := sub.Buffer.Adaptive; a != nil {
-				if snap.Buffer.Adaptive == nil {
-					snap.Buffer.Adaptive = &metrics.AdaptivePolicyGauges{}
-				}
-				agg := snap.Buffer.Adaptive
-				agg.GhostHitsLRU += a.GhostHitsLRU
-				agg.GhostHitsRAP += a.GhostHitsRAP
-				agg.Switches += a.Switches
-				agg.WeightLRU += a.WeightLRU
-				agg.WeightRAP += a.WeightRAP
-				adaptiveShards++
-			}
 			snap.QueueWait.Merge(sub.QueueWait)
 			snap.Service.Merge(sub.Service)
 			snap.RetryWait.Merge(sub.RetryWait)
 		}
 		snap.Shards = append(snap.Shards, sg)
-	}
-	if a := snap.Buffer.Adaptive; a != nil && adaptiveShards > 0 {
-		a.WeightLRU /= float64(adaptiveShards)
-		a.WeightRAP /= float64(adaptiveShards)
 	}
 	return snap
 }

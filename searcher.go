@@ -50,10 +50,9 @@ var (
 type resolvedConfig struct {
 	params      eval.Params
 	bufferPages int
-	// newPolicy constructs a fresh policy instance for a pool shard of
-	// the given page capacity — 2Q and ADAPTIVE size their
-	// probation/ghost structures from it; the buffer manager calls it
-	// once per latch shard with that shard's slice of bufferPages.
+	// newPolicy constructs a fresh policy instance; the buffer manager
+	// calls it once per latch shard with that shard's slice of
+	// bufferPages.
 	newPolicy func(capacity int) buffer.Policy
 }
 

@@ -19,7 +19,7 @@ import (
 // refinement helper (refinement_test.go) walking the same sequence
 // through AddContext/DropContext with snapshot reuse off and on (the
 // User.Step calls of an engine user under EngineConfig.Refine). Every
-// cell of {DF, BAF, MAXSCORE} × {LRU, RAP, ADAPTIVE} × {ADD-ONLY,
+// cell of {DF, BAF, MAXSCORE} × {LRU, RAP} × {ADD-ONLY,
 // ADD-DROP} runs on a fresh live index, and one Add publication lands
 // mid-sequence, so rebinding to a new generation is pinned too. Each
 // step records its ranking (an FNV-64a hash over every (doc, score
@@ -144,7 +144,7 @@ func TestSessionGoldens(t *testing.T) {
 			refs = refs[:goldenSteps]
 		}
 		for _, algo := range []Algorithm{DF, BAF, Maxscore} {
-			for _, policy := range []Policy{LRU, RAP, Adaptive} {
+			for _, policy := range []Policy{LRU, RAP} {
 				cell := fmt.Sprintf("%s/%s/%s", kind, algo, policy)
 
 				ix, s := fresh(t, algo, policy)

@@ -201,9 +201,11 @@ loc:
 # The PageStore conformance suite under -race: every backend — the
 # in-memory simulator, the file-backed store over both access paths
 # (mmap and pread) and the live-index overlay — held to the identical
-# read/accounting/context/fault contract.
+# read/accounting/context/fault contract; and every backend that
+# decodes its pages (the file store, and the fault layer over it) held
+# to the ReadInto contract the buffer manager's recycling relies on.
 storetest:
-	$(GO) test -race -count=1 -run 'TestPageStoreConformance|TestFileStore|TestOpenFileStore' ./internal/storage
+	$(GO) test -race -count=1 -run 'TestPageStoreConformance|TestReadIntoConformance|TestFileStore|TestOpenFileStore' ./internal/storage
 	$(GO) test -race -count=1 -run 'TestOverlayConformance' ./internal/livedex
 
 # Price one logical page read on every backend (simulator counter bump
@@ -245,8 +247,9 @@ bench-policyops:
 	$(GO) test -run '^$$' -bench PolicyOps -benchtime $(POLICYOPS_BENCHTIME) ./internal/buffer
 
 # What one page fetch costs (BenchmarkFetch: FetchContext+Unpin on a
-# 2-shard pool, warm hits and a miss-and-evict cycle, per {LRU, RAP} ×
-# {1, 4, 16} goroutines), in ns/op and allocs/op. The default runs
+# 2-shard pool, warm hits and a miss-and-evict cycle over the simulator
+# and over an mmap'd file store, per {LRU, RAP} × {1, 4, 16}
+# goroutines), in ns/op and allocs/op. The default runs
 # every case once — the ci smoke, not a gate on the numbers;
 # FETCH_BENCHTIME=1s gives numbers worth recording.
 FETCH_BENCHTIME ?= 1x

@@ -2,10 +2,12 @@ package buffer
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"bufir/internal/indexfile"
 	"bufir/internal/postings"
 	"bufir/internal/storage"
 )
@@ -171,7 +173,10 @@ func newPolicyBenchEnv(b *testing.B, ix *postings.Index, store PageReader, mk fu
 //   - miss: the goroutines share one cursor over the 40 000-odd pages of
 //     the collection through a 64-page pool, so nearly every fetch
 //     misses, evicts a victim and reads the page from the in-memory
-//     simulator.
+//     simulator;
+//   - file-miss: the same cursor over an mmap'd FileStore of the same
+//     pages, so each miss also checksums and decodes the page — into
+//     the entries of the frame it evicted.
 //
 // The b.N operations are split evenly across the goroutines, so ns/op
 // is wall time per fetch of the whole group: it falls with goroutines
@@ -179,17 +184,27 @@ func newPolicyBenchEnv(b *testing.B, ix *postings.Index, store PageReader, mk fu
 // make bench-fetch runs it.
 func BenchmarkFetch(b *testing.B) {
 	ix, pages := benchIndex()
-	store := storage.NewStore(pages)
+	path := filepath.Join(b.TempDir(), "pages.bufir")
+	if err := indexfile.WritePageFile(path, ix, pages, nil); err != nil {
+		b.Fatal(err)
+	}
+	file, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer file.Close()
+	sim := storage.NewStore(pages)
+	stores := map[string]PageReader{"hit": sim, "miss": sim, "file-miss": file}
 	const capacity = 64
 	for _, name := range []string{"LRU", "RAP"} {
 		mk, err := PolicyFactory(name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, pattern := range []string{"hit", "miss"} {
+		for _, pattern := range []string{"hit", "miss", "file-miss"} {
 			for _, goroutines := range []int{1, 4, 16} {
 				b.Run(fmt.Sprintf("%s/%s/g%d", name, pattern, goroutines), func(b *testing.B) {
-					mgr, err := NewManager(capacity, 2, store, ix, mk)
+					mgr, err := NewManager(capacity, 2, stores[pattern], ix, mk)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bufir/internal/indexfile"
 	"bufir/internal/postings"
 	"bufir/internal/storage"
 )
@@ -403,83 +404,108 @@ func TestHitsReachTouchers(t *testing.T) {
 // accounting at quiescence: nothing pinned, occupancy within capacity,
 // every b_t equal to a recount of the frame tables, misses equal to
 // successful store reads — and every frame a fetch returned held its
-// own page's entries.
+// own page's entries, compared with a copy taken before the run. The
+// store is the simulator, whose pages the frames share, or (file-*) an
+// mmap'd FileStore, whose pages the frames own and every eviction
+// recycles; after a simulator run its pages still equal the copy.
 func TestFetchStress(t *testing.T) {
-	ix, pages := goldenIndex(t)
+	path, ix, pages := goldenFile(t)
+	want := clonePages(pages)
 	var ids []postings.PageID
 	for k := 0; k < 12; k++ {
 		ids = append(ids, ix.PageOf(0, k), postings.PageID(ix.NumPagesTotal-1-k))
 	}
-	for _, name := range []string{"RAP", "LRU"} {
-		t.Run(name, func(t *testing.T) {
-			rules, err := storage.ParseFaultSchedule("transient:prob=0.05;latency:prob=0.2,spike=20us")
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs, err := storage.NewFaultStore(storage.NewStore(pages), 11, rules)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mk, _ := PolicyFactory(name)
-			const capacity = 6
-			m, err := NewManager(capacity, 2, fs, ix, mk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.SetRetryPolicy(RetryPolicy{MaxRetries: 1, Backoff: time.Microsecond, VictimWait: time.Second})
-			var wg sync.WaitGroup
-			var served, failed atomic.Int64
-			for w := 0; w < 8; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					r := rand.New(rand.NewSource(int64(w)))
-					for i := 0; i < 300; i++ {
-						id := ids[r.Intn(len(ids))]
-						ctx, cancel := context.Background(), context.CancelFunc(func() {})
-						if r.Intn(6) == 0 {
-							ctx, cancel = context.WithTimeout(ctx, time.Duration(r.Intn(40))*time.Microsecond)
+	for _, backend := range []struct {
+		prefix string
+		open   func(t *testing.T) storage.PageStore
+	}{
+		{"", func(*testing.T) storage.PageStore { return storage.NewStore(pages) }},
+		{"file-", func(t *testing.T) storage.PageStore { return openFile(t, path, indexfile.PageFileOptions{}) }},
+	} {
+		for _, name := range []string{"RAP", "LRU"} {
+			t.Run(backend.prefix+name, func(t *testing.T) {
+				rules, err := storage.ParseFaultSchedule("transient:prob=0.05;latency:prob=0.2,spike=20us")
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs, err := storage.NewFaultStore(backend.open(t), 11, rules)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mk, _ := PolicyFactory(name)
+				const capacity = 6
+				m, err := NewManager(capacity, 2, fs, ix, mk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SetRetryPolicy(RetryPolicy{MaxRetries: 1, Backoff: time.Microsecond, VictimWait: time.Second})
+				var wg sync.WaitGroup
+				var served, failed atomic.Int64
+				for w := 0; w < 8; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						r := rand.New(rand.NewSource(int64(w)))
+						for i := 0; i < 300; i++ {
+							id := ids[r.Intn(len(ids))]
+							ctx, cancel := context.Background(), context.CancelFunc(func() {})
+							if r.Intn(6) == 0 {
+								ctx, cancel = context.WithTimeout(ctx, time.Duration(r.Intn(40))*time.Microsecond)
+							}
+							f, _, err := m.FetchContext(ctx, id)
+							cancel()
+							if err != nil {
+								failed.Add(1)
+								continue
+							}
+							if f.Page != id || !reflect.DeepEqual(f.Data(), want[id]) {
+								t.Errorf("fetch of page %d returned page %d with %d entries", id, f.Page, len(f.Data()))
+							}
+							served.Add(1)
+							m.Unpin(f)
 						}
-						f, _, err := m.FetchContext(ctx, id)
-						cancel()
-						if err != nil {
-							failed.Add(1)
-							continue
-						}
-						if f.Page != id || !reflect.DeepEqual(f.Data(), pages[id]) {
-							t.Errorf("fetch of page %d returned page %d with %d entries", id, f.Page, len(f.Data()))
-						}
-						served.Add(1)
-						m.Unpin(f)
-					}
-				}(w)
-			}
-			wg.Wait()
+					}(w)
+				}
+				wg.Wait()
 
-			if n := m.PinnedFrames(); n != 0 {
-				t.Errorf("%d frames pinned at quiescence", n)
-			}
-			if n := m.InUse(); n > capacity {
-				t.Errorf("%d frames in use, capacity %d", n, capacity)
-			}
-			recount := make(map[postings.TermID]int)
-			for _, f := range residentFrames(m) {
-				if !f.nonResident {
-					recount[f.Term]++
+				if n := m.PinnedFrames(); n != 0 {
+					t.Errorf("%d frames pinned at quiescence", n)
 				}
-			}
-			for tm := range ix.Terms {
-				if got, want := m.ResidentPages(postings.TermID(tm)), recount[postings.TermID(tm)]; got != want {
-					t.Errorf("term %d: b_t = %d, the frame tables hold %d", tm, got, want)
+				if n := m.InUse(); n > capacity {
+					t.Errorf("%d frames in use, capacity %d", n, capacity)
 				}
-			}
-			if s := m.Stats(); s.Misses != fs.Reads() {
-				t.Errorf("misses %d != successful store reads %d", s.Misses, fs.Reads())
-			}
-			if fst := fs.FaultStats(); fst.Transient == 0 || served.Load() == 0 {
-				t.Errorf("the run injected %d faults and served %d fetches", fst.Transient, served.Load())
-			}
-			t.Logf("%s: %d served, %d failed, %+v", name, served.Load(), failed.Load(), m.Stats())
-		})
+				recount := make(map[postings.TermID]int)
+				for _, f := range residentFrames(m) {
+					if !f.nonResident {
+						recount[f.Term]++
+					}
+				}
+				for tm := range ix.Terms {
+					if got, want := m.ResidentPages(postings.TermID(tm)), recount[postings.TermID(tm)]; got != want {
+						t.Errorf("term %d: b_t = %d, the frame tables hold %d", tm, got, want)
+					}
+				}
+				if s := m.Stats(); s.Misses != fs.Reads() {
+					t.Errorf("misses %d != successful store reads %d", s.Misses, fs.Reads())
+				}
+				if fst := fs.FaultStats(); fst.Transient == 0 || served.Load() == 0 {
+					t.Errorf("the run injected %d faults and served %d fetches", fst.Transient, served.Load())
+				}
+				if !reflect.DeepEqual(pages, want) {
+					t.Error("the run wrote into the store's pages")
+				}
+				t.Logf("%s: %d served, %d failed, %+v", name, served.Load(), failed.Load(), m.Stats())
+			})
+		}
 	}
+}
+
+// clonePages deep-copies page payloads, so a comparison cannot pass by
+// reading the very slices a store serves.
+func clonePages(pages [][]postings.Entry) [][]postings.Entry {
+	out := make([][]postings.Entry, len(pages))
+	for i, p := range pages {
+		out[i] = append([]postings.Entry(nil), p...)
+	}
+	return out
 }

@@ -27,6 +27,14 @@ type PageReader interface {
 	ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error)
 }
 
+// intoReader is the optional capability of a store that decodes pages
+// into memory it hands over (storage.IntoReader): ReadInto may decode
+// into dst's backing array, and reports whether the entries returned
+// are the caller's to recycle (owned) or shared store memory.
+type intoReader interface {
+	ReadInto(ctx context.Context, id postings.PageID, dst []postings.Entry) ([]postings.Entry, bool, error)
+}
+
 // Frame is a buffer slot holding one inverted-list page. Policy
 // bookkeeping (list links, heap position, RAP group) is embedded so policies are
 // allocation-free on the hot path. The exported fields never change, so
@@ -40,7 +48,9 @@ type Frame struct {
 	data []postings.Entry
 	// pin counts holders; hits and Unpin change it without the latch. An
 	// eviction claims a frame by swapping 0 for -1, so a pointer kept
-	// past the eviction can never pin it again. Frames are not recycled.
+	// past the eviction can never pin it again. Frame structs are not
+	// recycled (a stale pointer must never pin another page); their
+	// owned data is.
 	pin atomic.Int32
 	// state is frameLoading, then frameReady or frameFailed; the loader
 	// writes data or loadErr before it stores the state.
@@ -50,6 +60,12 @@ type Frame struct {
 	// count was surrendered at failure time (BAF's b_t must not count
 	// data-less pages), so removal must not decrement it again.
 	nonResident bool
+	// owned marks data as the pool's own memory (an intoReader decoded
+	// it), not a slice the store shares: the eviction that claims the
+	// frame hands it to the page replacing it, whose load decodes into
+	// it. Shared store pages are never recycled. (Beside nonResident,
+	// it takes no room: a Frame stays in the 112-byte size class.)
+	owned bool
 
 	// intrusive doubly-linked list (LRU/MRU recency chain)
 	prev, next *Frame
@@ -60,7 +76,8 @@ type Frame struct {
 }
 
 // Data returns the page's postings entries. Valid only while the
-// frame is pinned.
+// frame is pinned: once the frame is evicted, the next page loaded
+// may be decoded into the same array.
 func (f *Frame) Data() []postings.Entry { return f.data }
 
 // Pinned reports whether the frame is currently pinned.
@@ -175,7 +192,10 @@ type Stats struct {
 // 3(a)iii) and the hit/miss/eviction counters are kept in atomics so
 // they stay exact under parallelism.
 type Manager struct {
-	store  PageReader
+	store PageReader
+	// into is store as an intoReader, nil when the store has no such
+	// capability.
+	into   intoReader
 	ix     *postings.Index
 	shards []shard
 
@@ -282,8 +302,10 @@ func NewManager(capacity, nshards int, store PageReader, ix *postings.Index, new
 	if newPolicy == nil {
 		return nil, errors.New("buffer: nil policy factory")
 	}
+	into, _ := store.(intoReader)
 	m := &Manager{
 		store:    store,
+		into:     into,
 		ix:       ix,
 		shards:   make([]shard, nshards),
 		resident: make([]atomic.Int32, len(ix.Terms)),
@@ -404,6 +426,7 @@ func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bo
 		return hit, false, nil
 	}
 	var f *Frame
+	var spare []postings.Entry // the victim's entries, for the load to decode into
 	// The reservation loop: normally one pass; with bounded-wait
 	// backpressure (VictimWait > 0) a fully-pinned shard parks here
 	// until a pin drops, then re-checks from the top (the page may have
@@ -459,6 +482,12 @@ func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bo
 			}
 			m.removeLocked(sh, victim)
 			m.evicts.Add(1)
+			// The claimed victim can never be pinned again, and its data
+			// was valid only while pinned, so nobody reads it any more:
+			// the page replacing it decodes into it.
+			if victim.owned {
+				spare, victim.data = victim.data, nil
+			}
 		}
 		f = &Frame{
 			Page:   id,
@@ -477,9 +506,9 @@ func (m *Manager) fetchOnce(ctx context.Context, id postings.PageID) (*Frame, bo
 		noVictim.Stop()
 	}
 
-	data, err := loadWithRetry(ctx, m.store, m.retry, id)
+	data, owned, err := m.load(ctx, id, spare)
 	if err == nil {
-		f.data = data
+		f.data, f.owned = data, owned
 		f.state.Store(frameReady)
 		sh.wake()
 		return f, true, nil

@@ -109,16 +109,19 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
-// loadWithRetry reads a page, re-attempting transient failures with
-// exponential backoff per rp: one read when rp is zero or the first
-// read succeeds, and the page costs one *successful* read no matter
-// how many attempts preceded it — failed reads are uncounted by the
-// store, keeping "pool misses == successful store reads" true under
-// chaos. A context death during backoff surfaces as the context
+// load reads a page, re-attempting transient failures with exponential
+// backoff per the retry policy: one read when the policy is zero or
+// the first read succeeds, and the page costs one *successful* read no
+// matter how many attempts preceded it — failed reads are uncounted by
+// the store, keeping "pool misses == successful store reads" true
+// under chaos. A context death during backoff surfaces as the context
 // error, so the caller's miss-undo path treats an abandoned retry
-// exactly like an abandoned first read.
-func loadWithRetry(ctx context.Context, store PageReader, rp RetryPolicy, id postings.PageID) ([]postings.Entry, error) {
-	data, err := store.ReadContext(ctx, id)
+// exactly like an abandoned first read. Every attempt may decode into
+// spare (a failed attempt leaves it to the next); owned reports
+// whether the entries are the pool's to recycle.
+func (m *Manager) load(ctx context.Context, id postings.PageID, spare []postings.Entry) ([]postings.Entry, bool, error) {
+	data, owned, err := m.read(ctx, id, spare)
+	rp := m.retry
 	for attempt := 1; err != nil && attempt <= rp.MaxRetries && retryableLoadError(err); attempt++ {
 		wait := rp.wait(attempt)
 		if rp.OnRetry != nil {
@@ -128,9 +131,19 @@ func loadWithRetry(ctx context.Context, store PageReader, rp RetryPolicy, id pos
 			err = serr
 			break
 		}
-		data, err = store.ReadContext(ctx, id)
+		data, owned, err = m.read(ctx, id, spare)
 	}
-	return data, err
+	return data, owned, err
+}
+
+// read is one attempt: ReadInto when the store offers it, else
+// ReadContext, whose pages are shared.
+func (m *Manager) read(ctx context.Context, id postings.PageID, dst []postings.Entry) ([]postings.Entry, bool, error) {
+	if m.into != nil {
+		return m.into.ReadInto(ctx, id, dst)
+	}
+	data, err := m.store.ReadContext(ctx, id)
+	return data, false, err
 }
 
 // waiterLoadError wraps the load error a single-flight WAITER observed

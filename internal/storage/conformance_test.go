@@ -51,6 +51,30 @@ func TestPageStoreConformance(t *testing.T) {
 	}
 }
 
+// TestReadIntoConformance holds every backend that decodes its pages —
+// the file store over both access paths, and the fault layer over it —
+// to the IntoReader contract (entries into any dst, accounting, corrupt
+// pages into a dirty dst).
+func TestReadIntoConformance(t *testing.T) {
+	decoding := []struct {
+		name string
+		make storetest.Factory
+	}{
+		{"file-mmap", fileFactory(indexfile.PageFileOptions{})},
+		{"file-readat", fileFactory(indexfile.PageFileOptions{DisableMmap: true})},
+		{"fault-over-file", func(tb testing.TB, ix *postings.Index, pages [][]postings.Entry) storage.PageStore {
+			fs, err := storage.NewFaultStore(fileFactory(indexfile.PageFileOptions{})(tb, ix, pages), 5, nil)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return fs
+		}},
+	}
+	for _, be := range decoding {
+		t.Run(be.name, func(t *testing.T) { storetest.RunReadInto(t, be.make) })
+	}
+}
+
 // BenchmarkPageStore prices one logical page read on each backend —
 // the simulator's counter increment versus the file store's real
 // I/O + checksum + decompression.

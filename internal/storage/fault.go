@@ -217,6 +217,8 @@ type FaultStats struct {
 // immutable and the per-page ordinals are atomics.
 type FaultStore struct {
 	inner PageStore
+	// into is inner as an IntoReader, nil when it serves shared pages.
+	into  IntoReader
 	seed  uint64
 	rules []FaultRule
 
@@ -229,7 +231,10 @@ type FaultStore struct {
 	latency   atomic.Int64
 }
 
-var _ PageStore = (*FaultStore)(nil)
+var (
+	_ PageStore  = (*FaultStore)(nil)
+	_ IntoReader = (*FaultStore)(nil)
+)
 
 // NewFaultStore wraps inner with the given schedule. The rules are
 // validated and copied; seed fixes every probabilistic decision.
@@ -242,8 +247,10 @@ func NewFaultStore(inner PageStore, seed uint64, rules []FaultRule) (*FaultStore
 			return nil, fmt.Errorf("rule %d: %w", i, err)
 		}
 	}
+	into, _ := inner.(IntoReader)
 	return &FaultStore{
 		inner: inner,
+		into:  into,
 		seed:  seed,
 		rules: append([]FaultRule(nil), rules...),
 		ord:   make([]atomic.Int64, inner.NumPages()),
@@ -253,17 +260,27 @@ func NewFaultStore(inner PageStore, seed uint64, rules []FaultRule) (*FaultStore
 // NumPages returns the inner store's page count.
 func (s *FaultStore) NumPages() int { return s.inner.NumPages() }
 
-// ReadContext consults the schedule, then delegates. An already-dead
+// ReadContext consults the schedule, then delegates: ReadInto with no
+// slice to reuse.
+func (s *FaultStore) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
+	entries, _, err := s.ReadInto(ctx, id, nil)
+	return entries, err
+}
+
+// ReadInto consults the schedule, then delegates: to the inner store's
+// ReadInto when it offers one, so the entries are owned exactly when
+// the inner store decoded them, and to its ReadContext otherwise
+// (shared pages, never owned; dst goes unused). An already-dead
 // context fails first, consuming no ordinal. Latency rules sleep
 // (context-aware) before the inner read; error rules fail without
 // touching the inner store, so its read counter still means "pages
 // delivered".
-func (s *FaultStore) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
+func (s *FaultStore) ReadInto(ctx context.Context, id postings.PageID, dst []postings.Entry) ([]postings.Entry, bool, error) {
 	if int(id) < 0 || int(id) >= len(s.ord) {
-		return nil, fmt.Errorf("storage: page %d out of range [0,%d)", id, len(s.ord))
+		return nil, false, fmt.Errorf("storage: page %d out of range [0,%d)", id, len(s.ord))
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	n := s.ord[id].Add(1)
 	var spike time.Duration
@@ -277,10 +294,10 @@ func (s *FaultStore) ReadContext(ctx context.Context, id postings.PageID) ([]pos
 			spike += r.Spike
 		case FaultTransient:
 			s.transient.Add(1)
-			return nil, &FaultError{Page: id, Ordinal: n, Kind: FaultTransient}
+			return nil, false, &FaultError{Page: id, Ordinal: n, Kind: FaultTransient}
 		case FaultPermanent:
 			s.permanent.Add(1)
-			return nil, &FaultError{Page: id, Ordinal: n, Kind: FaultPermanent}
+			return nil, false, &FaultError{Page: id, Ordinal: n, Kind: FaultPermanent}
 		}
 	}
 	if spike > 0 {
@@ -291,13 +308,17 @@ func (s *FaultStore) ReadContext(ctx context.Context, id postings.PageID) ([]pos
 			case <-timer.C:
 			case <-done:
 				timer.Stop()
-				return nil, ctx.Err()
+				return nil, false, ctx.Err()
 			}
 		} else {
 			time.Sleep(spike)
 		}
 	}
-	return s.inner.ReadContext(ctx, id)
+	if s.into != nil {
+		return s.into.ReadInto(ctx, id, dst)
+	}
+	entries, err := s.inner.ReadContext(ctx, id)
+	return entries, false, err
 }
 
 // ReadQuiet bypasses the schedule and the counters (offline path).

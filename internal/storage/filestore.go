@@ -17,12 +17,12 @@ package storage
 // does not decode, a document id outside [0, NumDocs) and an entry
 // count the term metadata does not allow are rejected as
 // indexfile.CorruptPageError — the evaluator indexes per-document
-// arrays by those ids. Entries returned by a
-// read are freshly decoded per call — the buffer manager retains them
-// in frames until eviction with no release hook, so decoded pages
-// cannot be pooled; what IS reused is the ReadAt staging buffer
-// (per-store sync.Pool), making the steady-state allocation cost one
-// entries slice per miss on either access path.
+// arrays by those ids. Every read decodes afresh, so the entries it
+// returns belong to the caller: ReadContext and ReadQuiet allocate
+// them, and ReadInto (IntoReader) decodes into a slice the caller
+// hands back — the buffer manager passes the entries of the frame a
+// miss evicts, so a steady-state miss allocates no entries at all.
+// The ReadAt staging buffer is reused too (per-store sync.Pool).
 
 import (
 	"context"
@@ -49,7 +49,10 @@ type FileStore struct {
 	bufs sync.Pool
 }
 
-var _ PageStore = (*FileStore)(nil)
+var (
+	_ PageStore  = (*FileStore)(nil)
+	_ IntoReader = (*FileStore)(nil)
+)
 
 // NewFileStore wraps an open paged index file. The store takes
 // ownership: Close closes the file.
@@ -81,43 +84,53 @@ func (s *FileStore) NumPages() int { return s.pf.NumPages() }
 // (false: the ReadAt fallback).
 func (s *FileStore) Mapped() bool { return s.pf.Mapped() }
 
-// ReadContext fetches and decodes a page, counting the read; an
-// already-dead context fails before any file I/O or decompression is
-// spent on the page.
-// Reads that fail — context, I/O error, corrupt blob — are not
-// counted; Reads() means pages actually delivered.
+// ReadContext fetches and decodes a page into a fresh slice, counting
+// the read: ReadInto with no slice to reuse.
 func (s *FileStore) ReadContext(ctx context.Context, id postings.PageID) ([]postings.Entry, error) {
+	entries, _, err := s.ReadInto(ctx, id, nil)
+	return entries, err
+}
+
+// ReadInto fetches and decodes a page, counting the read, into dst's
+// backing array when it holds the page and into a fresh slice
+// otherwise; the entries are always owned by the caller (IntoReader).
+// An already-dead context fails before any file I/O or decompression
+// is spent on the page. Reads that fail — context, I/O error, corrupt
+// blob — are not counted; Reads() means pages actually delivered.
+func (s *FileStore) ReadInto(ctx context.Context, id postings.PageID, dst []postings.Entry) ([]postings.Entry, bool, error) {
 	if int(id) < 0 || int(id) >= s.pf.NumPages() {
-		return nil, fmt.Errorf("storage: page %d out of range [0,%d)", id, s.pf.NumPages())
+		return nil, false, fmt.Errorf("storage: page %d out of range [0,%d)", id, s.pf.NumPages())
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	entries, err := s.decodePage(id)
+	entries, err := s.decodePage(id, dst)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	s.reads.Add(1)
 	s.decodedEntries.Add(int64(len(entries)))
-	return entries, nil
+	return entries, true, nil
 }
 
-// ReadQuiet fetches and decodes a page without touching the counters
-// (the offline workload-construction path).
+// ReadQuiet fetches and decodes a page into a fresh slice without
+// touching the counters (the offline workload-construction path).
 func (s *FileStore) ReadQuiet(id postings.PageID) ([]postings.Entry, error) {
 	if int(id) < 0 || int(id) >= s.pf.NumPages() {
 		return nil, fmt.Errorf("storage: page %d out of range [0,%d)", id, s.pf.NumPages())
 	}
-	return s.decodePage(id)
+	return s.decodePage(id, nil)
 }
 
 // decodePage reads page id's blob (zero-copy from the mapping, or via
-// a pooled staging buffer on the ReadAt path) and decodes it into a
-// fresh entries slice, sized from the term metadata so the decode
-// costs one allocation. Corrupt blobs surface as a permanent fault
-// (indexfile.CorruptPageError), so the buffer manager's retry path
-// does not burn its budget rereading bytes that cannot heal.
-func (s *FileStore) decodePage(id postings.PageID) ([]postings.Entry, error) {
+// a pooled staging buffer on the ReadAt path) and decodes it into
+// dst's backing array if its capacity holds the entries the term
+// metadata promises, else into a fresh slice of exactly that capacity,
+// so the decode costs at most one allocation. Corrupt blobs surface as
+// a permanent fault (indexfile.CorruptPageError), so the buffer
+// manager's retry path does not burn its budget rereading bytes that
+// cannot heal.
+func (s *FileStore) decodePage(id postings.PageID, dst []postings.Entry) ([]postings.Entry, error) {
 	bp := s.bufs.Get().(*[]byte)
 	blob, err := s.pf.PageBlob(int(id), *bp)
 	if err != nil {
@@ -133,7 +146,10 @@ func (s *FileStore) decodePage(id postings.PageID) ([]postings.Entry, error) {
 	want := tm.PageEntries(i, ix.PageSize)
 	// An entry takes at least a byte, so the blob bounds what the
 	// file's metadata may ask for.
-	entries, err := codec.DecodePage(blob, make([]postings.Entry, 0, min(want, len(blob))))
+	if n := min(want, len(blob)); cap(dst) < n {
+		dst = make([]postings.Entry, 0, n)
+	}
+	entries, err := codec.DecodePage(blob, dst)
 	s.bufs.Put(bp)
 	if err == nil {
 		err = checkPage(entries, want, i == tm.NumPages-1, ix.NumDocs)

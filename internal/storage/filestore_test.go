@@ -270,8 +270,8 @@ func TestOpenFileStoreErrors(t *testing.T) {
 // TestDecodingReadAllocatesOnce: the file store knows from its
 // metadata how many entries a page holds, so a read costs exactly one
 // allocation — the entries slice the buffer frame keeps — on both
-// access paths. (Growing the slice from nil cost eight for a
-// 100-entry page.)
+// access paths, and a ReadInto a slice that holds the page costs none.
+// (Growing the slice from nil cost eight for a 100-entry page.)
 func TestDecodingReadAllocatesOnce(t *testing.T) {
 	path, _, pages := writeSampleFile(t)
 	mapped, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})
@@ -308,6 +308,16 @@ func TestDecodingReadAllocatesOnce(t *testing.T) {
 		}
 		if len(got) != len(pages[longest]) || cap(got) != len(got) {
 			t.Errorf("%s: read %d entries into capacity %d, page holds %d", st.name, len(got), cap(got), len(pages[longest]))
+		}
+		into := st.store.(storage.IntoReader)
+		allocs = testing.AllocsPerRun(200, func() {
+			var err error
+			if got, _, err = into.ReadInto(ctx, postings.PageID(longest), got); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per ReadInto a slice that holds the page, want 0", st.name, allocs)
 		}
 	}
 }

@@ -33,6 +33,8 @@ import (
 //   - ReadContext returns the page's entries, frequency-sorted exactly
 //     as postings.Build produced them; the slice must be treated as
 //     immutable by callers, and remains valid after subsequent reads.
+//     (A store that decodes pages may also offer IntoReader, whose
+//     reads hand the caller a slice it owns instead.)
 //   - Reads() counts DELIVERED pages only. A read refused by a dead
 //     context, failed by an injected or real I/O error, or rejected as
 //     out of range moves no counter, so "store reads" keeps meaning
@@ -50,6 +52,24 @@ type PageStore interface {
 	Reads() int64
 	ResetReads()
 	NumPages() int
+}
+
+// IntoReader is the optional read of a store that can decode a page
+// into memory the caller hands over: FileStore offers it, and so does
+// FaultStore over any store, forwarding to its inner store's ReadInto
+// or, when there is none, to its ReadContext. ReadInto is ReadContext —
+// same entries, same checks, same delivered-only accounting — except
+// that it may decode into dst's backing array when that array is large
+// enough (a dst of any length or contents will do; it is overwritten),
+// and it reports whether the returned slice is owned. An owned slice is
+// the caller's alone — the store keeps no reference to it — so the
+// caller may pass it back as a later read's dst. An unowned slice is
+// shared store memory under PageStore's contract — immutable, valid
+// after later reads — and must never be recycled; a store that serves
+// shared pages leaves dst unused and reports owned false. On error
+// dst's contents are undefined.
+type IntoReader interface {
+	ReadInto(ctx context.Context, id postings.PageID, dst []postings.Entry) (entries []postings.Entry, owned bool, err error)
 }
 
 // Store is a paged read-only store of inverted-list pages, indexed by

@@ -20,12 +20,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"bufir/internal/buffer"
 	"bufir/internal/corpus"
+	"bufir/internal/indexfile"
 	"bufir/internal/postings"
 	"bufir/internal/storage"
 )
@@ -384,6 +386,152 @@ func testPoolEquivalence(t *testing.T, newStore Factory) {
 	}
 	if st.Reads() != ref.Reads() {
 		t.Fatalf("store reads diverge: backend %d, simulator %d", st.Reads(), ref.Reads())
+	}
+}
+
+// RunReadInto asserts storage.IntoReader's contract against a backend
+// that decodes its pages (a FileStore, or a FaultStore over one): the
+// factory's store must offer ReadInto. For every page and any dst — nil,
+// empty, too short, exactly the page's size or larger, each filled with
+// junk — ReadInto delivers ReadQuiet's entries, owned, and in dst's own
+// array whenever it holds them; it keeps ReadContext's accounting (a
+// dead context fails first, only delivered pages count), and a page the
+// index cannot hold fails as indexfile.CorruptPageError into a dirty
+// dst without moving the counter or spoiling dst for the next read.
+func RunReadInto(t *testing.T, newStore Factory) {
+	t.Run("Entries", func(t *testing.T) { testReadIntoEntries(t, newStore) })
+	t.Run("Accounting", func(t *testing.T) { testReadIntoAccounting(t, newStore) })
+	t.Run("Corrupt", func(t *testing.T) { testReadIntoCorrupt(t, newStore) })
+}
+
+// intoReader is the store under test as a storage.IntoReader.
+func intoReader(t *testing.T, st storage.PageStore) storage.IntoReader {
+	t.Helper()
+	ir, ok := st.(storage.IntoReader)
+	if !ok {
+		t.Fatalf("%T does not offer ReadInto", st)
+	}
+	return ir
+}
+
+// dirty returns a slice of length and capacity n full of junk entries.
+func dirty(n int) []postings.Entry {
+	dst := make([]postings.Entry, n)
+	for i := range dst {
+		dst[i] = postings.Entry{Doc: -1 - postings.DocID(i), Freq: -7}
+	}
+	return dst
+}
+
+func testReadIntoEntries(t *testing.T, newStore Factory) {
+	ix, pages := Sample(t)
+	st := newStore(t, ix, pages)
+	ir := intoReader(t, st)
+	ctx := context.Background()
+	for id := range pages {
+		want, err := st.ReadQuiet(postings.PageID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(want)
+		for _, dst := range []struct {
+			name string
+			dst  []postings.Entry
+		}{
+			{"nil", nil},
+			{"cap 0", dirty(0)},
+			{"too short", dirty(n - 1)},
+			{"exact", dirty(n)},
+			{"larger", dirty(n + 17)},
+		} {
+			got, owned, err := ir.ReadInto(ctx, postings.PageID(id), dst.dst)
+			if err != nil {
+				t.Fatalf("page %d into %s dst: %v", id, dst.name, err)
+			}
+			if !owned {
+				t.Fatalf("page %d into %s dst: a decoding store returned entries it does not hand over", id, dst.name)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("page %d into %s dst: entries differ from ReadQuiet's", id, dst.name)
+			}
+			if cap(dst.dst) >= n && n > 0 && &got[0] != &dst.dst[:1][0] {
+				t.Fatalf("page %d into %s dst: a dst that holds the page was not reused", id, dst.name)
+			}
+		}
+	}
+	if got := st.Reads(); got != int64(5*len(pages)) {
+		t.Fatalf("Reads() = %d after %d delivered reads", got, 5*len(pages))
+	}
+}
+
+func testReadIntoAccounting(t *testing.T, newStore Factory) {
+	ix, pages := Sample(t)
+	st := newStore(t, ix, pages)
+	ir := intoReader(t, st)
+	dst := dirty(64)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := ir.ReadInto(ctx, 0, dst); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dead-context ReadInto: err = %v, want context.Canceled", err)
+	}
+	if _, _, err := ir.ReadInto(context.Background(), postings.PageID(len(pages)), dst); err == nil {
+		t.Fatal("out-of-range ReadInto succeeded")
+	}
+	if got := st.Reads(); got != 0 {
+		t.Fatalf("Reads() = %d after refused reads, want 0", got)
+	}
+	for id := range pages {
+		got, _, err := ir.ReadInto(context.Background(), postings.PageID(id), dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst = got
+	}
+	if got := st.Reads(); got != int64(len(pages)) {
+		t.Fatalf("Reads() = %d after %d delivered reads", got, len(pages))
+	}
+}
+
+func testReadIntoCorrupt(t *testing.T, newStore Factory) {
+	ix, pages := Sample(t)
+	// The first full page whose list goes on: its last document moves
+	// past NumDocs, a blob that checksums and decodes but that the
+	// index cannot hold.
+	bad := -1
+	for id := range pages {
+		tm := &ix.Terms[ix.TermOfPage(postings.PageID(id))]
+		if len(pages[id]) == ix.PageSize && int(ix.PageOffset(postings.PageID(id))) < tm.NumPages-1 {
+			bad = id
+			break
+		}
+	}
+	if bad < 0 {
+		t.Fatal("the sample has no full page that is not its list's last")
+	}
+	mutated := append([][]postings.Entry(nil), pages...)
+	mutated[bad] = append([]postings.Entry(nil), pages[bad]...)
+	mutated[bad][len(pages[bad])-1].Doc = postings.DocID(ix.NumDocs + 5)
+	st := newStore(t, ix, mutated)
+	ir := intoReader(t, st)
+	dst := dirty(len(pages[bad]) + 3)
+	var corrupt *indexfile.CorruptPageError
+	if _, _, err := ir.ReadInto(context.Background(), postings.PageID(bad), dst); !errors.As(err, &corrupt) || corrupt.Page != bad {
+		t.Fatalf("ReadInto of a page the index cannot hold: err = %v, want its CorruptPageError", err)
+	}
+	if got := st.Reads(); got != 0 {
+		t.Fatalf("Reads() = %d after a rejected read, want 0", got)
+	}
+	// dst, scribbled by the rejected decode, serves the next read.
+	next := (bad + 1) % len(pages)
+	got, _, err := ir.ReadInto(context.Background(), postings.PageID(next), dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, pages[next]) {
+		t.Fatalf("page %d into the dst a rejected read used: entries differ", next)
+	}
+	if got := st.Reads(); got != 1 {
+		t.Fatalf("Reads() = %d, want 1", got)
 	}
 }
 

@@ -61,6 +61,12 @@ lint:
 # mux). The endpoint is opt-in via a blank import of bufir/obshttp; a
 # regression here would put an HTTP stack in every binary using the
 # library.
+#
+# The test-support packages (the conformance suites policytest,
+# storetest and indextest) are imported by tests only: no other
+# package may depend on them, so test apparatus never links into a
+# binary and "test support" stays a checked category.
+TEST_SUPPORT := bufir/internal/buffer/policytest bufir/internal/storage/storetest bufir/internal/indextest
 depgraph:
 	@bad=$$($(GO) list -deps . ./internal/engine ./internal/buffer ./internal/eval ./internal/metrics \
 		| grep -x 'net/http\|net/http/pprof\|bufir/obshttp' || true); \
@@ -68,6 +74,17 @@ depgraph:
 		echo "depgraph: core packages must not depend on:"; echo "$$bad"; exit 1; \
 	fi; \
 	echo "depgraph ok: core library free of net/http"
+	@graph=$$($(GO) list -f '{{.ImportPath}} {{join .Deps " "}}' ./...) || exit 1; \
+	bad=$$(printf '%s\n' "$$graph" | while read -r p deps; do \
+		case " $(TEST_SUPPORT) " in *" $$p "*) continue;; esac; \
+		for d in $$deps; do \
+			case " $(TEST_SUPPORT) " in *" $$d "*) echo "$$p -> $$d";; esac; \
+		done; \
+	done); \
+	if [ -n "$$bad" ]; then \
+		echo "depgraph: only tests may depend on the test-support packages:"; echo "$$bad"; exit 1; \
+	fi; \
+	echo "depgraph ok: test-support packages reached from tests only"
 
 # The public surface is a checked file, after Go's own api/go1.*.txt:
 # api/bufir.txt and api/obshttp.txt list every exported identifier of
@@ -189,14 +206,18 @@ bench-compare:
 # The tracked size numbers of ROADMAP aim 2: non-test Go lines and
 # package count outside the benchmark module, and product lines — the
 # non-test lines outside the experiment harness (internal/experiments,
-# cmd/irbench) as well (ROADMAP item 21). All should go down. The last
-# line, test Go lines, shows code that moved into _test.go files: such
-# a move lowers the first number without being a reduction.
+# cmd/irbench) as well (ROADMAP item 21). All should go down. The
+# fourth line, test Go lines, shows code that moved into _test.go
+# files: such a move lowers the first number without being a
+# reduction. The fifth, test-support lines, counts the non-test files
+# of the conformance suites (storetest, indextest, policytest), which
+# the first line includes and only tests import.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l | awk '{print $$1, "non-test Go lines"}'
 	@$(GO) list ./... | wc -l | awk '{print $$1, "packages"}'
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' ! -path './internal/experiments/*' ! -path './cmd/irbench/*' | xargs cat | wc -l | awk '{print $$1, "product lines"}'
 	@find . -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l | awk '{print $$1, "test Go lines"}'
+	@find ./internal/storage/storetest ./internal/indextest ./internal/buffer/policytest -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | awk '{print $$1, "test-support lines"}'
 
 # The PageStore conformance suite under -race: every backend — the
 # in-memory simulator, the file-backed store over both access paths
@@ -216,24 +237,25 @@ BENCHTIME ?= 100x
 bench-store:
 	$(GO) test -run '^$$' -bench=BenchmarkPageStore -benchtime=$(BENCHTIME) ./internal/storage
 
-# Replacement-policy family gate under -race: the cross-policy
-# conformance suite (all six implemented policies — the product's LRU,
-# MRU and RAP and the extension policies LRU-2, 2Q and ADAPTIVE — held
-# to the same Victim/Removed/pin/Flush contract), the 2Q ghost-hygiene
-# and bounded-memory regressions, the ADAPTIVE unit tests, the victim
-# goldens of RAP, RAP-headfirst and ADAPTIVE (recorded from the
-# frame-heap RAP, compared literally), RAP against its brute-force
-# oracle and its structure invariants, the lost-update race of the
-# weight-delta path, the latch-free hit path (every policy with Touched
-# sees every hit, RAP hits take no latch, and the fetch/unpin/cancel/
-# fault stress on tiny 2-shard pools), the E26 drift smoke/determinism
-# tests, and the
+# Replacement-policy family gate under -race: the policytest contract
+# suite (Victim/Removed/pin/Flush/failed-load, hits reaching Touched,
+# the sharded-manager properties and the single-shard replay) over the
+# product's LRU, MRU, RAP and RAP-headfirst in internal/buffer and over
+# the extension policies LRU-2, 2Q and ADAPTIVE (built by
+# experiments.NewPolicy) in internal/experiments; the extension
+# policies' unit tests (LRU-2's order, 2Q's ghost hygiene and bounded
+# memory, ADAPTIVE's reweighting); the victim goldens of RAP and
+# RAP-headfirst (recorded from the frame-heap RAP) and of ADAPTIVE, all
+# compared literally; RAP against its brute-force oracle and its
+# structure invariants, the lost-update race of the weight-delta path,
+# RAP's latch-free hits and the fetch/unpin/cancel/fault stress on tiny
+# 2-shard pools; the E26 drift smoke/determinism tests; and the
 # root-level end-to-end family tests (the three public policies through
 # Session/Engine/Router with bit-identical 1-worker replay, and the
 # extension names refused with ErrUnknownPolicy).
 policy-conformance:
 	$(GO) test -race -count=1 \
-		-run 'TestPolicyConformance|TestTwoQ|TestAdaptive|TestGhostList|TestGoldenVictims|TestRAP|TestAnnouncementsNotLost|TestHitsReachTouchers|TestFetchStress|TestDrift|TestPolicyFamily' \
+		-run 'TestPolicyConformance|TestShardedManagerProperties|TestSingleShardReplaysSerialManager|TestLRUK|TestTwoQ|TestAdaptive|TestGhostList|TestSequentialScanDefeatsAll|TestGoldenVictims|TestRAP|TestAnnouncementsNotLost|TestHitsReachTouchers|TestFetchStress|TestDrift|TestPolicyFamily' \
 		./internal/buffer ./internal/experiments .
 
 # What the buffer manager pays per policy call (BenchmarkPolicyOps:
@@ -269,16 +291,17 @@ bench-policy:
 # Exactness gate under -race: exact evaluation (MAXSCORE, which is
 # FULL: unfiltered DF) held to the brute-force oracle (bruteForce, a
 # plain cosine over the raw lists) and to exhaustive DF — the metamorphic
-# suites across corpus scales, buffer sizes, all six policies, fault
-# schedules and cancellation, and the bruteForce unit tests — then the
-# root-level session, engine and router tests (cross-shard tie-break and
-# IDF edge cases included) and the E27 smoke run.
+# suites across corpus scales, buffer sizes, the product's policies,
+# fault schedules and cancellation, and the bruteForce unit tests — then
+# the root-level session, engine and router tests (cross-shard tie-break
+# and IDF edge cases included), the E27 smoke run and E27's exactness
+# under the extension policies.
 ranksafe-exactness:
 	$(GO) test -race -count=1 \
 		-run 'TestMetamorphicSafe|TestFullEvaluationMatchesBruteForce|TestAllSchedulesBitIdentical|TestNeverMorePages|TestDuplicateEntries|TestExhaustionEquals|TestFilterMatchesModel' \
 		./internal/eval
 	$(GO) test -race -count=1 \
-		-run 'TestRankSafe|TestSessionSafeMethods|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestParseAlgorithm' \
+		-run 'TestRankSafe|TestExtensionPoliciesRankSafe|TestSessionSafeMethods|TestEngineSafeMethod|TestRouterSafeMethods|TestRouterCrossShardEqualScoreTieBreak|TestSearchIDFEdge|TestParseAlgorithm' \
 		./internal/experiments .
 
 # Smoke for BenchmarkEvaluate (the evaluator's bookkeeping in ns/entry

@@ -34,8 +34,8 @@ var benchIndex = sync.OnceValues(func() (*postings.Index, [][]postings.Entry) {
 })
 
 // BenchmarkPolicyOps prices the four policy calls the buffer manager
-// makes, per policy × pool size × registered users, on a full one-shard
-// pool:
+// makes, per product policy (PolicyNames) × pool size × registered
+// users, on a full one-shard pool:
 //
 //   - SetQuery: one user's announcement of a 30-term query that differs
 //     from its previous one in one term (a refinement step), through
@@ -54,8 +54,8 @@ var benchIndex = sync.OnceValues(func() (*postings.Index, [][]postings.Entry) {
 func BenchmarkPolicyOps(b *testing.B) {
 	ix, pages := benchIndex()
 	store := storage.NewStore(pages)
-	for _, p := range allPolicies {
-		name, mk := p.name, p.mk
+	for _, name := range PolicyNames {
+		mk, _ := PolicyFactory(name)
 		for _, capacity := range []int{512, 4096, 32768} {
 			for _, nusers := range []int{1, 16} {
 				prefix := fmt.Sprintf("%s/pool%d/users%d/", name, capacity, nusers)

@@ -13,8 +13,6 @@ func TestPolicySurfaces(t *testing.T) {
 		{NewMRU(), "MRU"},
 		{NewRAP(), "RAP"},
 		{NewRAPHeadFirst(), "RAP-headfirst"},
-		{NewLRUK(2), "LRU-2"},
-		{NewTwoQ(8), "2Q"},
 	}
 	for _, c := range cases {
 		if got := c.pol.Name(); got != c.name {
@@ -74,28 +72,4 @@ func TestRAPHeadFirstVariantBehavior(t *testing.T) {
 		t.Errorf("head-first should evict offset 0 first: 4=%v 5=%v",
 			m.Contains(4), m.Contains(5))
 	}
-}
-
-// TestTwoQVictimFallbacks exercises the cross-queue fallback paths:
-// when the preferred queue has only pinned pages the other queue
-// serves the victim.
-func TestTwoQVictimFallbacks(t *testing.T) {
-	ix, st := testEnv(t)
-	pol := NewTwoQ(8) // kin 2
-	m, _ := newSerial(2, st, ix, pol)
-	// Fill probation with two pages and pin both.
-	f0 := get(t, m, 0)
-	f1 := get(t, m, 1)
-	// Pool full, both pinned, Am empty: no victim anywhere.
-	if _, err := pin(m, 2); err == nil {
-		t.Fatal("expected ErrNoVictim")
-	}
-	m.Unpin(f1)
-	// Now page 1 is the only unpinned; probation within Kin (2 <= 2)
-	// and Am empty forces the a1in fallback.
-	touch(t, m, 2)
-	if m.Contains(1) {
-		t.Error("expected page 1 evicted via fallback")
-	}
-	m.Unpin(f0)
 }

@@ -15,11 +15,13 @@ import (
 )
 
 // flakyStore wraps a store with a per-page count of forced failures:
-// the first fail[p] counted reads of page p error, later reads succeed.
-// attempts counts every read issued, delivered or not.
+// the first fail[p] counted reads of page p error, later reads succeed;
+// when every > 0, every every-th read errors too. attempts counts every
+// read issued, delivered or not.
 type flakyStore struct {
 	inner *storage.Store
 	perm  bool // make injected errors permanent-classified
+	every int
 
 	mu       sync.Mutex
 	fail     map[postings.PageID]int
@@ -39,6 +41,9 @@ func (s *flakyStore) ReadContext(ctx context.Context, id postings.PageID) ([]pos
 	n := s.fail[id]
 	if n > 0 {
 		s.fail[id] = n - 1
+	}
+	if s.every > 0 && s.attempts%s.every == 0 {
+		n = 1
 	}
 	s.mu.Unlock()
 	if n > 0 {

@@ -311,89 +311,52 @@ func TestFrameTableAgainstMap(t *testing.T) {
 	}
 }
 
-// countTouches forwards a policy's Touched calls and counts them.
-type countTouches struct {
-	Policy
-	toucher
-	n *atomic.Int64
-}
-
-func (p countTouches) Touched(f *Frame) {
-	p.n.Add(1)
-	p.toucher.Touched(f)
-}
-
-// TestHitsReachTouchers: every policy that implements Touched sees every
-// hit, from concurrent goroutines; RAP and RAP-headfirst do not
-// implement it, and their hits and unpins complete while the test holds
-// every shard latch.
+// TestHitsReachTouchers: LRU and MRU have Touched and RAP does not
+// (policytest's HitsReachTouchers checks that every hit reaches a
+// policy that has it); RAP's and RAP-headfirst's hits and unpins
+// complete while the test holds every shard latch.
 func TestHitsReachTouchers(t *testing.T) {
 	ix, st := testEnv(t)
 	factories := map[string]func(int) Policy{"RAP-headfirst": func(int) Policy { return NewRAPHeadFirst() }}
-	for _, p := range allPolicies {
-		factories[p.name] = p.mk
+	for _, name := range PolicyNames {
+		factories[name], _ = PolicyFactory(name)
 	}
 	for name, mk := range factories {
-		var touches atomic.Int64
 		_, isToucher := mk(1).(toucher)
 		if wantToucher := name != "RAP" && name != "RAP-headfirst"; isToucher != wantToucher {
 			t.Fatalf("%s implements Touched: %v, want %v", name, isToucher, wantToucher)
 		}
-		m, err := NewManager(ix.NumPagesTotal, 2, st, ix, func(c int) Policy {
-			pol := mk(c)
-			if tp, ok := pol.(toucher); ok {
-				return countTouches{pol, tp, &touches}
-			}
-			return pol
-		})
+		if isToucher {
+			continue
+		}
+		m, err := NewManager(ix.NumPagesTotal, 2, st, ix, mk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for p := 0; p < ix.NumPagesTotal; p++ {
 			touch(t, m, postings.PageID(p))
 		}
-		base := m.Stats()
-		if !isToucher {
-			for i := range m.shards {
-				m.shards[i].mu.Lock()
-			}
-			done := make(chan error, 1)
-			go func() {
-				for p := 0; p < ix.NumPagesTotal; p++ {
-					f, _, err := fetch(m, postings.PageID(p))
-					if err != nil {
-						done <- err
-						return
-					}
-					m.Unpin(f)
-				}
-				done <- nil
-			}()
-			err := within(t, done, name+" hits under held latches")
-			for i := range m.shards {
-				m.shards[i].mu.Unlock()
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			continue
+		for i := range m.shards {
+			m.shards[i].mu.Lock()
 		}
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < 200; i++ {
-					if f, err := pin(m, postings.PageID((g+i)%ix.NumPagesTotal)); err == nil {
-						m.Unpin(f)
-					}
+		done := make(chan error, 1)
+		go func() {
+			for p := 0; p < ix.NumPagesTotal; p++ {
+				f, _, err := fetch(m, postings.PageID(p))
+				if err != nil {
+					done <- err
+					return
 				}
-			}(g)
+				m.Unpin(f)
+			}
+			done <- nil
+		}()
+		err = within(t, done, name+" hits under held latches")
+		for i := range m.shards {
+			m.shards[i].mu.Unlock()
 		}
-		wg.Wait()
-		s := m.Stats()
-		if hits, misses := s.Hits-base.Hits, s.Misses-base.Misses; hits != 800 || misses != 0 || touches.Load() != hits {
-			t.Errorf("%s: %d hits, %d misses, %d Touched calls", name, hits, misses, touches.Load())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

@@ -35,10 +35,10 @@ type intoReader interface {
 	ReadInto(ctx context.Context, id postings.PageID, dst []postings.Entry) ([]postings.Entry, bool, error)
 }
 
-// Frame is a buffer slot holding one inverted-list page. Policy
-// bookkeeping (list links, heap position, RAP group) is embedded so policies are
-// allocation-free on the hot path. The exported fields never change, so
-// a lookup without the latch may read them.
+// Frame is a buffer slot holding one inverted-list page. The LRU/MRU
+// list links and the RAP group are embedded so the package's policies
+// are allocation-free on the hot path. The exported fields never
+// change, so a lookup without the latch may read them.
 type Frame struct {
 	Page   postings.PageID
 	Term   postings.TermID
@@ -69,8 +69,6 @@ type Frame struct {
 
 	// intrusive doubly-linked list (LRU/MRU recency chain)
 	prev, next *Frame
-	// LRU-K priority-queue position
-	heapIdx int
 	// RAP term group holding the frame
 	group *rapGroup
 }
@@ -118,7 +116,7 @@ type TermWeight struct {
 
 // Policy is a buffer replacement policy. The Manager serializes all
 // calls to one instance (each shard owns its own), so implementations
-// need no internal locking. Recency policies also implement toucher.
+// need no internal locking. LRU and MRU also implement toucher.
 type Policy interface {
 	// Name identifies the policy ("LRU", "MRU", "RAP", ...).
 	Name() string
@@ -144,8 +142,8 @@ type Policy interface {
 	SetQuery(changed []TermWeight)
 }
 
-// toucher is implemented by the policies a hit informs (all but RAP). The
-// Manager calls Touched on every hit, under the shard latch.
+// toucher is a policy that hits inform: the Manager calls Touched on
+// every hit, under the shard latch.
 type toucher interface {
 	Touched(f *Frame)
 }
@@ -283,7 +281,7 @@ var _ Pool = (*Manager)(nil)
 // nshards shards, nshards == 1 being the serial pool every experiment
 // runs on. newPolicy must return a fresh policy instance per call —
 // each shard runs its own, constructed with that shard's exact
-// capacity slice (2Q and ADAPTIVE size their probation and ghost
+// capacity slice (the experiments' 2Q and ADAPTIVE size their
 // structures from it). capacity must be at least nshards so every
 // shard can hold a page. Page ids map to shards by modulo, which
 // stripes consecutive pages of one inverted list across all shards —

@@ -10,30 +10,6 @@ import (
 	"bufir/internal/storage"
 )
 
-// testEnv builds a small index/store: term 0 "long" with 4 pages,
-// term 1 "short" with 2 pages, term 2 "tiny" with 1 page. Frequencies
-// descend within lists so w* values descend along each list.
-func testEnv(t *testing.T) (*postings.Index, *storage.Store) {
-	t.Helper()
-	mk := func(n int, base int32) []postings.Entry {
-		entries := make([]postings.Entry, n)
-		for i := range entries {
-			entries[i] = postings.Entry{Doc: postings.DocID(i), Freq: base - int32(i)}
-		}
-		return entries
-	}
-	lists := []postings.TermPostings{
-		{Name: "long", Entries: mk(8, 20)},  // 4 pages @ pageSize 2
-		{Name: "short", Entries: mk(4, 10)}, // 2 pages
-		{Name: "tiny", Entries: mk(2, 5)},   // 1 page
-	}
-	ix, pages, err := postings.Build(lists, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix, storage.NewStore(pages)
-}
-
 // newSerial builds the one-shard pool — the serial, reproducible
 // manager every experiment runs on — around one policy instance.
 func newSerial(capacity int, store PageReader, ix *postings.Index, pol Policy) (*Manager, error) {

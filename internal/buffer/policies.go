@@ -6,9 +6,8 @@ import "fmt"
 // three (§3.3) — in presentation order. Each name is accepted by
 // PolicyFactory and — via the public bufir.Policy constants — by every
 // construction surface (Session, Engine, Router, Open). The extension
-// policies (LRU-K, 2Q, ADAPTIVE) are not registered here: they are
-// experiment apparatus, built through NewManager's constructor
-// argument.
+// policies E14 and E26 measure (LRU-2, 2Q, ADAPTIVE) live in
+// internal/experiments, built on this package's exported surface.
 var PolicyNames = []string{"LRU", "MRU", "RAP"}
 
 // PolicyFactory maps a policy name to a constructor of fresh policy

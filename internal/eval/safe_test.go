@@ -1,7 +1,7 @@
 // Tests of exact evaluation. The metamorphic exactness suite: over
 // random corpora at several scales, buffer sizes spanning under- to
-// over-provisioned pools, all six replacement policies, fault schedules
-// and cancellation interleavings, MAXSCORE must return the
+// over-provisioned pools, the product's replacement policies, fault
+// schedules and cancellation interleavings, MAXSCORE must return the
 // bit-identical top-k of an exhaustive (unfiltered) DF evaluation —
 // same documents, same float64 scores, same tie order — at exactly its
 // cost. Faulted and canceled runs cannot promise exactness (neither can
@@ -29,20 +29,6 @@ import (
 // safeAlgos is the exact method, held to exhaustive evaluation by every
 // exactness test.
 var safeAlgos = []Algorithm{MAXSCORE}
-
-// safePolicies is the full replacement-policy family — the exactness
-// guarantee must be independent of what the pool happens to evict.
-var safePolicies = []struct {
-	name string
-	mk   func(capacity int) buffer.Policy
-}{
-	{"LRU", func(int) buffer.Policy { return buffer.NewLRU() }},
-	{"MRU", func(int) buffer.Policy { return buffer.NewMRU() }},
-	{"RAP", func(int) buffer.Policy { return buffer.NewRAP() }},
-	{"LRU-2", func(int) buffer.Policy { return buffer.NewLRUK(2) }},
-	{"2Q", func(c int) buffer.Policy { return buffer.NewTwoQ(c) }},
-	{"ADAPTIVE", func(c int) buffer.Policy { return buffer.NewAdaptive(c) }},
-}
 
 // assertTopIdentical compares only the ranked answer.
 func assertTopIdentical(t *testing.T, label string, got, want []rank.ScoredDoc) {
@@ -105,10 +91,12 @@ func randSafeQuery(r *rand.Rand, numTerms int) Query {
 // cost, whatever the pool holds.
 func TestMetamorphicSafeExactness(t *testing.T) {
 	const perPolicy = 40
-	for _, pol := range safePolicies {
-		pol := pol
-		t.Run(pol.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(2009 + int64(len(pol.name))))
+	// The product's policies: exactness must not depend on what the pool
+	// evicts (the experiments hold it to the extension policies too).
+	for _, name := range buffer.PolicyNames {
+		mk, _ := buffer.PolicyFactory(name)
+		t.Run(name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(2009 + int64(len(name))))
 			for i := 0; i < perPolicy; i++ {
 				var f *fixture
 				if i%4 == 3 {
@@ -121,7 +109,7 @@ func TestMetamorphicSafeExactness(t *testing.T) {
 				bufPages := 1 + r.Intn(f.ix.NumPagesTotal+2)
 				want := exhaustiveRef(t, f, k, q)
 				for _, algo := range safeAlgos {
-					ev := f.evaluator(t, bufPages, pol.mk(bufPages), Params{TopN: k})
+					ev := f.evaluator(t, bufPages, mk(bufPages), Params{TopN: k})
 					res, err := ev.Evaluate(algo, q)
 					if err != nil {
 						t.Fatalf("iter %d %v: %v", i, algo, err)
@@ -158,12 +146,12 @@ func TestMetamorphicSafeFaultInterleavings(t *testing.T) {
 		f := randIndexScaled(t, r, 8, 33)
 		q := randSafeQuery(r, len(f.lists))
 		k := 1 + r.Intn(8)
-		pol := safePolicies[i%len(safePolicies)]
+		mk, _ := buffer.PolicyFactory(buffer.PolicyNames[i%len(buffer.PolicyNames)])
 		bufPages := 1 + r.Intn(f.ix.NumPagesTotal+2)
 		algo := safeAlgos[i%len(safeAlgos)]
 
 		p := Params{TopN: k, FaultBudget: 100}
-		ev := f.evaluator(t, bufPages, pol.mk(bufPages), p)
+		ev := f.evaluator(t, bufPages, mk(bufPages), p)
 		// One read in two to one in five fails, by seeded coin.
 		f.faults(t, fmt.Sprintf("transient:prob=%.2f", 1/float64(2+r.Intn(4))))
 		res, err := ev.Evaluate(algo, q)
@@ -190,7 +178,7 @@ func TestMetamorphicSafeFaultInterleavings(t *testing.T) {
 
 		// Zero budget: the first fault must fail the query with no
 		// answer, only the cost of what it read.
-		ev0 := f.evaluator(t, bufPages, pol.mk(bufPages), Params{TopN: k})
+		ev0 := f.evaluator(t, bufPages, mk(bufPages), Params{TopN: k})
 		f.faults(t, "transient") // every read fails
 		res0, err := ev0.Evaluate(algo, q)
 		f.heal()
@@ -212,9 +200,9 @@ func TestMetamorphicSafeCancellation(t *testing.T) {
 		f := randIndexScaled(t, r, 8, 33)
 		q := randSafeQuery(r, len(f.lists))
 		k := 1 + r.Intn(8)
-		pol := safePolicies[i%len(safePolicies)]
+		mk, _ := buffer.PolicyFactory(buffer.PolicyNames[i%len(buffer.PolicyNames)])
 		algo := safeAlgos[i%len(safeAlgos)]
-		mgr := f.newPool(t, 1+r.Intn(f.ix.NumPagesTotal+2), pol.mk(f.ix.NumPagesTotal+2))
+		mgr := f.newPool(t, 1+r.Intn(f.ix.NumPagesTotal+2), mk(f.ix.NumPagesTotal+2))
 		p := Params{TopN: k}
 
 		ctx, cancel := context.WithCancel(context.Background())

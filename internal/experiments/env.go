@@ -96,19 +96,20 @@ func NewEnv(cfg corpus.Config) (*Env, error) {
 
 // NewPolicy constructs a replacement policy by name, sized for a pool
 // of the given page capacity. The extension policies E14 and E26
-// measure — LRU-2, 2Q and ADAPTIVE — are experiment apparatus built
-// here (2Q and ADAPTIVE scale their probation/ghost structures from
-// the capacity); every other name goes through buffer.PolicyFactory,
+// measure — LRU-2, 2Q and ADAPTIVE — are experiment apparatus,
+// written in this package against buffer's exported surface (2Q and
+// ADAPTIVE scale their probation/ghost structures from the capacity);
+// every other name goes through buffer.PolicyFactory,
 // the mapping the public API resolves through, so the experiment and
 // serving paths cannot drift.
 func NewPolicy(name string, capacity int) (buffer.Policy, error) {
 	switch name {
 	case "LRU-2":
-		return buffer.NewLRUK(2), nil
+		return newLRU2(), nil
 	case "2Q":
-		return buffer.NewTwoQ(capacity), nil
+		return newTwoQ(capacity), nil
 	case "ADAPTIVE":
-		return buffer.NewAdaptive(capacity), nil
+		return newAdaptive(capacity), nil
 	}
 	mk, err := buffer.PolicyFactory(name)
 	if err != nil {

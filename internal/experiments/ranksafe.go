@@ -111,6 +111,11 @@ func (e *Env) rankSafeWorkload() ([]eval.Query, int, error) {
 
 // RunRankSafe runs the E27 sweep with a points-sized buffer axis.
 func (e *Env) RunRankSafe(points int) (*RankSafeResult, error) {
+	return e.runRankSafe(points, RankSafePolicies)
+}
+
+// runRankSafe runs the E27 sweep over the named policies.
+func (e *Env) runRankSafe(points int, policies []string) (*RankSafeResult, error) {
 	queries, anchors, err := e.rankSafeWorkload()
 	if err != nil {
 		return nil, err
@@ -145,7 +150,7 @@ func (e *Env) RunRankSafe(points int) (*RankSafeResult, error) {
 		Anchors:    anchors,
 		WorkingSet: ws,
 		Sizes:      sizes,
-		Policies:   RankSafePolicies,
+		Policies:   policies,
 	}
 	for _, m := range methods {
 		out.Methods = append(out.Methods, m.name)

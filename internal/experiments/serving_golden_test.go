@@ -19,7 +19,7 @@ import (
 //
 // only when a serving path's evaluation or buffer behaviour is changed
 // on purpose.
-var update = flag.Bool("update", false, "rewrite testdata/golden_serving.json from the current experiments")
+var update = flag.Bool("update", false, "rewrite the testdata/golden_*.json files of the tests run")
 
 const goldenServingFile = "testdata/golden_serving.json"
 

@@ -44,11 +44,13 @@ func fileFactory(opts indexfile.PageFileOptions) storetest.Factory {
 
 // TestPageStoreConformance holds every backend to the PageStore
 // contract (read equivalence, delivered-only accounting, context and
-// fault behavior, concurrency, pool equivalence).
+// fault behavior, concurrency, pool equivalence), then checks that no
+// backend wrote to the shared sample.
 func TestPageStoreConformance(t *testing.T) {
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) { storetest.Run(t, be.make) })
 	}
+	storetest.SampleIntact(t)
 }
 
 // TestReadIntoConformance holds every backend that decodes its pages —

@@ -37,22 +37,44 @@ import (
 // files, remove temp dirs).
 type Factory func(tb testing.TB, ix *postings.Index, pages [][]postings.Entry) storage.PageStore
 
-// Sample builds the deterministic reference index the suite reads
+// Sample returns the deterministic reference index the suite reads
 // against: a tiny synthetic collection, frequency-sorted and paged by
-// postings.Build.
+// postings.Build. It is built once per process and shared by every
+// caller, so it is read-only (a test that alters pages builds its own);
+// SampleIntact checks that nobody wrote to it.
 func Sample(tb testing.TB) (*postings.Index, [][]postings.Entry) {
 	tb.Helper()
+	sampleOnce.Do(func() { sampleIx, samplePages, sampleErr = buildSample() })
+	if sampleErr != nil {
+		tb.Fatal(sampleErr)
+	}
+	return sampleIx, samplePages
+}
+
+var (
+	sampleOnce  sync.Once
+	sampleIx    *postings.Index
+	samplePages [][]postings.Entry
+	sampleErr   error
+)
+
+func buildSample() (*postings.Index, [][]postings.Entry, error) {
 	cfg := corpus.TinyConfig(31)
 	cfg.NumTopics = 5
 	col, err := corpus.Generate(cfg)
 	if err != nil {
-		tb.Fatal(err)
+		return nil, nil, err
 	}
-	ix, pages, err := postings.Build(col.Lists, col.NumDocs, cfg.PageSize)
-	if err != nil {
-		tb.Fatal(err)
+	return postings.Build(col.Lists, col.NumDocs, cfg.PageSize)
+}
+
+// SampleIntact fails the test unless the shared Sample still equals a
+// fresh build; call it after a suite has run over it.
+func SampleIntact(tb testing.TB) {
+	ix, pages := Sample(tb)
+	if fix, fpages, err := buildSample(); err != nil || !reflect.DeepEqual(ix, fix) || !reflect.DeepEqual(pages, fpages) {
+		tb.Errorf("the shared Sample differs from a fresh build (%v): a test wrote to it", err)
 	}
-	return ix, pages
 }
 
 // read is one counted read under a background context.

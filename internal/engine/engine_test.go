@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"testing"
 
@@ -310,5 +311,71 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := newEngine(e, nil, engine.Config{Workers: 1, Params: e.Params()}); err == nil {
 		t.Error("nil pool should fail")
+	}
+}
+
+// dfOrdered returns the full topic query sorted the way DF processes
+// it (idf descending, TermID ascending), so each prefix of it extends
+// the previous one by the next list DF would scan.
+func dfOrdered(t *testing.T, ti int) eval.Query {
+	t.Helper()
+	e := testEnv(t)
+	seq, err := e.Sequence(ti, refine.AddOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := append(eval.Query{}, seq.Refinements[len(seq.Refinements)-1]...)
+	sort.SliceStable(q, func(i, j int) bool {
+		a, b := e.Idx.IDF(q[i].Term), e.Idx.IDF(q[j].Term)
+		if a != b {
+			return a > b
+		}
+		return q[i].Term < q[j].Term
+	})
+	return q
+}
+
+// TestWarmPoolRefinementLaw pins what the shared pool alone gives a DF
+// refinement sequence (§2-§3: every step is evaluated afresh and the
+// buffer keeps the overlap resident). On a pool that holds every page,
+// a topic grown one term at a time in DF order re-walks the previous
+// step's rounds on hits and reads only the new list's pages, so the
+// steps' PagesRead sum to one cold evaluation of the full query; and a
+// verbatim resubmission reads nothing. The law is DF's: BAF's round
+// order depends on residency, so nothing ties its steps' rounds to the
+// rounds of one cold evaluation.
+func TestWarmPoolRefinementLaw(t *testing.T) {
+	e := testEnv(t)
+	for ti := range e.Queries {
+		full := dfOrdered(t, ti)
+		pool := rapPool(t, e, e.Idx.NumPagesTotal+8, 1)
+		eng, err := newEngine(e, pool, engine.Config{Workers: 1, Algo: eval.DF, Params: e.Params()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for n := 1; n <= len(full); n++ {
+			res, err := eng.SearchContext(context.Background(), 0, full[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += res.PagesRead
+		}
+		again, err := eng.SearchContext(context.Background(), 0, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Close()
+		cold, err := e.EvaluateCold(eval.DF, full, e.Params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum != cold.PagesRead {
+			t.Errorf("topic %d: %d steps read %d pages, one cold evaluation of the full query %d",
+				ti, len(full), sum, cold.PagesRead)
+		}
+		if again.PagesRead != 0 {
+			t.Errorf("topic %d: verbatim resubmission read %d pages, want 0", ti, again.PagesRead)
+		}
 	}
 }

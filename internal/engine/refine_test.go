@@ -2,14 +2,12 @@ package engine_test
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"testing"
 
 	"bufir/internal/buffer"
 	"bufir/internal/engine"
 	"bufir/internal/eval"
-	"bufir/internal/refine"
 	"bufir/internal/storage"
 )
 
@@ -29,27 +27,6 @@ func refineEngine(t *testing.T, workers int) (*engine.Engine, *buffer.SharedPool
 		t.Fatal(err)
 	}
 	return eng, pool
-}
-
-// dfOrdered returns the full topic query sorted the way DF processes
-// it (idf descending, TermID ascending), so prefixes of it form
-// ADD-ONLY steps whose added terms extend the processed prefix.
-func dfOrdered(t *testing.T, ti int) eval.Query {
-	t.Helper()
-	e := testEnv(t)
-	seq, err := e.Sequence(ti, refine.AddOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := append(eval.Query{}, seq.Refinements[len(seq.Refinements)-1]...)
-	sort.SliceStable(q, func(i, j int) bool {
-		a, b := e.Idx.IDF(q[i].Term), e.Idx.IDF(q[j].Term)
-		if a != b {
-			return a > b
-		}
-		return q[i].Term < q[j].Term
-	})
-	return q
 }
 
 // coldResult evaluates q on a fresh private pool — the reference every

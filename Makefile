@@ -26,7 +26,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell $(GO) env GOPATH)/bin/staticcheck
 
-.PHONY: ci gates-check lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos refine-incr storetest bench-store policy-conformance bench-policy bench-policyops bench-fetch ranksafe-exactness bench-eval bench-ranksafe indextest ingest-exactness
+.PHONY: ci gates-check lint depgraph api api-check vet build test benchmark-test race leaks fuzz-seeds fuzz bench bench-compare loc cover concurrency obs faults chaos storetest bench-store policy-conformance bench-policy bench-policyops bench-fetch ranksafe-exactness bench-eval bench-ranksafe indextest ingest-exactness
 
 ci: gates-check lint depgraph api-check build benchmark-test fuzz-seeds bench-policyops bench-fetch bench-eval bench-policy bench-ranksafe
 	GOOS=windows $(GO) vet ./internal/indexfile ./internal/storage
@@ -68,8 +68,8 @@ lint:
 # binary and "test support" stays a checked category.
 TEST_SUPPORT := bufir/internal/buffer/policytest bufir/internal/storage/storetest bufir/internal/indextest
 depgraph:
-	@bad=$$($(GO) list -deps . ./internal/engine ./internal/buffer ./internal/eval ./internal/metrics \
-		| grep -x 'net/http\|net/http/pprof\|bufir/obshttp' || true); \
+	@deps=$$($(GO) list -deps . ./internal/engine ./internal/buffer ./internal/eval ./internal/metrics) || exit 1; \
+	bad=$$(printf '%s\n' "$$deps" | grep -x 'net/http\|net/http/pprof\|bufir/obshttp' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "depgraph: core packages must not depend on:"; echo "$$bad"; exit 1; \
 	fi; \
@@ -143,20 +143,19 @@ leaks:
 # Replays the checked-in seed corpora (testdata/fuzz/**) plus the f.Add
 # seeds through every fuzz target, without engaging the fuzzing engine.
 fuzz-seeds:
-	$(GO) test -run=Fuzz ./internal/codec ./internal/text ./internal/storage ./internal/eval ./internal/indexfile ./internal/livedex
+	$(GO) test -run=Fuzz ./internal/codec ./internal/text ./internal/storage ./internal/indexfile ./internal/livedex
 
 # Short exploratory fuzzing of every target (not part of ci; minutes).
 fuzz:
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=60s ./internal/codec
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=60s ./internal/text
 	$(GO) test -fuzz=FuzzParseFaultSchedule -fuzztime=60s ./internal/storage
-	$(GO) test -fuzz=FuzzCanonicalQuery -fuzztime=60s ./internal/eval
 	$(GO) test -fuzz=FuzzPageFileHeader -fuzztime=60s ./internal/indexfile
 	$(GO) test -fuzz=FuzzDeltaAppend -fuzztime=60s ./internal/livedex
 
 # Coverage floor: the evaluation core and the refinement workload
 # generator must stay at or above 80% statement coverage — the
-# metamorphic/incremental machinery lives there and silent coverage
+# metamorphic exactness machinery lives there and silent coverage
 # rot is how exactness bugs sneak in. cover-floor reads each package's
 # total off $(COVER_PROFILE) (ci writes it for the whole suite; `make
 # cover` for just these two packages).
@@ -336,11 +335,11 @@ indextest:
 # evaluation method, a policy rotation, a transient fault schedule and
 # cancellation, every answer compared bit-for-bit against a
 # from-scratch rebuild of the current corpus — plus the epoch
-# staleness regressions (refinement snapshots and engine result-cache
-# entries die with their generation).
+# staleness regressions (a user's resubmission after an ingest or a
+# merge rebinds to the new generation's cold pool).
 ingest-exactness:
 	$(GO) test -race -count=1 \
-		-run 'TestIngestExactness|TestEngineResultCache' .
+		-run 'TestIngestExactness|TestEngineRebinds' .
 
 # The concurrency experiment: QPS/latency vs. worker count and the
 # 1-worker exactness verification against the serial E12 run.
@@ -357,11 +356,6 @@ obs:
 # overlap@20 vs the fault-free reference.
 faults:
 	$(GO) run ./cmd/irbench -exp faults
-
-# The incremental-refinement experiment (E24): per-step pages-read and
-# service-time deltas of snapshot resume + result cache vs cold.
-refine-incr:
-	$(GO) run ./cmd/irbench -exp refine-incr
 
 # Long randomized chaos run (not part of ci; minutes): the engine- and
 # buffer-level chaos tests looped under -race with fresh schedules.

@@ -582,8 +582,7 @@ func (s *Session) Search(q Query) (*Result, error) {
 // a Result with no answer that carries the cost of the pages read
 // before the failure.
 func (s *Session) SearchContext(ctx context.Context, q Query) (*Result, error) {
-	res, _, err := s.user.Step(ctx, s.algo, q, false)
-	return res, err
+	return s.user.Step(ctx, s.algo, q)
 }
 
 // SearchTextContext parses free text with ParseQuery and evaluates it

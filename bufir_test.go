@@ -120,6 +120,46 @@ func TestSessionSearch(t *testing.T) {
 	}
 }
 
+// TestDuplicateQueryTermRejected: a query naming a term twice is
+// refused on every serving surface — Session, Engine and Router — with
+// no answer; a term's weight is its one query frequency.
+func TestDuplicateQueryTermRejected(t *testing.T) {
+	col, ix := testIndex(t)
+	q, err := ix.TopicQuery(col.Topics[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := append(Query{q[0], q[1]}, QueryTerm{Term: q[0].Term, Fqt: 1})
+	s, err := ix.NewSession(SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := ix.NewEngine(EngineConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	part, err := ix.NewEngine(EngineConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router, err := NewRouter([]Searcher{part}, RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	ctx := context.Background()
+	for name, search := range map[string]func() (*Result, error){
+		"session": func() (*Result, error) { return s.SearchContext(ctx, dup) },
+		"engine":  func() (*Result, error) { return eng.SearchContext(ctx, 0, dup) },
+		"router":  func() (*Result, error) { return router.SearchContext(ctx, 0, dup) },
+	} {
+		if res, err := search(); err == nil || res != nil && len(res.Top) > 0 {
+			t.Errorf("%s: duplicate term answered (err %v)", name, err)
+		}
+	}
+}
+
 // TestDFRankingBufferIndependent: DF's evaluation strategy ignores
 // buffer contents entirely, so warm and cold runs rank identically
 // (the property the paper uses as its stability baseline).

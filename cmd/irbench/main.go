@@ -17,7 +17,7 @@
 // way).
 //
 // The serving experiments (concurrency, lifecycle, faults, obs,
-// refine-incr, shards, ingest) build a bufir.Index over the collection
+// shards, ingest) build a bufir.Index over the collection
 // and serve it through Index.NewEngine — and NewRouter for shards —
 // the same assembly a library user gets. Their workload is fixed by
 // the constants below; -seed also seeds the fault schedules of faults
@@ -52,7 +52,6 @@ const (
 	diskLatency    = 200 * time.Microsecond
 	shardPasses    = 2   // workload passes per user in shards
 	ingestPerPhase = 400 // queries per phase in ingest
-	incrTopics     = 2   // refine-incr's topics when -topics is 0
 	effectTopics   = 20  // effect's topics when -topics is 0
 )
 
@@ -121,7 +120,6 @@ var registry = []experiment{
 	{"dualbuf", "", func(b bench) (result, error) { return b.RunDualBuf() }},
 	{"summary", "", func(b bench) (result, error) { return b.RunSummary(refine.AddOnly, b.topics, 6) }},
 	{"effect", "", func(b bench) (result, error) { return b.RunEffectiveness(orDefault(b.topics, effectTopics), 4) }},
-	{"refine-incr", "", func(b bench) (result, error) { return b.RunRefineIncr(orDefault(b.topics, incrTopics)) }},
 	{"ranksafe", "", func(b bench) (result, error) { return b.RunRankSafe(b.points) }},
 	{"ingest", "", func(b bench) (result, error) { return b.RunIngest(servingUsers, ingestPerPhase) }},
 }
@@ -216,7 +214,7 @@ func run(args []string, w io.Writer) (err error) {
 	scale := fs.String("scale", "default", "collection scale: tiny, default, or paper")
 	fs.Int64Var(&b.seed, "seed", 1998, "generator seed, also seeding the fault schedules of faults and drift")
 	exps := fs.String("exp", "all", "comma-separated experiments to run: "+expNames())
-	fs.IntVar(&b.topics, "topics", 0, "topics for the per-topic experiments (0 = all; effect then runs 20, refine-incr 2)")
+	fs.IntVar(&b.topics, "topics", 0, "topics for the per-topic experiments (0 = all; effect then runs 20)")
 	fs.IntVar(&b.points, "points", 10, "buffer-size sweep points")
 	outPath := fs.String("out", "", "write output to file instead of stdout")
 	cadd := fs.Float64("cadd", 0, "override c_add filtering constant (0 = collection-tuned default)")

@@ -69,12 +69,6 @@ type EngineConfig struct {
 	// Zero value: loads fail on the first error and a fully-pinned pool
 	// fails fast — the historical semantics, at zero cost.
 	Fault FaultToleranceOptions
-	// Refine configures incremental refinement reuse across a user's
-	// submissions: per-user snapshot resume for ADD-ONLY resubmissions
-	// plus a bounded result cache over canonicalized queries, with
-	// hit/miss/invalidation counters in Stats and /metrics. Zero
-	// value: off (every submission evaluates cold).
-	Refine RefineOptions
 }
 
 // FaultToleranceOptions configures how the engine's buffer pool rides
@@ -95,29 +89,6 @@ type FaultToleranceOptions struct {
 	// immediately: momentary full-pin under load is backpressure, not
 	// an error. 0 keeps the fail-fast behavior.
 	VictimWait time.Duration
-}
-
-// RefineOptions configures an engine's incremental refinement reuse
-// (EngineConfig.Refine).
-type RefineOptions struct {
-	// Incremental enables accumulator-state reuse across a user's
-	// ADD-ONLY resubmissions: after each completed submission the
-	// post-query evaluation state (accumulators, S_max, per-term trace)
-	// is snapshotted, and a submission that only adds terms (or raises
-	// frequencies) resumes from the snapshot — only the new terms'
-	// lists are scanned, with thresholds re-derived from the carried
-	// S_max. Results are bit-identical to a cold evaluation of the
-	// refined query; the saved work shows up as Result.ReusedRounds and
-	// Reused trace rows. A submission that drops a term (or lowers a
-	// frequency), or follows a live commit or merge swap, runs cold.
-	// Reuse requires DF (BAF's round order depends on buffer residency
-	// and cannot be resumed exactly); under BAF the option is accepted
-	// but never resumes. It also turns on a 256-entry LRU result cache
-	// over each user's canonicalized queries: resubmitting a query the
-	// engine already answered — permuted term order and split duplicate
-	// terms included — returns the cached ranking with Result.Cached
-	// set and zero cost counters, without evaluating.
-	Incremental bool
 }
 
 // ObsOptions configures the optional HTTP observability endpoint
@@ -247,7 +218,6 @@ func (ix *Index) NewEngine(cfg EngineConfig) (*Engine, error) {
 		MaxQueue:     cfg.MaxQueue,
 		QueryTimeout: cfg.QueryTimeout,
 		OnDeadline:   cfg.OnDeadline,
-		Refine:       cfg.Refine.Incremental,
 	})
 	if err != nil {
 		return nil, err

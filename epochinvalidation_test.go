@@ -1,12 +1,12 @@
 package bufir_test
 
 // Regression tests for the epoch invalidation contract: nothing
-// computed against a dead generation — a refinement snapshot, a cached
-// ranking — is ever served after the index publishes a new one. The
-// engine's result-cache key includes the binding epoch, so a live
-// commit makes every cached entry unreachable rather than merely
-// suspect; the session-level snapshot counterpart lives in
-// TestIngestExactnessRefinement.
+// computed against a dead generation is ever served after the index
+// publishes a new one. Each published view gets its own pool, built
+// cold, so a user's resubmission after a live commit or merge rebinds
+// and reads the new generation's pages; within one generation it runs
+// over the pool its earlier requests left warm. The session-level
+// counterpart lives in TestIngestExactnessRefinement.
 
 import (
 	"context"
@@ -42,7 +42,6 @@ func liveEngineFixture(t *testing.T) (*bufir.Index, *bufir.Engine) {
 		EvalOptions: bufir.EvalOptions{Algorithm: bufir.DF, Unfiltered: true, TopN: 5},
 		Workers:     1,
 		BufferPages: 32,
-		Refine:      bufir.RefineOptions{Incremental: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +50,7 @@ func liveEngineFixture(t *testing.T) (*bufir.Index, *bufir.Engine) {
 	return ix, eng
 }
 
-func TestEngineResultCacheInvalidatedByEpochBump(t *testing.T) {
+func TestEngineRebindsOnEpochBump(t *testing.T) {
 	ix, eng := liveEngineFixture(t)
 	ctx := context.Background()
 	q, err := ix.ParseQuery("alpha gamma")
@@ -63,21 +62,21 @@ func TestEngineResultCacheInvalidatedByEpochBump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Cached {
-		t.Fatal("first evaluation reported Cached")
+	if r1.PagesRead == 0 {
+		t.Fatal("first evaluation read nothing from a cold pool")
 	}
 
-	// Same user, same query, same generation: served from the cache,
-	// stamped with the generation it was computed against.
+	// Same user, same query, same generation: the pool holds every page
+	// the first evaluation read.
 	r2, err := eng.SearchContext(ctx, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r2.Cached {
-		t.Fatal("resubmission within a generation not served from cache")
+	if r2.PagesRead != 0 {
+		t.Fatalf("resubmission within a generation read %d pages, want 0", r2.PagesRead)
 	}
 	if r2.Epoch != r1.Epoch {
-		t.Fatalf("cached result's epoch %d != original %d", r2.Epoch, r1.Epoch)
+		t.Fatalf("resubmission's epoch %d != original %d", r2.Epoch, r1.Epoch)
 	}
 
 	// Publish a new generation whose content reshapes the answer.
@@ -86,15 +85,14 @@ func TestEngineResultCacheInvalidatedByEpochBump(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The cached ranking is keyed on the dead epoch: the resubmission
-	// must evaluate cold against the new generation and see the
-	// ingested document, never replay the stale entry.
+	// The resubmission must rebind to the new generation's cold pool
+	// and see the ingested document.
 	r3, err := eng.SearchContext(ctx, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Cached {
-		t.Fatal("resubmission across an epoch bump served a stale cached ranking")
+	if r3.PagesRead == 0 {
+		t.Fatal("resubmission across an epoch bump read no page of the new generation")
 	}
 	if r3.Epoch != eng.Epoch() {
 		t.Fatalf("post-bump result stamped epoch %d, index at %d", r3.Epoch, eng.Epoch())
@@ -111,28 +109,24 @@ func TestEngineResultCacheInvalidatedByEpochBump(t *testing.T) {
 	if !found {
 		t.Fatalf("post-bump answer misses the ingested document: %+v", r3.Top)
 	}
-	if inv := eng.Stats().RefineInvalidations; inv == 0 {
-		t.Fatal("rebind across the epoch bump recorded no RefineInvalidations")
-	}
 
-	// Within the NEW generation the cache works again — keyed on the
-	// new epoch.
+	// Within the NEW generation the pool is warm again.
 	r4, err := eng.SearchContext(ctx, 1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r4.Cached {
-		t.Fatal("resubmission within the new generation not served from cache")
+	if r4.PagesRead != 0 {
+		t.Fatalf("resubmission within the new generation read %d pages, want 0", r4.PagesRead)
 	}
 	if r4.Epoch != r3.Epoch {
-		t.Fatalf("new-generation cached epoch %d != %d", r4.Epoch, r3.Epoch)
+		t.Fatalf("new-generation epoch %d != %d", r4.Epoch, r3.Epoch)
 	}
 }
 
 // A merge publishes a new generation with identical logical content;
-// the cache must still invalidate (the contract is generational, not
+// the user must still rebind (the contract is generational, not
 // content-based), and the recomputed answer must be identical.
-func TestEngineResultCacheInvalidatedByMerge(t *testing.T) {
+func TestEngineRebindsOnMerge(t *testing.T) {
 	ix, eng := liveEngineFixture(t)
 	ctx := context.Background()
 	if _, err := ix.Add("fresh", "alpha beta gamma"); err != nil {
@@ -153,8 +147,8 @@ func TestEngineResultCacheInvalidatedByMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Cached {
-		t.Fatal("post-merge resubmission served the dead generation's cache entry")
+	if r2.PagesRead == 0 {
+		t.Fatal("post-merge resubmission read no page of the merged generation")
 	}
 	if r2.Epoch <= r1.Epoch {
 		t.Fatalf("merge did not advance the epoch: %d -> %d", r1.Epoch, r2.Epoch)

@@ -314,11 +314,11 @@ func TestIngestExactnessUnderFaults(t *testing.T) {
 	}
 }
 
-// TestIngestExactnessRefinement interleaves a stateful incremental
-// refinement with ingestion: every step's result must equal a cold
-// oracle evaluation of the refined query over the CURRENT corpus, and
-// the step that crosses an epoch bump must run cold (snapshot
-// invalidated), never resume from the dead generation's statistics.
+// TestIngestExactnessRefinement interleaves a refinement with
+// ingestion: every step's result must equal a cold oracle evaluation
+// of the refined query over the CURRENT corpus, and the step that
+// crosses an epoch bump must run on the new generation, stamped with
+// its epoch, never on the pool of the dead one.
 func TestIngestExactnessRefinement(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	live, c := seedCorpus(t, rng)
@@ -340,19 +340,20 @@ func TestIngestExactnessRefinement(t *testing.T) {
 	}
 
 	initial := mkQuery(t, live, map[string]int{exactTerm(0): 1, exactTerm(1): 1})
-	r, res, err := startRefinement(context.Background(), s, initial, true)
+	r, res, err := startRefinement(context.Background(), s, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkStep("initial", res, r.Current())
 
-	// ADD-ONLY step on a quiet index: may resume the snapshot.
+	// ADD-ONLY step on a quiet index, over the warm pool.
 	id2 := mkQuery(t, live, map[string]int{exactTerm(2): 1})
 	res, err = r.AddContext(context.Background(), id2...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkStep("step 2", res, r.Current())
+	before := res.Epoch
 
 	// Ingest between steps: the next step crosses an epoch bump.
 	name, counts := randomDoc(rng, len(c.docs))
@@ -368,15 +369,12 @@ func TestIngestExactnessRefinement(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkStep("step 3 (post-ingest)", res, r.Current())
-	last := r.History[len(r.History)-1]
-	if last.Resumed {
-		t.Fatal("step crossing an epoch bump resumed a stale snapshot")
-	}
-	if !last.Invalidated {
-		t.Fatal("step crossing an epoch bump not recorded as Invalidated")
+	if res.Epoch <= before || res.Epoch != live.Epoch() {
+		t.Fatalf("step crossing an epoch bump ran at epoch %d (before %d, index at %d)",
+			res.Epoch, before, live.Epoch())
 	}
 
-	// And once more on the new generation: resume is allowed again.
+	// And once more on the new generation.
 	id4 := mkQuery(t, live, map[string]int{exactTerm(4): 1})
 	res, err = r.AddContext(context.Background(), id4...)
 	if err != nil {

@@ -95,14 +95,6 @@ type Config struct {
 	// context.DeadlineExceeded (default) or return the anytime
 	// partial answer.
 	OnDeadline DeadlinePolicy
-	// Refine enables incremental refinement reuse: every submission is
-	// canonicalized, results of clean completed evaluations are cached
-	// (a bounded LRU over each user's canonical queries), and each user
-	// carries the last evaluation's snapshot so an ADD-ONLY next query
-	// resumes instead of re-scanning (DF only; under BAF the path still
-	// caches results but never resumes). false = off (every submission
-	// evaluates cold, the historical behavior).
-	Refine bool
 }
 
 // Job is one submitted request. Wait blocks until it completes.
@@ -193,10 +185,6 @@ type Engine struct {
 	users  map[int]*userState
 	closed bool
 
-	// refine is the bounded result cache of the refinement-reuse path;
-	// nil when Config.Refine is off.
-	refine *refineCache
-
 	counters metrics.ServingCounters
 
 	// Observability: latency distributions and live gauges. All
@@ -213,10 +201,9 @@ var _ metrics.Source = (*Engine)(nil)
 // New starts an engine with cfg.Workers goroutines whose index
 // generation is supplied per request by src: a live index's Source
 // publishes a new Binding per commit or merge swap, and each user
-// session rebinds — fresh registry view, fresh evaluator, carried
-// refinement snapshot dropped — before its next job runs. src is
-// consulted once here so a broken initial binding fails construction,
-// not the first query.
+// session rebinds — fresh registry view, fresh evaluator — before its
+// next job runs. src is consulted once here so a broken initial
+// binding fails construction, not the first query.
 func New(src Source, cfg Config) (*Engine, error) {
 	if src == nil {
 		return nil, errors.New("engine: nil source")
@@ -248,9 +235,6 @@ func New(src Source, cfg Config) (*Engine, error) {
 		stopCancel: stopCancel,
 		drained:    make(chan struct{}),
 		users:      make(map[int]*userState),
-	}
-	if cfg.Refine {
-		e.refine = newRefineCache(refineCacheEntries)
 	}
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -340,7 +324,6 @@ func (e *Engine) userLocked(user int) (*userState, error) {
 	if err != nil {
 		return nil, err
 	}
-	u.cache = e.refine
 	us := &userState{user: u}
 	e.users[user] = us
 	return us, nil
@@ -356,7 +339,6 @@ func (e *Engine) userLocked(user int) (*userState, error) {
 // Step's exclusive access to the User safe.
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	refine := e.cfg.Refine
 	for j := range e.queue {
 		e.queueDepth.Add(-1)
 		e.inFlight.Add(1)
@@ -368,16 +350,7 @@ func (e *Engine) worker() {
 		var res *eval.Result
 		err := j.ctx.Err()
 		if err == nil {
-			q := j.Query
-			if refine {
-				// Resume and the result cache work on the canonical query.
-				q = eval.CanonicalQuery(q)
-			}
-			var invalidated bool
-			res, invalidated, err = j.us.user.Step(j.ctx, e.cfg.Algo, q, refine)
-			if refine {
-				e.countRefine(res, invalidated, err)
-			}
+			res, err = j.us.user.Step(j.ctx, e.cfg.Algo, j.Query)
 		}
 		j.service = time.Since(start)
 		e.service.Observe(j.service)

@@ -61,20 +61,6 @@ func (t *accTable) reset() {
 	}
 }
 
-// has reports whether the document is a candidate.
-func (t *accTable) has(doc postings.DocID) bool {
-	return t.present[uint32(doc)/64]&(1<<(uint32(doc)%64)) != 0
-}
-
-// set makes the document a candidate with accumulator v.
-func (t *accTable) set(doc postings.DocID, v float64) {
-	if w, bit := uint32(doc)/64, uint64(1)<<(uint32(doc)%64); t.present[w]&bit == 0 {
-		t.present[w] |= bit
-		t.n++
-	}
-	t.vals[doc] = v
-}
-
 // top is Figure 1 steps 5-6: normalize every accumulator by W_d and
 // pick the k best under rank.Before. Documents of zero length never
 // rank.

@@ -16,6 +16,20 @@ import (
 	"bufir/internal/rank"
 )
 
+// has reports whether the document is a candidate.
+func (t *accTable) has(doc postings.DocID) bool {
+	return t.present[uint32(doc)/64]&(1<<(uint32(doc)%64)) != 0
+}
+
+// set makes the document a candidate with accumulator v.
+func (t *accTable) set(doc postings.DocID, v float64) {
+	if w, bit := uint32(doc)/64, uint64(1)<<(uint32(doc)%64); t.present[w]&bit == 0 {
+		t.present[w] |= bit
+		t.n++
+	}
+	t.vals[doc] = v
+}
+
 // TestAccTableReset: a reset table is empty — no presence bit, no
 // candidate — whatever it held, and while it held it every candidate
 // read back its own accumulator.
@@ -60,10 +74,9 @@ type modelFilter struct {
 	vals    []float64
 	smax    float64
 	entries int
-	writes  []accWrite
 }
 
-func (m *modelFilter) page(li *listState, page []postings.Entry, recording bool) (stop bool) {
+func (m *modelFilter) page(li *listState, page []postings.Entry) (stop bool) {
 	m.entries += len(page)
 	for i, e := range page {
 		f := float64(e.Freq)
@@ -82,22 +95,19 @@ func (m *modelFilter) page(li *listState, page []postings.Entry, recording bool)
 		m.cands[e.Doc] = w
 		m.vals[e.Doc] = w
 		m.smax = max(m.smax, w)
-		if recording {
-			m.writes = append(m.writes, accWrite{Doc: e.Doc, Val: w})
-		}
 	}
 	return false
 }
 
 // TestFilterMatchesModel: run.filter, the one-pass admission kernel,
-// leaves the table, S_max, the entry count and the recorded writes
-// exactly where the entry-by-entry model does. Each case is one list —
+// leaves the table, S_max and the entry count exactly where the
+// entry-by-entry model does. Each case is one list —
 // runs of equal f_dt over distinct documents, among them 0, 63, 64 and
 // NumDocs−1, cut into pages of random size — admitted into a table that
 // earlier rounds left holding candidates, under f_ins ≥ f_add drawn
 // with 0, +Inf and whole f_dt values among them, some with f_add at or
 // above the list's largest f_dt (the first run stops, as under
-// ForceFirstPage), with recording on and off.
+// ForceFirstPage).
 func TestFilterMatchesModel(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	thresholds := func(maxF int) (fins, fadd float64) {
@@ -120,7 +130,6 @@ func TestFilterMatchesModel(t *testing.T) {
 	}
 	for c := 0; c < 400; c++ {
 		numDocs := 65 + r.Intn(3000)
-		recording := c%2 == 1
 		tab := getAccTable(numDocs)
 		m := &modelFilter{cands: make(map[postings.DocID]float64), vals: slices.Clone(tab.vals)}
 		for i := r.Intn(numDocs / 2); i > 0; i-- {
@@ -149,13 +158,13 @@ func TestFilterMatchesModel(t *testing.T) {
 		idf := r.Float64() * 5
 		li := &listState{idf: idf, wqt: rank.QueryWeight(1+r.Intn(3), idf), tr: &TermTrace{}}
 		li.fins, li.fadd = thresholds(int(list[0].Freq))
-		ru := &run{acc: tab, smax: m.smax, recording: recording}
+		ru := &run{acc: tab, smax: m.smax}
 		for len(list) > 0 {
 			page := list[:min(len(list), 1+r.Intn(40))]
 			list = list[len(page):]
 			li.tr.EntriesProcessed += len(page)
 			stop := ru.filter(li, page)
-			if stop != m.page(li, page, recording) {
+			if stop != m.page(li, page) {
 				t.Fatalf("case %d: kernel stop=%v, model %v", c, stop, !stop)
 			}
 			if stop {
@@ -163,7 +172,7 @@ func TestFilterMatchesModel(t *testing.T) {
 			}
 		}
 
-		name := fmt.Sprintf("case %d (numDocs %d, f_ins %v, f_add %v, recording %v)", c, numDocs, li.fins, li.fadd, recording)
+		name := fmt.Sprintf("case %d (numDocs %d, f_ins %v, f_add %v)", c, numDocs, li.fins, li.fadd)
 		if tab.n != len(m.cands) {
 			t.Fatalf("%s: |A| = %d, model %d", name, tab.n, len(m.cands))
 		}
@@ -180,14 +189,6 @@ func TestFilterMatchesModel(t *testing.T) {
 		}
 		if li.tr.EntriesProcessed != m.entries {
 			t.Fatalf("%s: %d entries processed, model %d", name, li.tr.EntriesProcessed, m.entries)
-		}
-		if len(ru.curWrites) != len(m.writes) {
-			t.Fatalf("%s: %d recorded writes, model %d", name, len(ru.curWrites), len(m.writes))
-		}
-		for i, w := range ru.curWrites {
-			if w.Doc != m.writes[i].Doc || math.Float64bits(w.Val) != math.Float64bits(m.writes[i].Val) {
-				t.Fatalf("%s: write %d = %+v, model %+v", name, i, w, m.writes[i])
-			}
 		}
 		putAccTable(tab)
 	}

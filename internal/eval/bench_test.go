@@ -13,13 +13,10 @@ import (
 
 var benchSink *Result
 
-// benchCase is one evaluator and method BenchmarkEvaluate prices;
-// record runs it through EvaluateResumeContext with no snapshot to
-// resume, so the case also records one.
+// benchCase is one evaluator and method BenchmarkEvaluate prices.
 type benchCase struct {
-	ev     *Evaluator
-	algo   Algorithm
-	record bool
+	ev   *Evaluator
+	algo Algorithm
 }
 
 // BenchmarkEvaluate prices the evaluator's own bookkeeping — the layer
@@ -28,9 +25,7 @@ type benchCase struct {
 // candidates (the tiny 4 000-document corpus and the 40 000-document
 // one the repository benchmark serves) × lists × method: exact
 // MAXSCORE (= FULL), and on the 40 000-document collection DF and BAF
-// under TunedParams too, and MAXSCORE and DF at 32 and 70 lists once
-// more recording a snapshot (the "/record" cases), which prices the
-// recording pass. The pool holds every page and is warmed first, so
+// under TunedParams too. The pool holds every page and is warmed first, so
 // fetches are hits and the time is admission, accumulator and ranking
 // upkeep. `make ci` runs it once per case as a smoke.
 func BenchmarkEvaluate(b *testing.B) {
@@ -73,21 +68,11 @@ func BenchmarkEvaluate(b *testing.B) {
 			cases := []benchCase{{ev: ev, algo: MAXSCORE}}
 			if cfg.NumDocs == corpus.DefaultConfig(1998).NumDocs {
 				cases = append(cases, benchCase{ev: filtered, algo: DF}, benchCase{ev: filtered, algo: BAF})
-				if lists > 8 {
-					cases = append(cases, benchCase{ev: ev, algo: MAXSCORE, record: true}, benchCase{ev: filtered, algo: DF, record: true})
-				}
 			}
 			for _, c := range cases {
 				name := fmt.Sprintf("docs=%d/lists=%d/%v", cfg.NumDocs, lists, c.algo)
-				evaluate := func() (res *Result, err error) {
+				evaluate := func() (*Result, error) {
 					return c.ev.EvaluateContext(context.Background(), c.algo, q)
-				}
-				if c.record {
-					name += "/record"
-					evaluate = func() (res *Result, err error) {
-						res, _, err = c.ev.EvaluateResumeContext(context.Background(), c.algo, q, nil)
-						return res, err
-					}
 				}
 				b.Run(name, func(b *testing.B) {
 					res, err := evaluate()

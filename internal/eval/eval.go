@@ -73,8 +73,7 @@ const (
 	WebLegend
 	// MAXSCORE is exact evaluation: Figure 1 with CAdd = CIns = 0
 	// whatever the Params say, so its answer is the exhaustive ("FULL")
-	// one by construction. It records and resumes refinement snapshots
-	// like DF; Results and metric labels carry its own name.
+	// one by construction; Results and metric labels carry its own name.
 	MAXSCORE
 )
 
@@ -201,7 +200,7 @@ type TermTrace struct {
 	EntriesProcessed int
 	// Elapsed is the wall time of a round, from its opening
 	// (thresholds, stop test) through its last page; a round closed
-	// unread is stamped too. Zero for replayed rounds.
+	// unread is stamped too.
 	Elapsed time.Duration
 	Skipped bool // true if f_max <= f_add skipped the whole list
 	// Truncated is true when the request's context was canceled or
@@ -214,14 +213,6 @@ type TermTrace struct {
 	// processed kept their contribution, the rest of the list was
 	// skipped. A faulted term is the visible edge of a degraded result.
 	Faulted bool
-	// Reused is true when the round was replayed from a refinement
-	// snapshot instead of scanning the list (EvaluateResumeContext):
-	// the accumulator effects are bit-identical to a cold scan, but no
-	// buffer traffic happened, so the page and entry counters above are
-	// zero. The threshold fields (SmaxBefore, FIns, FAdd) keep the
-	// values of the original scan — a cold run would recompute the
-	// same ones.
-	Reused bool
 }
 
 // Result is the outcome of evaluating one query.
@@ -264,18 +255,6 @@ type Result struct {
 	Degraded bool
 	// Faults counts the term rounds abandoned under the FaultBudget.
 	Faults int
-	// ReusedRounds counts the term rounds replayed from a carried
-	// refinement snapshot instead of being scanned
-	// (EvaluateResumeContext); 0 for cold evaluations. Replayed rounds
-	// contribute nothing to the page and entry counters — skipping
-	// that work is the point.
-	ReusedRounds int
-	// Cached is true when the result was served verbatim from a
-	// refinement result cache without running an evaluation: the
-	// ranking fields (Top, Accumulators, Smax) are those of the
-	// original evaluation, the cost counters are zero (no I/O or
-	// scanning happened), and Trace is nil.
-	Cached bool
 	// Epoch identifies the index generation the evaluation ran
 	// against. The evaluator itself does not know about epochs — the
 	// serving layer (Session, Engine) stamps it after binding the query
@@ -345,16 +324,6 @@ func (e *Evaluator) Evaluate(algo Algorithm, q Query) (*Result, error) {
 // Errors before any page is read (an invalid query, a dead context)
 // return a nil Result.
 func (e *Evaluator) EvaluateContext(ctx context.Context, algo Algorithm, q Query) (*Result, error) {
-	res, _, err := e.evaluate(ctx, algo, q, nil, false)
-	return res, err
-}
-
-// evaluate is the shared core of EvaluateContext and
-// EvaluateResumeContext: run the query, optionally resuming the DF
-// prefix recorded in prev, optionally recording a snapshot of the new
-// trajectory (DF only — see Snapshot for why the other algorithms
-// cannot be resumed exactly).
-func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev *Snapshot, record bool) (*Result, *Snapshot, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -362,25 +331,22 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 	// perturb the shared query registry (RAP re-keys replacement values
 	// on every announcement).
 	if algo < DF || algo > MAXSCORE {
-		return nil, nil, fmt.Errorf("eval: unknown algorithm %d", int(algo))
+		return nil, fmt.Errorf("eval: unknown algorithm %d", int(algo))
 	}
 	p := e.Params
 	if algo.Safe() {
-		// Exact evaluation is Figure 1 unfiltered, the FULL baseline;
-		// its snapshots are those of DF under the same constants.
+		// Exact evaluation is Figure 1 unfiltered, the FULL baseline.
 		algo, p.CAdd, p.CIns = DF, 0, 0
 	}
 	q, err := e.checkQuery(q)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Announce the query to the buffer manager so RAP can re-key its
-	// replacement values (no-op for LRU/MRU). Resumed evaluations
-	// announce exactly like cold ones: the full query is what the
-	// user is running, whatever prefix of it we can avoid re-scanning.
+	// replacement values (no-op for LRU/MRU).
 	weights := make(buffer.QueryWeights, len(q))
 	for _, qt := range q {
 		weights[qt.Term] = rank.QueryWeight(qt.Fqt, e.Idx.IDF(qt.Term))
@@ -388,31 +354,20 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 	e.Buf.SetQuery(weights)
 
 	start := time.Now()
-	r := e.newRun(algo, p, q, record)
-	if algo == DF { // the one resumable method; see Snapshot
-		r.replay(prev, r.resumePrefix(prev))
-	}
+	r := e.newRun(algo, p, q)
 	err = r.evaluate(ctx)
 	putAccTable(r.acc)
 	r.acc = nil
 	finish(r.res, err, start)
-	// A failed evaluation returns no snapshot — a truncated trajectory
-	// is not a legal resume point, and the caller keeps its previous one.
-	var snap *Snapshot
-	if err == nil && r.recording {
-		snap = &Snapshot{algo: algo, params: p, rounds: r.rec}
-	}
-	return r.res, snap, err
+	return r.res, err
 }
 
 // checkQuery validates q — non-empty, term ids in range, query
 // frequencies >= 1, no duplicate terms — and returns a copy in the one
 // canonical order every method starts from: decreasing idf_t (shortest
 // lists first), ties broken by TermID. This is Figure 1's DF processing
-// order and the order snapshots record. It is a pure function of the
-// query and the index — never of buffer state — which is what makes a
-// DF trajectory resumable: any query sharing a prefix of this order
-// shares the state trajectory through that prefix.
+// order, a pure function of the query and the index — never of buffer
+// state.
 func (e *Evaluator) checkQuery(q Query) (Query, error) {
 	if len(q) == 0 {
 		return nil, ErrEmptyQuery
@@ -545,34 +500,24 @@ type run struct {
 	// The accumulator array (pooled; see Evaluator).
 	acc *accTable
 
-	// The open round's start and S_max at BAF's last p_t refresh. When
-	// recording a snapshot (EvaluateResumeContext), filter appends each
-	// page's accumulator assignments to curWrites in chronological
-	// order, and endRound finalizes each round into rec.
-	// Replaying those assignments in order reproduces the exact
-	// floating-point accumulator state — the foundation of the
-	// bit-identical resume guarantee.
+	// The open round's start and S_max at BAF's last p_t refresh.
 	roundStart time.Time
 	ptSmax     float64
-	recording  bool
-	rec        []roundRec
-	curWrites  []accWrite
 }
 
 // newRun builds the run for a query already in canonical order
 // (checkQuery's output). A list opens when the schedule first picks it.
-func (e *Evaluator) newRun(algo Algorithm, p Params, q Query, record bool) *run {
+func (e *Evaluator) newRun(algo Algorithm, p Params, q Query) *run {
 	r := &run{
-		e:         e,
-		algo:      algo,
-		p:         p,
-		res:       &Result{Trace: make([]TermTrace, 0, len(q))},
-		lists:     make([]listState, len(q)),
-		live:      len(q),
-		sticky:    -1,
-		ptSmax:    math.Inf(-1),
-		acc:       getAccTable(e.Idx.NumDocs),
-		recording: record && algo == DF,
+		e:      e,
+		algo:   algo,
+		p:      p,
+		res:    &Result{Trace: make([]TermTrace, 0, len(q))},
+		lists:  make([]listState, len(q)),
+		live:   len(q),
+		sticky: -1,
+		ptSmax: math.Inf(-1),
+		acc:    getAccTable(e.Idx.NumDocs),
 	}
 	for i, qt := range q {
 		tm := &e.Idx.Terms[qt.Term]
@@ -762,9 +707,7 @@ func (r *run) open(pos, estReads int) int {
 // f_dt, so the stop and insertion tests and w_{d,t}·w_{q,t} are worked
 // out when a run starts; then each entry takes one bitmap load and is
 // added to, inserted (f_dt > f_ins) or skipped, with the table and S_max
-// in locals. A list holds a document at most once, so a recording run's
-// writes on the page are, in order, its admitted documents whose bit is
-// set, with their values: they are appended after the page.
+// in locals.
 func (r *run) filter(li *listState, entries []postings.Entry) bool {
 	present, vals := r.acc.present, r.acc.vals
 	n, smax := r.acc.n, r.smax
@@ -800,13 +743,6 @@ func (r *run) filter(li *listState, entries []postings.Entry) bool {
 		}
 	}
 	r.acc.n, r.smax = n, smax
-	if r.recording {
-		for _, e := range entries[:stop] {
-			if r.acc.has(e.Doc) {
-				r.curWrites = append(r.curWrites, accWrite{Doc: e.Doc, Val: vals[e.Doc]})
-			}
-		}
-	}
 	if stop == len(entries) {
 		return false
 	}
@@ -814,29 +750,7 @@ func (r *run) filter(li *listState, entries []postings.Entry) bool {
 	return true
 }
 
-// endRound finalizes the closing round's record. clean marks a round
-// whose full effect was applied (not truncated, not faulted, not cut
-// by the fault budget): only clean rounds are legal resume prefix
-// material.
-func (r *run) endRound(li *listState, clean bool) {
-	if !r.recording {
-		return
-	}
-	r.rec = append(r.rec, roundRec{
-		Term:      li.qt.Term,
-		Fqt:       li.qt.Fqt,
-		SmaxAfter: r.smax,
-		Writes:    r.curWrites,
-		Clean:     clean,
-		Trace:     *li.tr,
-	})
-	r.curWrites = nil
-}
-
-// finishList marks list pos finished and closes its round: the row's
-// wall time and the round's record, which a truncated or faulted scan
-// leaves not-clean — its writes are real, but the prefix matcher must
-// stop in front of it.
+// finishList marks list pos finished and stamps its round's wall time.
 func (r *run) finishList(pos int) {
 	li := &r.lists[pos]
 	li.done = true
@@ -845,7 +759,6 @@ func (r *run) finishList(pos int) {
 		r.sticky = -1
 	}
 	li.tr.Elapsed = time.Since(r.roundStart)
-	r.endRound(li, !li.tr.Truncated && !li.tr.Faulted)
 }
 
 // thresholds computes (f_ins, f_add) for list li at the current S_max

@@ -520,89 +520,3 @@ func TestGoldenPartialAndDegraded(t *testing.T) {
 		compareGolden(t, "golden_"+name+"_outcomes.json", runGoldenOutcomes(t, name, k))
 	}
 }
-
-// The snapshot golden pins what EvaluateResumeContext records and
-// replays: per round of a DF snapshot, the term, the Clean flag, the
-// S_max bits after it, the write count and an FNV-64a hash over the
-// (doc, value bits) writes in order. Each query of the filter grid's
-// DF cells is recorded twice: cold, with its last canonical term
-// dropped, and then whole, resumed from that snapshot — the second
-// record's answer comes from replayed writes.
-type snapshotRecord struct {
-	Name         string      `json:"name"`
-	ReusedRounds int         `json:"reused_rounds"`
-	Accumulators int         `json:"accumulators"`
-	Smax         string      `json:"smax"` // math.Float64bits, hex
-	Top          []goldenDoc `json:"top"`
-	// Rounds holds one "term clean smax writes hash" string per round.
-	Rounds []string `json:"rounds"`
-}
-
-func recordSnapshot(name string, out *Result, snap *Snapshot) snapshotRecord {
-	rec := snapshotRecord{
-		Name:         name,
-		ReusedRounds: out.ReusedRounds,
-		Accumulators: out.Accumulators,
-		Smax:         strconv.FormatUint(math.Float64bits(out.Smax), 16),
-		Top:          make([]goldenDoc, len(out.Top)),
-	}
-	for i, sd := range out.Top {
-		rec.Top[i] = goldenDoc{Doc: int32(sd.Doc), Bits: strconv.FormatUint(math.Float64bits(sd.Score), 16)}
-	}
-	for _, rr := range snap.rounds {
-		h := uint64(14695981039346656037)
-		for _, w := range rr.Writes {
-			for _, x := range [2]uint64{uint64(uint32(w.Doc)), math.Float64bits(w.Val)} {
-				for i := 0; i < 8; i++ {
-					h = (h ^ uint64(byte(x>>(8*i)))) * 1099511628211
-				}
-			}
-		}
-		rec.Rounds = append(rec.Rounds, fmt.Sprintf("%d %v %x %d %x",
-			rr.Term, rr.Clean, math.Float64bits(rr.SmaxAfter), len(rr.Writes), h))
-	}
-	return rec
-}
-
-// runSnapshotGrid walks the filter grid's DF cells, one pool per
-// (policy, size) cell across the twelve queries.
-func runSnapshotGrid(t testing.TB, envName string, k int) []snapshotRecord {
-	env := loadGoldenEnv(t, envName)
-	var recs []snapshotRecord
-	for _, pol := range goldenPolicies {
-		for _, size := range goldenPools {
-			mgr := env.newPool(t, size, pol.make(size))
-			for i := range goldenLists {
-				ev := &Evaluator{Idx: env.ix, Buf: mgr, Conv: env.conv, Params: filterParams(i, k, 0)}
-				q, err := ev.checkQuery(env.query(i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("%s/%s/pool=%d/lists=%d", envName, pol.name, size, len(q))
-				var prev *Snapshot
-				if len(q) > 1 {
-					res, snap, err := ev.EvaluateResumeContext(context.Background(), DF, q[:len(q)-1], nil)
-					if err != nil {
-						t.Fatalf("%s prefix: %v", name, err)
-					}
-					recs = append(recs, recordSnapshot(name+"/prefix", res, snap))
-					prev = snap
-				}
-				res, snap, err := ev.EvaluateResumeContext(context.Background(), DF, q, prev)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				recs = append(recs, recordSnapshot(name+"/resumed", res, snap))
-			}
-		}
-	}
-	return recs
-}
-
-// TestGoldenSnapshots: the rounds a DF snapshot records, and the
-// answer a resume from it replays, equal the recorded evaluator's.
-func TestGoldenSnapshots(t *testing.T) {
-	for name, k := range goldenTopN {
-		compareGolden(t, "golden_"+name+"_snapshot.json", runSnapshotGrid(t, name, k))
-	}
-}

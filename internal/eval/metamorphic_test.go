@@ -1,12 +1,14 @@
-// Metamorphic exactness harness for incremental refinement: over
+// Metamorphic exactness harness for refinement over a warm pool: over
 // random indexes, tunings, pool sizes, policies and refinement
-// schedules, a resumed evaluation must be bit-identical to a cold
-// evaluation of the same query — same documents, bit-equal scores,
-// same accumulator count, bit-equal S_max — and an ADD-ONLY resume
-// must never process more pages than the cold run. The relation is
-// checked under fault and cancellation interleavings too: a failed or
-// degraded step may shorten what the snapshot can replay, never
-// corrupt it.
+// schedules, each step is evaluated afresh on the pool the previous
+// steps left behind, and must be bit-identical to a cold evaluation of
+// the same query on a fresh pool — same documents, bit-equal scores,
+// same accumulator count, bit-equal S_max — processing the same pages
+// and reading no more of them. DF's round order is a function of the
+// query and the index alone, so what the pool holds may change the
+// reads, never the answer. The relation is checked under fault and
+// cancellation interleavings too: a degraded or canceled step leaves
+// the pool fit to answer the next one exactly.
 package eval
 
 import (
@@ -51,7 +53,7 @@ func randIndex(t *testing.T, r *rand.Rand) *fixture {
 }
 
 // randParams picks a tuning: mostly filtered (the interesting case —
-// thresholds derive from the carried S_max), sometimes exhaustive.
+// thresholds derive from the running S_max), sometimes exhaustive.
 func randParams(r *rand.Rand) Params {
 	p := Params{TopN: 5 + r.Intn(10)}
 	if r.Intn(4) > 0 {
@@ -95,17 +97,52 @@ func addOnlySchedule(r *rand.Rand, numTerms, steps int) []Query {
 	return out
 }
 
-// runSchedule drives one schedule through an incremental evaluator,
+// assertBitIdentical fails unless a and b agree exactly — same docs,
+// bit-equal scores, same accumulator count, bit-equal S_max: not
+// approximately equal, equal.
+func assertBitIdentical(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if len(got.Top) != len(want.Top) {
+		t.Fatalf("%s: %d results, want %d", label, len(got.Top), len(want.Top))
+	}
+	for i := range want.Top {
+		if got.Top[i].Doc != want.Top[i].Doc || got.Top[i].Score != want.Top[i].Score {
+			t.Fatalf("%s pos %d: got %+v, want %+v (bit-identical)", label, i, got.Top[i], want.Top[i])
+		}
+	}
+	if got.Accumulators != want.Accumulators {
+		t.Fatalf("%s: Accumulators = %d, want %d", label, got.Accumulators, want.Accumulators)
+	}
+	if got.Smax != want.Smax {
+		t.Fatalf("%s: Smax = %v, want %v (bit-identical)", label, got.Smax, want.Smax)
+	}
+}
+
+// coldEval evaluates q on a fresh evaluator over a fresh ample pool —
+// the reference every warm-pool step must match bit for bit. With a
+// fresh pool every processed page is a miss, so its PagesRead is the
+// whole page cost of the query.
+func coldEval(t *testing.T, f *fixture, p Params, q Query) *Result {
+	t.Helper()
+	ev := f.evaluator(t, f.ix.NumPagesTotal+2, buffer.NewLRU(), p)
+	res, err := ev.Evaluate(DF, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runSchedule drives one schedule through one evaluator over one pool,
 // asserting every step bit-identical to a cold evaluation of the same
-// cumulative query and never more pages than cold. Returns the total
-// rounds reused, so callers can assert the mechanism engages at all.
+// cumulative query, over the same pages, reading no more of them.
+// Returns the pages the steps found resident, so callers can assert
+// the pool carried something from step to step at all.
 func runSchedule(t *testing.T, f *fixture, p Params, mkPol func() buffer.Policy, bufPages int, qs []Query) int {
 	t.Helper()
 	ev := f.evaluator(t, bufPages, mkPol(), p)
-	var snap *Snapshot
-	reused := 0
+	hits := 0
 	for step, q := range qs {
-		res, next, err := ev.EvaluateResumeContext(context.Background(), DF, q, snap)
+		res, err := ev.Evaluate(DF, q)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -113,22 +150,19 @@ func runSchedule(t *testing.T, f *fixture, p Params, mkPol func() buffer.Policy,
 		assertBitIdentical(t, "step", res, cold)
 		// Cold on a fresh pool misses every processed page, and a
 		// query never processes a page twice, so cold PagesRead is
-		// exactly the full processing cost. An incremental step may
-		// only process the suffix of that work.
-		if res.PagesProcessed > cold.PagesProcessed {
-			t.Fatalf("step %d: incremental processed %d pages, cold %d",
+		// exactly the full processing cost; a warm step processes the
+		// same pages and finds some of them resident.
+		if res.PagesProcessed != cold.PagesProcessed {
+			t.Fatalf("step %d: warm step processed %d pages, cold %d",
 				step, res.PagesProcessed, cold.PagesProcessed)
 		}
 		if res.PagesRead > cold.PagesRead {
-			t.Fatalf("step %d: incremental read %d pages, cold read %d",
+			t.Fatalf("step %d: warm step read %d pages, cold read %d",
 				step, res.PagesRead, cold.PagesRead)
 		}
-		reused += res.ReusedRounds
-		if next != nil {
-			snap = next
-		}
+		hits += res.PagesProcessed - res.PagesRead
 	}
-	return reused
+	return hits
 }
 
 // TestMetamorphicAddOnlySchedules is the headline harness: 200 random
@@ -140,26 +174,24 @@ func TestMetamorphicAddOnlySchedules(t *testing.T) {
 		pol := pol
 		t.Run(pol.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(1998 + int64(len(pol.name))))
-			totalReused := 0
+			hits := 0
 			for i := 0; i < schedulesPerPolicy; i++ {
 				f := randIndex(t, r)
 				p := randParams(r)
 				qs := addOnlySchedule(r, len(f.lists), 2+r.Intn(2))
 				bufPages := 1 + r.Intn(f.ix.NumPagesTotal+2)
-				totalReused += runSchedule(t, f, p, pol.mk, bufPages, qs)
+				hits += runSchedule(t, f, p, pol.mk, bufPages, qs)
 			}
-			if totalReused == 0 {
-				t.Fatal("no schedule ever resumed a round — the mechanism never engaged")
+			if hits == 0 {
+				t.Fatal("no step ever found a page resident — the pool never carried anything")
 			}
 		})
 	}
 }
 
-// TestMetamorphicAddDropSchedules hands the carried snapshot to the
-// evaluator even across DROP steps: the prefix matcher must reuse
-// only the still-agreeing leading rounds, keeping every step exact.
-// (The refinement layer invalidates on DROP by policy; the eval layer
-// must be correct even without that courtesy.)
+// TestMetamorphicAddDropSchedules runs schedules with DROP steps: a
+// dropped term's pages stay in the pool (and RAP values them at zero),
+// and every step is still exact.
 func TestMetamorphicAddDropSchedules(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for i := 0; i < 100; i++ {
@@ -189,9 +221,9 @@ func TestMetamorphicAddDropSchedules(t *testing.T) {
 
 // TestMetamorphicFaultInterleavings: schedules run against a store
 // that faults periodically (absorbed by the fault budget, degrading
-// steps), then the store heals and a final ADD-ONLY step must be
-// bit-identical to cold — degraded rounds were recorded not-clean and
-// never replayed.
+// steps), then the store heals and a final ADD-ONLY step on the same
+// pool must be bit-identical to cold — a failed load leaves no page
+// resident that a later step could read.
 func TestMetamorphicFaultInterleavings(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	for i := 0; i < 60; i++ {
@@ -202,23 +234,17 @@ func TestMetamorphicFaultInterleavings(t *testing.T) {
 		pol := metaPolicies[i%len(metaPolicies)]
 		ev := f.evaluator(t, 1+r.Intn(f.ix.NumPagesTotal+2), pol.mk(), p)
 
-		var snap *Snapshot
 		// One read in two to one in five fails, by seeded coin.
 		f.faults(t, fmt.Sprintf("transient:prob=%.2f", 1/float64(2+r.Intn(4))))
 		for step, q := range qs[:len(qs)-1] {
-			res, next, err := ev.EvaluateResumeContext(context.Background(), DF, q, snap)
-			if err != nil {
+			if _, err := ev.Evaluate(DF, q); err != nil {
 				t.Fatalf("iter %d step %d: %v", i, step, err)
 			}
-			if next != nil {
-				snap = next
-			}
-			_ = res
 		}
 		f.heal()
 
 		final := qs[len(qs)-1]
-		res, _, err := ev.EvaluateResumeContext(context.Background(), DF, final, snap)
+		res, err := ev.Evaluate(DF, final)
 		if err != nil {
 			t.Fatalf("iter %d final: %v", i, err)
 		}
@@ -230,8 +256,8 @@ func TestMetamorphicFaultInterleavings(t *testing.T) {
 }
 
 // TestMetamorphicCancellationInterleavings: a step canceled mid-scan
-// returns no snapshot; retrying the same step with the prior snapshot
-// must still be exact, and the schedule continues unharmed.
+// leaves no frame pinned; retrying the same step on the same pool must
+// still be exact, and the schedule continues unharmed.
 func TestMetamorphicCancellationInterleavings(t *testing.T) {
 	r := rand.New(rand.NewSource(31337))
 	for i := 0; i < 60; i++ {
@@ -244,7 +270,6 @@ func TestMetamorphicCancellationInterleavings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var snap *Snapshot
 		for step, q := range qs {
 			if r.Intn(2) == 0 {
 				// A doomed attempt first: canceled after a few fetches.
@@ -254,30 +279,19 @@ func TestMetamorphicCancellationInterleavings(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, ghost, err := evC.EvaluateResumeContext(ctx, DF, q, snap)
-				if err != nil && !errors.Is(err, context.Canceled) {
+				if _, err := evC.EvaluateContext(ctx, DF, q); err != nil && !errors.Is(err, context.Canceled) {
 					t.Fatalf("iter %d step %d canceled attempt: %v", i, step, err)
-				}
-				if err == nil && ghost != nil {
-					// The cancel landed after the scan finished — a
-					// completed trajectory is a fine snapshot.
-					snap = ghost
-				} else if ghost != nil {
-					t.Fatalf("iter %d step %d: canceled attempt returned a snapshot", i, step)
 				}
 				cancel()
 				if n := mgr.PinnedFrames(); n != 0 {
 					t.Fatalf("iter %d step %d: %d frames pinned after cancel", i, step, n)
 				}
 			}
-			res, next, err := ev.EvaluateResumeContext(context.Background(), DF, q, snap)
+			res, err := ev.Evaluate(DF, q)
 			if err != nil {
 				t.Fatalf("iter %d step %d: %v", i, step, err)
 			}
 			assertBitIdentical(t, "step", res, coldEval(t, f, p, q))
-			if next != nil {
-				snap = next
-			}
 		}
 	}
 }

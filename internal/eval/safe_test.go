@@ -290,6 +290,7 @@ func TestValidation(t *testing.T) {
 		{"negative budget", Query{{Term: 0, Fqt: 1}}, Params{TopN: 10, FaultBudget: -1}},
 		{"term out of range", Query{{Term: 99, Fqt: 1}}, Params{TopN: 10}},
 		{"fqt < 1", Query{{Term: 0, Fqt: 0}}, Params{TopN: 10}},
+		{"duplicate term", Query{{Term: 0, Fqt: 1}, {Term: 0, Fqt: 2}}, Params{TopN: 10}},
 	}
 	for _, tc := range cases {
 		ev, err := NewEvaluator(f.ix, f.newPool(t, 8, buffer.NewLRU()), f.conv, tc.p)

@@ -14,7 +14,7 @@ import (
 
 // ---------------------------------------------------------------------------
 // The serving experiments (E21 concurrency, lifecycle, E22 obs, E23
-// faults, E24 refine-incr, E25 shards) measure the shipped assembly:
+// faults, E25 shards) measure the shipped assembly:
 // each builds a bufir.Index over the collection and serves it through
 // Index.NewEngine (and, for E25, NewRouter), exactly as a user would.
 // They share one workload, one driver and one exactness check, below.

@@ -10,8 +10,8 @@ import (
 
 // The serving goldens pin the deterministic columns of the multi-user
 // experiments at TinyConfig(42): E12's three read series, the E21 and
-// E22 verification rows (serial interleave vs 1-worker engine reads)
-// and E24's per-step cost and exactness columns. Timing columns and
+// E22 verification rows (serial interleave vs 1-worker engine reads).
+// Timing columns and
 // multi-worker read counts vary run to run and are left out.
 // Regenerate with
 //
@@ -23,22 +23,11 @@ var update = flag.Bool("update", false, "rewrite the testdata/golden_*.json file
 
 const goldenServingFile = "testdata/golden_serving.json"
 
-type goldenIncrStep struct {
-	Terms     int  `json:"terms"`
-	ColdPages int  `json:"cold_pages"`
-	IncrPages int  `json:"incr_pages"`
-	IncrProc  int  `json:"incr_proc"`
-	Reused    int  `json:"reused"`
-	Exact     bool `json:"exact"`
-	Cached    bool `json:"cached"`
-}
-
 type goldenServing struct {
-	E12Sizes  []int                    `json:"e12_sizes"`
-	E12Series map[string][]int         `json:"e12_series"`
-	E21Verify []VerifyPoint            `json:"e21_verify"`
-	E22Verify []VerifyPoint            `json:"e22_verify"`
-	E24Steps  map[int][]goldenIncrStep `json:"e24_steps"`
+	E12Sizes  []int            `json:"e12_sizes"`
+	E12Series map[string][]int `json:"e12_series"`
+	E21Verify []VerifyPoint    `json:"e21_verify"`
+	E22Verify []VerifyPoint    `json:"e22_verify"`
 }
 
 func TestServingGoldens(t *testing.T) {
@@ -62,20 +51,6 @@ func TestServingGoldens(t *testing.T) {
 		t.Fatalf("obs: %v", err)
 	}
 	got.E22Verify = ob.Verify
-
-	incr, err := env.RunRefineIncr(2)
-	if err != nil {
-		t.Fatalf("refine-incr: %v", err)
-	}
-	got.E24Steps = make(map[int][]goldenIncrStep)
-	for _, topic := range incr.Topics {
-		for _, s := range topic.Steps {
-			got.E24Steps[topic.TopicID] = append(got.E24Steps[topic.TopicID], goldenIncrStep{
-				Terms: s.Terms, ColdPages: s.ColdPages, IncrPages: s.IncrPages,
-				IncrProc: s.IncrProc, Reused: s.Reused, Exact: s.Exact, Cached: s.Cached,
-			})
-		}
-	}
 
 	raw, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {

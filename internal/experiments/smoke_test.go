@@ -265,45 +265,6 @@ func TestFaultsExperiment(t *testing.T) {
 	t.Logf("faults:\n%s", buf.String())
 }
 
-func TestRefineIncrExperiment(t *testing.T) {
-	env := newTinyEnv(t)
-	r, err := env.RunRefineIncr(2)
-	if err != nil {
-		t.Fatalf("refine-incr: %v", err)
-	}
-	var buf bytes.Buffer
-	r.Format(&buf)
-	if len(r.Topics) == 0 {
-		t.Fatal("no topics ran")
-	}
-	for _, topic := range r.Topics {
-		for i, s := range topic.Steps {
-			if !s.Exact {
-				t.Errorf("topic %d step %d: incremental answer not bit-identical to cold", topic.TopicID, i)
-			}
-			// Every step past the first rides the snapshot (or, for the
-			// final verbatim resubmission, the result cache): strictly
-			// fewer pages read than the cold evaluation.
-			if i > 0 && s.IncrPages >= s.ColdPages {
-				t.Errorf("topic %d step %d: incremental read %d pages, cold %d",
-					topic.TopicID, i, s.IncrPages, s.ColdPages)
-			}
-			if i > 0 && !s.Cached && s.Reused == 0 {
-				t.Errorf("topic %d step %d: ADD-ONLY step did not resume", topic.TopicID, i)
-			}
-		}
-		last := topic.Steps[len(topic.Steps)-1]
-		if !last.Cached || last.IncrPages != 0 {
-			t.Errorf("topic %d: verbatim resubmission not served from the cache (%+v)", topic.TopicID, last)
-		}
-	}
-	c := r.Counters
-	if c.RefineHits == 0 || c.RefineMisses == 0 || c.RefineResumes == 0 {
-		t.Errorf("refine counters did not move: %+v", c)
-	}
-	t.Logf("refine-incr:\n%s", buf.String())
-}
-
 // TestIngestExperiment gates E28's three verdicts at tiny scale: the
 // frozen phase answers exactly, no reader sees its epoch go backwards,
 // and the merged generation is bit-identical to a pure-delta replay.

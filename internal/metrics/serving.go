@@ -56,23 +56,6 @@ type ServingCounters struct {
 	// happened.
 	Retries atomic.Int64
 	Faults  atomic.Int64
-
-	// Refinement-reuse counters (the engine's incremental refinement
-	// path). RefineHits counts requests answered verbatim from the
-	// result cache (no evaluation ran); RefineMisses counts refine-path
-	// requests that had to evaluate; RefineResumes counts the subset of
-	// misses that replayed a snapshot prefix instead of evaluating
-	// cold, with RefineReusedRounds summing the term rounds they
-	// skipped; RefineInvalidations counts snapshots dropped because a
-	// user's next query was not an ADD-ONLY step of the snapshotted
-	// one. Cache hits are NOT charged pages or entries — no I/O
-	// happened — so at quiescence PagesRead still equals the buffer
-	// pool's miss counter.
-	RefineHits          atomic.Int64
-	RefineMisses        atomic.Int64
-	RefineResumes       atomic.Int64
-	RefineReusedRounds  atomic.Int64
-	RefineInvalidations atomic.Int64
 }
 
 // ServingSnapshot is a point-in-time copy of ServingCounters.
@@ -92,11 +75,6 @@ type ServingSnapshot struct {
 	Degraded              int64
 	Retries               int64
 	Faults                int64
-	RefineHits            int64
-	RefineMisses          int64
-	RefineResumes         int64
-	RefineReusedRounds    int64
-	RefineInvalidations   int64
 }
 
 // Snapshot copies the counters.
@@ -117,11 +95,6 @@ func (c *ServingCounters) Snapshot() ServingSnapshot {
 		Degraded:              c.Degraded.Load(),
 		Retries:               c.Retries.Load(),
 		Faults:                c.Faults.Load(),
-		RefineHits:            c.RefineHits.Load(),
-		RefineMisses:          c.RefineMisses.Load(),
-		RefineResumes:         c.RefineResumes.Load(),
-		RefineReusedRounds:    c.RefineReusedRounds.Load(),
-		RefineInvalidations:   c.RefineInvalidations.Load(),
 	}
 }
 

@@ -38,14 +38,6 @@ func writeMetrics(w io.Writer, s metrics.Snapshot) {
 	counter("bufir_retries_total", "Buffer load retries (backoff sleeps before re-reads).", sv.Retries)
 	counter("bufir_faults_total", "Term rounds abandoned under the per-query error budget.", sv.Faults)
 
-	// Refinement-reuse counters: the engine's incremental refinement
-	// path (result cache + snapshot resume).
-	counter("bufir_refine_hits_total", "Requests answered from the refinement result cache (no evaluation ran).", sv.RefineHits)
-	counter("bufir_refine_misses_total", "Refine-path requests that had to evaluate.", sv.RefineMisses)
-	counter("bufir_refine_resumes_total", "Evaluations that replayed a snapshot prefix instead of running cold.", sv.RefineResumes)
-	counter("bufir_refine_reused_rounds_total", "Term rounds replayed from snapshots instead of being scanned.", sv.RefineReusedRounds)
-	counter("bufir_refine_invalidations_total", "Carried snapshots dropped by non-ADD-ONLY resubmissions.", sv.RefineInvalidations)
-
 	// Cost counters: the paper's metrics, aggregated over every
 	// evaluation that ran — including aborted and canceled ones, which
 	// are charged for the pages they actually read.

@@ -70,15 +70,14 @@ func TestSessionSafeMethodsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineSafeMethod: the concurrent engine with the exact method —
-// including its refinement path, which resumes snapshots of the
-// unfiltered trajectory — stays exact.
+// TestEngineSafeMethod: the concurrent engine with the exact method
+// stays exact over a growing refinement, the second step running on
+// the pool the first left warm.
 func TestEngineSafeMethod(t *testing.T) {
 	col, ix := testIndex(t)
 	eng, err := ix.NewEngine(EngineConfig{
 		EvalOptions: EvalOptions{Algorithm: Maxscore, TopN: 10},
 		Workers:     2, BufferPages: 64,
-		Refine: RefineOptions{Incremental: true},
 	})
 	if err != nil {
 		t.Fatal(err)

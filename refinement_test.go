@@ -5,37 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 )
 
-// sortByIDF orders a query the way DF processes it — idf descending,
-// TermID ascending — so tests can append terms that extend the
-// processed prefix instead of reordering it.
-func sortByIDF(ix *Index, q Query) Query {
-	out := append(Query{}, q...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := ix.meta().IDF(out[i].Term), ix.meta().IDF(out[j].Term)
-		if a != b {
-			return a > b
-		}
-		return out[i].Term < out[j].Term
-	})
-	return out
-}
-
 // refinement walks a Session through the paper's §2.1 user model —
-// add or drop terms, resubmit — with the exact s.user.Step calls an
-// engine user makes, recording every committed step. A failed or
-// canceled step commits nothing: the current query, History and the
-// carried snapshot keep their pre-step state, and the partial result,
-// if any, rides along with the error.
+// add or drop terms, resubmit — recording every committed step. Each
+// step is evaluated afresh over the session's pool, which the earlier
+// steps left warm. A failed or canceled step commits nothing: the
+// current query and History keep their pre-step state, and the partial
+// result, if any, rides along with the error.
 type refinement struct {
-	s           *Session
-	incremental bool
-	current     Query
-	History     []refinementStep
+	s       *Session
+	current Query
+	History []refinementStep
 }
 
 // refinementStep is one committed submission's outcome.
@@ -43,18 +26,11 @@ type refinementStep struct {
 	DiskReads         int
 	Partial, Degraded bool
 	Elapsed           time.Duration
-	// Resumed and ReusedRounds report snapshot reuse; Invalidated, a
-	// step that dropped the carried snapshot and ran cold.
-	Resumed      bool
-	ReusedRounds int
-	Invalidated  bool
 }
 
-// startRefinement submits the initial query; incremental carries the
-// evaluation snapshot across ADD-ONLY steps, as EngineConfig.Refine
-// does for an engine user.
-func startRefinement(ctx context.Context, s *Session, initial Query, incremental bool) (*refinement, *Result, error) {
-	r := &refinement{s: s, incremental: incremental}
+// startRefinement submits the initial query.
+func startRefinement(ctx context.Context, s *Session, initial Query) (*refinement, *Result, error) {
+	r := &refinement{s: s}
 	res, err := r.submit(ctx, initial)
 	if err != nil {
 		return nil, nil, err
@@ -96,19 +72,16 @@ func (r *refinement) DropContext(ctx context.Context, term TermID) (*Result, err
 }
 
 func (r *refinement) submit(ctx context.Context, q Query) (*Result, error) {
-	res, invalidated, err := r.s.user.Step(ctx, r.s.algo, q, r.incremental)
+	res, err := r.s.SearchContext(ctx, q)
 	if err != nil {
 		return res, err
 	}
 	r.current = q
 	r.History = append(r.History, refinementStep{
-		DiskReads:    res.PagesRead,
-		Partial:      res.Partial,
-		Degraded:     res.Degraded,
-		Elapsed:      res.Elapsed,
-		Resumed:      res.ReusedRounds > 0,
-		ReusedRounds: res.ReusedRounds,
-		Invalidated:  invalidated,
+		DiskReads: res.PagesRead,
+		Partial:   res.Partial,
+		Degraded:  res.Degraded,
+		Elapsed:   res.Elapsed,
 	})
 	return res, nil
 }
@@ -133,7 +106,7 @@ func TestRefinementSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, res, err := startRefinement(context.Background(), s, q[:3], false)
+	ref, res, err := startRefinement(context.Background(), s, q[:3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +192,7 @@ func TestRefinementSession(t *testing.T) {
 }
 
 // equalRankings fails unless the two results agree exactly: same
-// documents, bit-equal scores, same accumulator count and S_max — the
-// incremental-refinement contract.
+// documents, bit-equal scores, same accumulator count and S_max.
 func equalRankings(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if len(got.Top) != len(want.Top) {
@@ -255,7 +227,7 @@ func TestRefinementTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, _, err := startRefinement(context.Background(), s, initial, false)
+		ref, _, err := startRefinement(context.Background(), s, initial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,87 +337,11 @@ func TestRefinementTable(t *testing.T) {
 	}
 }
 
-// TestIncrementalRefinementBitIdentical: with RefineOptions.Incremental
-// under DF, every ADD-ONLY step resumes (Resumed, ReusedRounds > 0),
-// a DROP invalidates and runs cold (Invalidated), and every step's
-// ranking is bit-identical to a cold session evaluating the same
-// cumulative query.
-func TestIncrementalRefinementBitIdentical(t *testing.T) {
-	col, ix := testIndex(t)
-	q, err := ix.TopicQuery(col.Topics[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q) < 6 {
-		t.Skip("topic too small")
-	}
-	q = sortByIDF(ix, q)
-	s, err := ix.NewSession(SessionConfig{Policy: LRU, BufferPages: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldOf := func(t *testing.T, cur Query) *Result {
-		t.Helper()
-		cs, err := ix.NewSession(SessionConfig{Policy: LRU, BufferPages: 96})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := cs.Search(cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	ref, res, err := startRefinement(context.Background(), s, q[:3], true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalRankings(t, "initial", res, coldOf(t, ref.Current()))
-
-	res, err = ref.AddContext(context.Background(), q[3], q[4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := coldOf(t, ref.Current())
-	equalRankings(t, "add", res, cold)
-	step := ref.History[len(ref.History)-1]
-	if !step.Resumed || step.ReusedRounds == 0 || res.ReusedRounds != step.ReusedRounds {
-		t.Fatalf("ADD-ONLY step did not resume: %+v", step)
-	}
-	if res.PagesProcessed >= cold.PagesProcessed {
-		t.Fatalf("incremental step processed %d pages, cold %d", res.PagesProcessed, cold.PagesProcessed)
-	}
-
-	// DROP invalidates: the evaluation runs cold and says so.
-	res, err = ref.DropContext(context.Background(), q[0].Term)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalRankings(t, "drop", res, coldOf(t, ref.Current()))
-	step = ref.History[len(ref.History)-1]
-	if !step.Invalidated || step.Resumed || res.ReusedRounds != 0 {
-		t.Fatalf("DROP step should invalidate and run cold: %+v", step)
-	}
-
-	// The post-drop evaluation reseeded the snapshot: adding again
-	// resumes again.
-	res, err = ref.AddContext(context.Background(), q[5])
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalRankings(t, "re-add", res, coldOf(t, ref.Current()))
-	step = ref.History[len(ref.History)-1]
-	if !step.Resumed || step.Invalidated {
-		t.Fatalf("post-drop ADD should resume from the reseeded snapshot: %+v", step)
-	}
-}
-
 // TestRefinementCancelMidStepConsistent: a step whose context dies —
-// before or during evaluation — commits nothing: Current, History and
-// the carried snapshot keep their pre-step state, the partial answer
-// (if any) rides along with the error, and the next step still
-// resumes and stays bit-identical to cold.
+// before or during evaluation — commits nothing: Current and History
+// keep their pre-step state, the partial answer (if any) rides along
+// with the error, and the retried step, over the pool the canceled
+// attempts left behind, is bit-identical to cold.
 func TestRefinementCancelMidStepConsistent(t *testing.T) {
 	col, err := GenerateCollection(TinyCollectionConfig(21))
 	if err != nil {
@@ -467,12 +363,11 @@ func TestRefinementCancelMidStepConsistent(t *testing.T) {
 	if len(q) < 5 {
 		t.Skip("topic too small")
 	}
-	q = sortByIDF(ix, q)
 	s, err := ix.NewSession(SessionConfig{Policy: LRU, BufferPages: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := startRefinement(context.Background(), s, q[:3], true)
+	ref, _, err := startRefinement(context.Background(), s, q[:3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,14 +405,10 @@ func TestRefinementCancelMidStepConsistent(t *testing.T) {
 		t.Fatal("pre-dead step mutated the session")
 	}
 
-	// The snapshot survived both failures: the retried step resumes
-	// and matches a cold evaluation exactly.
+	// The retried step matches a cold evaluation exactly.
 	res, err = ref.AddContext(context.Background(), q[3], q[4])
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.ReusedRounds == 0 {
-		t.Fatal("retried step did not resume from the surviving snapshot")
 	}
 	cs, err := ix.NewSession(SessionConfig{Policy: LRU, BufferPages: 96})
 	if err != nil {
@@ -528,96 +419,4 @@ func TestRefinementCancelMidStepConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalRankings(t, "retried", res, cold)
-}
-
-// TestRefinementDegradedStepKeepsSnapshotHonest: a step that loses a
-// term round to an I/O fault (within the fault budget) records
-// Degraded in History, and the carried snapshot marks the faulted
-// round not-clean — the next ADD-ONLY step re-scans it and lands
-// bit-identical to cold.
-func TestRefinementDegradedStepKeepsSnapshotHonest(t *testing.T) {
-	col, err := GenerateCollection(TinyCollectionConfig(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := NewIndex(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := ix.TopicQuery(col.Topics[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q) < 5 {
-		t.Skip("topic too small")
-	}
-	q = sortByIDF(ix, q)
-	// The first read of every page faults exactly once; with a fault
-	// budget, steps degrade until every touched page has burned its
-	// fault, then turn clean.
-	if err := ix.InjectFaults("transient:first=1", 9); err != nil {
-		t.Fatal(err)
-	}
-	s, err := ix.NewSession(SessionConfig{
-		EvalOptions: EvalOptions{FaultBudget: 100},
-		Policy:      LRU, BufferPages: 96,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, res, err := startRefinement(context.Background(), s, q[:3], true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || !ref.History[0].Degraded {
-		t.Fatalf("initial step under first-read faults should degrade and say so in History (res %v, hist %v)",
-			res.Degraded, ref.History[0].Degraded)
-	}
-
-	// Keep raising the leading term's frequency — ADD-ONLY steps that
-	// rerun from round 0, each pass burning the remaining first-read
-	// faults. Every truncated round was recorded not-clean, so if the
-	// snapshot is honest the passes converge to a clean result.
-	for i := 0; res.Degraded && i < 20; i++ {
-		res, err = ref.AddContext(context.Background(), QueryTerm{Term: q[0].Term, Fqt: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if res.Degraded {
-		t.Fatal("steps never converged to clean after the first-read faults burned")
-	}
-	cs, err := ix.NewSession(SessionConfig{
-		EvalOptions: EvalOptions{FaultBudget: 100},
-		Policy:      LRU, BufferPages: 96,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := cs.Search(ref.Current())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Degraded {
-		t.Fatal("cold reference degraded; every page should have burned its fault")
-	}
-	equalRankings(t, "converged", res, cold)
-
-	// The clean pass left a fully clean snapshot: raising the LAST
-	// DF-order term's frequency reuses every round before it and stays
-	// exact — the earlier degraded steps did not poison the carried
-	// state.
-	res, err = ref.AddContext(context.Background(), QueryTerm{Term: q[2].Term, Fqt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	step := ref.History[len(ref.History)-1]
-	if !step.Resumed || step.ReusedRounds == 0 || res.Degraded || step.Degraded {
-		t.Fatalf("post-convergence ADD-ONLY step should resume cleanly: %+v", step)
-	}
-	cold2, err := cs.Search(ref.Current())
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalRankings(t, "post-degraded resume", res, cold2)
 }

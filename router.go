@@ -161,7 +161,6 @@ func (r *Router) merge(ctx context.Context, answers []shardAnswer) (*Result, err
 		out.PagesRead += a.res.PagesRead
 		out.SelectionInquiries += a.res.SelectionInquiries
 		out.Faults += a.res.Faults
-		out.ReusedRounds += a.res.ReusedRounds
 		if a.res.Smax > out.Smax {
 			out.Smax = a.res.Smax
 		}

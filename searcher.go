@@ -21,10 +21,10 @@ import (
 //     Canceling ctx (or an expiring deadline) stops the request within
 //     one page read; the anytime partial answer may be returned
 //     alongside the context's error, or in place of it, per the
-//     implementation's deadline policy. Whether a user's
-//     resubmissions reuse earlier work is the engine's configuration
-//     (EngineConfig.Refine), not a separate method: a Router fans every
-//     user's stream out to the same shard engines.
+//     implementation's deadline policy. A user's resubmission is
+//     evaluated afresh like any request; what it shares with earlier
+//     ones is the pages they left in the shared pool (a Router fans
+//     every user's stream out to the same shard engines).
 //   - Stats returns the implementation's serving counters. At
 //     quiescence every executed request lands in exactly one outcome
 //     bucket: Queries == Completed + Timeouts + Canceled + Errors +

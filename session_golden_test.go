@@ -17,14 +17,13 @@ import (
 // The session goldens pin what the single-user surfaces produce, step
 // by step: Session.SearchContext over a refinement sequence, and the
 // refinement helper (refinement_test.go) walking the same sequence
-// through AddContext/DropContext with snapshot reuse off and on (the
-// User.Step calls of an engine user under EngineConfig.Refine). Every
-// cell of {DF, BAF, MAXSCORE} × {LRU, RAP} × {ADD-ONLY,
-// ADD-DROP} runs on a fresh live index, and one Add publication lands
-// mid-sequence, so rebinding to a new generation is pinned too. Each
-// step records its ranking (an FNV-64a hash over every (doc, score
-// bits) pair), PagesRead, EntriesProcessed and Epoch, and for
-// refinement steps Resumed/ReusedRounds/Invalidated. Regenerate with
+// through AddContext/DropContext (its runs are named
+// ".../refine/incremental=false", as recorded). Every cell of
+// {DF, BAF, MAXSCORE} × {LRU, RAP} × {ADD-ONLY, ADD-DROP} runs on a
+// fresh live index, and one Add publication lands mid-sequence, so
+// rebinding to a new generation is pinned too. Each step records its
+// ranking (an FNV-64a hash over every (doc, score bits) pair),
+// PagesRead, EntriesProcessed and Epoch. Regenerate with
 //
 //	go test . -run TestSessionGoldens -update
 //
@@ -42,16 +41,13 @@ const (
 )
 
 type goldenStep struct {
-	Op           string `json:"op"` // search | start | add | drop
-	Terms        int    `json:"terms"`
-	TopLen       int    `json:"top_len"`
-	TopSig       string `json:"top_sig"`
-	PagesRead    int    `json:"pages_read"`
-	Entries      int    `json:"entries"`
-	Epoch        uint64 `json:"epoch"`
-	Resumed      bool   `json:"resumed,omitempty"`
-	ReusedRounds int    `json:"reused_rounds,omitempty"`
-	Invalidated  bool   `json:"invalidated,omitempty"`
+	Op        string `json:"op"` // search | start | add | drop
+	Terms     int    `json:"terms"`
+	TopLen    int    `json:"top_len"`
+	TopSig    string `json:"top_sig"`
+	PagesRead int    `json:"pages_read"`
+	Entries   int    `json:"entries"`
+	Epoch     uint64 `json:"epoch"`
 }
 
 type goldenRun struct {
@@ -161,42 +157,37 @@ func TestSessionGoldens(t *testing.T) {
 				}
 				runs = append(runs, run)
 
-				for _, incr := range []bool{false, true} {
-					ix, s := fresh(t, algo, policy)
-					run := goldenRun{Name: fmt.Sprintf("%s/refine/incremental=%v", cell, incr)}
-					ref, res, err := startRefinement(ctx, s, refs[0], incr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					record := func(op string, res *Result) {
-						st := goldenStepOf(op, ref.Current(), res)
-						h := ref.History[len(ref.History)-1]
-						st.Resumed, st.ReusedRounds, st.Invalidated = h.Resumed, h.ReusedRounds, h.Invalidated
-						run.Steps = append(run.Steps, st)
-					}
-					record("start", res)
-					for i := 1; i < len(refs); i++ {
-						if i == goldenPublishAfter {
-							publish(t, ix)
-						}
-						add, drop := queryDelta(ref.Current(), refs[i])
-						if len(add) > 0 {
-							res, err := ref.AddContext(ctx, add...)
-							if err != nil {
-								t.Fatal(err)
-							}
-							record("add", res)
-						}
-						for _, term := range drop {
-							res, err := ref.DropContext(ctx, term)
-							if err != nil {
-								t.Fatal(err)
-							}
-							record("drop", res)
-						}
-					}
-					runs = append(runs, run)
+				ix, s = fresh(t, algo, policy)
+				run = goldenRun{Name: cell + "/refine/incremental=false"}
+				ref, res, err := startRefinement(ctx, s, refs[0])
+				if err != nil {
+					t.Fatal(err)
 				}
+				record := func(op string, res *Result) {
+					run.Steps = append(run.Steps, goldenStepOf(op, ref.Current(), res))
+				}
+				record("start", res)
+				for i := 1; i < len(refs); i++ {
+					if i == goldenPublishAfter {
+						publish(t, ix)
+					}
+					add, drop := queryDelta(ref.Current(), refs[i])
+					if len(add) > 0 {
+						res, err := ref.AddContext(ctx, add...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						record("add", res)
+					}
+					for _, term := range drop {
+						res, err := ref.DropContext(ctx, term)
+						if err != nil {
+							t.Fatal(err)
+						}
+						record("drop", res)
+					}
+				}
+				runs = append(runs, run)
 			}
 		}
 	}

@@ -15,9 +15,8 @@ import (
 // The epoch is the invalidation key the rest of the system hangs off:
 // buffer pools are per-view (a swap starts cold — generation-tagged
 // frames by construction, since a manager only ever reads one view's
-// store), refinement snapshots and cached results carry the epoch they
-// were computed at and die when it moves, and the RAP conversion table
-// is rebuilt for every published view.
+// store), results carry the epoch they were computed at, and the RAP
+// conversion table is rebuilt for every published view.
 type idxView struct {
 	// epoch increases by one on every publication (commit or merge
 	// swap). 0 is the generation the index was constructed with.

@@ -331,10 +331,12 @@ indextest:
 	$(GO) test -race -count=1 ./internal/livedex
 
 # Live-ingestion exactness gate under -race: the metamorphic harness —
-# random Add/Search/Refine/merge interleavings across every
-# evaluation method, a policy rotation, a transient fault schedule and
-# cancellation, every answer compared bit-for-bit against a
-# from-scratch rebuild of the current corpus — plus the epoch
+# random interleavings of ingests, merges, canceled and plain searches
+# and one user's refinements (each query adds a term to the last, on a
+# session that lives across ingests and merges) over FULL, DF, BAF and
+# MAXSCORE with a policy rotation, plus a transient fault schedule,
+# every answer compared bit-for-bit against a from-scratch rebuild of
+# the current corpus — plus the epoch
 # staleness regressions (a user's resubmission after an ingest or a
 # merge rebinds to the new generation's cold pool).
 ingest-exactness:

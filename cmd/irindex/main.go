@@ -6,14 +6,10 @@
 // Usage:
 //
 //	irindex -dir PATH [-page N] [-stop N] [-glob PATTERN] [-out FILE]
-//	        [-shards N]
 //
 // With -out the built index is persisted to FILE as a paged index
-// file; cmd/irsearch and cmd/irserve open it with -index FILE. With
-// -out and -shards N the index is instead written as an N-way
-// document-partitioned shard directory at OUT (one paged shard file
-// per partition); cmd/irserve serves it behind the scatter-gather
-// router with -index OUT.
+// file; cmd/irsearch and cmd/irserve open it with -index FILE
+// (irserve -shards N partitions it in memory).
 package main
 
 import (
@@ -31,12 +27,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("irindex: ")
 	var (
-		dir    = flag.String("dir", "", "directory of text files (required)")
-		page   = flag.Int("page", 0, "page size in entries (0 = paper default 404)")
-		stop   = flag.Int("stop", 0, "stop-word count (0 = paper default 100, negative disables)")
-		glob   = flag.String("glob", "*.txt", "file glob within the directory")
-		out    = flag.String("out", "", "persist the index to this file (a directory with -shards)")
-		shards = flag.Int("shards", 0, "with -out: write an N-way document-partitioned shard directory")
+		dir  = flag.String("dir", "", "directory of text files (required)")
+		page = flag.Int("page", 0, "page size in entries (0 = paper default 404)")
+		stop = flag.Int("stop", 0, "stop-word count (0 = paper default 100, negative disables)")
+		glob = flag.String("glob", "*.txt", "file glob within the directory")
+		out  = flag.String("out", "", "persist the index to this file")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -104,23 +99,7 @@ func main() {
 	}
 	fmt.Printf("multi-page terms: %d (%.1f%%)\n", multi, 100*float64(multi)/float64(ix.NumTerms()))
 
-	switch {
-	case *out != "" && *shards > 1:
-		if err := ix.WriteShardFiles(*out, *shards); err != nil {
-			log.Fatal(err)
-		}
-		var size int64
-		entries, err := os.ReadDir(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, e := range entries {
-			if info, err := e.Info(); err == nil {
-				size += info.Size()
-			}
-		}
-		fmt.Printf("\nindex saved to %s as %d shard files (%.1f KB on disk)\n", *out, *shards, float64(size)/1024)
-	case *out != "":
+	if *out != "" {
 		if err := ix.WriteFile(*out, 0); err != nil {
 			log.Fatal(err)
 		}

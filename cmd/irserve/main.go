@@ -13,10 +13,9 @@
 //	        [-live] [-automerge N]
 //
 // -index takes everything bufir.Open does: "synth:SCALE[:SEED]" for a
-// generated collection, a paged index file written by irindex -out, or
-// a directory of shard files written by irindex -shards. -shards N
-// splits a single index into N in-memory partitions, each behind its
-// own engine and buffer pool.
+// generated collection or a paged index file written by irindex -out.
+// -shards N splits the index into N in-memory partitions, each behind
+// its own engine and buffer pool.
 //
 // Endpoints:
 //
@@ -60,7 +59,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("irserve: ")
 	var (
-		index        = flag.String("index", "synth:default", "index to serve: synth:SCALE[:SEED], a paged index file, or a shard directory")
+		index        = flag.String("index", "synth:default", "index to serve: synth:SCALE[:SEED] or a paged index file")
 		addr         = flag.String("addr", ":8080", "HTTP listen address")
 		shards       = flag.Int("shards", 0, "split a single index into N in-memory partitions (0 = as stored)")
 		workers      = flag.Int("workers", 0, "worker goroutines per shard engine (0 = default)")

@@ -1,12 +1,14 @@
 package bufir
 
 // The metamorphic ingestion-exactness harness (`make ingest-exactness`
-// runs it under -race): random interleavings of Add / Search / Refine
-// / Merge / cancellation, across every evaluation method, a policy
-// rotation, and a transient fault schedule, where after EVERY search
-// the live index's answer is compared bit-for-bit — DocIDs, TermIDs,
-// float64 scores, tie order — against an oracle index rebuilt from
-// scratch over the current corpus with postings.Build in live
+// runs it under -race): random interleavings of ingest (one document
+// or a burst), merge, canceled search, plain search and refinement —
+// one user's session whose next query adds a term to their previous
+// one, across ingests and merges — over FULL, DF, BAF and MAXSCORE
+// with a policy rotation, plus a transient fault schedule. After EVERY
+// search the live index's answer is compared bit-for-bit — DocIDs,
+// TermIDs, float64 scores, tie order — against an oracle index rebuilt
+// from scratch over the current corpus with postings.Build in live
 // vocabulary order (main-generation order, then each added document's
 // new terms lexicographically). Ingestion is exact or it is broken;
 // there is no tolerance band.
@@ -14,6 +16,7 @@ package bufir
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -190,15 +193,69 @@ func seedCorpus(t *testing.T, rng *rand.Rand) (*Index, *exactCorpus) {
 	return live, c
 }
 
+// refiningUser is the interleaving's one refining user: a session that
+// lives across ingests and merges, its current query, and the queries
+// it asked on its current generation, whose pool starts cold.
+type refiningUser struct {
+	s       *Session
+	query   map[string]int
+	epoch   uint64
+	history []map[string]int
+}
+
+// refine asks the user's next query, the previous one plus a term not
+// in it (a query of six terms starts over), over the warm session, and
+// compares the answer with the oracle's. The oracle session replays
+// the user's queries on this generation first, so its pool holds what
+// the live one does: BAF orders terms by residency.
+func (u *refiningUser) refine(t *testing.T, live *Index, c *exactCorpus, cfg exactConfig, rng *rand.Rand, tag string) {
+	t.Helper()
+	next := maps.Clone(u.query)
+	if len(next) == 0 || len(next) >= 6 {
+		next = map[string]int{}
+	}
+	for n := len(next); len(next) == n; {
+		if term := c.vocab[rng.Intn(len(c.vocab))]; next[term] == 0 {
+			next[term] = 1 + rng.Intn(3)
+		}
+	}
+	got, err := u.s.Search(mkQuery(t, live, next))
+	if err != nil {
+		t.Fatalf("%s: refine: %v", tag, err)
+	}
+	if got.Epoch != u.epoch {
+		u.epoch, u.history = got.Epoch, nil
+	}
+	u.query, u.history = next, append(u.history, next)
+
+	oracle := c.build(t)
+	s, err := oracle.NewSession(SessionConfig{EvalOptions: cfg.opts, Policy: cfg.policy, BufferPages: 16})
+	if err != nil {
+		t.Fatalf("%s: oracle NewSession: %v", tag, err)
+	}
+	var want *Result
+	for _, q := range u.history {
+		if want, err = s.Search(mkQuery(t, oracle, q)); err != nil {
+			t.Fatalf("%s: oracle replay: %v", tag, err)
+		}
+	}
+	compareTop(t, tag, got, want)
+}
+
 // run executes one random interleaving of ~ops operations against a
 // fresh live index, checking exactness after every search.
 func runInterleaving(t *testing.T, cfg exactConfig, seed int64, ops int) {
 	rng := rand.New(rand.NewSource(seed))
 	live, c := seedCorpus(t, rng)
 	serial := len(c.docs)
+	s, err := live.NewSession(SessionConfig{EvalOptions: cfg.opts, Policy: cfg.policy, BufferPages: 16, Fault: cfg.fault})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	user := &refiningUser{s: s, epoch: live.Epoch()}
 
 	for op := 0; op < ops; op++ {
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(11); {
 		case k < 4: // ingest one document
 			name, counts := randomDoc(rng, serial)
 			serial++
@@ -238,6 +295,10 @@ func runInterleaving(t *testing.T, cfg exactConfig, seed int64, ops int) {
 				t.Fatalf("op %d: canceled search returned no error", op)
 			}
 			checkSearch(t, live, c, cfg, randomQuery(rng, c), fmt.Sprintf("op %d post-cancel", op))
+		case k < 8: // refinement: the user's next queries add a term each
+			for i := 0; i < 1+rng.Intn(3); i++ {
+				user.refine(t, live, c, cfg, rng, fmt.Sprintf("op %d refine %d", op, i))
+			}
 		default: // plain search
 			checkSearch(t, live, c, cfg, randomQuery(rng, c), fmt.Sprintf("op %d", op))
 		}
@@ -247,6 +308,7 @@ func runInterleaving(t *testing.T, cfg exactConfig, seed int64, ops int) {
 		t.Fatalf("final Merge: %v", err)
 	}
 	checkSearch(t, live, c, cfg, randomQuery(rng, c), "final")
+	user.refine(t, live, c, cfg, rng, "final refine")
 }
 
 // TestIngestExactness is the main matrix: every evaluation method, a

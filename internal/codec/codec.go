@@ -28,20 +28,20 @@ import (
 )
 
 // EncodePage compresses one frequency-sorted page of postings.
-// Entries must be sorted by (Freq descending, Doc ascending) — the
-// invariant postings.Build establishes; EncodePage verifies it and
-// fails loudly on violation rather than producing an undecodable page.
+// Entries must be strictly in postings.Before order (Freq descending,
+// Doc ascending), the order postings.Build establishes; EncodePage
+// verifies it and fails loudly on violation rather than producing an
+// undecodable page.
 func EncodePage(entries []postings.Entry) ([]byte, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("codec: empty page")
 	}
 	// Validate ordering.
 	for i := 1; i < len(entries); i++ {
-		prev, cur := entries[i-1], entries[i]
-		if cur.Freq > prev.Freq || (cur.Freq == prev.Freq && cur.Doc <= prev.Doc) {
+		if !postings.Before(entries[i-1], entries[i]) {
 			return nil, fmt.Errorf("codec: page not frequency-sorted at entry %d", i)
 		}
-		if cur.Freq < 1 {
+		if entries[i].Freq < 1 {
 			return nil, fmt.Errorf("codec: non-positive frequency at entry %d", i)
 		}
 	}

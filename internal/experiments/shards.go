@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -40,6 +41,13 @@ import (
 // shards filter less aggressively and stay legal), covered by the
 // router test suite, and its extra page reads are a cost of sharding,
 // not a serving-tier speedup to report.
+//
+// The sweep's n engines get n times the frames and workers of one, so
+// its speedup alone does not say whether partitioning helps. Every
+// shard count therefore also gets the fair row: one engine over the
+// unsplit index with the sum of the per-shard frames, n times the
+// workers and the same read latency, serving the same stream and held
+// to the same exact top-k.
 // ---------------------------------------------------------------------------
 
 // shardsRow is one shard count's measurement.
@@ -56,13 +64,26 @@ type shardsRow struct {
 	Speedup       float64 `json:"speedup"`
 }
 
+// onePoolRow is the fair row for one shard count: one engine over the
+// unsplit index with the split deployment's total frames and workers.
+type onePoolRow struct {
+	shardsRow
+	Workers int `json:"workers"`
+	// VsSplit is the row's QPS over the split deployment's at the same
+	// shard count.
+	VsSplit float64 `json:"vs_split"`
+}
+
 // ShardsResult is the E25 sweep outcome.
 type ShardsResult struct {
 	Workload      string      `json:"workload"`
 	Users         int         `json:"users"`
 	WorkersPerID  int         `json:"workers_per_shard"`
 	ReadLatencyUS int64       `json:"read_latency_us"`
+	CPUs          int         `json:"cpus"`
 	Rows          []shardsRow `json:"rows"`
+	// OnePool holds the fair row of every shard count, in Rows' order.
+	OnePool []onePoolRow `json:"one_pool"`
 }
 
 // RunShards runs the sweep: users concurrent sessions, each walking
@@ -98,6 +119,7 @@ func (e *Env) RunShards(users, workersPerShard, passes int, counts []int, lat ti
 		Users:         users,
 		WorkersPerID:  workersPerShard,
 		ReadLatencyUS: lat.Microseconds(),
+		CPUs:          runtime.NumCPU(),
 	}
 	var reference []bufir.ScoredDoc
 	for _, n := range counts {
@@ -119,6 +141,17 @@ func (e *Env) RunShards(users, workersPerShard, passes int, counts []int, lat ti
 			row.Speedup = 1
 		}
 		res.Rows = append(res.Rows, *row)
+
+		pool, top, err := e.runOnePool(seqs, n*workersPerShard, row.BufferPages, passes, lat)
+		if err != nil {
+			return nil, fmt.Errorf("one pool for shards=%d: %w", n, err)
+		}
+		if err := sameTopK(reference, top); err != nil {
+			return nil, fmt.Errorf("one pool for shards=%d: top-k diverges from the partitioned reference: %w", n, err)
+		}
+		pool.Shards, pool.BufferPages = n, row.BufferPages
+		pool.Speedup = pool.QPS / res.Rows[0].QPS
+		res.OnePool = append(res.OnePool, onePoolRow{shardsRow: *pool, Workers: n * workersPerShard, VsSplit: pool.QPS / row.QPS})
 	}
 	return res, nil
 }
@@ -182,7 +215,44 @@ func (e *Env) runShardsOnce(seqs [][]bufir.Query, terms map[bufir.TermID]bool, w
 		return nil, nil, err
 	}
 	defer router.Close()
+	row, top, err := serveShardsStream(router, parts, seqs, passes)
+	if err != nil {
+		return nil, nil, err
+	}
+	row.Shards, row.BufferPages = n, bufferPages
+	return row, top, nil
+}
 
+// runOnePool serves every user's stream from one engine over the
+// unsplit index, with workers workers and frames buffer pages, and
+// returns its row (Shards and BufferPages left to the caller) plus the
+// verification query's top-k.
+func (e *Env) runOnePool(seqs [][]bufir.Query, workers, frames, passes int, lat time.Duration) (*shardsRow, []bufir.ScoredDoc, error) {
+	ix, err := bufir.NewIndex(e.Col)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := slowReads(ix, lat); err != nil {
+		return nil, nil, err
+	}
+	eng, err := ix.NewEngine(bufir.EngineConfig{
+		EvalOptions: bufir.EvalOptions{Algorithm: bufir.DF, Unfiltered: true},
+		Workers:     workers,
+		BufferPages: frames,
+		Policy:      bufir.RAP,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	defer eng.Close()
+	return serveShardsStream(eng, []*bufir.Index{ix}, seqs, passes)
+}
+
+// serveShardsStream drives every user's stream through s, passes
+// times, then asks the verification query — the largest refinement of
+// topic 0 — outside the timed window. Pages read are summed over the
+// indexes s serves.
+func serveShardsStream(s bufir.Searcher, indexes []*bufir.Index, seqs [][]bufir.Query, passes int) (*shardsRow, []bufir.ScoredDoc, error) {
 	latencies := make([][]time.Duration, len(seqs))
 	errs := make([]error, len(seqs))
 	var wg sync.WaitGroup
@@ -194,7 +264,7 @@ func (e *Env) runShardsOnce(seqs [][]bufir.Query, terms map[bufir.TermID]bool, w
 			for p := 0; p < passes; p++ {
 				for _, q := range seq {
 					t0 := time.Now()
-					if _, err := router.SearchContext(context.Background(), u, q); err != nil {
+					if _, err := s.SearchContext(context.Background(), u, q); err != nil {
 						errs[u] = err
 						return
 					}
@@ -211,9 +281,7 @@ func (e *Env) runShardsOnce(seqs [][]bufir.Query, terms map[bufir.TermID]bool, w
 		}
 	}
 
-	// The cross-count verification query: the largest refinement of
-	// topic 0, outside the timed window.
-	verify, err := router.SearchContext(context.Background(), 0, seqs[0][len(seqs[0])-1])
+	verify, err := s.SearchContext(context.Background(), 0, seqs[0][len(seqs[0])-1])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,18 +291,16 @@ func (e *Env) runShardsOnce(seqs [][]bufir.Query, terms map[bufir.TermID]bool, w
 		all = append(all, ls...)
 	}
 	slices.Sort(all)
-	st := router.Stats()
+	st := s.Stats()
 	if got := st.Completed + st.Timeouts + st.Canceled + st.Errors + st.Degraded; st.Queries != got {
 		return nil, nil, fmt.Errorf("serving invariant violated: %d queries, %d outcomes", st.Queries, got)
 	}
 	var reads int64
-	for _, p := range parts {
-		reads += p.DiskReads()
+	for _, ix := range indexes {
+		reads += ix.DiskReads()
 	}
 	return &shardsRow{
-		Shards:        n,
 		Queries:       int64(len(all)),
-		BufferPages:   bufferPages,
 		ElapsedMillis: float64(elapsed.Microseconds()) / 1000,
 		QPS:           float64(len(all)) / elapsed.Seconds(),
 		P50Micros:     float64(percentile(all, 50).Microseconds()),
@@ -255,5 +321,18 @@ func (r *ShardsResult) Format(w io.Writer) {
 		fmt.Fprintf(w, "%7d %8d %8d %9.0fms %9.1f %8.0fus %8.0fus %11d %8.2fx\n",
 			row.Shards, row.Queries, row.BufferPages, row.ElapsedMillis, row.QPS,
 			row.P50Micros, row.P99Micros, row.PagesRead, row.Speedup)
+	}
+	if len(r.OnePool) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "\none pool over the unsplit index per shard count: the split deployment's total buffers,\n")
+	fmt.Fprintf(w, "shards x %d workers, %dus/read, top-k equal to the partitioned reference; %d CPUs\n\n",
+		r.WorkersPerID, r.ReadLatencyUS, r.CPUs)
+	fmt.Fprintf(w, "%7s %8s %8s %8s %10s %9s %10s %10s %11s %9s\n",
+		"shards", "queries", "buffers", "workers", "elapsed", "QPS", "p50", "p99", "pages-read", "vs-split")
+	for _, row := range r.OnePool {
+		fmt.Fprintf(w, "%7d %8d %8d %8d %9.0fms %9.1f %8.0fus %8.0fus %11d %8.2fx\n",
+			row.Shards, row.Queries, row.BufferPages, row.Workers, row.ElapsedMillis, row.QPS,
+			row.P50Micros, row.P99Micros, row.PagesRead, row.VsSplit)
 	}
 }

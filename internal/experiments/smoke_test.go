@@ -194,8 +194,9 @@ func TestLifecycleExperiment(t *testing.T) {
 }
 
 // TestShardsExperiment runs E25 at 1, 2 and 4 shards without simulated
-// latency: the sweep itself fails when any shard count's merged top-k
-// differs from the 1-shard reference.
+// latency: the sweep itself fails when any shard count's merged top-k,
+// or the top-k of its one-pool row, differs from the 1-shard
+// reference.
 func TestShardsExperiment(t *testing.T) {
 	env := newTinyEnv(t)
 	r, err := env.RunShards(4, 2, 1, []int{1, 2, 4}, 0)
@@ -210,6 +211,19 @@ func TestShardsExperiment(t *testing.T) {
 	for _, row := range r.Rows {
 		if row.Queries == 0 || row.PagesRead == 0 {
 			t.Errorf("shards=%d: %d queries, %d pages read", row.Shards, row.Queries, row.PagesRead)
+		}
+	}
+	if len(r.OnePool) != len(r.Rows) {
+		t.Fatalf("want a one-pool row per shard count, got %d", len(r.OnePool))
+	}
+	for i, row := range r.OnePool {
+		split := r.Rows[i]
+		if row.Shards != split.Shards || row.BufferPages != split.BufferPages || row.Workers != 2*split.Shards {
+			t.Errorf("one-pool row %d: %d shards, %d buffers, %d workers; split row: %d shards, %d buffers",
+				i, row.Shards, row.BufferPages, row.Workers, split.Shards, split.BufferPages)
+		}
+		if row.Queries != split.Queries || row.PagesRead == 0 {
+			t.Errorf("one-pool row %d: %d queries, %d pages read", i, row.Queries, row.PagesRead)
 		}
 	}
 	t.Logf("shards:\n%s", buf.String())

@@ -295,8 +295,9 @@ func decodeMeta(data []byte) (*postings.Index, *Aux, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// numPages == 0 is legal: a shard file keeps the global DF of a
-		// term whose postings all live in other partitions.
+		// numPages == 0 is legal: a partition's metadata (shard.Split)
+		// keeps the global DF of a term whose postings all live in
+		// other partitions.
 		if df == 0 || numPages > df {
 			return nil, nil, fmt.Errorf("indexfile: term %q invalid df=%d pages=%d", name, df, numPages)
 		}

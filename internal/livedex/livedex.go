@@ -7,14 +7,15 @@
 //
 // The design inverts the usual "approximate now, exact after merge"
 // trade: the combined metadata IS the from-scratch rebuild's metadata,
-// bit for bit. Each commit replays postings.Build's arithmetic — the
-// same per-term entry order, the same idf_t = log2(N/f_t) from
-// postings.IDFValue, the same per-document sum-of-squares accumulation
-// sequence for W_d — over the merged lists, so every evaluation
-// method (exhaustive, DF, BAF, MAXSCORE) answers over the
-// live index exactly as it would over a rebuilt one. Bit-identity is
-// structural, not asserted after the fact; the metamorphic harness at
-// the root of the repository then verifies the structure.
+// bit for bit. Each commit uses Build's own pieces over the merged
+// lists — the entry order postings.Before, the page layout
+// postings.Paginate, idf_t = log2(N/f_t) from postings.IDFValue — and
+// Build's per-document sum-of-squares accumulation sequence for W_d,
+// so every evaluation method (exhaustive, DF, BAF, MAXSCORE) answers
+// over the live index exactly as it would over a rebuilt one.
+// Bit-identity is structural, not asserted after the fact; the
+// metamorphic harness at the root of the repository then verifies the
+// structure.
 //
 // The cost of exactness is that every commit is O(total postings):
 // adding one document changes N, which changes every term's idf,
@@ -169,8 +170,8 @@ func (s *State) AddDoc(name string, counts map[string]int) (postings.DocID, erro
 // page of a term with no delta postings passes through to a main
 // generation page untouched; a page of a touched term is the merge of
 // a contiguous run of main entries with a contiguous run of delta
-// entries (both runs are determined at commit, so synthesis reads only
-// the main pages covering its run).
+// entries (both runs are determined at commit, so synthesis merges
+// just those two slices).
 type PageDesc struct {
 	// Term is the combined-vocabulary term owning the page.
 	Term postings.TermID
@@ -204,38 +205,28 @@ type Combined struct {
 	Lists [][]postings.Entry
 	// DocNames names the delta documents included in this commit.
 	DocNames []string
+	// main holds the main generation's lists at commit, which the
+	// main runs of merged pages index.
+	main [][]postings.Entry
 }
 
-// entryLess is postings.Build's within-list order: frequency
-// descending, document ascending.
-func entryLess(a, b postings.Entry) bool {
-	if a.Freq != b.Freq {
-		return a.Freq > b.Freq
-	}
-	return a.Doc < b.Doc
-}
-
-// mergeLists merges two frequency-ordered lists, returning the merged
-// list and the main-entry prefix counts: prefix[i] is how many of the
-// first i merged entries came from main. Main and delta document sets
-// are disjoint (delta documents are newly assigned), so the order is
-// a strict total order and the merge equals any correct sort of the
-// concatenation — including postings.Build's.
-func mergeLists(main, delta []postings.Entry) (merged []postings.Entry, prefix []int32) {
-	merged = make([]postings.Entry, 0, len(main)+len(delta))
-	prefix = make([]int32, 1, len(main)+len(delta)+1)
+// mergeLists appends to dst the merge of two lists in postings.Before
+// order. Main and delta document sets are disjoint (delta documents
+// are newly assigned), so the order is strict and the merge equals any
+// correct sort of the concatenation, postings.Build's included.
+func mergeLists(dst, main, delta []postings.Entry) []postings.Entry {
 	i, j := 0, 0
-	for i < len(main) || j < len(delta) {
-		if j >= len(delta) || (i < len(main) && entryLess(main[i], delta[j])) {
-			merged = append(merged, main[i])
+	for i < len(main) && j < len(delta) {
+		if postings.Before(main[i], delta[j]) {
+			dst = append(dst, main[i])
 			i++
 		} else {
-			merged = append(merged, delta[j])
+			dst = append(dst, delta[j])
 			j++
 		}
-		prefix = append(prefix, int32(i))
 	}
-	return merged, prefix
+	dst = append(dst, main[i:]...)
+	return append(dst, delta[j:]...)
 }
 
 // Commit derives the combined index artifacts for the current
@@ -243,13 +234,13 @@ func mergeLists(main, delta []postings.Entry) (merged []postings.Entry, prefix [
 // keeps accumulating, and a later Commit publishes a superset. The
 // returned Combined shares nothing mutable with the State.
 //
-// The metadata construction replays postings.Build exactly:
+// The metadata construction is postings.Build's over the merged
+// corpus:
 //
 //   - terms in TermID order (main order, then new terms by first
-//     appearance), each list in (f_dt desc, d asc) order;
+//     appearance), each list in postings.Before order;
 //   - per-term DF, idf_t via postings.IDFValue with the combined N,
-//     FMax, page packing into PageSize-entry pages with per-page
-//     min/max frequencies;
+//     FMax, and the page layout of postings.Paginate;
 //   - W_d accumulated as w = f_dt * idf_t; sum += w*w in the same
 //     term-major, list-order sequence Build uses, sqrt at the end.
 //
@@ -271,97 +262,78 @@ func (s *State) Commit() (*Combined, error) {
 		DeltaFrozen: make([][]postings.Entry, nTerms),
 		Lists:       make([][]postings.Entry, nTerms),
 		DocNames:    append([]string(nil), s.docNames...),
+		main:        s.mainLists,
 	}
 	sumSq := meta.DocLen // accumulate sum of squares, sqrt at the end
 
-	// One page descriptor per combined page, counted up front: grown by
-	// append, the array would be copied over and over at every commit.
+	// The combined lists first. An untouched term's list IS its main
+	// list; a touched term freezes a sorted snapshot of its delta (a
+	// fresh array — epochs published earlier keep theirs) and merges.
+	// Their page count sizes the descriptor array once: grown by
+	// append, it would be copied over and over at every commit.
 	pages := 0
 	for t := 0; t < nTerms; t++ {
-		df := len(s.delta[postings.TermID(t)])
+		var list []postings.Entry
 		if t < len(s.mainLists) {
-			df += len(s.mainLists[t])
+			list = s.mainLists[t]
 		}
-		pages += (df + s.pageSize - 1) / s.pageSize
+		if dl := s.delta[postings.TermID(t)]; len(dl) > 0 {
+			frozen := make([]postings.Entry, len(dl))
+			copy(frozen, dl)
+			sort.Slice(frozen, func(i, j int) bool { return postings.Before(frozen[i], frozen[j]) })
+			c.DeltaFrozen[t] = frozen
+			list = mergeLists(make([]postings.Entry, 0, len(list)+len(frozen)), list, frozen)
+		}
+		if len(list) == 0 {
+			return nil, fmt.Errorf("livedex: term %q has an empty inverted list", s.names[t])
+		}
+		c.Lists[t] = list
+		pages += postings.Paginate(nil, list, s.pageSize, nil)
 	}
 	c.Desc = make([]PageDesc, 0, pages)
 
-	for t := 0; t < nTerms; t++ {
-		var main []postings.Entry
-		if t < len(s.mainLists) {
-			main = s.mainLists[t]
-		}
-		dl := s.delta[postings.TermID(t)]
-		df := len(main) + len(dl)
-		if df == 0 {
-			return nil, fmt.Errorf("livedex: term %q has an empty inverted list", s.names[t])
-		}
-		idf := postings.IDFValue(numDocs, df)
-		numPages := (df + s.pageSize - 1) / s.pageSize
+	for t, list := range c.Lists {
+		idf := postings.IDFValue(numDocs, len(list))
 		tm := postings.TermMeta{
 			Name:      s.names[t],
-			DF:        df,
+			DF:        len(list),
 			IDF:       idf,
+			FMax:      list[0].Freq,
 			FirstPage: postings.PageID(len(c.Desc)),
-			NumPages:  numPages,
 		}
-
-		var list []postings.Entry
-		if len(dl) == 0 {
-			// Untouched term: the combined list IS the main list, its
-			// page packing is the main generation's, and every virtual
-			// page passes through. The frozen min/max arrays are shared
-			// with the main metadata — both sides are read-only.
+		if c.DeltaFrozen[t] == nil {
+			// Untouched term: its page layout is the main generation's
+			// and every virtual page passes through. The frozen min/max
+			// arrays are shared with the main metadata — both sides are
+			// read-only.
 			mt := &s.mainIx.Terms[t]
-			tm.FMax = mt.FMax
-			tm.PageMinFreq = mt.PageMinFreq
-			tm.PageMaxFreq = mt.PageMaxFreq
-			for i := 0; i < numPages; i++ {
+			tm.NumPages, tm.PageMinFreq, tm.PageMaxFreq = mt.NumPages, mt.PageMinFreq, mt.PageMaxFreq
+			for i := 0; i < tm.NumPages; i++ {
 				c.Desc = append(c.Desc, PageDesc{Term: postings.TermID(t), Main: mt.FirstPage + postings.PageID(i)})
 			}
-			list = main
 		} else {
-			// Touched term: freeze a sorted snapshot of the delta (a
-			// fresh array — epochs published earlier keep theirs), merge,
-			// and re-page. The prefix counts pin each virtual page's
-			// main-entry run for the Overlay.
-			frozen := make([]postings.Entry, len(dl))
-			copy(frozen, dl)
-			sort.Slice(frozen, func(i, j int) bool { return entryLess(frozen[i], frozen[j]) })
-			c.DeltaFrozen[t] = frozen
-			merged, prefix := mergeLists(main, frozen)
-			tm.FMax = merged[0].Freq
-			tm.PageMinFreq = make([]int32, 0, numPages)
-			tm.PageMaxFreq = make([]int32, 0, numPages)
-			for start := 0; start < df; start += s.pageSize {
-				end := start + s.pageSize
-				if end > df {
-					end = df
-				}
-				page := merged[start:end]
-				min, max := page[0].Freq, page[0].Freq
-				for _, e := range page[1:] {
-					if e.Freq < min {
-						min = e.Freq
-					}
-					if e.Freq > max {
-						max = e.Freq
+			// Touched term: re-page the merged list. A page's main run
+			// is its entries of main-generation documents, the ones
+			// numbered below baseDocs; the rest is its delta run.
+			var mainLo int32
+			postings.Paginate(&tm, list, s.pageSize, func(start int, page []postings.Entry) {
+				mainHi := mainLo
+				for _, e := range page {
+					if int(e.Doc) < s.baseDocs {
+						mainHi++
 					}
 				}
-				tm.PageMinFreq = append(tm.PageMinFreq, min)
-				tm.PageMaxFreq = append(tm.PageMaxFreq, max)
 				c.Desc = append(c.Desc, PageDesc{
 					Term:    postings.TermID(t),
 					Merged:  true,
-					MainLo:  prefix[start],
-					MainHi:  prefix[end],
-					DeltaLo: int32(start) - prefix[start],
-					DeltaHi: int32(end) - prefix[end],
+					MainLo:  mainLo,
+					MainHi:  mainHi,
+					DeltaLo: int32(start) - mainLo,
+					DeltaHi: int32(start+len(page)) - mainHi,
 				})
-			}
-			list = merged
+				mainLo = mainHi
+			})
 		}
-		c.Lists[t] = list
 		for _, e := range list {
 			w := float64(e.Freq) * idf
 			sumSq[e.Doc] += w * w
@@ -410,16 +382,8 @@ func (s *State) ApplyMerge(c *Combined, newStore storage.PageStore) error {
 // would emit for the merged corpus. The slices alias c.Lists.
 func Pages(c *Combined) [][]postings.Entry {
 	pages := make([][]postings.Entry, 0, c.Meta.NumPagesTotal)
-	for t := range c.Meta.Terms {
-		tm := &c.Meta.Terms[t]
-		list := c.Lists[t]
-		for start := 0; start < tm.DF; start += c.Meta.PageSize {
-			end := start + c.Meta.PageSize
-			if end > tm.DF {
-				end = tm.DF
-			}
-			pages = append(pages, list[start:end:end])
-		}
+	for _, list := range c.Lists {
+		postings.Paginate(nil, list, c.Meta.PageSize, func(_ int, page []postings.Entry) { pages = append(pages, page) })
 	}
 	return pages
 }

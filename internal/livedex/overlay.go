@@ -17,9 +17,9 @@ import (
 //   - a page of an untouched term passes straight through to its main
 //     generation page (read quietly off the inner store, so the inner
 //     counters keep meaning "main generation reads");
-//   - a page of a touched term is synthesized on demand — the main
-//     pages covering its main-entry run are read quietly, sliced, and
-//     merged with the page's delta-entry run.
+//   - a page of a touched term is synthesized on demand by merging its
+//     main-entry run, a slice of the memory-resident main list, with
+//     its delta-entry run.
 //
 // Accounting follows the PageStore contract at the virtual level:
 // Reads() counts delivered combined pages — the paper's cost metric
@@ -30,11 +30,10 @@ import (
 // of concurrency; later AddDoc/Commit calls on the State publish new
 // Overlays rather than mutating this one.
 type Overlay struct {
-	inner    storage.PageStore
-	mainIx   *postings.Index
-	desc     []PageDesc
-	delta    [][]postings.Entry
-	pageSize int
+	inner storage.PageStore
+	desc  []PageDesc
+	main  [][]postings.Entry
+	delta [][]postings.Entry
 
 	reads atomic.Int64
 }
@@ -42,14 +41,15 @@ type Overlay struct {
 var _ storage.PageStore = (*Overlay)(nil)
 
 // NewOverlay builds the overlay for one commit over the main
-// generation's physical store.
-func NewOverlay(c *Combined, mainIx *postings.Index, inner storage.PageStore) *Overlay {
+// generation's physical store. The second argument, the main
+// generation's metadata, goes unread: the commit carries every main run
+// a merged page needs.
+func NewOverlay(c *Combined, _ *postings.Index, inner storage.PageStore) *Overlay {
 	return &Overlay{
-		inner:    inner,
-		mainIx:   mainIx,
-		desc:     c.Desc,
-		delta:    c.DeltaFrozen,
-		pageSize: mainIx.PageSize,
+		inner: inner,
+		desc:  c.Desc,
+		main:  c.main,
+		delta: c.DeltaFrozen,
 	}
 }
 
@@ -88,46 +88,12 @@ func (o *Overlay) ReadQuiet(id postings.PageID) ([]postings.Entry, error) {
 	if !d.Merged {
 		return o.inner.ReadQuiet(d.Main)
 	}
-	return o.merge(d)
-}
-
-// merge assembles a merged page from its main-entry and delta-entry
-// runs.
-func (o *Overlay) merge(d PageDesc) ([]postings.Entry, error) {
-	main := make([]postings.Entry, 0, d.MainHi-d.MainLo)
-	if d.MainHi > d.MainLo {
-		// A term new since the main generation has an empty main run and
-		// never reaches here, so the main-index lookup stays in range.
-		tm := &o.mainIx.Terms[d.Term]
-		pLo := int(d.MainLo) / o.pageSize
-		pHi := int(d.MainHi-1) / o.pageSize
-		for p := pLo; p <= pHi; p++ {
-			pg, err := o.inner.ReadQuiet(tm.FirstPage + postings.PageID(p))
-			if err != nil {
-				return nil, err
-			}
-			lo := int(d.MainLo) - p*o.pageSize
-			if lo < 0 {
-				lo = 0
-			}
-			hi := int(d.MainHi) - p*o.pageSize
-			if hi > len(pg) {
-				hi = len(pg)
-			}
-			main = append(main, pg[lo:hi]...)
-		}
+	// A term new since the main generation has no main list and an
+	// empty main run.
+	var main []postings.Entry
+	if int(d.Term) < len(o.main) {
+		main = o.main[d.Term][d.MainLo:d.MainHi]
 	}
 	dl := o.delta[d.Term][d.DeltaLo:d.DeltaHi]
-	out := make([]postings.Entry, 0, len(main)+len(dl))
-	i, j := 0, 0
-	for i < len(main) || j < len(dl) {
-		if j >= len(dl) || (i < len(main) && entryLess(main[i], dl[j])) {
-			out = append(out, main[i])
-			i++
-		} else {
-			out = append(out, dl[j])
-			j++
-		}
-	}
-	return out, nil
+	return mergeLists(make([]postings.Entry, 0, len(main)+len(dl)), main, dl), nil
 }

@@ -267,13 +267,59 @@ func BuildDocSorted(lists []TermPostings, numDocs, pageSize int) (*Index, [][]En
 // have f_t >= 1 for idf_t to be defined.
 func Build(lists []TermPostings, numDocs, pageSize int) (*Index, [][]Entry, error) {
 	return build(lists, numDocs, pageSize, false, func(entries []Entry) {
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].Freq != entries[j].Freq {
-				return entries[i].Freq > entries[j].Freq
-			}
-			return entries[i].Doc < entries[j].Doc
-		})
+		sort.Slice(entries, func(i, j int) bool { return Before(entries[i], entries[j]) })
 	})
+}
+
+// Before reports whether a precedes b in a frequency-sorted list:
+// f_dt descending, then d ascending. It is Build's within-list order,
+// the order a live commit merges by and the order a page must be in to
+// encode.
+func Before(a, b Entry) bool {
+	if a.Freq != b.Freq {
+		return a.Freq > b.Freq
+	}
+	return a.Doc < b.Doc
+}
+
+// Paginate cuts list, kept in its order, into pages of pageSize
+// entries, the last holding what is left, and returns how many. It is
+// the one page-layout rule: Build, a live commit and a shard split all
+// lay their lists out through it. Every page is capacity-capped
+// (cap == len), so an append to one cannot write into the next.
+//
+// When tm is non-nil, Paginate records the layout there: NumPages, and
+// each page's smallest and largest f_dt in PageMinFreq and PageMaxFreq
+// (the last and first entry of a frequency-sorted page). emit, when
+// non-nil, receives every page in list order with its offset in list.
+func Paginate(tm *TermMeta, list []Entry, pageSize int, emit func(start int, page []Entry)) int {
+	n := (len(list) + pageSize - 1) / pageSize
+	if tm != nil {
+		tm.NumPages = n
+		tm.PageMinFreq = make([]int32, 0, n)
+		tm.PageMaxFreq = make([]int32, 0, n)
+	}
+	for start := 0; start < len(list); start += pageSize {
+		end := min(start+pageSize, len(list))
+		page := list[start:end:end]
+		if tm != nil {
+			lo, hi := page[0].Freq, page[0].Freq
+			for _, e := range page[1:] {
+				if e.Freq < lo {
+					lo = e.Freq
+				}
+				if e.Freq > hi {
+					hi = e.Freq
+				}
+			}
+			tm.PageMinFreq = append(tm.PageMinFreq, lo)
+			tm.PageMaxFreq = append(tm.PageMaxFreq, hi)
+		}
+		if emit != nil {
+			emit(start, page)
+		}
+	}
+	return n
 }
 
 // build is the shared construction path; sortEntries establishes the
@@ -313,36 +359,14 @@ func build(lists []TermPostings, numDocs, pageSize int, docSorted bool, sortEntr
 		}
 		df := len(entries)
 		idf := IDFValue(numDocs, df)
-		numPages := (df + pageSize - 1) / pageSize
 		tm := TermMeta{
-			Name:        lp.Name,
-			DF:          df,
-			IDF:         idf,
-			FMax:        entries[0].Freq,
-			FirstPage:   PageID(len(pages)),
-			NumPages:    numPages,
-			PageMinFreq: make([]int32, 0, numPages),
-			PageMaxFreq: make([]int32, 0, numPages),
+			Name:      lp.Name,
+			DF:        df,
+			IDF:       idf,
+			FMax:      entries[0].Freq,
+			FirstPage: PageID(len(pages)),
 		}
-		for start := 0; start < df; start += pageSize {
-			end := start + pageSize
-			if end > df {
-				end = df
-			}
-			page := entries[start:end:end]
-			pages = append(pages, page)
-			min, max := page[0].Freq, page[0].Freq
-			for _, e := range page[1:] {
-				if e.Freq < min {
-					min = e.Freq
-				}
-				if e.Freq > max {
-					max = e.Freq
-				}
-			}
-			tm.PageMaxFreq = append(tm.PageMaxFreq, max)
-			tm.PageMinFreq = append(tm.PageMinFreq, min)
-		}
+		Paginate(&tm, entries, pageSize, func(_ int, page []Entry) { pages = append(pages, page) })
 		for _, e := range entries {
 			if int(e.Doc) < 0 || int(e.Doc) >= numDocs {
 				return nil, nil, fmt.Errorf("postings: term %q references document %d outside [0,%d)", lp.Name, e.Doc, numDocs)

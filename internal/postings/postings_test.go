@@ -3,6 +3,8 @@ package postings
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -350,5 +352,58 @@ func TestRebuildPageMapsRejectsRisingMaxFreq(t *testing.T) {
 	}
 	if err := ds.RebuildPageMaps(); err != nil {
 		t.Fatalf("doc-sorted index rejected on rebuild: %v", err)
+	}
+}
+
+// TestPaginate: for random frequency-sorted lists and page sizes, the
+// pages concatenate back to the list, none exceeds the page size and
+// only the last falls short of it, each is capacity-capped, and the
+// recorded bounds are each page's extremes. Without a TermMeta the cut
+// is the same.
+func TestPaginate(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for trial := 0; trial < 200; trial++ {
+		list := make([]Entry, rng.Intn(40))
+		for i := range list {
+			list[i] = Entry{Doc: DocID(rng.Intn(1000)), Freq: int32(1 + rng.Intn(6))}
+		}
+		sort.Slice(list, func(i, j int) bool { return Before(list[i], list[j]) })
+		pageSize := 1 + rng.Intn(9)
+
+		var tm TermMeta
+		var pages [][]Entry
+		var joined []Entry
+		n := Paginate(&tm, list, pageSize, func(start int, page []Entry) {
+			if start != len(joined) {
+				t.Fatalf("page %d starts at %d, want %d", len(pages), start, len(joined))
+			}
+			pages = append(pages, page)
+			joined = append(joined, page...)
+		})
+		if n != len(pages) || tm.NumPages != n || len(tm.PageMinFreq) != n || len(tm.PageMaxFreq) != n {
+			t.Fatalf("returned %d pages, emitted %d, recorded %d (%d/%d bounds)",
+				n, len(pages), tm.NumPages, len(tm.PageMinFreq), len(tm.PageMaxFreq))
+		}
+		if !slices.Equal(joined, list) {
+			t.Fatalf("pages concatenate to %v, want %v", joined, list)
+		}
+		for i, page := range pages {
+			if len(page) == 0 || len(page) > pageSize || len(page) < pageSize && i != n-1 {
+				t.Fatalf("page %d of %d holds %d entries at page size %d", i, n, len(page), pageSize)
+			}
+			if cap(page) != len(page) {
+				t.Fatalf("page %d has cap %d, len %d", i, cap(page), len(page))
+			}
+			lo, hi := page[0].Freq, page[0].Freq
+			for _, e := range page {
+				lo, hi = min(lo, e.Freq), max(hi, e.Freq)
+			}
+			if tm.PageMinFreq[i] != lo || tm.PageMaxFreq[i] != hi {
+				t.Fatalf("page %d bounds (%d, %d), extremes (%d, %d)", i, tm.PageMinFreq[i], tm.PageMaxFreq[i], lo, hi)
+			}
+		}
+		if got := Paginate(nil, list, pageSize, nil); got != n {
+			t.Fatalf("without a TermMeta: %d pages, want %d", got, n)
+		}
 	}
 }

@@ -94,9 +94,6 @@ func Split(ix *postings.Index, pages [][]postings.Entry, n int) ([]Partition, er
 			}
 		}
 		for s := range parts {
-			six := parts[s].Index
-			entries := local[s]
-			numPages := (len(entries) + ix.PageSize - 1) / ix.PageSize
 			stm := postings.TermMeta{
 				Name: tm.Name,
 				// Global statistics: the evaluator's thresholds, term
@@ -106,32 +103,15 @@ func Split(ix *postings.Index, pages [][]postings.Entry, n int) ([]Partition, er
 				IDF:  tm.IDF,
 				FMax: tm.FMax,
 				// Local physical layout.
-				FirstPage:   postings.PageID(len(parts[s].Pages)),
-				NumPages:    numPages,
-				PageMinFreq: make([]int32, 0, numPages),
-				PageMaxFreq: make([]int32, 0, numPages),
+				FirstPage: postings.PageID(len(parts[s].Pages)),
 			}
-			for start := 0; start < len(entries); start += ix.PageSize {
-				end := start + ix.PageSize
-				if end > len(entries) {
-					end = len(entries)
-				}
-				page := make([]postings.Entry, end-start)
-				copy(page, entries[start:end])
+			// The scratch list is reused for the next term, so the
+			// partition's pages are cut from a copy of their own.
+			list := append([]postings.Entry(nil), local[s]...)
+			postings.Paginate(&stm, list, ix.PageSize, func(_ int, page []postings.Entry) {
 				parts[s].Pages = append(parts[s].Pages, page)
-				min, max := page[0].Freq, page[0].Freq
-				for _, e := range page[1:] {
-					if e.Freq < min {
-						min = e.Freq
-					}
-					if e.Freq > max {
-						max = e.Freq
-					}
-				}
-				stm.PageMinFreq = append(stm.PageMinFreq, min)
-				stm.PageMaxFreq = append(stm.PageMaxFreq, max)
-			}
-			six.Terms[t] = stm
+			})
+			parts[s].Index.Terms[t] = stm
 		}
 	}
 	for s := range parts {

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"bufir/internal/corpus"
@@ -152,4 +153,45 @@ func TestSplitRejectsBadCount(t *testing.T) {
 	if _, err := shard.Split(ix, pages, -3); err == nil {
 		t.Error("Split(-3) succeeded")
 	}
+}
+
+// TestSplitPagesOwnTheirEntries: Split gathers each term's local
+// entries in scratch slices it reuses for the next term, and its
+// caller may drop the source pages (Open closes a file-backed source).
+// So every partition's pages must hold exactly its documents' entries
+// of the source list after the whole split, and keep them when the
+// source pages are overwritten.
+func TestSplitPagesOwnTheirEntries(t *testing.T) {
+	_, ix, pages := buildIndex(t)
+	const n = 3
+	want := make([][][]postings.Entry, len(ix.Terms)) // [term][partition]
+	for term := range ix.Terms {
+		want[term] = make([][]postings.Entry, n)
+		for _, e := range postings.ListPostings(pages, ix, postings.TermID(term)) {
+			s := shard.ForDoc(e.Doc, n)
+			want[term][s] = append(want[term][s], e)
+		}
+	}
+	parts, err := shard.Split(ix, pages, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for term := range ix.Terms {
+			for s, p := range parts {
+				got := postings.ListPostings(p.Pages, p.Index, postings.TermID(term))
+				if !slices.Equal(got, want[term][s]) {
+					t.Fatalf("%s: partition %d term %d holds %v, want %v", when, s, term, got, want[term][s])
+				}
+			}
+		}
+	}
+	check("after the split")
+	for _, pg := range pages {
+		for i := range pg {
+			pg[i] = postings.Entry{Doc: -1, Freq: -1}
+		}
+	}
+	check("after the source pages were overwritten")
 }

@@ -85,10 +85,11 @@ func (ix *Index) EnableLiveUpdates(opts LiveOptions) error {
 	ix.liveBase = names
 	ix.livePipe = ix.pipe
 	if ix.livePipe == nil {
-		// An index without a lexical pipeline (synthetic collections,
-		// loaded shard files) keys its vocabulary by raw tokens, and
-		// LookupTerm matches them verbatim. Ingest with stemming off so
-		// a token added here is findable under the same spelling.
+		// An index without a lexical pipeline (synthetic collections
+		// and the index files written from them) keys its vocabulary
+		// by raw tokens, and LookupTerm matches them verbatim. Ingest
+		// with stemming off so a token added here is findable under the
+		// same spelling.
 		ix.livePipe = text.NewPipeline(nil)
 		ix.livePipe.DisableStemming()
 	}

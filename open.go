@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,20 +23,17 @@ type openOptions struct {
 	router RouterConfig
 }
 
-// WithShards asks Open for an n-way document-partitioned deployment.
-// Opening a single index (in-memory or an index file) with n ≥ 2
-// splits it into n partitions in memory, each behind its own engine
-// and buffer pool. Opening a shard directory with n ≥ 1 requires its
-// partition count to be n. 0, the default, accepts whatever the
-// directory holds and means 1 for single-index paths; a negative n is
-// an error.
+// WithShards asks Open for an n-way document-partitioned deployment:
+// with n ≥ 2 the opened index is split into n partitions in memory,
+// each behind its own engine and buffer pool. 0, the default, and 1
+// serve the index whole; a negative n is an error.
 func WithShards(n int) Option {
 	return func(o *openOptions) { o.shards = n }
 }
 
 // WithEngine sets the per-shard engine configuration: workers, buffer
-// pages, policy, admission control, deadline policy, fault tolerance
-// and refinement reuse all apply to each partition's engine. Obs is
+// pages, policy, admission control, deadline policy and fault
+// tolerance all apply to each partition's engine. Obs is
 // the exception: it starts one endpoint for the whole deployment, not
 // one per partition (see ObsOptions).
 func WithEngine(cfg EngineConfig) Option {
@@ -45,7 +41,7 @@ func WithEngine(cfg EngineConfig) Option {
 }
 
 // WithRouter sets the scatter-gather configuration (merged result
-// size, per-shard deadline budget, failed-shard tolerance). Ignored
+// size and per-shard deadline budget). Ignored
 // for single-partition deployments, where there is nothing to route.
 func WithRouter(cfg RouterConfig) Option {
 	return func(o *openOptions) { o.router = cfg }
@@ -56,15 +52,14 @@ func WithRouter(cfg RouterConfig) Option {
 // them with a scatter-gather router when there is more than one, and
 // returns a Service — a Searcher that owns everything it opened.
 //
-// path takes three forms:
+// path takes two forms:
 //
 //   - "synth:SCALE[:SEED]" — a generated synthetic collection; SCALE
 //     is tiny, default or paper, SEED an optional integer (default
 //     1998). No files are touched.
 //   - a paged index file written by Index.WriteFile (BUFIR3), served
-//     page-at-a-time from disk.
-//   - a directory of shard files written by Index.WriteShardFiles —
-//     an on-disk document-partitioned index, one engine per shard.
+//     page-at-a-time from disk, or partitioned in memory under
+//     WithShards.
 //
 // Open replaces the historical construction paths (OpenIndexFile /
 // NewEngine by hand) for serving use; those remain for code that wants
@@ -99,13 +94,6 @@ func resolveIndexes(path string, shards int) ([]*Index, error) {
 	if strings.HasPrefix(path, "synth:") {
 		ix, err = openSynth(path)
 	} else {
-		st, serr := os.Stat(path)
-		if serr != nil {
-			return nil, serr
-		}
-		if st.IsDir() {
-			return openShardDir(path, shards)
-		}
 		ix, err = openOne(path)
 	}
 	if err != nil {
@@ -123,30 +111,6 @@ func resolveIndexes(path string, shards int) ([]*Index, error) {
 		return nil, err
 	}
 	return parts, nil
-}
-
-// openShardDir opens every shard file of a directory written by
-// WriteShardFiles; a positive shards must equal their count.
-func openShardDir(dir string, shards int) ([]*Index, error) {
-	files, err := indexfile.ShardFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	if shards > 0 && shards != len(files) {
-		return nil, fmt.Errorf("bufir: WithShards(%d) but %s holds %d partitions", shards, dir, len(files))
-	}
-	indexes := make([]*Index, 0, len(files))
-	for _, f := range files {
-		ix, err := openOne(f)
-		if err != nil {
-			for _, open := range indexes {
-				_ = open.Close()
-			}
-			return nil, err
-		}
-		indexes = append(indexes, ix)
-	}
-	return indexes, nil
 }
 
 // openSynth builds an in-memory index over a generated synthetic
@@ -217,33 +181,6 @@ func (ix *Index) Shard(n int) ([]*Index, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// WriteShardFiles persists the index as an n-way document-partitioned
-// on-disk index: directory dir gets n paged (BUFIR3) shard files named
-// by indexfile.ShardFileName, each a self-contained index over one
-// partition's postings with the global collection statistics.
-// Open(dir) serves them behind a scatter-gather router.
-func (ix *Index) WriteShardFiles(dir string, n int) error {
-	pages, err := ix.pagePayloads()
-	if err != nil {
-		return err
-	}
-	parts, err := shard.Split(ix.meta(), pages, n)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return err
-	}
-	aux := ix.aux()
-	for i, p := range parts {
-		name := indexfile.ShardFileName(i, n)
-		if err := indexfile.WritePageFile(dir+string(os.PathSeparator)+name, p.Index, p.Pages, aux); err != nil {
-			return fmt.Errorf("bufir: writing shard %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // Service is an open serving deployment: the indexes Open resolved,

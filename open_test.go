@@ -92,9 +92,9 @@ func TestOpenSyntheticSharded(t *testing.T) {
 	}
 }
 
-// Open must serve a paged index file and a shard directory behind a
-// router — and the disk round trip must not change a single unfiltered
-// score.
+// Open must serve a paged index file whole and, under WithShards,
+// split behind a router — and neither the disk round trip nor the
+// partitioning may change a single unfiltered score.
 func TestOpenFilesAndShardDir(t *testing.T) {
 	col, ix := testIndex(t)
 	q, err := ix.TopicQuery(col.Topics[0])
@@ -114,47 +114,38 @@ func TestOpenFilesAndShardDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	paged := filepath.Join(dir, "index.paged")
-	shardDir := filepath.Join(dir, "shards")
+	paged := filepath.Join(t.TempDir(), "index.paged")
 	if err := ix.WriteFile(paged, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.WriteShardFiles(shardDir, 3); err != nil {
-		t.Fatal(err)
-	}
 
-	for _, path := range []string{paged, shardDir} {
-		svc, err := Open(path, opts)
+	for _, shards := range []int{1, 3} {
+		svc, err := Open(paged, opts, WithShards(shards))
 		if err != nil {
-			t.Fatalf("Open(%s): %v", path, err)
+			t.Fatalf("Open(%s, WithShards(%d)): %v", paged, shards, err)
 		}
-		wantShards := 1
-		if path == shardDir {
-			wantShards = 3
-		}
-		if svc.NumShards() != wantShards {
-			t.Errorf("Open(%s): NumShards = %d, want %d", path, svc.NumShards(), wantShards)
+		if svc.NumShards() != shards {
+			t.Errorf("WithShards(%d): NumShards = %d", shards, svc.NumShards())
 		}
 		got, err := svc.SearchContext(context.Background(), 0, q)
 		if err != nil {
-			t.Fatalf("search via %s: %v", path, err)
+			t.Fatalf("search over %d shards: %v", shards, err)
 		}
 		if len(got.Top) != len(want.Top) {
-			t.Fatalf("Open(%s): %d results, want %d", path, len(got.Top), len(want.Top))
+			t.Fatalf("%d shards: %d results, want %d", shards, len(got.Top), len(want.Top))
 		}
 		for i := range want.Top {
 			if got.Top[i].Doc != want.Top[i].Doc || got.Top[i].Score != want.Top[i].Score {
-				t.Errorf("Open(%s) rank %d: (%d, %v), want (%d, %v)",
-					path, i, got.Top[i].Doc, got.Top[i].Score, want.Top[i].Doc, want.Top[i].Score)
+				t.Errorf("%d shards, rank %d: (%d, %v), want (%d, %v)",
+					shards, i, got.Top[i].Doc, got.Top[i].Score, want.Top[i].Doc, want.Top[i].Score)
 			}
 		}
 		if err := svc.Close(); err != nil {
-			t.Errorf("Close(%s): %v", path, err)
+			t.Errorf("Close (%d shards): %v", shards, err)
 		}
 		// Idempotent.
 		if err := svc.Close(); err != nil {
-			t.Errorf("second Close(%s): %v", path, err)
+			t.Errorf("second Close (%d shards): %v", shards, err)
 		}
 	}
 }
@@ -189,29 +180,21 @@ func TestOpenErrors(t *testing.T) {
 		}
 	}
 
-	// An empty directory has no shard files.
+	// A directory is no index: partitions are derived, never stored.
 	if _, err := Open(t.TempDir()); err == nil {
-		t.Error("Open of an empty directory succeeded")
+		t.Error("Open of a directory succeeded")
 	}
 
-	// WithShards refuses a negative count, and on a directory any
-	// n ≥ 1 must equal its partition count (0 accepts what it holds).
-	_, ix := testIndex(t)
-	shardDir := filepath.Join(t.TempDir(), "shards")
-	if err := ix.WriteShardFiles(shardDir, 2); err != nil {
-		t.Fatal(err)
-	}
+	// WithShards refuses a negative count; 0 and 1 serve the index
+	// whole.
 	for _, tc := range []struct {
 		path  string
 		n     int
 		parts int // 0: Open must fail
 	}{
-		{shardDir, 0, 2},
-		{shardDir, 2, 2},
-		{shardDir, 1, 0},
-		{shardDir, 3, 0},
-		{shardDir, -3, 0},
+		{"synth:tiny:21", 0, 1},
 		{"synth:tiny:21", 1, 1},
+		{"synth:tiny:21", 2, 2},
 		{"synth:tiny:21", -3, 0},
 	} {
 		svc, err := Open(tc.path, WithShards(tc.n))

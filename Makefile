@@ -153,10 +153,10 @@ fuzz:
 	$(GO) test -fuzz=FuzzPageFileHeader -fuzztime=60s ./internal/indexfile
 	$(GO) test -fuzz=FuzzDeltaAppend -fuzztime=60s ./internal/livedex
 
-# Coverage floor: the evaluation core and the refinement workload
-# generator must stay at or above 80% statement coverage — the
-# metamorphic exactness machinery lives there and silent coverage
-# rot is how exactness bugs sneak in. cover-floor reads each package's
+# Coverage floor: the evaluation core and the ADD-ONLY/ADD-DROP
+# refinement workload generator must stay at or above 80% statement
+# coverage — the metamorphic exactness machinery lives there and
+# silent coverage rot is how exactness bugs sneak in. cover-floor reads each package's
 # total off $(COVER_PROFILE) (ci writes it for the whole suite; `make
 # cover` for just these two packages).
 COVER_FLOOR := 80.0
@@ -205,7 +205,7 @@ bench-compare:
 # The tracked size numbers of ROADMAP aim 2: non-test Go lines and
 # package count outside the benchmark module, and product lines — the
 # non-test lines outside the experiment harness (internal/experiments,
-# cmd/irbench) as well (ROADMAP item 21). All should go down. The
+# cmd/irbench) as well (ROADMAP aim 2). All should go down. The
 # fourth line, test Go lines, shows code that moved into _test.go
 # files: such a move lowers the first number without being a
 # reduction. The fifth, test-support lines, counts the non-test files
@@ -322,9 +322,9 @@ bench-ranksafe:
 	@echo "wrote BENCH_ranksafe.json"
 
 # The Index-port conformance suite under -race: every backend — the
-# in-memory simulator, the paged file store over both access paths, and
-# the live delta-overlay in memory-resident and file-generation flavors
-# — held to the same read-equivalence / delivered-pages / epoch
+# in-memory simulator, the paged file store over both access paths, a
+# live index with an empty delta and the live delta-overlay — held to
+# the same read-equivalence / delivered-pages / epoch
 # monotonicity / swap-isolation contract (internal/indextest).
 indextest:
 	$(GO) test -race -count=1 -run 'TestIndexConformance' .

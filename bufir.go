@@ -183,11 +183,11 @@ type Index struct {
 	// ordinals restart per generation).
 	faultRules []storage.FaultRule
 	faultSeed  uint64
-	// files holds every page file the index opened, the current
-	// generation's and those a merge superseded. Queries may still be
-	// mid-read on an old generation when a merge swaps it out, so
-	// files are closed at Index.Close, not at swap.
-	files []*storage.FileStore
+	// file is the page file OpenIndexFile opened, nil for an in-memory
+	// index. A merge publishes its generation in memory, but queries
+	// bound to an older view may still read the file, so it is closed
+	// at Index.Close, not at swap.
+	file *storage.FileStore
 	// merging guards the single background merge slot; mergeWG lets
 	// Close wait for it.
 	merging atomic.Bool
@@ -282,32 +282,28 @@ func openIndexFile(path string, opts indexfile.PageFileOptions) (*Index, error) 
 	}
 	pf := fs.File()
 	out := newStaticIndex(pf.Index, fs, nil, nil)
-	out.files = []*storage.FileStore{fs}
+	out.file = fs
 	out.applyAux(pf.Aux)
 	return out, nil
 }
 
 // Close releases the resources of a file-backed index (OpenIndexFile):
-// the mapping and the file handle — of the current generation and, for
-// live indexes, of every generation a merge retired (superseded
-// generation files stay open until Close because queries bound to an
-// old view may still be mid-read when the swap happens). A pending
+// the mapping and the file handle. It stays open until Close, even
+// after a live merge publishes an in-memory generation, because
+// queries bound to an older view may still be mid-read. A pending
 // background merge is waited out first. It is a no-op for purely
 // in-memory indexes. Do not use the index — or sessions, engines and
 // pools created from it — after Close.
 func (ix *Index) Close() error {
 	ix.mergeWG.Wait()
 	ix.liveMu.Lock()
-	files := ix.files
-	ix.files = nil
+	fs := ix.file
+	ix.file = nil
 	ix.liveMu.Unlock()
-	var err error
-	for _, fs := range files {
-		if cerr := fs.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if fs == nil {
+		return nil
 	}
-	return err
+	return fs.Close()
 }
 
 // aux collects the auxiliary data persisted alongside the postings,
@@ -402,8 +398,8 @@ type FaultStats = storage.FaultStats
 // Call before creating sessions, engines or pools — they capture the
 // store at construction and keep reading the unwrapped disk otherwise
 // (Engine and Session rebind when the view changes, so they do pick
-// the fault layer up at their next query). Pair with
-// FaultToleranceOptions (retry/backoff) and EvalOptions.FaultBudget
+// the fault layer up at their next query). Pair with an Engine's
+// EngineConfig.Fault (retry/backoff) and EvalOptions.FaultBudget
 // (degrade instead of error) to ride the faults out.
 //
 // On a live index the schedule persists across generations: every
@@ -522,11 +518,6 @@ type SessionConfig struct {
 	Policy Policy
 	// BufferPages is the buffer pool size in pages (default 128).
 	BufferPages int
-	// Fault configures the session pool's fault-tolerant I/O path
-	// (retry/backoff on failed page loads), sharing EngineConfig's
-	// option set. Zero value: loads fail on the first error — the
-	// historical semantics, at zero cost.
-	Fault FaultToleranceOptions
 }
 
 // Session is a search session: one engine user, stepped inline, over
@@ -553,7 +544,7 @@ func (ix *Index) NewSession(cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &poolSource{ix: ix, rc: rc, shards: 1, fault: cfg.Fault}
+	src := &poolSource{ix: ix, rc: rc, shards: 1}
 	user, err := engine.NewUser(src, 0, rc.params)
 	if err != nil {
 		return nil, err

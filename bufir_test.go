@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"bufir/internal/corpus"
-	"bufir/internal/eval"
-	"bufir/internal/refine"
 	"bufir/internal/storage"
 )
 
@@ -495,35 +493,6 @@ func TestDocumentIndexSaveOpenKeepsTextSearch(t *testing.T) {
 	}
 }
 
-func TestBuildFeedbackSequence(t *testing.T) {
-	col, ix := testIndex(t)
-	q, err := ix.TopicQuery(col.Topics[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := feedbackSequence(ix, q[:3], refine.FeedbackOptions{Rounds: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Refinements) < 2 {
-		t.Fatalf("refinements = %d", len(seq.Refinements))
-	}
-	last := seq.Refinements[len(seq.Refinements)-1]
-	if len(last) <= 3 {
-		t.Errorf("feedback never expanded the query: %d terms", len(last))
-	}
-	// Sequences run fine through a session.
-	s, err := ix.NewSession(SessionConfig{EvalOptions: EvalOptions{Algorithm: BAF}, Policy: RAP, BufferPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rq := range seq.Refinements {
-		if _, err := s.Search(rq); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestPhraseSearch(t *testing.T) {
 	docs := []Document{
 		{Name: "a", Text: "the stock market crashed badly today"},
@@ -575,24 +544,6 @@ func TestPhraseSearch(t *testing.T) {
 	if st := ps.BufferStats(); st.Misses != 0 || plain.DiskReads() != 0 {
 		t.Errorf("refused phrase query read pages: %d misses, %d disk reads", st.Misses, plain.DiskReads())
 	}
-}
-
-// feedbackSequence grows a refinement sequence by relevance feedback
-// over exhaustive evaluation of the index's current view.
-func feedbackSequence(ix *Index, initial Query, opts refine.FeedbackOptions) (*RefinementSequence, error) {
-	v := ix.view()
-	ev, err := fullEvaluator(v)
-	if err != nil {
-		return nil, err
-	}
-	return refine.FeedbackSequence(v.ix, v.store, initial, opts,
-		func(q Query) ([]ScoredDoc, error) {
-			res, err := ev.Evaluate(eval.DF, q)
-			if err != nil {
-				return nil, err
-			}
-			return res.Top, nil
-		})
 }
 
 func TestExtractPhrases(t *testing.T) {

@@ -2,9 +2,9 @@ package bufir_test
 
 // The Index port's conformance run: every backend the package can
 // materialize — the in-memory simulator, the paged file store in both
-// access modes, and the live delta-overlay in memory-resident and
-// file-generation flavors — goes through internal/indextest's shared
-// property suite. `make indextest` runs exactly this test.
+// access modes, a live index with an empty delta and the live
+// delta-overlay — goes through internal/indextest's shared property
+// suite. `make indextest` runs exactly this test.
 
 import (
 	"path/filepath"
@@ -78,9 +78,9 @@ func liveBackend() indextest.Backend {
 // ingests the rest through the live path, so read equivalence runs
 // against a populated delta: merged postings, recomputed global
 // statistics, overlay-synthesized pages.
-func overlayBackend(name string, merge bool, dir func(t *testing.T) string) indextest.Backend {
+func overlayBackend() indextest.Backend {
 	return indextest.Backend{
-		Name: name,
+		Name: "delta-overlay",
 		Live: true,
 		Open: func(t *testing.T, docs []bufir.Document) *bufir.Index {
 			split := len(docs) * 2 / 3
@@ -88,11 +88,7 @@ func overlayBackend(name string, merge bool, dir func(t *testing.T) string) inde
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := bufir.LiveOptions{}
-			if dir != nil {
-				opts.Dir = dir(t)
-			}
-			if err := ix.EnableLiveUpdates(opts); err != nil {
+			if err := ix.EnableLiveUpdates(bufir.LiveOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			for _, d := range docs[split:] {
@@ -100,12 +96,6 @@ func overlayBackend(name string, merge bool, dir func(t *testing.T) string) inde
 					t.Fatal(err)
 				}
 			}
-			if merge {
-				if err := ix.Merge(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			t.Cleanup(func() { ix.Close() })
 			return ix
 		},
 	}
@@ -117,8 +107,7 @@ func conformanceBackends() []indextest.Backend {
 		fileBackend("file-mmap", bufir.OpenIndexFile),
 		fileBackend("file-readat", bufir.OpenIndexFileReadAt),
 		liveBackend(),
-		overlayBackend("delta-overlay", false, nil),
-		overlayBackend("generational-file", true, func(t *testing.T) string { return t.TempDir() }),
+		overlayBackend(),
 	}
 }
 

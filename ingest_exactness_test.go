@@ -148,12 +148,11 @@ func checkSearch(t *testing.T, live *Index, c *exactCorpus, cfg exactConfig, ter
 
 func runCold(t *testing.T, ix *Index, cfg exactConfig, q Query, fault FaultToleranceOptions) *Result {
 	t.Helper()
-	s, err := ix.NewSession(SessionConfig{
+	s, err := ix.newRetryingSession(SessionConfig{
 		EvalOptions: cfg.opts,
 		Policy:      cfg.policy,
 		BufferPages: 16,
-		Fault:       fault,
-	})
+	}, fault)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
@@ -248,7 +247,7 @@ func runInterleaving(t *testing.T, cfg exactConfig, seed int64, ops int) {
 	rng := rand.New(rand.NewSource(seed))
 	live, c := seedCorpus(t, rng)
 	serial := len(c.docs)
-	s, err := live.NewSession(SessionConfig{EvalOptions: cfg.opts, Policy: cfg.policy, BufferPages: 16, Fault: cfg.fault})
+	s, err := live.newRetryingSession(SessionConfig{EvalOptions: cfg.opts, Policy: cfg.policy, BufferPages: 16}, cfg.fault)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
@@ -287,7 +286,7 @@ func runInterleaving(t *testing.T, cfg exactConfig, seed int64, ops int) {
 		case k < 7: // canceled search: errors, corrupts nothing
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			s, err := live.NewSession(SessionConfig{EvalOptions: cfg.opts, Policy: cfg.policy, BufferPages: 16, Fault: cfg.fault})
+			s, err := live.newRetryingSession(SessionConfig{EvalOptions: cfg.opts, Policy: cfg.policy, BufferPages: 16}, cfg.fault)
 			if err != nil {
 				t.Fatalf("op %d NewSession: %v", op, err)
 			}

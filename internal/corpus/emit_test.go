@@ -2,6 +2,8 @@ package corpus
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"bufir/internal/postings"
@@ -11,21 +13,21 @@ import (
 func TestAlphaName(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 30_000; i += 97 {
-		n := AlphaName(i)
+		n := alphaName(i)
 		if len(n) != 6 {
-			t.Fatalf("AlphaName(%d) = %q", i, n)
+			t.Fatalf("alphaName(%d) = %q", i, n)
 		}
 		for _, c := range n {
 			if c < 'a' || c > 'z' {
-				t.Fatalf("AlphaName(%d) = %q has non-letter", i, n)
+				t.Fatalf("alphaName(%d) = %q has non-letter", i, n)
 			}
 		}
 		if seen[n] {
-			t.Fatalf("AlphaName collision at %d", i)
+			t.Fatalf("alphaName collision at %d", i)
 		}
 		seen[n] = true
 	}
-	if AlphaName(0) == AlphaName(1) {
+	if alphaName(0) == alphaName(1) {
 		t.Fatal("adjacent indices collide")
 	}
 }
@@ -58,7 +60,7 @@ func TestEmitDocumentsRoundTrip(t *testing.T) {
 	// so both indexes share a vocabulary.
 	renamed := make([]postings.TermPostings, len(col.Lists))
 	for i, l := range col.Lists {
-		renamed[i] = postings.TermPostings{Name: AlphaName(i), Entries: l.Entries}
+		renamed[i] = postings.TermPostings{Name: alphaName(i), Entries: l.Entries}
 	}
 	direct, _, err := postings.Build(renamed, col.NumDocs, cfg.PageSize)
 	if err != nil {
@@ -67,7 +69,7 @@ func TestEmitDocumentsRoundTrip(t *testing.T) {
 
 	// Text path: emit documents, run the full pipeline (tokenizer on;
 	// stop-words and stemming off so identifiers survive verbatim).
-	texts := EmitDocuments(col, 99)
+	texts := emitDocuments(col, 99)
 	docs := make([]text.Document, len(texts))
 	for i, txt := range texts {
 		docs[i] = text.Document{Name: "d", Text: txt}
@@ -121,14 +123,14 @@ func TestEmitDocumentsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := EmitDocuments(col, 1)
-	b := EmitDocuments(col, 1)
+	a := emitDocuments(col, 1)
+	b := emitDocuments(col, 1)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("EmitDocuments not deterministic")
+			t.Fatal("emitDocuments not deterministic")
 		}
 	}
-	c := EmitDocuments(col, 2)
+	c := emitDocuments(col, 2)
 	diff := false
 	for i := range a {
 		if a[i] != c[i] {
@@ -139,4 +141,48 @@ func TestEmitDocumentsDeterministic(t *testing.T) {
 	if !diff {
 		t.Error("different seeds produced identical shuffles (suspicious)")
 	}
+}
+
+// emitDocuments materializes the generated collection as actual
+// document texts: document d's text contains each of its terms
+// repeated f_dt times, in a seed-shuffled order. Because corpus term
+// names contain digits (which the tokenizer strips), terms are renamed
+// to purely alphabetic identifiers; alphaName gives the mapping.
+//
+// Feeding the emitted texts through text.Build with stop-words and
+// stemming disabled reconstructs exactly the same inverted index —
+// the validation that the direct index synthesis (DESIGN.md §2's
+// substitution) and the full text pipeline are interchangeable. The
+// equivalence is asserted by TestEmitDocumentsRoundTrip.
+func emitDocuments(col *Collection, seed int64) []string {
+	r := rand.New(rand.NewSource(seed))
+	// Invert: doc -> tokens (term repeated f times).
+	tokens := make([][]string, col.NumDocs)
+	for t, list := range col.Lists {
+		name := alphaName(t)
+		for _, e := range list.Entries {
+			for i := int32(0); i < e.Freq; i++ {
+				tokens[e.Doc] = append(tokens[e.Doc], name)
+			}
+		}
+	}
+	texts := make([]string, col.NumDocs)
+	for d, toks := range tokens {
+		r.Shuffle(len(toks), func(i, j int) { toks[i], toks[j] = toks[j], toks[i] })
+		texts[d] = strings.Join(toks, " ")
+	}
+	return texts
+}
+
+// alphaName maps a term index to a purely alphabetic identifier
+// ("qaaaa", "qaaab", ...) that survives tokenization unchanged and is
+// long enough (>= 2 letters) to pass the pipeline's length filter.
+func alphaName(idx int) string {
+	const letters = "abcdefghijklmnopqrstuvwxyz"
+	buf := [6]byte{'q'}
+	for i := 5; i >= 1; i-- {
+		buf[i] = letters[idx%26]
+		idx /= 26
+	}
+	return string(buf[:])
 }

@@ -184,7 +184,7 @@ type boolResult struct {
 }
 
 // boolEvaluator evaluates boolean expressions through a buffer pool
-// over a doc-sorted index (postings.BuildDocSorted).
+// over a doc-sorted index (buildDocSorted).
 type boolEvaluator struct {
 	Idx *postings.Index
 	Buf buffer.Pool

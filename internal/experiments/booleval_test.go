@@ -14,7 +14,7 @@ import (
 // boolFixture evaluates over toyLists.
 func boolFixture(t *testing.T) (*boolEvaluator, *postings.Index) {
 	t.Helper()
-	ix, pages, err := postings.BuildDocSorted(toyLists(), 10, 2)
+	ix, pages, err := buildDocSorted(toyLists(), 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"bufir/internal/buffer"
 	"bufir/internal/eval"
 	"bufir/internal/metrics"
-	"bufir/internal/postings"
 	"bufir/internal/storage"
 )
 
@@ -55,7 +54,7 @@ func (e *Env) RunBoolean(numTopics int) (*BooleanResult, error) {
 		}
 	}
 	// Boolean systems run over doc-sorted lists.
-	dsIx, dsPages, err := postings.BuildDocSorted(e.Col.Lists, e.Col.NumDocs, e.Cfg.PageSize)
+	dsIx, dsPages, err := buildDocSorted(e.Col.Lists, e.Col.NumDocs, e.Cfg.PageSize)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"bufir/internal/buffer"
 	"bufir/internal/eval"
-	"bufir/internal/postings"
 	"bufir/internal/refine"
 	"bufir/internal/storage"
 )
@@ -45,7 +44,7 @@ func (e *Env) RunDocSorted(points int) (*DocSortedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	dsIx, dsPages, err := postings.BuildDocSorted(e.Col.Lists, e.Col.NumDocs, e.Cfg.PageSize)
+	dsIx, dsPages, err := buildDocSorted(e.Col.Lists, e.Col.NumDocs, e.Cfg.PageSize)
 	if err != nil {
 		return nil, err
 	}

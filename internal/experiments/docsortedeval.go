@@ -30,6 +30,31 @@ import (
 	"bufir/internal/rank"
 )
 
+// buildDocSorted lays a collection out the traditional way: each
+// inverted list ordered by document identifier, cut into pages by
+// postings.Paginate. The Index is postings.Build's, so term ids, idf_t,
+// W_d and each list's page count match the frequency-sorted layout, and
+// so does the page metadata: a page's PageMinFreq/PageMaxFreq (and
+// w*) bound the entries at the same position of the frequency-sorted
+// list, not the documents on the document-ordered page. Nothing reads
+// them here (E17 and E19 run LRU, and PagesToProcessExact and the
+// conversion table are meaningless over this layout: document-sorted
+// evaluation cannot stop a scan on frequency, the deficiency footnote
+// 14 points at).
+func buildDocSorted(lists []postings.TermPostings, numDocs, pageSize int) (*postings.Index, [][]postings.Entry, error) {
+	ix, byFreq, err := postings.Build(lists, numDocs, pageSize)
+	if err != nil {
+		return nil, nil, err
+	}
+	pages := make([][]postings.Entry, 0, len(byFreq))
+	for t := range ix.Terms {
+		list := postings.ListPostings(byFreq, ix, postings.TermID(t))
+		sort.Slice(list, func(i, j int) bool { return list[i].Doc < list[j].Doc })
+		postings.Paginate(nil, list, pageSize, func(_ int, page []postings.Entry) { pages = append(pages, page) })
+	}
+	return ix, pages, nil
+}
+
 // docSortedStrategy selects the evaluation behavior.
 type docSortedStrategy int
 
@@ -72,7 +97,7 @@ type docSortedEvalResult struct {
 }
 
 // docSortedEvaluator runs doc-sorted evaluation through a buffer
-// pool. Build the index with postings.BuildDocSorted.
+// pool. Build the index with buildDocSorted.
 type docSortedEvaluator struct {
 	Idx *postings.Index
 	Buf buffer.Pool

@@ -32,7 +32,7 @@ func toyLists() []postings.TermPostings {
 
 func newDocSortedEval(t *testing.T, topN int) (*docSortedEvaluator, *postings.Index) {
 	t.Helper()
-	ix, pages, err := postings.BuildDocSorted(toyLists(), 10, 2)
+	ix, pages, err := buildDocSorted(toyLists(), 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func newDocSortedEval(t *testing.T, topN int) (*docSortedEvaluator, *postings.In
 }
 
 func TestBuildDocSortedOrder(t *testing.T) {
-	ix, pages, err := postings.BuildDocSorted(toyLists(), 10, 2)
+	ix, pages, err := buildDocSorted(toyLists(), 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +70,11 @@ func TestBuildDocSortedOrder(t *testing.T) {
 		if math.Abs(ix.DocLen[d]-fix.DocLen[d]) > 1e-12 {
 			t.Fatalf("W_%d differs between layouts", d)
 		}
+	}
+	// The page maxima still fall along every list, as RebuildPageMaps
+	// demands of every index.
+	if err := ix.RebuildPageMaps(); err != nil {
+		t.Fatalf("doc-sorted index rejected on rebuild: %v", err)
 	}
 }
 
@@ -159,7 +164,7 @@ func TestDocSortedValidation(t *testing.T) {
 	if _, err := ev.Evaluate(strategyOR, eval.Query{{Term: 0, Fqt: 0}}); err == nil {
 		t.Error("zero fqt accepted")
 	}
-	ix, pages, _ := postings.BuildDocSorted(toyLists(), 10, 2)
+	ix, pages, _ := buildDocSorted(toyLists(), 10, 2)
 	st := storage.NewStore(pages)
 	mgr, _ := buffer.NewManager(4, 1, st, ix, func(int) buffer.Policy { return buffer.NewLRU() })
 	if _, err := newDocSortedEvaluator(nil, mgr, 5); err == nil {

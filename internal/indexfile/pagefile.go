@@ -97,8 +97,16 @@ func (e *CorruptPageError) Error() string {
 func (e *CorruptPageError) PermanentFault() bool { return true }
 
 // WritePageFile persists the index in the paged BUFIR3 format,
-// atomically (temp file plus rename).
+// atomically (temp file plus rename). It refuses an index whose page
+// layout is not postings.Paginate's (checkPaging), such as a shard
+// partition's, whose terms keep the collection's DF over local pages.
 func WritePageFile(path string, ix *postings.Index, pages [][]postings.Entry, aux *Aux) error {
+	for t := range ix.Terms {
+		tm := &ix.Terms[t]
+		if err := checkPaging(tm.Name, uint64(tm.DF), uint64(tm.NumPages), uint64(ix.PageSize)); err != nil {
+			return err
+		}
+	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -226,6 +234,16 @@ func encodeMeta(ix *postings.Index, aux *Aux) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// checkPaging is the one layout rule of a page file, held by writer
+// and loader alike: a term has df >= 1 entries on exactly the
+// ceil(df/pageSize) pages postings.Paginate cuts them into.
+func checkPaging(name string, df, numPages, pageSize uint64) error {
+	if pageSize == 0 || df == 0 || numPages != (df-1)/pageSize+1 {
+		return fmt.Errorf("indexfile: term %q has df=%d on %d pages of %d entries", name, df, numPages, pageSize)
+	}
+	return nil
+}
+
 // decodeMeta reconstructs the index metadata from an encodeMeta blob,
 // refusing implausible counts before sizing any allocation by them.
 func decodeMeta(data []byte) (*postings.Index, *Aux, error) {
@@ -295,11 +313,8 @@ func decodeMeta(data []byte) (*postings.Index, *Aux, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// numPages == 0 is legal: a partition's metadata (shard.Split)
-		// keeps the global DF of a term whose postings all live in
-		// other partitions.
-		if df == 0 || numPages > df {
-			return nil, nil, fmt.Errorf("indexfile: term %q invalid df=%d pages=%d", name, df, numPages)
+		if err := checkPaging(name, df, numPages, pageSize); err != nil {
+			return nil, nil, err
 		}
 		// Each page still owes two varints (min/max frequency), so the
 		// remaining bytes bound the real page count.

@@ -17,6 +17,7 @@ import (
 	"bufir/internal/codec"
 	"bufir/internal/corpus"
 	"bufir/internal/postings"
+	"bufir/internal/shard"
 )
 
 // buildPages creates the reference index for round-trip tests.
@@ -193,7 +194,9 @@ func TestPageFileRejectsCorruption(t *testing.T) {
 }
 
 // TestWritePageFileValidation: the writer refuses impossible inputs
-// instead of producing files the reader would reject.
+// instead of producing files the reader would reject: a page count
+// that does not match the metadata, and a layout that is not
+// postings.Paginate's.
 func TestWritePageFileValidation(t *testing.T) {
 	ix, pages := buildPages(t)
 	path := filepath.Join(t.TempDir(), "ix.bufir")
@@ -203,8 +206,64 @@ func TestWritePageFileValidation(t *testing.T) {
 	if err := WritePageFile(filepath.Join(t.TempDir(), "missing", "ix.bufir"), ix, pages, nil); err == nil {
 		t.Fatal("write into a missing directory succeeded")
 	}
+	// A shard partition keeps the collection's DF over its local pages,
+	// so some terms have DF > 0 and no page: not Paginate's layout.
+	parts, err := shard.Split(ix, pages, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePageFile(path, parts[0].Index, parts[0].Pages, nil); err == nil {
+		t.Fatal("a shard partition was written")
+	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("a refused write left a file behind")
+	}
+}
+
+// TestLoaderRejectsUnpaginatedTerms: metadata that breaks the paging
+// rule — a term with DF > 0 on no page, or on more or fewer pages than
+// ceil(DF/PageSize) — is refused at open even when every checksum
+// matches (the stream is written below WritePageFile's own check).
+func TestLoaderRejectsUnpaginatedTerms(t *testing.T) {
+	lists := []postings.TermPostings{
+		{Name: "aa", Entries: []postings.Entry{{Doc: 0, Freq: 3}, {Doc: 1, Freq: 1}, {Doc: 2, Freq: 1}}},
+		{Name: "bb", Entries: []postings.Entry{{Doc: 1, Freq: 2}}},
+	}
+	for _, tc := range []struct {
+		name string
+		// keep is how many of aa's two pages the metadata and the
+		// page payloads keep.
+		keep int
+	}{{"no pages", 0}, {"too few pages", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, pages, err := postings.Build(lists, 3, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aa := &ix.Terms[0]
+			aa.NumPages = tc.keep
+			aa.PageMinFreq, aa.PageMaxFreq = aa.PageMinFreq[:tc.keep], aa.PageMaxFreq[:tc.keep]
+			ix.Terms[1].FirstPage = postings.PageID(tc.keep)
+			if err := ix.RebuildPageMaps(); err != nil {
+				t.Fatal(err)
+			}
+			pages = append(pages[:tc.keep], pages[2:]...)
+			path := filepath.Join(t.TempDir(), "ix.bufir")
+			if err := WritePageFile(path, ix, pages, nil); err == nil {
+				t.Fatal("WritePageFile wrote a term off the paging rule")
+			}
+			var buf bytes.Buffer
+			if err := writePageFile(&buf, ix, pages, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if pf, err := OpenPageFile(path, PageFileOptions{}); err == nil {
+				pf.Close()
+				t.Fatal("OpenPageFile accepted a term off the paging rule")
+			}
+		})
 	}
 }
 

@@ -173,20 +173,3 @@ func TestSavingsPercent(t *testing.T) {
 		t.Errorf("negative savings = %g", got)
 	}
 }
-
-func TestCostModel(t *testing.T) {
-	m := CostModel{PageReadMicros: 1000, EntryCPUMicros: 1}
-	if got := m.ResponseMicros(10, 500); got != 10_500 {
-		t.Errorf("ResponseMicros = %g", got)
-	}
-	d := DefaultCostModel()
-	if d.PageReadMicros <= 0 || d.EntryCPUMicros <= 0 {
-		t.Error("default model degenerate")
-	}
-	// The §2.4 proportionality: fewer pages read means less CPU too on
-	// filtered runs (entries scale with pages), so response time falls
-	// on both axes — sanity: halving both halves the total.
-	if m.ResponseMicros(5, 250)*2 != m.ResponseMicros(10, 500) {
-		t.Error("cost model not linear")
-	}
-}

@@ -67,9 +67,8 @@ type TermMeta struct {
 
 // PageEntries returns how many entries page i of the term's list holds
 // at the given page size: a full page, or what is left of DF on the
-// last one. For a shard partition's local list, whose DF is the
-// collection's, it is an upper bound. Loaders size decode buffers with
-// it, so metadata that does not add up yields 0, never a negative.
+// last one. The file store checks every decoded page against it, so
+// metadata that does not add up yields 0, never a negative.
 func (tm *TermMeta) PageEntries(i, pageSize int) int {
 	n := tm.DF - i*pageSize
 	if n > pageSize {
@@ -104,10 +103,6 @@ type Index struct {
 	pageOffset []int32
 	// pageWStar[p] is w*_{d,t} = PageMaxFreq * idf_t for page p.
 	pageWStar []float64
-	// docSorted marks an index from BuildDocSorted: its lists are in
-	// document order, so RebuildPageMaps cannot ask the per-page maximum
-	// frequencies to fall along a list.
-	docSorted bool
 }
 
 // TermOfPage returns the term whose inverted list contains page p.
@@ -140,10 +135,11 @@ func (ix *Index) IDF(t TermID) float64 { return ix.Terms[t].IDF }
 // guarded, and is the single authority every IDF in the system comes
 // from (Build, the indexfile loaders, and rank.IDF all delegate here):
 //
-//   - f_t <= 0 — a term absent from the collection, representable in
-//     loaded shard metadata — yields 0, not +Inf: the term carries no
-//     information and must contribute nothing, rather than poison
-//     query weights and score bounds with infinities (0 * Inf = NaN).
+//   - f_t <= 0 — a term absent from the collection, which neither
+//     Build nor the page-file loader admits — yields 0, not +Inf: the
+//     term carries no information and must contribute nothing, rather
+//     than poison query weights and score bounds with infinities
+//     (0 * Inf = NaN).
 //   - f_t >= N — a term in every document — yields 0 as well:
 //     log2(N/N) is exactly 0 for f_t == N (such a term has no
 //     discriminating power and contributes nothing to any score, by
@@ -209,7 +205,7 @@ func (ix *Index) RebuildPageMaps() error {
 			return fmt.Errorf("postings: term %q has %d pages but %d/%d min/max entries",
 				tm.Name, tm.NumPages, len(tm.PageMinFreq), len(tm.PageMaxFreq))
 		}
-		for i := 1; i < tm.NumPages && !ix.docSorted; i++ {
+		for i := 1; i < tm.NumPages; i++ {
 			if tm.PageMaxFreq[i] > tm.PageMaxFreq[i-1] {
 				return fmt.Errorf("postings: term %q is not frequency-sorted: page %d has maximum frequency %d, page %d only %d",
 					tm.Name, i, tm.PageMaxFreq[i], i-1, tm.PageMaxFreq[i-1])
@@ -240,22 +236,6 @@ type TermPostings struct {
 	Entries []Entry
 }
 
-// BuildDocSorted constructs an Index whose inverted lists are ordered
-// by document identifier — the traditional organization of [ZMSD92,
-// MZ94, Bro95] that the paper contrasts with frequency sorting
-// (§2.3). Page min/max frequency metadata is still recorded (RAP's w*
-// remains well defined, but w* no longer falls along a list, so RAP's
-// tail-first order within a term is not its value order here; the
-// doc-sorted baselines run LRU), and PagesToProcessExact and the
-// conversion table are meaningless over this layout: document-sorted
-// evaluation cannot terminate scans early on frequency, which is
-// exactly the deficiency footnote 14 points at.
-func BuildDocSorted(lists []TermPostings, numDocs, pageSize int) (*Index, [][]Entry, error) {
-	return build(lists, numDocs, pageSize, true, func(entries []Entry) {
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Doc < entries[j].Doc })
-	})
-}
-
 // Build constructs the Index and the page payloads from raw postings.
 // Entries of each list are sorted by (f_dt descending, d ascending) —
 // the frequency ordering of Wong/Lee and Persin (§2.3) — and packed
@@ -266,9 +246,68 @@ func BuildDocSorted(lists []TermPostings, numDocs, pageSize int) (*Index, [][]En
 // Terms with no entries are rejected: every term in the index must
 // have f_t >= 1 for idf_t to be defined.
 func Build(lists []TermPostings, numDocs, pageSize int) (*Index, [][]Entry, error) {
-	return build(lists, numDocs, pageSize, false, func(entries []Entry) {
+	if pageSize < 1 {
+		return nil, nil, fmt.Errorf("postings: page size %d < 1", pageSize)
+	}
+	if numDocs < 1 {
+		return nil, nil, fmt.Errorf("postings: collection has %d documents", numDocs)
+	}
+	ix := &Index{
+		NumDocs:  numDocs,
+		PageSize: pageSize,
+		Terms:    make([]TermMeta, 0, len(lists)),
+		Vocab:    make(map[string]TermID, len(lists)),
+		DocLen:   make([]float64, numDocs),
+	}
+	var pages [][]Entry
+	var sumSq = ix.DocLen // reused: accumulate sum of squares, sqrt at end
+
+	for _, lp := range lists {
+		if len(lp.Entries) == 0 {
+			return nil, nil, fmt.Errorf("postings: term %q has an empty inverted list", lp.Name)
+		}
+		if _, dup := ix.Vocab[lp.Name]; dup {
+			return nil, nil, fmt.Errorf("postings: duplicate term %q", lp.Name)
+		}
+		entries := make([]Entry, len(lp.Entries))
+		copy(entries, lp.Entries)
 		sort.Slice(entries, func(i, j int) bool { return Before(entries[i], entries[j]) })
-	})
+		for i := 1; i < len(entries); i++ {
+			if entries[i].Doc == entries[i-1].Doc && entries[i].Freq == entries[i-1].Freq {
+				return nil, nil, fmt.Errorf("postings: term %q has duplicate entry for document %d", lp.Name, entries[i].Doc)
+			}
+		}
+		df := len(entries)
+		idf := IDFValue(numDocs, df)
+		tm := TermMeta{
+			Name:      lp.Name,
+			DF:        df,
+			IDF:       idf,
+			FMax:      entries[0].Freq,
+			FirstPage: PageID(len(pages)),
+		}
+		Paginate(&tm, entries, pageSize, func(_ int, page []Entry) { pages = append(pages, page) })
+		for _, e := range entries {
+			if int(e.Doc) < 0 || int(e.Doc) >= numDocs {
+				return nil, nil, fmt.Errorf("postings: term %q references document %d outside [0,%d)", lp.Name, e.Doc, numDocs)
+			}
+			if e.Freq < 1 {
+				return nil, nil, fmt.Errorf("postings: term %q has non-positive frequency %d", lp.Name, e.Freq)
+			}
+			w := float64(e.Freq) * idf
+			sumSq[e.Doc] += w * w
+		}
+		ix.Vocab[lp.Name] = TermID(len(ix.Terms))
+		ix.Terms = append(ix.Terms, tm)
+	}
+
+	for d := range sumSq {
+		ix.DocLen[d] = math.Sqrt(sumSq[d])
+	}
+	if err := ix.RebuildPageMaps(); err != nil {
+		return nil, nil, err
+	}
+	return ix, pages, nil
 }
 
 // Before reports whether a precedes b in a frequency-sorted list:
@@ -320,72 +359,4 @@ func Paginate(tm *TermMeta, list []Entry, pageSize int, emit func(start int, pag
 		}
 	}
 	return n
-}
-
-// build is the shared construction path; sortEntries establishes the
-// physical within-list order.
-func build(lists []TermPostings, numDocs, pageSize int, docSorted bool, sortEntries func([]Entry)) (*Index, [][]Entry, error) {
-	if pageSize < 1 {
-		return nil, nil, fmt.Errorf("postings: page size %d < 1", pageSize)
-	}
-	if numDocs < 1 {
-		return nil, nil, fmt.Errorf("postings: collection has %d documents", numDocs)
-	}
-	ix := &Index{
-		NumDocs:   numDocs,
-		PageSize:  pageSize,
-		Terms:     make([]TermMeta, 0, len(lists)),
-		Vocab:     make(map[string]TermID, len(lists)),
-		DocLen:    make([]float64, numDocs),
-		docSorted: docSorted,
-	}
-	var pages [][]Entry
-	var sumSq = ix.DocLen // reused: accumulate sum of squares, sqrt at end
-
-	for _, lp := range lists {
-		if len(lp.Entries) == 0 {
-			return nil, nil, fmt.Errorf("postings: term %q has an empty inverted list", lp.Name)
-		}
-		if _, dup := ix.Vocab[lp.Name]; dup {
-			return nil, nil, fmt.Errorf("postings: duplicate term %q", lp.Name)
-		}
-		entries := make([]Entry, len(lp.Entries))
-		copy(entries, lp.Entries)
-		sortEntries(entries)
-		for i := 1; i < len(entries); i++ {
-			if entries[i].Doc == entries[i-1].Doc && entries[i].Freq == entries[i-1].Freq {
-				return nil, nil, fmt.Errorf("postings: term %q has duplicate entry for document %d", lp.Name, entries[i].Doc)
-			}
-		}
-		df := len(entries)
-		idf := IDFValue(numDocs, df)
-		tm := TermMeta{
-			Name:      lp.Name,
-			DF:        df,
-			IDF:       idf,
-			FMax:      entries[0].Freq,
-			FirstPage: PageID(len(pages)),
-		}
-		Paginate(&tm, entries, pageSize, func(_ int, page []Entry) { pages = append(pages, page) })
-		for _, e := range entries {
-			if int(e.Doc) < 0 || int(e.Doc) >= numDocs {
-				return nil, nil, fmt.Errorf("postings: term %q references document %d outside [0,%d)", lp.Name, e.Doc, numDocs)
-			}
-			if e.Freq < 1 {
-				return nil, nil, fmt.Errorf("postings: term %q has non-positive frequency %d", lp.Name, e.Freq)
-			}
-			w := float64(e.Freq) * idf
-			sumSq[e.Doc] += w * w
-		}
-		ix.Vocab[lp.Name] = TermID(len(ix.Terms))
-		ix.Terms = append(ix.Terms, tm)
-	}
-
-	for d := range sumSq {
-		ix.DocLen[d] = math.Sqrt(sumSq[d])
-	}
-	if err := ix.RebuildPageMaps(); err != nil {
-		return nil, nil, err
-	}
-	return ix, pages, nil
 }

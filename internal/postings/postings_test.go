@@ -318,8 +318,7 @@ func TestQuickPageBounds(t *testing.T) {
 // maximum frequency exceeds its predecessor's cannot come from a
 // frequency-sorted list, and RAP's static within-term eviction order
 // rests on it never happening — a loader handing such a block to
-// RebuildPageMaps must get an error. Doc-sorted indexes, whose page
-// maxima are in no order, stay buildable.
+// RebuildPageMaps must get an error.
 func TestRebuildPageMapsRejectsRisingMaxFreq(t *testing.T) {
 	ix, _ := buildSmall(t)
 	common := &ix.Terms[ix.Vocab["common"]]
@@ -339,19 +338,6 @@ func TestRebuildPageMapsRejectsRisingMaxFreq(t *testing.T) {
 	common.PageMaxFreq = []int32{9, 3, 4}
 	if err := ix.RebuildPageMaps(); err == nil {
 		t.Fatal("rising page maximum accepted")
-	}
-
-	ds, _, err := BuildDocSorted([]TermPostings{{Name: "t", Entries: []Entry{
-		{Doc: 0, Freq: 1}, {Doc: 1, Freq: 1}, {Doc: 2, Freq: 5}, {Doc: 3, Freq: 2},
-	}}}, 4, 2)
-	if err != nil {
-		t.Fatalf("BuildDocSorted: %v", err)
-	}
-	if got := ds.Terms[0].PageMaxFreq; got[1] <= got[0] {
-		t.Fatalf("doc-sorted fixture should have a rising maximum, got %v", got)
-	}
-	if err := ds.RebuildPageMaps(); err != nil {
-		t.Fatalf("doc-sorted index rejected on rebuild: %v", err)
 	}
 }
 

@@ -11,10 +11,8 @@ import (
 )
 
 // IDF computes idf_t = log2(N / f_t), guarded at both degenerate
-// edges: f_t <= 0 (a term absent from the collection — reachable
-// through loaded shard metadata, where a term may carry a global df
-// with no local postings) and f_t >= N (a term in every document)
-// both yield 0, so an uninformative term contributes nothing instead
+// edges: f_t <= 0 (a term absent from the collection) and f_t >= N (a
+// term in every document) both yield 0, so an uninformative term contributes nothing instead
 // of injecting ±Inf into query weights. IDF delegates to
 // postings.IDFValue, the single audited implementation shared with
 // index construction and the index-file loaders; see its comment for

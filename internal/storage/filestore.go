@@ -152,7 +152,7 @@ func (s *FileStore) decodePage(id postings.PageID, dst []postings.Entry) ([]post
 	entries, err := codec.DecodePage(blob, dst)
 	s.bufs.Put(bp)
 	if err == nil {
-		err = checkPage(entries, want, i == tm.NumPages-1, ix.NumDocs)
+		err = checkPage(entries, want, ix.NumDocs)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("storage: page %d: %w", id, &indexfile.CorruptPageError{Page: int(id), Reason: err.Error()})
@@ -161,11 +161,11 @@ func (s *FileStore) decodePage(id postings.PageID, dst []postings.Entry) ([]post
 }
 
 // checkPage reports why a decoded page does not fit the index, or nil.
-// A page holds want entries — the term's PageEntries — except that a
-// list's last page may hold fewer: a shard partition's terms carry the
-// collection's DF, so there want is only an upper bound.
-func checkPage(entries []postings.Entry, want int, last bool, numDocs int) error {
-	if n := len(entries); n > want || n < want && !last {
+// A page holds exactly want entries, the term's PageEntries: the loader
+// holds every term to ceil(DF/PageSize) pages, so every page but a
+// list's last is full and the last holds what DF leaves.
+func checkPage(entries []postings.Entry, want, numDocs int) error {
+	if n := len(entries); n != want {
 		return fmt.Errorf("%d entries, the term metadata says %d", n, want)
 	}
 	for _, e := range entries {

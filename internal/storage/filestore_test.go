@@ -105,21 +105,25 @@ func TestFileStoreCorruptPage(t *testing.T) {
 
 // TestFileStoreRejectsPagesTheIndexCannotHold: a page whose checksum
 // matches but whose content the index cannot hold — a document id past
-// NumDocs, or fewer entries than the term metadata promises on a page
-// that is not the list's last — fails the read as a permanent
+// NumDocs, or fewer entries than the term metadata promises, on a full
+// page or on the list's last — fails the read as a permanent
 // CorruptPageError. Through the buffer manager the query then fails
 // with that error, or completes degraded within a fault budget,
 // instead of the evaluator indexing past its per-document arrays.
 func TestFileStoreRejectsPagesTheIndexCannotHold(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
+		last   bool // mutate the list's last page, not its first
 		mutate func(page []postings.Entry, numDocs int) []postings.Entry
 	}{
-		{"doc past NumDocs", func(page []postings.Entry, numDocs int) []postings.Entry {
+		{"doc past NumDocs", false, func(page []postings.Entry, numDocs int) []postings.Entry {
 			page[len(page)-1].Doc = postings.DocID(numDocs + 5)
 			return page
 		}},
-		{"short page", func(page []postings.Entry, _ int) []postings.Entry {
+		{"short page", false, func(page []postings.Entry, _ int) []postings.Entry {
+			return page[:len(page)-1]
+		}},
+		{"short last page", true, func(page []postings.Entry, _ int) []postings.Entry {
 			return page[:len(page)-1]
 		}},
 	} {
@@ -132,14 +136,21 @@ func TestFileStoreRejectsPagesTheIndexCannotHold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The longest list's first page: full, and not its last.
-			term := postings.TermID(0)
+			// The longest list whose last page holds two entries or
+			// more: its first page is full and not its last, and its
+			// last page can lose an entry and still encode.
+			term := postings.TermID(-1)
 			for tm := range ix.Terms {
-				if ix.Terms[tm].NumPages > ix.Terms[term].NumPages {
+				meta := &ix.Terms[tm]
+				if meta.PageEntries(meta.NumPages-1, ix.PageSize) >= 2 &&
+					(term < 0 || meta.NumPages > ix.Terms[term].NumPages) {
 					term = postings.TermID(tm)
 				}
 			}
 			bad := ix.PageOf(term, 0)
+			if tc.last {
+				bad = ix.PageOf(term, ix.Terms[term].NumPages-1)
+			}
 			pages[bad] = tc.mutate(pages[bad], ix.NumDocs)
 			path := filepath.Join(t.TempDir(), "pages.bufir")
 			if err := indexfile.WritePageFile(path, ix, pages, nil); err != nil {

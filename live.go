@@ -2,9 +2,7 @@ package bufir
 
 import (
 	"fmt"
-	"path/filepath"
 
-	"bufir/internal/indexfile"
 	"bufir/internal/livedex"
 	"bufir/internal/postings"
 	"bufir/internal/storage"
@@ -13,11 +11,6 @@ import (
 
 // LiveOptions configures live index updates (EnableLiveUpdates).
 type LiveOptions struct {
-	// Dir, when non-empty, makes merges durable: each compacted
-	// generation is written as a packed BUFIR3 page file
-	// gen-<epoch>.bufir under Dir and served from disk.
-	// Empty keeps generations in memory (the simulator default).
-	Dir string
 	// AutoMergeDocs, when positive, starts a background merge whenever
 	// a commit leaves at least this many documents in the delta. Zero
 	// means merges happen only when Merge is called.
@@ -36,8 +29,6 @@ type LiveStats struct {
 	DeltaEntries int
 	// Merges counts completed generational merges.
 	Merges int
-	// Merging reports whether a background merge is in flight.
-	Merging bool
 }
 
 // EnableLiveUpdates turns the index mutable: Add and AddTerms append
@@ -186,8 +177,7 @@ func (ix *Index) publishLocked(meta *postings.Index, base storage.PageStore, pag
 
 // Merge compacts the pending delta into a new frequency-sorted main
 // generation and atomically swaps it in as the next epoch. The merged
-// generation is in-memory, or a BUFIR3 page file when LiveOptions.Dir
-// is set. A no-op when the delta is empty. Merge holds the ingestion
+// generation is held in memory. A no-op when the delta is empty. Merge holds the ingestion
 // lock for its duration — concurrent Adds wait, queries do not (they
 // keep reading the views they are bound to).
 func (ix *Index) Merge() error {
@@ -209,32 +199,12 @@ func (ix *Index) mergeLocked() error {
 	}
 	pages := livedex.Pages(c)
 	names := append(append([]string(nil), ix.liveBase...), c.DocNames...)
-
-	var newStore storage.PageStore
-	var viewPages [][]postings.Entry
-	if ix.liveOpts.Dir != "" {
-		path := filepath.Join(ix.liveOpts.Dir, fmt.Sprintf("gen-%06d.bufir", ix.view().epoch+1))
-		aux := &indexfile.Aux{DocNames: names, StopWords: ix.stopWords}
-		if err := indexfile.WritePageFile(path, c.Meta, pages, aux); err != nil {
-			return err
-		}
-		fs, err := storage.OpenFileStore(path, indexfile.PageFileOptions{})
-		if err != nil {
-			return err
-		}
-		// Queries bound to older views may still be mid-read on the
-		// superseded generation, so no file closes before Index.Close.
-		ix.files = append(ix.files, fs)
-		newStore = fs
-	} else {
-		newStore = storage.NewStore(pages)
-		viewPages = pages
-	}
-	if err := ix.live.ApplyMerge(c, newStore); err != nil {
+	store := storage.NewStore(pages)
+	if err := ix.live.ApplyMerge(c, store); err != nil {
 		return err
 	}
 	ix.liveBase = names
-	if err := ix.publishLocked(c.Meta, newStore, viewPages, names); err != nil {
+	if err := ix.publishLocked(c.Meta, store, pages, names); err != nil {
 		return err
 	}
 	ix.liveMerges++
@@ -281,7 +251,7 @@ func (ix *Index) DeltaDocs() int {
 func (ix *Index) LiveStats() LiveStats {
 	ix.liveMu.Lock()
 	defer ix.liveMu.Unlock()
-	st := LiveStats{Epoch: ix.Epoch(), Merging: ix.merging.Load(), Merges: ix.liveMerges}
+	st := LiveStats{Epoch: ix.Epoch(), Merges: ix.liveMerges}
 	if ix.live != nil {
 		st.NumDocs = ix.live.NumDocs()
 		st.DeltaDocs = ix.live.DeltaDocs()

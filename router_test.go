@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"bufir/internal/eval"
-	"bufir/internal/refine"
 )
 
 // stripVolatile returns a copy of the result with wall-clock fields
@@ -53,7 +52,11 @@ func e12Workload(t *testing.T, col *Collection, ix *Index) [][2]interface{} {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := feedbackSequence(ix, fullQ[:1], refine.FeedbackOptions{Rounds: 3, AddPerRound: 2})
+		ranked, err := ix.RankTermsByContribution(fullQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := BuildRefinementSequence(col.Topics[ti].ID, AddOnly, ranked)
 		if err != nil {
 			t.Fatal(err)
 		}

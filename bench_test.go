@@ -362,7 +362,7 @@ func BenchmarkFeedbackRefinement(b *testing.B) {
 }
 
 // BenchmarkDocSortedBaseline regenerates the footnote-14 doc-sorted
-// engine comparison (E17).
+// comparison (E17), whose doc-sorted columns run FULL over LRU.
 func BenchmarkDocSortedBaseline(b *testing.B) {
 	e := env(b)
 	var ratio float64

@@ -35,10 +35,8 @@ type RetryPolicy struct {
 	// presumed transient.
 	MaxRetries int
 	// Backoff is the wait before the first retry; it doubles per
-	// attempt up to BackoffMax. Defaults to 500µs when MaxRetries > 0.
+	// attempt up to 100×Backoff. Defaults to 500µs when MaxRetries > 0.
 	Backoff time.Duration
-	// BackoffMax caps the exponential growth (default 100×Backoff).
-	BackoffMax time.Duration
 	// VictimWait bounds how long a fetch waits for an evictable frame
 	// when capacity is exhausted and every frame is pinned, before
 	// giving up with ErrNoVictim (0 = fail fast).
@@ -50,17 +48,14 @@ type RetryPolicy struct {
 	OnRetry func(wait time.Duration)
 }
 
-// wait returns the backoff before retry attempt (1-based), applying
-// the defaulting rules.
+// wait returns the backoff before retry attempt (1-based): Backoff
+// (default 500µs) doubled per attempt, capped at 100×Backoff.
 func (rp RetryPolicy) wait(attempt int) time.Duration {
 	base := rp.Backoff
 	if base <= 0 {
 		base = 500 * time.Microsecond
 	}
-	max := rp.BackoffMax
-	if max <= 0 {
-		max = 100 * base
-	}
+	max := 100 * base
 	d := base << uint(attempt-1)
 	if d > max || d <= 0 { // d <= 0 guards shift overflow
 		d = max

@@ -53,11 +53,18 @@ func (e *Env) RunAblations() (*AblationResult, error) {
 		size = 1
 	}
 	p := e.Params()
-	base, err := e.RunSequence(seqAdd, eval.BAF, "RAP", size, p, nil)
+	// A1's idf run is A3's "off" run too (same sequence, BAF, RAP, pool
+	// size and params): one pass gives both its reads and the term
+	// evaluations it skipped.
+	out.TieBreakIDFReads, err = e.runTraced(seqAdd, "RAP", size, p, func(tr eval.TermTrace) {
+		if tr.Skipped {
+			out.SkippedTerms++
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	out.TieBreakIDFReads = base.TotalReads
+	out.NormalReads = out.TieBreakIDFReads
 	pNoTie := p
 	pNoTie.NoIDFTieBreak = true
 	noTie, err := e.RunSequence(seqAdd, eval.BAF, "RAP", size, pNoTie, nil)
@@ -102,31 +109,6 @@ func (e *Env) RunAblations() (*AblationResult, error) {
 	}
 
 	// --- A3: ForceFirstPage ---
-	normal, err := e.RunSequence(seqAdd, eval.BAF, "RAP", size, p, nil)
-	if err != nil {
-		return nil, err
-	}
-	out.NormalReads = normal.TotalReads
-	// Count skipped term evaluations without the fix.
-	mgr, err := serialPool(size, e.Store, e.Idx, buffer.NewRAP())
-	if err != nil {
-		return nil, err
-	}
-	ev, err := eval.NewEvaluator(e.Idx, mgr, e.Conv, p)
-	if err != nil {
-		return nil, err
-	}
-	for _, q := range seqAdd.Refinements {
-		res, err := ev.Evaluate(eval.BAF, q)
-		if err != nil {
-			return nil, err
-		}
-		for _, tr := range res.Trace {
-			if tr.Skipped {
-				out.SkippedTerms++
-			}
-		}
-	}
 	pForce := p
 	pForce.ForceFirstPage = true
 	forced, err := e.RunSequence(seqAdd, eval.BAF, "RAP", size, pForce, nil)
@@ -137,29 +119,43 @@ func (e *Env) RunAblations() (*AblationResult, error) {
 
 	// --- A4: d_t estimation error under LRU vs MRU ---
 	for _, policy := range []string{"LRU", "MRU"} {
-		evb, _, err := e.newEvaluator(size, policy, p)
-		if err != nil {
-			return nil, err
-		}
 		var absErr, n float64
-		for _, q := range seqAdd.Refinements {
-			res, err := evb.Evaluate(eval.BAF, q)
-			if err != nil {
-				return nil, err
-			}
-			for _, tr := range res.Trace {
-				if tr.EstimatedReads < 0 || tr.Skipped {
-					continue
-				}
+		_, err := e.runTraced(seqAdd, policy, size, p, func(tr eval.TermTrace) {
+			if tr.EstimatedReads >= 0 && !tr.Skipped {
 				absErr += math.Abs(float64(tr.EstimatedReads - tr.PagesRead))
 				n++
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		if n > 0 {
 			out.EstimateMAE[policy] = absErr / n
 		}
 	}
 	return out, nil
+}
+
+// runTraced runs seq under BAF over a fresh pool of the named policy,
+// calls visit with every round of every refinement, and returns the
+// sequence's total reads.
+func (e *Env) runTraced(seq *refine.Sequence, policy string, size int, p eval.Params, visit func(eval.TermTrace)) (int, error) {
+	ev, _, err := e.newEvaluator(size, policy, p)
+	if err != nil {
+		return 0, err
+	}
+	reads := 0
+	for _, q := range seq.Refinements {
+		res, err := ev.Evaluate(eval.BAF, q)
+		if err != nil {
+			return 0, err
+		}
+		reads += res.PagesRead
+		for _, tr := range res.Trace {
+			visit(tr)
+		}
+	}
+	return reads, nil
 }
 
 // Format prints the ablation table.

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"bufir/internal/buffer"
 	"bufir/internal/eval"
 	"bufir/internal/metrics"
-	"bufir/internal/storage"
+	"bufir/internal/postings"
 )
 
 // ---------------------------------------------------------------------------
@@ -53,21 +52,6 @@ func (e *Env) RunBoolean(numTopics int) (*BooleanResult, error) {
 			numTopics = len(e.Queries)
 		}
 	}
-	// Boolean systems run over doc-sorted lists.
-	dsIx, dsPages, err := buildDocSorted(e.Col.Lists, e.Col.NumDocs, e.Cfg.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	dsStore := storage.NewStore(dsPages)
-	mgr, err := serialPool(256, dsStore, dsIx, buffer.NewLRU())
-	if err != nil {
-		return nil, err
-	}
-	bev, err := newBoolEvaluator(dsIx, mgr)
-	if err != nil {
-		return nil, err
-	}
-
 	out := &BooleanResult{OverflowThreshold: 200, Topics: numTopics}
 	for ti := 0; ti < numTopics; ti++ {
 		ranked, err := e.RankedTerms(ti)
@@ -77,39 +61,30 @@ func (e *Env) RunBoolean(numTopics int) (*BooleanResult, error) {
 		if len(ranked) < 3 {
 			continue
 		}
-		names := make([]string, 3)
+		// The AND answer is the documents in all three lists, the OR
+		// answer those in any of them.
+		hits := make(map[postings.DocID]int)
 		for i := 0; i < 3; i++ {
-			names[i] = e.Idx.Terms[ranked[i].Term].Name
+			for _, en := range postings.ListPostings(e.Pages, e.Idx, ranked[i].Term) {
+				hits[en.Doc]++
+			}
 		}
 		rel := e.Rel[ti]
-		row := BooleanRow{TopicID: e.Col.Topics[ti].ID}
-
-		for _, mode := range []string{"AND", "OR"} {
-			q := names[0] + " " + mode + " " + names[1] + " " + mode + " " + names[2]
-			expr, err := parseBoolean(q, dsIx.LookupTerm)
-			if err != nil {
-				return nil, err
+		row := BooleanRow{TopicID: e.Col.Topics[ti].ID, OrSize: len(hits)}
+		andRel, orRel := 0, 0
+		for d, n := range hits {
+			if n == 3 {
+				row.AndSize++
 			}
-			res, err := bev.Evaluate(expr)
-			if err != nil {
-				return nil, err
-			}
-			relHits := 0
-			for _, d := range res.Docs {
-				if rel[d] {
-					relHits++
+			if rel[d] {
+				orRel++
+				if n == 3 {
+					andRel++
 				}
 			}
-			prec := 0.0
-			if len(res.Docs) > 0 {
-				prec = float64(relHits) / float64(len(res.Docs))
-			}
-			if mode == "AND" {
-				row.AndSize, row.AndPrecision = len(res.Docs), prec
-			} else {
-				row.OrSize, row.OrPrecision = len(res.Docs), prec
-			}
 		}
+		row.AndPrecision = precision(andRel, row.AndSize)
+		row.OrPrecision = precision(orRel, row.OrSize)
 
 		// Ranked retrieval over the same three terms.
 		var q eval.Query
@@ -143,6 +118,14 @@ func (e *Env) RunBoolean(numTopics int) (*BooleanResult, error) {
 		out.MeanP20 /= n
 	}
 	return out, nil
+}
+
+// precision is hits/size, 0 for an empty answer.
+func precision(hits, size int) float64 {
+	if size == 0 {
+		return 0
+	}
+	return float64(hits) / float64(size)
 }
 
 // Format prints the comparison.

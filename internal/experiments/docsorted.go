@@ -3,24 +3,30 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
-	"bufir/internal/buffer"
 	"bufir/internal/eval"
 	"bufir/internal/refine"
-	"bufir/internal/storage"
 )
 
 // ---------------------------------------------------------------------------
-// E17 (baseline substrate) — footnote 14, measured with a real engine:
-// term-at-a-time evaluation over document-sorted lists ([ZMSD92, MZ94,
-// Bro95]) against the paper's frequency-sorted DF/BAF stack, on the
-// ADD-ONLY QUERY1 refinement sequence. The doc-sorted engine runs both
-// exhaustively (OR) and with Moffat-Zobel Continue accumulator
-// limiting — which saves memory but, as [MZ94] and footnote 14 note,
-// not page reads.
+// E17 (baseline substrate) — footnote 14: term-at-a-time evaluation over
+// document-sorted lists ([ZMSD92, MZ94, Bro95]) against the paper's
+// frequency-sorted DF/BAF stack, on the ADD-ONLY QUERY1 refinement
+// sequence, both exhaustively (OR) and with Moffat-Zobel Continue
+// accumulator limiting — which saves memory but, as [MZ94] and
+// footnote 14 note, not page reads.
+//
+// A document-ordered scan cannot stop a list on frequency, so it reads
+// every page of every query term, term by term in decreasing-idf order
+// with ties broken by TermID: the pages FULL (DF with filtering off)
+// reads, in FULL's order, whatever the order of entries within a list.
+// Each doc-sorted column is therefore FULL over an LRU pool. OR holds an
+// accumulator for every document it meets, as FULL does; Continue stops
+// creating them at the limit, so it holds min(FULL's, limit).
 // ---------------------------------------------------------------------------
 
-// DocSortedResult compares the two physical designs.
+// DocSortedResult compares doc-sorted evaluation with DF and BAF.
 type DocSortedResult struct {
 	TopicID    int
 	WorkingSet int
@@ -37,19 +43,13 @@ type DocSortedResult struct {
 // DocSortedConfigs lists the compared rows.
 var DocSortedConfigs = []string{"docsorted-OR/LRU", "docsorted-CONT/LRU", "DF/LRU", "BAF/RAP"}
 
-// RunDocSorted builds a doc-sorted twin of the index and sweeps the
-// ADD-ONLY QUERY1 sequence over both representations.
+// RunDocSorted sweeps the ADD-ONLY QUERY1 sequence under each compared
+// row.
 func (e *Env) RunDocSorted(points int) (*DocSortedResult, error) {
 	seq, err := e.Sequence(0, refine.AddOnly)
 	if err != nil {
 		return nil, err
 	}
-	dsIx, dsPages, err := buildDocSorted(e.Col.Lists, e.Col.NumDocs, e.Cfg.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	dsStore := storage.NewStore(dsPages)
-
 	ws := e.WorkingSetPages(seq)
 	limit := 1000 // generous Moffat-Zobel budget; DF's candidate sets are smaller
 	out := &DocSortedResult{
@@ -60,62 +60,28 @@ func (e *Env) RunDocSorted(points int) (*DocSortedResult, error) {
 		Series:     make(map[string][]int, len(DocSortedConfigs)),
 		AvgAccums:  make(map[string]float64),
 	}
-
-	runDS := func(strategy docSortedStrategy, size int) (int, float64, error) {
-		mgr, err := serialPool(size, dsStore, dsIx, buffer.NewLRU())
-		if err != nil {
-			return 0, 0, err
-		}
-		ev, err := newDocSortedEvaluator(dsIx, mgr, e.Params().TopN)
-		if err != nil {
-			return 0, 0, err
-		}
-		ev.AccumLimit = limit
-		total, accums := 0, 0.0
-		for _, q := range seq.Refinements {
-			// Term ids are identical across layouts: both builders
-			// assign them in collection list order.
-			res, err := ev.Evaluate(strategy, q)
-			if err != nil {
-				return 0, 0, err
-			}
-			total += res.PagesRead
-			accums += float64(res.Accumulators)
-		}
-		return total, accums / float64(len(seq.Refinements)), nil
-	}
-
 	for _, cfg := range DocSortedConfigs {
+		algo, policy, params, accumCap := eval.DF, "LRU", eval.Params{TopN: e.Params().TopN}, math.MaxInt
+		switch cfg {
+		case "docsorted-CONT/LRU":
+			accumCap = limit
+		case "DF/LRU":
+			params = e.Params()
+		case "BAF/RAP":
+			algo, policy, params = eval.BAF, "RAP", e.Params()
+		}
 		series := make([]int, 0, len(out.Sizes))
 		for _, size := range out.Sizes {
-			var reads int
-			var accums float64
-			var err error
-			switch cfg {
-			case "docsorted-OR/LRU":
-				reads, accums, err = runDS(strategyOR, size)
-			case "docsorted-CONT/LRU":
-				reads, accums, err = runDS(strategyContinue, size)
-			case "DF/LRU":
-				var sr *SequenceResult
-				sr, err = e.RunSequence(seq, eval.DF, "LRU", size, e.Params(), nil)
-				if err == nil {
-					reads = sr.TotalReads
-					accums = meanAccums(sr)
-				}
-			case "BAF/RAP":
-				var sr *SequenceResult
-				sr, err = e.RunSequence(seq, eval.BAF, "RAP", size, e.Params(), nil)
-				if err == nil {
-					reads = sr.TotalReads
-					accums = meanAccums(sr)
-				}
-			}
+			sr, err := e.RunSequence(seq, algo, policy, size, params, nil)
 			if err != nil {
 				return nil, err
 			}
-			series = append(series, reads)
-			out.AvgAccums[cfg] = accums // value at the last sweep point
+			series = append(series, sr.TotalReads)
+			accums := 0.0
+			for _, r := range sr.PerRef {
+				accums += float64(min(r.Accumulators, accumCap))
+			}
+			out.AvgAccums[cfg] = accums / float64(len(sr.PerRef)) // value at the last sweep point
 		}
 		out.Series[cfg] = series
 	}

@@ -29,8 +29,8 @@ type Env struct {
 	Idx   *postings.Index
 	Store *storage.Store
 	// Pages holds the raw page payloads (the Store's contents), kept
-	// for experiments that build alternative physical representations
-	// (compression, doc-sorted baselines).
+	// for experiments that read lists outside the buffer pool: E15
+	// writes them to a compressed page file, E19 reads whole lists.
 	Pages [][]postings.Entry
 	Conv  *postings.ConversionTable
 

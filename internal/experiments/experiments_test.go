@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
 	"bufir/internal/corpus"
 	"bufir/internal/eval"
+	"bufir/internal/postings"
+	"bufir/internal/rank"
 	"bufir/internal/refine"
 )
 
@@ -353,24 +357,87 @@ func TestDocSortedExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range res.Sizes {
-		or := res.Series["docsorted-OR/LRU"][i]
-		cont := res.Series["docsorted-CONT/LRU"][i]
-		df := res.Series["DF/LRU"][i]
-		// Continue saves memory, never reads (Moffat-Zobel).
-		if cont != or {
-			t.Errorf("size %d: Continue read %d != OR %d", res.Sizes[i], cont, or)
-		}
 		// Footnote 14: the doc-sorted engine reads at least as much as
 		// DF over the frequency-sorted layout.
-		if or < df {
+		if or, df := res.Series["docsorted-OR/LRU"][i], res.Series["DF/LRU"][i]; or < df {
 			t.Errorf("size %d: doc-sorted read %d < DF %d", res.Sizes[i], or, df)
 		}
 	}
-	if res.AvgAccums["docsorted-CONT/LRU"] > float64(res.AccumLimit) {
-		t.Errorf("Continue exceeded the accumulator limit: %.0f", res.AvgAccums["docsorted-CONT/LRU"])
-	}
 	if res.AvgAccums["docsorted-OR/LRU"] <= res.AvgAccums["DF/LRU"] {
 		t.Error("exhaustive doc-sorted evaluation should use far more accumulators than DF")
+	}
+}
+
+// TestContinueKeepsUpdatingButReadsEverything: Moffat-Zobel Continue
+// stops creating accumulators at the limit but still scans every list
+// to update the ones it holds, so it saves memory, never reads.
+func TestContinueKeepsUpdatingButReadsEverything(t *testing.T) {
+	env := newTinyEnv(t)
+	res, err := env.RunDocSorted(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Series["docsorted-CONT/LRU"], res.Series["docsorted-OR/LRU"]) {
+		t.Errorf("Continue read %v, OR %v", res.Series["docsorted-CONT/LRU"], res.Series["docsorted-OR/LRU"])
+	}
+	cont, or := res.AvgAccums["docsorted-CONT/LRU"], res.AvgAccums["docsorted-OR/LRU"]
+	if cont > float64(res.AccumLimit) {
+		t.Errorf("Continue exceeded the accumulator limit %d: %.0f", res.AccumLimit, cont)
+	}
+	// The tiny collection's OR candidate sets outgrow the limit, so
+	// Continue must hold strictly fewer.
+	if or <= float64(res.AccumLimit) || cont >= or {
+		t.Errorf("Continue holds %.0f accumulators, OR %.0f (limit %d)", cont, or, res.AccumLimit)
+	}
+}
+
+// TestORMatchesFrequencySortedExhaustive checks the identity E17's
+// doc-sorted columns rest on: FULL reads every page of every query term,
+// term by term in decreasing idf with ties broken by TermID — the pages
+// and order of a term-at-a-time scan over document-ordered lists — and
+// its accumulators and ranking are those of exhaustive term-at-a-time
+// OR evaluation, computed here from the lists directly.
+func TestORMatchesFrequencySortedExhaustive(t *testing.T) {
+	env := newTinyEnv(t)
+	seq, err := env.Sequence(0, refine.AddOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := eval.Params{TopN: env.Params().TopN}
+	for ri, q := range seq.Refinements {
+		res, err := env.EvaluateCold(eval.DF, q, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ordered := slices.Clone(q)
+		slices.SortFunc(ordered, func(a, b eval.QueryTerm) int {
+			if c := cmp.Compare(env.Idx.IDF(b.Term), env.Idx.IDF(a.Term)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Term, b.Term)
+		})
+		if len(res.Trace) != len(ordered) {
+			t.Fatalf("refinement %d: %d rounds for %d terms", ri, len(res.Trace), len(ordered))
+		}
+		acc := make(map[postings.DocID]float64)
+		for i, qt := range ordered {
+			tr := res.Trace[i]
+			if tr.Term != qt.Term || tr.PagesProcessed != tr.ListPages {
+				t.Fatalf("refinement %d round %d: term %d read %d/%d pages, want term %d in full",
+					ri, i, tr.Term, tr.PagesProcessed, tr.ListPages, qt.Term)
+			}
+			tm := &env.Idx.Terms[qt.Term]
+			wqt := rank.QueryWeight(qt.Fqt, tm.IDF)
+			for _, en := range postings.ListPostings(env.Pages, env.Idx, qt.Term) {
+				acc[en.Doc] += rank.DocWeight(en.Freq, tm.IDF) * wqt
+			}
+		}
+		if res.Accumulators != len(acc) {
+			t.Errorf("refinement %d: FULL holds %d accumulators, OR %d", ri, res.Accumulators, len(acc))
+		}
+		if want := rank.TopN(acc, env.Idx.DocLen, full.TopN); !slices.Equal(res.Top, want) {
+			t.Errorf("refinement %d: FULL ranking %v, OR %v", ri, res.Top, want)
+		}
 	}
 }
 
@@ -419,6 +486,73 @@ func TestBooleanExperiment(t *testing.T) {
 	// Ranked precision@20 should beat OR-set precision comfortably.
 	if res.MeanP20 <= res.MeanOrPrec {
 		t.Errorf("ranked P@20 %.3f <= OR precision %.3f", res.MeanP20, res.MeanOrPrec)
+	}
+}
+
+// TestBooleanOperators checks E19's answer sets against the raw
+// collection: AND is the documents in all three of a topic's strongest
+// terms, OR the documents in any of them, and each precision is the
+// relevant share of its set.
+func TestBooleanOperators(t *testing.T) {
+	env := newTinyEnv(t)
+	res, err := env.RunBoolean(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[int]BooleanRow, len(res.Rows))
+	for _, row := range res.Rows {
+		rows[row.TopicID] = row
+	}
+	for ti, topic := range env.Col.Topics {
+		ranked, err := env.RankedTerms(ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, ok := rows[topic.ID]
+		if len(ranked) < 3 {
+			if ok {
+				t.Errorf("topic %d: row for a topic with %d terms", topic.ID, len(ranked))
+			}
+			continue
+		}
+		if !ok {
+			t.Fatalf("topic %d: no row", topic.ID)
+		}
+		and, or := map[postings.DocID]bool{}, map[postings.DocID]bool{}
+		for i := 0; i < 3; i++ {
+			in := map[postings.DocID]bool{}
+			for _, en := range env.Col.Lists[ranked[i].Term].Entries {
+				in[en.Doc], or[en.Doc] = true, true
+			}
+			if i == 0 {
+				and = in
+				continue
+			}
+			for d := range and {
+				if !in[d] {
+					delete(and, d)
+				}
+			}
+		}
+		prec := func(set map[postings.DocID]bool) float64 {
+			hits := 0
+			for d := range set {
+				if env.Rel[ti][d] {
+					hits++
+				}
+			}
+			if len(set) == 0 {
+				return 0
+			}
+			return float64(hits) / float64(len(set))
+		}
+		if row.AndSize != len(and) || row.OrSize != len(or) {
+			t.Errorf("topic %d: sizes AND %d OR %d, want %d and %d", topic.ID, row.AndSize, row.OrSize, len(and), len(or))
+		}
+		if row.AndPrecision != prec(and) || row.OrPrecision != prec(or) {
+			t.Errorf("topic %d: precision AND %g OR %g, want %g and %g",
+				topic.ID, row.AndPrecision, row.OrPrecision, prec(and), prec(or))
+		}
 	}
 }
 

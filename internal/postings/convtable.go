@@ -1,7 +1,5 @@
 package postings
 
-import "sync/atomic"
-
 // ConversionTable is the memory-resident f_add -> p_t table of §3.2.2:
 // for each term it answers "how many pages of this term's inverted
 // list will a scan with addition threshold f_add process?".
@@ -12,7 +10,8 @@ import "sync/atomic"
 // that entries with f_dt > 10 are very rarely found outside the first
 // page). Thresholds beyond the tabulated range fall back to the exact
 // computation from the per-page minimum frequencies, which are also
-// memory resident.
+// memory resident. The table is immutable once built, so every
+// concurrent session shares one.
 type ConversionTable struct {
 	ix *Index
 	// rows[t] is nil for single-page terms; otherwise rows[t][k] is
@@ -20,11 +19,6 @@ type ConversionTable struct {
 	rows [][]int16
 	// MaxKey is the largest tabulated integer threshold.
 	MaxKey int
-	// lookups counts Pages calls, mirroring the paper's T(T+1)/2
-	// accounting of selection-round work. Atomic: one table is shared
-	// by every concurrent session (the rows themselves are immutable
-	// after construction).
-	lookups atomic.Int64
 }
 
 // DefaultMaxKey tabulates thresholds 0..10, the useful range the paper
@@ -67,7 +61,6 @@ func NewConversionTable(ix *Index, maxKey int) *ConversionTable {
 // f_dt > fadd iff f_dt >= floor(fadd)+1, so the table is keyed by
 // floor(fadd).
 func (ct *ConversionTable) Pages(t TermID, fadd float64) int {
-	ct.lookups.Add(1)
 	row := ct.rows[t]
 	if row == nil {
 		return 1 // single-page list
@@ -83,14 +76,6 @@ func (ct *ConversionTable) Pages(t TermID, fadd float64) int {
 	}
 	return int(row[k])
 }
-
-// Lookups returns the number of Pages calls made so far (conversion
-// table pressure; the paper notes BAF performs T(T+1)/2 of these per
-// query in the worst case).
-func (ct *ConversionTable) Lookups() int64 { return ct.lookups.Load() }
-
-// ResetLookups zeroes the lookup counter.
-func (ct *ConversionTable) ResetLookups() { ct.lookups.Store(0) }
 
 // SizeBytes reports the memory footprint of the tabulated rows in
 // bytes (2 bytes per cell), the quantity the paper sizes at ~121 KB

@@ -133,7 +133,7 @@ func (ix *Index) IDF(t TermID) float64 { return ix.Terms[t].IDF }
 
 // IDFValue computes idf_t = log2(N / f_t) with the degenerate inputs
 // guarded, and is the single authority every IDF in the system comes
-// from (Build, the indexfile loaders, and rank.IDF all delegate here):
+// from (Build, the indexfile loaders and the live index all call it):
 //
 //   - f_t <= 0 — a term absent from the collection, which neither
 //     Build nor the page-file loader admits — yields 0, not +Inf: the

@@ -277,15 +277,6 @@ func TestConversionTableSizeAndCounters(t *testing.T) {
 	if got := ct.SizeBytes(); got != 22 {
 		t.Errorf("SizeBytes = %d, want 22", got)
 	}
-	ct.Pages(0, 1)
-	ct.Pages(1, 1)
-	if ct.Lookups() != 2 {
-		t.Errorf("Lookups = %d, want 2", ct.Lookups())
-	}
-	ct.ResetLookups()
-	if ct.Lookups() != 0 {
-		t.Error("ResetLookups failed")
-	}
 }
 
 func TestConversionTableNegativeThreshold(t *testing.T) {

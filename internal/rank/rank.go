@@ -1,7 +1,7 @@
 // Package rank implements the cosine-similarity ranking model of §2.2:
-// term weights w_{d,t} = f_{d,t}·idf_t (Equation 3), idf_t =
-// log2(N/f_t) (Equation 4), document vector lengths W_d (Equation 2),
-// and selection of the n highest-scoring documents.
+// term weights w_{d,t} = f_{d,t}·idf_t (Equation 3) over the idf_t of
+// Equation 4 (postings.IDFValue), and selection of the n highest-scoring
+// documents by score normalized by the vector length W_d (Equation 2).
 package rank
 
 import (
@@ -9,17 +9,6 @@ import (
 
 	"bufir/internal/postings"
 )
-
-// IDF computes idf_t = log2(N / f_t), guarded at both degenerate
-// edges: f_t <= 0 (a term absent from the collection) and f_t >= N (a
-// term in every document) both yield 0, so an uninformative term contributes nothing instead
-// of injecting ±Inf into query weights. IDF delegates to
-// postings.IDFValue, the single audited implementation shared with
-// index construction and the index-file loaders; see its comment for
-// the rationale at each edge.
-func IDF(numDocs, df int) float64 {
-	return postings.IDFValue(numDocs, df)
-}
 
 // DocWeight computes w_{d,t} = f_{d,t} · idf_t.
 func DocWeight(fdt int32, idf float64) float64 {
@@ -30,12 +19,6 @@ func DocWeight(fdt int32, idf float64) float64 {
 // frequencies above one in queries, e.g. due to relevance feedback.)
 func QueryWeight(fqt int, idf float64) float64 {
 	return float64(fqt) * idf
-}
-
-// PartialSimilarity is the product w_{d,t}·w_{q,t} = f_{d,t}·f_{q,t}·idf_t²,
-// the amount a single (d, f_dt) entry adds to document d's accumulator.
-func PartialSimilarity(fdt int32, fqt int, idf float64) float64 {
-	return float64(fdt) * float64(fqt) * idf * idf
 }
 
 // ScoredDoc is a document with its final (normalized) relevance score.

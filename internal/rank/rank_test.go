@@ -10,15 +10,17 @@ import (
 	"bufir/internal/postings"
 )
 
+// idf_t (Equation 4) is postings.IDFValue, which the index computes
+// every term's idf with.
 func TestIDF(t *testing.T) {
-	if got := IDF(8, 2); math.Abs(got-2) > 1e-12 {
-		t.Errorf("IDF(8,2) = %g, want 2", got)
+	if got := postings.IDFValue(8, 2); math.Abs(got-2) > 1e-12 {
+		t.Errorf("postings.IDFValue(8,2) = %g, want 2", got)
 	}
-	if got := IDF(100, 100); got != 0 {
-		t.Errorf("IDF(100,100) = %g, want 0", got)
+	if got := postings.IDFValue(100, 100); got != 0 {
+		t.Errorf("postings.IDFValue(100,100) = %g, want 0", got)
 	}
-	if got := IDF(1024, 1); math.Abs(got-10) > 1e-12 {
-		t.Errorf("IDF(1024,1) = %g, want 10", got)
+	if got := postings.IDFValue(1024, 1); math.Abs(got-10) > 1e-12 {
+		t.Errorf("postings.IDFValue(1024,1) = %g, want 10", got)
 	}
 }
 
@@ -31,11 +33,8 @@ func TestWeightsAndPartialSimilarity(t *testing.T) {
 		t.Errorf("QueryWeight = %g", got)
 	}
 	// partial similarity = w_dt * w_qt = f_dt * f_qt * idf^2
-	if got := PartialSimilarity(4, 5, idf); got != 180 {
-		t.Errorf("PartialSimilarity = %g", got)
-	}
-	if got := DocWeight(4, idf) * QueryWeight(5, idf); got != PartialSimilarity(4, 5, idf) {
-		t.Error("PartialSimilarity must equal w_dt*w_qt")
+	if got := DocWeight(4, idf) * QueryWeight(5, idf); got != 180 {
+		t.Errorf("partial similarity w_dt*w_qt = %g, want 180", got)
 	}
 }
 
@@ -179,35 +178,29 @@ func TestTopNQuickOrdering(t *testing.T) {
 func TestIDFGuardedEdges(t *testing.T) {
 	// df == 0: a term absent from the collection (reachable through
 	// loaded shard metadata) must contribute nothing, not +Inf.
-	if got := IDF(100, 0); got != 0 {
-		t.Errorf("IDF(100,0) = %g, want 0", got)
+	if got := postings.IDFValue(100, 0); got != 0 {
+		t.Errorf("postings.IDFValue(100,0) = %g, want 0", got)
 	}
-	if got := IDF(100, -3); got != 0 {
-		t.Errorf("IDF(100,-3) = %g, want 0", got)
+	if got := postings.IDFValue(100, -3); got != 0 {
+		t.Errorf("postings.IDFValue(100,-3) = %g, want 0", got)
 	}
 	// df == numDocs: zero by Equation 4, and documented as such.
-	if got := IDF(40000, 40000); got != 0 {
+	if got := postings.IDFValue(40000, 40000); got != 0 {
 		t.Errorf("IDF(N,N) = %g, want 0", got)
 	}
 	// df > numDocs (corrupt metadata): clamped to 0, never negative.
-	if got := IDF(10, 25); got != 0 {
-		t.Errorf("IDF(10,25) = %g, want 0", got)
+	if got := postings.IDFValue(10, 25); got != 0 {
+		t.Errorf("postings.IDFValue(10,25) = %g, want 0", got)
 	}
 	// The guard must keep downstream weights finite: these are the
 	// expressions a query with a degenerate term runs through.
 	for _, df := range []int{0, 100} {
-		idf := IDF(100, df)
+		idf := postings.IDFValue(100, df)
 		if w := QueryWeight(3, idf); math.IsInf(w, 0) || math.IsNaN(w) {
 			t.Errorf("QueryWeight with df=%d = %g", df, w)
 		}
 		if w := DocWeight(0, idf); math.IsNaN(w) {
 			t.Errorf("DocWeight(0, idf(df=%d)) = %g", df, w)
-		}
-	}
-	// rank.IDF and postings.IDFValue are the same implementation.
-	for _, c := range [][2]int{{8, 2}, {100, 0}, {100, 100}, {10, 25}} {
-		if IDF(c[0], c[1]) != postings.IDFValue(c[0], c[1]) {
-			t.Errorf("IDF(%d,%d) diverges from postings.IDFValue", c[0], c[1])
 		}
 	}
 }

@@ -175,9 +175,9 @@ func faultCoin(seed uint64, ruleIdx int, id postings.PageID, n int64) float64 {
 
 // FaultError is the error injected by a FaultStore. It matches
 // ErrInjectedFault under errors.Is and carries the fault's
-// classification, which the buffer manager's retry path reads through
-// the TransientFault / PermanentFault marker methods without importing
-// this package.
+// classification. The buffer manager's retry path reads it through the
+// PermanentFault marker method, without importing this package: a
+// permanent fault is never retried, every other error is.
 type FaultError struct {
 	Page    postings.PageID
 	Ordinal int64 // per-page read ordinal, 1-based
@@ -191,9 +191,6 @@ func (e *FaultError) Error() string {
 
 // Is makes errors.Is(err, ErrInjectedFault) true for every FaultError.
 func (e *FaultError) Is(target error) bool { return target == ErrInjectedFault }
-
-// TransientFault reports whether a retry of the read may succeed.
-func (e *FaultError) TransientFault() bool { return e.Kind == FaultTransient }
 
 // PermanentFault reports whether retries are futile for this page.
 func (e *FaultError) PermanentFault() bool { return e.Kind == FaultPermanent }

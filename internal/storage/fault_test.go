@@ -96,7 +96,7 @@ func TestPermanentNeverHeals(t *testing.T) {
 		if !errors.As(err, &fe) {
 			t.Fatalf("read %d: err = %v, want *FaultError", i+1, err)
 		}
-		if fe.Kind != FaultPermanent || !fe.PermanentFault() || fe.TransientFault() {
+		if fe.Kind != FaultPermanent || !fe.PermanentFault() {
 			t.Fatalf("read %d: classification wrong: %+v", i+1, fe)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"bufir/internal/postings"
-	"bufir/internal/rank"
 )
 
 var safeMethods = []struct {
@@ -245,7 +244,7 @@ func TestSearchIDFEdgeUbiquitousTerm(t *testing.T) {
 // TestSearchIDFEdgeZeroDF is the other half of satellite 2: a term
 // whose metadata carries df = 0 (corrupt or cross-shard statistics —
 // the list itself may still hold pages) must contribute nothing.
-// Historically rank.IDF returned +Inf here, and 0·Inf = NaN poisoned
+// Historically the idf computation returned +Inf here, and 0·Inf = NaN poisoned
 // every accumulator the list touched; the guarded IDF keeps the whole
 // answer finite and identical to the query without the term.
 func TestSearchIDFEdgeZeroDF(t *testing.T) {
@@ -267,7 +266,7 @@ func TestSearchIDFEdgeZeroDF(t *testing.T) {
 		t.Fatal("ghost not indexed")
 	}
 	ix.meta().Terms[ghostID].DF = 0
-	ix.meta().Terms[ghostID].IDF = rank.IDF(ix.NumDocs(), 0)
+	ix.meta().Terms[ghostID].IDF = postings.IDFValue(ix.NumDocs(), 0)
 	if got := ix.meta().Terms[ghostID].IDF; got != 0 {
 		t.Fatalf("guarded idf(N, 0) = %v, want 0", got)
 	}

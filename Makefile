@@ -270,7 +270,9 @@ bench-policyops:
 # What one page fetch costs (BenchmarkFetch: FetchContext+Unpin on a
 # 2-shard pool, warm hits and a miss-and-evict cycle over the simulator
 # and over an mmap'd file store, per {LRU, RAP} × {1, 4, 16}
-# goroutines), in ns/op and allocs/op. The default runs
+# goroutines), in ns/op and allocs/op. Every row reads 0 allocs/op: a
+# miss re-labels the frame it evicts. Compare the hit rows at
+# `-cpu 1,2`: a hit writes only the frame it pins. The default runs
 # every case once — the ci smoke, not a gate on the numbers;
 # FETCH_BENCHTIME=1s gives numbers worth recording.
 FETCH_BENCHTIME ?= 1x

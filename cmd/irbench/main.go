@@ -11,7 +11,10 @@
 //
 // -exp is a comma-separated list of experiment names; irbench -h
 // lists them (default "all"). An unknown name fails before anything
-// runs. -benchjson FILE also writes the result of the one experiment
+// runs. -topics limits the per-topic experiments (summary, weblegend,
+// boolean, effect) to the first N topics; at 0, its default, or above
+// the topic count, summary runs every topic, weblegend 8, boolean 20
+// and effect 20 (every topic when above). -benchjson FILE also writes the result of the one experiment
 // -exp names as indented JSON (make bench-policy and make
 // bench-ranksafe write BENCH_policy.json and BENCH_ranksafe.json this
 // way).
@@ -214,7 +217,7 @@ func run(args []string, w io.Writer) (err error) {
 	scale := fs.String("scale", "default", "collection scale: tiny, default, or paper")
 	fs.Int64Var(&b.seed, "seed", 1998, "generator seed, also seeding the fault schedules of faults and drift")
 	exps := fs.String("exp", "all", "comma-separated experiments to run: "+expNames())
-	fs.IntVar(&b.topics, "topics", 0, "topics for the per-topic experiments (0 = all; effect then runs 20)")
+	fs.IntVar(&b.topics, "topics", 0, "topics for the per-topic experiments; at 0, or above the topic count, summary runs all, weblegend 8, boolean 20 and effect 20 (all when above)")
 	fs.IntVar(&b.points, "points", 10, "buffer-size sweep points")
 	outPath := fs.String("out", "", "write output to file instead of stdout")
 	cadd := fs.Float64("cadd", 0, "override c_add filtering constant (0 = collection-tuned default)")

@@ -178,6 +178,10 @@ func newPolicyBenchEnv(b *testing.B, ix *postings.Index, store PageReader, mk fu
 //     pages, so each miss also checksums and decodes the page — into
 //     the entries of the frame it evicted.
 //
+// A miss re-labels the frame it evicts, so every row allocates
+// nothing; a hit counts itself on the frame it pins, so the hit rows
+// at -cpu 2 cost no more than at -cpu 1.
+//
 // The b.N operations are split evenly across the goroutines, so ns/op
 // is wall time per fetch of the whole group: it falls with goroutines
 // when fetches overlap and rises when they serialize on a latch.

@@ -58,24 +58,42 @@ func within(t *testing.T, done <-chan error, what string) error {
 	}
 }
 
+// TestEvictedFrameNeverPinnedAgain: a pointer kept past an eviction
+// never pins its old page again. The frame is re-labelled with the page
+// that evicted it, so a hit that found it for the old page fails its
+// check and leaves the pin count as it was; a flushed frame, on the free
+// list, refuses every pin.
 func TestEvictedFrameNeverPinnedAgain(t *testing.T) {
 	ix, st := testEnv(t)
 	m, _ := newSerial(1, st, ix, NewRAP())
+	sh := m.shardOf(0)
 	stale := get(t, m, 0)
 	m.Unpin(stale)
-	touch(t, m, 1) // evicts page 0
+	f := get(t, m, 1) // evicts page 0 into its frame
 	if m.Contains(0) {
 		t.Fatal("page 0 still resident")
 	}
-	if stale.tryPin() {
-		t.Fatal("a frame that left the pool took a pin")
+	if f != stale || f.Page != 1 {
+		t.Fatalf("page 1 got frame %p for page %d, want page 0's frame %p", f, f.Page, stale)
 	}
-	if stale.Pinned() {
-		t.Fatal("a frame that left the pool reports a pin")
+	for _, pinned := range []int32{1, 0} {
+		if m.pinHit(sh, stale, 0) {
+			t.Fatalf("a hit on page 0 pinned the frame that carries page %d", stale.Page)
+		}
+		if n := stale.pin.Load(); n != pinned {
+			t.Fatalf("the failed hit left %d pins, want %d", n, pinned)
+		}
+		if pinned == 1 {
+			m.Unpin(f)
+		}
 	}
-	f := get(t, m, 0)
-	if f == stale {
-		t.Fatal("the reload returned the evicted frame")
+	m.Flush()
+	if stale.tryPin() || stale.Pinned() {
+		t.Fatal("a flushed frame took a pin")
+	}
+	f = get(t, m, 0)
+	if f != stale || f.Page != 0 {
+		t.Fatalf("the reload got frame %p for page %d, want the flushed frame %p", f, f.Page, stale)
 	}
 	m.Unpin(f)
 	defer func() {

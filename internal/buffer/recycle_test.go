@@ -3,20 +3,23 @@ package buffer
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"unsafe"
+	"time"
 
 	"bufir/internal/indexfile"
 	"bufir/internal/postings"
 	"bufir/internal/storage"
 )
 
-// The tests in this file cover recycling: a miss that evicts decodes
-// the new page into the victim's entries when the store hands over
-// what it decodes (storage.IntoReader), and never when it shares them.
+// The tests in this file cover recycling: a miss that evicts re-labels
+// the victim's Frame as the new page's, and decodes the page into the
+// victim's entries when the store hands over what it decodes
+// (storage.IntoReader), never when it shares them.
 
 // goldenFile writes goldenIndex's pages as a paged index file.
 func goldenFile(t *testing.T) (string, *postings.Index, [][]postings.Entry) {
@@ -41,14 +44,10 @@ func openFile(t *testing.T, path string, opts indexfile.PageFileOptions) *storag
 }
 
 // TestEvictionRecyclesEntries: in a one-frame pool over a file store —
-// either access path, bare or under a fault layer — page B's entries
-// occupy the array page A's frame held before B evicted it, and a
-// steady-state miss allocates only its Frame, which on a 64-bit
-// platform stays in the 112-byte size class.
+// either access path, bare or under a fault layer — page B evicts page
+// A into A's own Frame, its entries occupy the array A's held, and a
+// steady-state miss allocates nothing.
 func TestEvictionRecyclesEntries(t *testing.T) {
-	if size := unsafe.Sizeof(Frame{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 112 {
-		t.Errorf("a Frame takes %d bytes, past the 112-byte size class every miss allocates", size)
-	}
 	path, ix, pages := goldenFile(t)
 	a, b := ix.PageOf(0, 0), ix.PageOf(0, 1) // two full pages of one list
 	for _, tc := range []struct {
@@ -77,14 +76,14 @@ func TestEvictionRecyclesEntries(t *testing.T) {
 			arr := &fa.Data()[0]
 			m.Unpin(fa)
 			fb := get(t, m, b)
+			if fb != fa || fb.Page != b {
+				t.Errorf("page B got frame %p for page %d, want page A's frame %p", fb, fb.Page, fa)
+			}
 			if &fb.Data()[0] != arr {
 				t.Error("page B did not reuse the entries of page A, the frame it evicted")
 			}
 			if !reflect.DeepEqual(fb.Data(), pages[b]) {
 				t.Error("page B's entries differ from the page")
-			}
-			if fa.Data() != nil {
-				t.Error("the evicted frame still holds entries")
 			}
 			m.Unpin(fb)
 
@@ -97,8 +96,8 @@ func TestEvictionRecyclesEntries(t *testing.T) {
 				m.Unpin(f)
 				next = a + b - next
 			})
-			if allocs != 1 {
-				t.Errorf("%v allocations per miss, want 1 (the Frame)", allocs)
+			if allocs != 0 {
+				t.Errorf("%v allocations per miss, want 0", allocs)
 			}
 			if s := m.Stats(); s.Misses != st.Reads() {
 				t.Errorf("misses %d != store reads %d", s.Misses, st.Reads())
@@ -195,9 +194,9 @@ func TestSharedPagesNeverRecycled(t *testing.T) {
 
 // TestCorruptPageIntoSpare: a page that passes its checksum but not the
 // index's checks is decoded into the entries of the frame it evicted
-// before the store rejects it. Only that load's frame is poisoned: the
-// next fetch, which recycles nothing (the failed load kept no
-// entries), delivers its page intact, and misses equal store reads.
+// before the store rejects it. Only that load is poisoned: the next
+// fetch takes the failed frame off the free list and decodes into the
+// same entries, its page arrives intact, and misses equal store reads.
 func TestCorruptPageIntoSpare(t *testing.T) {
 	ix, pages := goldenIndex(t)
 	want := clonePages(pages)
@@ -232,5 +231,172 @@ func TestCorruptPageIntoSpare(t *testing.T) {
 	}
 	if n := m.PinnedFrames(); n != 0 {
 		t.Errorf("%d frames pinned at the end", n)
+	}
+}
+
+// TestWarmMissAllocatesNothing: on a full 2-shard pool, warmed until
+// every frame has been allocated, a miss that evicts — FetchContext and
+// Unpin — allocates nothing, over the simulator and over an mmap'd
+// FileStore, under each product policy.
+func TestWarmMissAllocatesNothing(t *testing.T) {
+	path, ix, pages := goldenFile(t)
+	for _, tc := range []struct {
+		name  string
+		store PageReader
+	}{
+		{"simulator", storage.NewStore(pages)},
+		{"mmap", openFile(t, path, indexfile.PageFileOptions{})},
+	} {
+		for _, name := range PolicyNames {
+			mk, _ := PolicyFactory(name)
+			m, err := NewManager(4, 2, tc.store, ix, mk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			next := 0
+			cycle := func() {
+				id := postings.PageID(next % ix.NumPagesTotal)
+				next++
+				f, _, err := m.FetchContext(ctx, id)
+				if err != nil {
+					t.Fatalf("%s/%s: fetch %d: %v", tc.name, name, id, err)
+				}
+				m.Unpin(f)
+			}
+			for range 2 * ix.NumPagesTotal {
+				cycle()
+			}
+			before := m.Stats()
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Errorf("%s/%s: %v allocations per warm miss, want 0", tc.name, name, allocs)
+			}
+			if s := m.Stats(); s.Evictions-before.Evictions < 150 {
+				t.Errorf("%s/%s: only %d of the measured fetches evicted", tc.name, name, s.Evictions-before.Evictions)
+			}
+		}
+	}
+}
+
+// TestRecycledFramesHoldTheirPage churns 2-shard pools of four frames
+// over many more pages from sixteen goroutines (run under -race), so
+// frames are re-labelled under hits that found them for their previous
+// page, and failed loads (a transient fault schedule, no retries) pass
+// through the free list. Every frame a fetch returns carries the page
+// asked for, with that page's term, offset and entries, and holds still
+// until it is unpinned.
+func TestRecycledFramesHoldTheirPage(t *testing.T) {
+	path, ix, pages := goldenFile(t)
+	want := clonePages(pages)
+	for _, backend := range []struct {
+		name string
+		open func(t *testing.T) storage.PageStore
+	}{
+		{"simulator", func(*testing.T) storage.PageStore { return storage.NewStore(pages) }},
+		{"mmap", func(t *testing.T) storage.PageStore { return openFile(t, path, indexfile.PageFileOptions{}) }},
+	} {
+		for _, name := range []string{"RAP", "LRU"} {
+			t.Run(backend.name+"/"+name, func(t *testing.T) {
+				rules, err := storage.ParseFaultSchedule("transient:prob=0.02")
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs, err := storage.NewFaultStore(backend.open(t), 5, rules)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mk, _ := PolicyFactory(name)
+				m, err := NewManager(4, 2, fs, ix, mk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SetRetryPolicy(RetryPolicy{VictimWait: time.Second})
+				var wg sync.WaitGroup
+				var failed atomic.Int64
+				for g := 0; g < 16; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						r := rand.New(rand.NewSource(int64(g)))
+						for i := 0; i < 1000; i++ {
+							// Half the fetches go to six hot pages, so hits race
+							// the evictions of their frames.
+							id := postings.PageID(r.Intn(ix.NumPagesTotal))
+							if r.Intn(2) == 0 {
+								id = postings.PageID(r.Intn(6))
+							}
+							f, _, err := m.FetchContext(context.Background(), id)
+							if err != nil {
+								failed.Add(1)
+								continue
+							}
+							if f.Page != id || f.Term != ix.TermOfPage(id) || f.Offset != ix.PageOffset(id) || !reflect.DeepEqual(f.Data(), want[id]) {
+								t.Errorf("fetch of page %d returned page %d (term %d, offset %d) with %d entries", id, f.Page, f.Term, f.Offset, len(f.Data()))
+							}
+							if f.Page != id || !reflect.DeepEqual(f.Data(), want[id]) {
+								t.Errorf("page %d's frame changed while pinned", id)
+							}
+							m.Unpin(f)
+						}
+					}(g)
+				}
+				wg.Wait()
+				if failed.Load() == 0 {
+					t.Error("no load failed: the free list went untested")
+				}
+				if n := m.PinnedFrames(); n != 0 {
+					t.Errorf("%d frames pinned at quiescence", n)
+				}
+				if s := m.Stats(); s.Misses != fs.Reads() || s.Evictions < 1000 {
+					t.Errorf("%+v: misses != store reads %d, or too few evictions", s, fs.Reads())
+				}
+			})
+		}
+	}
+}
+
+// TestStatsSumFetchOutcomes: after concurrent fetches on a 2-shard pool
+// (run under -race, with Stats read while they run), Stats equals what
+// the fetches reported — every hit and miss, and an eviction for every
+// miss past the frames left in use.
+func TestStatsSumFetchOutcomes(t *testing.T) {
+	ix, pages := goldenIndex(t)
+	for _, name := range PolicyNames {
+		mk, _ := PolicyFactory(name)
+		m, err := NewManager(6, 2, storage.NewStore(pages), ix, mk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetRetryPolicy(RetryPolicy{VictimWait: time.Second})
+		var hits, misses atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(g)))
+				for i := 0; i < 1000; i++ {
+					f, missed, err := fetch(m, postings.PageID(r.Intn(12)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if missed {
+						misses.Add(1)
+					} else {
+						hits.Add(1)
+					}
+					m.Unpin(f)
+					if i%100 == 0 {
+						m.Stats()
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		want := Stats{Hits: hits.Load(), Misses: misses.Load(), Evictions: misses.Load() - int64(m.InUse())}
+		if got := m.Stats(); got != want {
+			t.Errorf("%s: Stats %+v, the fetches report %+v", name, got, want)
+		}
 	}
 }

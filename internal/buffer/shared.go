@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"context"
+	"maps"
 	"sync"
 
 	"bufir/internal/postings"
@@ -24,7 +25,7 @@ type Pool interface {
 	// ResidentPages reports b_t for a term.
 	ResidentPages(t postings.TermID) int
 	// SetQuery announces the caller's current query weights; the pool
-	// keeps w, which must not be modified afterwards.
+	// copies w, so the caller may reuse it once the call returns.
 	SetQuery(w QueryWeights)
 	// Stats returns pool counters.
 	Stats() Stats
@@ -94,7 +95,11 @@ type announcer struct {
 // policy has been told, once the deltas issued so far are applied.
 type queryRegistry struct {
 	mu sync.Mutex
-	by map[announcer]QueryWeights
+	// by holds a copy of each announcer's query, in maps the registry
+	// owns; spare is the one its last replacement left, emptied, for the
+	// next announcement to copy into.
+	by    map[announcer]QueryWeights
+	spare QueryWeights
 	// max has an entry for every term some query holds with a positive
 	// weight.
 	max map[postings.TermID]float64
@@ -103,13 +108,13 @@ type queryRegistry struct {
 	delta []TermWeight
 }
 
-// announce records the announcer's new query (nil withdraws it) and
-// tells every shard's policy which terms' combined weights changed. A
-// refinement step changes one to three terms, and a term whose weight the
-// announcer did not touch compares equal bit for bit, so the delta —
-// and the work under each shard's latch — is proportional to the
-// step, not to the pool or the number of users; only the comparison
-// itself walks the query's terms.
+// announce records a copy of the announcer's new query (nil withdraws
+// it) and tells every shard's policy which terms' combined weights
+// changed. A refinement step changes one to three terms, and a term
+// whose weight the announcer did not touch compares equal bit for bit,
+// so the delta — and the work under each shard's latch — is
+// proportional to the step, not to the pool or the number of users;
+// only the comparison and the copy walk the query's terms.
 //
 // The registry lock is held from the comparison to the last shard's
 // application: deltas are not idempotent, so every shard must see
@@ -124,7 +129,13 @@ func (m *Manager) announce(who announcer, w QueryWeights) {
 	if w == nil {
 		delete(r.by, who)
 	} else {
-		r.by[who] = w
+		cur := r.spare
+		if cur == nil {
+			cur = make(QueryWeights, len(w))
+		}
+		r.spare = nil
+		maps.Copy(cur, w)
+		r.by[who] = cur
 	}
 	r.delta = r.delta[:0]
 	for t, ov := range old {
@@ -136,6 +147,10 @@ func (m *Manager) announce(who announcer, w QueryWeights) {
 		if _, had := old[t]; !had && nv != 0 {
 			r.reweigh(t, 0, nv)
 		}
+	}
+	if old != nil {
+		clear(old)
+		r.spare = old
 	}
 	if len(r.delta) == 0 {
 		return

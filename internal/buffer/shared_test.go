@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -136,7 +137,9 @@ func TestSharedPoolConcurrentUsers(t *testing.T) {
 // announcement applied out of order, twice or not at all on one latch
 // shard would leave that shard's table wrong for good. Goroutines race
 // SetQuery and Close over a small set of shared terms (and fetch, so
-// groups come and go while they are re-keyed); at quiescence every
+// groups come and go while they are re-keyed), each refilling one
+// weights map for every announcement, as the evaluator does, which the
+// pool copies; at quiescence every
 // shard's table must equal the per-term maximum over the users' final
 // queries, RAP's structure must be whole, and after the last Close the
 // registry and every table must be empty. Run with -race.
@@ -156,16 +159,17 @@ func TestAnnouncementsNotLost(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(u)))
 			uv := pool.UserView(u)
+			w := make(QueryWeights)
 			for i := 0; i < rounds; i++ {
 				if r.Intn(10) == 0 {
 					final[u] = nil
 					uv.Close()
 				} else {
-					w := make(QueryWeights)
+					clear(w)
 					for n := 1 + r.Intn(5); n > 0; n-- {
 						w[postings.TermID(r.Intn(12))] = float64(r.Intn(4)) // 0: held, but worthless
 					}
-					final[u] = w
+					final[u] = maps.Clone(w)
 					uv.SetQuery(w)
 				}
 				tm := postings.TermID(r.Intn(12))

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"math/bits"
-	"sync"
 
 	"bufir/internal/postings"
 	"bufir/internal/rank"
@@ -23,19 +22,12 @@ type accTable struct {
 	n int
 }
 
-// accTables recycles tables across evaluations, so a steady stream of
-// evaluations allocates no candidate storage. A sync.Pool and not an
-// Evaluator field, because concurrent evaluations on one Evaluator each
-// need their own table.
-var accTables = sync.Pool{New: func() any { return new(accTable) }}
-
-// getAccTable returns an empty table covering numDocs documents. A
-// pooled table sized for a smaller index — one that ingest has since
-// grown, or a smaller collection — is regrown first, with an eighth
-// more room: a live index grows by a document per commit, and a table
-// regrown to the exact size would be reallocated at every one.
-func getAccTable(numDocs int) *accTable {
-	t := accTables.Get().(*accTable)
+// fit makes the table cover numDocs documents. A table sized for a
+// smaller index — one that ingest has since grown, or a smaller
+// collection — is regrown, with an eighth more room: a live index grows
+// by a document per commit, and a table regrown to the exact size would
+// be reallocated at every one.
+func (t *accTable) fit(numDocs int) {
 	if len(t.vals) < numDocs {
 		if len(t.vals) > 0 {
 			numDocs += numDocs / 8
@@ -43,13 +35,6 @@ func getAccTable(numDocs int) *accTable {
 		t.present = make([]uint64, (numDocs+63)/64)
 		t.vals = make([]float64, numDocs)
 	}
-	return t
-}
-
-// putAccTable empties t and returns it to the pool.
-func putAccTable(t *accTable) {
-	t.reset()
-	accTables.Put(t)
 }
 
 // reset empties the table: the bitmap word by word, up to the word of
@@ -62,10 +47,10 @@ func (t *accTable) reset() {
 }
 
 // top is Figure 1 steps 5-6: normalize every accumulator by W_d and
-// pick the k best under rank.Before. Documents of zero length never
-// rank.
-func (t *accTable) top(docLen []float64, k int) []rank.ScoredDoc {
-	sel := rank.NewTopK(k, t.n)
+// pick the k best under rank.Before, in sel. Documents of zero length
+// never rank.
+func (t *accTable) top(docLen []float64, k int, sel *rank.TopK) []rank.ScoredDoc {
+	sel.Reset(k, t.n)
 	for w, left := 0, t.n; left > 0; w++ {
 		for word := t.present[w]; word != 0; word &= word - 1 {
 			doc := w*64 + bits.TrailingZeros64(word)

@@ -21,6 +21,13 @@ func (t *accTable) has(doc postings.DocID) bool {
 	return t.present[uint32(doc)/64]&(1<<(uint32(doc)%64)) != 0
 }
 
+// newAccTable returns an empty table covering numDocs documents.
+func newAccTable(numDocs int) *accTable {
+	t := new(accTable)
+	t.fit(numDocs)
+	return t
+}
+
 // set makes the document a candidate with accumulator v.
 func (t *accTable) set(doc postings.DocID, v float64) {
 	if w, bit := uint32(doc)/64, uint64(1)<<(uint32(doc)%64); t.present[w]&bit == 0 {
@@ -35,7 +42,7 @@ func (t *accTable) set(doc postings.DocID, v float64) {
 // read back its own accumulator.
 func TestAccTableReset(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	tab := getAccTable(5000)
+	tab := newAccTable(5000)
 	for _, n := range []int{0, 1, 31, 32, 33, 700, 4000, 5000} {
 		want := make(map[postings.DocID]float64)
 		for len(want) < n {
@@ -130,7 +137,7 @@ func TestFilterMatchesModel(t *testing.T) {
 	}
 	for c := 0; c < 400; c++ {
 		numDocs := 65 + r.Intn(3000)
-		tab := getAccTable(numDocs)
+		tab := newAccTable(numDocs)
 		m := &modelFilter{cands: make(map[postings.DocID]float64), vals: slices.Clone(tab.vals)}
 		for i := r.Intn(numDocs / 2); i > 0; i-- {
 			doc, v := postings.DocID(r.Intn(numDocs)), r.Float64()*50
@@ -190,7 +197,6 @@ func TestFilterMatchesModel(t *testing.T) {
 		if li.tr.EntriesProcessed != m.entries {
 			t.Fatalf("%s: %d entries processed, model %d", name, li.tr.EntriesProcessed, m.entries)
 		}
-		putAccTable(tab)
 	}
 }
 
@@ -212,9 +218,9 @@ func wideFixture(t testing.TB) *fixture {
 	return newFixture(t, lists, numDocs, 64)
 }
 
-// freshAccTables empties the table pool, so the next evaluation builds
+// freshScratches empties the scratch pool, so the next evaluation builds
 // its table from nothing.
-func freshAccTables() { accTables = sync.Pool{New: func() any { return new(accTable) }} }
+func freshScratches() { scratches = sync.Pool{New: func() any { return new(scratch) }} }
 
 // step is one evaluation of a reuse sequence.
 type step struct {
@@ -294,7 +300,7 @@ func TestAccTableReuseSequences(t *testing.T) {
 					t.Fatalf("first step %+v did not end as the sequence needs", first)
 				}
 				if pass == 1 {
-					freshAccTables()
+					freshScratches()
 				}
 				got[pass] = runStep(t, seq.f, ev, seq.steps[1])
 			}
@@ -333,7 +339,7 @@ func growingFixture(t testing.TB, numDocs int) *fixture {
 func TestTablesGrowAcrossResize(t *testing.T) {
 	small, grown := growingFixture(t, 3000), growingFixture(t, 3700)
 	q := Query{{0, 1}, {1, 2}, {2, 1}, {3, 1}}
-	defer freshAccTables()
+	defer freshScratches()
 	for _, seq := range []struct {
 		name          string
 		first, second *fixture
@@ -343,18 +349,18 @@ func TestTablesGrowAcrossResize(t *testing.T) {
 	} {
 		t.Run(seq.name, func(t *testing.T) {
 			for _, s := range []step{{algo: MAXSCORE, q: q, p: fullParams()}, {algo: BAF, q: q, p: TunedParams()}} {
-				freshAccTables()
+				freshScratches()
 				want := runStep(t, seq.second, seq.second.evaluator(t, 64, buffer.NewLRU(), s.p), s)
 
-				shared := new(accTable)
-				accTables = sync.Pool{New: func() any { return shared }}
+				shared := new(scratch)
+				scratches = sync.Pool{New: func() any { return shared }}
 				runStep(t, seq.first, seq.first.evaluator(t, 64, buffer.NewLRU(), s.p), s)
 				got := runStep(t, seq.second, seq.second.evaluator(t, 64, buffer.NewLRU(), s.p), s)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v after %d documents:\n %+v\nfrom a fresh table:\n %+v", s.algo, seq.first.ix.NumDocs, got, want)
 				}
-				if len(shared.vals) < grown.ix.NumDocs {
-					t.Fatalf("%v: the shared table covers %d documents, the grown index %d", s.algo, len(shared.vals), grown.ix.NumDocs)
+				if len(shared.acc.vals) < grown.ix.NumDocs {
+					t.Fatalf("%v: the shared table covers %d documents, the grown index %d", s.algo, len(shared.acc.vals), grown.ix.NumDocs)
 				}
 			}
 		})

@@ -153,3 +153,40 @@ func TestEmptyQuerySentinel(t *testing.T) {
 		t.Errorf("empty query: err = %v, want ErrEmptyQuery", err)
 	}
 }
+
+// TestWarmEvaluationAllocates: on a pool that holds every page, once
+// the scratch pool is warm, an evaluation allocates at most what it
+// returns — its Result, Trace and Top — under DF, BAF and MAXSCORE,
+// while its announcements alternate between two queries and so re-key
+// RAP each time. Skipped under -race, whose sync.Pool drops items at
+// random.
+func TestWarmEvaluationAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	env := loadGoldenEnv(t, "corpus")
+	ev := env.evaluator(t, env.ix.NumPagesTotal, buffer.NewRAP(), TunedParams())
+	for id := 0; id < env.ix.NumPagesTotal; id++ {
+		frame, _, err := ev.Buf.FetchContext(context.Background(), postings.PageID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.Buf.Unpin(frame)
+	}
+	queries := []Query{env.query(8), env.query(9)}
+	for _, algo := range []Algorithm{DF, BAF, MAXSCORE} {
+		i := 0
+		evaluate := func() {
+			res, err := ev.Evaluate(algo, queries[i%2])
+			if err != nil || res.PagesRead != 0 || len(res.Top) == 0 {
+				t.Fatalf("%v: err %v, %d pages read, %d answers", algo, err, res.PagesRead, len(res.Top))
+			}
+			i++
+		}
+		evaluate()
+		evaluate()
+		if n := testing.AllocsPerRun(50, evaluate); n > 3 {
+			t.Errorf("%v: %v allocations per warm evaluation, want at most 3", algo, n)
+		}
+	}
+}

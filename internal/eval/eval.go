@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"bufir/internal/buffer"
@@ -276,10 +277,12 @@ type Result struct {
 //
 // Every method admits, one pass per page and no call per entry, into an
 // accumulator array — one float64 per document behind a presence
-// bitmap (acc.go) — taken from one package-level sync.Pool and handed
-// back reset when the call returns, so a steady stream of evaluations
-// allocates no candidate storage. A table is owned by one call at a
-// time and is always pooled, whatever its size; there is no cap.
+// bitmap (acc.go). The array, the run with its lists, the query's
+// canonical copy, its announced weights and the top-k heap are one
+// scratch, taken from a package-level sync.Pool and handed back reset
+// when the call returns, so a warm evaluation allocates only its
+// Result, Trace and Top. A scratch is owned by one call at a time and is
+// always pooled, whatever its size; there is no cap.
 type Evaluator struct {
 	Idx    *postings.Index
 	Buf    buffer.Pool
@@ -338,37 +341,76 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, algo Algorithm, q Query
 		// Exact evaluation is Figure 1 unfiltered, the FULL baseline.
 		algo, p.CAdd, p.CIns = DF, 0, 0
 	}
-	q, err := e.checkQuery(q)
+	s := getScratch(e.Idx.NumDocs)
+	defer putScratch(s)
+	q, err := e.checkQuery(q, s.query)
 	if err != nil {
 		return nil, err
 	}
+	s.query = q
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	// Announce the query to the buffer manager so RAP can re-key its
-	// replacement values (no-op for LRU/MRU).
-	weights := make(buffer.QueryWeights, len(q))
-	for _, qt := range q {
-		weights[qt.Term] = rank.QueryWeight(qt.Fqt, e.Idx.IDF(qt.Term))
+	// replacement values (no-op for LRU/MRU). The pool copies the map.
+	if s.weights == nil {
+		s.weights = make(buffer.QueryWeights, len(q))
 	}
-	e.Buf.SetQuery(weights)
+	clear(s.weights)
+	for _, qt := range q {
+		s.weights[qt.Term] = rank.QueryWeight(qt.Fqt, e.Idx.IDF(qt.Term))
+	}
+	e.Buf.SetQuery(s.weights)
 
 	start := time.Now()
-	r := e.newRun(algo, p, q)
+	r := e.newRun(s, algo, p, q)
 	err = r.evaluate(ctx)
-	putAccTable(r.acc)
-	r.acc = nil
 	finish(r.res, err, start)
 	return r.res, err
 }
 
+// scratch is one evaluation's working memory: the run and its lists,
+// the accumulator array, the query in canonical order, the weights
+// announced to the pool and the top-k heap. Nothing in it outlives the
+// call, so it goes back to scratches when the call returns.
+type scratch struct {
+	run     run
+	lists   []listState
+	acc     accTable
+	query   Query
+	weights buffer.QueryWeights
+	top     rank.TopK
+}
+
+// scratches recycles scratch across evaluations. A sync.Pool and not an
+// Evaluator field, because concurrent evaluations on one Evaluator each
+// need their own.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch returns a scratch whose accumulator array covers numDocs
+// documents.
+func getScratch(numDocs int) *scratch {
+	s := scratches.Get().(*scratch)
+	s.acc.fit(numDocs)
+	return s
+}
+
+// putScratch empties s, lets go of the index and Result it points into,
+// and returns it to the pool.
+func putScratch(s *scratch) {
+	s.acc.reset()
+	clear(s.lists)
+	s.run = run{}
+	scratches.Put(s)
+}
+
 // checkQuery validates q — non-empty, term ids in range, query
-// frequencies >= 1, no duplicate terms — and returns a copy in the one
-// canonical order every method starts from: decreasing idf_t (shortest
-// lists first), ties broken by TermID. This is Figure 1's DF processing
-// order, a pure function of the query and the index — never of buffer
-// state.
-func (e *Evaluator) checkQuery(q Query) (Query, error) {
+// frequencies >= 1, no duplicate terms — and returns a copy, in dst's
+// storage, in the one canonical order every method starts from:
+// decreasing idf_t (shortest lists first), ties broken by TermID. This
+// is Figure 1's DF processing order, a pure function of the query and
+// the index — never of buffer state.
+func (e *Evaluator) checkQuery(q, dst Query) (Query, error) {
 	if len(q) == 0 {
 		return nil, ErrEmptyQuery
 	}
@@ -380,7 +422,7 @@ func (e *Evaluator) checkQuery(q Query) (Query, error) {
 			return nil, fmt.Errorf("eval: term %q has query frequency %d < 1", e.Idx.Terms[qt.Term].Name, qt.Fqt)
 		}
 	}
-	ordered := slices.Clone(q)
+	ordered := append(dst[:0], q...)
 	slices.SortFunc(ordered, func(a, b QueryTerm) int {
 		if c := cmp.Compare(e.Idx.IDF(b.Term), e.Idx.IDF(a.Term)); c != 0 {
 			return c
@@ -497,27 +539,31 @@ type run struct {
 	// between rounds.
 	sticky int
 
-	// The accumulator array (pooled; see Evaluator).
+	// The accumulator array and the top-k heap, the scratch's.
 	acc *accTable
+	sel *rank.TopK
 
 	// The open round's start and S_max at BAF's last p_t refresh.
 	roundStart time.Time
 	ptSmax     float64
 }
 
-// newRun builds the run for a query already in canonical order
+// newRun builds, in s, the run for a query already in canonical order
 // (checkQuery's output). A list opens when the schedule first picks it.
-func (e *Evaluator) newRun(algo Algorithm, p Params, q Query) *run {
-	r := &run{
+func (e *Evaluator) newRun(s *scratch, algo Algorithm, p Params, q Query) *run {
+	s.lists = slices.Grow(s.lists[:0], len(q))[:len(q)]
+	r := &s.run
+	*r = run{
 		e:      e,
 		algo:   algo,
 		p:      p,
 		res:    &Result{Trace: make([]TermTrace, 0, len(q))},
-		lists:  make([]listState, len(q)),
+		lists:  s.lists,
 		live:   len(q),
 		sticky: -1,
 		ptSmax: math.Inf(-1),
-		acc:    getAccTable(e.Idx.NumDocs),
+		acc:    &s.acc,
+		sel:    &s.top,
 	}
 	for i, qt := range q {
 		tm := &e.Idx.Terms[qt.Term]
@@ -569,7 +615,7 @@ func (r *run) evaluate(ctx context.Context) error {
 		return err
 	}
 	if r.acc.n > 0 {
-		r.res.Top = r.acc.top(r.e.Idx.DocLen, r.p.TopN)
+		r.res.Top = r.acc.top(r.e.Idx.DocLen, r.p.TopN, r.sel)
 	}
 	r.res.Accumulators = r.acc.n
 	r.res.Smax = r.smax

@@ -44,8 +44,8 @@ type FileStore struct {
 	reads          atomic.Int64
 	decodedEntries atomic.Int64
 
-	// bufs pools the ReadAt staging buffers (unused but harmless on
-	// the mmap path, where blobs are zero-copy views of the mapping).
+	// bufs pools the ReadAt staging buffers; the mmap path takes none,
+	// its blobs are zero-copy views of the mapping.
 	bufs sync.Pool
 }
 
@@ -131,14 +131,20 @@ func (s *FileStore) ReadQuiet(id postings.PageID) ([]postings.Entry, error) {
 // manager's retry path does not burn its budget rereading bytes that
 // cannot heal.
 func (s *FileStore) decodePage(id postings.PageID, dst []postings.Entry) ([]postings.Entry, error) {
-	bp := s.bufs.Get().(*[]byte)
-	blob, err := s.pf.PageBlob(int(id), *bp)
-	if err != nil {
-		s.bufs.Put(bp)
-		return nil, fmt.Errorf("storage: page %d: %w", id, err)
+	var blob []byte
+	var err error
+	if s.pf.Mapped() {
+		blob, err = s.pf.PageBlob(int(id), nil)
+	} else {
+		bp := s.bufs.Get().(*[]byte)
+		defer s.bufs.Put(bp)
+		blob, err = s.pf.PageBlob(int(id), *bp)
+		if err == nil {
+			*bp = blob // keep the (possibly grown) staging buffer
+		}
 	}
-	if !s.pf.Mapped() {
-		*bp = blob // keep the (possibly grown) staging buffer
+	if err != nil {
+		return nil, fmt.Errorf("storage: page %d: %w", id, err)
 	}
 	ix := s.pf.Index
 	tm := &ix.Terms[ix.TermOfPage(id)]
@@ -150,7 +156,6 @@ func (s *FileStore) decodePage(id postings.PageID, dst []postings.Entry) ([]post
 		dst = make([]postings.Entry, 0, n)
 	}
 	entries, err := codec.DecodePage(blob, dst)
-	s.bufs.Put(bp)
 	if err == nil {
 		err = checkPage(entries, want, ix.NumDocs)
 	}

@@ -153,16 +153,17 @@ fuzz:
 	$(GO) test -fuzz=FuzzPageFileHeader -fuzztime=60s ./internal/indexfile
 	$(GO) test -fuzz=FuzzDeltaAppend -fuzztime=60s ./internal/livedex
 
-# Coverage floor: the evaluation core and the ADD-ONLY/ADD-DROP
-# refinement workload generator must stay at or above 80% statement
-# coverage — the metamorphic exactness machinery lives there and
-# silent coverage rot is how exactness bugs sneak in. cover-floor reads each package's
-# total off $(COVER_PROFILE) (ci writes it for the whole suite; `make
-# cover` for just these two packages).
+# Coverage floor: the evaluation core, the ADD-ONLY/ADD-DROP
+# refinement workload generator and the live commit path must stay at
+# or above 80% statement coverage — the metamorphic exactness machinery
+# and a commit's bit-identity with a rebuild live there, and silent
+# coverage rot is how exactness bugs sneak in. cover-floor reads each
+# package's total off $(COVER_PROFILE) (ci writes it for the whole
+# suite; `make cover` for just these three packages).
 COVER_FLOOR := 80.0
 COVER_PROFILE ?= /tmp/bufir-cover.out
 define cover-floor
-	@for pkg in internal/eval internal/refine; do \
+	@for pkg in internal/eval internal/refine internal/livedex; do \
 		grep -E "^(mode:|bufir/$$pkg/[^/]+:)" $(COVER_PROFILE) > $(COVER_PROFILE).pkg || exit 1; \
 		pct=$$($(GO) tool cover -func=$(COVER_PROFILE).pkg | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 		echo "cover ./$$pkg: $$pct% (floor $(COVER_FLOOR)%)"; \
@@ -173,7 +174,7 @@ define cover-floor
 	done
 endef
 cover:
-	@$(GO) test -count=1 -coverprofile=$(COVER_PROFILE) ./internal/eval ./internal/refine >/dev/null
+	@$(GO) test -count=1 -coverprofile=$(COVER_PROFILE) ./internal/eval ./internal/refine ./internal/livedex >/dev/null
 	$(cover-floor)
 
 # Fault smoke gate: the seeded-fault regression tests of every layer —
@@ -220,7 +221,7 @@ loc:
 
 # The PageStore conformance suite under -race: every backend — the
 # in-memory simulator, the file-backed store over both access paths
-# (mmap and pread) and the live-index overlay — held to the identical
+# (mmap and pread) and the store a live commit publishes — held to the identical
 # read/accounting/context/fault contract; and every backend that
 # decodes its pages (the file store, and the fault layer over it) held
 # to the ReadInto contract the buffer manager's recycling relies on.

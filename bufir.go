@@ -200,7 +200,7 @@ func NewIndex(col *Collection) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newStaticIndex(ix, storage.NewStore(pages), pages, nil), nil
+	return newStaticIndex(ix, storage.NewStore(pages), nil), nil
 }
 
 // IndexOptions controls IndexDocuments.
@@ -226,7 +226,7 @@ func IndexDocuments(docs []Document, opts IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := newStaticIndex(res.Index, storage.NewStore(res.Pages), res.Pages, res.DocNames)
+	out := newStaticIndex(res.Index, storage.NewStore(res.Pages), res.DocNames)
 	out.stopWords = res.StopWords
 	out.pipe = res.Pipeline
 	if opts.Positional {
@@ -281,7 +281,7 @@ func openIndexFile(path string, opts indexfile.PageFileOptions) (*Index, error) 
 		return nil, err
 	}
 	pf := fs.File()
-	out := newStaticIndex(pf.Index, fs, nil, nil)
+	out := newStaticIndex(pf.Index, fs, nil)
 	out.file = fs
 	out.applyAux(pf.Aux)
 	return out, nil
@@ -329,17 +329,14 @@ func (ix *Index) applyAux(aux *indexfile.Aux) {
 	}
 }
 
-// pagePayloads returns the current view's raw page payloads, reading
-// them quietly off the backend when the generation is not
-// memory-resident (file-backed stores and live overlays).
+// pagePayloads returns the current view's raw page payloads, read
+// quietly off its undecorated store: an in-memory store answers with
+// its own slices, a file-backed one decodes each page.
 func (ix *Index) pagePayloads() ([][]postings.Entry, error) {
 	v := ix.view()
-	if v.pages != nil {
-		return v.pages, nil
-	}
 	pages := make([][]postings.Entry, v.ix.NumPagesTotal)
 	for i := range pages {
-		p, err := v.store.ReadQuiet(postings.PageID(i))
+		p, err := v.base.ReadQuiet(postings.PageID(i))
 		if err != nil {
 			return nil, fmt.Errorf("bufir: materializing page %d: %w", i, err)
 		}
@@ -464,7 +461,7 @@ func (ix *Index) TermPages(t TermID) int { return ix.meta().Terms[t].NumPages }
 // DocName returns the external name of a document for document-built
 // indexes, or a synthetic "doc<N>" name otherwise.
 func (ix *Index) DocName(d DocID) string {
-	if names := ix.view().docNames; names != nil && int(d) < len(names) {
+	if names := ix.view().docNames; d >= 0 && int(d) < len(names) {
 		return names[d]
 	}
 	return fmt.Sprintf("doc%d", d)

@@ -325,6 +325,11 @@ func TestIndexDocumentsAndSearchText(t *testing.T) {
 	if ix.DocName(res.Top[0].Doc) != "wsj-1" {
 		t.Errorf("top doc = %q, want wsj-1", ix.DocName(res.Top[0].Doc))
 	}
+	// An id outside the named documents gets a synthetic name, as on a
+	// generated index.
+	if got := ix.DocName(-1); got != "doc-1" {
+		t.Errorf("DocName(-1) = %q, want doc-1", got)
+	}
 	// ParseQuery fails gracefully on nonsense.
 	if _, err := s.SearchTextContext(context.Background(), "zzzzqqqq xxxyyy"); err == nil {
 		t.Error("unindexable query should fail")

@@ -55,8 +55,9 @@ func fileBackend(name string, open func(path string) (*bufir.Index, error)) inde
 }
 
 // liveBackend builds the index over the full corpus and enables live
-// updates: the delta starts empty, so read equivalence exercises the
-// passthrough overlay, and the live properties exercise ingestion.
+// updates: the delta starts empty, so read equivalence runs over the
+// generation it was built with, and the live properties exercise
+// ingestion.
 func liveBackend() indextest.Backend {
 	return indextest.Backend{
 		Name: "live-memory",
@@ -77,7 +78,7 @@ func liveBackend() indextest.Backend {
 // overlayBackend builds only a prefix of the corpus statically and
 // ingests the rest through the live path, so read equivalence runs
 // against a populated delta: merged postings, recomputed global
-// statistics, overlay-synthesized pages.
+// statistics, re-paged lists.
 func overlayBackend() indextest.Backend {
 	return indextest.Backend{
 		Name: "delta-overlay",

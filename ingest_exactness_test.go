@@ -74,7 +74,7 @@ func (c *exactCorpus) build(t *testing.T) *Index {
 		t.Fatalf("oracle Build: %v", err)
 	}
 	names := append([]string(nil), c.names...)
-	return newStaticIndex(pix, storage.NewStore(pages), pages, names)
+	return newStaticIndex(pix, storage.NewStore(pages), names)
 }
 
 // exactTerm spells vocabulary slot i alphabetically.

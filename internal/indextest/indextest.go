@@ -185,8 +185,8 @@ func readEquivalence(t *testing.T, backends []Backend, docs []bufir.Document) {
 
 // deliveredPages: a cold session's first search charges exactly the
 // pages the backend delivered (the index's disk-read counter moves by
-// res.PagesRead — for overlay backends this means synthesis-internal
-// main-generation reads are NOT double-charged), and a repeat of the
+// res.PagesRead — for live backends this means no main-generation
+// read behind a commit's page is charged), and a repeat of the
 // same query on the warm session charges only its misses.
 func deliveredPages(t *testing.T, backends []Backend, docs []bufir.Document) {
 	for _, b := range backends {

@@ -10,10 +10,10 @@ import (
 	"bufir/internal/storage/storetest"
 )
 
-// overlayFactory serves the reference pages through an Overlay: it
-// splits the collection behind them into a main generation and a delta
-// holding the last documents, commits, and checks that the overlay's
-// pages — some of them merged — equal the reference. livedex's
+// overlayFactory serves the reference pages through a commit's store:
+// it splits the collection behind them into a main generation and a
+// delta holding the last documents, commits, and checks that the
+// store's pages — some of them merged — equal the reference. livedex's
 // bit-identity with a rebuild is what makes them equal.
 func overlayFactory(tb testing.TB, ix *postings.Index, pages [][]postings.Entry) storage.PageStore {
 	tb.Helper()
@@ -68,16 +68,16 @@ func overlayFactory(tb testing.TB, ix *postings.Index, pages [][]postings.Entry)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	merged := false
-	for _, d := range c.Desc {
-		merged = merged || d.Merged
+	touched := false
+	for t, tm := range c.Meta.Terms {
+		touched = touched || tm.DF != mainIx.Terms[t].DF
 	}
-	if !merged {
-		tb.Fatal("no merged page: the overlay would only pass main pages through")
+	if !touched {
+		tb.Fatal("no touched term: the store would serve main pages only")
 	}
 	ov := NewOverlay(c, s.MainIndex(), s.MainStore())
 	if ov.NumPages() != len(pages) {
-		tb.Fatalf("overlay has %d pages, reference %d", ov.NumPages(), len(pages))
+		tb.Fatalf("commit store has %d pages, reference %d", ov.NumPages(), len(pages))
 	}
 	for id := range pages {
 		got, err := ov.ReadQuiet(postings.PageID(id))
@@ -85,15 +85,14 @@ func overlayFactory(tb testing.TB, ix *postings.Index, pages [][]postings.Entry)
 			tb.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, pages[id]) {
-			tb.Fatalf("overlay page %d differs from the reference", id)
+			tb.Fatalf("commit page %d differs from the reference", id)
 		}
 	}
 	return ov
 }
 
-// TestOverlayConformance holds the Overlay — the store of every live
-// view — to the PageStore contract the simulator and the file backends
-// meet.
+// TestOverlayConformance holds the store a live commit publishes to
+// the PageStore contract the simulator and the file backends meet.
 func TestOverlayConformance(t *testing.T) {
 	storetest.Run(t, overlayFactory)
 }

@@ -1,9 +1,10 @@
 // Package livedex implements the live-update machinery behind a
 // mutable index: an in-memory frequency-ordered delta absorbing
-// document additions, a commit step that derives the combined
-// (main + delta) index metadata exactly as postings.Build would over
-// the merged corpus, and page descriptors from which the delta-overlay
-// page store (Overlay) synthesizes every combined page at read time.
+// document additions, and a commit step that derives the combined
+// (main + delta) index metadata and inverted lists exactly as
+// postings.Build would over the merged corpus. Pages cuts a commit's
+// lists into its pages, which a storage.Store serves: a commit and a
+// merge publish the same kind of store.
 //
 // The design inverts the usual "approximate now, exact after merge"
 // trade: the combined metadata IS the from-scratch rebuild's metadata,
@@ -28,9 +29,9 @@
 //
 // Concurrency: a State is NOT safe for concurrent use; the owning
 // index serializes mutations. The artifacts a commit publishes
-// (Combined, Overlay) are immutable after construction and safe for
-// any degree of concurrent reading — queries run against a published
-// epoch, never against the State.
+// (Combined and the pages Pages cuts from it) are immutable after
+// construction and safe for any degree of concurrent reading — queries
+// run against a published epoch, never against the State.
 package livedex
 
 import (
@@ -55,9 +56,8 @@ type State struct {
 	// mainIx is the frozen metadata of the main generation. Never
 	// mutated: commits build fresh combined metadata around it.
 	mainIx *postings.Index
-	// mainStore is the main generation's physical page store; the
-	// Overlay reads untouched pages (and the main run of merged pages)
-	// through it.
+	// mainStore is the main generation's physical page store, which
+	// MainStore reports; commits never read it.
 	mainStore storage.PageStore
 	// mainLists[t] is term t's main-generation inverted list,
 	// memory-resident so commits can merge and re-derive W_d without
@@ -73,9 +73,9 @@ type State struct {
 	names []string
 	vocab map[string]postings.TermID
 
-	// delta[t] holds term t's pending postings in arrival order; they
-	// are sorted into frequency order on each commit (into a fresh
-	// snapshot, so previously published epochs are never disturbed).
+	// delta[t] holds term t's pending postings; each commit sorts them
+	// into frequency order in place and merges them into a fresh list,
+	// so no published epoch shares them.
 	delta map[postings.TermID][]postings.Entry
 	// docNames names the delta documents, in DocID order from
 	// baseDocs.
@@ -166,48 +166,20 @@ func (s *State) AddDoc(name string, counts map[string]int) (postings.DocID, erro
 	return doc, nil
 }
 
-// PageDesc describes one page of the combined virtual page space. A
-// page of a term with no delta postings passes through to a main
-// generation page untouched; a page of a touched term is the merge of
-// a contiguous run of main entries with a contiguous run of delta
-// entries (both runs are determined at commit, so synthesis merges
-// just those two slices).
-type PageDesc struct {
-	// Term is the combined-vocabulary term owning the page.
-	Term postings.TermID
-	// Merged distinguishes the two forms.
-	Merged bool
-	// Main is the backing main-generation page (passthrough form).
-	Main postings.PageID
-	// MainLo/MainHi is the half-open main-entry range and
-	// DeltaLo/DeltaHi the half-open delta-entry range merged into this
-	// page (merged form). Offsets index the term's main list and its
-	// frozen delta snapshot respectively.
-	MainLo, MainHi   int32
-	DeltaLo, DeltaHi int32
-}
-
 // Combined is one commit's published artifacts: metadata bit-identical
-// to postings.Build over the merged corpus, the virtual page
-// descriptors, the frozen per-term delta snapshots the descriptors
-// index, and the full combined lists (shared with the metadata's page
-// geometry; ApplyMerge chunks them into the next generation's pages).
-// Immutable after Commit returns.
+// to postings.Build over the merged corpus, and the full combined lists
+// its page geometry describes (Pages cuts them into the commit's pages;
+// ApplyMerge makes them the next generation's main lists). Immutable
+// after Commit returns.
 type Combined struct {
 	Meta *postings.Index
-	Desc []PageDesc
-	// DeltaFrozen[t] is term t's delta postings sorted into frequency
-	// order, frozen at commit (nil for untouched terms). Later AddDoc
-	// calls never disturb it.
-	DeltaFrozen [][]postings.Entry
 	// Lists[t] is term t's full combined inverted list in physical
-	// order: the exact entry sequence postings.Build would produce.
+	// order: the exact entry sequence postings.Build would produce. An
+	// untouched term's list is its main list; a touched term's is a
+	// fresh array.
 	Lists [][]postings.Entry
 	// DocNames names the delta documents included in this commit.
 	DocNames []string
-	// main holds the main generation's lists at commit, which the
-	// main runs of merged pages index.
-	main [][]postings.Entry
 }
 
 // mergeLists appends to dst the merge of two lists in postings.Before
@@ -258,86 +230,44 @@ func (s *State) Commit() (*Combined, error) {
 		DocLen:   make([]float64, numDocs),
 	}
 	c := &Combined{
-		Meta:        meta,
-		DeltaFrozen: make([][]postings.Entry, nTerms),
-		Lists:       make([][]postings.Entry, nTerms),
-		DocNames:    append([]string(nil), s.docNames...),
-		main:        s.mainLists,
+		Meta:     meta,
+		Lists:    make([][]postings.Entry, nTerms),
+		DocNames: append([]string(nil), s.docNames...),
 	}
 	sumSq := meta.DocLen // accumulate sum of squares, sqrt at the end
 
-	// The combined lists first. An untouched term's list IS its main
-	// list; a touched term freezes a sorted snapshot of its delta (a
-	// fresh array — epochs published earlier keep theirs) and merges.
-	// Their page count sizes the descriptor array once: grown by
-	// append, it would be copied over and over at every commit.
 	pages := 0
 	for t := 0; t < nTerms; t++ {
 		var list []postings.Entry
 		if t < len(s.mainLists) {
 			list = s.mainLists[t]
 		}
-		if dl := s.delta[postings.TermID(t)]; len(dl) > 0 {
-			frozen := make([]postings.Entry, len(dl))
-			copy(frozen, dl)
-			sort.Slice(frozen, func(i, j int) bool { return postings.Before(frozen[i], frozen[j]) })
-			c.DeltaFrozen[t] = frozen
-			list = mergeLists(make([]postings.Entry, 0, len(list)+len(frozen)), list, frozen)
-		}
-		if len(list) == 0 {
+		dl := s.delta[postings.TermID(t)]
+		if len(list)+len(dl) == 0 {
 			return nil, fmt.Errorf("livedex: term %q has an empty inverted list", s.names[t])
 		}
-		c.Lists[t] = list
-		pages += postings.Paginate(nil, list, s.pageSize, nil)
-	}
-	c.Desc = make([]PageDesc, 0, pages)
-
-	for t, list := range c.Lists {
-		idf := postings.IDFValue(numDocs, len(list))
-		tm := postings.TermMeta{
-			Name:      s.names[t],
-			DF:        len(list),
-			IDF:       idf,
-			FMax:      list[0].Freq,
-			FirstPage: postings.PageID(len(c.Desc)),
-		}
-		if c.DeltaFrozen[t] == nil {
-			// Untouched term: its page layout is the main generation's
-			// and every virtual page passes through. The frozen min/max
-			// arrays are shared with the main metadata — both sides are
+		tm := postings.TermMeta{Name: s.names[t], FirstPage: postings.PageID(pages)}
+		if len(dl) == 0 {
+			// Untouched term: its list and page layout are the main
+			// generation's, min/max arrays included — both sides are
 			// read-only.
 			mt := &s.mainIx.Terms[t]
 			tm.NumPages, tm.PageMinFreq, tm.PageMaxFreq = mt.NumPages, mt.PageMinFreq, mt.PageMaxFreq
-			for i := 0; i < tm.NumPages; i++ {
-				c.Desc = append(c.Desc, PageDesc{Term: postings.TermID(t), Main: mt.FirstPage + postings.PageID(i)})
-			}
 		} else {
-			// Touched term: re-page the merged list. A page's main run
-			// is its entries of main-generation documents, the ones
-			// numbered below baseDocs; the rest is its delta run.
-			var mainLo int32
-			postings.Paginate(&tm, list, s.pageSize, func(start int, page []postings.Entry) {
-				mainHi := mainLo
-				for _, e := range page {
-					if int(e.Doc) < s.baseDocs {
-						mainHi++
-					}
-				}
-				c.Desc = append(c.Desc, PageDesc{
-					Term:    postings.TermID(t),
-					Merged:  true,
-					MainLo:  mainLo,
-					MainHi:  mainHi,
-					DeltaLo: int32(start) - mainLo,
-					DeltaHi: int32(start+len(page)) - mainHi,
-				})
-				mainLo = mainHi
-			})
+			// Touched term: merge into a fresh list and re-page it. No
+			// published page aliases the delta, so it sorts in place.
+			sort.Slice(dl, func(i, j int) bool { return postings.Before(dl[i], dl[j]) })
+			list = mergeLists(make([]postings.Entry, 0, len(list)+len(dl)), list, dl)
+			postings.Paginate(&tm, list, s.pageSize, nil)
 		}
+		idf := postings.IDFValue(numDocs, len(list))
+		tm.DF, tm.IDF, tm.FMax = len(list), idf, list[0].Freq
 		for _, e := range list {
 			w := float64(e.Freq) * idf
 			sumSq[e.Doc] += w * w
 		}
+		c.Lists[t] = list
+		pages += tm.NumPages
 		meta.Vocab[s.names[t]] = postings.TermID(t)
 		meta.Terms = append(meta.Terms, tm)
 	}

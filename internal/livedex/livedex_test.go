@@ -319,56 +319,9 @@ func TestAddDocValidation(t *testing.T) {
 	}
 }
 
-// TestOverlayAccounting holds the Overlay to the PageStore contract:
-// Reads counts delivered combined pages only, ReadQuiet is silent,
-// and out-of-range and dead-context reads fail without counting.
-func TestOverlayAccounting(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	main := randomCorpus(rng, 12, 20, 10, "")
-	added := randomCorpus(rng, 4, 20, 10, "x")
-	s, _ := newTestState(t, main, 3)
-	addAll(t, s, added)
-	c, err := s.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov := NewOverlay(c, sMainIx(s), sMainStore(s))
-
-	if _, err := ov.ReadContext(context.Background(), postings.PageID(ov.NumPages())); err == nil {
-		t.Fatal("out-of-range read succeeded")
-	}
-	if _, err := ov.ReadContext(context.Background(), -1); err == nil {
-		t.Fatal("negative read succeeded")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ov.ReadContext(ctx, 0); err == nil {
-		t.Fatal("dead-context read succeeded")
-	}
-	if _, err := ov.ReadQuiet(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := ov.Reads(); got != 0 {
-		t.Fatalf("%d reads counted before any delivery", got)
-	}
-
-	for p := 0; p < ov.NumPages(); p++ {
-		if _, err := ov.ReadContext(context.Background(), postings.PageID(p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := ov.Reads(); got != int64(ov.NumPages()) {
-		t.Fatalf("Reads=%d after delivering %d pages", got, ov.NumPages())
-	}
-	ov.ResetReads()
-	if ov.Reads() != 0 {
-		t.Fatal("ResetReads left the counter nonzero")
-	}
-}
-
-// TestCommitUntouchedTermsShareMainPages: an untouched term's virtual
-// pages must pass through (Merged=false) — the overlay then serves the
-// main generation's physical page without synthesis.
+// TestCommitUntouchedTermsShareMainPages: an untouched term's combined
+// list is its main list, backing array and all, so a commit copies no
+// untouched page; a touched term's list is a fresh array.
 func TestCommitUntouchedTermsShareMainPages(t *testing.T) {
 	main := corpus{
 		names: []string{"a", "b"},
@@ -386,13 +339,13 @@ func TestCommitUntouchedTermsShareMainPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	touched := c.Meta.Vocab["beta"]
-	for _, d := range c.Desc {
-		if d.Term == touched {
-			if !d.Merged {
-				t.Fatal("touched term has a passthrough page")
-			}
-		} else if d.Merged {
-			t.Fatalf("untouched term %d has a merged page", d.Term)
+	for term, list := range c.Lists {
+		shared := &list[0] == &s.mainLists[term][0]
+		if postings.TermID(term) == touched && shared {
+			t.Fatal("touched term shares its main list")
+		}
+		if postings.TermID(term) != touched && !shared {
+			t.Fatalf("untouched term %d does not share its main list", term)
 		}
 	}
 }
@@ -432,8 +385,9 @@ func TestEveryProducerKeepsPageMaximaFalling(t *testing.T) {
 		t.Fatal(err)
 	}
 	touched := 0
-	for tm, frozen := range c.DeltaFrozen {
-		if len(frozen) > 0 && c.Meta.Terms[tm].NumPages > 1 {
+	for tm, meta := range c.Meta.Terms {
+		isNew := tm >= len(sMainIx(s).Terms)
+		if (isNew || meta.DF != sMainIx(s).Terms[tm].DF) && meta.NumPages > 1 {
 			touched++
 		}
 	}

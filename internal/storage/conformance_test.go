@@ -13,7 +13,8 @@ import (
 // backends enumerates this package's PageStore implementations under
 // the conformance suite: the paper's in-memory simulator and the
 // file-backed store over both of its access paths (memory-mapped and
-// pread). internal/livedex runs the same suite over its Overlay.
+// pread). internal/livedex runs the same suite over the store a live
+// commit publishes.
 var backends = []struct {
 	name string
 	make storetest.Factory

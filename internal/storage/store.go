@@ -20,12 +20,12 @@ import (
 
 // PageStore is the pluggable backend contract of the paged disk:
 // counted reads for query execution, quiet reads for offline workload
-// construction, and read accounting. Four implementations exist — the
-// in-memory simulator (Store), the real file-backed FileStore serving
-// compressed pages, livedex.Overlay synthesizing a live index's
-// combined pages, and the fault-injection wrapper (FaultStore), which
-// composes over any of the others and is the only layer that slows or
-// fails a read.
+// construction, and read accounting. Three implementations exist — the
+// in-memory simulator (Store), which also serves every live commit's
+// and merge's pages, the real file-backed FileStore serving compressed
+// pages, and the fault-injection wrapper (FaultStore), which composes
+// over either of the others and is the only layer that slows or fails
+// a read.
 //
 // The contract every implementation (and the storetest conformance
 // suite) holds to:

@@ -56,8 +56,8 @@ func (ix *Index) EnableLiveUpdates(opts LiveOptions) error {
 		return err
 	}
 	// The live State reads main pages beneath any fault-injection
-	// layer: faults model the serving path, and for live views that
-	// path is the published overlay, which gets its own layer.
+	// layer: faults model the serving path, and every live publication
+	// wraps its own store in its own layer.
 	st, err := livedex.NewState(v.ix, v.base, pages)
 	if err != nil {
 		return err
@@ -138,22 +138,32 @@ func (ix *Index) addLocked(name string, counts map[string]int) (DocID, error) {
 // main + delta contents and publishes them as a new epoch (called
 // with liveMu held).
 func (ix *Index) commitLocked() error {
-	c, err := ix.live.Commit()
+	c, store, err := ix.liveCommit()
 	if err != nil {
 		return err
 	}
-	ov := livedex.NewOverlay(c, ix.live.MainIndex(), ix.live.MainStore())
-	if err := ix.publishLocked(c.Meta, ov, nil, append(append([]string(nil), ix.liveBase...), c.DocNames...)); err != nil {
+	if err := ix.publishLocked(c.Meta, store, append(append([]string(nil), ix.liveBase...), c.DocNames...)); err != nil {
 		return err
 	}
 	ix.maybeAutoMerge()
 	return nil
 }
 
+// liveCommit commits the live state and builds the store every live
+// publication serves, commit or merge: the commit's pages in memory
+// (called with liveMu held).
+func (ix *Index) liveCommit() (*livedex.Combined, *storage.Store, error) {
+	c, err := ix.live.Commit()
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, storage.NewStore(livedex.Pages(c)), nil
+}
+
 // publishLocked wraps a fresh generation's store in the remembered
 // fault layer and installs it as the next epoch (called with liveMu
 // held).
-func (ix *Index) publishLocked(meta *postings.Index, base storage.PageStore, pages [][]postings.Entry, docNames []string) error {
+func (ix *Index) publishLocked(meta *postings.Index, base storage.PageStore, docNames []string) error {
 	store := base
 	if ix.faultRules != nil {
 		fs, err := storage.NewFaultStore(base, ix.faultSeed, ix.faultRules)
@@ -169,7 +179,6 @@ func (ix *Index) publishLocked(meta *postings.Index, base storage.PageStore, pag
 		store:    store,
 		base:     base,
 		conv:     postings.NewConversionTable(meta, postings.DefaultMaxKey),
-		pages:    pages,
 		docNames: docNames,
 	})
 	return nil
@@ -193,18 +202,16 @@ func (ix *Index) mergeLocked() error {
 	if ix.live.DeltaDocs() == 0 && ix.live.DeltaEntries() == 0 {
 		return nil
 	}
-	c, err := ix.live.Commit()
+	c, store, err := ix.liveCommit()
 	if err != nil {
 		return err
 	}
-	pages := livedex.Pages(c)
 	names := append(append([]string(nil), ix.liveBase...), c.DocNames...)
-	store := storage.NewStore(pages)
 	if err := ix.live.ApplyMerge(c, store); err != nil {
 		return err
 	}
 	ix.liveBase = names
-	if err := ix.publishLocked(c.Meta, store, pages, names); err != nil {
+	if err := ix.publishLocked(c.Meta, store, names); err != nil {
 		return err
 	}
 	ix.liveMerges++

@@ -174,7 +174,7 @@ func (ix *Index) Shard(n int) ([]*Index, error) {
 	names := ix.view().docNames
 	out := make([]*Index, n)
 	for i, p := range parts {
-		s := newStaticIndex(p.Index, storage.NewStore(p.Pages), p.Pages, names)
+		s := newStaticIndex(p.Index, storage.NewStore(p.Pages), names)
 		s.stopWords = ix.stopWords
 		s.pipe = ix.pipe
 		s.positional = ix.positional

@@ -28,15 +28,12 @@ type idxView struct {
 	// InjectFaults layer when there is one.
 	store storage.PageStore
 	// base is the generation's undecorated store: the physical store
-	// for static generations, a livedex.Overlay for live commits.
+	// for static generations, a storage.Store over the commit's pages
+	// for live ones. Index.pagePayloads reads every page off it.
 	base storage.PageStore
 	// conv is the RAP conversion table over this generation's
 	// statistics.
 	conv *postings.ConversionTable
-	// pages holds materialized page payloads when the generation is
-	// memory-resident (nil for file-backed stores and overlays, whose
-	// pages are produced on demand).
-	pages [][]postings.Entry
 	// docNames names the generation's documents; nil when only
 	// synthetic doc<N> names exist.
 	docNames []string
@@ -64,23 +61,16 @@ func (ix *Index) publish(v *idxView) { ix.cur.Store(v) }
 // answer come from the current generation".
 func (ix *Index) Epoch() uint64 { return ix.view().epoch }
 
-// staticView assembles the epoch-0 view of a freshly constructed
-// index.
-func staticView(pix *postings.Index, store storage.PageStore, pages [][]postings.Entry, docNames []string) *idxView {
-	return &idxView{
+// newStaticIndex wraps a built generation in an Index, publishing its
+// epoch-0 view.
+func newStaticIndex(pix *postings.Index, store storage.PageStore, docNames []string) *Index {
+	out := &Index{}
+	out.publish(&idxView{
 		ix:       pix,
 		store:    store,
 		base:     store,
 		conv:     postings.NewConversionTable(pix, postings.DefaultMaxKey),
-		pages:    pages,
 		docNames: docNames,
-	}
-}
-
-// newStaticIndex wraps a built generation in an Index, publishing its
-// epoch-0 view.
-func newStaticIndex(pix *postings.Index, store storage.PageStore, pages [][]postings.Entry, docNames []string) *Index {
-	out := &Index{}
-	out.publish(staticView(pix, store, pages, docNames))
+	})
 	return out
 }

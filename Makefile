@@ -326,7 +326,7 @@ bench-ranksafe:
 
 # The Index-port conformance suite under -race: every backend — the
 # in-memory simulator, the paged file store over both access paths, a
-# live index with an empty delta and the live delta-overlay — held to
+# live index after a merge and the live delta-overlay — held to
 # the same read-equivalence / delivered-pages / epoch
 # monotonicity / swap-isolation contract (internal/indextest).
 indextest:

@@ -174,9 +174,11 @@ type Index struct {
 	live     *livedex.State
 	liveOpts LiveOptions
 	livePipe *text.Pipeline
-	// liveBase names the main generation's documents (delta names
-	// append positionally); liveMerges counts completed merges.
-	liveBase   []string
+	// liveNames names every live document in DocID order, main
+	// generation then delta. It only grows: each published view holds
+	// a capacity-capped prefix, which a later append cannot write
+	// into. liveMerges counts completed merges.
+	liveNames  []string
 	liveMerges int
 	// faultSchedule/faultSeed remember InjectFaults so every published
 	// view gets a fresh fault layer with the same rules (per-page read

@@ -573,3 +573,60 @@ func TestExtractPhrases(t *testing.T) {
 		t.Errorf("unbalanced quote lost text: %q", st)
 	}
 }
+
+// TestLiveViewDocNamesStayFixed: every live publication names its
+// documents by a capacity-capped prefix of one growing name list, so a
+// view taken early keeps exactly the names it was published with
+// across later commits and a merge, and the latest view names every
+// document.
+func TestLiveViewDocNamesStayFixed(t *testing.T) {
+	docs := []Document{{Name: "a", Text: "gold silver"}, {Name: "b", Text: "silver copper"}}
+	ix, err := IndexDocuments(docs, IndexOptions{NumStopWords: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.EnableLiveUpdates(LiveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	type snapshot struct {
+		v     *idxView
+		names []string
+	}
+	var snaps []snapshot
+	record := func() {
+		v := ix.view()
+		snaps = append(snaps, snapshot{v, append([]string(nil), v.docNames...)})
+	}
+	record()
+	want := []string{"a", "b"}
+	for i := 0; i < 6; i++ {
+		name := "n" + string(rune('0'+i))
+		if _, err := ix.Add(name, "gold tin"); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, name)
+		record()
+		if i == 2 {
+			if err := ix.Merge(); err != nil {
+				t.Fatal(err)
+			}
+			record()
+		}
+	}
+	for i, s := range snaps {
+		if !reflect.DeepEqual(s.v.docNames, s.names) {
+			t.Errorf("view %d (epoch %d): names now %q, published %q", i, s.v.epoch, s.v.docNames, s.names)
+		}
+		if n := s.v.ix.NumDocs; len(s.v.docNames) != n || cap(s.v.docNames) != n {
+			t.Errorf("view %d (epoch %d): %d names of capacity %d for %d documents", i, s.v.epoch, len(s.v.docNames), cap(s.v.docNames), n)
+		}
+	}
+	if got := snaps[len(snaps)-1].names; !reflect.DeepEqual(got, want) {
+		t.Errorf("latest view names %q, want %q", got, want)
+	}
+	for d, name := range want {
+		if got := ix.DocName(DocID(d)); got != name {
+			t.Errorf("DocName(%d) = %q, want %q", d, got, name)
+		}
+	}
+}

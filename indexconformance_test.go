@@ -2,9 +2,10 @@ package bufir_test
 
 // The Index port's conformance run: every backend the package can
 // materialize — the in-memory simulator, the paged file store in both
-// access modes, a live index with an empty delta and the live
-// delta-overlay — goes through internal/indextest's shared property
-// suite. `make indextest` runs exactly this test.
+// access modes, a live index whose delta was merged into a new
+// generation and a live index serving a commit over a populated delta
+// — goes through internal/indextest's shared property suite.
+// `make indextest` runs exactly this test.
 
 import (
 	"path/filepath"
@@ -54,51 +55,54 @@ func fileBackend(name string, open func(path string) (*bufir.Index, error)) inde
 	}
 }
 
-// liveBackend builds the index over the full corpus and enables live
-// updates: the delta starts empty, so read equivalence runs over the
-// generation it was built with, and the live properties exercise
-// ingestion.
-func liveBackend() indextest.Backend {
+// liveIngested builds only a prefix of the corpus statically and
+// ingests the rest through the live path, each document a commit:
+// merged postings, recomputed global statistics, re-paged lists.
+func liveIngested(t *testing.T, docs []bufir.Document) *bufir.Index {
+	t.Helper()
+	split := len(docs) * 2 / 3
+	ix, err := bufir.IndexDocuments(docs[:split], buildOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.EnableLiveUpdates(bufir.LiveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs[split:] {
+		if _, err := ix.Add(d.Name, d.Text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ix
+}
+
+// mergedBackend ingests a third of the corpus live and merges it, so
+// read equivalence runs over a merged generation: the metadata a merge
+// publishes, and the live properties go on ingesting over it.
+func mergedBackend() indextest.Backend {
 	return indextest.Backend{
-		Name: "live-memory",
+		Name: "live-merged",
 		Live: true,
 		Open: func(t *testing.T, docs []bufir.Document) *bufir.Index {
-			ix, err := bufir.IndexDocuments(docs, buildOpts)
-			if err != nil {
+			ix := liveIngested(t, docs)
+			if err := ix.Merge(); err != nil {
 				t.Fatal(err)
 			}
-			if err := ix.EnableLiveUpdates(bufir.LiveOptions{}); err != nil {
-				t.Fatal(err)
+			if n := ix.DeltaDocs(); n != 0 {
+				t.Fatalf("%d documents left in the delta after Merge", n)
 			}
 			return ix
 		},
 	}
 }
 
-// overlayBackend builds only a prefix of the corpus statically and
-// ingests the rest through the live path, so read equivalence runs
-// against a populated delta: merged postings, recomputed global
-// statistics, re-paged lists.
+// overlayBackend serves the last commit over a populated delta, so
+// read equivalence runs against a commit's metadata and store.
 func overlayBackend() indextest.Backend {
 	return indextest.Backend{
 		Name: "delta-overlay",
 		Live: true,
-		Open: func(t *testing.T, docs []bufir.Document) *bufir.Index {
-			split := len(docs) * 2 / 3
-			ix, err := bufir.IndexDocuments(docs[:split], buildOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ix.EnableLiveUpdates(bufir.LiveOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range docs[split:] {
-				if _, err := ix.Add(d.Name, d.Text); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return ix
-		},
+		Open: liveIngested,
 	}
 }
 
@@ -107,7 +111,7 @@ func conformanceBackends() []indextest.Backend {
 		memBackend(), // reference
 		fileBackend("file-mmap", bufir.OpenIndexFile),
 		fileBackend("file-readat", bufir.OpenIndexFileReadAt),
-		liveBackend(),
+		mergedBackend(),
 		overlayBackend(),
 	}
 }

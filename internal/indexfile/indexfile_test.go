@@ -75,8 +75,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if math.Abs(a.IDF-b.IDF) > 1e-12 {
 			t.Fatalf("term %d idf differs", i)
 		}
-		if !reflect.DeepEqual(a.PageMinFreq, b.PageMinFreq) ||
-			!reflect.DeepEqual(a.PageMaxFreq, b.PageMaxFreq) {
+		if tid := postings.TermID(i); !reflect.DeepEqual(ix.PageMinFreq(tid), got.PageMinFreq(tid)) ||
+			!reflect.DeepEqual(ix.PageMaxFreq(tid), got.PageMaxFreq(tid)) {
 			t.Fatalf("term %d page stats differ", i)
 		}
 	}

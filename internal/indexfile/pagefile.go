@@ -208,10 +208,10 @@ func encodeMeta(ix *postings.Index, aux *Aux) ([]byte, error) {
 		put(uint64(tm.DF))
 		put(uint64(tm.FMax))
 		put(uint64(tm.NumPages))
-		for _, v := range tm.PageMinFreq {
+		for _, v := range ix.PageMinFreq(postings.TermID(t)) {
 			put(uint64(v))
 		}
-		for _, v := range tm.PageMaxFreq {
+		for _, v := range ix.PageMaxFreq(postings.TermID(t)) {
 			put(uint64(v))
 		}
 	}
@@ -249,6 +249,8 @@ func checkPaging(name string, df, numPages, pageSize uint64) error {
 func decodeMeta(data []byte) (*postings.Index, *Aux, error) {
 	br := bytes.NewReader(data)
 	get := func() (uint64, error) { return binary.ReadUvarint(br) }
+	// A string is copied straight out of data: one allocation of its
+	// own length, with no staging slice beside it.
 	getString := func(maxLen uint64) (string, error) {
 		n, err := get()
 		if err != nil {
@@ -257,11 +259,14 @@ func decodeMeta(data []byte) (*postings.Index, *Aux, error) {
 		if n > maxLen {
 			return "", fmt.Errorf("indexfile: string length %d implausible", n)
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
+		if n > uint64(br.Len()) {
+			return "", io.ErrUnexpectedEOF
+		}
+		off := len(data) - br.Len()
+		if _, err := br.Seek(int64(n), io.SeekCurrent); err != nil {
 			return "", err
 		}
-		return string(b), nil
+		return string(data[off : off+int(n)]), nil
 	}
 
 	numDocs, err := get()
@@ -295,7 +300,9 @@ func decodeMeta(data []byte) (*postings.Index, *Aux, error) {
 		Terms:    make([]postings.TermMeta, numTerms),
 		Vocab:    make(map[string]postings.TermID, numTerms),
 	}
-	nextPage := postings.PageID(0)
+	// One term's bounds at a time; AppendBounds copies them into the
+	// index's page arrays.
+	var mins, maxs []int32
 	for t := range ix.Terms {
 		name, err := getString(4096)
 		if err != nil {
@@ -323,30 +330,27 @@ func decodeMeta(data []byte) (*postings.Index, *Aux, error) {
 				name, numPages, br.Len())
 		}
 		tm := postings.TermMeta{
-			Name:        name,
-			DF:          int(df),
-			IDF:         postings.IDFValue(int(numDocs), int(df)),
-			FMax:        int32(fmax),
-			FirstPage:   nextPage,
-			NumPages:    int(numPages),
-			PageMinFreq: make([]int32, numPages),
-			PageMaxFreq: make([]int32, numPages),
+			Name: name,
+			DF:   int(df),
+			IDF:  postings.IDFValue(int(numDocs), int(df)),
+			FMax: int32(fmax),
 		}
-		for i := range tm.PageMinFreq {
+		mins, maxs = mins[:0], maxs[:0]
+		for i := uint64(0); i < numPages; i++ {
 			v, err := get()
 			if err != nil {
 				return nil, nil, err
 			}
-			tm.PageMinFreq[i] = int32(v)
+			mins = append(mins, int32(v))
 		}
-		for i := range tm.PageMaxFreq {
+		for i := uint64(0); i < numPages; i++ {
 			v, err := get()
 			if err != nil {
 				return nil, nil, err
 			}
-			tm.PageMaxFreq[i] = int32(v)
+			maxs = append(maxs, int32(v))
 		}
-		nextPage += postings.PageID(numPages)
+		ix.AppendBounds(&tm, mins, maxs)
 		if _, dup := ix.Vocab[tm.Name]; dup {
 			return nil, nil, fmt.Errorf("indexfile: duplicate term %q", tm.Name)
 		}

@@ -236,14 +236,21 @@ func TestLoaderRejectsUnpaginatedTerms(t *testing.T) {
 		keep int
 	}{{"no pages", 0}, {"too few pages", 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			ix, pages, err := postings.Build(lists, 3, 2)
+			built, pages, err := postings.Build(lists, 3, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			aa := &ix.Terms[0]
-			aa.NumPages = tc.keep
-			aa.PageMinFreq, aa.PageMaxFreq = aa.PageMinFreq[:tc.keep], aa.PageMaxFreq[:tc.keep]
-			ix.Terms[1].FirstPage = postings.PageID(tc.keep)
+			// Lay the terms out again, aa (still DF 3) on only its
+			// first tc.keep pages.
+			ix := &postings.Index{NumDocs: built.NumDocs, PageSize: built.PageSize, Vocab: built.Vocab, DocLen: built.DocLen}
+			for i, tm := range built.Terms {
+				mins, maxs := built.PageMinFreq(postings.TermID(i)), built.PageMaxFreq(postings.TermID(i))
+				if i == 0 {
+					mins, maxs = mins[:tc.keep], maxs[:tc.keep]
+				}
+				ix.AppendBounds(&tm, mins, maxs)
+				ix.Terms = append(ix.Terms, tm)
+			}
 			if err := ix.RebuildPageMaps(); err != nil {
 				t.Fatal(err)
 			}
@@ -381,10 +388,10 @@ func TestHugePageSizeReopens(t *testing.T) {
 // the wrong order without a sound.
 func TestLoadersRejectRisingPageMaxima(t *testing.T) {
 	ix, pages := buildPages(t)
-	var victim *postings.TermMeta
+	var victim []int32
 	for i := range ix.Terms {
-		if tm := &ix.Terms[i]; tm.NumPages >= 3 && tm.PageMaxFreq[0] > tm.PageMaxFreq[tm.NumPages-1] {
-			victim = tm
+		if maxs := ix.PageMaxFreq(postings.TermID(i)); len(maxs) >= 3 && maxs[0] > maxs[len(maxs)-1] {
+			victim = maxs
 			break
 		}
 	}
@@ -392,12 +399,12 @@ func TestLoadersRejectRisingPageMaxima(t *testing.T) {
 		t.Fatal("fixture has no list of three pages with falling maxima")
 	}
 	// The writer reads only the metadata arrays, so swapping the first
-	// and last maxima of one list is all it takes.
-	tampered := append([]int32(nil), victim.PageMaxFreq...)
-	tampered[0], tampered[len(tampered)-1] = tampered[len(tampered)-1], tampered[0]
-	good := victim.PageMaxFreq
-	victim.PageMaxFreq = tampered
-	defer func() { victim.PageMaxFreq = good }()
+	// and last maxima of one list (in the index's own page array) is
+	// all it takes.
+	last := len(victim) - 1
+	swap := func() { victim[0], victim[last] = victim[last], victim[0] }
+	swap()
+	defer swap()
 
 	path := filepath.Join(t.TempDir(), "tampered.bufir")
 	if err := WritePageFile(path, ix, pages, nil); err != nil {

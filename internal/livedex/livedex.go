@@ -77,9 +77,9 @@ type State struct {
 	// into frequency order in place and merges them into a fresh list,
 	// so no published epoch shares them.
 	delta map[postings.TermID][]postings.Entry
-	// docNames names the delta documents, in DocID order from
-	// baseDocs.
-	docNames []string
+	// deltaDocs counts the delta documents, numbered from baseDocs.
+	// Their names are the caller's to keep.
+	deltaDocs int
 
 	deltaEntries int
 }
@@ -113,7 +113,7 @@ func NewState(mainIx *postings.Index, mainStore storage.PageStore, mainPages [][
 }
 
 // NumDocs returns the live document count N = main + delta.
-func (s *State) NumDocs() int { return s.baseDocs + len(s.docNames) }
+func (s *State) NumDocs() int { return s.baseDocs + s.deltaDocs }
 
 // MainIndex returns the frozen main generation's metadata (read-only;
 // changes only at ApplyMerge).
@@ -124,7 +124,7 @@ func (s *State) MainIndex() *postings.Index { return s.mainIx }
 func (s *State) MainStore() storage.PageStore { return s.mainStore }
 
 // DeltaDocs returns how many documents the delta holds.
-func (s *State) DeltaDocs() int { return len(s.docNames) }
+func (s *State) DeltaDocs() int { return s.deltaDocs }
 
 // DeltaEntries returns how many postings the delta holds.
 func (s *State) DeltaEntries() int { return s.deltaEntries }
@@ -135,7 +135,8 @@ func (s *State) DeltaEntries() int { return s.deltaEntries }
 // document (the map carries no order of its own, and TermID assignment
 // must be deterministic — idf ties in the evaluators break on TermID).
 // A document with no terms is legal: it grows N and nothing else.
-// The delta is unbounded; callers decide when to Commit and Merge.
+// name only labels errors: the State keeps no document names. The
+// delta is unbounded; callers decide when to Commit and Merge.
 func (s *State) AddDoc(name string, counts map[string]int) (postings.DocID, error) {
 	terms := make([]string, 0, len(counts))
 	for term, f := range counts {
@@ -162,7 +163,7 @@ func (s *State) AddDoc(name string, counts map[string]int) (postings.DocID, erro
 		s.delta[id] = append(s.delta[id], postings.Entry{Doc: doc, Freq: int32(counts[term])})
 		s.deltaEntries++
 	}
-	s.docNames = append(s.docNames, name)
+	s.deltaDocs++
 	return doc, nil
 }
 
@@ -178,8 +179,6 @@ type Combined struct {
 	// untouched term's list is its main list; a touched term's is a
 	// fresh array.
 	Lists [][]postings.Entry
-	// DocNames names the delta documents included in this commit.
-	DocNames []string
 }
 
 // mergeLists appends to dst the merge of two lists in postings.Before
@@ -230,13 +229,11 @@ func (s *State) Commit() (*Combined, error) {
 		DocLen:   make([]float64, numDocs),
 	}
 	c := &Combined{
-		Meta:     meta,
-		Lists:    make([][]postings.Entry, nTerms),
-		DocNames: append([]string(nil), s.docNames...),
+		Meta:  meta,
+		Lists: make([][]postings.Entry, nTerms),
 	}
 	sumSq := meta.DocLen // accumulate sum of squares, sqrt at the end
 
-	pages := 0
 	for t := 0; t < nTerms; t++ {
 		var list []postings.Entry
 		if t < len(s.mainLists) {
@@ -246,19 +243,18 @@ func (s *State) Commit() (*Combined, error) {
 		if len(list)+len(dl) == 0 {
 			return nil, fmt.Errorf("livedex: term %q has an empty inverted list", s.names[t])
 		}
-		tm := postings.TermMeta{Name: s.names[t], FirstPage: postings.PageID(pages)}
+		tm := postings.TermMeta{Name: s.names[t]}
 		if len(dl) == 0 {
 			// Untouched term: its list and page layout are the main
-			// generation's, min/max arrays included — both sides are
-			// read-only.
-			mt := &s.mainIx.Terms[t]
-			tm.NumPages, tm.PageMinFreq, tm.PageMaxFreq = mt.NumPages, mt.PageMinFreq, mt.PageMaxFreq
+			// generation's; the page bounds are copied from it.
+			tid := postings.TermID(t)
+			meta.AppendBounds(&tm, s.mainIx.PageMinFreq(tid), s.mainIx.PageMaxFreq(tid))
 		} else {
 			// Touched term: merge into a fresh list and re-page it. No
 			// published page aliases the delta, so it sorts in place.
 			sort.Slice(dl, func(i, j int) bool { return postings.Before(dl[i], dl[j]) })
 			list = mergeLists(make([]postings.Entry, 0, len(list)+len(dl)), list, dl)
-			postings.Paginate(&tm, list, s.pageSize, nil)
+			meta.AppendList(&tm, list, nil)
 		}
 		idf := postings.IDFValue(numDocs, len(list))
 		tm.DF, tm.IDF, tm.FMax = len(list), idf, list[0].Freq
@@ -267,7 +263,6 @@ func (s *State) Commit() (*Combined, error) {
 			sumSq[e.Doc] += w * w
 		}
 		c.Lists[t] = list
-		pages += tm.NumPages
 		meta.Vocab[s.names[t]] = postings.TermID(t)
 		meta.Terms = append(meta.Terms, tm)
 	}
@@ -302,7 +297,7 @@ func (s *State) ApplyMerge(c *Combined, newStore storage.PageStore) error {
 	s.mainLists = c.Lists
 	s.baseDocs = c.Meta.NumDocs
 	s.delta = make(map[postings.TermID][]postings.Entry)
-	s.docNames = nil
+	s.deltaDocs = 0
 	s.deltaEntries = 0
 	return nil
 }
@@ -313,7 +308,7 @@ func (s *State) ApplyMerge(c *Combined, newStore storage.PageStore) error {
 func Pages(c *Combined) [][]postings.Entry {
 	pages := make([][]postings.Entry, 0, c.Meta.NumPagesTotal)
 	for _, list := range c.Lists {
-		postings.Paginate(nil, list, c.Meta.PageSize, func(_ int, page []postings.Entry) { pages = append(pages, page) })
+		postings.Paginate(list, c.Meta.PageSize, func(_ int, page []postings.Entry) { pages = append(pages, page) })
 	}
 	return pages
 }

@@ -1,5 +1,7 @@
 package postings
 
+import "math"
+
 // ConversionTable is the memory-resident f_add -> p_t table of §3.2.2:
 // for each term it answers "how many pages of this term's inverted
 // list will a scan with addition threshold f_add process?".
@@ -12,14 +14,31 @@ package postings
 // computation from the per-page minimum frequencies, which are also
 // memory resident. The table is immutable once built, so every
 // concurrent session shares one.
+//
+// The rows are laid out flat, as the paper sizes them: one []int16
+// holds every tabulated row back to back, and each term costs one
+// int32 row offset, whatever its length. A list longer than an int16
+// can count (32 767 pages) is left untabulated and always takes the
+// exact fallback, so a count is never clamped.
 type ConversionTable struct {
 	ix *Index
-	// rows[t] is nil for single-page terms; otherwise rows[t][k] is
-	// the page count for integer threshold k (0 <= k <= MaxKey).
-	rows [][]int16
+	// cells holds the tabulated rows back to back, MaxKey+1 cells
+	// each: cells[row[t]+k] is term t's page count for integer
+	// threshold k (0 <= k <= MaxKey).
+	cells []int16
+	// row[t] is the offset of term t's row in cells, or rowSingle for
+	// a term of at most one page, or rowExact for a list too long to
+	// tabulate.
+	row []int32
 	// MaxKey is the largest tabulated integer threshold.
 	MaxKey int
 }
+
+// Row offsets of the terms the table holds no row for.
+const (
+	rowSingle = -1 // p_t is 1 at every threshold
+	rowExact  = -2 // p_t is computed from the page minima
+)
 
 // DefaultMaxKey tabulates thresholds 0..10, the useful range the paper
 // reports for the WSJ collection (footnote 6).
@@ -27,31 +46,36 @@ const DefaultMaxKey = 10
 
 // NewConversionTable builds the table for ix with thresholds
 // 0..maxKey. Entries are int16 page counts: the longest paper-scale
-// list is 115 pages, far below the int16 limit; counts are clamped
-// defensively if a list were ever longer.
+// list is 115 pages, far below the int16 limit; a list longer than
+// math.MaxInt16 pages gets no row and is answered exactly.
 func NewConversionTable(ix *Index, maxKey int) *ConversionTable {
 	if maxKey < 0 {
 		maxKey = 0
 	}
 	ct := &ConversionTable{
 		ix:     ix,
-		rows:   make([][]int16, len(ix.Terms)),
+		row:    make([]int32, len(ix.Terms)),
 		MaxKey: maxKey,
 	}
+	rows := 0
 	for t := range ix.Terms {
-		tm := &ix.Terms[t]
-		if tm.NumPages <= 1 {
-			continue // single-page terms always process exactly 1 page
+		if n := ix.Terms[t].NumPages; n > 1 && n <= math.MaxInt16 {
+			rows++
 		}
-		row := make([]int16, maxKey+1)
-		for k := 0; k <= maxKey; k++ {
-			p := ix.PagesToProcessExact(TermID(t), float64(k))
-			if p > 32767 {
-				p = 32767
+	}
+	ct.cells = make([]int16, 0, rows*(maxKey+1))
+	for t := range ix.Terms {
+		switch n := ix.Terms[t].NumPages; {
+		case n <= 1:
+			ct.row[t] = rowSingle // always exactly 1 page
+		case n > math.MaxInt16:
+			ct.row[t] = rowExact
+		default:
+			ct.row[t] = int32(len(ct.cells))
+			for k := 0; k <= maxKey; k++ {
+				ct.cells = append(ct.cells, int16(ix.PagesToProcessExact(TermID(t), float64(k))))
 			}
-			row[k] = int16(p)
 		}
-		ct.rows[t] = row
 	}
 	return ct
 }
@@ -61,30 +85,24 @@ func NewConversionTable(ix *Index, maxKey int) *ConversionTable {
 // f_dt > fadd iff f_dt >= floor(fadd)+1, so the table is keyed by
 // floor(fadd).
 func (ct *ConversionTable) Pages(t TermID, fadd float64) int {
-	row := ct.rows[t]
-	if row == nil {
+	row := ct.row[t]
+	if row == rowSingle {
 		return 1 // single-page list
 	}
 	if fadd < 0 {
 		fadd = 0
 	}
 	k := int(fadd)
-	if k > ct.MaxKey {
+	if k > ct.MaxKey || row == rowExact {
 		// Rare in practice: fall back to the exact computation from
 		// memory-resident page minima.
 		return ct.ix.PagesToProcessExact(t, fadd)
 	}
-	return int(row[k])
+	return int(ct.cells[int(row)+k])
 }
 
 // SizeBytes reports the memory footprint of the tabulated rows in
 // bytes (2 bytes per cell), the quantity the paper sizes at ~121 KB
 // for the WSJ collection (6,060 multi-page terms x 10 thresholds x 2
-// bytes).
-func (ct *ConversionTable) SizeBytes() int {
-	total := 0
-	for _, row := range ct.rows {
-		total += 2 * len(row)
-	}
-	return total
-}
+// bytes). The row offsets, 4 bytes per term, are not counted.
+func (ct *ConversionTable) SizeBytes() int { return 2 * len(ct.cells) }

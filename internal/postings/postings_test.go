@@ -58,12 +58,11 @@ func TestBuildLayout(t *testing.T) {
 		if len(page) == 0 {
 			t.Fatalf("page %d empty", p)
 		}
-		tm := ix.Terms[ix.TermOfPage(PageID(p))]
-		off := ix.PageOffset(PageID(p))
-		if tm.PageMaxFreq[off] != page[0].Freq {
+		term, off := ix.TermOfPage(PageID(p)), ix.PageOffset(PageID(p))
+		if ix.PageMaxFreq(term)[off] != page[0].Freq {
 			t.Errorf("page %d PageMaxFreq mismatch", p)
 		}
-		if tm.PageMinFreq[off] != page[len(page)-1].Freq {
+		if ix.PageMinFreq(term)[off] != page[len(page)-1].Freq {
 			t.Errorf("page %d PageMinFreq mismatch", p)
 		}
 	}
@@ -279,6 +278,39 @@ func TestConversionTableSizeAndCounters(t *testing.T) {
 	}
 }
 
+// TestConversionTableLongList: a list longer than an int16 can count
+// gets no row and is answered exactly, never clamped to 32 767 pages;
+// the other multi-page lists keep theirs.
+func TestConversionTableLongList(t *testing.T) {
+	const n = 33_000
+	long := make([]Entry, n)
+	for d := range long {
+		long[d] = Entry{Doc: DocID(d), Freq: 1}
+	}
+	long[0].Freq = 3
+	lists := []TermPostings{
+		{Name: "long", Entries: long},
+		{Name: "pair", Entries: []Entry{{Doc: 0, Freq: 2}, {Doc: 1, Freq: 1}}},
+	}
+	ix, _, err := Build(lists, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := NewConversionTable(ix, DefaultMaxKey)
+	for _, tc := range []struct {
+		term string
+		fadd float64
+		want int
+	}{{"long", 0, n}, {"long", 1, 2}, {"long", 3, 1}, {"pair", 1, 2}, {"pair", 2, 1}} {
+		if got := ct.Pages(ix.Vocab[tc.term], tc.fadd); got != tc.want {
+			t.Errorf("Pages(%s, %g) = %d, want %d", tc.term, tc.fadd, got, tc.want)
+		}
+	}
+	if got, want := ct.SizeBytes(), 2*(DefaultMaxKey+1); got != want {
+		t.Errorf("SizeBytes = %d, want %d (one row, for pair)", got, want)
+	}
+}
+
 func TestConversionTableNegativeThreshold(t *testing.T) {
 	ix, _ := buildSmall(t)
 	ct := NewConversionTable(ix, 10)
@@ -312,21 +344,21 @@ func TestQuickPageBounds(t *testing.T) {
 // RebuildPageMaps must get an error.
 func TestRebuildPageMapsRejectsRisingMaxFreq(t *testing.T) {
 	ix, _ := buildSmall(t)
-	common := &ix.Terms[ix.Vocab["common"]]
-	for i := 1; i < common.NumPages; i++ {
-		if common.PageMaxFreq[i] > common.PageMaxFreq[i-1] {
-			t.Fatalf("Build produced a rising maximum at page %d: %v", i, common.PageMaxFreq)
+	common := ix.PageMaxFreq(ix.Vocab["common"])
+	for i := 1; i < len(common); i++ {
+		if common[i] > common[i-1] {
+			t.Fatalf("Build produced a rising maximum at page %d: %v", i, common)
 		}
 	}
 	if err := ix.RebuildPageMaps(); err != nil {
 		t.Fatalf("untouched metadata rejected: %v", err)
 	}
 	// A plateau is legal, a rise is not.
-	common.PageMaxFreq = []int32{9, 9, 2}
+	copy(common, []int32{9, 9, 2})
 	if err := ix.RebuildPageMaps(); err != nil {
 		t.Fatalf("plateau rejected: %v", err)
 	}
-	common.PageMaxFreq = []int32{9, 3, 4}
+	copy(common, []int32{9, 3, 4})
 	if err := ix.RebuildPageMaps(); err == nil {
 		t.Fatal("rising page maximum accepted")
 	}
@@ -335,8 +367,8 @@ func TestRebuildPageMapsRejectsRisingMaxFreq(t *testing.T) {
 // TestPaginate: for random frequency-sorted lists and page sizes, the
 // pages concatenate back to the list, none exceeds the page size and
 // only the last falls short of it, each is capacity-capped, and the
-// recorded bounds are each page's extremes. Without a TermMeta the cut
-// is the same.
+// bounds AppendList records are each page's extremes. Without an index
+// the cut is the same.
 func TestPaginate(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	for trial := 0; trial < 200; trial++ {
@@ -347,19 +379,21 @@ func TestPaginate(t *testing.T) {
 		sort.Slice(list, func(i, j int) bool { return Before(list[i], list[j]) })
 		pageSize := 1 + rng.Intn(9)
 
+		ix := &Index{PageSize: pageSize}
 		var tm TermMeta
 		var pages [][]Entry
 		var joined []Entry
-		n := Paginate(&tm, list, pageSize, func(start int, page []Entry) {
+		ix.AppendList(&tm, list, func(start int, page []Entry) {
 			if start != len(joined) {
 				t.Fatalf("page %d starts at %d, want %d", len(pages), start, len(joined))
 			}
 			pages = append(pages, page)
 			joined = append(joined, page...)
 		})
-		if n != len(pages) || tm.NumPages != n || len(tm.PageMinFreq) != n || len(tm.PageMaxFreq) != n {
-			t.Fatalf("returned %d pages, emitted %d, recorded %d (%d/%d bounds)",
-				n, len(pages), tm.NumPages, len(tm.PageMinFreq), len(tm.PageMaxFreq))
+		n := tm.NumPages
+		if n != len(pages) || tm.FirstPage != 0 || len(ix.pageMin) != n || len(ix.pageMax) != n {
+			t.Fatalf("emitted %d pages, recorded %d from %d (%d/%d bounds)",
+				len(pages), n, tm.FirstPage, len(ix.pageMin), len(ix.pageMax))
 		}
 		if !slices.Equal(joined, list) {
 			t.Fatalf("pages concatenate to %v, want %v", joined, list)
@@ -375,12 +409,12 @@ func TestPaginate(t *testing.T) {
 			for _, e := range page {
 				lo, hi = min(lo, e.Freq), max(hi, e.Freq)
 			}
-			if tm.PageMinFreq[i] != lo || tm.PageMaxFreq[i] != hi {
-				t.Fatalf("page %d bounds (%d, %d), extremes (%d, %d)", i, tm.PageMinFreq[i], tm.PageMaxFreq[i], lo, hi)
+			if ix.pageMin[i] != lo || ix.pageMax[i] != hi {
+				t.Fatalf("page %d bounds (%d, %d), extremes (%d, %d)", i, ix.pageMin[i], ix.pageMax[i], lo, hi)
 			}
 		}
-		if got := Paginate(nil, list, pageSize, nil); got != n {
-			t.Fatalf("without a TermMeta: %d pages, want %d", got, n)
+		if got := Paginate(list, pageSize, nil); got != n {
+			t.Fatalf("without an index: %d pages, want %d", got, n)
 		}
 	}
 }

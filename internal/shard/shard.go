@@ -102,13 +102,12 @@ func Split(ix *postings.Index, pages [][]postings.Entry, n int) ([]Partition, er
 				DF:   tm.DF,
 				IDF:  tm.IDF,
 				FMax: tm.FMax,
-				// Local physical layout.
-				FirstPage: postings.PageID(len(parts[s].Pages)),
 			}
 			// The scratch list is reused for the next term, so the
-			// partition's pages are cut from a copy of their own.
+			// partition's pages are cut from a copy of their own; the
+			// local physical layout is recorded as they are.
 			list := append([]postings.Entry(nil), local[s]...)
-			postings.Paginate(&stm, list, ix.PageSize, func(_ int, page []postings.Entry) {
+			parts[s].Index.AppendList(&stm, list, func(_ int, page []postings.Entry) {
 				parts[s].Pages = append(parts[s].Pages, page)
 			})
 			parts[s].Index.Terms[t] = stm

@@ -120,9 +120,10 @@ func TestSplitPartitionInvariants(t *testing.T) {
 						max = e.Freq
 					}
 				}
-				if min != tm.PageMinFreq[i] || max != tm.PageMaxFreq[i] {
+				tid := postings.TermID(t2)
+				if min != p.Index.PageMinFreq(tid)[i] || max != p.Index.PageMaxFreq(tid)[i] {
 					t.Fatalf("partition %d term %d page %d: min/max metadata (%d, %d), payload (%d, %d)",
-						s, t2, i, tm.PageMinFreq[i], tm.PageMaxFreq[i], min, max)
+						s, t2, i, p.Index.PageMinFreq(tid)[i], p.Index.PageMaxFreq(tid)[i], min, max)
 				}
 				local = append(local, pg...)
 			}

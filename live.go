@@ -2,6 +2,7 @@ package bufir
 
 import (
 	"fmt"
+	"slices"
 
 	"bufir/internal/livedex"
 	"bufir/internal/postings"
@@ -62,18 +63,17 @@ func (ix *Index) EnableLiveUpdates(opts LiveOptions) error {
 	if err != nil {
 		return err
 	}
-	// Materialize the main generation's document names so delta names
-	// can append to them positionally.
-	names := v.docNames
-	if names == nil && v.ix.NumDocs > 0 {
-		names = make([]string, v.ix.NumDocs)
-		for d := range names {
-			names[d] = fmt.Sprintf("doc%d", d)
-		}
+	// Materialize a name for every main-generation document, DocName's
+	// synthetic one where the view has none, so delta names append
+	// positionally. The view's own slice is capped first, so an append
+	// copies it instead of writing past its end.
+	names := slices.Clip(v.docNames)
+	for d := len(names); d < v.ix.NumDocs; d++ {
+		names = append(names, fmt.Sprintf("doc%d", d))
 	}
 	ix.live = st
 	ix.liveOpts = opts
-	ix.liveBase = names
+	ix.liveNames = names
 	ix.livePipe = ix.pipe
 	if ix.livePipe == nil {
 		// An index without a lexical pipeline (synthetic collections
@@ -128,6 +128,7 @@ func (ix *Index) addLocked(name string, counts map[string]int) (DocID, error) {
 	if err != nil {
 		return 0, err
 	}
+	ix.liveNames = append(ix.liveNames, name)
 	if err := ix.commitLocked(); err != nil {
 		return 0, err
 	}
@@ -142,7 +143,7 @@ func (ix *Index) commitLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := ix.publishLocked(c.Meta, store, append(append([]string(nil), ix.liveBase...), c.DocNames...)); err != nil {
+	if err := ix.publishLocked(c.Meta, store); err != nil {
 		return err
 	}
 	ix.maybeAutoMerge()
@@ -161,9 +162,9 @@ func (ix *Index) liveCommit() (*livedex.Combined, *storage.Store, error) {
 }
 
 // publishLocked wraps a fresh generation's store in the remembered
-// fault layer and installs it as the next epoch (called with liveMu
-// held).
-func (ix *Index) publishLocked(meta *postings.Index, base storage.PageStore, docNames []string) error {
+// fault layer and installs it as the next epoch, naming its documents
+// by a capped prefix of liveNames (called with liveMu held).
+func (ix *Index) publishLocked(meta *postings.Index, base storage.PageStore) error {
 	store := base
 	if ix.faultRules != nil {
 		fs, err := storage.NewFaultStore(base, ix.faultSeed, ix.faultRules)
@@ -179,7 +180,7 @@ func (ix *Index) publishLocked(meta *postings.Index, base storage.PageStore, doc
 		store:    store,
 		base:     base,
 		conv:     postings.NewConversionTable(meta, postings.DefaultMaxKey),
-		docNames: docNames,
+		docNames: ix.liveNames[:meta.NumDocs:meta.NumDocs],
 	})
 	return nil
 }
@@ -206,12 +207,10 @@ func (ix *Index) mergeLocked() error {
 	if err != nil {
 		return err
 	}
-	names := append(append([]string(nil), ix.liveBase...), c.DocNames...)
 	if err := ix.live.ApplyMerge(c, store); err != nil {
 		return err
 	}
-	ix.liveBase = names
-	if err := ix.publishLocked(c.Meta, store, names); err != nil {
+	if err := ix.publishLocked(c.Meta, store); err != nil {
 		return err
 	}
 	ix.liveMerges++
